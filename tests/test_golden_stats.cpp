@@ -24,12 +24,14 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 
 #include "baseline/baseline_chip.hpp"
 #include "chip/chip_config.hpp"
 #include "chip/smarco_chip.hpp"
+#include "fault/fault_campaign.hpp"
 #include "runtime/overload.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
@@ -129,6 +131,51 @@ cdnOverloadRun(bool fast_forward)
     return dumpStats(sim);
 }
 
+/**
+ * The covered faulted many-ring config: 2 sub-rings x 4 cores, so
+ * memory traffic crosses the gateways onto the main ring, running an
+ * HTC mix with DMA input staging and realtime tasks that issue
+ * priority accesses, under a campaign that loses MACT entries and
+ * duplicates and drops ring packets. This locks down every path a
+ * memory request, MACT batch or task hand-off can take through the
+ * NoC, including entry-loss re-emission and ring dedup/retransmit.
+ * inspect (optional) sees the registry after the run.
+ */
+std::string
+faultedHtcRun(bool fast_forward,
+              const std::function<void(const StatRegistry &)> &inspect =
+                  {})
+{
+    Simulator sim;
+    sim.setFastForward(fast_forward);
+    chip::SmarcoChip chip(sim, chip::ChipConfig::scaled(2, 4));
+    workloads::TaskSetParams tp;
+    tp.count = 8;
+    tp.seed = 42;
+    tp.releaseSpan = 40'000;
+    chip.submit(workloads::makeTaskSet(
+        workloads::htcProfile("wordcount"), tp));
+    tp.seed = 43;
+    chip.submit(workloads::makeTaskSet(
+        workloads::htcProfile("kmeans"), tp));
+    tp.seed = 44;
+    tp.realtime = true;
+    chip.submit(workloads::makeTaskSet(
+        workloads::htcProfile("rnc"), tp));
+
+    fault::FaultSpec spec;
+    spec.mactLossRate = 400.0;
+    spec.nocDupRate = 200.0;
+    spec.nocDropProb = 0.002;
+    spec.horizon = 1'000'000;
+    fault::FaultCampaign campaign(sim, spec, 7);
+    campaign.arm(chip.faultTargets());
+    chip.runUntilDone(100'000'000);
+    if (inspect)
+        inspect(sim.stats());
+    return dumpStats(sim);
+}
+
 void
 expectIdentical(const std::string &a, const std::string &b,
                 const char *what)
@@ -199,6 +246,32 @@ TEST(GoldenStats, CdnOverloadSnapshotMatchesGolden)
 {
     checkGolden(cdnOverloadRun(true),
                 "smarco_scaled_1x4_cdn_overload.json");
+}
+
+TEST(GoldenStats, FaultedRunExercisesEveryMemoryPath)
+{
+    faultedHtcRun(true, [](const StatRegistry &st) {
+        EXPECT_GT(st.get("chip.noc.gatewayCrossings").value(), 0.0);
+        EXPECT_GT(st.total("chip.mact", ".collected"), 0.0);
+        EXPECT_GT(st.get("chip.priorityDirect").value(), 0.0);
+        EXPECT_GT(st.total("chip.dma", ".bytes"), 0.0);
+        EXPECT_GT(st.total("chip.mact", ".entriesLost"), 0.0);
+        EXPECT_GT(st.total("chip.noc.", ".dupsSuppressed"), 0.0);
+        EXPECT_GT(st.total("chip.noc.", ".retransmits"), 0.0);
+        EXPECT_EQ(st.total("chip.core", ".tasksFinished"), 24.0);
+    });
+}
+
+TEST(GoldenStats, FastForwardMatchesForcedModeFaultedHtc)
+{
+    expectIdentical(faultedHtcRun(true), faultedHtcRun(false),
+                    "faulted HTC fast-forward vs forced dump");
+}
+
+TEST(GoldenStats, FaultedHtcSnapshotMatchesGolden)
+{
+    checkGolden(faultedHtcRun(true),
+                "smarco_scaled_2x4_faulted_htc.json");
 }
 
 TEST(GoldenStats, UnsampledStatsSerializeExplicitZeros)
