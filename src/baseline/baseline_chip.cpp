@@ -387,7 +387,7 @@ BaselineChip::memAccess(Core &core, SwThread &t, Addr addr,
     const auto llc_res = llc_->access(addr, is_store);
     if (llc_res.writeback)
         dram_->serve(llc_res.victimAddr, 64, now, nullptr,
-                     /*is_write=*/true);
+                     mem::DramClass::Write);
     if (llc_res.hit) {
         // Shared LLC: queueing grows mildly with in-flight misses.
         const double lat = static_cast<double>(params_.llcHitLatency) +

@@ -121,14 +121,14 @@ SmarcoChip::SmarcoChip(Simulator &sim, ChipConfig cfg)
     // the host-facing I/O stop to the target gateway.
     mainSched_->setTransport(
         [this](std::uint32_t sub_ring, const workloads::TaskSpec &t) {
-            const std::uint64_t wire = nextTaskWire_++;
-            taskWire_.emplace(wire, t);
             Packet pkt;
             pkt.src = NodeId{NodeKind::Io, 0};
             pkt.dst = NodeId{NodeKind::Gateway, sub_ring};
             pkt.kind = PacketKind::Control;
             pkt.payloadBytes = 32;
-            pkt.meta = wire;
+            pkt.onDeliver = [this, sub_ring, t]() {
+                subScheds_[sub_ring]->submit(t);
+            };
             network_->send(std::move(pkt));
         });
 
@@ -192,19 +192,6 @@ SmarcoChip::submitTo(std::uint32_t sub_ring,
                      const workloads::TaskSpec &task)
 {
     subScheds_[sub_ring]->submit(task);
-}
-
-void
-SmarcoChip::submitWithHook(const workloads::TaskSpec &task,
-                           TaskHook hook)
-{
-    submitRequest(task,
-                  [hook = std::move(hook)](
-                      const workloads::TaskSpec &t,
-                      const RequestResult &res) {
-                      if (res.completed)
-                          hook(t, res.when, res.core);
-                  });
 }
 
 void
@@ -331,7 +318,6 @@ SmarcoChip::request(CoreId core_id, ThreadId thread, const MicroOp &op,
 {
     ++memRequests_;
     MemRequest req;
-    req.id = nextReqId_++;
     req.write = op.isStore();
     req.addr = op.addr;
     req.bytes = op.size;
@@ -342,7 +328,7 @@ SmarcoChip::request(CoreId core_id, ThreadId thread, const MicroOp &op,
 
     // Wrap the completion to sample the end-to-end request latency.
     const bool blocking = !req.write;
-    core::MemDone wrapped =
+    req.done =
         [this, issued = req.issued, blocking, done = std::move(done)]() {
             if (blocking)
                 memLatency_.sample(
@@ -360,11 +346,11 @@ SmarcoChip::request(CoreId core_id, ThreadId thread, const MicroOp &op,
         pkt.src = NodeId{NodeKind::Core, core_id};
         pkt.dst = NodeId{NodeKind::Core, owner};
         pkt.priority = req.priority;
+        pkt.kind = PacketKind::SpmRemoteReq;
         if (!req.write) {
-            pkt.kind = PacketKind::SpmRemoteReq;
             pkt.payloadBytes = mem::kReadReqBytes;
-            pkt.onDeliver = [this, owner_core, req,
-                             wrapped = std::move(wrapped)]() {
+            pkt.onDeliver = [this, owner_core,
+                             req = std::move(req)]() mutable {
                 owner_core->spm().access(false);
                 Packet resp;
                 resp.src = NodeId{NodeKind::Core, owner_core->id()};
@@ -372,16 +358,14 @@ SmarcoChip::request(CoreId core_id, ThreadId thread, const MicroOp &op,
                 resp.kind = PacketKind::SpmRemoteResp;
                 resp.payloadBytes = mem::kReqHeaderBytes + req.bytes;
                 resp.priority = req.priority;
-                resp.onDeliver = wrapped;
+                resp.onDeliver = std::move(req.done);
                 network_->send(std::move(resp));
             };
         } else {
-            pkt.kind = PacketKind::SpmRemoteReq;
             pkt.payloadBytes = mem::kReqHeaderBytes + req.bytes;
-            pkt.onDeliver = [owner_core,
-                             wrapped = std::move(wrapped)]() {
+            pkt.onDeliver = [owner_core, done = std::move(req.done)]() {
                 owner_core->spm().access(true);
-                wrapped();
+                done();
             };
         }
         network_->send(std::move(pkt));
@@ -389,68 +373,52 @@ SmarcoChip::request(CoreId core_id, ThreadId thread, const MicroOp &op,
     }
 
     // Heap fills and stream accesses go to DRAM.
-    if (req.priority && !req.write && directPath_->enabled()) {
-        sendViaDirectPath(req, std::move(wrapped));
-        return;
-    }
-    if (req.write)
-        sendWriteToMemory(req, std::move(wrapped));
+    if (req.priority && !req.write && directPath_->enabled())
+        sendViaDirectPath(std::move(req));
     else
-        sendReadToMemory(req, std::move(wrapped));
+        sendToMemory(std::move(req), /*dma=*/false);
 }
 
 void
 SmarcoChip::writeback(CoreId core_id, Addr line_addr)
 {
     MemRequest req;
-    req.id = nextReqId_++;
     req.write = true;
     req.addr = line_addr;
     req.bytes = 64;
     req.core = core_id;
     req.issued = sim_.now();
-    sendWriteToMemory(req, nullptr);
+    sendToMemory(std::move(req), /*dma=*/false);
 }
 
 void
-SmarcoChip::sendReadToMemory(const MemRequest &req, core::MemDone done)
+SmarcoChip::sendToMemory(MemRequest &&req, bool dma)
 {
-    pending_.emplace(req.id, PendingReq{req, std::move(done)});
     Packet pkt;
     pkt.src = NodeId{NodeKind::Core, req.core};
     pkt.dst = mcNodeFor(req.addr);
-    pkt.kind = PacketKind::MemReadReq;
-    pkt.payloadBytes = mem::kReadReqBytes;
+    pkt.kind = dma ? PacketKind::DmaChunk
+        : req.write ? PacketKind::MemWriteReq
+                    : PacketKind::MemReadReq;
+    // Writes carry their data; reads only the address.
+    pkt.payloadBytes = req.write ? mem::kReqHeaderBytes + req.bytes
+                                 : mem::kReadReqBytes;
     pkt.priority = req.priority;
-    pkt.meta = req.id;
+    pkt.payload = std::make_shared<MemRequest>(std::move(req));
     network_->send(std::move(pkt));
 }
 
 void
-SmarcoChip::sendWriteToMemory(const MemRequest &req, core::MemDone done)
-{
-    pending_.emplace(req.id, PendingReq{req, std::move(done)});
-    Packet pkt;
-    pkt.src = NodeId{NodeKind::Core, req.core};
-    pkt.dst = mcNodeFor(req.addr);
-    pkt.kind = PacketKind::MemWriteReq;
-    pkt.payloadBytes = mem::kReqHeaderBytes + req.bytes;
-    pkt.priority = req.priority;
-    pkt.meta = req.id;
-    network_->send(std::move(pkt));
-}
-
-void
-SmarcoChip::sendViaDirectPath(const MemRequest &req, core::MemDone done)
+SmarcoChip::sendViaDirectPath(MemRequest &&req)
 {
     ++priorityDirect_;
     const std::uint32_t ring = req.core / cfg_.noc.coresPerSubRing;
-    auto respond = [this, ring, req, done = std::move(done)]() {
+    auto respond = [this, ring, req = std::move(req)]() mutable {
         dram_->serve(req.addr, req.bytes, sim_.now(),
-                     [this, ring, req, done]() {
+                     [this, ring, bytes = req.bytes,
+                      done = std::move(req.done)]() {
             directPath_->transfer(
-                ring, mem::kReqHeaderBytes + req.bytes, sim_.now(),
-                done);
+                ring, mem::kReqHeaderBytes + bytes, sim_.now(), done);
         });
     };
     directPath_->transfer(ring, mem::kReadReqBytes, sim_.now(),
@@ -463,26 +431,19 @@ SmarcoChip::interceptAtGateway(std::uint32_t gw, Packet &pkt)
     if (pkt.kind != PacketKind::MemReadReq &&
         pkt.kind != PacketKind::MemWriteReq)
         return false;
-    auto it = pending_.find(pkt.meta);
-    if (it == pending_.end())
-        panic("gateway %u: unknown mem request %llu", gw,
-              static_cast<unsigned long long>(pkt.meta));
-    return macts_[gw]->collect(it->second.req, sim_.now());
+    return macts_[gw]->collect(*std::get<noc::RequestPtr>(pkt.payload),
+                               sim_.now());
 }
 
 void
 SmarcoChip::onMactBatch(std::uint32_t gw, mem::MactBatch &&batch)
 {
-    const std::uint64_t wire = nextReqId_++;
-    const Addr base = batch.lineBase;
-    const std::uint32_t bytes = batch.wireBytes();
-    batchWire_.emplace(wire, std::move(batch));
     Packet pkt;
     pkt.src = NodeId{NodeKind::Gateway, gw};
-    pkt.dst = mcNodeFor(base);
+    pkt.dst = mcNodeFor(batch.lineBase);
     pkt.kind = PacketKind::MactBatchReq;
-    pkt.payloadBytes = bytes;
-    pkt.meta = wire;
+    pkt.payloadBytes = batch.wireBytes();
+    pkt.payload = std::make_shared<mem::MactBatch>(std::move(batch));
     network_->send(std::move(pkt));
 }
 
@@ -491,103 +452,66 @@ SmarcoChip::handleMcPacket(std::uint32_t mc, Packet &&pkt)
 {
     switch (pkt.kind) {
       case PacketKind::MemReadReq:
+      case PacketKind::MemWriteReq:
       case PacketKind::DmaChunk: {
-        auto it = pending_.find(pkt.meta);
-        if (it == pending_.end())
-            panic("mc %u: unknown request %llu", mc,
-                  static_cast<unsigned long long>(pkt.meta));
-        const MemRequest req = it->second.req;
+        noc::RequestPtr &carried = std::get<noc::RequestPtr>(pkt.payload);
+        MemRequest &req = *carried;
         if (req.write) {
-            // Posted DMA write: complete at the controller.
-            core::MemDone done = std::move(it->second.done);
-            pending_.erase(it);
+            // Posted write (store, writeback or DMA chunk): complete
+            // at the controller.
             dram_->serve(req.addr, req.bytes, sim_.now(), nullptr,
-                         /*is_write=*/true);
-            if (done)
-                done();
+                         mem::DramClass::Write);
+            if (req.done)
+                req.done();
             return;
         }
-        const std::uint64_t id = pkt.meta;
         const bool is_dma = pkt.kind == PacketKind::DmaChunk;
         // Staging chunks ride the bulk class so they cannot queue
         // ahead of pipeline-stalling demand reads.
         dram_->serve(req.addr, req.bytes, sim_.now(),
-                     mem::DramController::Done([this, id, mc, is_dma]() {
-            auto it2 = pending_.find(id);
-            if (it2 == pending_.end())
-                panic("mc %u: request %llu vanished", mc,
-                      static_cast<unsigned long long>(id));
-            const MemRequest req2 = it2->second.req;
-            core::MemDone done = std::move(it2->second.done);
-            pending_.erase(it2);
+                     [this, mc, is_dma, r = std::move(carried)]() {
             Packet resp;
             resp.src = NodeId{NodeKind::MemCtrl, mc};
-            resp.dst = NodeId{NodeKind::Core, req2.core};
+            resp.dst = NodeId{NodeKind::Core, r->core};
             resp.kind = is_dma ? PacketKind::DmaChunk
                                : PacketKind::MemReadResp;
-            resp.payloadBytes = mem::kReqHeaderBytes + req2.bytes;
-            resp.priority = req2.priority;
-            resp.onDeliver = std::move(done);
+            resp.payloadBytes = mem::kReqHeaderBytes + r->bytes;
+            resp.priority = r->priority;
+            resp.onDeliver = std::move(r->done);
             network_->send(std::move(resp));
-        }), is_dma ? mem::DramClass::Bulk
-                   : mem::DramClass::DemandRead);
-        return;
-      }
-
-      case PacketKind::MemWriteReq: {
-        auto it = pending_.find(pkt.meta);
-        if (it == pending_.end())
-            panic("mc %u: unknown write %llu", mc,
-                  static_cast<unsigned long long>(pkt.meta));
-        const MemRequest req = it->second.req;
-        core::MemDone done = std::move(it->second.done);
-        pending_.erase(it);
-        dram_->serve(req.addr, req.bytes, sim_.now(), nullptr,
-                     /*is_write=*/true);
-        if (done)
-            done(); // posted write
+        }, is_dma ? mem::DramClass::Bulk
+                  : mem::DramClass::DemandRead);
         return;
       }
 
       case PacketKind::MactBatchReq: {
-        auto it = batchWire_.find(pkt.meta);
-        if (it == batchWire_.end())
-            panic("mc %u: unknown batch %llu", mc,
-                  static_cast<unsigned long long>(pkt.meta));
-        if (it->second.write) {
+        noc::BatchPtr &carried = std::get<noc::BatchPtr>(pkt.payload);
+        const mem::MactBatch &batch = *carried;
+        if (batch.write) {
             // One DRAM write covering every merged store.
-            mem::MactBatch batch = std::move(it->second);
-            batchWire_.erase(it);
             dram_->serve(batch.lineBase, batch.coveredBytes(),
-                         sim_.now(), nullptr, /*is_write=*/true);
-            for (const auto &r : batch.requests) {
-                auto pit = pending_.find(r.id);
-                if (pit == pending_.end())
-                    panic("mc %u: batched write %llu lost", mc,
-                          static_cast<unsigned long long>(r.id));
-                core::MemDone done = std::move(pit->second.done);
-                pending_.erase(pit);
-                if (done)
-                    done();
-            }
+                         sim_.now(), nullptr, mem::DramClass::Write);
+            for (const auto &r : batch.requests)
+                if (r.done)
+                    r.done();
             return;
         }
         // Read batch: one DRAM access, one response to the gateway.
-        const std::uint64_t id = pkt.meta;
-        const Addr base = it->second.lineBase;
-        const std::uint32_t data = it->second.coveredBytes();
-        const std::uint32_t home_gw = it->second.requests.empty()
+        const std::uint32_t data = batch.coveredBytes();
+        const std::uint32_t home_gw = batch.requests.empty()
             ? 0
-            : it->second.requests.front().core /
-                  cfg_.noc.coresPerSubRing;
-        dram_->serve(base, data, sim_.now(),
-                     [this, id, mc, data, home_gw]() {
+            : batch.requests.front().core / cfg_.noc.coresPerSubRing;
+        dram_->serve(batch.lineBase, data, sim_.now(),
+                     [this, mc, data, home_gw,
+                      b = std::move(carried)]() mutable {
             Packet resp;
             resp.src = NodeId{NodeKind::MemCtrl, mc};
             resp.dst = NodeId{NodeKind::Gateway, home_gw};
             resp.kind = PacketKind::MactBatchResp;
             resp.payloadBytes = mem::kReqHeaderBytes + data;
-            resp.meta = id;
+            // Assigned from a prvalue: moving b in directly trips a
+            // -Wmaybe-uninitialized false positive in GCC 12 + ASan.
+            resp.payload = noc::BatchPtr(std::move(b));
             network_->send(std::move(resp));
         });
         return;
@@ -603,42 +527,23 @@ void
 SmarcoChip::handleGatewayPacket(std::uint32_t gw, Packet &&pkt)
 {
     switch (pkt.kind) {
-      case PacketKind::Control: {
-        auto it = taskWire_.find(pkt.meta);
-        if (it == taskWire_.end())
-            panic("gateway %u: unknown task wire %llu", gw,
-                  static_cast<unsigned long long>(pkt.meta));
-        const workloads::TaskSpec task = it->second;
-        taskWire_.erase(it);
-        subScheds_[gw]->submit(task);
+      case PacketKind::Control:
+        // Task hand-off: submits the carried task to this sub-ring.
+        pkt.onDeliver();
         return;
-      }
 
-      case PacketKind::MactBatchResp: {
-        auto it = batchWire_.find(pkt.meta);
-        if (it == batchWire_.end())
-            panic("gateway %u: unknown batch %llu", gw,
-                  static_cast<unsigned long long>(pkt.meta));
-        mem::MactBatch batch = std::move(it->second);
-        batchWire_.erase(it);
+      case PacketKind::MactBatchResp:
         // Fan the merged line back out as per-request responses.
-        for (const auto &r : batch.requests) {
-            auto pit = pending_.find(r.id);
-            if (pit == pending_.end())
-                panic("gateway %u: batched read %llu lost", gw,
-                      static_cast<unsigned long long>(r.id));
-            core::MemDone done = std::move(pit->second.done);
-            pending_.erase(pit);
+        for (auto &r : std::get<noc::BatchPtr>(pkt.payload)->requests) {
             Packet resp;
             resp.src = NodeId{NodeKind::Gateway, gw};
             resp.dst = NodeId{NodeKind::Core, r.core};
             resp.kind = PacketKind::MemReadResp;
             resp.payloadBytes = mem::kReqHeaderBytes + r.bytes;
-            resp.onDeliver = std::move(done);
+            resp.onDeliver = std::move(r.done);
             network_->send(std::move(resp));
         }
         return;
-      }
 
       default:
         panic("gateway %u: unexpected packet kind %s", gw,
@@ -669,42 +574,17 @@ SmarcoChip::dmaChunk(CoreId core_id, Addr src, Addr dst,
     const bool src_dram = cfg_.map.isDram(src);
     const bool dst_dram = cfg_.map.isDram(dst);
 
-    if (src_dram && !dst_dram) {
-        // DRAM -> SPM: a read chunk request plus a data response.
+    if (src_dram != dst_dram) {
+        // DRAM -> SPM is a read chunk answered with the data; SPM ->
+        // DRAM a posted write chunk carrying the payload.
         MemRequest req;
-        req.id = nextReqId_++;
-        req.write = false;
-        req.addr = src;
+        req.write = dst_dram;
+        req.addr = dst_dram ? dst : src;
         req.bytes = bytes;
         req.core = core_id;
         req.issued = sim_.now();
-        pending_.emplace(req.id, PendingReq{req, std::move(done)});
-        Packet pkt;
-        pkt.src = NodeId{NodeKind::Core, core_id};
-        pkt.dst = mcNodeFor(src);
-        pkt.kind = PacketKind::DmaChunk;
-        pkt.payloadBytes = mem::kReadReqBytes;
-        pkt.meta = req.id;
-        network_->send(std::move(pkt));
-        return;
-    }
-    if (!src_dram && dst_dram) {
-        // SPM -> DRAM: a posted write chunk carrying the payload.
-        MemRequest req;
-        req.id = nextReqId_++;
-        req.write = true;
-        req.addr = dst;
-        req.bytes = bytes;
-        req.core = core_id;
-        req.issued = sim_.now();
-        pending_.emplace(req.id, PendingReq{req, std::move(done)});
-        Packet pkt;
-        pkt.src = NodeId{NodeKind::Core, core_id};
-        pkt.dst = mcNodeFor(dst);
-        pkt.kind = PacketKind::DmaChunk;
-        pkt.payloadBytes = mem::kReqHeaderBytes + bytes;
-        pkt.meta = req.id;
-        network_->send(std::move(pkt));
+        req.done = std::move(done);
+        sendToMemory(std::move(req), /*dma=*/true);
         return;
     }
     // SPM -> SPM transfer between sub-ring neighbours.

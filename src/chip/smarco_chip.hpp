@@ -63,11 +63,6 @@ class SmarcoChip : public core::MemPort
 
     /** Submit tasks via the main scheduler (load-balanced). */
     void submit(const std::vector<workloads::TaskSpec> &tasks);
-    /** Completion observer attached to one submitted task. */
-    using TaskHook = std::function<void(const workloads::TaskSpec &,
-                                        Cycle finish, CoreId core)>;
-    /** Submit one task and be called back when it completes. */
-    void submitWithHook(const workloads::TaskSpec &task, TaskHook hook);
     /** Submit one task directly to a chosen sub-ring. */
     void submitTo(std::uint32_t sub_ring,
                   const workloads::TaskSpec &task);
@@ -134,22 +129,15 @@ class SmarcoChip : public core::MemPort
     void writeback(CoreId core, Addr line_addr) override;
 
   private:
-    struct PendingReq {
-        mem::MemRequest req;
-        core::MemDone done;
-    };
-
     noc::NodeId mcNodeFor(Addr addr) const;
     /** Scan for a core with an eligible victim, starting randomly. */
     bool injectCoreFault(core::ThreadFault kind, Rng &rng, Cycle now);
     /** Ring picked uniformly among main + subs. */
     noc::Ring &pickRing(Rng &rng);
-    void sendReadToMemory(const mem::MemRequest &req,
-                          core::MemDone done);
-    void sendWriteToMemory(const mem::MemRequest &req,
-                           core::MemDone done);
-    void sendViaDirectPath(const mem::MemRequest &req,
-                           core::MemDone done);
+    /** Send req from its core to its DRAM controller; dma marks an
+     *  SPM staging chunk. */
+    void sendToMemory(mem::MemRequest &&req, bool dma);
+    void sendViaDirectPath(mem::MemRequest &&req);
     void handleMcPacket(std::uint32_t mc, noc::Packet &&pkt);
     void handleGatewayPacket(std::uint32_t gw, noc::Packet &&pkt);
     bool interceptAtGateway(std::uint32_t gw, noc::Packet &pkt);
@@ -173,14 +161,6 @@ class SmarcoChip : public core::MemPort
     std::vector<std::unique_ptr<sched::SubScheduler>> subScheds_;
     std::unique_ptr<sched::MainScheduler> mainSched_;
 
-    std::uint64_t nextReqId_ = 1;
-    /** Blocking/buffered requests travelling through the NoC. */
-    std::unordered_map<std::uint64_t, PendingReq> pending_;
-    /** MACT batches travelling between gateways and controllers. */
-    std::unordered_map<std::uint64_t, mem::MactBatch> batchWire_;
-    /** Tasks in flight between main scheduler and gateways. */
-    std::unordered_map<std::uint64_t, workloads::TaskSpec> taskWire_;
-    std::uint64_t nextTaskWire_ = 1;
     /** Outcome hooks keyed by TaskSpec::hookId. */
     std::unordered_map<std::uint64_t, RequestHook> requestHooks_;
     std::uint64_t nextHookId_ = 1;

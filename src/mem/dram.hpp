@@ -70,15 +70,6 @@ class DramController
     void serve(Addr addr, std::uint32_t data_bytes, Cycle now, Done done,
                DramClass cls = DramClass::DemandRead);
 
-    /** Back-compat helper for plain read/write call sites. */
-    void
-    serve(Addr addr, std::uint32_t data_bytes, Cycle now, Done done,
-          bool is_write)
-    {
-        serve(addr, data_bytes, now, std::move(done),
-              is_write ? DramClass::Write : DramClass::DemandRead);
-    }
-
     /** Channel index an address maps to. */
     std::uint32_t channelOf(Addr addr) const;
 

@@ -70,7 +70,7 @@ Mact::fullVector() const
 }
 
 bool
-Mact::collect(const MemRequest &req, Cycle now)
+Mact::collect(MemRequest &req, Cycle now)
 {
     if (!params_.enabled || req.priority ||
         req.bytes > params_.maxCollectBytes || req.bytes == 0) {
@@ -104,12 +104,12 @@ Mact::collect(const MemRequest &req, Cycle now)
             oldest = &line;
         if (line.write == req.write && line.base == base) {
             line.vector |= bits;
-            line.requests.push_back(req);
             ++collected_;
             sim_.wake(this);
             if (sim_.trace().enabled(TraceCat::Mem))
                 sim_.trace().instant(TraceCat::Mem, "mact.hit", now,
                                      req.core);
+            line.requests.push_back(std::move(req));
             if (line.vector == fullVector()) {
                 ++fullFlushes_;
                 flushLine(line, "full");
@@ -131,13 +131,13 @@ Mact::collect(const MemRequest &req, Cycle now)
     slot->vector = bits;
     slot->firstCollect = now;
     slot->requests.clear();
-    slot->requests.push_back(req);
     ++used_;
     ++collected_;
     sim_.wake(this);
     if (sim_.trace().enabled(TraceCat::Mem))
         sim_.trace().instant(TraceCat::Mem, "mact.alloc", now,
                              req.core);
+    slot->requests.push_back(std::move(req));
     if (slot->vector == fullVector()) {
         ++fullFlushes_;
         flushLine(*slot, "full");

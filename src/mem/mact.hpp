@@ -34,27 +34,12 @@ struct MactParams {
     std::uint32_t maxCollectBytes = 16;
 };
 
-/** One flushed batch: a merged per-line memory access. */
-struct MactBatch {
-    bool write = false;
-    Addr lineBase = kNoAddr;
-    std::uint64_t vector = 0;
-    /** The original requests merged into this batch. */
-    std::vector<MemRequest> requests;
-
-    /** Number of distinct bytes covered by the bitmap. */
-    std::uint32_t coveredBytes() const;
-
-    /** Wire size of the batch request packet. */
-    std::uint32_t wireBytes() const;
-};
-
 /**
  * The collection table. collect() either absorbs a request (returns
- * true; the caller must not forward it) or refuses it (priority,
- * oversize, line-straddling), in which case the caller forwards the
- * request on the ordinary path. Flushed batches are handed to the
- * sink installed by the chip.
+ * true and takes it over, completion included; the caller must not
+ * forward it) or refuses it (priority, oversize, line-straddling),
+ * leaving it untouched for the caller to forward on the ordinary
+ * path. Flushed batches are handed to the sink installed by the chip.
  */
 class Mact : public Ticking
 {
@@ -67,8 +52,9 @@ class Mact : public Ticking
     /** Install the flush destination (wired by the chip). */
     void setSink(BatchSink sink);
 
-    /** Offer a request to the table at cycle now. */
-    bool collect(const MemRequest &req, Cycle now);
+    /** Offer a request to the table at cycle now; req is moved from
+     *  only when absorbed. */
+    bool collect(MemRequest &req, Cycle now);
 
     /** Deadline scan. */
     void tick(Cycle now) override;

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "sim/types.hpp"
 
@@ -48,8 +49,14 @@ struct MemoryMap {
     bool isDram(Addr addr) const { return addr >= dramBase; }
 };
 
-/** A single in-flight memory request. */
+/**
+ * A single in-flight memory request. It carries its own completion
+ * through the NoC and the MACT, so whoever finishes it (the memory
+ * controller for a posted write, the response for a read) runs done
+ * with no lookup.
+ */
 struct MemRequest {
+    /** Caller-chosen tag; the chip leaves it 0. */
     std::uint64_t id = 0;
     bool write = false;
     Addr addr = kNoAddr;
@@ -60,10 +67,26 @@ struct MemRequest {
     CoreId core = 0;
     ThreadId thread = 0;
     Cycle issued = 0;
+    /** Completion, run once when the request is served; may be
+     *  empty (writebacks nobody waits on). */
+    std::function<void()> done;
 };
 
-/** Completion callback carrying the original request. */
-using MemCallback = std::function<void(const MemRequest &)>;
+/** One flushed MACT batch: a merged per-line memory access. */
+struct MactBatch {
+    bool write = false;
+    Addr lineBase = kNoAddr;
+    std::uint64_t vector = 0;
+    /** The original requests merged into this batch, completions
+     *  included. */
+    std::vector<MemRequest> requests;
+
+    /** Number of distinct bytes covered by the bitmap. */
+    std::uint32_t coveredBytes() const;
+
+    /** Wire size of the batch request packet. */
+    std::uint32_t wireBytes() const;
+};
 
 /** Approximate wire overhead of a request header, in bytes. */
 inline constexpr std::uint32_t kReqHeaderBytes = 8;

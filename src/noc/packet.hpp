@@ -6,8 +6,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
+#include <variant>
 
+#include "mem/mem_types.hpp"
 #include "sim/types.hpp"
 
 namespace smarco::noc {
@@ -51,21 +54,35 @@ enum class PacketKind : std::uint8_t {
 
 std::string toString(PacketKind kind);
 
+/** A memory request or MACT batch carried by a packet. */
+using RequestPtr = std::shared_ptr<mem::MemRequest>;
+using BatchPtr = std::shared_ptr<mem::MactBatch>;
+
 /**
- * One NoC packet. Semantics travel in the onDeliver closure set by
- * the sender; the network only moves bytes and invokes the closure at
- * the destination. meta carries a sender-defined token (request id)
- * for interceptors that need it.
+ * One NoC packet. The network only moves bytes; what a packet carries
+ * depends on its kind. A core's request to a memory controller
+ * (MemReadReq, MemWriteReq, DmaChunk) carries its mem::MemRequest,
+ * completion included, and a MactBatchReq/Resp carries its
+ * mem::MactBatch, both in payload, where the gateway interceptor and
+ * the endpoint handlers read them. Every other packet (responses,
+ * remote-SPM traffic, task hand-off) carries its effect in onDeliver,
+ * which the destination's handler or the network runs on arrival.
+ *
+ * The carried request or batch is held by pointer so a packet stays
+ * small on every ring hop. Packets are copyable: a ring's duplicate
+ * fault copies one, sharing the carried object, and ring dedup (on
+ * whenever duplication is armed) drops the copy before any endpoint
+ * reads it, so a carried completion still runs exactly once.
  */
 struct Packet {
     std::uint64_t id = 0;
     NodeId src;
     NodeId dst;
     PacketKind kind = PacketKind::Control;
-    std::uint32_t payloadBytes = 8;
     bool priority = false;
+    std::uint32_t payloadBytes = 8;
     Cycle created = 0;
-    std::uint64_t meta = 0;
+    std::variant<std::monostate, RequestPtr, BatchPtr> payload;
     std::function<void()> onDeliver;
 };
 

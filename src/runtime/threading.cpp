@@ -16,15 +16,16 @@ ThreadApi::threadCreate(const workloads::TaskSpec &task)
     handles_.push_back(handle);
     ++created_;
 
-    // Completion is observed through the sub-scheduler exit records;
-    // wire a per-task hook by submitting through the main scheduler
-    // with the handle attached via the chip's completion plumbing.
-    chip_.submitWithHook(task,
-        [handle](const workloads::TaskSpec &, Cycle finish,
-                 CoreId core) {
+    // Submit through the main scheduler; the request hook fills the
+    // handle in when the task completes.
+    chip_.submitRequest(task,
+        [handle](const workloads::TaskSpec &,
+                 const chip::SmarcoChip::RequestResult &res) {
+            if (!res.completed)
+                return;
             handle->finished = true;
-            handle->finishCycle = finish;
-            handle->core = core;
+            handle->finishCycle = res.when;
+            handle->core = res.core;
         });
     return handle;
 }

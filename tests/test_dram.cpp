@@ -92,7 +92,7 @@ TEST_F(DramFixture, ReadsPrioritisedOverWrites)
     for (int i = 0; i < 5; ++i)
         dram->serve(0x40, 64, 0,
                     [&] { write_done = sim.now(); },
-                    /*is_write=*/true);
+                    mem::DramClass::Write);
     dram->serve(0x40, 64, 0, [&] { read_done = sim.now(); });
     sim.run(10000);
     // The first write is already in service when the read arrives,
@@ -107,7 +107,7 @@ TEST_F(DramFixture, WriteDrainThresholdForcesWrites)
     int writes_done = 0;
     for (int i = 0; i < 8; ++i)
         dram->serve(0x40, 64, 0, [&] { ++writes_done; },
-                    /*is_write=*/true);
+                    mem::DramClass::Write);
     // Keep a steady stream of reads coming; writes must still drain.
     for (int i = 0; i < 50; ++i)
         dram->serve(0x40, 8, 0, nullptr);
@@ -133,7 +133,7 @@ TEST_F(DramFixture, StatsTrackRequestsAndBytes)
 {
     auto dram = make();
     dram->serve(0x00, 64, 0, nullptr);
-    dram->serve(0x40, 16, 0, nullptr, true);
+    dram->serve(0x40, 16, 0, nullptr, mem::DramClass::Write);
     sim.run(1000);
     EXPECT_EQ(dram->requestsServed(), 2u);
     EXPECT_DOUBLE_EQ(dram->totalBytes(), 80.0);

@@ -29,20 +29,23 @@ struct MactFixture : ::testing::Test {
         return *mact;
     }
 
-    MemRequest
+    /** A fresh request in the fixture's staging slot (collect()
+     *  moves it into the table only when it absorbs it). */
+    MemRequest &
     req(Addr addr, std::uint32_t bytes, bool write = false,
         bool priority = false)
     {
-        MemRequest r;
-        r.id = nextId++;
-        r.addr = addr;
-        r.bytes = bytes;
-        r.write = write;
-        r.priority = priority;
-        return r;
+        staged = MemRequest{};
+        staged.id = nextId++;
+        staged.addr = addr;
+        staged.bytes = bytes;
+        staged.write = write;
+        staged.priority = priority;
+        return staged;
     }
 
     std::unique_ptr<Mact> mact;
+    MemRequest staged;
     std::uint64_t nextId = 1;
 };
 
