@@ -25,14 +25,20 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <map>
+#include <memory>
+#include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "baseline/baseline_chip.hpp"
 #include "chip/chip_config.hpp"
 #include "chip/smarco_chip.hpp"
 #include "fault/fault_campaign.hpp"
+#include "noc/ring.hpp"
 #include "runtime/overload.hpp"
+#include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
 #include "workloads/cdn.hpp"
@@ -176,6 +182,168 @@ faultedHtcRun(bool fast_forward,
     return dumpStats(sim);
 }
 
+/**
+ * The covered standalone-ring config: seeded traffic on three rings
+ * in one simulator.
+ *  - "big": 72 stops, so a per-stop bitset spans two 64-bit words;
+ *    sliced links, an odd number of flex units, tiny queues (full
+ *    inject queues and through-queue backpressure), a seeded
+ *    dropProb and armed duplicates.
+ *  - "sub": shaped like a sub-ring (17 stops, default widths and
+ *    queues) with armed drops and overlapping degrade windows.
+ *  - "conv": conventional wide links with no flex pool and no
+ *    handlers, so packets complete through onDeliver.
+ * On big and sub, some stops answer a request from the eject handler,
+ * as a remote-SPM access does: sub from the ejecting stop, big from
+ * the stop half-way round, which may hold no packet yet.
+ * Traffic comes in bursts from a hot stop (rejects, backpressure) and
+ * leaves an idle gap for fast-forward. Every accepted packet must be
+ * delivered exactly once and the rings must drain. inspect (optional)
+ * sees the registry after the run. Returns the stats dump and the
+ * delivery (ring, cycle, stop, id) sequence as JSON.
+ */
+std::string
+ringTrafficRun(bool fast_forward,
+               const std::function<void(const StatRegistry &)> &inspect =
+                   {})
+{
+    Simulator sim;
+    sim.setFastForward(fast_forward);
+
+    noc::RingParams big;
+    big.name = "big";
+    big.numStops = 72;
+    big.fixedBytesPerDir = 8;
+    big.flexBytes = 24;
+    big.sliceBytes = 2;
+    big.stopQueueCap = 4;
+    big.injectQueueCap = 6;
+    noc::RingParams sub;
+    sub.name = "sub";
+    noc::RingParams conv;
+    conv.name = "conv";
+    conv.numStops = 9;
+    conv.fixedBytesPerDir = 16;
+    conv.flexBytes = 0;
+    conv.sliceBytes = 0;
+    conv.stopQueueCap = 3;
+    conv.injectQueueCap = 4;
+
+    std::vector<std::unique_ptr<noc::Ring>> rings;
+    for (const noc::RingParams &p : {big, sub, conv})
+        rings.push_back(
+            std::make_unique<noc::Ring>(sim, p, "ring." + p.name));
+
+    Rng fault_rng = namedRng(42, "fault.ring.golden");
+    noc::RingFaultParams rf;
+    rf.dropProb = 0.01;
+    rf.rng = &fault_rng;
+    rings[0]->setFaults(rf);
+    rings[0]->armDuplicate(40);
+    rings[1]->armDrop(12);
+
+    std::ostringstream deliveries;
+    std::map<std::uint64_t, int> seen;
+    std::set<std::uint64_t> accepted;
+    std::uint64_t next_id = 0;
+    auto record = [&](std::size_t r, std::uint32_t stop,
+                      std::uint64_t id) {
+        deliveries << (seen.empty() ? "\n" : ",\n") << "[\""
+                   << rings[r]->params().name << "\"," << sim.now()
+                   << "," << stop << "," << id << "]";
+        ++seen[id];
+    };
+    auto send = [&](std::size_t r, std::uint32_t src, std::uint32_t dst,
+                    std::uint32_t bytes, bool priority,
+                    noc::PacketKind kind) {
+        noc::Packet p;
+        p.id = ++next_id;
+        p.src.index = src;
+        p.kind = kind;
+        p.priority = priority;
+        p.payloadBytes = bytes;
+        p.created = sim.now();
+        if (r == 2)
+            p.onDeliver = [&record, dst, id = p.id] {
+                record(2, dst, id);
+            };
+        if (rings[r]->inject(src, dst, std::move(p)))
+            accepted.insert(next_id);
+    };
+
+    for (std::size_t r = 0; r < 2; ++r) {
+        for (std::uint32_t s = 0; s < rings[r]->params().numStops; ++s) {
+            rings[r]->setHandler(s, [&, r, s](noc::Packet &&p) {
+                record(r, s, p.id);
+                const std::uint32_t n = rings[r]->params().numStops;
+                const std::uint32_t from = r == 1 ? s : (s + n / 2) % n;
+                if (p.kind == noc::PacketKind::SpmRemoteReq &&
+                    s % (r == 1 ? 3 : 4) == 0 && from != p.src.index)
+                    send(r, from, p.src.index, 16, false,
+                         noc::PacketKind::SpmRemoteResp);
+            });
+        }
+    }
+
+    // Overlapping windows on one link multiply; a window on the last
+    // stop of the big ring sits in the second bitset word.
+    sim.events().schedule(150, [&] {
+        rings[1]->degradeLink(3, 0, 0.5, 700);
+        rings[1]->degradeLink(3, 0, 0.25, 400);
+        rings[0]->degradeLink(70, 1, 0.1, 900);
+        rings[2]->degradeLink(4, 0, 0.5, 500);
+    });
+
+    static constexpr std::uint32_t kSizes[] = {1, 2, 3, 8, 16, 24, 64};
+    Rng rng(42, 0x7269);
+    std::function<void()> step = [&] {
+        const Cycle c = sim.now();
+        const bool burst = c % 400 < 40;
+        for (std::size_t r = 0; r < rings.size(); ++r) {
+            const std::uint32_t n = rings[r]->params().numStops;
+            const std::uint32_t hot = static_cast<std::uint32_t>(
+                (c / 400 * 7 + r) % n);
+            const std::uint64_t count = rng.nextBelow(burst ? 5 : 2);
+            for (std::uint64_t k = 0; k < count; ++k) {
+                const std::uint32_t src = burst
+                    ? hot
+                    : static_cast<std::uint32_t>(rng.nextBelow(n));
+                const std::uint32_t dst = static_cast<std::uint32_t>(
+                    (src + 1 + rng.nextBelow(n - 1)) % n);
+                const std::uint32_t bytes =
+                    kSizes[rng.nextBelow(std::size(kSizes))];
+                const bool priority = rng.chance(0.1);
+                send(r, src, dst, bytes, priority,
+                     rng.chance(0.5) ? noc::PacketKind::SpmRemoteReq
+                                     : noc::PacketKind::Control);
+            }
+        }
+        // Cycles 1300-1599 inject nothing, so the rings drain and
+        // the kernel can fast-forward.
+        const Cycle next = c + 1 == 1300 ? 1600 : c + 1;
+        if (next < 2400)
+            sim.events().schedule(next, step);
+    };
+    sim.events().schedule(0, step);
+    sim.run(1'000'000);
+
+    EXPECT_FALSE(accepted.empty());
+    EXPECT_EQ(seen.size(), accepted.size());
+    for (const auto &[id, times] : seen) {
+        EXPECT_EQ(times, 1) << "packet " << id;
+        EXPECT_EQ(accepted.count(id), 1u) << "packet " << id;
+    }
+    for (const auto &ring : rings)
+        EXPECT_EQ(ring->inFlight(), 0u) << ring->params().name;
+    if (inspect)
+        inspect(sim.stats());
+
+    std::ostringstream os;
+    os << "{\"stats\":" << dumpStats(sim) << ",\n\"deliveries\":["
+       << deliveries.str() << "\n]}\n";
+    return os.str();
+}
+
 void
 expectIdentical(const std::string &a, const std::string &b,
                 const char *what)
@@ -272,6 +440,29 @@ TEST(GoldenStats, FaultedHtcSnapshotMatchesGolden)
 {
     checkGolden(faultedHtcRun(true),
                 "smarco_scaled_2x4_faulted_htc.json");
+}
+
+TEST(GoldenStats, RingTrafficExercisesEveryRingPath)
+{
+    ringTrafficRun(true, [](const StatRegistry &st) {
+        EXPECT_GT(st.get("ring.big.injectRejects").value(), 0.0);
+        EXPECT_GT(st.get("ring.conv.injectRejects").value(), 0.0);
+        EXPECT_GT(st.get("ring.big.faultDrops").value(), 12.0);
+        EXPECT_GT(st.get("ring.big.dupsSuppressed").value(), 0.0);
+        EXPECT_EQ(st.get("ring.sub.retransmits").value(), 12.0);
+        EXPECT_EQ(st.total("ring.", ".linkDegrades"), 4.0);
+    });
+}
+
+TEST(GoldenStats, FastForwardMatchesForcedModeRings)
+{
+    expectIdentical(ringTrafficRun(true), ringTrafficRun(false),
+                    "ring traffic fast-forward vs forced dump");
+}
+
+TEST(GoldenStats, RingTrafficSnapshotMatchesGolden)
+{
+    checkGolden(ringTrafficRun(true), "rings_seeded_traffic.json");
 }
 
 TEST(GoldenStats, UnsampledStatsSerializeExplicitZeros)
