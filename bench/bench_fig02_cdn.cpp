@@ -48,7 +48,7 @@ servePoint(const workloads::CdnWorkload &cdn, std::uint64_t clients,
             chip.injectTask(task);
         });
     }
-    auto campaign = armFaultsFromCli(sim, chip);
+    auto campaign = fault::armFaultsFromCli(sim, chip);
     sim.run(window);
 
     const auto m = chip.metrics();

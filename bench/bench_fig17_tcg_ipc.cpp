@@ -25,7 +25,7 @@ coreIpc(const workloads::BenchProfile &prof, std::uint32_t threads,
     chip::SmarcoChip chip(sim, cfg);
     // This harness attaches tasks to the core directly instead of
     // going through runSmarco, so arm --faults campaigns here too.
-    auto campaign = armFaultsFromCli(sim, chip);
+    auto campaign = fault::armFaultsFromCli(sim, chip);
     for (std::uint32_t t = 0; t < threads; ++t) {
         workloads::TaskSpec ts;
         ts.id = t;

@@ -45,7 +45,7 @@ runSubRing(sched::SchedPolicy policy, Cycle deadline)
         t.numOps = 24000;
         chip.submitTo(0, t);
     }
-    auto campaign = armFaultsFromCli(sim, chip);
+    auto campaign = fault::armFaultsFromCli(sim, chip);
     chip.runUntilDone(200'000'000);
 
     ExitSeries series;

@@ -67,7 +67,7 @@ measure(bool fast_forward)
              workloads::htcProfile("rnc"), tp))
         chip.submitTo(0, t);
 
-    auto campaign = armFaultsFromCli(sim, chip);
+    auto campaign = fault::armFaultsFromCli(sim, chip);
     const auto t0 = std::chrono::steady_clock::now();
     const Cycle end = chip.runUntilDone(50'000'000);
     const auto t1 = std::chrono::steady_clock::now();

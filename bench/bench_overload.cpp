@@ -204,7 +204,7 @@ runSmarcoPoint(const chip::ChipConfig &cfg,
         last_arrival = std::max(last_arrival, r.release);
     deadline_class.drive(dl_reqs);
     best_effort.drive(be_reqs);
-    auto campaign = armFaultsFromCli(sim, chip);
+    auto campaign = fault::armFaultsFromCli(sim, chip);
     chip.runUntilDone(400'000'000);
 
     SweepPoint p;
@@ -301,7 +301,7 @@ runBaselinePoint(const baseline::BaselineParams &params,
             (*submit)(r, 0);
         });
     }
-    auto campaign = armFaultsFromCli(sim, chip);
+    auto campaign = fault::armFaultsFromCli(sim, chip);
     // Persistent workers never drain the chip, so the run stops at
     // the end of the serving window — the same span the goodput rate
     // divides by; completions past it would not be goodput anyway.

@@ -41,11 +41,6 @@ note(const char *text)
     std::printf("  %s\n", text);
 }
 
-// Campaign construction from --faults/--fault-seed lives with the
-// fault subsystem so examples get it too; keep the old bench-local
-// name working.
-using fault::armFaultsFromCli;
-
 /** Result of one SmarCo chip run. */
 struct SmarcoRun {
     chip::ChipMetrics metrics;
@@ -72,7 +67,7 @@ runSmarco(const chip::ChipConfig &cfg,
             t.numOps = ops_override;
     }
     chip.submit(tasks);
-    auto campaign = armFaultsFromCli(sim, chip);
+    auto campaign = fault::armFaultsFromCli(sim, chip);
     chip.runUntilDone(max_cycles);
 
     SmarcoRun run;
@@ -103,7 +98,7 @@ runBaseline(const baseline::BaselineParams &params,
             t.numOps = ops_override;
     }
     chip.spawnWorkers(threads, std::move(tasks));
-    auto campaign = armFaultsFromCli(sim, chip);
+    auto campaign = fault::armFaultsFromCli(sim, chip);
     sim.run(max_cycles);
     return chip.metrics();
 }

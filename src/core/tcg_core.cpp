@@ -115,25 +115,11 @@ TcgCore::attachTask(const workloads::TaskSpec &task,
             ctx.state = State::Running;
         else
             ctx.state = State::Ready;
+        ++live_;
         sim_.wake(this);
         return true;
     }
     return false;
-}
-
-std::uint32_t
-TcgCore::freeContexts() const
-{
-    std::uint32_t n = 0;
-    for (const auto &ctx : contexts_)
-        n += ctx.state == State::Idle;
-    return n;
-}
-
-std::uint32_t
-TcgCore::liveContexts() const
-{
-    return params_.numThreads - freeContexts();
 }
 
 bool
@@ -273,6 +259,7 @@ TcgCore::finishTask(std::uint32_t ctx_idx, Cycle now)
     const workloads::TaskSpec task = ctx.task;
     TaskDone done = std::move(ctx.done);
     ctx.state = State::Idle;
+    --live_;
     ctx.stream.reset();
     ctx.hasPending = false;
     ctx.done = nullptr;
@@ -300,6 +287,7 @@ TcgCore::killContext(std::uint32_t ctx_idx, Cycle now)
                       static_cast<unsigned long long>(ctx.opsDone)));
     const workloads::TaskSpec task = ctx.task;
     ctx.state = State::Idle;
+    --live_;
     ctx.stream.reset();
     ctx.hasPending = false;
     ctx.done = nullptr;

@@ -109,9 +109,10 @@ class TcgCore : public Ticking
                     isa::StreamPtr stream, TaskDone done);
 
     /** Contexts currently free for dispatch. */
-    std::uint32_t freeContexts() const;
+    std::uint32_t freeContexts() const
+    { return params_.numThreads - live_; }
     /** Contexts currently hosting live tasks. */
-    std::uint32_t liveContexts() const;
+    std::uint32_t liveContexts() const { return live_; }
 
     void tick(Cycle now) override;
     bool busy() const override;
@@ -233,6 +234,9 @@ class TcgCore : public Ticking
     mem::Cache dcache_;
     mem::Spm spm_;
     std::vector<Context> contexts_;
+    /** Contexts not Idle: attachTask counts up, finishTask and
+     *  killContext count down. */
+    std::uint32_t live_ = 0;
     std::uint32_t storeBufferUsed_ = 0;
     std::uint32_t rrSlot_ = 0;
     std::uint64_t pendingResponses_ = 0;

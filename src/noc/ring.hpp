@@ -10,6 +10,26 @@
  * into one cycle's slices (high-density NoC). Setting the slice size
  * equal to the full direction width recovers a conventional wide
  * link, where one small packet wastes the whole cycle.
+ *
+ * The tick is occupancy-driven: its cost follows the stops that hold
+ * queued packets, not numStops. A ring keeps, incrementally,
+ *  - per (stop, direction), the queued payload bytes: the sum of
+ *    remBytes over through[d] and inject[d], which the flex-pool
+ *    assignment reads;
+ *  - the ring-wide count of packets in through and inject queues,
+ *    which the occupancy stat samples;
+ *  - two per-stop bitsets (64 stops a word, any ring size): a bit of
+ *    throughMask_ is set iff the stop's through-queues hold a packet,
+ *    a bit of queuedMask_ iff any of its queues does.
+ * A loaded cycle then runs three phases:
+ *  1. eject at the stops of throughMask_, in ascending order;
+ *  2. send across links from the stops of queuedMask_, read after
+ *     phase 1 so packets that eject handlers injected (e.g. a
+ *     remote-SPM response) move this cycle; ascending order matters
+ *     because backpressure reads the neighbour's staged arrivals;
+ *  3. merge staged arrivals into the through-queues of the stops
+ *     that received any this tick.
+ * Stops with no queued packet are never touched.
  */
 #pragma once
 
@@ -165,14 +185,21 @@ class Ring : public Ticking
         std::deque<Transit> inject[2];
         /** Arrivals staged during the current tick. */
         std::vector<Transit> staged[2];
+        /** Queued payload bytes wanting to leave in direction d: the
+         *  sum of remBytes over through[d] and inject[d]. */
+        std::uint64_t pending[2] = {0, 0};
         Handler handler;
     };
 
-    /** Queued payload bytes wanting to leave stop s in direction d. */
-    std::uint64_t pendingBytes(const Stop &s, std::uint32_t d) const;
     std::uint32_t dirBudget(const Stop &s, std::uint32_t stop_idx,
                             std::uint32_t d, Cycle now) const;
     void eject(Stop &s, std::uint32_t stop_idx, Cycle now);
+    /** Link traversal out of stop i in both directions. */
+    void send(std::uint32_t i, Cycle now);
+    /** Stage t at stop next for the phase-3 merge. */
+    void stage(std::uint32_t next, std::uint32_t d, Transit &&t);
+    /** Re-derive stop i's bits in throughMask_ and queuedMask_. */
+    void updateMasks(std::uint32_t i);
     /** Slice-quantised wire bytes a payload consumes. */
     std::uint32_t quantise(std::uint32_t bytes,
                            std::uint32_t slice) const;
@@ -189,6 +216,13 @@ class Ring : public Ticking
     RingParams params_;
     std::vector<Stop> stops_;
     std::uint64_t inFlight_ = 0;
+    /** Packets in through and inject queues over all stops (in-flight
+     *  packets also include staged and NACKed ones). */
+    std::uint64_t queued_ = 0;
+    std::vector<std::uint64_t> throughMask_;
+    std::vector<std::uint64_t> queuedMask_;
+    /** Stops with staged arrivals this tick, in staging order. */
+    std::vector<std::uint32_t> stagedStops_;
 
     RingFaultParams faults_;
     std::uint32_t dropArm_ = 0;
@@ -198,6 +232,7 @@ class Ring : public Ticking
     bool dedupOn_ = false;
     std::deque<std::uint64_t> dedupFifo_;
     std::unordered_set<std::uint64_t> dedupSet_;
+    /** Degrade windows not yet expired, in the order applied. */
     std::vector<Degrade> degrades_;
 
     Scalar delivered_;
