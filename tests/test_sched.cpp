@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "sim/logging.hpp"
 #include "sched/chain_table.hpp"
@@ -297,4 +298,41 @@ TEST(MainScheduler, BalancesAcrossSubRings)
     }
     EXPECT_EQ(total, 64u);
     EXPECT_EQ(main.tasksRouted(), 64u);
+}
+
+TEST(MainScheduler, FutureReleaseKeepsSimulatorBusyUntilRouted)
+{
+    // A task held for a future release is in-flight work: nothing
+    // else is busy across the gap, yet anyBusy() must stay true until
+    // the release routes it (the fault campaign's "workload still
+    // running" predicate depends on it), in both kernel modes.
+    for (const bool fast_forward : {true, false}) {
+        SCOPED_TRACE(fast_forward ? "fast-forward" : "per-cycle");
+        SchedEnv env;
+        env.sim.setFastForward(fast_forward);
+        SubScheduler &sub = env.make(SchedPolicy::HardwareLaxity, 1);
+        MainScheduler main(env.sim, {}, "main");
+        main.addSubScheduler(&sub);
+        auto t = task(0, kNoCycle, false, 100);
+        t.release = 5000;
+        main.submit(t);
+        EXPECT_TRUE(env.sim.anyBusy());
+
+        std::vector<Cycle> probed;
+        for (const Cycle c : {Cycle{1}, Cycle{100}, Cycle{2500},
+                              Cycle{4999}})
+            env.sim.events().schedule(c, [&, c] {
+                EXPECT_TRUE(env.sim.anyBusy()) << "cycle " << c;
+                EXPECT_EQ(main.tasksRouted(), 0u) << "cycle " << c;
+                probed.push_back(c);
+            });
+        env.sim.run(1'000'000);
+
+        EXPECT_EQ(probed.size(), 4u);
+        EXPECT_TRUE(env.sim.finishedIdle());
+        EXPECT_FALSE(env.sim.anyBusy());
+        EXPECT_EQ(main.tasksRouted(), 1u);
+        ASSERT_EQ(sub.exits().size(), 1u);
+        EXPECT_GE(sub.exits().front().finish, 5000u);
+    }
 }
