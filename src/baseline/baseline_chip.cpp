@@ -55,7 +55,11 @@ BaselineChip::BaselineChip(Simulator &sim, BaselineParams params)
       l2Latency_(sim.stats(), "base.l2Latency",
                  "mean latency of L2-served accesses"),
       llcLatency_(sim.stats(), "base.llcLatency",
-                  "mean latency of LLC-served accesses")
+                  "mean latency of LLC-served accesses"),
+      shedQueueFull_(sim.stats(), "base.shedQueueFull",
+                     "tasks refused: shared bag at capacity"),
+      tasksExpired_(sim.stats(), "base.tasksExpired",
+                    "queued tasks dropped: deadline became unreachable")
 {
     if (params_.numCores == 0 || params_.smtPerCore == 0)
         fatal("baseline: empty chip");
@@ -163,12 +167,6 @@ BaselineChip::enableAdmission(std::uint32_t queue_cap,
         fatal("baseline: zero admission queue cap");
     admissionOn_ = true;
     bagCap_ = queue_cap;
-    shedQueueFull_ = std::make_unique<Scalar>(
-        sim_.stats(), "base.shedQueueFull",
-        "tasks refused: shared bag at capacity");
-    tasksExpired_ = std::make_unique<Scalar>(
-        sim_.stats(), "base.tasksExpired",
-        "queued tasks dropped: deadline became unreachable");
     e2eLatency_ = std::make_unique<Histogram>(
         sim_.stats(), "base.e2eLatency",
         "release-to-completion latency of completed tasks (cycles)",
@@ -179,7 +177,7 @@ bool
 BaselineChip::tryInjectTask(const workloads::TaskSpec &task)
 {
     if (admissionOn_ && bag_.size() >= bagCap_) {
-        ++*shedQueueFull_;
+        ++shedQueueFull_;
         return false;
     }
     bag_.push_back(task);
@@ -302,7 +300,7 @@ BaselineChip::nextTask(SwThread &t, Cycle now)
         const workloads::TaskSpec &head = bag_.front();
         if (!head.hasDeadline() || now + head.numOps <= head.deadline)
             break;
-        ++*tasksExpired_;
+        ++tasksExpired_;
         bag_.pop_front();
     }
     if (bag_.empty()) {

@@ -54,9 +54,32 @@ FaultLog::printJson(std::ostream &os) const
     os << "]}";
 }
 
+namespace {
+
+template <std::size_t... I>
+std::array<Scalar, kNumFaultKinds>
+makeHitCounters(StatRegistry &stats, std::index_sequence<I...>)
+{
+    return {Scalar(stats,
+                   std::string("fault.hits.") +
+                       faultKindName(static_cast<FaultKind>(I)),
+                   "injections landed, by kind")...};
+}
+
+} // namespace
+
 FaultCampaign::FaultCampaign(Simulator &sim, FaultSpec spec,
                              std::uint64_t seed)
-    : sim_(sim), spec_(spec), seed_(seed)
+    : sim_(sim),
+      spec_(spec),
+      seed_(seed),
+      injected_(sim.stats(), "fault.injected",
+                "scheduled injections that found a victim"),
+      noVictim_(sim.stats(), "fault.noVictim",
+                "scheduled injections with no eligible victim"),
+      byKind_(makeHitCounters(
+          sim.stats(), std::make_index_sequence<kNumFaultKinds>{})),
+      log_(sim.stats(), "fault.log", "per-fault injection records")
 {
 }
 
@@ -67,24 +90,8 @@ FaultCampaign::arm(const FaultTargets &targets)
         panic("fault campaign armed twice");
     targets_ = targets;
     if (!spec_.anyFaults())
-        return; // inert: register nothing, schedule nothing
+        return; // inert: schedule nothing, counters stay zero
     armed_ = true;
-
-    StatRegistry &stats = sim_.stats();
-    injected_ = std::make_unique<Scalar>(
-        stats, "fault.injected",
-        "scheduled injections that found a victim");
-    noVictim_ = std::make_unique<Scalar>(
-        stats, "fault.noVictim",
-        "scheduled injections with no eligible victim");
-    for (std::size_t i = 0; i < kNumFaultKinds; ++i)
-        byKind_[i] = std::make_unique<Scalar>(
-            stats,
-            std::string("fault.hits.") +
-                faultKindName(static_cast<FaultKind>(i)),
-            "injections landed, by kind");
-    log_ = std::make_unique<FaultLog>(
-        stats, "fault.log", "per-fault injection records");
 
     dropRng_ = namedRng(seed_, "fault.drop");
     if (targets_.armContinuous)
@@ -172,12 +179,12 @@ FaultCampaign::fire(std::size_t idx)
         (hook && *hook) ? (*hook)(pickRngs_[a.src], now, spec_)
                         : false;
     if (hit) {
-        ++*injected_;
-        ++*byKind_[a.src];
+        ++injected_;
+        ++byKind_[a.src];
     } else {
-        ++*noVictim_;
+        ++noVictim_;
     }
-    log_->record({now, kind, hit});
+    log_.record({now, kind, hit});
     if (sim_.trace().enabled(TraceCat::Fault))
         sim_.trace().instant(
             TraceCat::Fault,

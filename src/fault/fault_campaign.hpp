@@ -5,9 +5,10 @@
  * A FaultCampaign turns a FaultSpec into a pre-generated, seeded
  * sequence of fault arrivals and replays it through the event queue.
  * Every random draw comes from named "fault.*" streams, so arming a
- * campaign never perturbs workload or scheduler randomness, and an
- * inert campaign (all rates zero) leaves the run byte-identical to a
- * campaign-free one. Arrivals are generated up front — not as the
+ * campaign never perturbs workload or scheduler randomness. An inert
+ * campaign (all rates zero) schedules nothing: its run dumps the same
+ * stats as a campaign-free one plus the campaign's own "fault.*"
+ * entries, all zero. Arrivals are generated up front — not as the
  * run unfolds — so the same spec and seed give the same injection
  * cycles in the cycle-accurate and fast-forward kernels alike.
  *
@@ -120,15 +121,12 @@ class FaultCampaign
     void arm(const FaultTargets &targets);
 
     const FaultSpec &spec() const { return spec_; }
-    bool armed() const { return armed_; }
 
     std::uint64_t injected() const
-    { return injected_ ? static_cast<std::uint64_t>(injected_->value())
-                       : 0; }
+    { return static_cast<std::uint64_t>(injected_.value()); }
     std::uint64_t noVictim() const
-    { return noVictim_ ? static_cast<std::uint64_t>(noVictim_->value())
-                       : 0; }
-    const FaultLog *log() const { return log_.get(); }
+    { return static_cast<std::uint64_t>(noVictim_.value()); }
+    const FaultLog &log() const { return log_; }
 
   private:
     struct Arrival {
@@ -155,12 +153,10 @@ class FaultCampaign
     std::uint64_t lastProgress_ = 0;
     bool progressSeen_ = false;
 
-    // Created lazily on arm(): an inert campaign registers nothing,
-    // keeping zero-fault runs byte-identical to campaign-free runs.
-    std::unique_ptr<Scalar> injected_;
-    std::unique_ptr<Scalar> noVictim_;
-    std::array<std::unique_ptr<Scalar>, kNumFaultKinds> byKind_;
-    std::unique_ptr<FaultLog> log_;
+    Scalar injected_;
+    Scalar noVictim_;
+    std::array<Scalar, kNumFaultKinds> byKind_;
+    FaultLog log_;
 };
 
 /**

@@ -31,7 +31,10 @@ SubScheduler::SubScheduler(Simulator &sim, SubSchedulerParams params,
       redispatchDelay_(sim.stats(), stat_prefix + ".redispatchDelay",
                        "cycles from task failure to re-dispatch",
                        0.0, 131072.0, 64),
-      statPrefix_(stat_prefix)
+      expired_(sim.stats(), stat_prefix + ".tasksExpired",
+               "queued tasks dropped: deadline became unreachable"),
+      shedOverflow_(sim.stats(), stat_prefix + ".shedOverflow",
+                    "tasks shed on chain-table overflow")
 {
     sim.addTicking(this);
 }
@@ -41,13 +44,6 @@ SubScheduler::enableShedding(ShedCallback cb)
 {
     sheddingOn_ = true;
     shedCb_ = std::move(cb);
-    auto &st = sim_.stats();
-    expired_ = std::make_unique<Scalar>(
-        st, statPrefix_ + ".tasksExpired",
-        "queued tasks dropped: deadline became unreachable");
-    shedOverflow_ = std::make_unique<Scalar>(
-        st, statPrefix_ + ".shedOverflow",
-        "tasks shed on chain-table overflow");
 }
 
 void
@@ -93,7 +89,7 @@ SubScheduler::submit(const workloads::TaskSpec &task)
         if (sheddingOn_) {
             // Overflow becomes back-pressure instead of a crash: the
             // runtime retries the request with bounded backoff.
-            ++*shedOverflow_;
+            ++shedOverflow_;
             if (shedCb_)
                 shedCb_(task, ShedReason::QueueFull, sim_.now());
             return;
@@ -107,7 +103,7 @@ SubScheduler::submit(const workloads::TaskSpec &task)
 void
 SubScheduler::dropExpired(const workloads::TaskSpec &task, Cycle now)
 {
-    ++*expired_;
+    ++expired_;
     if (sim_.trace().enabled(TraceCat::Sched))
         sim_.trace().instant(
             TraceCat::Sched, "expire", now, 0,

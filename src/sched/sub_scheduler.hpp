@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -125,12 +124,9 @@ class SubScheduler : public Ticking
     void enableShedding(ShedCallback cb);
 
     std::uint64_t tasksExpired() const
-    { return expired_ ? static_cast<std::uint64_t>(expired_->value())
-                      : 0; }
+    { return static_cast<std::uint64_t>(expired_.value()); }
     std::uint64_t overflowSheds() const
-    { return shedOverflow_
-          ? static_cast<std::uint64_t>(shedOverflow_->value())
-          : 0; }
+    { return static_cast<std::uint64_t>(shedOverflow_.value()); }
 
     std::uint64_t redispatches() const
     { return static_cast<std::uint64_t>(redispatches_.value()); }
@@ -220,11 +216,8 @@ class SubScheduler : public Ticking
     Scalar tasksAbandoned_;
     Average queueDelay_;
     Histogram redispatchDelay_;
-    // Lazily created on enableShedding(): uncontrolled runs keep
-    // their stats dump byte-identical to pre-overload builds.
-    std::unique_ptr<Scalar> expired_;
-    std::unique_ptr<Scalar> shedOverflow_;
-    std::string statPrefix_;
+    Scalar expired_;
+    Scalar shedOverflow_;
 };
 
 } // namespace smarco::sched
