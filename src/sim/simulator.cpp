@@ -50,6 +50,14 @@ Simulator::addTicking(Ticking *component)
 }
 
 void
+Simulator::releaseWork()
+{
+    if (heldWork_ == 0)
+        panic("Simulator::releaseWork: no work held");
+    --heldWork_;
+}
+
+void
 Simulator::advanceTo(Cycle target)
 {
     if (target < now_ + 1)
@@ -121,14 +129,7 @@ Simulator::run(Cycle max_cycles)
 
         // Idle detection: when nothing is in flight, fast-forward to
         // the next event or finish. Identical in both kernel modes.
-        bool any_busy = false;
-        for (Ticking *t : ticking_) {
-            if (t->busy()) {
-                any_busy = true;
-                break;
-            }
-        }
-        if (!any_busy) {
+        if (!anyBusy()) {
             const Cycle next = events_.nextEventCycle();
             if (next == kNoCycle) {
                 ++now_;

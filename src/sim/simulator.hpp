@@ -121,18 +121,30 @@ class Simulator
     bool finishedIdle() const { return finishedIdle_; }
 
     /**
-     * True when any registered component reports in-flight work.
-     * External controllers (e.g. the fault campaign's watchdog and
-     * dispatcher) use this to tell "workload still running" apart from
+     * True when work is held (holdWork) or any registered component
+     * reports in-flight work. The run loop's idle check uses it, and
+     * external controllers (e.g. the fault campaign's watchdog and
+     * dispatcher) use it to tell "workload still running" apart from
      * "only my own pending events keep the queue non-empty".
      */
     bool anyBusy() const
     {
+        if (heldWork_ > 0)
+            return true;
         for (const Ticking *t : ticking_)
             if (t->busy())
                 return true;
         return false;
     }
+
+    /**
+     * Count one unit of outstanding work that lives only in a future
+     * event (e.g. a task held for its release cycle), so the system
+     * stays busy until the matching releaseWork(). Lets event-driven
+     * components count as busy without ticking.
+     */
+    void holdWork() { ++heldWork_; }
+    void releaseWork();
 
     /**
      * Return a sleeping component to the active set (idempotent; a
@@ -186,6 +198,8 @@ class Simulator
                         std::vector<std::pair<Cycle, std::uint32_t>>,
                         std::greater<>>
         wakeHeap_;
+    /** Outstanding holdWork() units not yet released. */
+    std::uint64_t heldWork_ = 0;
     std::uint64_t cyclesSkipped_ = 0;
     std::uint64_t fastForwards_ = 0;
     EventQueue events_;

@@ -280,6 +280,63 @@ TEST(FastForward, FrozenBusySystemRunsOutTheClock)
     EXPECT_LE(t.ticks, 2u);
 }
 
+TEST(FastForward, HeldWorkKeepsTimersFiringAcrossEventGaps)
+{
+    // A never-busy component with a 100-cycle timer (like the
+    // software scheduler's quantum). Work held until an event at 1000
+    // keeps the system busy, so the kernel honours every timer in the
+    // gap instead of jumping straight to the event; unheld, the gap is
+    // skipped. Both kernel modes see the same timeline.
+    struct Quantum : Ticking {
+        void
+        tick(Cycle now) override
+        {
+            if (now >= next) {
+                fired.push_back(now);
+                next = now + 100;
+            }
+        }
+        bool busy() const override { return false; }
+        Cycle nextActiveCycle(Cycle) const override { return next; }
+        Cycle next = 0;
+        std::vector<Cycle> fired;
+    };
+    auto firedWith = [](bool fast_forward, bool hold) {
+        Simulator sim;
+        sim.setFastForward(fast_forward);
+        Quantum q;
+        sim.addTicking(&q);
+        if (hold)
+            sim.holdWork();
+        EXPECT_EQ(sim.anyBusy(), hold);
+        sim.events().schedule(1000, [&sim, hold] {
+            if (hold)
+                sim.releaseWork();
+        });
+        sim.run(100'000);
+        EXPECT_TRUE(sim.finishedIdle());
+        EXPECT_FALSE(sim.anyBusy());
+        return q.fired;
+    };
+    std::vector<Cycle> every_quantum;
+    for (Cycle c = 0; c <= 1000; c += 100)
+        every_quantum.push_back(c);
+    EXPECT_EQ(firedWith(true, true), every_quantum);
+    EXPECT_EQ(firedWith(false, true), every_quantum);
+    EXPECT_EQ(firedWith(true, false), (std::vector<Cycle>{0, 1000}));
+    EXPECT_EQ(firedWith(false, false), (std::vector<Cycle>{0, 1000}));
+}
+
+TEST(SimulatorDeath, ReleaseWithoutHoldPanics)
+{
+    EXPECT_DEATH(
+        {
+            Simulator sim;
+            sim.releaseWork();
+        },
+        "no work held");
+}
+
 TEST(Stats, ScalarAccumulates)
 {
     StatRegistry reg;
