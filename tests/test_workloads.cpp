@@ -66,8 +66,9 @@ TEST(Profiles, SearchHasLowestMemoryFraction)
     // memory instruction".
     const auto &profs = htcProfiles();
     for (const auto &p : profs) {
-        if (p.name != "search")
+        if (p.name != "search") {
             EXPECT_LT(htcProfile("search").fracMem, p.fracMem);
+        }
     }
 }
 
