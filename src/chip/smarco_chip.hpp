@@ -85,7 +85,8 @@ class SmarcoChip : public core::MemPort
      * Turn on end-to-end overload control: admission + degraded-mode
      * shedding at the main scheduler and deadline early-drop at every
      * sub-scheduler, all reported through the request hooks. Off by
-     * default — an uncontrolled run is byte-identical to older builds.
+     * default: an uncontrolled run routes and queues every task, and
+     * its admission and shed counters stay zero.
      */
     void enableOverloadControl(const sched::AdmissionParams &params);
 
