@@ -183,6 +183,76 @@ faultedHtcRun(bool fast_forward,
 }
 
 /**
+ * The covered thread-scheme config: one 1 sub-ring x 4 core chip per
+ * core scheme and issue policy pair (InPair/RoundRobin,
+ * CoarseGrained/LaxityAware, NoSwitch/RoundRobin). Each runs more
+ * tasks than run slots, with deadlines, under a campaign that hangs
+ * and kills thread contexts, so friend switches, laxity preemption,
+ * the pairing-select tax, hang recovery and kills of stalled and
+ * running contexts all happen. inspect (optional) sees each run's
+ * registry. Returns the three dumps as one JSON object.
+ */
+std::string
+threadSchemeRun(
+    bool fast_forward,
+    const std::function<void(const char *, const StatRegistry &)>
+        &inspect = {})
+{
+    struct Variant {
+        const char *name;
+        core::ThreadScheme scheme;
+        core::IssuePolicy policy;
+    };
+    static constexpr Variant kVariants[] = {
+        {"inpair_roundrobin", core::ThreadScheme::InPair,
+         core::IssuePolicy::RoundRobin},
+        {"coarse_laxity", core::ThreadScheme::CoarseGrained,
+         core::IssuePolicy::LaxityAware},
+        {"noswitch_roundrobin", core::ThreadScheme::NoSwitch,
+         core::IssuePolicy::RoundRobin},
+    };
+    std::ostringstream os;
+    os << "{";
+    for (const Variant &v : kVariants) {
+        Simulator sim;
+        sim.setFastForward(fast_forward);
+        auto cfg = chip::ChipConfig::scaled(1, 4);
+        cfg.core.scheme = v.scheme;
+        cfg.core.issuePolicy = v.policy;
+        chip::SmarcoChip chip(sim, cfg);
+        workloads::TaskSetParams tp;
+        tp.count = 24;
+        tp.seed = 42;
+        tp.releaseSpan = 20'000;
+        tp.deadline = 150'000;
+        chip.submit(workloads::makeTaskSet(
+            workloads::htcProfile("wordcount"), tp));
+        tp.count = 16;
+        tp.seed = 43;
+        tp.deadline = 90'000;
+        tp.realtime = true;
+        chip.submit(workloads::makeTaskSet(
+            workloads::htcProfile("kmeans"), tp));
+
+        fault::FaultSpec spec;
+        spec.coreHangRate = 40.0;
+        spec.coreKillRate = 60.0;
+        spec.horizon = 400'000;
+        spec.heartbeatInterval = 2'000;
+        spec.hangTimeout = 20'000;
+        fault::FaultCampaign campaign(sim, spec, 5);
+        campaign.arm(chip.faultTargets());
+        chip.runUntilDone(100'000'000);
+        if (inspect)
+            inspect(v.name, sim.stats());
+        os << (&v == kVariants ? "\n\"" : ",\n\"") << v.name
+           << "\":" << dumpStats(sim);
+    }
+    os << "\n}\n";
+    return os.str();
+}
+
+/**
  * The covered standalone-ring config: seeded traffic on three rings
  * in one simulator.
  *  - "big": 72 stops, so a per-stop bitset spans two 64-bit words;
@@ -440,6 +510,32 @@ TEST(GoldenStats, FaultedHtcSnapshotMatchesGolden)
 {
     checkGolden(faultedHtcRun(true),
                 "smarco_scaled_2x4_faulted_htc.json");
+}
+
+TEST(GoldenStats, ThreadSchemeRunsExerciseEveryContextPath)
+{
+    threadSchemeRun(true, [](const char *name, const StatRegistry &st) {
+        SCOPED_TRACE(name);
+        EXPECT_GT(st.total("chip.core", ".threadHangs"), 0.0);
+        EXPECT_GT(st.total("chip.core", ".tasksKilled"), 0.0);
+        EXPECT_GT(st.total("chip.core", ".stallsMem"), 0.0);
+        EXPECT_EQ(st.total("chip.core", ".tasksFinished"), 40.0);
+        if (std::string(name) != "noswitch_roundrobin") {
+            EXPECT_GT(st.total("chip.core", ".pairSwitches"), 0.0);
+        }
+    });
+}
+
+TEST(GoldenStats, FastForwardMatchesForcedModeThreadSchemes)
+{
+    expectIdentical(threadSchemeRun(true), threadSchemeRun(false),
+                    "thread-scheme fast-forward vs forced dump");
+}
+
+TEST(GoldenStats, ThreadSchemeSnapshotMatchesGolden)
+{
+    checkGolden(threadSchemeRun(true),
+                "smarco_scaled_1x4_thread_schemes.json");
 }
 
 TEST(GoldenStats, RingTrafficExercisesEveryRingPath)

@@ -327,6 +327,83 @@ TEST(FastForward, HeldWorkKeepsTimersFiringAcrossEventGaps)
     EXPECT_EQ(firedWith(false, false), (std::vector<Cycle>{0, 1000}));
 }
 
+TEST(FastForward, WakeChainsAcrossActiveSetWordsKeepTickOrder)
+{
+    // 130 sleeping components span three 64-bit words of the active
+    // set. Each passes a token to its neighbour from inside its tick
+    // and wakes it. A component woken by a lower index is ticked in
+    // the same cycle, one woken by a higher index in the next, so a
+    // forward chain crosses all 130 in one cycle and a backward chain
+    // advances one index per cycle. Forced mode sees the same
+    // timeline.
+    struct Link : Ticking {
+        void
+        tick(Cycle now) override
+        {
+            if (!token)
+                return;
+            token = false;
+            acted = now;
+            if (next) {
+                next->token = true;
+                sim->wake(next);
+            }
+        }
+        bool busy() const override { return token; }
+        Cycle nextActiveCycle(Cycle now) const override
+        { return token ? now + 1 : kNoCycle; }
+        Simulator *sim = nullptr;
+        Link *next = nullptr;
+        bool token = false;
+        Cycle acted = kNoCycle;
+    };
+    constexpr std::size_t kLinks = 130;
+    struct Outcome {
+        std::vector<Cycle> acted;
+        Cycle end;
+    };
+    auto chain = [](bool forward, bool fast_forward) {
+        Simulator sim;
+        sim.setFastForward(fast_forward);
+        std::vector<Link> links(kLinks);
+        for (std::size_t k = 0; k < kLinks; ++k) {
+            links[k].sim = &sim;
+            sim.addTicking(&links[k]);
+            if (forward && k + 1 < kLinks)
+                links[k].next = &links[k + 1];
+            if (!forward && k > 0)
+                links[k].next = &links[k - 1];
+        }
+        Link &head = forward ? links.front() : links.back();
+        sim.events().schedule(10, [&] {
+            head.token = true;
+            sim.wake(&head);
+        });
+        Outcome out;
+        out.end = sim.run(100'000);
+        EXPECT_TRUE(sim.finishedIdle());
+        for (const Link &l : links)
+            out.acted.push_back(l.acted);
+        return out;
+    };
+
+    const Outcome fwd = chain(true, true);
+    EXPECT_EQ(fwd.acted, std::vector<Cycle>(kLinks, 10));
+    EXPECT_EQ(fwd.end, 11u);
+
+    const Outcome bwd = chain(false, true);
+    for (std::size_t k = 0; k < kLinks; ++k)
+        EXPECT_EQ(bwd.acted[k], 10 + (kLinks - 1 - k)) << "link " << k;
+    EXPECT_EQ(bwd.end, 10 + kLinks);
+
+    for (const bool forward : {true, false}) {
+        const Outcome forced = chain(forward, false);
+        const Outcome &ff = forward ? fwd : bwd;
+        EXPECT_EQ(forced.acted, ff.acted);
+        EXPECT_EQ(forced.end, ff.end);
+    }
+}
+
 TEST(SimulatorDeath, ReleaseWithoutHoldPanics)
 {
     EXPECT_DEATH(
