@@ -30,6 +30,15 @@
  *  3. merge staged arrivals into the through-queues of the stops
  *     that received any this tick.
  * Stops with no queued packet are never touched.
+ *
+ * Packets in flight live in a ring-owned pool of Transit slots; the
+ * through-, inject- and staged queues hold 4-byte pool indices, so a
+ * hop moves an index and rewrites only the slot's remBytes. A NACKed
+ * packet keeps its slot until the retransmission re-enters a queue; a
+ * duplicate gets a slot of its own. Ejection moves the Packet out and
+ * frees its slot before the handler runs. Handlers may inject into the
+ * same ring and so grow the pool: no Transit reference is held across
+ * alloc() or a handler call.
  */
 #pragma once
 
@@ -168,7 +177,6 @@ class Ring : public Ticking
         Packet pkt;
         std::uint32_t dstStop = 0;
         std::uint32_t remBytes = 0;
-        Cycle enqueued = 0;
         /** Times this packet has been dropped and re-sent. */
         std::uint32_t retries = 0;
     };
@@ -180,11 +188,12 @@ class Ring : public Ticking
         Cycle until;
     };
 
+    /** Queues hold indices into pool_. */
     struct Stop {
-        std::deque<Transit> through[2];
-        std::deque<Transit> inject[2];
+        std::deque<std::uint32_t> through[2];
+        std::deque<std::uint32_t> inject[2];
         /** Arrivals staged during the current tick. */
-        std::vector<Transit> staged[2];
+        std::vector<std::uint32_t> staged[2];
         /** Queued payload bytes wanting to leave in direction d: the
          *  sum of remBytes over through[d] and inject[d]. */
         std::uint64_t pending[2] = {0, 0};
@@ -193,11 +202,15 @@ class Ring : public Ticking
 
     std::uint32_t dirBudget(const Stop &s, std::uint32_t stop_idx,
                             std::uint32_t d, Cycle now) const;
+    /** Take a free pool slot for the caller to fill (may grow
+     *  pool_, invalidating Transit references). */
+    std::uint32_t alloc();
     void eject(Stop &s, std::uint32_t stop_idx, Cycle now);
     /** Link traversal out of stop i in both directions. */
     void send(std::uint32_t i, Cycle now);
-    /** Stage t at stop next for the phase-3 merge. */
-    void stage(std::uint32_t next, std::uint32_t d, Transit &&t);
+    /** Stage the packet in pool slot `slot` at stop next for the
+     *  phase-3 merge. */
+    void stage(std::uint32_t next, std::uint32_t d, std::uint32_t slot);
     /** Re-derive stop i's bits in throughMask_ and queuedMask_. */
     void updateMasks(std::uint32_t i);
     /** Slice-quantised wire bytes a payload consumes. */
@@ -205,9 +218,10 @@ class Ring : public Ticking
                            std::uint32_t slice) const;
     /** Fault model: does this completed crossing get dropped? */
     bool shouldDrop(const Transit &t);
-    /** NACK path: re-enqueue t at the source stop after nackDelay. */
+    /** NACK path: re-enqueue the packet in pool slot `slot` at the
+     *  source stop after nackDelay. */
     void scheduleRetransmit(std::uint32_t src_stop, std::uint32_t d,
-                            Transit t, Cycle now);
+                            std::uint32_t slot, Cycle now);
     /** Receiver dedup window: true when id was delivered recently. */
     bool dedupSeen(std::uint64_t id);
     void dedupRecord(std::uint64_t id);
@@ -215,6 +229,10 @@ class Ring : public Ticking
     Simulator &sim_;
     RingParams params_;
     std::vector<Stop> stops_;
+    /** Transit slots of queued, staged and NACKed packets. */
+    std::vector<Transit> pool_;
+    /** Free pool_ slots, reused last-freed first. */
+    std::vector<std::uint32_t> freeSlots_;
     std::uint64_t inFlight_ = 0;
     /** Packets in through and inject queues over all stops (in-flight
      *  packets also include staged and NACKed ones). */
