@@ -1,5 +1,7 @@
 #include "sim/simulator.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <sstream>
 
 #include "sim/json_writer.hpp"
@@ -46,7 +48,9 @@ Simulator::addTicking(Ticking *component)
     component->simIndex_ =
         static_cast<std::uint32_t>(ticking_.size());
     ticking_.push_back(component);
-    active_.push_back(1);
+    if (component->simIndex_ % 64 == 0)
+        active_.push_back(0);
+    wake(component);
 }
 
 void
@@ -84,41 +88,50 @@ Simulator::run(Cycle max_cycles)
     const Cycle start = now_;
     const Cycle end = now_ + max_cycles;
     const bool sampling = sampler_.active();
-    const std::size_t n = ticking_.size();
+    const std::size_t words = active_.size();
 
     // Components stimulated between runs (direct submit/attach/spawn
     // calls) have already woken themselves; re-arming everything once
     // per run() additionally shields against stimulus paths that
     // forget to wake — one round of provable no-op ticks at worst.
-    for (std::size_t i = 0; i < n; ++i)
-        active_[i] = 1;
+    for (Ticking *t : ticking_)
+        wake(t);
 
     while (now_ < end && !stopRequested_) {
         while (!wakeHeap_.empty() && wakeHeap_.top().first <= now_) {
-            active_[wakeHeap_.top().second] = 1;
+            wake(ticking_[wakeHeap_.top().second]);
             wakeHeap_.pop();
         }
         events_.runUntil(now_);
 
         if (fastForward_) {
-            // Tick the active set only; a component woken mid-cycle
-            // by an earlier-indexed one is picked up immediately,
-            // matching the tick-every-cycle order.
-            for (std::size_t i = 0; i < n; ++i)
-                if (active_[i])
-                    ticking_[i]->tick(now_);
+            // Tick the active set only. Re-reading the word after
+            // each tick picks up a component woken mid-cycle by an
+            // earlier-indexed one, matching the tick-every-cycle
+            // order.
+            for (std::size_t w = 0; w < words; ++w) {
+                std::uint64_t bits = active_[w];
+                while (bits != 0) {
+                    const int b = std::countr_zero(bits);
+                    ticking_[w * 64 + b]->tick(now_);
+                    bits = b == 63
+                        ? 0
+                        : active_[w] & (~std::uint64_t{0} << (b + 1));
+                }
+            }
             // Re-arm or retire based on each component's hint.
-            for (std::size_t i = 0; i < n; ++i) {
-                if (!active_[i])
-                    continue;
-                const Cycle next =
-                    ticking_[i]->nextActiveCycle(now_);
-                if (next <= now_ + 1)
-                    continue;
-                active_[i] = 0;
-                if (next != kNoCycle)
-                    wakeHeap_.emplace(
-                        next, static_cast<std::uint32_t>(i));
+            for (std::size_t w = 0; w < words; ++w) {
+                for (std::uint64_t bits = active_[w]; bits != 0;
+                     bits &= bits - 1) {
+                    const int b = std::countr_zero(bits);
+                    const auto i = static_cast<std::uint32_t>(w * 64 + b);
+                    const Cycle next = ticking_[i]->nextActiveCycle(now_);
+                    if (next <= now_ + 1)
+                        continue;
+                    active_[w] &= ~(std::uint64_t{1} << b);
+                    if (next != kNoCycle)
+                        wakeHeap_.emplace(next, i);
+                }
             }
         } else {
             for (Ticking *t : ticking_)
@@ -145,14 +158,8 @@ Simulator::run(Cycle max_cycles)
             // Quiescence fast-forward: with every ticking component
             // asleep, no state can change until the earliest wake-up
             // or event, so the skipped cycles are provably no-ops.
-            bool any_active = false;
-            for (std::size_t i = 0; i < n; ++i) {
-                if (active_[i]) {
-                    any_active = true;
-                    break;
-                }
-            }
-            if (!any_active) {
+            if (std::all_of(active_.begin(), active_.end(),
+                            [](std::uint64_t w) { return w == 0; })) {
                 Cycle target = events_.nextEventCycle();
                 if (!wakeHeap_.empty() &&
                     wakeHeap_.top().first < target)

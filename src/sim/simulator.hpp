@@ -154,7 +154,8 @@ class Simulator
     void wake(Ticking *component)
     {
         if (component && component->simOwner_ == this)
-            active_[component->simIndex_] = 1;
+            active_[component->simIndex_ / 64] |=
+                std::uint64_t{1} << (component->simIndex_ % 64);
     }
 
     /**
@@ -189,8 +190,15 @@ class Simulator
     bool finishedIdle_ = false;
     bool fastForward_ = true;
     std::vector<Ticking *> ticking_;
-    /** Parallel to ticking_: 1 when the component must be ticked. */
-    std::vector<std::uint8_t> active_;
+    /**
+     * Active set, 64 components a word: bit i is set when ticking_[i]
+     * must be ticked. The tick pass walks set bits in ascending index
+     * order and re-reads the word after each tick, so a component
+     * woken mid-cycle by a lower index is ticked this cycle and one
+     * woken by a higher index next cycle — the tick-every-cycle
+     * order. Only the hint pass clears bits.
+     */
+    std::vector<std::uint64_t> active_;
     /** (wake cycle, registration index); entries may be stale — a
      *  popped entry merely re-activates the component, and spurious
      *  ticks are no-ops by the Ticking contract. */
