@@ -116,6 +116,7 @@ TcgCore::attachTask(const workloads::TaskSpec &task,
         else
             ctx.state = State::Ready;
         ++live_;
+        ++runnable_;
         sim_.wake(this);
         return true;
     }
@@ -194,6 +195,7 @@ TcgCore::stallThread(std::uint32_t ctx_idx, Cycle now)
 {
     Context &ctx = contexts_[ctx_idx];
     ctx.state = State::Stalled;
+    --runnable_;
     ++stallsMem_;
     if (sim_.trace().enabled(TraceCat::Core)) [[unlikely]]
         traceStall("mem", ctx_idx, now);
@@ -227,6 +229,7 @@ TcgCore::wakeThread(std::uint32_t ctx_idx, Cycle now)
     if (ctx.state != State::Stalled)
         panic("core %u: waking context %u in state %d", id_, ctx_idx,
               static_cast<int>(ctx.state));
+    ++runnable_;
     const std::uint32_t fi = friendOf(ctx_idx);
     if (params_.scheme != ThreadScheme::NoSwitch && fi != ctx_idx &&
         contexts_[fi].state == State::Running) {
@@ -260,6 +263,7 @@ TcgCore::finishTask(std::uint32_t ctx_idx, Cycle now)
     TaskDone done = std::move(ctx.done);
     ctx.state = State::Idle;
     --live_;
+    --runnable_;
     ctx.stream.reset();
     ctx.hasPending = false;
     ctx.done = nullptr;
@@ -286,6 +290,8 @@ TcgCore::killContext(std::uint32_t ctx_idx, Cycle now)
                       ctx_idx,
                       static_cast<unsigned long long>(ctx.opsDone)));
     const workloads::TaskSpec task = ctx.task;
+    if (ctx.state != State::Stalled)
+        --runnable_;
     ctx.state = State::Idle;
     --live_;
     ctx.stream.reset();
@@ -306,7 +312,7 @@ TcgCore::killContext(std::uint32_t ctx_idx, Cycle now)
 bool
 TcgCore::injectThreadFault(ThreadFault kind, Rng &rng, Cycle now)
 {
-    std::uint32_t cand[16];
+    std::uint32_t cand[32]; // numThreads <= 2 * maxRunning <= 32
     std::uint32_t n = 0;
     for (std::uint32_t i = 0; i < contexts_.size(); ++i) {
         const Context &c = contexts_[i];
@@ -383,9 +389,9 @@ TcgCore::ilpCap(Context &ctx) const
 bool
 TcgCore::fetchOk(Context &ctx, Cycle now)
 {
-    if (ctx.fetchedThisCycle)
+    if (ctx.fetchedAt == now)
         return true;
-    ctx.fetchedThisCycle = true;
+    ctx.fetchedAt = now;
     const std::uint64_t footprint = ctx.task.profile
         ? std::max<std::uint64_t>(ctx.task.profile->instrFootprint, 256)
         : params_.instrFootprint;
@@ -565,8 +571,16 @@ TcgCore::tick(Cycle now)
     ++cyclesActive_;
     slotsOffered_ += static_cast<double>(params_.issueWidth);
 
-    for (auto &ctx : contexts_)
-        ctx.fetchedThisCycle = false;
+    if (runnable_ == 0) {
+        // Every live context waits on memory: no slot has a context
+        // to issue from, so only the rotation and the tax draw of a
+        // full tick remain.
+        if (params_.issuePolicy == IssuePolicy::RoundRobin)
+            ++rrSlot_;
+        if (liveContexts() > params_.maxRunning)
+            rng_.chance(params_.pairingSelectTax);
+        return;
+    }
 
     // Slot visit order: round-robin rotation or least-laxity-first.
     std::uint32_t order[16];

@@ -190,7 +190,9 @@ class TcgCore : public Ticking
         std::uint64_t fetchOff = 0;
         isa::MicroOp pending{};
         bool hasPending = false;
-        bool fetchedThisCycle = false;
+        /** Cycle of the context's last instruction fetch: one fetch
+         *  group per context per cycle. */
+        Cycle fetchedAt = kNoCycle;
         /** Fault model: frozen in place, occupying its slot. */
         bool hung = false;
         /** Kill deferred until the outstanding response arrives. */
@@ -237,6 +239,17 @@ class TcgCore : public Ticking
     /** Contexts not Idle: attachTask counts up, finishTask and
      *  killContext count down. */
     std::uint32_t live_ = 0;
+    /**
+     * Contexts Running or Ready (hung ones included). Attach and wake
+     * count up; stall, finish and killing a Running or Ready context
+     * count down (a deferred kill frees a Stalled context). While it
+     * is 0 every live context waits on memory, and tick() only does
+     * the bookkeeping a full tick would: the active-cycle and
+     * offered-slot counts, the round-robin rotation and the
+     * pairing-select draw. Such a core keeps ticking (its stats
+     * change every cycle), so it does not sleep.
+     */
+    std::uint32_t runnable_ = 0;
     std::uint32_t storeBufferUsed_ = 0;
     std::uint32_t rrSlot_ = 0;
     std::uint64_t pendingResponses_ = 0;

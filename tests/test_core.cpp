@@ -11,6 +11,7 @@
 
 #include "core/tcg_core.hpp"
 #include "isa/instr_stream.hpp"
+#include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "workloads/profile.hpp"
 #include "workloads/profile_stream.hpp"
@@ -418,4 +419,41 @@ TEST_F(CoreFixture, LaxityAwareIssueFavoursUrgentTask)
     // finish strictly later than the urgent one.
     EXPECT_LT(urgent_finish, lax_finish[1]);
     EXPECT_LT(urgent_finish, lax_finish[2]);
+}
+
+TEST_F(CoreFixture, KillFaultsReachEveryContextOfTheWidestCore)
+{
+    // The widest legal core: 16 run slots, 32 contexts. A Kill fault
+    // draws its victim among every live context, stalled or not; a
+    // stalled victim is freed when its memory response arrives.
+    params.maxRunning = 16;
+    params.numThreads = 32;
+    auto &c = make(50);
+    std::vector<TaskId> failed;
+    c.setTaskFailHandler([&](const workloads::TaskSpec &t, Cycle) {
+        failed.push_back(t.id);
+    });
+    for (std::uint32_t i = 0; i < 32; ++i) {
+        std::vector<MicroOp> ops{
+            memOp(OpKind::Load, MemClass::Heap, 0x100000 + i * 4096)};
+        ops.insert(ops.end(), 200, aluOp());
+        ops.push_back(haltOp());
+        workloads::TaskSpec t = task();
+        t.id = i;
+        ASSERT_TRUE(c.attachTask(t,
+                                 std::make_unique<isa::TraceStream>(ops),
+                                 nullptr));
+    }
+    // Let the running half issue its load misses and stall.
+    sim.run(3);
+    EXPECT_EQ(c.liveContexts(), 32u);
+    Rng rng(5, 0);
+    for (int k = 0; k < 32; ++k)
+        ASSERT_TRUE(c.injectThreadFault(ThreadFault::Kill, rng, sim.now()));
+    EXPECT_FALSE(c.injectThreadFault(ThreadFault::Kill, rng, sim.now()));
+    EXPECT_LT(failed.size(), 32u); // stalled victims still pending
+    sim.run(1000);
+    EXPECT_EQ(failed.size(), 32u);
+    EXPECT_EQ(c.liveContexts(), 0u);
+    EXPECT_FALSE(c.busy());
 }
