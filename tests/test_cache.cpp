@@ -148,3 +148,27 @@ TEST(Cache, WorkingSetLargerThanCacheThrashes)
             c.access(a, false);
     EXPECT_GT(c.missRatio(), 0.9);
 }
+
+TEST(Cache, DirtyEvictionInThreeSetCacheReturnsVictimLine)
+{
+    // 3 sets x 2 ways x 64 B: a set count that is not a power of two.
+    StatRegistry reg;
+    CacheParams p = smallCache();
+    p.sizeBytes = 3 * 2 * 64;
+    p.assoc = 2;
+    Cache c(reg, p, "c");
+    // Lines 5, 2 and 8 all map to set 2 (line % 3).
+    EXPECT_FALSE(c.access(5 * 64 + 12, true).hit);
+    EXPECT_FALSE(c.access(2 * 64, false).hit);
+    const CacheResult res = c.access(8 * 64 + 4, false);
+    EXPECT_FALSE(res.hit);
+    EXPECT_TRUE(res.writeback);
+    EXPECT_EQ(res.victimAddr, Addr{5 * 64});
+    EXPECT_FALSE(c.probe(5 * 64));
+    EXPECT_TRUE(c.probe(2 * 64));
+    EXPECT_TRUE(c.probe(8 * 64));
+    // A clean victim (line 2) needs no writeback.
+    const CacheResult clean = c.access(11 * 64, false);
+    EXPECT_FALSE(clean.writeback);
+    EXPECT_EQ(clean.victimAddr, kNoAddr);
+}

@@ -7,7 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <functional>
 #include <memory>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/tcg_core.hpp"
 #include "isa/instr_stream.hpp"
@@ -456,4 +461,101 @@ TEST_F(CoreFixture, KillFaultsReachEveryContextOfTheWidestCore)
     EXPECT_EQ(failed.size(), 32u);
     EXPECT_EQ(c.liveContexts(), 0u);
     EXPECT_FALSE(c.busy());
+}
+
+TEST(CoreKernelModes, StalledCoreStatsMatchForcedModeAtEverySliceEnd)
+{
+    // Six tasks on four run slots (eight contexts) behind a slow
+    // port: each burst of work opens with a load miss, so every live
+    // context soon waits on memory while the pairing-select tax is
+    // still drawn (six live > four slots). During the run, a component
+    // ticked before the core kills a stalled context and one ticked
+    // after it attaches a task while every context is stalled. The
+    // full stats dump must match the tick-every-cycle kernel at the
+    // end of every run() slice, under both issue policies.
+    struct Stimulus : Ticking {
+        void
+        tick(Cycle now) override
+        {
+            if (now == at)
+                act();
+        }
+        bool busy() const override { return false; }
+        Cycle nextActiveCycle(Cycle now) const override
+        { return at > now ? at : kNoCycle; }
+        Cycle at = 0;
+        std::function<void()> act;
+    };
+    const auto slices = [](bool fast_forward, IssuePolicy policy) {
+        Simulator sim;
+        sim.setFastForward(fast_forward);
+        CoreParams p;
+        p.numThreads = 8;
+        p.maxRunning = 4;
+        p.issuePolicy = policy;
+        FixedLatencyPort port(sim, 300);
+        Stimulus before;
+        sim.addTicking(&before);
+        TcgCore c(sim, p, 0, 0x1000'0000, port, "core");
+        Stimulus after;
+        sim.addTicking(&after);
+        std::vector<TaskId> failed;
+        c.setTaskFailHandler([&](const workloads::TaskSpec &t, Cycle) {
+            failed.push_back(t.id);
+        });
+        std::vector<std::pair<TaskId, Cycle>> finished;
+        const auto attach = [&](TaskId id) {
+            std::vector<MicroOp> ops;
+            for (int k = 0; k < 6; ++k) {
+                ops.push_back(memOp(OpKind::Load, MemClass::Heap,
+                                    0x200000 + id * 0x10000 + k * 64));
+                ops.insert(ops.end(), 60 + 10 * id, aluOp());
+            }
+            ops.push_back(haltOp());
+            workloads::TaskSpec ts;
+            ts.id = id;
+            ts.numOps = ops.size();
+            ts.deadline = 2000 + 150 * id;
+            return c.attachTask(
+                ts, std::make_unique<isa::TraceStream>(ops),
+                [&finished](const workloads::TaskSpec &t, Cycle f) {
+                    finished.emplace_back(t.id, f);
+                });
+        };
+        for (TaskId id = 0; id < 6; ++id)
+            EXPECT_TRUE(attach(id));
+        // Every context is stalled on its first load by cycle 40 and
+        // still is at 100 (the killed one too, until its response).
+        before.at = 40;
+        before.act = [&] { EXPECT_TRUE(c.killTask(2, sim.now())); };
+        after.at = 100;
+        after.act = [&] { EXPECT_TRUE(attach(6)); };
+
+        std::vector<std::string> dumps;
+        for (const Cycle n : {70, 1, 150, 777, 100'000}) {
+            const Cycle end = sim.run(n);
+            std::ostringstream ss;
+            ss << "end " << end << ' ';
+            sim.stats().dumpJson(ss);
+            dumps.push_back(ss.str());
+        }
+        EXPECT_EQ(failed, std::vector<TaskId>{2});
+        EXPECT_EQ(finished.size(), 6u);
+        EXPECT_FALSE(c.busy());
+        std::ostringstream tail;
+        for (const auto &[id, f] : finished)
+            tail << id << '@' << f << ' ';
+        dumps.push_back(tail.str());
+        return dumps;
+    };
+    for (const IssuePolicy policy :
+         {IssuePolicy::RoundRobin, IssuePolicy::LaxityAware}) {
+        const auto ff = slices(true, policy);
+        const auto forced = slices(false, policy);
+        ASSERT_EQ(ff.size(), forced.size());
+        for (std::size_t k = 0; k < ff.size(); ++k)
+            EXPECT_EQ(ff[k], forced[k])
+                << "slice " << k << " policy "
+                << static_cast<int>(policy);
+    }
 }
