@@ -75,6 +75,40 @@ TcgCore::TcgCore(Simulator &sim, CoreParams params, CoreId id,
     sim.addTicking(this);
 }
 
+void
+TcgCore::settle(Cycle now)
+{
+    if (now <= nextTick_)
+        return;
+    const Cycle n = now - nextTick_;
+    nextTick_ = now;
+    if (live_ == 0)
+        return; // idle ticks do nothing
+    if (runnable_ != 0)
+        panic("core %u: %llu skipped ticks with %u runnable contexts",
+              id_, static_cast<unsigned long long>(n), runnable_);
+    cyclesActive_ += static_cast<double>(n);
+    slotsOffered_ += static_cast<double>(n * params_.issueWidth);
+    if (params_.issuePolicy == IssuePolicy::RoundRobin)
+        rrSlot_ += static_cast<std::uint32_t>(n);
+    if (live_ > params_.maxRunning)
+        for (Cycle k = 0; k < n; ++k)
+            rng_.chance(params_.pairingSelectTax);
+}
+
+void
+TcgCore::settleForOutsideChange()
+{
+    settle(sim_.now() + (sim_.tickPassed(this) ? 1 : 0));
+}
+
+void
+TcgCore::setIssuePolicy(IssuePolicy policy)
+{
+    settleForOutsideChange();
+    params_.issuePolicy = policy;
+}
+
 std::uint32_t
 TcgCore::friendOf(std::uint32_t ctx) const
 {
@@ -87,6 +121,7 @@ bool
 TcgCore::attachTask(const workloads::TaskSpec &task,
                     isa::StreamPtr stream, TaskDone done)
 {
+    settleForOutsideChange();
     for (std::uint32_t i = 0; i < contexts_.size(); ++i) {
         Context &ctx = contexts_[i];
         if (ctx.state != State::Idle)
@@ -219,6 +254,8 @@ TcgCore::stallThread(std::uint32_t ctx_idx, Cycle now)
 void
 TcgCore::wakeThread(std::uint32_t ctx_idx, Cycle now)
 {
+    settleForOutsideChange();
+    sim_.wake(this);
     Context &ctx = contexts_[ctx_idx];
     if (ctx.killed) {
         // Deferred kill: the context was killed while stalled; free
@@ -312,6 +349,7 @@ TcgCore::killContext(std::uint32_t ctx_idx, Cycle now)
 bool
 TcgCore::injectThreadFault(ThreadFault kind, Rng &rng, Cycle now)
 {
+    settleForOutsideChange();
     std::uint32_t cand[32]; // numThreads <= 2 * maxRunning <= 32
     std::uint32_t n = 0;
     for (std::uint32_t i = 0; i < contexts_.size(); ++i) {
@@ -352,6 +390,7 @@ TcgCore::injectThreadFault(ThreadFault kind, Rng &rng, Cycle now)
 bool
 TcgCore::killTask(TaskId id, Cycle now)
 {
+    settleForOutsideChange();
     for (std::uint32_t i = 0; i < contexts_.size(); ++i) {
         Context &ctx = contexts_[i];
         if (ctx.state == State::Idle || ctx.killed ||
@@ -566,6 +605,8 @@ TcgCore::executeOp(std::uint32_t ctx_idx, Context &ctx,
 void
 TcgCore::tick(Cycle now)
 {
+    settle(now);
+    nextTick_ = now + 1;
     if (liveContexts() == 0)
         return;
     ++cyclesActive_;
@@ -574,7 +615,9 @@ TcgCore::tick(Cycle now)
     if (runnable_ == 0) {
         // Every live context waits on memory: no slot has a context
         // to issue from, so only the rotation and the tax draw of a
-        // full tick remain.
+        // full tick remain. The fast-forward kernel lets such a core
+        // sleep and settle() replays this; forced mode and spurious
+        // wakes come here, so the two kernel modes cross-check.
         if (params_.issuePolicy == IssuePolicy::RoundRobin)
             ++rrSlot_;
         if (liveContexts() > params_.maxRunning)

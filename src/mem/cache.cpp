@@ -1,6 +1,7 @@
 #include "mem/cache.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/logging.hpp"
 
@@ -36,19 +37,25 @@ Cache::Cache(StatRegistry &stats, CacheParams params,
               static_cast<unsigned long long>(params_.sizeBytes),
               params_.assoc);
     lines_.resize(numSets_ * params_.assoc);
+    lineShift_ = std::countr_zero(params_.lineBytes);
+    pow2Sets_ = isPow2(numSets_);
+    setShift_ = std::countr_zero(numSets_);
 }
 
 std::uint64_t
 Cache::setIndex(Addr addr) const
 {
-    // Set counts need not be powers of two (e.g. a 60 MB LLC).
-    return (addr / params_.lineBytes) % numSets_;
+    // Set counts need not be powers of two (e.g. a 60 MB LLC); those
+    // keep the division.
+    const Addr line = addr >> lineShift_;
+    return pow2Sets_ ? line & (numSets_ - 1) : line % numSets_;
 }
 
 Addr
 Cache::tagOf(Addr addr) const
 {
-    return addr / params_.lineBytes / numSets_;
+    const Addr line = addr >> lineShift_;
+    return pow2Sets_ ? line >> setShift_ : line / numSets_;
 }
 
 CacheResult

@@ -77,6 +77,12 @@ class Cache
 
     CacheParams params_;
     std::uint64_t numSets_;
+    /** log2(lineBytes); set index and tag shift the line number. */
+    int lineShift_ = 0;
+    /** Power-of-two set counts mask and shift instead of dividing;
+     *  setShift_ is log2(numSets_) then. */
+    bool pow2Sets_ = false;
+    int setShift_ = 0;
     std::vector<Line> lines_; // numSets * assoc, set-major
     std::uint64_t useClock_ = 0;
 

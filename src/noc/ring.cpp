@@ -8,12 +8,47 @@
 
 namespace smarco::noc {
 
+namespace {
+
+/** bytes rounded up to whole slices. */
+std::uint32_t
+quantise(std::uint32_t bytes, std::uint32_t slice)
+{
+    if (std::has_single_bit(slice))
+        return (bytes + slice - 1) & ~(slice - 1);
+    return ((bytes + slice - 1) / slice) * slice;
+}
+
+/** bytes rounded down to whole slices. */
+std::uint32_t
+floorToSlice(std::uint32_t bytes, std::uint32_t slice)
+{
+    if (std::has_single_bit(slice))
+        return bytes & ~(slice - 1);
+    return (bytes / slice) * slice;
+}
+
+} // namespace
+
+void
+Ring::SlotFifo::grow()
+{
+    const std::size_t cap = buf_.empty() ? 4 : 2 * buf_.size();
+    std::vector<std::uint32_t> bigger(cap);
+    for (std::uint32_t k = 0; k < size_; ++k)
+        bigger[k] = buf_[(head_ + k) & mask_];
+    buf_ = std::move(bigger);
+    head_ = 0;
+    mask_ = static_cast<std::uint32_t>(cap - 1);
+}
+
 Ring::Ring(Simulator &sim, RingParams params,
            const std::string &stat_prefix)
     : sim_(sim),
       params_(std::move(params)),
       stops_(params_.numStops),
-      throughMask_((params_.numStops + 63) / 64, 0),
+      handlers_(params_.numStops),
+      ejectMask_((params_.numStops + 63) / 64, 0),
       queuedMask_((params_.numStops + 63) / 64, 0),
       delivered_(sim.stats(), stat_prefix + ".delivered",
                  "packets delivered"),
@@ -44,6 +79,10 @@ Ring::Ring(Simulator &sim, RingParams params,
         fatal("ring %s: need at least 3 stops", params_.name.c_str());
     if (params_.fixedBytesPerDir == 0 && params_.flexBytes == 0)
         fatal("ring %s: zero link width", params_.name.c_str());
+    if (params_.flexBytes > 0 && params_.flexUnitBytes == 0)
+        fatal("ring %s: zero flex datapath unit", params_.name.c_str());
+    if (params_.flexBytes > 0)
+        flexUnits_ = params_.flexBytes / params_.flexUnitBytes;
     // Slices wider than a datapath are clamped to the per-cycle
     // budget at transfer time (they behave like conventional links).
     sim.addTicking(this);
@@ -55,20 +94,15 @@ Ring::setHandler(std::uint32_t stop, Handler handler)
     if (stop >= stops_.size())
         panic("ring %s: setHandler on stop %u of %zu",
               params_.name.c_str(), stop, stops_.size());
-    stops_[stop].handler = std::move(handler);
+    handlers_[stop] = std::move(handler);
 }
 
 std::uint32_t
 Ring::distance(std::uint32_t a, std::uint32_t b, std::uint32_t dir) const
 {
-    const std::uint32_t n = params_.numStops;
-    return dir == 0 ? (b + n - a) % n : (a + n - b) % n;
-}
-
-std::uint32_t
-Ring::quantise(std::uint32_t bytes, std::uint32_t slice) const
-{
-    return ((bytes + slice - 1) / slice) * slice;
+    if (dir != 0)
+        std::swap(a, b);
+    return b >= a ? b - a : b + params_.numStops - a;
 }
 
 std::uint32_t
@@ -76,6 +110,7 @@ Ring::alloc()
 {
     if (freeSlots_.empty()) {
         pool_.emplace_back();
+        packets_.emplace_back();
         return static_cast<std::uint32_t>(pool_.size() - 1);
     }
     const std::uint32_t slot = freeSlots_.back();
@@ -121,11 +156,8 @@ Ring::inject(std::uint32_t src_stop, std::uint32_t dst_stop,
         std::max<std::uint32_t>(pkt.payloadBytes, 1);
     const bool priority = pkt.priority;
     const std::uint32_t slot = alloc();
-    Transit &t = pool_[slot];
-    t.pkt = std::move(pkt);
-    t.dstStop = dst_stop;
-    t.remBytes = bytes;
-    t.retries = 0;
+    packets_[slot] = std::move(pkt);
+    pool_[slot] = Transit{dst_stop, bytes, bytes, 0};
     s.pending[dir] += bytes;
     ++queued_;
     if (priority)
@@ -249,8 +281,7 @@ Ring::dirBudget(const Stop &s, std::uint32_t stop_idx, std::uint32_t d,
         // with more pending bytes this cycle.
         const std::uint64_t p0 = s.pending[0];
         const std::uint64_t p1 = s.pending[1];
-        const std::uint32_t units =
-            params_.flexBytes / params_.flexUnitBytes;
+        const std::uint32_t units = flexUnits_;
         std::uint32_t mine = 0;
         if (p0 == p1) {
             mine = units / 2 + (d == 0 ? units % 2 : 0);
@@ -294,19 +325,17 @@ Ring::eject(Stop &s, std::uint32_t stop_idx, Cycle now)
         std::uint32_t remaining = port_bytes;
         while (!s.through[d].empty() && remaining > 0) {
             const std::uint32_t slot = s.through[d].front();
-            Transit &head = pool_[slot];
+            const Transit &head = pool_[slot];
             if (head.dstStop != stop_idx)
                 break;
-            const std::uint32_t need =
-                quantise(std::max<std::uint32_t>(
-                             head.pkt.payloadBytes, 1), slice);
+            const std::uint32_t need = quantise(head.wireBytes, slice);
             if (need > remaining && remaining != port_bytes)
                 break; // next cycle
             remaining -= std::min(need, remaining);
             s.pending[d] -= head.remBytes;
             // The slot is free before the handler can inject (and
-            // grow pool_).
-            Packet pkt = std::move(head.pkt);
+            // grow pool_ and packets_).
+            Packet pkt = std::move(packets_[slot]);
             freeSlots_.push_back(slot);
             const Cycle lat = now - pkt.created;
             s.through[d].pop_front();
@@ -331,8 +360,8 @@ Ring::eject(Stop &s, std::uint32_t stop_idx, Cycle now)
                               static_cast<unsigned long long>(lat),
                               std::max<std::uint32_t>(
                                   pkt.payloadBytes, 1)));
-            if (s.handler)
-                s.handler(std::move(pkt));
+            if (const Handler &handler = handlers_[stop_idx])
+                handler(std::move(pkt));
             else if (pkt.onDeliver)
                 pkt.onDeliver();
         }
@@ -344,12 +373,15 @@ Ring::updateMasks(std::uint32_t i)
 {
     const Stop &s = stops_[i];
     const std::uint64_t bit = std::uint64_t{1} << (i % 64);
-    const bool through = !s.through[0].empty() || !s.through[1].empty();
-    const bool queued =
-        through || !s.inject[0].empty() || !s.inject[1].empty();
-    std::uint64_t &tw = throughMask_[i / 64];
+    const auto ejects_here = [this, i](const SlotFifo &q) {
+        return !q.empty() && pool_[q.front()].dstStop == i;
+    };
+    const bool eject = ejects_here(s.through[0]) || ejects_here(s.through[1]);
+    const bool queued = !s.through[0].empty() || !s.through[1].empty() ||
+                        !s.inject[0].empty() || !s.inject[1].empty();
+    std::uint64_t &ew = ejectMask_[i / 64];
     std::uint64_t &qw = queuedMask_[i / 64];
-    tw = through ? tw | bit : tw & ~bit;
+    ew = eject ? ew | bit : ew & ~bit;
     qw = queued ? qw | bit : qw & ~bit;
 }
 
@@ -368,7 +400,10 @@ Ring::send(std::uint32_t i, Cycle now)
     const std::uint32_t n = params_.numStops;
     Stop &s = stops_[i];
     for (std::uint32_t d = 0; d < 2; ++d) {
-        const std::uint32_t next = d == 0 ? (i + 1) % n : (i + n - 1) % n;
+        if (s.through[d].empty() && s.inject[d].empty())
+            continue; // nothing wants this link
+        const std::uint32_t next = d == 0 ? (i + 1 == n ? 0 : i + 1)
+                                          : (i == 0 ? n - 1 : i - 1);
         Stop &ns = stops_[next];
         const std::uint32_t budget = dirBudget(s, i, d, now);
         const std::uint32_t slice = params_.sliceBytes == 0
@@ -391,7 +426,7 @@ Ring::send(std::uint32_t i, Cycle now)
                     break; // waits for next cycle's eject phase
                 const std::uint32_t need = quantise(head.remBytes, slice);
                 const std::uint32_t grant =
-                    std::min(need, (remaining / slice) * slice);
+                    std::min(need, floorToSlice(remaining, slice));
                 if (grant == 0)
                     break;
                 remaining -= grant;
@@ -407,19 +442,19 @@ Ring::send(std::uint32_t i, Cycle now)
                 // and stage at the neighbour.
                 q.pop_front();
                 --queued_;
-                head.remBytes =
-                    std::max<std::uint32_t>(head.pkt.payloadBytes, 1);
+                head.remBytes = head.wireBytes;
                 if ((dropArm_ > 0 || faults_.dropProb > 0.0) &&
                     shouldDrop(head)) {
                     // Lost at the end of the crossing: the wire bytes
                     // above are already spent.
                     ++head.retries;
                     scheduleRetransmit(i, d, slot, now);
-                } else if (dupArm_ > 0 && head.pkt.id != 0) {
+                } else if (dupArm_ > 0 && packets_[slot].id != 0) {
                     --dupArm_;
                     // alloc() may grow pool_: head is dead from here.
                     const std::uint32_t copy = alloc();
                     pool_[copy] = pool_[slot];
+                    packets_[copy] = packets_[slot];
                     ++inFlight_;
                     stage(next, d, slot);
                     stage(next, d, copy);
@@ -449,11 +484,11 @@ Ring::tick(Cycle now)
         std::erase_if(degrades_,
                       [now](const Degrade &g) { return g.until <= now; });
 
-    // Phase 1: ejection at every stop with through-traffic. Eject
-    // handlers may inject into this ring; phase 2 reads queuedMask_
-    // afterwards, so those packets move this cycle.
-    for (std::size_t w = 0; w < throughMask_.size(); ++w) {
-        for (std::uint64_t bits = throughMask_[w]; bits != 0;
+    // Phase 1: ejection at every stop whose through-head is destined
+    // there. Eject handlers may inject into this ring; phase 2 reads
+    // queuedMask_ afterwards, so those packets move this cycle.
+    for (std::size_t w = 0; w < ejectMask_.size(); ++w) {
+        for (std::uint64_t bits = ejectMask_[w]; bits != 0;
              bits &= bits - 1) {
             const auto i = static_cast<std::uint32_t>(
                 w * 64 + std::countr_zero(bits));

@@ -11,34 +11,45 @@
  * equal to the full direction width recovers a conventional wide
  * link, where one small packet wastes the whole cycle.
  *
- * The tick is occupancy-driven: its cost follows the stops that hold
- * queued packets, not numStops. A ring keeps, incrementally,
+ * The tick is occupancy-driven: its cost follows the stops that can
+ * act, not numStops. A ring keeps, incrementally,
  *  - per (stop, direction), the queued payload bytes: the sum of
  *    remBytes over through[d] and inject[d], which the flex-pool
  *    assignment reads;
  *  - the ring-wide count of packets in through and inject queues,
  *    which the occupancy stat samples;
  *  - two per-stop bitsets (64 stops a word, any ring size): a bit of
- *    throughMask_ is set iff the stop's through-queues hold a packet,
- *    a bit of queuedMask_ iff any of its queues does.
+ *    ejectMask_ is set iff the head of either of the stop's
+ *    through-queues is destined there, a bit of queuedMask_ iff any
+ *    of its queues holds a packet.
  * A loaded cycle then runs three phases:
- *  1. eject at the stops of throughMask_, in ascending order;
+ *  1. eject at the stops of ejectMask_, in ascending order (a stop
+ *     whose through-heads go elsewhere could eject nothing);
  *  2. send across links from the stops of queuedMask_, read after
  *     phase 1 so packets that eject handlers injected (e.g. a
  *     remote-SPM response) move this cycle; ascending order matters
- *     because backpressure reads the neighbour's staged arrivals;
+ *     because backpressure reads the neighbour's staged arrivals; a
+ *     direction with no queued packet is skipped;
  *  3. merge staged arrivals into the through-queues of the stops
  *     that received any this tick.
- * Stops with no queued packet are never touched.
+ * Stops with no queued packet are never touched, and the per-packet
+ * path divides only where a slice or budget is not a power of two
+ * (conventional links and degraded budgets).
  *
- * Packets in flight live in a ring-owned pool of Transit slots; the
- * through-, inject- and staged queues hold 4-byte pool indices, so a
- * hop moves an index and rewrites only the slot's remBytes. A NACKed
- * packet keeps its slot until the retransmission re-enters a queue; a
- * duplicate gets a slot of its own. Ejection moves the Packet out and
- * frees its slot before the handler runs. Handlers may inject into the
- * same ring and so grow the pool: no Transit reference is held across
- * alloc() or a handler call.
+ * Packets in flight live in a ring-owned slot pool split hot from
+ * cold: pool_ holds the 16-byte Transit the tick reads on every hop
+ * (destination, remaining and wire bytes, retries), packets_ the
+ * Packet itself in the same slot. The through-, inject- and staged
+ * queues hold 4-byte slot indices; the through- and inject-queues are
+ * power-of-two circular FIFOs that double when full, since a
+ * through-queue may pass stopQueueCap (a NACKed packet re-enters at
+ * its head, a duplicate is staged beside its original). A hop moves
+ * an index and rewrites only remBytes. A NACKed packet keeps its slot
+ * until the retransmission re-enters a queue; a duplicate gets a slot
+ * of its own. Ejection moves the Packet out and frees its slot before
+ * the handler runs. Handlers may inject into the same ring and so
+ * grow pool_ and packets_: no Transit or Packet reference is held
+ * across alloc() or a handler call.
  */
 #pragma once
 
@@ -173,12 +184,56 @@ class Ring : public Ticking
     { return static_cast<std::uint64_t>(dupsSuppressed_.value()); }
 
   private:
+    /** Hot per-packet state of a pool slot (the Packet is cold). */
     struct Transit {
-        Packet pkt;
         std::uint32_t dstStop = 0;
+        /** Bytes left to cross the current link. */
         std::uint32_t remBytes = 0;
+        /** Bytes each link crossing carries: max(payloadBytes, 1). */
+        std::uint32_t wireBytes = 0;
         /** Times this packet has been dropped and re-sent. */
         std::uint32_t retries = 0;
+    };
+
+    /** FIFO of pool slot indices: a power-of-two ring buffer that
+     *  doubles when full, so it has no fixed capacity. */
+    class SlotFifo
+    {
+      public:
+        bool empty() const { return size_ == 0; }
+        std::uint32_t size() const { return size_; }
+        std::uint32_t front() const { return buf_[head_]; }
+        void
+        pop_front()
+        {
+            head_ = (head_ + 1) & mask_;
+            --size_;
+        }
+        void
+        push_back(std::uint32_t slot)
+        {
+            if (size_ == buf_.size())
+                grow();
+            buf_[(head_ + size_) & mask_] = slot;
+            ++size_;
+        }
+        void
+        push_front(std::uint32_t slot)
+        {
+            if (size_ == buf_.size())
+                grow();
+            head_ = (head_ - 1) & mask_;
+            buf_[head_] = slot;
+            ++size_;
+        }
+
+      private:
+        void grow();
+
+        std::vector<std::uint32_t> buf_;
+        std::uint32_t head_ = 0;
+        std::uint32_t size_ = 0;
+        std::uint32_t mask_ = 0;
     };
 
     struct Degrade {
@@ -190,20 +245,19 @@ class Ring : public Ticking
 
     /** Queues hold indices into pool_. */
     struct Stop {
-        std::deque<std::uint32_t> through[2];
-        std::deque<std::uint32_t> inject[2];
+        SlotFifo through[2];
+        SlotFifo inject[2];
         /** Arrivals staged during the current tick. */
         std::vector<std::uint32_t> staged[2];
         /** Queued payload bytes wanting to leave in direction d: the
          *  sum of remBytes over through[d] and inject[d]. */
         std::uint64_t pending[2] = {0, 0};
-        Handler handler;
     };
 
     std::uint32_t dirBudget(const Stop &s, std::uint32_t stop_idx,
                             std::uint32_t d, Cycle now) const;
     /** Take a free pool slot for the caller to fill (may grow
-     *  pool_, invalidating Transit references). */
+     *  pool_ and packets_, invalidating references into them). */
     std::uint32_t alloc();
     void eject(Stop &s, std::uint32_t stop_idx, Cycle now);
     /** Link traversal out of stop i in both directions. */
@@ -211,11 +265,8 @@ class Ring : public Ticking
     /** Stage the packet in pool slot `slot` at stop next for the
      *  phase-3 merge. */
     void stage(std::uint32_t next, std::uint32_t d, std::uint32_t slot);
-    /** Re-derive stop i's bits in throughMask_ and queuedMask_. */
+    /** Re-derive stop i's bits in ejectMask_ and queuedMask_. */
     void updateMasks(std::uint32_t i);
-    /** Slice-quantised wire bytes a payload consumes. */
-    std::uint32_t quantise(std::uint32_t bytes,
-                           std::uint32_t slice) const;
     /** Fault model: does this completed crossing get dropped? */
     bool shouldDrop(const Transit &t);
     /** NACK path: re-enqueue the packet in pool slot `slot` at the
@@ -229,15 +280,21 @@ class Ring : public Ticking
     Simulator &sim_;
     RingParams params_;
     std::vector<Stop> stops_;
+    /** Ejection handler of each stop. */
+    std::vector<Handler> handlers_;
+    /** flexBytes / flexUnitBytes: bidirectional datapath units. */
+    std::uint32_t flexUnits_ = 0;
     /** Transit slots of queued, staged and NACKed packets. */
     std::vector<Transit> pool_;
+    /** The packet of each pool slot. */
+    std::vector<Packet> packets_;
     /** Free pool_ slots, reused last-freed first. */
     std::vector<std::uint32_t> freeSlots_;
     std::uint64_t inFlight_ = 0;
     /** Packets in through and inject queues over all stops (in-flight
      *  packets also include staged and NACKed ones). */
     std::uint64_t queued_ = 0;
-    std::vector<std::uint64_t> throughMask_;
+    std::vector<std::uint64_t> ejectMask_;
     std::vector<std::uint64_t> queuedMask_;
     /** Stops with staged arrivals this tick, in staging order. */
     std::vector<std::uint32_t> stagedStops_;

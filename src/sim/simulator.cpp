@@ -80,6 +80,13 @@ Simulator::advanceTo(Cycle target)
     now_ = target;
 }
 
+void
+Simulator::settleAll(Cycle now)
+{
+    for (Ticking *t : ticking_)
+        t->settle(now);
+}
+
 Cycle
 Simulator::run(Cycle max_cycles)
 {
@@ -98,6 +105,7 @@ Simulator::run(Cycle max_cycles)
         wake(t);
 
     while (now_ < end && !stopRequested_) {
+        tickCursor_ = 0;
         while (!wakeHeap_.empty() && wakeHeap_.top().first <= now_) {
             wake(ticking_[wakeHeap_.top().second]);
             wakeHeap_.pop();
@@ -113,12 +121,14 @@ Simulator::run(Cycle max_cycles)
                 std::uint64_t bits = active_[w];
                 while (bits != 0) {
                     const int b = std::countr_zero(bits);
-                    ticking_[w * 64 + b]->tick(now_);
+                    tickCursor_ = static_cast<std::uint32_t>(w * 64 + b);
+                    ticking_[tickCursor_]->tick(now_);
                     bits = b == 63
                         ? 0
                         : active_[w] & (~std::uint64_t{0} << (b + 1));
                 }
             }
+            tickCursor_ = static_cast<std::uint32_t>(ticking_.size());
             // Re-arm or retire based on each component's hint.
             for (std::size_t w = 0; w < words; ++w) {
                 for (std::uint64_t bits = active_[w]; bits != 0;
@@ -134,11 +144,16 @@ Simulator::run(Cycle max_cycles)
                 }
             }
         } else {
-            for (Ticking *t : ticking_)
-                t->tick(now_);
+            for (tickCursor_ = 0; tickCursor_ < ticking_.size();
+                 ++tickCursor_)
+                ticking_[tickCursor_]->tick(now_);
         }
-        if (sampling)
+        if (sampling && now_ >= sampler_.nextBoundary()) {
+            // Probes read stats: bring sleeping components up to date,
+            // this cycle's tick included.
+            settleAll(now_ + 1);
             sampler_.maybeSample(now_);
+        }
 
         // Idle detection: when nothing is in flight, fast-forward to
         // the next event or finish. Identical in both kernel modes.
@@ -157,7 +172,8 @@ Simulator::run(Cycle max_cycles)
         if (fastForward_) {
             // Quiescence fast-forward: with every ticking component
             // asleep, no state can change until the earliest wake-up
-            // or event, so the skipped cycles are provably no-ops.
+            // or event, so the skipped cycles are provably no-ops or
+            // bookkeeping that settle() replays.
             if (std::all_of(active_.begin(), active_.end(),
                             [](std::uint64_t w) { return w == 0; })) {
                 Cycle target = events_.nextEventCycle();
@@ -176,6 +192,10 @@ Simulator::run(Cycle max_cycles)
         ++now_;
     }
 
+    // No tick of cycle now_ has run yet; callers between runs see the
+    // stats of every cycle before it.
+    tickCursor_ = 0;
+    settleAll(now_);
     trace_.complete(TraceCat::Sim, "run", start, now_);
     if (runId_ != 0)
         snapshotObservability();

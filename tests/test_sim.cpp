@@ -404,6 +404,154 @@ TEST(FastForward, WakeChainsAcrossActiveSetWordsKeepTickOrder)
     }
 }
 
+TEST(FastForward, TickPassedFollowsTheTickCursor)
+{
+    // Three components; the middle one reads the cursor during its
+    // tick, an event reads it before the tick pass and a sampler probe
+    // after it. Both kernel modes keep the same cursor.
+    struct Reader : Ticking {
+        void
+        tick(Cycle now) override
+        {
+            if (now == 5 && sim)
+                for (const Ticking *t : all)
+                    during.push_back(sim->tickPassed(t));
+        }
+        Simulator *sim = nullptr;
+        std::vector<const Ticking *> all;
+        std::vector<bool> during;
+    };
+    for (const bool fast_forward : {true, false}) {
+        Simulator sim;
+        sim.setFastForward(fast_forward);
+        Reader low, mid, high;
+        for (Reader *r : {&low, &mid, &high})
+            sim.addTicking(r);
+        mid.sim = &sim;
+        mid.all = {&low, &mid, &high};
+        std::vector<bool> in_event, after_pass;
+        sim.events().schedule(5, [&] {
+            for (const Ticking *t : mid.all)
+                in_event.push_back(sim.tickPassed(t));
+        });
+        sim.sampler().setInterval(5);
+        sim.sampler().addProbe("cursor", [&] {
+            if (sim.now() == 5)
+                for (const Ticking *t : mid.all)
+                    after_pass.push_back(sim.tickPassed(t));
+            return 0.0;
+        });
+        sim.run(8);
+        EXPECT_EQ(in_event, (std::vector<bool>{false, false, false}));
+        EXPECT_EQ(mid.during, (std::vector<bool>{true, false, false}));
+        EXPECT_EQ(after_pass, (std::vector<bool>{true, true, true}));
+        // Between runs no tick of now() has run yet.
+        EXPECT_FALSE(sim.tickPassed(&low));
+        EXPECT_FALSE(sim.tickPassed(&high));
+        Simulator other;
+        EXPECT_FALSE(other.tickPassed(&low));
+    }
+}
+
+TEST(FastForward, SettledSkippedTicksMatchForcedMode)
+{
+    // A component that counts every tick but, while it waits, does
+    // nothing else: it sleeps then and settle() counts the skipped
+    // ticks. It is poked into one cycle of work by an event (cycle
+    // 10), by a lower-index component (20) and by a higher-index one
+    // (30), across run() returns. Forced mode ticks it every cycle;
+    // both see the same work cycles and tick count at every return.
+    struct Sleeper : Ticking {
+        void
+        settle(Cycle now) override
+        {
+            if (now <= nextTick)
+                return;
+            if (waiting)
+                counted += now - nextTick;
+            nextTick = now;
+        }
+        void
+        tick(Cycle now) override
+        {
+            if (waiting) {
+                settle(now + 1);
+                return;
+            }
+            settle(now);
+            nextTick = now + 1;
+            ++counted;
+            worked.push_back(now);
+            waiting = true;
+        }
+        Cycle nextActiveCycle(Cycle now) const override
+        { return waiting ? kNoCycle : now + 1; }
+        void
+        poke()
+        {
+            settle(sim->now() + (sim->tickPassed(this) ? 1 : 0));
+            waiting = false;
+            sim->wake(this);
+        }
+        Simulator *sim = nullptr;
+        bool waiting = true;
+        Cycle nextTick = 0;
+        std::uint64_t counted = 0;
+        std::vector<Cycle> worked;
+    };
+    struct Poker : Ticking {
+        void
+        tick(Cycle now) override
+        {
+            if (now == at)
+                target->poke();
+        }
+        bool busy() const override { return false; }
+        Cycle nextActiveCycle(Cycle now) const override
+        { return at > now ? at : kNoCycle; }
+        Cycle at = 0;
+        Sleeper *target = nullptr;
+    };
+    struct Outcome {
+        std::vector<std::uint64_t> counted;
+        std::vector<Cycle> ends;
+        std::vector<Cycle> worked;
+        std::uint64_t skipped;
+    };
+    const auto run = [](bool fast_forward) {
+        Simulator sim;
+        sim.setFastForward(fast_forward);
+        Poker low, high;
+        Sleeper sleeper;
+        sleeper.sim = &sim;
+        low.at = 20;
+        high.at = 30;
+        low.target = high.target = &sleeper;
+        sim.addTicking(&low);
+        sim.addTicking(&sleeper);
+        sim.addTicking(&high);
+        sim.events().schedule(10, [&] { sleeper.poke(); });
+        Outcome out;
+        for (const Cycle n : {15, 20, 1, 100}) {
+            out.ends.push_back(sim.run(n));
+            out.counted.push_back(sleeper.counted);
+        }
+        out.worked = sleeper.worked;
+        out.skipped = sim.cyclesSkipped();
+        return out;
+    };
+    const Outcome ff = run(true);
+    const Outcome forced = run(false);
+    EXPECT_EQ(ff.worked, (std::vector<Cycle>{10, 20, 31}));
+    EXPECT_EQ(ff.ends, (std::vector<Cycle>{15, 35, 36, 136}));
+    EXPECT_EQ(ff.counted, (std::vector<std::uint64_t>{15, 35, 36, 136}));
+    EXPECT_GT(ff.skipped, 90u); // the sleeper really slept
+    EXPECT_EQ(forced.worked, ff.worked);
+    EXPECT_EQ(forced.ends, ff.ends);
+    EXPECT_EQ(forced.counted, ff.counted);
+    EXPECT_EQ(forced.skipped, 0u);
+}
+
 TEST(SimulatorDeath, ReleaseWithoutHoldPanics)
 {
     EXPECT_DEATH(
