@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -92,22 +93,28 @@ class DiscreteDist
  * Zipf distribution over [0, n) with exponent s. Models the skewed
  * popularity of keys/pages in HTC workloads (web objects, words).
  * Sampling is by binary search over a precomputed CDF.
+ *
+ * The CDF depends only on (n, s), so it is built once per distinct
+ * key and shared: every ZipfDist with that key, and every copy of
+ * one, reads the same immutable table. A process-wide memo keeps one
+ * table per key it has seen for the life of the process, so starting
+ * a task costs a lookup, not n calls to pow().
  */
 class ZipfDist
 {
   public:
     ZipfDist() = default;
 
-    /** Build a Zipf(n, s) distribution; n > 0, s >= 0. */
+    /** Zipf(n, s); n > 0, and s finite and >= 0. */
     ZipfDist(std::size_t n, double s);
 
     /** Sample a rank in [0, n). */
     std::size_t sample(Rng &rng) const;
 
-    std::size_t size() const { return cdf_.size(); }
+    std::size_t size() const { return cdf_ ? cdf_->size() : 0; }
 
   private:
-    std::vector<double> cdf_;
+    std::shared_ptr<const std::vector<double>> cdf_;
 };
 
 } // namespace smarco
