@@ -1,5 +1,7 @@
 #include "workloads/profile.hpp"
 
+#include <cmath>
+
 #include "sim/logging.hpp"
 
 namespace smarco::workloads {
@@ -20,6 +22,9 @@ BenchProfile::validate() const
               name.c_str(), kNumGranularities, granularityWeights.size());
     if (heapWorkingSet == 0 || streamWorkingSet == 0)
         panic("profile %s: zero working set", name.c_str());
+    if (!std::isfinite(heapZipf) || heapZipf < 0.0)
+        panic("profile %s: heap Zipf exponent %f is not finite and >= 0",
+              name.c_str(), heapZipf);
     if (opsPerTask == 0)
         panic("profile %s: zero opsPerTask", name.c_str());
 }

@@ -51,7 +51,7 @@ struct BenchProfile {
     // remainder of mem ops is Stream (uncached word-granularity DRAM)
 
     std::uint64_t heapWorkingSet = 256 * 1024; ///< bytes, zipf-visited
-    double heapZipf = 0.8;      ///< skew of heap reuse
+    double heapZipf = 0.8;      ///< skew of heap reuse; finite, >= 0
     std::uint64_t streamWorkingSet = 4 * 1024 * 1024;
 
     /** Fraction of ops tagged with superior real-time priority. */
