@@ -2,7 +2,8 @@
  * @file
  * Component micro-benchmarks (google-benchmark): raw speed of the
  * simulation kernel's hot paths — event queue, RNG, cache tag model,
- * MACT collection, ring traversal, and a small end-to-end chip step.
+ * MACT collection, ring traversal, stream start-up, and a small
+ * end-to-end chip step.
  * These guard the simulator's own performance, not the paper's
  * results.
  */
@@ -14,7 +15,9 @@
 #include "mem/mact.hpp"
 #include "noc/ring.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/logging.hpp"
 #include "sim/random.hpp"
+#include "workloads/cdn.hpp"
 #include "workloads/profile.hpp"
 #include "workloads/profile_stream.hpp"
 
@@ -110,6 +113,38 @@ BM_ProfileStreamNext(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ProfileStreamNext);
+
+/**
+ * Cost of starting a task's micro-op stream, heap Zipf table
+ * included: arg 0 is a CDN chunk at 300 clients (the Fig. 2 load,
+ * a 300 x 24 KB heap of 64-byte chunks), arg 1 is wordcount on the
+ * conventional baseline's 32x heap.
+ */
+static void
+BM_ProfileStreamBuild(benchmark::State &state)
+{
+    const bool cdn = state.range(0) == 0;
+    const workloads::BenchProfile prof =
+        cdn ? workloads::CdnWorkload().chunkProfile(300)
+            : workloads::htcProfile("wordcount");
+    workloads::AddressLayout layout;
+    layout.spmLocalBase = 0x1000'0000;
+    layout.heapBase = 0x8000'0000;
+    layout.heapSize = (cdn ? 1 : 32) * prof.heapWorkingSet;
+    layout.streamBase = 0x9000'0000;
+    state.SetLabel(strprintf("%s, %llu heap chunks", prof.name.c_str(),
+                             static_cast<unsigned long long>(
+                                 layout.heapSize / 64)));
+    std::uint64_t seed = 7;
+    isa::MicroOp op;
+    for (auto _ : state) {
+        workloads::ProfileStream stream(prof, layout, prof.opsPerTask,
+                                        ++seed);
+        stream.next(op);
+        benchmark::DoNotOptimize(op);
+    }
+}
+BENCHMARK(BM_ProfileStreamBuild)->Arg(0)->Arg(1);
 
 static void
 BM_RingSaturatedCycle(benchmark::State &state)
