@@ -12,7 +12,9 @@
  * Each chip is first calibrated closed-loop to find its saturation
  * rate, then swept open-loop at 0.5x..4x that rate with a mixed
  * request stream (deadline CDN-chunk traffic plus a best-effort
- * slice). The harness asserts the overload-control contract:
+ * slice). Both chips are served by the same runtime::OverloadDriver,
+ * so goodput, retries and latency mean the same in both tables. The
+ * harness asserts the overload-control contract:
  *
  *   1. goodput plateaus — the 4x point keeps >= 90% of the peak
  *      goodput rate seen anywhere in the sweep (no congestion
@@ -27,7 +29,6 @@
  */
 #include <algorithm>
 #include <cstring>
-#include <functional>
 
 #include "bench_util.hpp"
 #include "runtime/overload.hpp"
@@ -169,6 +170,60 @@ calibrateSmarco(const chip::ChipConfig &cfg,
            static_cast<double>(end);
 }
 
+/**
+ * Serve one sweep point's mixed stream on chip through one
+ * OverloadDriver per traffic class, and read the point from the two
+ * drivers: both chips share one definition of goodput, SLO miss,
+ * retry and end-to-end latency. Arrivals start at start; run(end)
+ * runs the chip, where end closes the serving window.
+ */
+template <class Chip, class RunFn>
+SweepPoint
+servePoint(Chip &chip, const workloads::BenchProfile &profile,
+           std::uint64_t count, double rate, double mult,
+           Cycle deadline, Cycle interval, Cycle start, RunFn run)
+{
+    runtime::OverloadParams op;
+    op.backoffBase = std::max<Cycle>(interval, 64);
+    op.backoffMax = deadline;
+    op.latencyHistMax = 8.0 * static_cast<double>(deadline);
+    runtime::OverloadDriver deadline_class(chip, op,
+                                           "runtime.overload.dl");
+    op.seed = 2;
+    runtime::OverloadDriver best_effort(chip, op,
+                                        "runtime.overload.be");
+
+    const auto dl_reqs =
+        makeStream(profile, count, rate, deadline, start, false);
+    const auto be_reqs =
+        makeStream(profile, count, rate, deadline, start, true);
+    Cycle last_arrival = 0;
+    for (const auto &r : dl_reqs)
+        last_arrival = std::max(last_arrival, r.release);
+    for (const auto &r : be_reqs)
+        last_arrival = std::max(last_arrival, r.release);
+    deadline_class.drive(dl_reqs);
+    best_effort.drive(be_reqs);
+    auto campaign = fault::armFaultsFromCli(chip.sim(), chip);
+    run(last_arrival + deadline);
+
+    SweepPoint p;
+    p.mult = mult;
+    p.requests = deadline_class.requests() + best_effort.requests();
+    p.goodput = deadline_class.goodput() + best_effort.goodput();
+    p.shed = deadline_class.shedEvents() + best_effort.shedEvents();
+    p.retries = deadline_class.retries() + best_effort.retries();
+    p.expired = deadline_class.expired() + best_effort.expired();
+    p.goodputRate = static_cast<double>(p.goodput) * 1000.0 /
+                    static_cast<double>(last_arrival + deadline - start);
+    // Tail-latency contract is on the deadline class; best-effort
+    // completions have no SLO.
+    p.p50 = deadline_class.latency().percentile(0.50);
+    p.p95 = deadline_class.latency().percentile(0.95);
+    p.p99 = deadline_class.latency().percentile(0.99);
+    return p;
+}
+
 SweepPoint
 runSmarcoPoint(const chip::ChipConfig &cfg,
                const workloads::BenchProfile &profile,
@@ -183,45 +238,10 @@ runSmarcoPoint(const chip::ChipConfig &cfg,
     ap.queuedCost = interval;
     chip.enableOverloadControl(ap);
 
-    runtime::OverloadParams op;
-    op.backoffBase = std::max<Cycle>(interval, 64);
-    op.backoffMax = deadline;
-    op.latencyHistMax = 8.0 * static_cast<double>(deadline);
-    runtime::OverloadDriver deadline_class(chip, op,
-                                           "runtime.overload.dl");
-    op.seed = 2;
-    runtime::OverloadDriver best_effort(chip, op,
-                                        "runtime.overload.be");
-
-    const auto dl_reqs =
-        makeStream(profile, count, rate, deadline, 0, false);
-    const auto be_reqs =
-        makeStream(profile, count, rate, deadline, 0, true);
-    Cycle last_arrival = 0;
-    for (const auto &r : dl_reqs)
-        last_arrival = std::max(last_arrival, r.release);
-    for (const auto &r : be_reqs)
-        last_arrival = std::max(last_arrival, r.release);
-    deadline_class.drive(dl_reqs);
-    best_effort.drive(be_reqs);
-    auto campaign = fault::armFaultsFromCli(sim, chip);
-    chip.runUntilDone(400'000'000);
-
-    SweepPoint p;
-    p.mult = mult;
-    p.requests = deadline_class.requests() + best_effort.requests();
-    p.goodput = deadline_class.goodput() + best_effort.goodput();
-    p.shed = deadline_class.shedEvents() + best_effort.shedEvents();
-    p.retries = deadline_class.retries() + best_effort.retries();
-    p.expired = deadline_class.expired() + best_effort.expired();
-    p.goodputRate = static_cast<double>(p.goodput) * 1000.0 /
-                    static_cast<double>(last_arrival + deadline);
-    // Tail-latency contract is on the deadline class; best-effort
-    // completions have no SLO.
-    p.p50 = deadline_class.latency().percentile(0.50);
-    p.p95 = deadline_class.latency().percentile(0.95);
-    p.p99 = deadline_class.latency().percentile(0.99);
-    return p;
+    return servePoint(chip, profile, count, rate, mult, deadline,
+                      interval, 0, [&chip](Cycle) {
+                          chip.runUntilDone(400'000'000);
+                      });
 }
 
 // -------------------------------------------------------------- baseline
@@ -254,73 +274,20 @@ runBaselinePoint(const baseline::BaselineParams &params,
 {
     Simulator sim;
     baseline::BaselineChip chip(sim, params);
-    chip.enableAdmission(64, 8.0 * static_cast<double>(deadline));
+    chip.enableAdmission(64);
     chip.spawnWorkers(workers, {}, /*persistent=*/true);
 
     // Arrivals start once every worker has finished its staggered
     // spawn ramp, so the measured window is all steady state.
     const Cycle start = static_cast<Cycle>(workers + 1) *
                         params.threadCreateCost;
-
-    // The baseline has no hardware admission path, so the driver-side
-    // retry loop lives here: bounced injections back off and re-try
-    // until the request's own deadline makes the retry pointless.
-    auto requests =
-        makeStream(profile, count, rate, deadline, start, false);
-    const auto be_reqs =
-        makeStream(profile, count, rate, deadline, start, true);
-    requests.insert(requests.end(), be_reqs.begin(), be_reqs.end());
-    std::uint64_t retries = 0;
-    std::uint64_t dropped = 0;
-    Rng backoff = namedRng(kArrivalSeed, "overload.backoff");
-    auto submit = std::make_shared<
-        std::function<void(workloads::TaskSpec, std::uint32_t)>>();
-    *submit = [&sim, &chip, &retries, &dropped, backoff, submit,
-               interval](workloads::TaskSpec task,
-                         std::uint32_t attempt) mutable {
-        if (chip.tryInjectTask(task))
-            return;
-        const Cycle shift = std::min<std::uint32_t>(attempt, 20);
-        Cycle wait = std::min<Cycle>(interval << shift, 64 * interval);
-        wait += backoff.nextBelow(wait / 2 + 1);
-        const Cycle at = sim.now() + wait;
-        if (attempt >= 8 ||
-            (task.hasDeadline() && at + task.numOps > task.deadline)) {
-            ++dropped;
-            return;
-        }
-        ++retries;
-        sim.events().schedule(at, [submit, task, attempt]() {
-            (*submit)(task, attempt + 1);
-        });
-    };
-    Cycle last_arrival = 0;
-    for (const auto &r : requests) {
-        last_arrival = std::max(last_arrival, r.release);
-        sim.events().schedule(r.release, [submit, r]() {
-            (*submit)(r, 0);
-        });
-    }
-    auto campaign = fault::armFaultsFromCli(sim, chip);
     // Persistent workers never drain the chip, so the run stops at
     // the end of the serving window — the same span the goodput rate
     // divides by; completions past it would not be goodput anyway.
-    sim.run(last_arrival + deadline);
-
-    const auto &lat = sim.stats().getAs<Histogram>("base.e2eLatency");
-    SweepPoint p;
-    p.mult = mult;
-    p.requests = count;
-    p.goodput = chip.tasksCompleted();
-    p.shed = chip.tasksShed();
-    p.retries = retries;
-    p.expired = chip.tasksExpired() + dropped;
-    p.goodputRate = static_cast<double>(p.goodput) * 1000.0 /
-                    static_cast<double>(last_arrival + deadline - start);
-    p.p50 = lat.percentile(0.50);
-    p.p95 = lat.percentile(0.95);
-    p.p99 = lat.percentile(0.99);
-    return p;
+    return servePoint(chip, profile, count, rate, mult, deadline,
+                      interval, start, [&sim](Cycle window_end) {
+                          sim.run(window_end);
+                      });
 }
 
 } // namespace

@@ -173,15 +173,20 @@ BaselineChip::enableAdmission(std::uint32_t queue_cap,
         0.0, latency_hist_max, 64);
 }
 
-bool
-BaselineChip::tryInjectTask(const workloads::TaskSpec &task)
+void
+BaselineChip::submitRequest(workloads::TaskSpec task,
+                            workloads::RequestHook hook)
 {
+    task.hook =
+        std::make_shared<const workloads::RequestHook>(std::move(hook));
     if (admissionOn_ && bag_.size() >= bagCap_) {
         ++shedQueueFull_;
-        return false;
+        workloads::resolve(
+            task, {.when = sim_.now(),
+                   .reason = workloads::ShedReason::QueueFull});
+        return;
     }
-    bag_.push_back(task);
-    return true;
+    bag_.push_back(std::move(task));
 }
 
 void
@@ -193,6 +198,14 @@ BaselineChip::taskDone(SwThread &t, Cycle now)
         ++deadlineMisses_;
     if (admissionOn_ && t.hasTask)
         e2eLatency_->sample(static_cast<double>(now - t.task.release));
+    if (t.hasTask) {
+        const std::uint32_t slot =
+            t.id % (params_.numCores * params_.smtPerCore);
+        workloads::resolve(t.task,
+                           {.completed = true,
+                            .when = now,
+                            .core = slot / params_.smtPerCore});
+    }
     nextTask(t, now);
 }
 
@@ -301,7 +314,11 @@ BaselineChip::nextTask(SwThread &t, Cycle now)
         if (!head.hasDeadline() || now + head.numOps <= head.deadline)
             break;
         ++tasksExpired_;
+        const workloads::TaskSpec dropped = std::move(bag_.front());
         bag_.pop_front();
+        workloads::resolve(dropped,
+                           {.when = now,
+                            .reason = workloads::ShedReason::Expired});
     }
     if (bag_.empty()) {
         // Worker parks on the empty queue and polls again shortly

@@ -131,11 +131,15 @@ class BaselineChip : public Ticking
                          double latency_hist_max = 4'000'000.0);
 
     /**
-     * Bounded-bag injection: false when admission is on and the bag
-     * is full (the caller owns the retry policy — never drop
-     * silently). Without admission this always succeeds.
+     * Submit one request to the shared bag. The task carries hook,
+     * which fires once with its terminal outcome: QueueFull when
+     * admission is on and the bag is full, Expired when it is
+     * early-dropped at pop time, or completion. A killed worker's
+     * task returns to the bag with its hook. Same contract as
+     * chip::SmarcoChip::submitRequest.
      */
-    bool tryInjectTask(const workloads::TaskSpec &task);
+    void submitRequest(workloads::TaskSpec task,
+                       workloads::RequestHook hook);
 
     std::uint64_t tasksShed() const
     { return static_cast<std::uint64_t>(shedQueueFull_.value()); }
@@ -149,6 +153,7 @@ class BaselineChip : public Ticking
     { return liveThreads_ == 0 ? kNoCycle : now + 1; }
 
     BaselineMetrics metrics() const;
+    Simulator &sim() { return sim_; }
     const BaselineParams &params() const { return params_; }
     std::uint64_t tasksCompleted() const
     { return static_cast<std::uint64_t>(tasksDone_.value()); }
@@ -173,8 +178,6 @@ class BaselineChip : public Ticking
 
     std::uint64_t workerKills() const
     { return static_cast<std::uint64_t>(workerKills_.value()); }
-    std::uint64_t workerRecoveries() const
-    { return static_cast<std::uint64_t>(recoveries_.value()); }
 
   private:
     /** One software thread. */
@@ -213,7 +216,7 @@ class BaselineChip : public Ticking
 
     workloads::AddressLayout layoutFor(const SwThread &t) const;
     void nextTask(SwThread &t, Cycle now);
-    /** Record a completion (deadline check) and pop the next task. */
+    /** Record and resolve a completion, then pop the next task. */
     void taskDone(SwThread &t, Cycle now);
     /** Return the worker's task to the bag and respawn it. */
     void restartWorker(SwThread &t, Cycle now);

@@ -94,25 +94,6 @@ SmarcoChip::SmarcoChip(Simulator &sim, ChipConfig cfg)
         });
     }
 
-    for (auto &sub : subScheds_) {
-        sub->setExitCallback(
-            [this](const sched::TaskExit &exit,
-                   const workloads::TaskSpec &task) {
-                if (task.hookId == 0)
-                    return;
-                auto it = requestHooks_.find(task.hookId);
-                if (it == requestHooks_.end())
-                    return;
-                RequestHook hook = std::move(it->second);
-                requestHooks_.erase(it);
-                RequestResult res;
-                res.completed = true;
-                res.when = exit.finish;
-                res.core = exit.core;
-                hook(task, res);
-            });
-    }
-
     mainSched_ = std::make_unique<sched::MainScheduler>(
         sim_, cfg_.mainSched, "chip.mainSched");
     for (auto &s : subScheds_)
@@ -195,31 +176,12 @@ SmarcoChip::submitTo(std::uint32_t sub_ring,
 }
 
 void
-SmarcoChip::submitRequest(const workloads::TaskSpec &task,
-                          RequestHook hook)
+SmarcoChip::submitRequest(workloads::TaskSpec task,
+                          workloads::RequestHook hook)
 {
-    workloads::TaskSpec t = task;
-    t.hookId = nextHookId_++;
-    requestHooks_.emplace(t.hookId, std::move(hook));
-    mainSched_->submit(t);
-}
-
-void
-SmarcoChip::onShed(const workloads::TaskSpec &task,
-                   sched::ShedReason reason, Cycle now)
-{
-    if (task.hookId == 0)
-        return;
-    auto it = requestHooks_.find(task.hookId);
-    if (it == requestHooks_.end())
-        return;
-    RequestHook hook = std::move(it->second);
-    requestHooks_.erase(it);
-    RequestResult res;
-    res.completed = false;
-    res.when = now;
-    res.reason = reason;
-    hook(task, res);
+    task.hook =
+        std::make_shared<const workloads::RequestHook>(std::move(hook));
+    mainSched_->submit(task);
 }
 
 void
@@ -230,13 +192,8 @@ SmarcoChip::enableOverloadControl(const sched::AdmissionParams &params)
               cfg_.name.c_str(), params.subQueueCap,
               cfg_.subSched.chainCapacity);
     mainSched_->enableAdmission(params);
-    auto on_shed = [this](const workloads::TaskSpec &task,
-                          sched::ShedReason reason, Cycle now) {
-        onShed(task, reason, now);
-    };
-    mainSched_->setShedCallback(on_shed);
     for (auto &s : subScheds_)
-        s->enableShedding(on_shed);
+        s->enableShedding();
     if (sim_.sampler().interval() > 0)
         sim_.sampler().addProbe("sched.shed", [this]() {
             return static_cast<double>(mainSched_->tasksShed());

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "chip/chip_config.hpp"
@@ -67,32 +66,24 @@ class SmarcoChip : public core::MemPort
     void submitTo(std::uint32_t sub_ring,
                   const workloads::TaskSpec &task);
 
-    /** Terminal outcome of one submitted request. */
-    struct RequestResult {
-        bool completed = false;
-        /** Finish cycle (completed) or shed cycle (rejected). */
-        Cycle when = 0;
-        CoreId core = 0;
-        /** Valid only when !completed. */
-        sched::ShedReason reason = sched::ShedReason::QueueFull;
-    };
-    /** Observer called exactly once per request: on completion, or
-     *  when admission control / load shedding rejects it. */
-    using RequestHook = std::function<void(const workloads::TaskSpec &,
-                                           const RequestResult &)>;
-
     /**
      * Turn on end-to-end overload control: admission + degraded-mode
      * shedding at the main scheduler and deadline early-drop at every
-     * sub-scheduler, all reported through the request hooks. Off by
+     * sub-scheduler, all resolved through the tasks' hooks. Off by
      * default: an uncontrolled run routes and queues every task, and
      * its admission and shed counters stay zero.
      */
     void enableOverloadControl(const sched::AdmissionParams &params);
 
-    /** Submit one request and observe its terminal outcome. */
-    void submitRequest(const workloads::TaskSpec &task,
-                       RequestHook hook);
+    /**
+     * Submit one request through the main scheduler. The task carries
+     * hook, which fires once with its terminal outcome: at
+     * main-scheduler shed, sub-ring overflow, early drop or exit
+     * (workloads::RequestHook names the one gap). Same contract as
+     * baseline::BaselineChip::submitRequest.
+     */
+    void submitRequest(workloads::TaskSpec task,
+                       workloads::RequestHook hook);
 
     /**
      * Run until all submitted work has drained (or max_cycles).
@@ -143,9 +134,6 @@ class SmarcoChip : public core::MemPort
     void handleGatewayPacket(std::uint32_t gw, noc::Packet &&pkt);
     bool interceptAtGateway(std::uint32_t gw, noc::Packet &pkt);
     void onMactBatch(std::uint32_t gw, mem::MactBatch &&batch);
-    /** A scheduler shed a request: resolve its outcome hook. */
-    void onShed(const workloads::TaskSpec &task,
-                sched::ShedReason reason, Cycle now);
     void stageTask(CoreId core, const workloads::TaskSpec &task,
                    std::function<void()> ready);
     void dmaChunk(CoreId core, Addr src, Addr dst,
@@ -161,10 +149,6 @@ class SmarcoChip : public core::MemPort
     std::vector<std::unique_ptr<mem::Mact>> macts_;
     std::vector<std::unique_ptr<sched::SubScheduler>> subScheds_;
     std::unique_ptr<sched::MainScheduler> mainSched_;
-
-    /** Outcome hooks keyed by TaskSpec::hookId. */
-    std::unordered_map<std::uint64_t, RequestHook> requestHooks_;
-    std::uint64_t nextHookId_ = 1;
 
     Scalar memRequests_;
     Average memLatency_;

@@ -77,12 +77,7 @@ class DramController
 
     std::uint64_t requestsServed() const
     { return static_cast<std::uint64_t>(requests_.value()); }
-    double avgReadLatency() const { return readLatency_.value(); }
-    double avgQueueDelay() const { return queueDelay_.value(); }
     double totalBytes() const { return bytes_.value(); }
-    /** Data bytes moved by one channel so far. */
-    double channelBytes(std::uint32_t ch) const
-    { return channelBytes_[ch]->value(); }
 
     /** True while any channel has queued or in-service requests. */
     bool busyNow() const;

@@ -53,7 +53,6 @@ class DirectPath
 
     std::uint64_t transfers() const
     { return static_cast<std::uint64_t>(transfers_.value()); }
-    double avgLatency() const { return latency_.value(); }
 
   private:
     Simulator &sim_;

@@ -93,7 +93,6 @@ class Network
      *  is retried next cycle — backpressure, never loss). */
     std::uint64_t injectRejected() const
     { return static_cast<std::uint64_t>(injectRejected_.value()); }
-    double avgEndToEndLatency() const { return endToEnd_.value(); }
     /** Packets currently queued or traversing any ring. */
     std::uint64_t totalInFlight() const
     {

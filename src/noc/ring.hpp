@@ -148,7 +148,6 @@ class Ring : public Ticking
     const RingParams &params() const { return params_; }
     std::uint64_t packetsDelivered() const
     { return static_cast<std::uint64_t>(delivered_.value()); }
-    double avgHopLatency() const { return hopLatency_.value(); }
     /** Fraction of link capacity carrying payload so far. */
     double utilisation(Cycle elapsed) const;
     std::uint64_t inFlight() const { return inFlight_; }

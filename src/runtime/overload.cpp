@@ -1,16 +1,45 @@
 #include "runtime/overload.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "sim/logging.hpp"
 
 namespace smarco::runtime {
 
+namespace {
+
+template <class Chip>
+OverloadDriver::SubmitFn
+submitTo(Chip &chip)
+{
+    return [&chip](const workloads::TaskSpec &task,
+                   workloads::RequestHook hook) {
+        chip.submitRequest(task, std::move(hook));
+    };
+}
+
+} // namespace
+
 OverloadDriver::OverloadDriver(chip::SmarcoChip &chip,
                                OverloadParams params,
                                const std::string &stat_prefix)
-    : chip_(chip),
-      sim_(chip.sim()),
+    : OverloadDriver(chip.sim(), submitTo(chip), params, stat_prefix)
+{
+}
+
+OverloadDriver::OverloadDriver(baseline::BaselineChip &chip,
+                               OverloadParams params,
+                               const std::string &stat_prefix)
+    : OverloadDriver(chip.sim(), submitTo(chip), params, stat_prefix)
+{
+}
+
+OverloadDriver::OverloadDriver(Simulator &sim, SubmitFn submit,
+                               OverloadParams params,
+                               const std::string &stat_prefix)
+    : sim_(sim),
+      submit_(std::move(submit)),
       params_(params),
       backoffRng_(namedRng(params.seed, "overload.backoff")),
       requests_(sim_.stats(), stat_prefix + ".requests",
@@ -59,17 +88,16 @@ void
 OverloadDriver::submitOne(const workloads::TaskSpec &task,
                           Cycle arrival, std::uint32_t attempt)
 {
-    chip_.submitRequest(
-        task, [this, arrival, attempt](
-                  const workloads::TaskSpec &t,
-                  const chip::SmarcoChip::RequestResult &res) {
-            onOutcome(t, res, arrival, attempt);
-        });
+    submit_(task, [this, arrival, attempt](
+                      const workloads::TaskSpec &t,
+                      const workloads::RequestResult &res) {
+        onOutcome(t, res, arrival, attempt);
+    });
 }
 
 void
 OverloadDriver::onOutcome(const workloads::TaskSpec &task,
-                          const chip::SmarcoChip::RequestResult &res,
+                          const workloads::RequestResult &res,
                           Cycle arrival, std::uint32_t attempt)
 {
     if (res.completed) {
@@ -86,8 +114,9 @@ OverloadDriver::onOutcome(const workloads::TaskSpec &task,
     ++shed_;
     // Terminal sheds: the deadline is provably unreachable, so a
     // retry could only add load without ever counting as goodput.
-    const bool terminal = res.reason == sched::ShedReason::Expired ||
-                          res.reason == sched::ShedReason::Infeasible;
+    const bool terminal =
+        res.reason == workloads::ShedReason::Expired ||
+        res.reason == workloads::ShedReason::Infeasible;
     const Cycle now = res.when;
     if (!terminal && attempt < params_.maxRetries) {
         const std::uint32_t shift = std::min<std::uint32_t>(attempt, 20);
@@ -126,7 +155,7 @@ OverloadDriver::onOutcome(const workloads::TaskSpec &task,
             TraceCat::Runtime, "request.expire", now, 0,
             strprintf("{\"task\":%llu,\"reason\":\"%s\"}",
                       static_cast<unsigned long long>(task.id),
-                      sched::shedReasonName(res.reason)));
+                      workloads::shedReasonName(res.reason)));
 }
 
 } // namespace smarco::runtime

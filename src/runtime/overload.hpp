@@ -3,14 +3,20 @@
  * SLO-bounded request driver: the client side of overload control.
  *
  * The OverloadDriver plays the role of the serving tier in front of
- * the chip. It submits an open-loop request stream (see
- * workloads/request_gen.hpp) at each request's arrival cycle, and
- * when the chip's admission control sheds a request it retries with
- * bounded exponential backoff — capped by the request's own deadline,
- * so a retry that could no longer meet the SLO is given up instead of
- * adding load. Every request resolves exactly once: completed (and
- * either met its deadline — goodput — or missed it), or expired
- * (shed terminally / retries exhausted / deadline unreachable).
+ * either chip — SmarCo or the conventional baseline — through the
+ * same submitRequest(task, hook) call, so goodput, SLO misses,
+ * retries and end-to-end latency are defined once for both. It
+ * submits an open-loop request stream (see workloads/request_gen.hpp)
+ * at each request's arrival cycle, and when the chip's admission
+ * control sheds a request it retries with bounded exponential
+ * backoff — capped by the request's own deadline, so a retry that
+ * could no longer meet the SLO is given up instead of adding load.
+ * Each request ends in one state: completed (and either met its
+ * deadline — goodput — or missed it), expired (shed terminally /
+ * retries exhausted / deadline unreachable), or pending while it is
+ * still queued or running when the run stops. So requests() always
+ * equals completed() + expired() + pending(), and completed() equals
+ * goodput() + sloMisses().
  *
  * Backoff jitter draws from the named "overload.backoff" stream, so
  * driving a run never perturbs workload, scheduler, or fault draws,
@@ -19,9 +25,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "baseline/baseline_chip.hpp"
 #include "chip/smarco_chip.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
@@ -46,13 +54,24 @@ struct OverloadParams {
 
 /**
  * The driver. Construct against a chip with overload control
- * enabled, drive() a pre-generated request stream, run the
- * simulator, then read the lifecycle stats.
+ * enabled (SmarcoChip::enableOverloadControl or
+ * BaselineChip::enableAdmission), drive() a pre-generated request
+ * stream, run the simulator, then read the lifecycle stats.
  */
 class OverloadDriver
 {
   public:
     OverloadDriver(chip::SmarcoChip &chip, OverloadParams params,
+                   const std::string &stat_prefix = "runtime.overload");
+    OverloadDriver(baseline::BaselineChip &chip, OverloadParams params,
+                   const std::string &stat_prefix = "runtime.overload");
+
+    /** A chip's submitRequest(task, hook). */
+    using SubmitFn = std::function<void(const workloads::TaskSpec &,
+                                        workloads::RequestHook)>;
+    /** Drive any submit surface, e.g. a chip behind an observer. */
+    OverloadDriver(Simulator &sim, SubmitFn submit,
+                   OverloadParams params,
                    const std::string &stat_prefix = "runtime.overload");
 
     /**
@@ -87,11 +106,11 @@ class OverloadDriver
     void submitOne(const workloads::TaskSpec &task, Cycle arrival,
                    std::uint32_t attempt);
     void onOutcome(const workloads::TaskSpec &task,
-                   const chip::SmarcoChip::RequestResult &res,
+                   const workloads::RequestResult &res,
                    Cycle arrival, std::uint32_t attempt);
 
-    chip::SmarcoChip &chip_;
     Simulator &sim_;
+    SubmitFn submit_;
     OverloadParams params_;
     Rng backoffRng_;
     std::uint64_t pending_ = 0;

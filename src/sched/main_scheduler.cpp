@@ -7,6 +7,8 @@
 
 namespace smarco::sched {
 
+using workloads::ShedReason;
+
 MainScheduler::MainScheduler(Simulator &sim, MainSchedulerParams params,
                              const std::string &stat_prefix)
     : sim_(sim),
@@ -143,9 +145,8 @@ MainScheduler::shed(const workloads::TaskSpec &task, ShedReason reason)
             TraceCat::Sched, "shed", sim_.now(), 0,
             strprintf("{\"task\":%llu,\"reason\":\"%s\"}",
                       static_cast<unsigned long long>(task.id),
-                      shedReasonName(reason)));
-    if (shedCb_)
-        shedCb_(task, reason, sim_.now());
+                      workloads::shedReasonName(reason)));
+    workloads::resolve(task, {.when = sim_.now(), .reason = reason});
 }
 
 void

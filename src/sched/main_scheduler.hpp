@@ -68,9 +68,6 @@ class MainScheduler
      */
     void enableAdmission(const AdmissionParams &params);
 
-    /** Observer for shed tasks (runtime retry hook). */
-    void setShedCallback(ShedCallback cb) { shedCb_ = std::move(cb); }
-
     bool degraded() const { return degraded_; }
 
     std::uint64_t tasksRouted() const
@@ -85,8 +82,10 @@ class MainScheduler
     std::uint32_t leastLoaded() const;
     /** Admission test; fills reason when the task must be shed. */
     bool admit(const workloads::TaskSpec &task, std::uint32_t target,
-               ShedReason &reason);
-    void shed(const workloads::TaskSpec &task, ShedReason reason);
+               workloads::ShedReason &reason);
+    /** Count, trace and resolve a task refused at route time. */
+    void shed(const workloads::TaskSpec &task,
+              workloads::ShedReason reason);
     void updateDegraded();
 
     Simulator &sim_;
@@ -98,7 +97,6 @@ class MainScheduler
     bool admissionOn_ = false;
     AdmissionParams admission_;
     bool degraded_ = false;
-    ShedCallback shedCb_;
 
     Scalar routed_;
     Scalar admitted_;

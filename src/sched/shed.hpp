@@ -1,42 +1,21 @@
 /**
  * @file
- * Overload-control vocabulary shared by the main and sub schedulers.
+ * Overload-control knobs of the schedulers.
  *
  * Admission control bounds the per-sub-ring queues, sheds requests
  * whose deadline is already infeasible given the queue depth, and —
  * under a hysteresis-driven degraded mode — sheds best-effort traffic
- * before deadline traffic. Shed tasks are reported to a callback so
- * the runtime can retry them with bounded backoff; nothing is ever
- * dropped silently.
+ * before deadline traffic. Every shed task resolves through the hook
+ * it carries (workloads::RequestHook), so the runtime can retry it
+ * with bounded backoff; nothing is ever dropped silently.
  */
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "sim/types.hpp"
-#include "workloads/task.hpp"
 
 namespace smarco::sched {
-
-/** Why a task was refused or dropped by an overloaded scheduler. */
-enum class ShedReason : std::uint8_t {
-    /** Target sub-ring admission queue at capacity. */
-    QueueFull,
-    /** Deadline unreachable given current queue depth (laxity). */
-    Infeasible,
-    /** Best-effort task refused while in degraded mode. */
-    Degraded,
-    /** Deadline passed while queued; dropped before dispatch. */
-    Expired,
-};
-
-/** Lower-case name of a shed reason ("queueFull", ...). */
-const char *shedReasonName(ShedReason reason);
-
-/** Observer invoked for every shed task (runtime retry hook). */
-using ShedCallback = std::function<void(
-    const workloads::TaskSpec &, ShedReason, Cycle now)>;
 
 /** Admission-control knobs of the main scheduler. */
 struct AdmissionParams {

@@ -40,10 +40,9 @@ SubScheduler::SubScheduler(Simulator &sim, SubSchedulerParams params,
 }
 
 void
-SubScheduler::enableShedding(ShedCallback cb)
+SubScheduler::enableShedding()
 {
     sheddingOn_ = true;
-    shedCb_ = std::move(cb);
 }
 
 void
@@ -90,8 +89,9 @@ SubScheduler::submit(const workloads::TaskSpec &task)
             // Overflow becomes back-pressure instead of a crash: the
             // runtime retries the request with bounded backoff.
             ++shedOverflow_;
-            if (shedCb_)
-                shedCb_(task, ShedReason::QueueFull, sim_.now());
+            workloads::resolve(
+                task, {.when = sim_.now(),
+                       .reason = workloads::ShedReason::QueueFull});
             return;
         }
         fatal("sub-scheduler %u: chain table overflow (capacity %u)",
@@ -109,8 +109,8 @@ SubScheduler::dropExpired(const workloads::TaskSpec &task, Cycle now)
             TraceCat::Sched, "expire", now, 0,
             strprintf("{\"task\":%llu}",
                       static_cast<unsigned long long>(task.id)));
-    if (shedCb_)
-        shedCb_(task, ShedReason::Expired, now);
+    workloads::resolve(task, {.when = now,
+                              .reason = workloads::ShedReason::Expired});
 }
 
 std::int32_t
@@ -196,8 +196,9 @@ SubScheduler::dispatchOne(const workloads::TaskSpec &task, Cycle now)
                 // A context freed up: a sleeping scheduler blocked on
                 // pickCore() can place the next task again.
                 sim_.wake(this);
-                if (exitCb_)
-                    exitCb_(exit, t);
+                workloads::resolve(t, {.completed = true,
+                                       .when = finish,
+                                       .core = exit.core});
             });
         if (!ok) {
             // Context taken between staging and attach: requeue.

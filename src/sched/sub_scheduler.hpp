@@ -24,7 +24,6 @@
 
 #include "core/tcg_core.hpp"
 #include "sched/chain_table.hpp"
-#include "sched/shed.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
 #include "workloads/task.hpp"
@@ -99,12 +98,10 @@ class SubScheduler : public Ticking
     void setStreamFactory(StreamFactory factory);
     void setStageFn(StageFn stage);
 
-    /** Observer invoked on every task completion (after recording). */
-    using ExitCallback =
-        std::function<void(const TaskExit &, const workloads::TaskSpec &)>;
-    void setExitCallback(ExitCallback cb) { exitCb_ = std::move(cb); }
-
-    /** Enqueue a task for dispatch (from the main scheduler). */
+    /**
+     * Enqueue a task for dispatch (from the main scheduler). The
+     * task's hook, if any, fires on its completion or shed.
+     */
     void submit(const workloads::TaskSpec &task);
 
     /**
@@ -118,15 +115,13 @@ class SubScheduler : public Ticking
      * Turn on deadline-aware shedding: tasks whose deadline has
      * become unreachable are dropped at pop time (early drop: the
      * chip never wastes a context on a doomed request), and a full
-     * chain table sheds the overflowing task back to the callback
+     * chain table sheds the overflowing task back through its hook
      * instead of aborting the run. Off by default.
      */
-    void enableShedding(ShedCallback cb);
+    void enableShedding();
 
     std::uint64_t tasksExpired() const
     { return static_cast<std::uint64_t>(expired_.value()); }
-    std::uint64_t overflowSheds() const
-    { return static_cast<std::uint64_t>(shedOverflow_.value()); }
 
     std::uint64_t redispatches() const
     { return static_cast<std::uint64_t>(redispatches_.value()); }
@@ -192,14 +187,12 @@ class SubScheduler : public Ticking
     TaskChainTable table_;
     StreamFactory makeStream_;
     StageFn stage_;
-    ExitCallback exitCb_;
     Cycle nextDecision_ = 0;
     Cycle nextQuantum_ = 0;
     std::uint64_t inFlight_ = 0; ///< staged/running, not yet finished
     std::vector<TaskExit> exits_;
 
     bool sheddingOn_ = false;
-    ShedCallback shedCb_;
 
     bool recoveryOn_ = false;
     RecoveryParams recovery_;

@@ -45,7 +45,6 @@ class ProfileStream : public isa::InstrStream
     bool next(isa::MicroOp &op) override;
 
     const BenchProfile &profile() const { return profile_; }
-    std::uint64_t targetOps() const { return numOps_; }
 
   private:
     Addr heapAddr(std::uint8_t size);

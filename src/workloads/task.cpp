@@ -7,6 +7,18 @@
 
 namespace smarco::workloads {
 
+const char *
+shedReasonName(ShedReason reason)
+{
+    switch (reason) {
+      case ShedReason::QueueFull:  return "queueFull";
+      case ShedReason::Infeasible: return "infeasible";
+      case ShedReason::Degraded:   return "degraded";
+      case ShedReason::Expired:    return "expired";
+    }
+    return "?";
+}
+
 std::vector<TaskSpec>
 makeTaskSet(const BenchProfile &profile, const TaskSetParams &params)
 {

@@ -6,12 +6,55 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "sim/types.hpp"
 #include "workloads/profile.hpp"
 
 namespace smarco::workloads {
+
+struct TaskSpec;
+
+/** Why a request was refused or dropped by an overloaded chip. */
+enum class ShedReason : std::uint8_t {
+    /** Target admission queue (sub-ring or shared bag) at capacity. */
+    QueueFull,
+    /** Deadline unreachable given current queue depth (laxity). */
+    Infeasible,
+    /** Best-effort task refused while in degraded mode. */
+    Degraded,
+    /** Deadline passed while queued; dropped before dispatch. */
+    Expired,
+};
+
+/** Lower-case name of a shed reason ("queueFull", ...). */
+const char *shedReasonName(ShedReason reason);
+
+/** Terminal outcome of one submitted request. */
+struct RequestResult {
+    bool completed = false;
+    /** Finish cycle (completed) or shed cycle (rejected). */
+    Cycle when = 0;
+    CoreId core = 0;
+    /** Valid only when !completed. */
+    ShedReason reason = ShedReason::QueueFull;
+};
+
+/**
+ * Observer of a request's terminal outcome. The task carries it
+ * (TaskSpec::hook) through every queue, hand-off packet and
+ * re-dispatch, and whichever component resolves the request calls
+ * it, once: on completion, or when admission control or load
+ * shedding rejects it.
+ *
+ * One gap remains: a task that fault recovery abandons after its
+ * maximum attempts never fires its hook. Such tasks are counted by
+ * the sub-schedulers' tasksAbandoned stat instead.
+ */
+using RequestHook =
+    std::function<void(const TaskSpec &, const RequestResult &)>;
 
 /**
  * One schedulable task: a bounded instruction stream drawn from a
@@ -32,11 +75,22 @@ struct TaskSpec {
     bool realtime = false;
     /** Per-task RNG seed so task bodies are independent streams. */
     std::uint64_t seed = 0;
-    /** Internal completion-hook key (0 = none); set by the runtime. */
-    std::uint64_t hookId = 0;
+    /** Outcome observer (null = none); shared, not copied, as the
+     *  task is copied through queues. */
+    std::shared_ptr<const RequestHook> hook;
 
     bool hasDeadline() const { return deadline != kNoCycle; }
 };
+
+/** Resolve a request: call its hook, if it carries one. */
+inline void
+resolve(const TaskSpec &task, const RequestResult &res)
+{
+    // Call through a local copy: the hook stays alive even if the
+    // call replaces the task's own copy of it.
+    if (const auto hook = task.hook)
+        (*hook)(task, res);
+}
 
 /** Knobs for makeTaskSet. */
 struct TaskSetParams {

@@ -254,7 +254,7 @@ TEST_F(ChipFixture, SubmitRequestHookFiresOnCompletion)
     Cycle finish = 0;
     chip->submitRequest(taskOf("kmeans", 3000),
         [&](const workloads::TaskSpec &,
-            const SmarcoChip::RequestResult &res) {
+            const workloads::RequestResult &res) {
             fired = res.completed;
             finish = res.when;
         });

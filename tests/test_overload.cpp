@@ -9,6 +9,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 
@@ -159,20 +162,26 @@ namespace {
 struct Outcomes {
     std::uint64_t completed = 0;
     std::uint64_t shed = 0;
-    sched::ShedReason lastReason = sched::ShedReason::QueueFull;
+    workloads::ShedReason lastReason = workloads::ShedReason::QueueFull;
+    /** Sheds per reason, indexed by the enum value. */
+    std::array<std::uint64_t, 4> byReason{};
 
-    chip::SmarcoChip::RequestHook hook()
+    workloads::RequestHook hook()
     {
         return [this](const workloads::TaskSpec &,
-                      const chip::SmarcoChip::RequestResult &res) {
+                      const workloads::RequestResult &res) {
             if (res.completed) {
                 ++completed;
             } else {
                 ++shed;
                 lastReason = res.reason;
+                ++byReason[static_cast<std::size_t>(res.reason)];
             }
         };
     }
+
+    std::uint64_t shedFor(workloads::ShedReason reason) const
+    { return byReason[static_cast<std::size_t>(reason)]; }
 };
 
 sched::AdmissionParams
@@ -204,7 +213,7 @@ TEST(Admission, FullQueueShedsInsteadOfFatal)
     EXPECT_GT(out.shed, 0u);
     EXPECT_GT(out.completed, 0u);
     EXPECT_EQ(out.completed + out.shed, total);
-    EXPECT_EQ(out.lastReason, sched::ShedReason::QueueFull);
+    EXPECT_EQ(out.lastReason, workloads::ShedReason::QueueFull);
     EXPECT_EQ(chip.scheduler().tasksShed(), out.shed);
     EXPECT_EQ(chip.scheduler().tasksAdmitted(), out.completed);
 }
@@ -223,7 +232,7 @@ TEST(Admission, InfeasibleDeadlineShedsAtIngress)
 
     EXPECT_EQ(out.shed, 1u);
     EXPECT_EQ(out.completed, 0u);
-    EXPECT_EQ(out.lastReason, sched::ShedReason::Infeasible);
+    EXPECT_EQ(out.lastReason, workloads::ShedReason::Infeasible);
 }
 
 TEST(Admission, QueuedCostTightensFeasibility)
@@ -242,7 +251,7 @@ TEST(Admission, QueuedCostTightensFeasibility)
     chip.runUntilDone(100'000'000);
 
     EXPECT_EQ(out.shed, 1u);
-    EXPECT_EQ(out.lastReason, sched::ShedReason::Infeasible);
+    EXPECT_EQ(out.lastReason, workloads::ShedReason::Infeasible);
     EXPECT_EQ(out.completed, 8u);
 }
 
@@ -263,7 +272,7 @@ TEST(Admission, QueuedRequestPastDeadlineIsDroppedEarly)
     chip.runUntilDone(100'000'000);
 
     EXPECT_EQ(out.shed, 1u);
-    EXPECT_EQ(out.lastReason, sched::ShedReason::Expired);
+    EXPECT_EQ(out.lastReason, workloads::ShedReason::Expired);
     EXPECT_EQ(fill.completed, 32u);
     EXPECT_GT(chip.subScheduler(0).tasksExpired(), 0u);
 }
@@ -289,7 +298,7 @@ TEST(Admission, DegradedModeShedsBestEffortFirst)
 
     EXPECT_TRUE(chip.scheduler().degraded());
     EXPECT_EQ(be.shed, 1u);
-    EXPECT_EQ(be.lastReason, sched::ShedReason::Degraded);
+    EXPECT_EQ(be.lastReason, workloads::ShedReason::Degraded);
     EXPECT_EQ(dl.completed, 1u); // deadline traffic rides through
     EXPECT_EQ(out.completed, 3u);
 
@@ -394,12 +403,14 @@ TEST(BaselineOverload, BoundedBagShedsAndRecords)
     chip.enableAdmission(4);
     chip.spawnWorkers(2, {}, /*persistent=*/true);
 
-    std::uint64_t accepted = 0;
+    Outcomes out;
     for (std::uint64_t i = 0; i < 10; ++i)
-        accepted += chip.tryInjectTask(request(i, 5'000)) ? 1 : 0;
+        chip.submitRequest(request(i, 5'000), out.hook());
     sim.run(1'000'000);
 
-    EXPECT_EQ(accepted, 4u);
+    EXPECT_EQ(out.completed, 4u);
+    EXPECT_EQ(out.shed, 6u);
+    EXPECT_EQ(out.shedFor(workloads::ShedReason::QueueFull), 6u);
     EXPECT_EQ(chip.tasksShed(), 6u);
     EXPECT_EQ(chip.tasksCompleted(), 4u);
     const auto &lat = sim.stats().getAs<Histogram>("base.e2eLatency");
@@ -417,14 +428,183 @@ TEST(BaselineOverload, ExpiredTasksDropAtPopNotAfterService)
     // The single worker is only ready after its spawn ramp; these
     // deadlines are already history by then, so the bag drops them
     // at pop time instead of burning service cycles.
-    ASSERT_TRUE(chip.tryInjectTask(request(1, 20'000)));
+    Outcomes out;
+    chip.submitRequest(request(1, 20'000), out.hook());
     for (std::uint64_t i = 2; i <= 5; ++i)
-        ASSERT_TRUE(chip.tryInjectTask(
-            request(i, 20'000, 0, params.threadCreateCost / 2)));
+        chip.submitRequest(
+            request(i, 20'000, 0, params.threadCreateCost / 2),
+            out.hook());
     sim.run(2'000'000);
 
+    EXPECT_EQ(out.shed, 4u);
+    EXPECT_EQ(out.shedFor(workloads::ShedReason::Expired), 4u);
+    EXPECT_EQ(out.completed, 1u);
     EXPECT_EQ(chip.tasksExpired(), 4u);
     EXPECT_EQ(chip.tasksCompleted(), 1u);
+}
+
+// ------------------------------------------ one request lifecycle
+
+namespace {
+
+/**
+ * Sits between an OverloadDriver and a chip and counts, per request
+ * id, the submission attempts and the hook calls each attempt gets.
+ */
+struct HookLedger {
+    struct Entry {
+        std::uint32_t attempts = 0;
+        std::uint32_t calls = 0;
+        std::uint32_t completions = 0;
+        /** Attempts whose hook fired more than once. */
+        std::uint32_t repeats = 0;
+    };
+    std::map<TaskId, Entry> byId;
+
+    template <class Chip>
+    runtime::OverloadDriver::SubmitFn
+    wrap(Chip &chip)
+    {
+        return [this, &chip](const workloads::TaskSpec &task,
+                             workloads::RequestHook hook) {
+            ++byId[task.id].attempts;
+            auto fired = std::make_shared<bool>(false);
+            chip.submitRequest(
+                task, [this, fired, hook = std::move(hook)](
+                          const workloads::TaskSpec &t,
+                          const workloads::RequestResult &res) {
+                    Entry &e = byId[t.id];
+                    e.repeats += *fired ? 1 : 0;
+                    *fired = true;
+                    ++e.calls;
+                    e.completions += res.completed ? 1 : 0;
+                    hook(t, res);
+                });
+        };
+    }
+
+    /**
+     * Check every request against its hook calls: each attempt is
+     * resolved at most once, every call but a request's last leads
+     * to a retry, and at most one call per request is terminal.
+     * Returns the requests with a terminal call.
+     */
+    std::uint64_t checkResolvedOnce() const
+    {
+        std::uint64_t resolved = 0;
+        for (const auto &[id, e] : byId) {
+            EXPECT_EQ(e.repeats, 0u) << "request " << id;
+            EXPECT_LE(e.completions, 1u) << "request " << id;
+            // A shed either retries (one more attempt) or is
+            // terminal; so terminal calls = calls - (attempts - 1).
+            EXPECT_GE(e.calls + 1, e.attempts) << "request " << id;
+            EXPECT_LE(e.calls, e.attempts) << "request " << id;
+            resolved += e.calls == e.attempts ? 1 : 0;
+        }
+        return resolved;
+    }
+};
+
+/** Thread kills and hangs (SmarCo contexts, baseline workers). */
+fault::FaultSpec
+killingFaults()
+{
+    fault::FaultSpec spec;
+    spec.coreHangRate = 20.0;
+    spec.coreKillRate = 40.0;
+    spec.horizon = 600'000;
+    spec.watchdogInterval = 100'000;
+    spec.heartbeatInterval = 5'000;
+    spec.hangTimeout = 20'000;
+    spec.maxAttempts = 64;
+    return spec;
+}
+
+std::vector<workloads::TaskSpec>
+lifecycleStream(const workloads::BenchProfile &profile, Cycle deadline)
+{
+    workloads::RequestGenParams gp;
+    gp.count = 64;
+    gp.ratePerKCycle = 0.5;
+    gp.relativeDeadline = deadline;
+    gp.realtime = true;
+    gp.opsOverride = 4'000;
+    gp.seed = 31;
+    return makePoissonRequests(profile, gp);
+}
+
+void
+expectConserved(const runtime::OverloadDriver &driver,
+                const HookLedger &ledger)
+{
+    EXPECT_EQ(driver.requests(),
+              driver.completed() + driver.expired() + driver.pending());
+    EXPECT_EQ(driver.completed(),
+              driver.goodput() + driver.sloMisses());
+    std::uint64_t completions = 0;
+    for (const auto &[id, e] : ledger.byId)
+        completions += e.completions;
+    EXPECT_EQ(completions, driver.completed());
+    EXPECT_EQ(ledger.checkResolvedOnce(),
+              driver.completed() + driver.expired());
+}
+
+} // namespace
+
+TEST(RequestLifecycle, EachRequestResolvesExactlyOnceOnBothChips)
+{
+    const auto cdn_prof = workloads::CdnWorkload().chunkProfile(300);
+    const fault::FaultSpec spec = killingFaults();
+    runtime::OverloadParams op;
+    op.backoffBase = 2'000;
+
+    {
+        Simulator sim;
+        chip::SmarcoChip chip(sim, chip::ChipConfig::scaled(1, 4));
+        chip.enableOverloadControl(admission(8, 5'000));
+        HookLedger ledger;
+        runtime::OverloadDriver driver(sim, ledger.wrap(chip), op);
+        const auto reqs = lifecycleStream(cdn_prof, 150'000);
+        driver.drive(reqs);
+        fault::FaultCampaign campaign(sim, spec, 7);
+        campaign.arm(chip.faultTargets());
+        chip.runUntilDone(400'000'000);
+
+        // Kill + re-dispatch is exercised, and no task is abandoned
+        // (an abandoned task never fires its hook).
+        EXPECT_GT(chip.subScheduler(0).redispatches(), 0u);
+        EXPECT_EQ(chip.subScheduler(0).tasksAbandoned(), 0u);
+        EXPECT_GT(driver.retries(), 0u);
+        EXPECT_EQ(driver.requests(), reqs.size());
+        EXPECT_EQ(ledger.byId.size(), reqs.size());
+        expectConserved(driver, ledger);
+        EXPECT_EQ(driver.pending(), 0u);
+    }
+    {
+        Simulator sim;
+        baseline::BaselineParams params;
+        baseline::BaselineChip chip(sim, params);
+        chip.enableAdmission(16);
+        chip.spawnWorkers(8, {}, /*persistent=*/true);
+        HookLedger ledger;
+        runtime::OverloadDriver driver(sim, ledger.wrap(chip), op);
+        // The same arrivals, overlapping the workers' spawn ramp (the
+        // campaign stops injecting once the chip goes idle), with a
+        // deadline the slower baseline can mostly meet.
+        const auto reqs = lifecycleStream(cdn_prof, 600'000);
+        driver.drive(reqs);
+        fault::FaultCampaign campaign(sim, spec, 7);
+        campaign.arm(chip.faultTargets());
+        sim.run(2'000'000);
+
+        EXPECT_GT(chip.workerKills(), 0u); // bag_.push_front re-queue
+        EXPECT_GT(driver.retries(), 0u);
+        EXPECT_EQ(driver.requests(), reqs.size());
+        expectConserved(driver, ledger);
+        // The workers persist, but every request has resolved well
+        // before the run stops.
+        EXPECT_EQ(driver.pending(), 0u);
+    }
 }
 
 // --------------------------------------------------- determinism

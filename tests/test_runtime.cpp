@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests of the pthread-like API and the functional MapReduce
- * framework (Section 3.6): functional correctness of real results
- * plus simulated-time accounting.
+ * Tests of the functional MapReduce framework (Section 3.6):
+ * functional correctness of real results plus simulated-time
+ * accounting.
  */
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include "chip/chip_config.hpp"
 #include "chip/smarco_chip.hpp"
 #include "runtime/mapreduce.hpp"
-#include "runtime/threading.hpp"
 #include "workloads/profile.hpp"
 
 using namespace smarco;
@@ -62,47 +61,6 @@ wordCountJob()
 }
 
 } // namespace
-
-TEST(Threading, CreateAndJoin)
-{
-    Simulator sim;
-    chip::SmarcoChip chip(sim, smallChip());
-    ThreadApi api(chip);
-
-    workloads::TaskSpec t;
-    t.profile = &workloads::htcProfile("search");
-    t.numOps = 4000;
-    t.seed = 1;
-    auto h1 = api.threadCreate(t);
-    t.seed = 2;
-    auto h2 = api.threadCreate(t);
-    EXPECT_FALSE(h1->finished);
-    api.joinAll();
-    EXPECT_TRUE(h1->finished);
-    EXPECT_TRUE(h2->finished);
-    EXPECT_GT(h1->finishCycle, 0u);
-    EXPECT_EQ(api.created(), 2u);
-    EXPECT_EQ(api.finished(), 2u);
-}
-
-TEST(Threading, ManyThreadsAllFinish)
-{
-    Simulator sim;
-    chip::SmarcoChip chip(sim, smallChip());
-    ThreadApi api(chip);
-    workloads::TaskSpec t;
-    t.profile = &workloads::htcProfile("kmeans");
-    t.numOps = 2000;
-    std::vector<workloads::TaskSpec> tasks;
-    for (int i = 0; i < 40; ++i) {
-        t.id = i;
-        t.seed = i;
-        tasks.push_back(t);
-    }
-    api.threadCreateAll(tasks);
-    api.joinAll();
-    EXPECT_EQ(api.finished(), 40u);
-}
 
 TEST(MapReduce, SliceTextRespectsWordBoundaries)
 {
