@@ -12,17 +12,6 @@ using isa::OpKind;
 
 namespace {
 
-Addr
-kernelCodeBase(const std::string &name)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (char c : name) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ULL;
-    }
-    return 0x7000'0000 + ((h & 0xffff) << 16);
-}
-
 constexpr Addr kDramBase = 0x1'0000'0000ULL;
 
 } // namespace
@@ -221,7 +210,6 @@ BaselineChip::restartWorker(SwThread &t, Cycle now)
     // Outstanding miss callbacks stay valid: they only decrement the
     // in-flight counters once the restarted thread is Runnable.
     t.hung = false;
-    t.mshrBlocked = false;
     t.stream.reset();
     t.hasPending = false;
     t.state = SwThread::State::Runnable;
@@ -310,8 +298,7 @@ BaselineChip::nextTask(SwThread &t, Cycle now)
     // whole task body) on requests that can no longer meet their
     // deadline; goodput under overload comes from this triage.
     while (admissionOn_ && !bag_.empty()) {
-        const workloads::TaskSpec &head = bag_.front();
-        if (!head.hasDeadline() || now + head.numOps <= head.deadline)
+        if (bag_.front().canFinishBy(now))
             break;
         ++tasksExpired_;
         const workloads::TaskSpec dropped = std::move(bag_.front());
@@ -335,9 +322,7 @@ BaselineChip::nextTask(SwThread &t, Cycle now)
     ++activeTasks_;
     t.hasPending = false;
     t.fetchOff = 0;
-    const std::string &kernel =
-        t.task.profile ? t.task.profile->name : std::string("task");
-    t.pcBase = kernelCodeBase(kernel);
+    t.pcBase = workloads::kernelCodeBase(t.task, 0x7000'0000);
     t.stream = std::make_unique<workloads::ProfileStream>(
         *t.task.profile, layoutFor(t), t.task.numOps, t.task.seed);
     t.state = SwThread::State::Runnable;
@@ -425,7 +410,6 @@ BaselineChip::memAccess(Core &core, SwThread &t, Addr addr,
         if (th.state == SwThread::State::Stalled) {
             th.state = SwThread::State::Runnable;
             th.readyAt = std::max(th.readyAt, sim_.now());
-            th.mshrBlocked = false;
         }
     });
 
@@ -433,10 +417,8 @@ BaselineChip::memAccess(Core &core, SwThread &t, Addr addr,
         t.state = SwThread::State::Stalled;
         return;
     }
-    if (t.outstanding >= params_.mshrPerThread) {
+    if (t.outstanding >= params_.mshrPerThread)
         t.state = SwThread::State::Stalled;
-        t.mshrBlocked = true;
-    }
 }
 
 bool

@@ -191,7 +191,6 @@ class BaselineChip : public Ticking
         bool hasTask = false;
         Cycle readyAt = 0;
         std::uint32_t outstanding = 0; ///< in-flight L1 miss count
-        bool mshrBlocked = false;
         Addr pcBase = 0;
         std::uint64_t fetchOff = 0;
         isa::MicroOp pending{};

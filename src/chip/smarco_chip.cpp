@@ -483,28 +483,18 @@ SmarcoChip::handleMcPacket(std::uint32_t mc, Packet &&pkt)
 void
 SmarcoChip::handleGatewayPacket(std::uint32_t gw, Packet &&pkt)
 {
-    switch (pkt.kind) {
-      case PacketKind::Control:
-        // Task hand-off: submits the carried task to this sub-ring.
-        pkt.onDeliver();
-        return;
-
-      case PacketKind::MactBatchResp:
-        // Fan the merged line back out as per-request responses.
-        for (auto &r : std::get<noc::BatchPtr>(pkt.payload)->requests) {
-            Packet resp;
-            resp.src = NodeId{NodeKind::Gateway, gw};
-            resp.dst = NodeId{NodeKind::Core, r.core};
-            resp.kind = PacketKind::MemReadResp;
-            resp.payloadBytes = mem::kReqHeaderBytes + r.bytes;
-            resp.onDeliver = std::move(r.done);
-            network_->send(std::move(resp));
-        }
-        return;
-
-      default:
+    if (pkt.kind != PacketKind::MactBatchResp)
         panic("gateway %u: unexpected packet kind %s", gw,
               toString(pkt.kind).c_str());
+    // Fan the merged line back out as per-request responses.
+    for (auto &r : std::get<noc::BatchPtr>(pkt.payload)->requests) {
+        Packet resp;
+        resp.src = NodeId{NodeKind::Gateway, gw};
+        resp.dst = NodeId{NodeKind::Core, r.core};
+        resp.kind = PacketKind::MemReadResp;
+        resp.payloadBytes = mem::kReqHeaderBytes + r.bytes;
+        resp.onDeliver = std::move(r.done);
+        network_->send(std::move(resp));
     }
 }
 

@@ -13,22 +13,6 @@ using isa::MemClass;
 using isa::MicroOp;
 using isa::OpKind;
 
-namespace {
-
-/** Deterministic per-kernel code base address (synthetic PC space). */
-Addr
-kernelCodeBase(const std::string &name)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (char c : name) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ULL;
-    }
-    return 0x4000'0000 + ((h & 0xffff) << 16);
-}
-
-} // namespace
-
 TcgCore::TcgCore(Simulator &sim, CoreParams params, CoreId id,
                  Addr spm_base, MemPort &port,
                  const std::string &stat_prefix)
@@ -102,13 +86,6 @@ TcgCore::settleForOutsideChange()
     settle(sim_.now() + (sim_.tickPassed(this) ? 1 : 0));
 }
 
-void
-TcgCore::setIssuePolicy(IssuePolicy policy)
-{
-    settleForOutsideChange();
-    params_.issuePolicy = policy;
-}
-
 std::uint32_t
 TcgCore::friendOf(std::uint32_t ctx) const
 {
@@ -136,9 +113,7 @@ TcgCore::attachTask(const workloads::TaskSpec &task,
         ctx.hasPending = false;
         ctx.hung = false;
         ctx.killed = false;
-        const std::string &kernel =
-            task.profile ? task.profile->name : std::string("task");
-        ctx.pcBase = kernelCodeBase(kernel);
+        ctx.pcBase = workloads::kernelCodeBase(task, 0x4000'0000);
         if (!params_.sharedInstrSegment) {
             // Without segment sharing every context fetches its own
             // copy of the kernel, multiplying the I-footprint.
@@ -290,6 +265,14 @@ TcgCore::wakeThread(std::uint32_t ctx_idx, Cycle now)
 }
 
 void
+TcgCore::handOffSlot(std::uint32_t ctx_idx)
+{
+    const std::uint32_t fi = friendOf(ctx_idx);
+    if (fi != ctx_idx && contexts_[fi].state == State::Ready)
+        contexts_[fi].state = State::Running;
+}
+
+void
 TcgCore::finishTask(std::uint32_t ctx_idx, Cycle now)
 {
     Context &ctx = contexts_[ctx_idx];
@@ -304,11 +287,7 @@ TcgCore::finishTask(std::uint32_t ctx_idx, Cycle now)
     ctx.stream.reset();
     ctx.hasPending = false;
     ctx.done = nullptr;
-
-    // Hand the slot to a Ready friend.
-    const std::uint32_t fi = friendOf(ctx_idx);
-    if (fi != ctx_idx && contexts_[fi].state == State::Ready)
-        contexts_[fi].state = State::Running;
+    handOffSlot(ctx_idx);
 
     if (done)
         done(task, now);
@@ -336,11 +315,7 @@ TcgCore::killContext(std::uint32_t ctx_idx, Cycle now)
     ctx.done = nullptr;
     ctx.hung = false;
     ctx.killed = false;
-
-    // The vacated slot goes to a Ready friend, as on completion.
-    const std::uint32_t fi = friendOf(ctx_idx);
-    if (fi != ctx_idx && contexts_[fi].state == State::Ready)
-        contexts_[fi].state = State::Running;
+    handOffSlot(ctx_idx);
 
     if (failHandler_)
         failHandler_(task, now);
@@ -462,17 +437,45 @@ TcgCore::laxityOf(const Context &ctx, Cycle now) const
     return time_left - remaining_ops; // assumes ~1 op/cycle/thread
 }
 
+void
+TcgCore::commitOp(Context &ctx)
+{
+    ctx.hasPending = false;
+    ++ctx.opsDone;
+    ++committed_;
+    ++slotsUsed_;
+}
+
+bool
+TcgCore::issueBlockingLoad(std::uint32_t ctx_idx, Context &ctx,
+                           const MicroOp &op, Cycle now)
+{
+    commitOp(ctx);
+    ++pendingResponses_;
+    stallThread(ctx_idx, now);
+    port_.request(id_, ctx_idx, op, [this, ctx_idx]() {
+        --pendingResponses_;
+        wakeThread(ctx_idx, sim_.now());
+    });
+    return false;
+}
+
+bool
+TcgCore::issuePostedStore(std::uint32_t ctx_idx, Context &ctx,
+                          const MicroOp &op)
+{
+    if (storeBufferUsed_ >= params_.storeBufferSlots)
+        return false; // retry next cycle (op stays pending)
+    ++storeBufferUsed_;
+    commitOp(ctx);
+    port_.request(id_, ctx_idx, op, [this]() { --storeBufferUsed_; });
+    return true;
+}
+
 bool
 TcgCore::executeOp(std::uint32_t ctx_idx, Context &ctx,
                    const MicroOp &op, Cycle now)
 {
-    const auto consume = [&ctx, this]() {
-        ctx.hasPending = false;
-        ++ctx.opsDone;
-        ++committed_;
-        ++slotsUsed_;
-    };
-
     switch (op.kind) {
       case OpKind::Halt:
         ctx.hasPending = false;
@@ -480,12 +483,12 @@ TcgCore::executeOp(std::uint32_t ctx_idx, Context &ctx,
         return false;
 
       case OpKind::Alu:
-        consume();
+        commitOp(ctx);
         return true;
 
       case OpKind::Mul:
       case OpKind::Fp:
-        consume();
+        commitOp(ctx);
         if (op.execLatency > 1) {
             ctx.readyAt = now + op.execLatency - 1;
             return false;
@@ -493,7 +496,7 @@ TcgCore::executeOp(std::uint32_t ctx_idx, Context &ctx,
         return true;
 
       case OpKind::Branch:
-        consume();
+        commitOp(ctx);
         if (op.mispredict) {
             ctx.readyAt = now + params_.branchPenalty;
             return false;
@@ -510,7 +513,7 @@ TcgCore::executeOp(std::uint32_t ctx_idx, Context &ctx,
     switch (op.memClass) {
       case MemClass::SpmLocal:
         spm_.access(is_store);
-        consume();
+        commitOp(ctx);
         return true;
 
       case MemClass::Heap: {
@@ -518,83 +521,36 @@ TcgCore::executeOp(std::uint32_t ctx_idx, Context &ctx,
         if (res.writeback)
             port_.writeback(id_, res.victimAddr);
         if (res.hit) {
-            consume();
+            commitOp(ctx);
             return true;
         }
-        // Line fill from DRAM.
+        // Line fill from DRAM; a store miss write-allocates through
+        // the store buffer.
         MicroOp fill = op;
         fill.size = static_cast<std::uint8_t>(64);
         fill.addr = op.addr & ~Addr{63};
-        if (!is_store) {
-            consume();
-            ++pendingResponses_;
-            stallThread(ctx_idx, now);
-            port_.request(id_, ctx_idx, fill, [this, ctx_idx]() {
-                --pendingResponses_;
-                wakeThread(ctx_idx, sim_.now());
-            });
-            return false;
-        }
-        // Store miss: write-allocate through the store buffer.
-        if (storeBufferUsed_ >= params_.storeBufferSlots)
-            return false; // retry next cycle (op stays pending)
-        ++storeBufferUsed_;
-        consume();
-        port_.request(id_, ctx_idx, fill,
-                      [this]() { --storeBufferUsed_; });
-        return true;
+        return is_store ? issuePostedStore(ctx_idx, ctx, fill)
+                        : issueBlockingLoad(ctx_idx, ctx, fill, now);
       }
 
-      case MemClass::Stream: {
-        // Trace-driven tasks (no profile) treat every stream load as
-        // a demand miss; profiled tasks follow the profile.
-        const double blocking = ctx.task.profile
-            ? ctx.task.profile->streamLoadBlocking
-            : 1.0;
+      case MemClass::Stream:
         if (!is_store) {
+            // Trace-driven tasks (no profile) treat every stream load
+            // as a demand miss; profiled tasks follow the profile.
+            const double blocking = ctx.task.profile
+                ? ctx.task.profile->streamLoadBlocking
+                : 1.0;
             if (!ctx.rng.chance(blocking)) {
                 // Staged into the SPM by the runtime's DMA prefetch.
                 spm_.access(false);
-                consume();
+                commitOp(ctx);
                 return true;
             }
-            consume();
-            ++pendingResponses_;
-            stallThread(ctx_idx, now);
-            port_.request(id_, ctx_idx, op, [this, ctx_idx]() {
-                --pendingResponses_;
-                wakeThread(ctx_idx, sim_.now());
-            });
-            return false;
         }
-        if (storeBufferUsed_ >= params_.storeBufferSlots)
-            return false;
-        ++storeBufferUsed_;
-        consume();
-        port_.request(id_, ctx_idx, op,
-                      [this]() { --storeBufferUsed_; });
-        return true;
-      }
-
-      case MemClass::SpmRemote: {
-        if (!is_store) {
-            consume();
-            ++pendingResponses_;
-            stallThread(ctx_idx, now);
-            port_.request(id_, ctx_idx, op, [this, ctx_idx]() {
-                --pendingResponses_;
-                wakeThread(ctx_idx, sim_.now());
-            });
-            return false;
-        }
-        if (storeBufferUsed_ >= params_.storeBufferSlots)
-            return false;
-        ++storeBufferUsed_;
-        consume();
-        port_.request(id_, ctx_idx, op,
-                      [this]() { --storeBufferUsed_; });
-        return true;
-      }
+        [[fallthrough]];
+      case MemClass::SpmRemote:
+        return is_store ? issuePostedStore(ctx_idx, ctx, op)
+                        : issueBlockingLoad(ctx_idx, ctx, op, now);
 
       case MemClass::None:
         break;

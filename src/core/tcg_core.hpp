@@ -45,7 +45,6 @@ enum class IssuePolicy {
 /** Static configuration of one TCG core. */
 struct CoreParams {
     std::uint32_t issueWidth = 4;
-    std::uint32_t pipelineDepth = 8;
     std::uint32_t numThreads = 8;  ///< living contexts
     std::uint32_t maxRunning = 4;  ///< run slots
     ThreadScheme scheme = ThreadScheme::InPair;
@@ -60,8 +59,7 @@ struct CoreParams {
      *  urgent task by more than this many cycles of laxity is paused
      *  so lagging same-deadline tasks catch up (Fig. 21). */
     Cycle laxityGate = 2000;
-    Cycle spmLatency = 1;
-    Cycle branchPenalty = 6;  ///< ~pipeline depth - 2
+    Cycle branchPenalty = 6;  ///< ~8-stage pipeline depth - 2
     Cycle icacheMissPenalty = 6; ///< refill from prefetched SPM segment
     std::uint32_t storeBufferSlots = 8;
     bool sharedInstrSegment = true;
@@ -145,15 +143,13 @@ class TcgCore : public Ticking
     /** Fraction of cycles lost to instruction starvation. */
     double starvationRatio() const;
 
-    void setIssuePolicy(IssuePolicy policy);
-
     /** taskProgress() result when the task is not on this core. */
     static constexpr std::uint64_t kNoTask = ~std::uint64_t{0};
 
     /**
      * Install the task-failure handler (normally the owning
-     * sub-scheduler's recovery path). Killed tasks are reported here
-     * instead of through their TaskDone callback.
+     * sub-scheduler). Killed tasks are reported here instead of
+     * through their TaskDone callback.
      */
     void setTaskFailHandler(TaskFail handler)
     { failHandler_ = std::move(handler); }
@@ -226,6 +222,8 @@ class TcgCore : public Ticking
                        Cycle now);
     void stallThread(std::uint32_t ctx_idx, Cycle now);
     void wakeThread(std::uint32_t ctx_idx, Cycle now);
+    /** Give a vacated run slot to the context's Ready friend. */
+    void handOffSlot(std::uint32_t ctx_idx);
     void finishTask(std::uint32_t ctx_idx, Cycle now);
     /** Free a context without completing its task (kill path). */
     void killContext(std::uint32_t ctx_idx, Cycle now);
@@ -233,6 +231,16 @@ class TcgCore : public Ticking
     std::uint32_t ilpCap(Context &ctx) const;
     /** Model instruction fetch; false on I-starvation this cycle. */
     bool fetchOk(Context &ctx, Cycle now);
+    /** Retire the context's pending op. */
+    void commitOp(Context &ctx);
+    /** Commit a load that stalls the context until its response
+     *  wakes it; @return false (the thread stops issuing). */
+    bool issueBlockingLoad(std::uint32_t ctx_idx, Context &ctx,
+                           const isa::MicroOp &op, Cycle now);
+    /** Commit a store posted through the store buffer; @return false,
+     *  leaving the op pending, when the buffer is full. */
+    bool issuePostedStore(std::uint32_t ctx_idx, Context &ctx,
+                          const isa::MicroOp &op);
     /**
      * Execute one micro-op for the context.
      * @return true when the thread can keep issuing this cycle.

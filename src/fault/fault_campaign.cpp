@@ -32,13 +32,6 @@ FaultLog::record(const FaultRecord &r)
 }
 
 void
-FaultLog::reset()
-{
-    records_.clear();
-    total_ = 0;
-}
-
-void
 FaultLog::printJson(std::ostream &os) const
 {
     printJsonHead(os, "faultlog");

@@ -98,7 +98,6 @@ class FaultLog : public Stat
 
     double value() const override
     { return static_cast<double>(total_); }
-    void reset() override;
     void printJson(std::ostream &os) const override;
 
   private:

@@ -91,9 +91,6 @@ class DramController
      */
     void stallChannel(std::uint32_t ch, Cycle duration, Cycle now);
 
-    std::uint64_t faultStalls() const
-    { return static_cast<std::uint64_t>(faultStalls_.value()); }
-
   private:
     struct Request {
         Addr addr;

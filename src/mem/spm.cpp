@@ -32,14 +32,13 @@ Spm::isControl(Addr addr) const
     return addr >= base_ + dataBytes() && addr < base_ + params_.sizeBytes;
 }
 
-Cycle
+void
 Spm::access(bool write)
 {
     if (write)
         ++writes_;
     else
         ++reads_;
-    return params_.accessLatency;
 }
 
 DmaEngine::DmaEngine(StatRegistry &stats, std::uint32_t chunk_bytes,

@@ -23,7 +23,6 @@ struct SpmParams {
     std::uint64_t sizeBytes = 128 * 1024;
     /** Bytes reserved at the top for DMA control registers. */
     std::uint64_t controlBytes = 256;
-    Cycle accessLatency = 1;
     /** Bytes one DMA transfer moves per chunk packet. */
     std::uint32_t dmaChunkBytes = 256;
 };
@@ -45,8 +44,8 @@ class Spm
     /** True when addr falls in the DMA control-register window. */
     bool isControl(Addr addr) const;
 
-    /** Account one pipeline access; returns its latency. */
-    Cycle access(bool write);
+    /** Account one pipeline access. */
+    void access(bool write);
 
     Addr base() const { return base_; }
     const SpmParams &params() const { return params_; }

@@ -10,9 +10,7 @@ Network::Network(Simulator &sim, NetworkParams params,
                  const std::string &stat_prefix)
     : sim_(sim),
       params_(params),
-      coreHandlers_(numCores()),
       mcHandlers_(params.numMemCtrls),
-      ioHandlers_(params.numIo),
       gatewayHandlers_(params.numSubRings),
       interceptors_(params.numSubRings),
       delivered_(sim.stats(), stat_prefix + ".delivered",
@@ -89,28 +87,22 @@ void
 Network::setEndpointHandler(NodeId node, Handler handler)
 {
     switch (node.kind) {
-      case NodeKind::Core:
-        if (node.index >= coreHandlers_.size())
-            panic("network: bad core endpoint %u", node.index);
-        coreHandlers_[node.index] = std::move(handler);
-        return;
       case NodeKind::MemCtrl:
         if (node.index >= mcHandlers_.size())
             panic("network: bad MC endpoint %u", node.index);
         mcHandlers_[node.index] = std::move(handler);
-        return;
-      case NodeKind::Io:
-        if (node.index >= ioHandlers_.size())
-            panic("network: bad IO endpoint %u", node.index);
-        ioHandlers_[node.index] = std::move(handler);
         return;
       case NodeKind::Gateway:
         if (node.index >= gatewayHandlers_.size())
             panic("network: bad gateway endpoint %u", node.index);
         gatewayHandlers_[node.index] = std::move(handler);
         return;
+      case NodeKind::Core:
+      case NodeKind::Io:
+        break;
     }
-    panic("network: bad endpoint kind");
+    panic("network: no endpoint handler at %s; packets to it run "
+          "their onDeliver", toString(node).c_str());
 }
 
 void
@@ -219,19 +211,17 @@ Network::deliver(Packet &&pkt)
     ++delivered_;
     endToEnd_.sample(static_cast<double>(sim_.now() - pkt.created));
 
-    Handler *h = nullptr;
-    switch (pkt.dst.kind) {
-      case NodeKind::Core: h = &coreHandlers_[pkt.dst.index]; break;
-      case NodeKind::MemCtrl: h = &mcHandlers_[pkt.dst.index]; break;
-      case NodeKind::Io: h = &ioHandlers_[pkt.dst.index]; break;
-      case NodeKind::Gateway: h = &gatewayHandlers_[pkt.dst.index]; break;
-    }
-    if (h && *h) {
-        (*h)(std::move(pkt));
-        return;
-    }
     if (pkt.onDeliver) {
         pkt.onDeliver();
+        return;
+    }
+    const Handler *h = nullptr;
+    if (pkt.dst.kind == NodeKind::MemCtrl)
+        h = &mcHandlers_[pkt.dst.index];
+    else if (pkt.dst.kind == NodeKind::Gateway)
+        h = &gatewayHandlers_[pkt.dst.index];
+    if (h && *h) {
+        (*h)(std::move(pkt));
         return;
     }
     warn("network: packet %llu (%s) delivered to %s with no handler",

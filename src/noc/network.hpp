@@ -48,9 +48,9 @@ struct NetworkParams {
 };
 
 /**
- * The hierarchical ring NoC. Endpoint handlers receive packets whose
- * dst matches their NodeId; unhandled deliveries fall back to the
- * packet's own onDeliver closure.
+ * The hierarchical ring NoC. One delivery rule: a packet that carries
+ * an onDeliver closure runs it; any other packet goes to the handler
+ * of its destination memory controller or gateway.
  */
 class Network
 {
@@ -63,7 +63,8 @@ class Network
     Network(Simulator &sim, NetworkParams params,
             const std::string &stat_prefix);
 
-    /** Register the consumer of packets addressed to node. */
+    /** Register the consumer of packets addressed to a memory
+     *  controller or gateway node that carry no onDeliver. */
     void setEndpointHandler(NodeId node, Handler handler);
 
     /** Hook outbound packets at a sub-ring's gateway. */
@@ -128,9 +129,7 @@ class Network
     /** io index -> main-ring stop. */
     std::vector<std::uint32_t> ioStop_;
 
-    std::vector<Handler> coreHandlers_;
     std::vector<Handler> mcHandlers_;
-    std::vector<Handler> ioHandlers_;
     std::vector<Handler> gatewayHandlers_;
     std::vector<Interceptor> interceptors_;
 

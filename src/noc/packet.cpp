@@ -26,7 +26,6 @@ toString(PacketKind kind)
       case PacketKind::MemReadReq: return "mem-read-req";
       case PacketKind::MemWriteReq: return "mem-write-req";
       case PacketKind::MemReadResp: return "mem-read-resp";
-      case PacketKind::MemWriteAck: return "mem-write-ack";
       case PacketKind::MactBatchReq: return "mact-batch-req";
       case PacketKind::MactBatchResp: return "mact-batch-resp";
       case PacketKind::DmaChunk: return "dma-chunk";

@@ -43,7 +43,6 @@ enum class PacketKind : std::uint8_t {
     MemReadReq,
     MemWriteReq,
     MemReadResp,
-    MemWriteAck,
     MactBatchReq,
     MactBatchResp,
     DmaChunk,
@@ -66,7 +65,7 @@ using BatchPtr = std::shared_ptr<mem::MactBatch>;
  * mem::MactBatch, both in payload, where the gateway interceptor and
  * the endpoint handlers read them. Every other packet (responses,
  * remote-SPM traffic, task hand-off) carries its effect in onDeliver,
- * which the destination's handler or the network runs on arrival.
+ * which the network runs on arrival instead of an endpoint handler.
  *
  * The carried request or batch is held by pointer so a packet stays
  * small on every ring hop. Packets are copyable: a ring's duplicate

@@ -85,8 +85,6 @@ struct RingParams {
     std::uint32_t stopQueueCap = 16;
     /** Max packets a stop's injection queue holds per direction. */
     std::uint32_t injectQueueCap = 64;
-    /** Packets a stop may eject per direction per cycle. */
-    std::uint32_t ejectPerCycle = 2;
 };
 
 /**

@@ -111,10 +111,15 @@ OverloadDriver::onOutcome(const workloads::TaskSpec &task,
         return;
     }
 
-    ++shed_;
+    // An abandoned task was not shed: fault recovery already spent
+    // its attempts on the chip, so it is given up without a retry.
+    const bool abandoned =
+        res.reason == workloads::ShedReason::Abandoned;
+    if (!abandoned)
+        ++shed_;
     // Terminal sheds: the deadline is provably unreachable, so a
     // retry could only add load without ever counting as goodput.
-    const bool terminal =
+    const bool terminal = abandoned ||
         res.reason == workloads::ShedReason::Expired ||
         res.reason == workloads::ShedReason::Infeasible;
     const Cycle now = res.when;
@@ -128,8 +133,7 @@ OverloadDriver::onOutcome(const workloads::TaskSpec &task,
         const Cycle retry_at = now + backoff;
         // SLO bound: never retry past the point where even an
         // immediate dispatch would miss the deadline.
-        if (!task.hasDeadline() ||
-            retry_at + task.numOps <= task.deadline) {
+        if (task.canFinishBy(retry_at)) {
             ++retries_;
             if (sim_.trace().enabled(TraceCat::Runtime))
                 sim_.trace().instant(

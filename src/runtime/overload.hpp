@@ -13,7 +13,8 @@
  * could no longer meet the SLO is given up instead of adding load.
  * Each request ends in one state: completed (and either met its
  * deadline — goodput — or missed it), expired (shed terminally /
- * retries exhausted / deadline unreachable), or pending while it is
+ * retries exhausted / deadline unreachable / abandoned by fault
+ * recovery), or pending while it is
  * still queued or running when the run stops. So requests() always
  * equals completed() + expired() + pending(), and completed() equals
  * goodput() + sloMisses().
@@ -94,7 +95,8 @@ class OverloadDriver
     { return static_cast<std::uint64_t>(retries_.value()); }
     std::uint64_t shedEvents() const
     { return static_cast<std::uint64_t>(shed_.value()); }
-    /** Requests given up: terminally shed or retries exhausted. */
+    /** Requests given up: terminally shed, retries exhausted or
+     *  abandoned by fault recovery. */
     std::uint64_t expired() const
     { return static_cast<std::uint64_t>(expired_.value()); }
     /** Requests submitted but not yet resolved. */

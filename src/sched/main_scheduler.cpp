@@ -120,13 +120,10 @@ MainScheduler::admit(const workloads::TaskSpec &task,
     // and executes (~1 op/cycle, matching taskLaxity), the deadline
     // must still be reachable. Rejecting now lets the client retry
     // elsewhere instead of wasting chip work on a doomed request.
-    if (task.hasDeadline()) {
-        const Cycle wait = admission_.queuedCost *
-                           subs_[target]->load();
-        if (sim_.now() + wait + task.numOps > task.deadline) {
-            reason = ShedReason::Infeasible;
-            return false;
-        }
+    const Cycle wait = admission_.queuedCost * subs_[target]->load();
+    if (!task.canFinishBy(sim_.now() + wait)) {
+        reason = ShedReason::Infeasible;
+        return false;
     }
     return true;
 }
@@ -139,6 +136,7 @@ MainScheduler::shed(const workloads::TaskSpec &task, ShedReason reason)
       case ShedReason::Infeasible: ++shedInfeasible_; break;
       case ShedReason::Degraded:   ++shedDegraded_; break;
       case ShedReason::Expired:    break; // sub-scheduler's counter
+      case ShedReason::Abandoned:  break; // sub-scheduler's counter
     }
     if (sim_.trace().enabled(TraceCat::Sched))
         sim_.trace().instant(

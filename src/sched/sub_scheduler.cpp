@@ -52,6 +52,10 @@ SubScheduler::addCore(core::TcgCore *core)
         panic("SubScheduler %u: null core", id_);
     cores_.push_back(core);
     reserved_.push_back(0);
+    core->setTaskFailHandler(
+        [this](const workloads::TaskSpec &task, Cycle now) {
+            onTaskFailed(task, now);
+        });
 }
 
 void
@@ -73,11 +77,6 @@ SubScheduler::enableRecovery(const RecoveryParams &params)
         fatal("sub-scheduler %u: zero recovery interval", id_);
     recovery_ = params;
     recoveryOn_ = true;
-    for (core::TcgCore *core : cores_)
-        core->setTaskFailHandler(
-            [this](const workloads::TaskSpec &task, Cycle now) {
-                onTaskFailed(task, now);
-            });
 }
 
 void
@@ -221,8 +220,11 @@ SubScheduler::onTaskFailed(const workloads::TaskSpec &task, Cycle now)
 {
     --inFlight_;
     sim_.wake(this);
+    const workloads::RequestResult abandoned{
+        .when = now, .reason = workloads::ShedReason::Abandoned};
     if (!recoveryOn_) {
         ++tasksAbandoned_;
+        workloads::resolve(task, abandoned);
         return;
     }
     watch_.erase(task.id);
@@ -236,6 +238,7 @@ SubScheduler::onTaskFailed(const workloads::TaskSpec &task, Cycle now)
                 TraceCat::Fault, "sched.abandon", now, 0,
                 strprintf("{\"task\":%llu}",
                           static_cast<unsigned long long>(task.id)));
+        workloads::resolve(task, abandoned);
         return;
     }
     const std::uint32_t shift =
@@ -307,7 +310,7 @@ SubScheduler::tick(Cycle now)
             return;
         }
         nextDecision_ = now + params_.hwDecisionLatency;
-        if (sheddingOn_ && doomed(*task, now)) {
+        if (sheddingOn_ && !task->canFinishBy(now)) {
             // Early drop: the pop still costs a decision slot, but
             // no context is wasted running a doomed request.
             dropExpired(*task, now);
@@ -339,7 +342,7 @@ SubScheduler::tick(Cycle now)
             table_.insert(*task);
             break;
         }
-        if (sheddingOn_ && doomed(*task, now)) {
+        if (sheddingOn_ && !task->canFinishBy(now)) {
             dropExpired(*task, now);
             continue; // drop is free: no dispatch overhead paid
         }

@@ -92,7 +92,8 @@ class SubScheduler : public Ticking
                  std::uint32_t sub_ring_id,
                  const std::string &stat_prefix);
 
-    /** Register a core of this sub-ring (in ring order). */
+    /** Register a core of this sub-ring (in ring order) and install
+     *  this scheduler as its task-failure handler. */
     void addCore(core::TcgCore *core);
 
     void setStreamFactory(StreamFactory factory);
@@ -105,9 +106,9 @@ class SubScheduler : public Ticking
     void submit(const workloads::TaskSpec &task);
 
     /**
-     * Turn on heartbeat hang detection and kill/re-dispatch recovery,
-     * and install this scheduler as the failure handler of its cores.
-     * Off by default: a fault-free run pays nothing.
+     * Turn on heartbeat hang detection and kill/re-dispatch recovery.
+     * Off by default: a fault-free run pays nothing, and a killed
+     * task is abandoned at once.
      */
     void enableRecovery(const RecoveryParams &params);
 
@@ -127,8 +128,6 @@ class SubScheduler : public Ticking
     { return static_cast<std::uint64_t>(redispatches_.value()); }
     std::uint64_t tasksAbandoned() const
     { return static_cast<std::uint64_t>(tasksAbandoned_.value()); }
-    std::uint64_t hangKills() const
-    { return static_cast<std::uint64_t>(hangKills_.value()); }
 
     void tick(Cycle now) override;
     bool busy() const override;
@@ -152,9 +151,6 @@ class SubScheduler : public Ticking
     const std::vector<TaskExit> &exits() const { return exits_; }
 
   private:
-    /** True when the task's deadline is already unreachable. */
-    bool doomed(const workloads::TaskSpec &task, Cycle now) const
-    { return task.hasDeadline() && now + task.numOps > task.deadline; }
     /** Early-drop a queued task whose deadline became unreachable. */
     void dropExpired(const workloads::TaskSpec &task, Cycle now);
     void dispatchOne(const workloads::TaskSpec &task, Cycle now);

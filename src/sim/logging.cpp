@@ -8,7 +8,6 @@ namespace smarco {
 
 namespace {
 
-LogLevel g_level = LogLevel::Normal;
 const Cycle *g_cycle = nullptr;
 
 /** " @<cycle>" when a simulation clock is installed, else "". */
@@ -21,18 +20,6 @@ cyclePrefix()
 }
 
 } // namespace
-
-void
-setLogLevel(LogLevel level)
-{
-    g_level = level;
-}
-
-LogLevel
-logLevel()
-{
-    return g_level;
-}
 
 void
 setLogCycleSource(const Cycle *cycle)
@@ -104,19 +91,6 @@ warn(const char *fmt, ...)
     std::string msg = detail::vstrprintf(fmt, args);
     va_end(args);
     std::fprintf(stderr, "warn%s: %s\n", cyclePrefix().c_str(),
-                 msg.c_str());
-}
-
-void
-inform(const char *fmt, ...)
-{
-    if (g_level == LogLevel::Quiet)
-        return;
-    std::va_list args;
-    va_start(args, fmt);
-    std::string msg = detail::vstrprintf(fmt, args);
-    va_end(args);
-    std::fprintf(stdout, "info%s: %s\n", cyclePrefix().c_str(),
                  msg.c_str());
 }
 

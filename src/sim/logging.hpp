@@ -5,7 +5,7 @@
  *
  * panic() is for internal invariant violations (simulator bugs) and
  * aborts; fatal() is for user/configuration errors and exits with a
- * non-zero status; warn()/inform() never stop the simulation.
+ * non-zero status; warn() never stops the simulation.
  */
 #pragma once
 
@@ -15,15 +15,6 @@
 #include "sim/types.hpp"
 
 namespace smarco {
-
-/** Verbosity knob for inform(); warnings are always printed. */
-enum class LogLevel { Quiet, Normal, Verbose };
-
-/** Set the global logging verbosity. */
-void setLogLevel(LogLevel level);
-
-/** Current global logging verbosity. */
-LogLevel logLevel();
 
 /**
  * Abort with a message. Call when an internal invariant is violated,
@@ -40,12 +31,9 @@ LogLevel logLevel();
 /** Print a warning about questionable-but-survivable behaviour. */
 void warn(const char *fmt, ...);
 
-/** Print an informative status message (suppressed when Quiet). */
-void inform(const char *fmt, ...);
-
 /**
- * Install the simulated-clock source used to prefix warn()/inform()
- * lines with "@<cycle>" while a simulation is active, so log output
+ * Install the simulated-clock source used to prefix warn() lines
+ * with "@<cycle>" while a simulation is active, so log output
  * correlates with stats samples and trace events. The Simulator
  * installs its own cycle counter on construction and restores the
  * previous source on destruction; pass nullptr to clear.

@@ -78,11 +78,4 @@ IntervalSampler::dumpJson(std::ostream &os) const
     os << "]}";
 }
 
-void
-IntervalSampler::clearSamples()
-{
-    times_.clear();
-    rows_.clear();
-}
-
 } // namespace smarco

@@ -66,8 +66,6 @@ class IntervalSampler
     /** {"interval":N,"probes":[...],"samples":[[cycle,v...],...]} */
     void dumpJson(std::ostream &os) const;
 
-    void clearSamples();
-
   private:
     struct NamedProbe {
         std::string name;

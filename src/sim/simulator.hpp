@@ -198,7 +198,6 @@ class Simulator
      * slow reference mode the golden-stats harness compares against.
      */
     void setFastForward(bool on) { fastForward_ = on; }
-    bool fastForward() const { return fastForward_; }
 
     /** Cycles skipped by quiescence fast-forwards (kernel metric;
      *  deliberately not a registered Stat so both kernel modes dump

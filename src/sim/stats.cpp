@@ -126,17 +126,6 @@ Histogram::percentile(double p) const
 }
 
 void
-Histogram::reset()
-{
-    std::fill(buckets_.begin(), buckets_.end(), 0);
-    count_ = 0;
-    sum_ = 0.0;
-    sumSq_ = 0.0;
-    min_ = 0.0;
-    max_ = 0.0;
-}
-
-void
 Histogram::print(std::ostream &os) const
 {
     os << name() << " mean=" << value() << " stddev=" << stddev()
@@ -201,13 +190,6 @@ StatRegistry::findPrefix(const std::string &prefix) const
         out.push_back(it->second);
     }
     return out;
-}
-
-void
-StatRegistry::resetAll()
-{
-    for (auto &[name, stat] : stats_)
-        stat->reset();
 }
 
 double

@@ -36,9 +36,6 @@ class Stat
     /** Primary scalar summary of this statistic. */
     virtual double value() const = 0;
 
-    /** Reset to the freshly-constructed state. */
-    virtual void reset() = 0;
-
     /** One-or-more-line human readable dump. */
     virtual void print(std::ostream &os) const;
 
@@ -69,7 +66,6 @@ class Scalar : public Stat
     void set(double v) { value_ = v; }
 
     double value() const override { return value_; }
-    void reset() override { value_ = 0.0; }
 
   private:
     double value_ = 0.0;
@@ -89,7 +85,6 @@ class Average : public Stat
     }
     double sum() const { return sum_; }
     double count() const { return count_; }
-    void reset() override { sum_ = 0.0; count_ = 0.0; }
     void printJson(std::ostream &os) const override;
 
   private:
@@ -118,7 +113,6 @@ class Histogram : public Stat
 
     /** value() reports the sample mean. */
     double value() const override;
-    void reset() override;
     void print(std::ostream &os) const override;
     void printJson(std::ostream &os) const override;
 
@@ -196,9 +190,6 @@ class StatRegistry
      */
     double total(const std::string &prefix,
                  const std::string &suffix) const;
-
-    /** Reset every registered stat. */
-    void resetAll();
 
     /** Dump every stat, one per line, in name order. */
     void dump(std::ostream &os) const;

@@ -93,8 +93,6 @@ class TraceManager
     bool enabled(TraceCat cat) const
     { return (mask_ & static_cast<std::uint32_t>(cat)) != 0; }
 
-    std::uint32_t runId() const { return runId_; }
-
     /**
      * Duration ("complete") event spanning [start, end] cycles.
      * args_json, when non-empty, must be a JSON object literal.

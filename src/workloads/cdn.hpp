@@ -28,7 +28,6 @@ struct CdnParams {
     double opsPerKiB = 4000.0;
     /** Per-connection kernel/user state in bytes (sockets, TLS, ...). */
     std::uint64_t connStateBytes = 24 * 1024;
-    double cpuGHz = 2.2;         ///< serving-core frequency
 };
 
 /** One row of the Fig. 2 sweep. */

@@ -71,20 +71,4 @@ makePoissonRequests(const BenchProfile &profile,
     return requests;
 }
 
-std::vector<TaskSpec>
-makeTraceRequests(const BenchProfile &profile,
-                  const std::vector<Cycle> &arrivals,
-                  const RequestGenParams &params)
-{
-    if (arrivals.empty())
-        panic("makeTraceRequests: empty arrival trace");
-    Rng rng = namedRng(params.seed, "overload.arrivals");
-    std::vector<TaskSpec> requests;
-    requests.reserve(arrivals.size());
-    for (std::uint64_t i = 0; i < arrivals.size(); ++i)
-        requests.push_back(
-            makeRequest(profile, params, rng, i, arrivals[i]));
-    return requests;
-}
-
 } // namespace smarco::workloads

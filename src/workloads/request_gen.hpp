@@ -5,9 +5,8 @@
  * Datacenter serving (the paper's CDN/RNC motivation) is open-loop:
  * clients keep sending whether or not the chip keeps up, so offered
  * load can exceed capacity. makePoissonRequests turns a rate into a
- * deterministic Poisson arrival sequence; makeTraceRequests replays
- * an explicit arrival trace. Either way each request carries a
- * per-request deadline relative to its own arrival.
+ * deterministic Poisson arrival sequence; each request carries a
+ * deadline relative to its own arrival.
  *
  * Determinism contract: all arrivals are pre-generated here, before
  * the run starts, from the named "overload.arrivals" stream — the
@@ -58,14 +57,5 @@ struct RequestGenParams {
  */
 std::vector<TaskSpec> makePoissonRequests(const BenchProfile &profile,
                                           const RequestGenParams &params);
-
-/**
- * Trace-driven arrivals: one request per entry of arrivals (absolute
- * cycles, need not be sorted). count/start/ratePerKCycle are ignored;
- * the remaining params apply per request.
- */
-std::vector<TaskSpec> makeTraceRequests(const BenchProfile &profile,
-                                        const std::vector<Cycle> &arrivals,
-                                        const RequestGenParams &params);
 
 } // namespace smarco::workloads

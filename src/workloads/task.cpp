@@ -15,8 +15,22 @@ shedReasonName(ShedReason reason)
       case ShedReason::Infeasible: return "infeasible";
       case ShedReason::Degraded:   return "degraded";
       case ShedReason::Expired:    return "expired";
+      case ShedReason::Abandoned:  return "abandoned";
     }
     return "?";
+}
+
+Addr
+kernelCodeBase(const TaskSpec &task, Addr base)
+{
+    const std::string &name =
+        task.profile ? task.profile->name : std::string("task");
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (char c : name) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ULL;
+    }
+    return base + ((h & 0xffff) << 16);
 }
 
 std::vector<TaskSpec>

@@ -17,7 +17,7 @@ namespace smarco::workloads {
 
 struct TaskSpec;
 
-/** Why a request was refused or dropped by an overloaded chip. */
+/** Why a request was refused, dropped or given up by the chip. */
 enum class ShedReason : std::uint8_t {
     /** Target admission queue (sub-ring or shared bag) at capacity. */
     QueueFull,
@@ -27,6 +27,9 @@ enum class ShedReason : std::uint8_t {
     Degraded,
     /** Deadline passed while queued; dropped before dispatch. */
     Expired,
+    /** Killed by a fault and given up: recovery is off or out of
+     *  attempts. */
+    Abandoned,
 };
 
 /** Lower-case name of a shed reason ("queueFull", ...). */
@@ -35,7 +38,7 @@ const char *shedReasonName(ShedReason reason);
 /** Terminal outcome of one submitted request. */
 struct RequestResult {
     bool completed = false;
-    /** Finish cycle (completed) or shed cycle (rejected). */
+    /** Finish cycle (completed), else the shed or abandon cycle. */
     Cycle when = 0;
     CoreId core = 0;
     /** Valid only when !completed. */
@@ -46,12 +49,8 @@ struct RequestResult {
  * Observer of a request's terminal outcome. The task carries it
  * (TaskSpec::hook) through every queue, hand-off packet and
  * re-dispatch, and whichever component resolves the request calls
- * it, once: on completion, or when admission control or load
- * shedding rejects it.
- *
- * One gap remains: a task that fault recovery abandons after its
- * maximum attempts never fires its hook. Such tasks are counted by
- * the sub-schedulers' tasksAbandoned stat instead.
+ * it, once: on completion, when admission control or load shedding
+ * rejects it, or when fault recovery abandons it.
  */
 using RequestHook =
     std::function<void(const TaskSpec &, const RequestResult &)>;
@@ -80,7 +79,18 @@ struct TaskSpec {
     std::shared_ptr<const RequestHook> hook;
 
     bool hasDeadline() const { return deadline != kNoCycle; }
+    /** True when the task has no deadline, or could still meet it if
+     *  it started at start and ran ~1 op/cycle. */
+    bool canFinishBy(Cycle start) const
+    { return !hasDeadline() || start + numOps <= deadline; }
 };
+
+/**
+ * Deterministic code base address of the task's kernel in a synthetic
+ * PC space: base plus a 64 KiB-aligned offset hashed from the profile
+ * name, so tasks of one kernel share instruction lines.
+ */
+Addr kernelCodeBase(const TaskSpec &task, Addr base);
 
 /** Resolve a request: call its hook, if it carries one. */
 inline void

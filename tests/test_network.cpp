@@ -41,6 +41,16 @@ struct NetFixture : ::testing::Test {
         p.kind = kind;
         return p;
     }
+
+    /** A packet that runs on_deliver when it arrives. */
+    Packet
+    pkt(NodeId src, NodeId dst, std::uint32_t bytes,
+        std::function<void()> on_deliver)
+    {
+        Packet p = pkt(src, dst, bytes);
+        p.onDeliver = std::move(on_deliver);
+        return p;
+    }
 };
 
 } // namespace
@@ -59,10 +69,8 @@ TEST_F(NetFixture, CoreToCoreSameSubRing)
 {
     auto net = make();
     bool delivered = false;
-    net->setEndpointHandler(NodeId{NodeKind::Core, 2},
-                            [&](Packet &&) { delivered = true; });
-    net->send(pkt(NodeId{NodeKind::Core, 0},
-                  NodeId{NodeKind::Core, 2}, 8));
+    net->send(pkt(NodeId{NodeKind::Core, 0}, NodeId{NodeKind::Core, 2},
+                  8, [&] { delivered = true; }));
     sim.run(100);
     EXPECT_TRUE(delivered);
     // Same sub-ring: no gateway crossing.
@@ -73,10 +81,8 @@ TEST_F(NetFixture, CoreToCoreAcrossSubRings)
 {
     auto net = make();
     Cycle arrive = 0;
-    net->setEndpointHandler(NodeId{NodeKind::Core, 13},
-                            [&](Packet &&) { arrive = sim.now(); });
-    net->send(pkt(NodeId{NodeKind::Core, 0},
-                  NodeId{NodeKind::Core, 13}, 8));
+    net->send(pkt(NodeId{NodeKind::Core, 0}, NodeId{NodeKind::Core, 13},
+                  8, [&] { arrive = sim.now(); }));
     sim.run(500);
     EXPECT_GT(arrive, 0u);
 }
@@ -85,14 +91,10 @@ TEST_F(NetFixture, CrossRingSlowerThanLocal)
 {
     auto net = make();
     Cycle local = 0, remote = 0;
-    net->setEndpointHandler(NodeId{NodeKind::Core, 1},
-                            [&](Packet &&) { local = sim.now(); });
-    net->setEndpointHandler(NodeId{NodeKind::Core, 9},
-                            [&](Packet &&) { remote = sim.now(); });
-    net->send(pkt(NodeId{NodeKind::Core, 0},
-                  NodeId{NodeKind::Core, 1}, 8));
-    net->send(pkt(NodeId{NodeKind::Core, 0},
-                  NodeId{NodeKind::Core, 9}, 8));
+    net->send(pkt(NodeId{NodeKind::Core, 0}, NodeId{NodeKind::Core, 1},
+                  8, [&] { local = sim.now(); }));
+    net->send(pkt(NodeId{NodeKind::Core, 0}, NodeId{NodeKind::Core, 9},
+                  8, [&] { remote = sim.now(); }));
     sim.run(500);
     EXPECT_GT(remote, local);
 }
@@ -110,10 +112,9 @@ TEST_F(NetFixture, CoreToMemCtrlAndBack)
         resp.dst = p.src;
         resp.payloadBytes = 72;
         resp.kind = PacketKind::MemReadResp;
+        resp.onDeliver = [&] { resp_at_core = true; };
         net->send(std::move(resp));
     });
-    net->setEndpointHandler(NodeId{NodeKind::Core, 6},
-                            [&](Packet &&) { resp_at_core = true; });
     net->send(pkt(NodeId{NodeKind::Core, 6},
                   NodeId{NodeKind::MemCtrl, 1}, 12,
                   PacketKind::MemReadReq));
@@ -172,30 +173,45 @@ TEST_F(NetFixture, GatewayEndpointReceivesControl)
     EXPECT_TRUE(got);
 }
 
-TEST_F(NetFixture, OnDeliverFallbackWhenNoHandler)
+TEST_F(NetFixture, OnDeliverRunsInsteadOfEndpointHandler)
+{
+    // The delivery rule: a packet's own onDeliver runs when it is
+    // set, and the destination's handler sees only packets without.
+    auto net = make();
+    int handled = 0, fired = 0;
+    net->setEndpointHandler(NodeId{NodeKind::MemCtrl, 2},
+                            [&](Packet &&) { ++handled; });
+    net->send(pkt(NodeId{NodeKind::Core, 0},
+                  NodeId{NodeKind::MemCtrl, 2}, 8, [&] { ++fired; }));
+    net->send(pkt(NodeId{NodeKind::Core, 0},
+                  NodeId{NodeKind::MemCtrl, 2}, 8));
+    sim.run(500);
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(handled, 1);
+    EXPECT_EQ(net->packetsDelivered(), 2u);
+}
+
+TEST_F(NetFixture, CoreAndIoTakeNoEndpointHandler)
 {
     auto net = make();
-    bool fired = false;
-    Packet p = pkt(NodeId{NodeKind::Core, 0},
-                   NodeId{NodeKind::Core, 3}, 8);
-    p.onDeliver = [&] { fired = true; };
-    net->send(std::move(p));
-    sim.run(100);
-    EXPECT_TRUE(fired);
+    EXPECT_DEATH(net->setEndpointHandler(NodeId{NodeKind::Core, 3},
+                                         [](Packet &&) {}),
+                 "onDeliver");
+    EXPECT_DEATH(net->setEndpointHandler(NodeId{NodeKind::Io, 0},
+                                         [](Packet &&) {}),
+                 "onDeliver");
 }
 
 TEST_F(NetFixture, ManyPacketsAllDelivered)
 {
     auto net = make();
     int delivered = 0;
-    for (std::uint32_t c = 0; c < 16; ++c)
-        net->setEndpointHandler(NodeId{NodeKind::Core, c},
-                                [&](Packet &&) { ++delivered; });
     const int per_core = 20;
     for (std::uint32_t c = 0; c < 16; ++c) {
         for (int i = 0; i < per_core; ++i) {
             net->send(pkt(NodeId{NodeKind::Core, c},
-                          NodeId{NodeKind::Core, (c + 5) % 16}, 8));
+                          NodeId{NodeKind::Core, (c + 5) % 16}, 8,
+                          [&] { ++delivered; }));
         }
     }
     sim.run(20000);
@@ -211,12 +227,11 @@ TEST_F(NetFixture, FullInjectQueueRetriesUntilDelivered)
     params.injectQueueCap = 1;
     auto net = make();
     int delivered = 0;
-    net->setEndpointHandler(NodeId{NodeKind::Core, 3},
-                            [&](Packet &&) { ++delivered; });
     const int burst = 32;
     for (int i = 0; i < burst; ++i)
         net->send(pkt(NodeId{NodeKind::Core, 0},
-                      NodeId{NodeKind::Core, 3}, 32));
+                      NodeId{NodeKind::Core, 3}, 32,
+                      [&] { ++delivered; }));
     sim.run(20000);
     EXPECT_EQ(delivered, burst);
     EXPECT_GT(net->injectRejected(), 0u);
@@ -225,11 +240,9 @@ TEST_F(NetFixture, FullInjectQueueRetriesUntilDelivered)
 TEST_F(NetFixture, UtilisationGrowsWithTraffic)
 {
     auto net = make();
-    net->setEndpointHandler(NodeId{NodeKind::Core, 9},
-                            [](Packet &&) {});
     for (int i = 0; i < 50; ++i)
         net->send(pkt(NodeId{NodeKind::Core, 0},
-                      NodeId{NodeKind::Core, 9}, 32));
+                      NodeId{NodeKind::Core, 9}, 32, [] {}));
     sim.run(200);
     EXPECT_GT(net->utilisation(sim.now()), 0.0);
 }

@@ -10,10 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <functional>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "baseline/baseline_chip.hpp"
 #include "chip/chip_config.hpp"
@@ -128,21 +130,6 @@ TEST(RequestGen, DeadlineFractionSplitsClasses)
         EXPECT_FALSE(r.hasDeadline());
         EXPECT_FALSE(r.realtime);
     }
-}
-
-TEST(RequestGen, TraceReplaysGivenArrivals)
-{
-    const std::vector<Cycle> arrivals{100, 50, 700};
-    workloads::RequestGenParams gp;
-    gp.relativeDeadline = 1'000;
-    gp.firstId = 40;
-    const auto reqs = makeTraceRequests(prof(), arrivals, gp);
-    ASSERT_EQ(reqs.size(), 3u);
-    EXPECT_EQ(reqs[0].release, 100u);
-    EXPECT_EQ(reqs[1].release, 50u);
-    EXPECT_EQ(reqs[2].release, 700u);
-    EXPECT_EQ(reqs[0].id, 40u);
-    EXPECT_EQ(reqs[2].deadline, 1'700u);
 }
 
 TEST(RequestGenDeath, RejectsBadParams)
@@ -570,8 +557,8 @@ TEST(RequestLifecycle, EachRequestResolvesExactlyOnceOnBothChips)
         campaign.arm(chip.faultTargets());
         chip.runUntilDone(400'000'000);
 
-        // Kill + re-dispatch is exercised, and no task is abandoned
-        // (an abandoned task never fires its hook).
+        // Kill + re-dispatch is exercised; maxAttempts is high
+        // enough that no task is abandoned.
         EXPECT_GT(chip.subScheduler(0).redispatches(), 0u);
         EXPECT_EQ(chip.subScheduler(0).tasksAbandoned(), 0u);
         EXPECT_GT(driver.retries(), 0u);
@@ -603,6 +590,64 @@ TEST(RequestLifecycle, EachRequestResolvesExactlyOnceOnBothChips)
         expectConserved(driver, ledger);
         // The workers persist, but every request has resolved well
         // before the run stops.
+        EXPECT_EQ(driver.pending(), 0u);
+    }
+}
+
+TEST(RequestLifecycle, AbandonedTaskResolvesItsHook)
+{
+    // With recovery, maxAttempts = 1 re-dispatches after the first
+    // kill and abandons on the second; without it, the first kill
+    // abandons the task.
+    for (const bool recovery : {true, false}) {
+        SCOPED_TRACE(recovery ? "recovery on" : "recovery off");
+        Simulator sim;
+        chip::SmarcoChip chip(sim, chip::ChipConfig::scaled(1, 4));
+        chip.enableOverloadControl(admission(8));
+        if (recovery) {
+            sched::RecoveryParams rp;
+            rp.maxAttempts = 1;
+            chip.subScheduler(0).enableRecovery(rp);
+        }
+
+        std::vector<workloads::RequestResult> results;
+        runtime::OverloadDriver driver(
+            sim,
+            [&](const workloads::TaskSpec &task,
+                workloads::RequestHook hook) {
+                chip.submitRequest(
+                    task, [&results, hook = std::move(hook)](
+                              const workloads::TaskSpec &t,
+                              const workloads::RequestResult &res) {
+                        results.push_back(res);
+                        hook(t, res);
+                    });
+            },
+            {});
+        const TaskId id = 7;
+        driver.drive({request(id, 200'000)});
+
+        // Kill the task wherever it runs, every 10k cycles, until the
+        // sub-scheduler gives it up.
+        std::function<void()> kill = [&]() {
+            for (CoreId c = 0; c < chip.numCores(); ++c)
+                chip.core(c).killTask(id, sim.now());
+            if (chip.subScheduler(0).tasksAbandoned() == 0)
+                sim.events().scheduleAfter(sim.now(), 10'000, kill);
+        };
+        sim.events().schedule(10'000, kill);
+        chip.runUntilDone(10'000'000);
+
+        EXPECT_TRUE(sim.finishedIdle());
+        EXPECT_EQ(chip.subScheduler(0).redispatches(),
+                  recovery ? 1u : 0u);
+        EXPECT_EQ(chip.subScheduler(0).tasksAbandoned(), 1u);
+        ASSERT_EQ(results.size(), 1u);
+        EXPECT_FALSE(results[0].completed);
+        EXPECT_EQ(results[0].reason, workloads::ShedReason::Abandoned);
+        EXPECT_EQ(driver.expired(), 1u);
+        EXPECT_EQ(driver.retries(), 0u);
+        EXPECT_EQ(driver.shedEvents(), 0u);
         EXPECT_EQ(driver.pending(), 0u);
     }
 }

@@ -32,15 +32,13 @@ TEST(Spm, AddressRangeAndControlWindow)
     EXPECT_EQ(spm.dataBytes(), 128 * 1024 - 256u);
 }
 
-TEST(Spm, AccessCountsAndLatency)
+TEST(Spm, AccessCounts)
 {
     StatRegistry reg;
-    SpmParams p;
-    p.accessLatency = 1;
-    Spm spm(reg, p, 0, "spm");
-    EXPECT_EQ(spm.access(false), 1u);
-    EXPECT_EQ(spm.access(true), 1u);
-    EXPECT_EQ(spm.access(true), 1u);
+    Spm spm(reg, SpmParams{}, 0, "spm");
+    spm.access(false);
+    spm.access(true);
+    spm.access(true);
     EXPECT_EQ(spm.reads(), 1u);
     EXPECT_EQ(spm.writes(), 2u);
 }
