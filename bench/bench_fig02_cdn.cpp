@@ -45,7 +45,7 @@ servePoint(const workloads::CdnWorkload &cdn, std::uint64_t clients,
             task.profile = profile.get();
             task.numOps = profile->opsPerTask;
             task.seed = t * 2654435761ull;
-            chip.injectTask(task);
+            chip.submitRequest(task, {});
         });
     }
     auto campaign = fault::armFaultsFromCli(sim, chip);

@@ -143,12 +143,6 @@ BaselineChip::spawnWorkers(std::uint32_t num_threads,
 }
 
 void
-BaselineChip::injectTask(const workloads::TaskSpec &task)
-{
-    bag_.push_back(task);
-}
-
-void
 BaselineChip::enableAdmission(std::uint32_t queue_cap,
                               double latency_hist_max)
 {
@@ -166,8 +160,9 @@ void
 BaselineChip::submitRequest(workloads::TaskSpec task,
                             workloads::RequestHook hook)
 {
-    task.hook =
-        std::make_shared<const workloads::RequestHook>(std::move(hook));
+    task.hook = hook ? std::make_shared<const workloads::RequestHook>(
+                           std::move(hook))
+                     : nullptr;
     if (admissionOn_ && bag_.size() >= bagCap_) {
         ++shedQueueFull_;
         workloads::resolve(

@@ -116,9 +116,6 @@ class BaselineChip : public Ticking
                       std::vector<workloads::TaskSpec> tasks,
                       bool persistent = false);
 
-    /** Append tasks to the shared bag while workers run (CDN). */
-    void injectTask(const workloads::TaskSpec &task);
-
     /**
      * Overload control for open-loop injection: bound the shared bag
      * at queue_cap tasks and, at pop time, drop queued tasks whose
@@ -131,12 +128,12 @@ class BaselineChip : public Ticking
                          double latency_hist_max = 4'000'000.0);
 
     /**
-     * Submit one request to the shared bag. The task carries hook,
-     * which fires once with its terminal outcome: QueueFull when
-     * admission is on and the bag is full, Expired when it is
-     * early-dropped at pop time, or completion. A killed worker's
-     * task returns to the bag with its hook. Same contract as
-     * chip::SmarcoChip::submitRequest.
+     * Submit one request to the shared bag, also while workers run.
+     * The task carries hook (none when it is empty), which fires
+     * once with its terminal outcome: QueueFull when admission is on
+     * and the bag is full, Expired when it is early-dropped at pop
+     * time, or completion. A killed worker's task returns to the bag
+     * with its hook. Same contract as chip::SmarcoChip::submitRequest.
      */
     void submitRequest(workloads::TaskSpec task,
                        workloads::RequestHook hook);

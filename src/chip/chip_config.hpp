@@ -32,8 +32,6 @@ struct ChipConfig {
     sched::MainSchedulerParams mainSched{};
     mem::MemoryMap map{};
 
-    /** Stage task input into the SPM with DMA before attach. */
-    bool dmaStaging = true;
     /** Per-core DRAM heap region stride (keeps regions disjoint). */
     std::uint64_t heapStride = 16ull * 1024 * 1024;
     /** Per-core DRAM stream region stride. */

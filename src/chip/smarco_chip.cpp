@@ -56,21 +56,18 @@ SmarcoChip::SmarcoChip(Simulator &sim, ChipConfig cfg)
         macts_.back()->setSink([this, g](mem::MactBatch &&batch) {
             onMactBatch(g, std::move(batch));
         });
-        network_->setGatewayInterceptor(g, [this, g](Packet &pkt) {
+    }
+    network_->setGatewayInterceptor(
+        [this](std::uint32_t g, Packet &pkt) {
             return interceptAtGateway(g, pkt);
         });
-        network_->setEndpointHandler(
-            NodeId{NodeKind::Gateway, g}, [this, g](Packet &&pkt) {
-                handleGatewayPacket(g, std::move(pkt));
-            });
-    }
-
-    for (std::uint32_t m = 0; m < cfg_.noc.numMemCtrls; ++m) {
-        network_->setEndpointHandler(
-            NodeId{NodeKind::MemCtrl, m}, [this, m](Packet &&pkt) {
-                handleMcPacket(m, std::move(pkt));
-            });
-    }
+    network_->setEndpointHandler([this](Packet &&pkt) {
+        const std::uint32_t node = pkt.dst.index;
+        if (pkt.dst.kind == NodeKind::MemCtrl)
+            handleMcPacket(node, std::move(pkt));
+        else
+            handleGatewayPacket(node, std::move(pkt));
+    });
 
     for (std::uint32_t g = 0; g < cfg_.noc.numSubRings; ++g) {
         subScheds_.push_back(std::make_unique<sched::SubScheduler>(
@@ -165,7 +162,8 @@ SmarcoChip::~SmarcoChip() = default;
 void
 SmarcoChip::submit(const std::vector<workloads::TaskSpec> &tasks)
 {
-    mainSched_->submitAll(tasks);
+    for (const auto &t : tasks)
+        mainSched_->submit(t);
 }
 
 void
@@ -179,8 +177,9 @@ void
 SmarcoChip::submitRequest(workloads::TaskSpec task,
                           workloads::RequestHook hook)
 {
-    task.hook =
-        std::make_shared<const workloads::RequestHook>(std::move(hook));
+    task.hook = hook ? std::make_shared<const workloads::RequestHook>(
+                           std::move(hook))
+                     : nullptr;
     mainSched_->submit(task);
 }
 
@@ -502,7 +501,7 @@ void
 SmarcoChip::stageTask(CoreId core_id, const workloads::TaskSpec &task,
                       std::function<void()> ready)
 {
-    if (!cfg_.dmaStaging || task.inputBytes == 0) {
+    if (task.inputBytes == 0) {
         ready();
         return;
     }
@@ -545,8 +544,8 @@ SmarcoChip::dmaChunk(CoreId core_id, Addr src, Addr dst,
     pkt.onDeliver = std::move(done);
     if (pkt.src == pkt.dst) {
         // Local copy: charge a cycle per SPM word, no NoC traffic.
-        sim_.events().scheduleAfter(sim_.now(), 1 + bytes / 16,
-                                    std::move(pkt.onDeliver));
+        sim_.events().schedule(sim_.now() + 1 + bytes / 16,
+                               std::move(pkt.onDeliver));
         return;
     }
     network_->send(std::move(pkt));

@@ -77,9 +77,10 @@ class SmarcoChip : public core::MemPort
 
     /**
      * Submit one request through the main scheduler. The task carries
-     * hook, which fires once with its terminal outcome: at
-     * main-scheduler shed, sub-ring overflow, early drop or exit
-     * (workloads::RequestHook names the one gap). Same contract as
+     * hook (none when it is empty), which fires once with its
+     * terminal outcome: at main-scheduler shed, sub-ring overflow,
+     * early drop or exit (workloads::RequestHook names the one gap).
+     * Same contract as
      * baseline::BaselineChip::submitRequest.
      */
     void submitRequest(workloads::TaskSpec task,

@@ -8,6 +8,15 @@
 
 namespace smarco::mem {
 
+namespace {
+
+/** A table line covers one 64-byte DRAM line, one bitmap bit per
+ *  byte. */
+constexpr std::uint32_t kLineBytes = 64;
+constexpr std::uint64_t kFullVector = ~std::uint64_t{0};
+
+} // namespace
+
 std::uint32_t
 MactBatch::coveredBytes() const
 {
@@ -49,9 +58,6 @@ Mact::Mact(Simulator &sim, MactParams params,
 {
     if (params_.lines == 0)
         fatal("MACT: zero lines");
-    if (params_.lineBytes != 64)
-        fatal("MACT: only 64-byte lines supported (got %u)",
-              params_.lineBytes);
     if (params_.threshold == 0)
         fatal("MACT: zero threshold");
     sim.addTicking(this);
@@ -61,12 +67,6 @@ void
 Mact::setSink(BatchSink sink)
 {
     sink_ = std::move(sink);
-}
-
-std::uint64_t
-Mact::fullVector() const
-{
-    return ~std::uint64_t{0};
 }
 
 bool
@@ -79,17 +79,18 @@ Mact::collect(MemRequest &req, Cycle now)
             sim_.trace().instant(TraceCat::Mem, "mact.bypass", now);
         return false;
     }
-    const Addr base = req.addr & ~static_cast<Addr>(params_.lineBytes - 1);
+    const Addr base = req.addr & ~static_cast<Addr>(kLineBytes - 1);
     const std::uint32_t off =
         static_cast<std::uint32_t>(req.addr - base);
-    if (off + req.bytes > params_.lineBytes) {
+    if (off + req.bytes > kLineBytes) {
         // Line-straddling access: not representable in one bitmap.
         ++bypassed_;
         return false;
     }
     const std::uint64_t bits =
-        (req.bytes == 64 ? fullVector()
-                         : ((std::uint64_t{1} << req.bytes) - 1) << off);
+        (req.bytes == kLineBytes
+             ? kFullVector
+             : ((std::uint64_t{1} << req.bytes) - 1) << off);
 
     // Try to merge into an existing line of the same type.
     Line *free_line = nullptr;
@@ -110,7 +111,7 @@ Mact::collect(MemRequest &req, Cycle now)
                 sim_.trace().instant(TraceCat::Mem, "mact.hit", now,
                                      req.core);
             line.requests.push_back(std::move(req));
-            if (line.vector == fullVector()) {
+            if (line.vector == kFullVector) {
                 ++fullFlushes_;
                 flushLine(line, "full");
             }
@@ -138,7 +139,7 @@ Mact::collect(MemRequest &req, Cycle now)
         sim_.trace().instant(TraceCat::Mem, "mact.alloc", now,
                              req.core);
     slot->requests.push_back(std::move(req));
-    if (slot->vector == fullVector()) {
+    if (slot->vector == kFullVector) {
         ++fullFlushes_;
         flushLine(*slot, "full");
     }
@@ -217,15 +218,6 @@ Mact::injectEntryLoss(std::uint64_t pick, Cycle recovery_latency,
             sink_(std::move(batch));
         });
     return true;
-}
-
-void
-Mact::flushAll()
-{
-    for (auto &line : table_) {
-        if (line.valid)
-            flushLine(line, "drain");
-    }
 }
 
 void

@@ -29,7 +29,6 @@ struct MactParams {
     std::uint32_t lines = 32;
     /** Deadline: max cycles a request may wait in the table. */
     Cycle threshold = 16;
-    std::uint32_t lineBytes = 64;
     /** Requests larger than this bypass (already efficient). */
     std::uint32_t maxCollectBytes = 16;
 };
@@ -61,9 +60,6 @@ class Mact : public Ticking
     bool busy() const override { return used_ > 0; }
     /** Sleep until the earliest line deadline; collect() wakes us. */
     Cycle nextActiveCycle(Cycle now) const override;
-
-    /** Force-flush every occupied line (end of run / drain). */
-    void flushAll();
 
     const MactParams &params() const { return params_; }
     std::uint32_t occupancy() const { return used_; }
@@ -101,7 +97,6 @@ class Mact : public Ticking
     };
 
     void flushLine(Line &line, const char *reason);
-    std::uint64_t fullVector() const;
 
     Simulator &sim_;
     MactParams params_;

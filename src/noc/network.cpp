@@ -10,9 +10,6 @@ Network::Network(Simulator &sim, NetworkParams params,
                  const std::string &stat_prefix)
     : sim_(sim),
       params_(params),
-      mcHandlers_(params.numMemCtrls),
-      gatewayHandlers_(params.numSubRings),
-      interceptors_(params.numSubRings),
       delivered_(sim.stats(), stat_prefix + ".delivered",
                  "packets delivered end to end"),
       endToEnd_(sim.stats(), stat_prefix + ".endToEnd",
@@ -84,34 +81,15 @@ Network::Network(Simulator &sim, NetworkParams params,
 }
 
 void
-Network::setEndpointHandler(NodeId node, Handler handler)
+Network::setEndpointHandler(Handler handler)
 {
-    switch (node.kind) {
-      case NodeKind::MemCtrl:
-        if (node.index >= mcHandlers_.size())
-            panic("network: bad MC endpoint %u", node.index);
-        mcHandlers_[node.index] = std::move(handler);
-        return;
-      case NodeKind::Gateway:
-        if (node.index >= gatewayHandlers_.size())
-            panic("network: bad gateway endpoint %u", node.index);
-        gatewayHandlers_[node.index] = std::move(handler);
-        return;
-      case NodeKind::Core:
-      case NodeKind::Io:
-        break;
-    }
-    panic("network: no endpoint handler at %s; packets to it run "
-          "their onDeliver", toString(node).c_str());
+    endpointHandler_ = std::move(handler);
 }
 
 void
-Network::setGatewayInterceptor(std::uint32_t sub_ring,
-                               Interceptor interceptor)
+Network::setGatewayInterceptor(Interceptor interceptor)
 {
-    if (sub_ring >= interceptors_.size())
-        panic("network: bad interceptor sub-ring %u", sub_ring);
-    interceptors_[sub_ring] = std::move(interceptor);
+    interceptor_ = std::move(interceptor);
 }
 
 std::uint32_t
@@ -151,7 +129,7 @@ Network::injectWithRetry(Ring &ring, std::uint32_t src,
     auto retry = [this, &ring, src, dst, p = std::move(pkt)]() mutable {
         injectWithRetry(ring, src, dst, std::move(p));
     };
-    sim_.events().scheduleAfter(sim_.now(), 1, std::move(retry));
+    sim_.events().schedule(sim_.now() + 1, std::move(retry));
 }
 
 void
@@ -170,16 +148,12 @@ Network::send(Packet &&pkt)
       case NodeKind::Core: {
         const std::uint32_t r = subRingOf(pkt.src.index);
         const std::uint32_t src_stop = subStopOf(pkt.src.index);
-        std::uint32_t dst_stop;
-        if (pkt.dst.kind == NodeKind::Core &&
-            subRingOf(pkt.dst.index) == r) {
-            dst_stop = subStopOf(pkt.dst.index);
-        } else if (pkt.dst.kind == NodeKind::Gateway &&
-                   pkt.dst.index == r) {
-            dst_stop = params_.coresPerSubRing;
-        } else {
-            dst_stop = params_.coresPerSubRing; // local gateway
-        }
+        // A core on this sub-ring, else the local gateway stop.
+        const std::uint32_t dst_stop =
+            pkt.dst.kind == NodeKind::Core &&
+                    subRingOf(pkt.dst.index) == r
+                ? subStopOf(pkt.dst.index)
+                : params_.coresPerSubRing;
         injectWithRetry(*subs_[r], src_stop, dst_stop, std::move(pkt));
         return;
       }
@@ -215,13 +189,9 @@ Network::deliver(Packet &&pkt)
         pkt.onDeliver();
         return;
     }
-    const Handler *h = nullptr;
-    if (pkt.dst.kind == NodeKind::MemCtrl)
-        h = &mcHandlers_[pkt.dst.index];
-    else if (pkt.dst.kind == NodeKind::Gateway)
-        h = &gatewayHandlers_[pkt.dst.index];
-    if (h && *h) {
-        (*h)(std::move(pkt));
+    if (endpointHandler_ && (pkt.dst.kind == NodeKind::MemCtrl ||
+                             pkt.dst.kind == NodeKind::Gateway)) {
+        endpointHandler_(std::move(pkt));
         return;
     }
     warn("network: packet %llu (%s) delivered to %s with no handler",
@@ -247,7 +217,7 @@ Network::onSubRingEject(std::uint32_t sub_ring, Packet &&pkt)
     // Outbound: offer to the gateway interceptor (MACT), then cross
     // onto the main ring.
     ++gatewayCrossings_;
-    if (interceptors_[sub_ring] && interceptors_[sub_ring](pkt))
+    if (interceptor_ && interceptor_(sub_ring, pkt))
         return;
     injectWithRetry(*main_, gatewayStop_[sub_ring],
                     mainStopFor(pkt.dst), std::move(pkt));

@@ -7,7 +7,13 @@
  * controllers are spaced equally around the main ring, plus I/O
  * (PCIe/host) stops. This class owns all the rings, installs the
  * routing handlers, and exposes a single send() interface between
- * NodeIds. The chip hooks gateway interceptors for the MACT.
+ * NodeIds. The chip installs one endpoint handler for the memory
+ * controllers and gateways, and one gateway interceptor for the MACT.
+ *
+ * Every ring stop's handler is a routing hook of this class: it takes
+ * each ejected packet, also at an intermediate gateway stop, and
+ * applies the delivery rule below only at the final destination (see
+ * Ring for why the ring's order differs).
  */
 #pragma once
 
@@ -49,27 +55,28 @@ struct NetworkParams {
 
 /**
  * The hierarchical ring NoC. One delivery rule: a packet that carries
- * an onDeliver closure runs it; any other packet goes to the handler
- * of its destination memory controller or gateway.
+ * an onDeliver closure runs it; any other packet addressed to a
+ * memory controller or gateway goes to the endpoint handler, which
+ * reads the node from pkt.dst.
  */
 class Network
 {
   public:
     using Handler = std::function<void(Packet &&)>;
-    /** Gateway hook for sub-ring-to-main-ring packets; return true
-     *  to consume the packet (MACT collection). */
-    using Interceptor = std::function<bool(Packet &)>;
+    /** Gateway hook for packets leaving sub_ring for the main ring;
+     *  return true to consume the packet (MACT collection). */
+    using Interceptor =
+        std::function<bool(std::uint32_t sub_ring, Packet &)>;
 
     Network(Simulator &sim, NetworkParams params,
             const std::string &stat_prefix);
 
-    /** Register the consumer of packets addressed to a memory
-     *  controller or gateway node that carry no onDeliver. */
-    void setEndpointHandler(NodeId node, Handler handler);
+    /** Register the consumer of packets without onDeliver that are
+     *  addressed to a memory controller or gateway. */
+    void setEndpointHandler(Handler handler);
 
-    /** Hook outbound packets at a sub-ring's gateway. */
-    void setGatewayInterceptor(std::uint32_t sub_ring,
-                               Interceptor interceptor);
+    /** Hook outbound packets at every sub-ring's gateway. */
+    void setGatewayInterceptor(Interceptor interceptor);
 
     /**
      * Send a packet from pkt.src to pkt.dst. Delivery is guaranteed;
@@ -129,9 +136,8 @@ class Network
     /** io index -> main-ring stop. */
     std::vector<std::uint32_t> ioStop_;
 
-    std::vector<Handler> mcHandlers_;
-    std::vector<Handler> gatewayHandlers_;
-    std::vector<Interceptor> interceptors_;
+    Handler endpointHandler_;
+    Interceptor interceptor_;
 
     std::uint64_t nextPacketId_ = 1;
 

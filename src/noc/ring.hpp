@@ -111,9 +111,18 @@ struct RingFaultParams {
 /**
  * The ring. Stops are indexed 0..numStops-1; direction 0 moves from
  * stop i to i+1 (mod N), direction 1 the other way. Packets are
- * injected with a destination stop; delivery invokes the stop's
- * handler. Direction is chosen at injection: shortest path, switched
- * when the preferred side is congested (Fig. 7).
+ * injected with a destination stop. Direction is chosen at
+ * injection: shortest path, switched when the preferred side is
+ * congested (Fig. 7).
+ *
+ * Ejection rule: a stop's handler, when installed, takes the packet,
+ * and the packet's onDeliver runs only at a stop without a handler.
+ * This is the reverse of Network::deliver's order on purpose: the
+ * stop handler is a routing hook, and Network installs one at every
+ * stop. A packet ejected at an intermediate stop (a main-ring
+ * gateway on the way to a core) still carries its endpoint onDeliver;
+ * running that first would deliver a response before it crossed the
+ * sub-ring. onDeliver is the fallback for a bare ring.
  */
 class Ring : public Ticking
 {
@@ -123,7 +132,8 @@ class Ring : public Ticking
     Ring(Simulator &sim, RingParams params,
          const std::string &stat_prefix);
 
-    /** Install the ejection handler of a stop. */
+    /** Install the ejection handler of a stop: it takes every packet
+     *  ejected there, onDeliver or not. */
     void setHandler(std::uint32_t stop, Handler handler);
 
     /**

@@ -48,9 +48,8 @@ struct OverloadParams {
     std::uint32_t maxRetries = 8;
     /** Seed of the "overload.backoff" jitter stream. */
     std::uint64_t seed = 1;
-    /** End-to-end latency histogram range (cycles) and resolution. */
+    /** End-to-end latency histogram range (cycles); 64 buckets. */
     double latencyHistMax = 4'000'000.0;
-    std::uint32_t latencyHistBuckets = 64;
 };
 
 /**

@@ -50,8 +50,6 @@ TaskChainTable::insert(const workloads::TaskSpec &task)
         *tail = idx;
     }
     ++used_;
-    if (task.realtime)
-        ++highCount_;
     if (used_ == 1 || task.release < minRelease_)
         minRelease_ = task.release;
     return true;
@@ -93,13 +91,10 @@ TaskChainTable::detach(std::int32_t *head, std::int32_t *tail,
 
 std::optional<workloads::TaskSpec>
 TaskChainTable::popFrom(std::int32_t *head, std::int32_t *tail,
-                        Cycle now, bool laxity_aware)
+                        Cycle now)
 {
     if (*head == kNil)
         return std::nullopt;
-    if (!laxity_aware)
-        return detach(head, tail, kNil);
-
     // Walk the chain for the least-laxity entry (what the RAM-based
     // hardware does sequentially).
     std::int32_t prev = kNil, best_prev = kNil;
@@ -116,14 +111,11 @@ TaskChainTable::popFrom(std::int32_t *head, std::int32_t *tail,
 }
 
 std::optional<workloads::TaskSpec>
-TaskChainTable::popNext(Cycle now, bool laxity_aware)
+TaskChainTable::popNext(Cycle now)
 {
-    auto task = popFrom(&highHead_, &highTail_, now, laxity_aware);
-    if (task) {
-        --highCount_;
+    if (auto task = popFrom(&highHead_, &highTail_, now))
         return task;
-    }
-    return popFrom(&normalHead_, &normalTail_, now, laxity_aware);
+    return popFrom(&normalHead_, &normalTail_, now);
 }
 
 } // namespace smarco::sched

@@ -43,17 +43,16 @@ class TaskChainTable
 
     /**
      * Remove and return the next task to dispatch: the least-laxity
-     * entry of the high-priority chain, else (by laxity_aware) the
-     * least-laxity or FIFO-head entry of the normal chain.
+     * entry of the high-priority chain, else that of the normal
+     * chain. Ties (tasks without deadlines included) go to the entry
+     * nearest the head, so equal-laxity tasks leave in FIFO order.
      */
-    std::optional<workloads::TaskSpec> popNext(Cycle now,
-                                               bool laxity_aware);
+    std::optional<workloads::TaskSpec> popNext(Cycle now);
 
     std::uint32_t size() const { return used_; }
     bool empty() const { return used_ == 0; }
     std::uint32_t capacity() const
     { return static_cast<std::uint32_t>(ram_.size()); }
-    std::uint32_t highCount() const { return highCount_; }
 
     /**
      * Smallest release time of any queued task (kNoCycle when empty).
@@ -79,15 +78,13 @@ class TaskChainTable
     void recomputeMinRelease();
     std::optional<workloads::TaskSpec> popFrom(std::int32_t *head,
                                                std::int32_t *tail,
-                                               Cycle now,
-                                               bool laxity_aware);
+                                               Cycle now);
 
     std::vector<Entry> ram_;
     std::int32_t freeHead_ = kNil;          // null thread chain
     std::int32_t normalHead_ = kNil, normalTail_ = kNil;
     std::int32_t highHead_ = kNil, highTail_ = kNil;
     std::uint32_t used_ = 0;
-    std::uint32_t highCount_ = 0;
     Cycle minRelease_ = kNoCycle;
 };
 

@@ -194,11 +194,4 @@ MainScheduler::submit(const workloads::TaskSpec &task)
     });
 }
 
-void
-MainScheduler::submitAll(const std::vector<workloads::TaskSpec> &tasks)
-{
-    for (const auto &t : tasks)
-        submit(t);
-}
-
 } // namespace smarco::sched

@@ -52,13 +52,10 @@ class MainScheduler
     void setTransport(Transport transport);
 
     /**
-     * Submit a batch of tasks. Tasks with a future release are held
-     * until their release cycle; routing then picks the least-loaded
-     * sub-ring at that moment.
+     * Submit one task. A task with a future release is held until
+     * its release cycle; routing then picks the least-loaded sub-ring
+     * at that moment.
      */
-    void submitAll(const std::vector<workloads::TaskSpec> &tasks);
-
-    /** Submit one task at its release cycle. */
     void submit(const workloads::TaskSpec &task);
 
     /**

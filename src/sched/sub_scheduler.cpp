@@ -301,7 +301,7 @@ SubScheduler::tick(Cycle now)
             return;
         if (table_.earliestRelease() > now)
             return; // everything queued releases in the future
-        auto task = table_.popNext(now, /*laxity_aware=*/true);
+        auto task = table_.popNext(now);
         if (!task)
             return;
         if (task->release > now) {
@@ -335,7 +335,7 @@ SubScheduler::tick(Cycle now)
     Cycle overhead = params_.swDispatchOverhead;
     std::uint32_t k = 0;
     while (k < free_slots && !table_.empty()) {
-        auto task = table_.popNext(now, /*laxity_aware=*/true);
+        auto task = table_.popNext(now);
         if (!task)
             break;
         if (task->release > now) {

@@ -14,12 +14,6 @@ EventQueue::schedule(Cycle when, EventFn fn)
     heap_.push(Entry{when, nextSeq_++, std::move(fn)});
 }
 
-void
-EventQueue::scheduleAfter(Cycle now, Cycle delay, EventFn fn)
-{
-    schedule(now + delay, std::move(fn));
-}
-
 Cycle
 EventQueue::nextEventCycle() const
 {

@@ -33,9 +33,6 @@ class EventQueue
     /** Schedule fn to run at absolute cycle when (>= current head). */
     void schedule(Cycle when, EventFn fn);
 
-    /** Schedule fn to run delay cycles after now. */
-    void scheduleAfter(Cycle now, Cycle delay, EventFn fn);
-
     /** Cycle of the earliest pending event, or kNoCycle if empty. */
     Cycle nextEventCycle() const;
 

@@ -193,7 +193,6 @@ TEST_F(ChipFixture, RealtimeTrafficUsesDirectPath)
 
 TEST_F(ChipFixture, DmaStagingMovesTaskInput)
 {
-    cfg.dmaStaging = true;
     auto chip = make();
     workloads::TaskSetParams tp;
     tp.count = 8;
@@ -211,15 +210,23 @@ TEST_F(ChipFixture, DmaStagingMovesTaskInput)
 
 TEST_F(ChipFixture, StagingOffStillCompletes)
 {
-    cfg.dmaStaging = false;
+    // A task without input starts with no DMA staging.
     auto chip = make();
     workloads::TaskSetParams tp;
     tp.count = 8;
     tp.seed = 3;
-    chip->submit(workloads::makeTaskSet(
-        workloads::htcProfile("terasort"), tp));
+    auto tasks = workloads::makeTaskSet(
+        workloads::htcProfile("terasort"), tp);
+    for (auto &t : tasks)
+        t.inputBytes = 0;
+    chip->submit(tasks);
     chip->runUntilDone(10'000'000);
     EXPECT_EQ(chip->metrics().tasksCompleted, 8u);
+    for (CoreId c = 0; c < chip->numCores(); ++c) {
+        if (auto *s = sim.stats().find(strprintf("chip.dma%03u.bytes", c))) {
+            EXPECT_EQ(s->value(), 0.0);
+        }
+    }
 }
 
 TEST_F(ChipFixture, LayoutRegionsDisjointAcrossCores)

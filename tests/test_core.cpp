@@ -38,7 +38,7 @@ struct FixedLatencyPort : MemPort {
     request(CoreId, ThreadId, const MicroOp &, MemDone done) override
     {
         ++requests;
-        sim.events().scheduleAfter(sim.now(), latency, std::move(done));
+        sim.events().schedule(sim.now() + latency, std::move(done));
     }
 
     void

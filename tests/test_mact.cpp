@@ -44,6 +44,15 @@ struct MactFixture : ::testing::Test {
         return staged;
     }
 
+    /** Run the simulator past the threshold: the deadline timer
+     *  flushes every occupied line, and the run ends once the table
+     *  is empty. */
+    void
+    runPastThreshold()
+    {
+        sim.run(params.threshold + 1);
+    }
+
     std::unique_ptr<Mact> mact;
     MemRequest staged;
     std::uint64_t nextId = 1;
@@ -89,7 +98,7 @@ TEST_F(MactFixture, MergesSameLineSameType)
     EXPECT_TRUE(m.collect(req(0x1008, 4), 1));
     EXPECT_TRUE(m.collect(req(0x1010, 8), 2));
     EXPECT_EQ(m.occupancy(), 1u); // one line
-    m.flushAll();
+    runPastThreshold();
     ASSERT_EQ(batches.size(), 1u);
     EXPECT_EQ(batches[0].requests.size(), 3u);
     EXPECT_EQ(batches[0].coveredBytes(), 16u);
@@ -165,7 +174,7 @@ TEST_F(MactFixture, BatchWireSizeSmallerThanIndividual)
     auto &m = make();
     for (int i = 0; i < 8; ++i)
         EXPECT_TRUE(m.collect(req(0x4000 + i * 4, 4), 0));
-    m.flushAll();
+    runPastThreshold();
     ASSERT_EQ(batches.size(), 1u);
     // 8 individual read requests cost 8 * 12 wire bytes; the batch
     // costs one header + vector.
@@ -177,7 +186,7 @@ TEST_F(MactFixture, WriteBatchCarriesPayload)
     auto &m = make();
     EXPECT_TRUE(m.collect(req(0x5000, 8, true), 0));
     EXPECT_TRUE(m.collect(req(0x5010, 8, true), 0));
-    m.flushAll();
+    runPastThreshold();
     ASSERT_EQ(batches.size(), 1u);
     EXPECT_TRUE(batches[0].write);
     EXPECT_EQ(batches[0].wireBytes(),
@@ -188,7 +197,7 @@ TEST_F(MactFixture, VectorBitsMatchOffsets)
 {
     auto &m = make();
     EXPECT_TRUE(m.collect(req(0x6004, 2), 0)); // bytes 4..5
-    m.flushAll();
+    runPastThreshold();
     ASSERT_EQ(batches.size(), 1u);
     EXPECT_EQ(batches[0].vector, std::uint64_t{0x3} << 4);
 }
@@ -199,6 +208,6 @@ TEST_F(MactFixture, BusyWhileOccupied)
     EXPECT_FALSE(m.busy());
     EXPECT_TRUE(m.collect(req(0x7000, 4), 0));
     EXPECT_TRUE(m.busy());
-    m.flushAll();
+    runPastThreshold();
     EXPECT_FALSE(m.busy());
 }

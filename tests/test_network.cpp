@@ -103,9 +103,8 @@ TEST_F(NetFixture, CoreToMemCtrlAndBack)
 {
     auto net = make();
     bool req_at_mc = false, resp_at_core = false;
-    net->setEndpointHandler(NodeId{NodeKind::MemCtrl, 1},
-                            [&](Packet &&p) {
-        req_at_mc = true;
+    net->setEndpointHandler([&](Packet &&p) {
+        req_at_mc = p.dst == NodeId{NodeKind::MemCtrl, 1};
         // Bounce a response.
         Packet resp;
         resp.src = NodeId{NodeKind::MemCtrl, 1};
@@ -128,15 +127,14 @@ TEST_F(NetFixture, GatewayInterceptorConsumesOutbound)
     auto net = make();
     int intercepted = 0;
     bool reached_mc = false;
-    net->setGatewayInterceptor(0, [&](Packet &pkt) {
-        if (pkt.kind == PacketKind::MemReadReq) {
+    net->setGatewayInterceptor([&](std::uint32_t sub_ring, Packet &pkt) {
+        if (sub_ring == 0 && pkt.kind == PacketKind::MemReadReq) {
             ++intercepted;
             return true; // consumed (MACT collected it)
         }
         return false;
     });
-    net->setEndpointHandler(NodeId{NodeKind::MemCtrl, 0},
-                            [&](Packet &&) { reached_mc = true; });
+    net->setEndpointHandler([&](Packet &&) { reached_mc = true; });
     net->send(pkt(NodeId{NodeKind::Core, 0},
                   NodeId{NodeKind::MemCtrl, 0}, 12,
                   PacketKind::MemReadReq));
@@ -149,9 +147,11 @@ TEST_F(NetFixture, InterceptorPassThroughContinues)
 {
     auto net = make();
     bool reached_mc = false;
-    net->setGatewayInterceptor(0, [](Packet &) { return false; });
-    net->setEndpointHandler(NodeId{NodeKind::MemCtrl, 0},
-                            [&](Packet &&) { reached_mc = true; });
+    net->setGatewayInterceptor(
+        [](std::uint32_t, Packet &) { return false; });
+    net->setEndpointHandler([&](Packet &&p) {
+        reached_mc = p.dst == NodeId{NodeKind::MemCtrl, 0};
+    });
     net->send(pkt(NodeId{NodeKind::Core, 0},
                   NodeId{NodeKind::MemCtrl, 0}, 12,
                   PacketKind::MemReadReq));
@@ -163,9 +163,9 @@ TEST_F(NetFixture, GatewayEndpointReceivesControl)
 {
     auto net = make();
     bool got = false;
-    net->setEndpointHandler(NodeId{NodeKind::Gateway, 2},
-                            [&](Packet &&p) {
-        got = p.kind == PacketKind::Control;
+    net->setEndpointHandler([&](Packet &&p) {
+        got = p.dst == NodeId{NodeKind::Gateway, 2} &&
+              p.kind == PacketKind::Control;
     });
     net->send(pkt(NodeId{NodeKind::Io, 0},
                   NodeId{NodeKind::Gateway, 2}, 32));
@@ -179,8 +179,7 @@ TEST_F(NetFixture, OnDeliverRunsInsteadOfEndpointHandler)
     // set, and the destination's handler sees only packets without.
     auto net = make();
     int handled = 0, fired = 0;
-    net->setEndpointHandler(NodeId{NodeKind::MemCtrl, 2},
-                            [&](Packet &&) { ++handled; });
+    net->setEndpointHandler([&](Packet &&) { ++handled; });
     net->send(pkt(NodeId{NodeKind::Core, 0},
                   NodeId{NodeKind::MemCtrl, 2}, 8, [&] { ++fired; }));
     net->send(pkt(NodeId{NodeKind::Core, 0},
@@ -189,17 +188,6 @@ TEST_F(NetFixture, OnDeliverRunsInsteadOfEndpointHandler)
     EXPECT_EQ(fired, 1);
     EXPECT_EQ(handled, 1);
     EXPECT_EQ(net->packetsDelivered(), 2u);
-}
-
-TEST_F(NetFixture, CoreAndIoTakeNoEndpointHandler)
-{
-    auto net = make();
-    EXPECT_DEATH(net->setEndpointHandler(NodeId{NodeKind::Core, 3},
-                                         [](Packet &&) {}),
-                 "onDeliver");
-    EXPECT_DEATH(net->setEndpointHandler(NodeId{NodeKind::Io, 0},
-                                         [](Packet &&) {}),
-                 "onDeliver");
 }
 
 TEST_F(NetFixture, ManyPacketsAllDelivered)

@@ -432,6 +432,29 @@ TEST(BaselineOverload, ExpiredTasksDropAtPopNotAfterService)
 
 // ------------------------------------------ one request lifecycle
 
+TEST(RequestLifecycle, EmptyHookRunsWithoutObserver)
+{
+    // An empty hook means no observer: the task completes and nothing
+    // is called at resolution.
+    {
+        Simulator sim;
+        chip::SmarcoChip chip(sim, chip::ChipConfig::scaled(1, 4));
+        chip.submitRequest(request(1, 5'000), {});
+        chip.runUntilDone(10'000'000);
+        EXPECT_TRUE(sim.finishedIdle());
+        EXPECT_EQ(chip.metrics().tasksCompleted, 1u);
+    }
+    {
+        Simulator sim;
+        baseline::BaselineChip chip(sim, baseline::BaselineParams{});
+        chip.submitRequest(request(1, 5'000), {});
+        chip.spawnWorkers(1, {});
+        sim.run(10'000'000);
+        EXPECT_TRUE(sim.finishedIdle());
+        EXPECT_EQ(chip.tasksCompleted(), 1u);
+    }
+}
+
 namespace {
 
 /**
@@ -633,7 +656,7 @@ TEST(RequestLifecycle, AbandonedTaskResolvesItsHook)
             for (CoreId c = 0; c < chip.numCores(); ++c)
                 chip.core(c).killTask(id, sim.now());
             if (chip.subScheduler(0).tasksAbandoned() == 0)
-                sim.events().scheduleAfter(sim.now(), 10'000, kill);
+                sim.events().schedule(sim.now() + 10'000, kill);
         };
         sim.events().schedule(10'000, kill);
         chip.runUntilDone(10'000'000);

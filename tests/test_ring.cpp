@@ -67,6 +67,32 @@ TEST_F(RingFixture, DeliversToHandler)
     EXPECT_EQ(ring->inFlight(), 0u);
 }
 
+TEST_F(RingFixture, StopHandlerTakesPacketBeforeOnDeliver)
+{
+    // The stop handler is a routing hook: it takes a packet that
+    // carries onDeliver, closure intact, and does not run it. Only a
+    // stop without a handler falls back to onDeliver.
+    auto ring = make();
+    int handled = 0, fired = 0;
+    ring->setHandler(3, [&](Packet &&p) {
+        ++handled;
+        EXPECT_TRUE(static_cast<bool>(p.onDeliver));
+    });
+    Packet routed = pkt(8);
+    routed.onDeliver = [&] { ++fired; };
+    ASSERT_TRUE(ring->inject(0, 3, std::move(routed)));
+    sim.run(100);
+    EXPECT_EQ(handled, 1);
+    EXPECT_EQ(fired, 0);
+
+    Packet bare = pkt(8);
+    bare.onDeliver = [&] { ++fired; };
+    ASSERT_TRUE(ring->inject(0, 5, std::move(bare)));
+    sim.run(100);
+    EXPECT_EQ(handled, 1);
+    EXPECT_EQ(fired, 1);
+}
+
 TEST_F(RingFixture, LatencyScalesWithHops)
 {
     auto ring = make();

@@ -53,10 +53,10 @@ TEST(ChainTable, FifoWithoutLaxity)
     EXPECT_TRUE(table.insert(task(2)));
     EXPECT_TRUE(table.insert(task(3)));
     EXPECT_EQ(table.size(), 3u);
-    EXPECT_EQ(table.popNext(0, false)->id, 1u);
-    EXPECT_EQ(table.popNext(0, false)->id, 2u);
-    EXPECT_EQ(table.popNext(0, false)->id, 3u);
-    EXPECT_FALSE(table.popNext(0, false).has_value());
+    EXPECT_EQ(table.popNext(0)->id, 1u);
+    EXPECT_EQ(table.popNext(0)->id, 2u);
+    EXPECT_EQ(table.popNext(0)->id, 3u);
+    EXPECT_FALSE(table.popNext(0).has_value());
 }
 
 TEST(ChainTable, LeastLaxityFirst)
@@ -65,9 +65,9 @@ TEST(ChainTable, LeastLaxityFirst)
     table.insert(task(1, 9000, false, 1000)); // laxity 8000
     table.insert(task(2, 3000, false, 1000)); // laxity 2000
     table.insert(task(3, 5000, false, 1000)); // laxity 4000
-    EXPECT_EQ(table.popNext(0, true)->id, 2u);
-    EXPECT_EQ(table.popNext(0, true)->id, 3u);
-    EXPECT_EQ(table.popNext(0, true)->id, 1u);
+    EXPECT_EQ(table.popNext(0)->id, 2u);
+    EXPECT_EQ(table.popNext(0)->id, 3u);
+    EXPECT_EQ(table.popNext(0)->id, 1u);
 }
 
 TEST(ChainTable, HighPriorityChainFirst)
@@ -75,11 +75,9 @@ TEST(ChainTable, HighPriorityChainFirst)
     TaskChainTable table(16);
     table.insert(task(1, 100, false, 10));      // very urgent, normal
     table.insert(task(2, 90000, true, 10));     // relaxed, realtime
-    EXPECT_EQ(table.highCount(), 1u);
     // The high-priority chain is always served first.
-    EXPECT_EQ(table.popNext(0, true)->id, 2u);
-    EXPECT_EQ(table.popNext(0, true)->id, 1u);
-    EXPECT_EQ(table.highCount(), 0u);
+    EXPECT_EQ(table.popNext(0)->id, 2u);
+    EXPECT_EQ(table.popNext(0)->id, 1u);
 }
 
 TEST(ChainTable, CapacityExhaustion)
@@ -89,7 +87,7 @@ TEST(ChainTable, CapacityExhaustion)
         EXPECT_TRUE(table.insert(task(i)));
     EXPECT_FALSE(table.insert(task(99)));
     // Freeing one entry re-enables insertion (null chain recycling).
-    table.popNext(0, false);
+    table.popNext(0);
     EXPECT_TRUE(table.insert(task(100)));
 }
 
@@ -100,12 +98,12 @@ TEST(ChainTable, InterleavedInsertPopKeepsIntegrity)
     for (int round = 0; round < 100; ++round) {
         inserted += table.insert(task(round, 1000 + round * 10)) ? 1 : 0;
         if (round % 2 == 1) {
-            auto t = table.popNext(round, true);
+            auto t = table.popNext(round);
             ASSERT_TRUE(t.has_value());
             ++popped;
         }
     }
-    while (table.popNext(0, true).has_value())
+    while (table.popNext(0).has_value())
         ++popped;
     // Every successfully inserted task comes back out exactly once.
     EXPECT_EQ(popped, inserted);
@@ -287,7 +285,8 @@ TEST(MainScheduler, BalancesAcrossSubRings)
         t.numOps = 3000;
         tasks.push_back(t);
     }
-    main.submitAll(tasks);
+    for (const auto &t : tasks)
+        main.submit(t);
     sim.run(5000000);
 
     std::uint64_t total = 0;

@@ -65,17 +65,6 @@ TEST(EventQueue, NextEventCycleReportsHead)
     EXPECT_EQ(q.nextEventCycle(), 42u);
 }
 
-TEST(EventQueue, ScheduleAfterAddsDelay)
-{
-    EventQueue q;
-    bool fired = false;
-    q.scheduleAfter(100, 5, [&] { fired = true; });
-    q.runUntil(104);
-    EXPECT_FALSE(fired);
-    q.runUntil(105);
-    EXPECT_TRUE(fired);
-}
-
 namespace {
 
 /** Ticking object that counts its ticks and goes idle after n. */
