@@ -48,10 +48,10 @@ main()
             xe.tasksPerMCycle * xeon.freqGHz;
         const double speedup = sm_rate / xe_rate;
 
-        power::SmarcoPowerSpec spec;
-        spec.activity = 0.3 + 0.7 * sm.utilisation;
         const double sm_watts =
-            power::smarcoPower(spec).totalPowerW();
+            power::smarcoPower(cfg, power::TechNode::nm32(),
+                               0.3 + 0.7 * sm.utilisation)
+                .totalPowerW();
         const double xe_watts = power::xeonPowerW(xe.cpuUtilisation);
         const double eff = speedup * xe_watts / sm_watts;
 

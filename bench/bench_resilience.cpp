@@ -51,12 +51,12 @@ baseSpec(double scale, double ceiling)
     spec.horizon = 2'000'000;
     spec.watchdogInterval = 250'000;
     // Detect hangs well inside the watchdog window.
-    spec.heartbeatInterval = 5'000;
-    spec.hangTimeout = 40'000;
+    spec.recovery.heartbeatInterval = 5'000;
+    spec.recovery.hangTimeout = 40'000;
     spec.dramStallDuration = 8'000;
     // The top sweep points kill tasks repeatedly; give re-dispatch
     // enough attempts that the workload drains instead of abandoning.
-    spec.maxAttempts = 64;
+    spec.recovery.maxAttempts = 64;
     return spec;
 }
 

@@ -9,15 +9,9 @@ ChipConfig::validate() const
 {
     if (noc.numSubRings == 0 || noc.coresPerSubRing == 0)
         fatal("chip %s: empty topology", name.c_str());
-    if (map.numCores != numCores())
-        fatal("chip %s: memory map covers %u cores, chip has %u",
-              name.c_str(), map.numCores, numCores());
     if (dram.channels != noc.numMemCtrls)
         fatal("chip %s: %u DRAM channels vs %u MC ring stops",
               name.c_str(), dram.channels, noc.numMemCtrls);
-    if (directPath.enabled && directPath.numSubRings != noc.numSubRings)
-        fatal("chip %s: direct path covers %u sub-rings, chip has %u",
-              name.c_str(), directPath.numSubRings, noc.numSubRings);
     if (freqGHz <= 0.0)
         fatal("chip %s: non-positive frequency", name.c_str());
 }
@@ -31,7 +25,6 @@ ChipConfig::simulated256()
     // Defaults of the member structs already match the paper:
     // 16 sub-rings x 16 cores, 4 MCs, 8-thread TCG cores, 16 KB I/D
     // caches, 128 KB SPM, 512/256-bit rings, MACT threshold 16.
-    cfg.map.numCores = cfg.numCores();
     cfg.validate();
     return cfg;
 }
@@ -46,19 +39,6 @@ ChipConfig::prototype40nm()
     cfg.noc.numSubRings = 2;
     cfg.noc.numMemCtrls = 1;
     cfg.dram.channels = 1;
-    cfg.directPath.numSubRings = 2;
-    cfg.map.numCores = cfg.numCores();
-    cfg.validate();
-    return cfg;
-}
-
-ChipConfig
-ChipConfig::fpga256()
-{
-    ChipConfig cfg;
-    cfg.name = "smarco-fpga-256";
-    cfg.freqGHz = 0.05; // 50 MHz emulation clock
-    cfg.map.numCores = cfg.numCores();
     cfg.validate();
     return cfg;
 }
@@ -73,8 +53,6 @@ ChipConfig::scaled(std::uint32_t sub_rings, std::uint32_t cores_per)
     cfg.noc.numMemCtrls =
         sub_rings >= 4 && sub_rings % 4 == 0 ? 4 : 1;
     cfg.dram.channels = cfg.noc.numMemCtrls;
-    cfg.directPath.numSubRings = sub_rings;
-    cfg.map.numCores = cfg.numCores();
     cfg.validate();
     return cfg;
 }

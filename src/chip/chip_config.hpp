@@ -30,7 +30,6 @@ struct ChipConfig {
     mem::DramParams dram{};
     sched::SubSchedulerParams subSched{};
     sched::MainSchedulerParams mainSched{};
-    mem::MemoryMap map{};
 
     /** Per-core DRAM heap region stride (keeps regions disjoint). */
     std::uint64_t heapStride = 16ull * 1024 * 1024;
@@ -41,6 +40,9 @@ struct ChipConfig {
     { return noc.numSubRings * noc.coresPerSubRing; }
     std::uint32_t numThreadsTotal() const
     { return numCores() * core.numThreads; }
+    /** Address map: one core.spm-sized window per core. */
+    mem::MemoryMap map() const
+    { return {numCores(), core.spm.sizeBytes}; }
 
     /** Consistency checks; calls fatal() on bad combinations. */
     void validate() const;
@@ -53,10 +55,6 @@ struct ChipConfig {
      * most (32 TCG cores), lower frequency.
      */
     static ChipConfig prototype40nm();
-
-    /** The 256-core FPGA verification platform (4 cores/chip,
-     *  64 FPGAs) — same topology, slow clock. */
-    static ChipConfig fpga256();
 
     /**
      * A reduced chip for component experiments: sub_rings sub-rings

@@ -29,7 +29,7 @@ SmarcoChip::SmarcoChip(Simulator &sim, ChipConfig cfg)
 
     network_ = std::make_unique<noc::Network>(sim_, cfg_.noc, "chip.noc");
     directPath_ = std::make_unique<noc::DirectPath>(
-        sim_, cfg_.directPath, "chip.direct");
+        sim_, cfg_.directPath, cfg_.noc.numSubRings, "chip.direct");
     dram_ = std::make_unique<mem::DramController>(
         sim_, cfg_.dram, "chip.dram");
 
@@ -38,7 +38,7 @@ SmarcoChip::SmarcoChip(Simulator &sim, ChipConfig cfg)
     dmas_.reserve(n);
     for (CoreId c = 0; c < n; ++c) {
         cores_.push_back(std::make_unique<core::TcgCore>(
-            sim_, cfg_.core, c, cfg_.map.spmBaseOf(c), *this,
+            sim_, cfg_.core, c, cfg_.map().spmBaseOf(c), *this,
             strprintf("chip.core%03u", c)));
         dmas_.push_back(std::make_unique<mem::DmaEngine>(
             sim_.stats(), cfg_.core.spm.dmaChunkBytes,
@@ -239,7 +239,7 @@ workloads::AddressLayout
 SmarcoChip::layoutFor(const workloads::TaskSpec &task,
                       CoreId core_id) const
 {
-    const auto &map = cfg_.map;
+    const mem::MemoryMap map = cfg_.map();
     const std::uint32_t cps = cfg_.noc.coresPerSubRing;
     const std::uint32_t ring = core_id / cps;
     const std::uint32_t local = core_id % cps;
@@ -294,9 +294,9 @@ SmarcoChip::request(CoreId core_id, ThreadId thread, const MicroOp &op,
         };
 
     if (op.memClass == MemClass::SpmRemote) {
-        const CoreId owner = cfg_.map.isSpm(op.addr)
-            ? cfg_.map.spmOwner(op.addr)
-            : core_id;
+        const mem::MemoryMap map = cfg_.map();
+        const CoreId owner =
+            map.isSpm(op.addr) ? map.spmOwner(op.addr) : core_id;
         core::TcgCore *owner_core = cores_[owner].get();
         Packet pkt;
         pkt.src = NodeId{NodeKind::Core, core_id};
@@ -517,8 +517,9 @@ void
 SmarcoChip::dmaChunk(CoreId core_id, Addr src, Addr dst,
                      std::uint32_t bytes, std::function<void()> done)
 {
-    const bool src_dram = cfg_.map.isDram(src);
-    const bool dst_dram = cfg_.map.isDram(dst);
+    const mem::MemoryMap map = cfg_.map();
+    const bool src_dram = map.isDram(src);
+    const bool dst_dram = map.isDram(dst);
 
     if (src_dram != dst_dram) {
         // DRAM -> SPM is a read chunk answered with the data; SPM ->
@@ -534,8 +535,7 @@ SmarcoChip::dmaChunk(CoreId core_id, Addr src, Addr dst,
         return;
     }
     // SPM -> SPM transfer between sub-ring neighbours.
-    const CoreId owner = cfg_.map.isSpm(dst) ? cfg_.map.spmOwner(dst)
-                                             : core_id;
+    const CoreId owner = map.isSpm(dst) ? map.spmOwner(dst) : core_id;
     Packet pkt;
     pkt.src = NodeId{NodeKind::Core, core_id};
     pkt.dst = NodeId{NodeKind::Core, owner};
@@ -635,14 +635,8 @@ SmarcoChip::faultTargets()
             for (std::uint32_t i = 0; i < cfg_.noc.numSubRings; ++i)
                 network_->subRing(i).setFaults(rf);
         }
-        sched::RecoveryParams rp;
-        rp.heartbeatInterval = spec.heartbeatInterval;
-        rp.hangTimeout = spec.hangTimeout;
-        rp.backoffBase = spec.backoffBase;
-        rp.backoffMax = spec.backoffMax;
-        rp.maxAttempts = spec.maxAttempts;
         for (auto &s : subScheds_)
-            s->enableRecovery(rp);
+            s->enableRecovery(spec.recovery);
     };
     t.progress = [this]() {
         std::uint64_t p = 0;

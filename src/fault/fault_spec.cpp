@@ -157,15 +157,15 @@ class SpecParser
         else if (path == "mact.recoveryLatency")
             spec.mactRecoveryLatency = asCycle(v);
         else if (path == "recovery.heartbeatInterval")
-            spec.heartbeatInterval = asCycle(v);
+            spec.recovery.heartbeatInterval = asCycle(v);
         else if (path == "recovery.hangTimeout")
-            spec.hangTimeout = asCycle(v);
+            spec.recovery.hangTimeout = asCycle(v);
         else if (path == "recovery.backoffBase")
-            spec.backoffBase = asCycle(v);
+            spec.recovery.backoffBase = asCycle(v);
         else if (path == "recovery.backoffMax")
-            spec.backoffMax = asCycle(v);
+            spec.recovery.backoffMax = asCycle(v);
         else if (path == "recovery.maxAttempts")
-            spec.maxAttempts = static_cast<std::uint32_t>(v);
+            spec.recovery.maxAttempts = static_cast<std::uint32_t>(v);
         else if (path == "campaign.horizon")
             spec.horizon = asCycle(v);
         else if (path == "campaign.watchdogInterval")

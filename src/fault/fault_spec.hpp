@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <string>
 
+#include "sched/shed.hpp"
 #include "sim/simulator.hpp"
 
 namespace smarco::fault {
@@ -44,12 +45,8 @@ struct FaultSpec {
     /** Watchdog progress-check period (0 disables the watchdog). */
     Cycle watchdogInterval = 250'000;
 
-    /** Scheduler recovery knobs (mirrors sched::RecoveryParams). */
-    Cycle heartbeatInterval = 10'000;
-    Cycle hangTimeout = 60'000;
-    Cycle backoffBase = 500;
-    Cycle backoffMax = 32'000;
-    std::uint32_t maxAttempts = 8;
+    /** Scheduler heartbeat recovery, armed with the campaign. */
+    sched::RecoveryParams recovery;
 
     /**
      * Sweep scaling: every rate is multiplied by rateScale. When

@@ -15,14 +15,18 @@ namespace smarco::mem {
 /**
  * Unified address map of the SmarCo chip. SPMs are initialised with
  * unified addressing with main memory (Section 3.5.1): every core's
- * scratch-pad occupies a fixed window, and DRAM sits above.
+ * scratch-pad occupies a fixed window, and DRAM sits above. The chip
+ * builds it from its core count and SPM size (ChipConfig::map).
  */
 struct MemoryMap {
-    Addr spmBase = 0x1000'0000;
-    std::uint64_t spmPerCore = 128 * 1024;
-    std::uint32_t numCores = 256;
-    Addr dramBase = 0x8000'0000;
-    std::uint64_t dramSize = 64ull * 1024 * 1024 * 1024;
+    static constexpr Addr spmBase = 0x1000'0000;
+    static constexpr Addr dramBase = 0x8000'0000;
+
+    MemoryMap(std::uint32_t num_cores, std::uint64_t spm_per_core)
+        : numCores(num_cores), spmPerCore(spm_per_core) {}
+
+    std::uint32_t numCores;
+    std::uint64_t spmPerCore;
 
     /** Base address of core's scratch-pad window. */
     Addr
@@ -92,7 +96,5 @@ struct MactBatch {
 inline constexpr std::uint32_t kReqHeaderBytes = 8;
 /** Wire size of a read request packet (header + address/meta). */
 inline constexpr std::uint32_t kReadReqBytes = 12;
-/** Wire size of a small ack packet. */
-inline constexpr std::uint32_t kAckBytes = 4;
 
 } // namespace smarco::mem

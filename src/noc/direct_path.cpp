@@ -9,10 +9,11 @@
 namespace smarco::noc {
 
 DirectPath::DirectPath(Simulator &sim, DirectPathParams params,
+                       std::uint32_t num_sub_rings,
                        const std::string &stat_prefix)
     : sim_(sim),
       params_(params),
-      nextFree_(params.numSubRings, 0),
+      nextFree_(num_sub_rings, 0),
       transfers_(sim.stats(), stat_prefix + ".transfers",
                  "direct-path transfers"),
       bytes_(sim.stats(), stat_prefix + ".bytes",
@@ -20,8 +21,6 @@ DirectPath::DirectPath(Simulator &sim, DirectPathParams params,
       latency_(sim.stats(), stat_prefix + ".latency",
                "mean direct-path latency (cycles)")
 {
-    if (params_.numSubRings == 0)
-        fatal("direct path: zero sub-rings");
     if (params_.bytesPerCycle <= 0.0)
         fatal("direct path: non-positive bandwidth");
 }

@@ -22,7 +22,6 @@ namespace smarco::noc {
 /** Configuration of the star datapath. */
 struct DirectPathParams {
     bool enabled = true;
-    std::uint32_t numSubRings = 16;
     /** One-way latency of a star link, in cycles. */
     Cycle linkLatency = 6;
     /** Bytes one star link moves per cycle. */
@@ -30,9 +29,9 @@ struct DirectPathParams {
 };
 
 /**
- * Star links from sub-rings to the memory complex. transfer() moves
- * payload_bytes one way and fires done at arrival; each link is a
- * bandwidth-limited pipe with FIFO queueing.
+ * Star links from sub-rings to the memory complex, one per sub-ring.
+ * transfer() moves payload_bytes one way and fires done at arrival;
+ * each link is a bandwidth-limited pipe with FIFO queueing.
  */
 class DirectPath
 {
@@ -40,6 +39,7 @@ class DirectPath
     using Done = std::function<void()>;
 
     DirectPath(Simulator &sim, DirectPathParams params,
+               std::uint32_t num_sub_rings,
                const std::string &stat_prefix);
 
     bool enabled() const { return params_.enabled; }

@@ -1,7 +1,9 @@
 #include "power/power_model.hpp"
 
 #include <cmath>
+#include <utility>
 
+#include "chip/chip_config.hpp"
 #include "sim/logging.hpp"
 
 namespace smarco::power {
@@ -202,26 +204,36 @@ PowerModel::memCtrl(std::uint32_t count, double bandwidth_gbs,
 }
 
 ChipPowerReport
-smarcoPower(const SmarcoPowerSpec &spec)
+smarcoPower(const chip::ChipConfig &cfg, TechNode node, double activity)
 {
-    PowerModel model(spec.node);
+    const PowerModel model(std::move(node));
+    const auto &noc = cfg.noc;
+    const auto &core = cfg.core;
+    const std::uint32_t cores = cfg.numCores();
     ChipPowerReport report;
     report.components.push_back(model.cores(
-        spec.numCores, spec.issueWidth, spec.threadsPerCore,
-        spec.freqGHz, spec.activity));
+        cores, core.issueWidth, core.numThreads, cfg.freqGHz,
+        activity));
+    // Main-ring stops: one gateway per sub-ring, the memory
+    // controllers and the I/O ports; each sub-ring adds its gateway
+    // to its cores.
     report.components.push_back(model.ring(
-        spec.mainStops, spec.numSubRings, spec.stopsPerSubRing,
-        spec.mainBytesPerCycle, spec.subBytesPerCycle, spec.freqGHz,
-        spec.activity));
+        noc.numSubRings + noc.numMemCtrls + noc.numIo, noc.numSubRings,
+        noc.coresPerSubRing + 1,
+        2 * noc.mainFixedBytesPerDir + noc.mainFlexBytes,
+        2 * noc.subFixedBytesPerDir + noc.subFlexBytes, cfg.freqGHz,
+        activity));
     report.components.push_back(model.mact(
-        spec.numSubRings, spec.mactLines, spec.freqGHz,
-        spec.activity));
+        noc.numSubRings, cfg.mact.lines, cfg.freqGHz, activity));
     report.components.push_back(model.sram(
-        static_cast<std::uint64_t>(spec.numCores) *
-            (spec.spmBytesPerCore + spec.cacheBytesPerCore),
-        spec.freqGHz, spec.activity));
+        static_cast<std::uint64_t>(cores) *
+            (core.spm.sizeBytes + core.icache.sizeBytes +
+             core.dcache.sizeBytes),
+        cfg.freqGHz, activity));
     report.components.push_back(model.memCtrl(
-        spec.numMemCtrls, spec.memBandwidthGBs, spec.activity));
+        noc.numMemCtrls,
+        cfg.dram.channels * cfg.dram.bytesPerCycle * cfg.freqGHz,
+        activity));
     return report;
 }
 

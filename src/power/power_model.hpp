@@ -2,8 +2,8 @@
  * @file
  * Analytical area/power models in the spirit of McPAT (cores),
  * CACTI 6.0 (SRAM arrays) and Orion 2.0 (routers), which the paper
- * uses for Table 1. Constants are calibrated so the default SmarCo
- * configuration at the 32 nm node reproduces Table 1; technology
+ * uses for Table 1. Constants are calibrated so the simulated 256-core
+ * chip at the 32 nm node reproduces Table 1; technology
  * scaling then derives the 40 nm prototype and the 14 nm Xeon
  * comparisons.
  */
@@ -12,6 +12,10 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+namespace smarco::chip {
+struct ChipConfig;
+} // namespace smarco::chip
 
 namespace smarco::power {
 
@@ -93,29 +97,14 @@ class PowerModel
     TechNode node_;
 };
 
-/** Parameters of a SmarCo chip power evaluation. */
-struct SmarcoPowerSpec {
-    TechNode node = TechNode::nm32();
-    std::uint32_t numCores = 256;
-    std::uint32_t issueWidth = 4;
-    std::uint32_t threadsPerCore = 8;
-    double freqGHz = 1.5;
-    std::uint32_t numSubRings = 16;
-    std::uint32_t stopsPerSubRing = 17;
-    std::uint32_t mainStops = 22;
-    std::uint32_t mainBytesPerCycle = 64;
-    std::uint32_t subBytesPerCycle = 32;
-    std::uint32_t mactLines = 32;
-    std::uint64_t spmBytesPerCore = 128 * 1024;
-    std::uint64_t cacheBytesPerCore = 32 * 1024;
-    std::uint32_t numMemCtrls = 4;
-    double memBandwidthGBs = 136.5;
-    /** Average chip activity (1.0 = Table 1 peak design point). */
-    double activity = 1.0;
-};
-
-/** Build the Table 1 report for a SmarCo configuration. */
-ChipPowerReport smarcoPower(const SmarcoPowerSpec &spec);
+/**
+ * Build the Table 1 report for a SmarCo chip. Every component is
+ * sized from cfg, the same description the simulator instantiates;
+ * only the technology node and the average activity (1.0 = Table 1
+ * peak design point) belong to the power model.
+ */
+ChipPowerReport smarcoPower(const chip::ChipConfig &cfg, TechNode node,
+                            double activity = 1.0);
 
 /**
  * Operating power of the Xeon E7-8890V4 baseline at a given

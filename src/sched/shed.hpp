@@ -1,6 +1,8 @@
 /**
  * @file
- * Overload-control knobs of the schedulers.
+ * Overload-control and fault-recovery knobs of the schedulers. The
+ * header is light (no scheduler or core model) so that fault
+ * campaign specs can carry the recovery knobs.
  *
  * Admission control bounds the per-sub-ring queues, sheds requests
  * whose deadline is already infeasible given the queue depth, and —
@@ -32,6 +34,25 @@ struct AdmissionParams {
     /** ...and leave it only once load falls back below this one
      *  (hysteresis: the gap stops threshold flapping). */
     double degradedExit = 0.55;
+};
+
+/**
+ * Heartbeat/timeout recovery knobs (see src/fault/). The scheduler
+ * samples the committed-op counter of every in-flight task each
+ * heartbeat; a task whose counter is frozen for hangTimeout cycles is
+ * killed and re-dispatched with bounded exponential backoff. The
+ * timeout must comfortably exceed the longest legitimate memory stall
+ * (including injected DRAM stall windows) — a false positive only
+ * costs a re-run, but each one wastes the work done so far.
+ */
+struct RecoveryParams {
+    Cycle heartbeatInterval = 10'000;
+    Cycle hangTimeout = 60'000;
+    /** Re-dispatch backoff: min(base << (attempt-1), max). */
+    Cycle backoffBase = 500;
+    Cycle backoffMax = 32'000;
+    /** Failed attempts after which the task is abandoned. */
+    std::uint32_t maxAttempts = 8;
 };
 
 } // namespace smarco::sched

@@ -24,6 +24,7 @@
 
 #include "core/tcg_core.hpp"
 #include "sched/chain_table.hpp"
+#include "sched/shed.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
 #include "workloads/task.hpp"
@@ -43,25 +44,6 @@ struct SubSchedulerParams {
     /** Serial software cost per dispatched task. */
     Cycle swDispatchOverhead = 120;
     std::uint32_t chainCapacity = 512;
-};
-
-/**
- * Heartbeat/timeout recovery knobs (see src/fault/). The scheduler
- * samples the committed-op counter of every in-flight task each
- * heartbeat; a task whose counter is frozen for hangTimeout cycles is
- * killed and re-dispatched with bounded exponential backoff. The
- * timeout must comfortably exceed the longest legitimate memory stall
- * (including injected DRAM stall windows) — a false positive only
- * costs a re-run, but each one wastes the work done so far.
- */
-struct RecoveryParams {
-    Cycle heartbeatInterval = 10'000;
-    Cycle hangTimeout = 60'000;
-    /** Re-dispatch backoff: min(base << (attempt-1), max). */
-    Cycle backoffBase = 500;
-    Cycle backoffMax = 32'000;
-    /** Failed attempts after which the task is abandoned. */
-    std::uint32_t maxAttempts = 8;
 };
 
 /** Record of one completed task (Fig. 21 raw data). */

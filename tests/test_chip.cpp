@@ -21,24 +21,7 @@ TEST(ChipConfig, PresetsValidate)
     EXPECT_EQ(ChipConfig::simulated256().numCores(), 256u);
     EXPECT_EQ(ChipConfig::simulated256().numThreadsTotal(), 2048u);
     EXPECT_EQ(ChipConfig::prototype40nm().numThreadsTotal(), 256u);
-    EXPECT_EQ(ChipConfig::fpga256().numCores(), 256u);
     EXPECT_EQ(ChipConfig::scaled(2, 4).numCores(), 8u);
-}
-
-TEST(ChipConfig, Fpga256PresetInstantiates)
-{
-    // The FPGA verification platform preset: same 256-core topology
-    // at an emulation clock. A tiny run must work end to end.
-    Simulator sim;
-    chip::SmarcoChip chip(sim, ChipConfig::fpga256());
-    workloads::TaskSpec t;
-    t.id = 1;
-    t.profile = &workloads::htcProfile("kmp");
-    t.numOps = 2000;
-    t.seed = 9;
-    chip.submitTo(0, t);
-    chip.runUntilDone(10'000'000);
-    EXPECT_EQ(chip.metrics().tasksCompleted, 1u);
 }
 
 TEST(ChipConfig, MismatchedDramChannelsRejected)
@@ -325,7 +308,7 @@ TEST_F(ChipFixture, MemPortCompletesEveryRequestExactlyOnce)
     };
 
     using isa::MemClass;
-    const Addr dram = cfg.map.dramBase;
+    const Addr dram = mem::MemoryMap::dramBase;
     for (std::uint32_t round = 0; round < 4; ++round) {
         const Cycle at = 1 + 40 * round;
         const Addr line = dram + 0x1000 * (round + 1);
@@ -333,9 +316,9 @@ TEST_F(ChipFixture, MemPortCompletesEveryRequestExactlyOnce)
             // Remote SPM: a sub-ring neighbour and a core across the
             // main ring.
             issue(at, 0, MemClass::SpmRemote,
-                  cfg.map.spmBaseOf(1) + 64 * round, 8, store);
+                  cfg.map().spmBaseOf(1) + 64 * round, 8, store);
             issue(at, 2, MemClass::SpmRemote,
-                  cfg.map.spmBaseOf(6) + 64 * round, 8, store);
+                  cfg.map().spmBaseOf(6) + 64 * round, 8, store);
             // MACT-merged: small accesses to one line from both
             // sub-rings.
             const Addr merged = line + (store ? 0x400 : 0);
@@ -368,7 +351,7 @@ TEST_F(ChipFixture, WritebacksReachDramExactlyOnce)
     const std::uint32_t n = 32;
     for (std::uint32_t i = 0; i < n; ++i)
         chip->writeback(i % cfg.numCores(),
-                        cfg.map.dramBase + 0x10000 + 64 * i);
+                        mem::MemoryMap::dramBase + 0x10000 + 64 * i);
     chip->runUntilDone(1'000'000);
 
     EXPECT_EQ(chip->dram().requestsServed(), n);

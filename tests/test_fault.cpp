@@ -200,11 +200,11 @@ TEST(FaultSpecJson, ParsesNestedSpec)
     EXPECT_EQ(spec.dramStallDuration, 1234u);
     EXPECT_DOUBLE_EQ(spec.mactLossRate, 0.5);
     EXPECT_EQ(spec.mactRecoveryLatency, 99u);
-    EXPECT_EQ(spec.heartbeatInterval, 500u);
-    EXPECT_EQ(spec.hangTimeout, 9000u);
-    EXPECT_EQ(spec.backoffBase, 100u);
-    EXPECT_EQ(spec.backoffMax, 800u);
-    EXPECT_EQ(spec.maxAttempts, 3u);
+    EXPECT_EQ(spec.recovery.heartbeatInterval, 500u);
+    EXPECT_EQ(spec.recovery.hangTimeout, 9000u);
+    EXPECT_EQ(spec.recovery.backoffBase, 100u);
+    EXPECT_EQ(spec.recovery.backoffMax, 800u);
+    EXPECT_EQ(spec.recovery.maxAttempts, 3u);
     EXPECT_EQ(spec.horizon, 123456u);
     EXPECT_EQ(spec.watchdogInterval, 7777u);
     EXPECT_DOUBLE_EQ(spec.rateScale, 2.0);
@@ -341,8 +341,8 @@ TEST(FaultRecovery, HungTasksAreDetectedAndComplete)
     fault::FaultSpec spec;
     spec.coreHangRate = 20.0;
     spec.horizon = 4'000'000;
-    spec.heartbeatInterval = 2'000;
-    spec.hangTimeout = 20'000;
+    spec.recovery.heartbeatInterval = 2'000;
+    spec.recovery.hangTimeout = 20'000;
     chip::ChipMetrics m;
     smarcoRun(7, true, &spec, 3, &m);
     EXPECT_EQ(m.tasksCompleted, 24u);
@@ -364,8 +364,8 @@ TEST(FaultRecovery, BaselineWorkerKillsStillDrainTheBag)
     spec.coreKillRate = 10.0;
     spec.coreHangRate = 10.0;
     spec.horizon = 20'000'000;
-    spec.heartbeatInterval = 5'000;
-    spec.hangTimeout = 30'000;
+    spec.recovery.heartbeatInterval = 5'000;
+    spec.recovery.hangTimeout = 30'000;
     fault::FaultCampaign campaign(sim, spec, 3);
     campaign.arm(chip.faultTargets());
     sim.run(400'000'000);

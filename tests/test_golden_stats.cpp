@@ -238,8 +238,8 @@ threadSchemeRun(
         spec.coreHangRate = 40.0;
         spec.coreKillRate = 60.0;
         spec.horizon = 400'000;
-        spec.heartbeatInterval = 2'000;
-        spec.hangTimeout = 20'000;
+        spec.recovery.heartbeatInterval = 2'000;
+        spec.recovery.hangTimeout = 20'000;
         fault::FaultCampaign campaign(sim, spec, 5);
         campaign.arm(chip.faultTargets());
         chip.runUntilDone(100'000'000);

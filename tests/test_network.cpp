@@ -239,10 +239,9 @@ TEST(DirectPath, FixedLatencyTransfer)
 {
     Simulator sim;
     DirectPathParams p;
-    p.numSubRings = 4;
     p.linkLatency = 6;
     p.bytesPerCycle = 8.0;
-    DirectPath path(sim, p, "direct");
+    DirectPath path(sim, p, 4, "direct");
     Cycle done_at = 0;
     path.transfer(0, 16, 0, [&] { done_at = sim.now(); });
     sim.run(100);
@@ -252,9 +251,7 @@ TEST(DirectPath, FixedLatencyTransfer)
 TEST(DirectPath, PerSubRingChannelsIndependent)
 {
     Simulator sim;
-    DirectPathParams p;
-    p.numSubRings = 2;
-    DirectPath path(sim, p, "direct");
+    DirectPath path(sim, DirectPathParams{}, 2, "direct");
     Cycle a = 0, b = 0;
     path.transfer(0, 64, 0, [&] { a = sim.now(); });
     path.transfer(1, 64, 0, [&] { b = sim.now(); });
@@ -265,9 +262,7 @@ TEST(DirectPath, PerSubRingChannelsIndependent)
 TEST(DirectPath, SerialisationQueuesOnOneLink)
 {
     Simulator sim;
-    DirectPathParams p;
-    p.numSubRings = 1;
-    DirectPath path(sim, p, "direct");
+    DirectPath path(sim, DirectPathParams{}, 1, "direct");
     Cycle first = 0, second = 0;
     path.transfer(0, 64, 0, [&] { first = sim.now(); });
     path.transfer(0, 64, 0, [&] { second = sim.now(); });

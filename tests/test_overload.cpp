@@ -524,9 +524,9 @@ killingFaults()
     spec.coreKillRate = 40.0;
     spec.horizon = 600'000;
     spec.watchdogInterval = 100'000;
-    spec.heartbeatInterval = 5'000;
-    spec.hangTimeout = 20'000;
-    spec.maxAttempts = 64;
+    spec.recovery.heartbeatInterval = 5'000;
+    spec.recovery.hangTimeout = 20'000;
+    spec.recovery.maxAttempts = 64;
     return spec;
 }
 
@@ -774,10 +774,10 @@ moderateFaults()
     spec.dramStallRate = 1.0;
     spec.horizon = 300'000;
     spec.watchdogInterval = 100'000;
-    spec.heartbeatInterval = 5'000;
-    spec.hangTimeout = 20'000;
+    spec.recovery.heartbeatInterval = 5'000;
+    spec.recovery.hangTimeout = 20'000;
     spec.dramStallDuration = 4'000;
-    spec.maxAttempts = 64;
+    spec.recovery.maxAttempts = 64;
     return spec;
 }
 

@@ -25,7 +25,7 @@ using namespace smarco;
 
 TEST(MemoryMap, SpmWindowsPartitionTheSpmRange)
 {
-    mem::MemoryMap map;
+    const auto map = chip::ChipConfig::simulated256().map();
     for (CoreId c : {0u, 1u, 17u, 255u}) {
         const Addr base = map.spmBaseOf(c);
         EXPECT_TRUE(map.isSpm(base));
@@ -41,7 +41,7 @@ TEST(MemoryMap, SpmWindowsPartitionTheSpmRange)
 
 TEST(MemoryMap, SpmAndDramDisjoint)
 {
-    mem::MemoryMap map;
+    const auto map = chip::ChipConfig::simulated256().map();
     for (Addr a = map.spmBase; a < map.spmBase + 4096; a += 64)
         EXPECT_FALSE(map.isDram(a));
     for (Addr a = map.dramBase; a < map.dramBase + 4096; a += 64)
@@ -297,24 +297,25 @@ TEST(DramClasses, ChannelHashCoversAllChannelsForStrides)
 
 TEST(PowerProperties, MoreCoresMoreAreaAndPower)
 {
-    power::SmarcoPowerSpec small;
-    small.numCores = 64;
-    power::SmarcoPowerSpec big;
-    big.numCores = 256;
-    EXPECT_LT(power::smarcoPower(small).totalAreaMm2(),
-              power::smarcoPower(big).totalAreaMm2());
-    EXPECT_LT(power::smarcoPower(small).totalPowerW(),
-              power::smarcoPower(big).totalPowerW());
+    const auto node = power::TechNode::nm32();
+    const auto small =
+        power::smarcoPower(chip::ChipConfig::scaled(4, 16), node);
+    const auto big =
+        power::smarcoPower(chip::ChipConfig::scaled(16, 16), node);
+    EXPECT_LT(small.totalAreaMm2(), big.totalAreaMm2());
+    EXPECT_LT(small.totalPowerW(), big.totalPowerW());
 }
 
 TEST(PowerProperties, FrequencyScalesDynamicOnly)
 {
-    power::SmarcoPowerSpec slow;
+    auto slow = chip::ChipConfig::simulated256();
     slow.freqGHz = 1.0;
-    power::SmarcoPowerSpec fast;
+    auto fast = slow;
     fast.freqGHz = 2.0;
-    const auto r_slow = power::smarcoPower(slow);
-    const auto r_fast = power::smarcoPower(fast);
+    const auto r_slow =
+        power::smarcoPower(slow, power::TechNode::nm32());
+    const auto r_fast =
+        power::smarcoPower(fast, power::TechNode::nm32());
     EXPECT_LT(r_slow.totalPowerW(), r_fast.totalPowerW());
     EXPECT_DOUBLE_EQ(r_slow.totalAreaMm2(), r_fast.totalAreaMm2());
 }
