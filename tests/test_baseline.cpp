@@ -34,6 +34,22 @@ TEST(Baseline, CompletesAllTasks)
     EXPECT_TRUE(sim.finishedIdle());
 }
 
+TEST(BaselineDeathTest, TaskWithoutProfilePanics)
+{
+    // Same contract as the SmarCo chip's stream factory: a task must
+    // name the profile its micro-op stream is generated from.
+    const auto run = [] {
+        Simulator sim;
+        BaselineChip chip(sim, {});
+        workloads::TaskSpec t;
+        t.id = 7;
+        t.numOps = 100;
+        chip.spawnWorkers(1, {t});
+        sim.run(10'000'000);
+    };
+    EXPECT_DEATH(run(), "task 7 has no profile");
+}
+
 TEST(Baseline, DeterministicAcrossRuns)
 {
     Cycle end[2];
