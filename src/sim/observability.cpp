@@ -1,6 +1,7 @@
 #include "sim/observability.hpp"
 
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -20,55 +21,64 @@ obsOptions()
 
 namespace {
 
-/** Value of a --key=value argument, or empty when arg is not key. */
-bool
-flagValue(const std::string &arg, const char *key, std::string &out)
+/**
+ * One observability option: its command-line flag, its environment
+ * variable, and how a value sets it. A switch flag takes no "=value"
+ * and applies as the value "1".
+ */
+struct ObsOption {
+    const char *flag;
+    const char *env;
+    bool isSwitch;
+    void (*apply)(ObsOptions &o, const char *value);
+};
+
+std::uint64_t
+toU64(const char *v)
 {
-    const std::string prefix = std::string(key) + "=";
-    if (arg.compare(0, prefix.size(), prefix) != 0)
-        return false;
-    out = arg.substr(prefix.size());
-    return true;
+    return std::strtoull(v, nullptr, 10);
 }
+
+const ObsOption kObsOptions[] = {
+    {"--stats-json", "SMARCO_STATS_JSON", false,
+     [](ObsOptions &o, const char *v) { o.statsJsonPath = v; }},
+    {"--trace", "SMARCO_TRACE", false,
+     [](ObsOptions &o, const char *v) { o.tracePath = v; }},
+    {"--trace-categories", "SMARCO_TRACE_CATEGORIES", false,
+     [](ObsOptions &o, const char *v) {
+         o.traceCategories = parseTraceCategories(v);
+     }},
+    {"--sample-interval", "SMARCO_SAMPLE_INTERVAL", false,
+     [](ObsOptions &o, const char *v) { o.sampleInterval = toU64(v); }},
+    {"--sample-out", "SMARCO_SAMPLE_OUT", false,
+     [](ObsOptions &o, const char *v) { o.samplePath = v; }},
+    {"--no-fast-forward", "SMARCO_NO_FAST_FORWARD", true,
+     [](ObsOptions &o, const char *v) {
+         o.noFastForward = *v != '\0' && *v != '0';
+     }},
+    {"--faults", "SMARCO_FAULTS", false,
+     [](ObsOptions &o, const char *v) { o.faultsPath = v; }},
+    {"--fault-seed", "SMARCO_FAULT_SEED", false,
+     [](ObsOptions &o, const char *v) { o.faultSeed = toU64(v); }},
+};
 
 } // namespace
 
 bool
 parseObsFlag(const std::string &arg)
 {
-    ObsOptions &o = obsOptions();
-    std::string v;
-    if (flagValue(arg, "--stats-json", v)) {
-        o.statsJsonPath = v;
-        return true;
-    }
-    if (flagValue(arg, "--trace", v)) {
-        o.tracePath = v;
-        return true;
-    }
-    if (flagValue(arg, "--trace-categories", v)) {
-        o.traceCategories = parseTraceCategories(v);
-        return true;
-    }
-    if (flagValue(arg, "--sample-interval", v)) {
-        o.sampleInterval = std::strtoull(v.c_str(), nullptr, 10);
-        return true;
-    }
-    if (flagValue(arg, "--sample-out", v)) {
-        o.samplePath = v;
-        return true;
-    }
-    if (arg == "--no-fast-forward") {
-        o.noFastForward = true;
-        return true;
-    }
-    if (flagValue(arg, "--faults", v)) {
-        o.faultsPath = v;
-        return true;
-    }
-    if (flagValue(arg, "--fault-seed", v)) {
-        o.faultSeed = std::strtoull(v.c_str(), nullptr, 10);
-        return true;
+    for (const ObsOption &opt : kObsOptions) {
+        const std::size_t n = std::strlen(opt.flag);
+        if (arg.compare(0, n, opt.flag) != 0)
+            continue;
+        if (opt.isSwitch && arg.size() == n) {
+            opt.apply(obsOptions(), "1");
+            return true;
+        }
+        if (!opt.isSwitch && arg.size() > n && arg[n] == '=') {
+            opt.apply(obsOptions(), arg.c_str() + n + 1);
+            return true;
+        }
     }
     return false;
 }
@@ -76,23 +86,18 @@ parseObsFlag(const std::string &arg)
 void
 obsInitFromEnv()
 {
-    ObsOptions &o = obsOptions();
-    if (const char *v = std::getenv("SMARCO_STATS_JSON"))
-        o.statsJsonPath = v;
-    if (const char *v = std::getenv("SMARCO_TRACE"))
-        o.tracePath = v;
-    if (const char *v = std::getenv("SMARCO_TRACE_CATEGORIES"))
-        o.traceCategories = parseTraceCategories(v);
-    if (const char *v = std::getenv("SMARCO_SAMPLE_INTERVAL"))
-        o.sampleInterval = std::strtoull(v, nullptr, 10);
-    if (const char *v = std::getenv("SMARCO_SAMPLE_OUT"))
-        o.samplePath = v;
-    if (const char *v = std::getenv("SMARCO_NO_FAST_FORWARD"))
-        o.noFastForward = *v != '\0' && *v != '0';
-    if (const char *v = std::getenv("SMARCO_FAULTS"))
-        o.faultsPath = v;
-    if (const char *v = std::getenv("SMARCO_FAULT_SEED"))
-        o.faultSeed = std::strtoull(v, nullptr, 10);
+    for (const ObsOption &opt : kObsOptions) {
+        if (const char *v = std::getenv(opt.env))
+            opt.apply(obsOptions(), v);
+    }
+}
+
+void
+obsInit(int argc, const char *const *argv)
+{
+    obsInitFromEnv();
+    for (int i = 1; i < argc; ++i)
+        parseObsFlag(argv[i]);
 }
 
 namespace {
@@ -101,14 +106,12 @@ namespace {
 /**
  * glibc runs .init_array entries with (argc, argv, envp), so the
  * flags are picked up before main without touching any binary's
- * argument handling. Command line wins over environment.
+ * argument handling.
  */
 __attribute__((constructor)) void
 obsPreMain(int argc, char **argv, char ** /*envp*/)
 {
-    obsInitFromEnv();
-    for (int i = 1; i < argc; ++i)
-        parseObsFlag(argv[i]);
+    obsInit(argc, argv);
 }
 #else
 __attribute__((constructor)) void

@@ -69,6 +69,12 @@ bool parseObsFlag(const std::string &arg);
 /** Read SMARCO_* environment overrides into the global options. */
 void obsInitFromEnv();
 
+/**
+ * Read the environment, then the flags in argv[1..argc), so the
+ * command line wins. Runs before main on glibc.
+ */
+void obsInit(int argc, const char *const *argv);
+
 namespace detail {
 
 /**

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the observability layer: JSON stats export, Chrome-trace
- * event emission, interval sampling, and the logging cycle prefix.
+ * event emission, interval sampling, the logging cycle prefix, and
+ * the command-line and environment forms of the options.
  *
  * The trace and stats outputs are validated by parsing them back with
  * a small self-contained JSON parser, so a formatting regression that
@@ -10,16 +11,19 @@
 #include <cctype>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "sim/logging.hpp"
+#include "sim/observability.hpp"
 #include "sim/sampler.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
@@ -605,6 +609,112 @@ TEST(Logging, SimulatorInstallsAndRestoresCycleSource)
         EXPECT_EQ(*logCycleSource(), sim.now());
     }
     EXPECT_EQ(logCycleSource(), before);
+}
+
+// ---------------------------------------------------------------------
+// Observability options: command-line flags and SMARCO_* variables
+
+/** One option as a flag, its environment variable and a value. */
+struct OptionCase {
+    const char *flag;
+    const char *env;
+    const char *value;
+};
+
+const OptionCase kOptionCases[] = {
+    {"--stats-json", "SMARCO_STATS_JSON", "run.json"},
+    {"--trace", "SMARCO_TRACE", "run.trace"},
+    {"--trace-categories", "SMARCO_TRACE_CATEGORIES", "core,noc"},
+    {"--sample-interval", "SMARCO_SAMPLE_INTERVAL", "500"},
+    {"--sample-out", "SMARCO_SAMPLE_OUT", "run.csv"},
+    {"--no-fast-forward", "SMARCO_NO_FAST_FORWARD", "1"},
+    {"--faults", "SMARCO_FAULTS", "faults.json"},
+    {"--fault-seed", "SMARCO_FAULT_SEED", "42"},
+};
+
+std::string
+flagArg(const OptionCase &c)
+{
+    // --no-fast-forward is a switch; every other flag takes =value.
+    if (std::string(c.flag) == "--no-fast-forward")
+        return c.flag;
+    return std::string(c.flag) + "=" + c.value;
+}
+
+auto
+fieldsOf(const ObsOptions &o)
+{
+    return std::make_tuple(o.statsJsonPath, o.tracePath,
+                           o.traceCategories, o.sampleInterval,
+                           o.samplePath, o.noFastForward, o.faultsPath,
+                           o.faultSeed);
+}
+
+/**
+ * Runs each test on default options with no SMARCO_* variable set,
+ * and restores both afterwards: the options are process-global.
+ */
+class ObsOptionsTest : public ::testing::Test
+{
+  protected:
+    void SetUp() override
+    {
+        saved_ = obsOptions();
+        for (const OptionCase &c : kOptionCases) {
+            if (const char *v = std::getenv(c.env))
+                savedEnv_[c.env] = v;
+            unsetenv(c.env);
+        }
+        obsOptions() = ObsOptions{};
+    }
+
+    void TearDown() override
+    {
+        for (const OptionCase &c : kOptionCases)
+            unsetenv(c.env);
+        for (const auto &[name, value] : savedEnv_)
+            setenv(name.c_str(), value.c_str(), 1);
+        obsOptions() = saved_;
+    }
+
+  private:
+    ObsOptions saved_;
+    std::map<std::string, std::string> savedEnv_;
+};
+
+TEST_F(ObsOptionsTest, FlagAndVariableSetTheSameField)
+{
+    for (const OptionCase &c : kOptionCases) {
+        obsOptions() = ObsOptions{};
+        ASSERT_TRUE(parseObsFlag(flagArg(c))) << c.flag;
+        const auto from_flag = fieldsOf(obsOptions());
+
+        obsOptions() = ObsOptions{};
+        setenv(c.env, c.value, 1);
+        obsInitFromEnv();
+        unsetenv(c.env);
+        const auto from_env = fieldsOf(obsOptions());
+
+        EXPECT_EQ(from_flag, from_env) << c.flag << " vs " << c.env;
+        EXPECT_NE(from_flag, fieldsOf(ObsOptions{})) << c.flag;
+    }
+    EXPECT_FALSE(parseObsFlag("--not-an-option=1"));
+    EXPECT_FALSE(parseObsFlag("--trace-categoriesx=core"));
+    EXPECT_FALSE(parseObsFlag("--no-fast-forward=1"));
+}
+
+TEST_F(ObsOptionsTest, CommandLineWinsOverEnvironment)
+{
+    setenv("SMARCO_SAMPLE_INTERVAL", "100", 1);
+    setenv("SMARCO_TRACE", "env.trace", 1);
+    setenv("SMARCO_NO_FAST_FORWARD", "0", 1);
+    const char *argv[] = {"binary", "--sample-interval=200",
+                          "--no-fast-forward", "unrelated"};
+    obsInit(4, argv);
+    EXPECT_EQ(obsOptions().sampleInterval, 200u);
+    EXPECT_TRUE(obsOptions().noFastForward);
+    // An option absent from the command line keeps the variable's.
+    EXPECT_EQ(obsOptions().tracePath, "env.trace");
 }
 
 } // namespace
