@@ -77,12 +77,12 @@ SmarcoChip::SmarcoChip(Simulator &sim, ChipConfig cfg)
             sub.addCore(cores_[g * cfg_.noc.coresPerSubRing + k].get());
         sub.setStreamFactory(
             [this](const workloads::TaskSpec &task, CoreId core_id) {
-                if (!task.profile)
-                    panic("task %llu has no profile",
-                          static_cast<unsigned long long>(task.id));
+                // layoutFor() rejects a task with no profile, so it
+                // runs before the profile is dereferenced.
+                const workloads::AddressLayout layout =
+                    layoutFor(task, core_id);
                 return std::make_unique<workloads::ProfileStream>(
-                    *task.profile, layoutFor(task, core_id),
-                    task.numOps, task.seed);
+                    *task.profile, layout, task.numOps, task.seed);
             });
         sub.setStageFn([this](CoreId core_id,
                               const workloads::TaskSpec &task,
@@ -239,6 +239,9 @@ workloads::AddressLayout
 SmarcoChip::layoutFor(const workloads::TaskSpec &task,
                       CoreId core_id) const
 {
+    if (!task.profile)
+        panic("task %llu has no profile",
+              static_cast<unsigned long long>(task.id));
     const mem::MemoryMap map = cfg_.map();
     const std::uint32_t cps = cfg_.noc.coresPerSubRing;
     const std::uint32_t ring = core_id / cps;
@@ -252,13 +255,11 @@ SmarcoChip::layoutFor(const workloads::TaskSpec &task,
     layout.spmRemoteSize = cores_[neighbour]->spm().dataBytes();
     layout.heapBase = map.dramBase +
         static_cast<Addr>(core_id) * cfg_.heapStride;
-    layout.heapSize = task.profile ? task.profile->heapWorkingSet
-                                   : 256 * 1024;
+    layout.heapSize = task.profile->heapWorkingSet;
     layout.streamBase = map.dramBase +
         static_cast<Addr>(cfg_.numCores()) * cfg_.heapStride +
         static_cast<Addr>(core_id) * cfg_.streamStride;
-    layout.streamSize = task.profile ? task.profile->streamWorkingSet
-                                     : 4 * 1024 * 1024;
+    layout.streamSize = task.profile->streamWorkingSet;
     return layout;
 }
 

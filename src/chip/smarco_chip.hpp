@@ -109,7 +109,8 @@ class SmarcoChip : public core::MemPort
     mem::Mact &mact(std::uint32_t sub_ring)
     { return *macts_[sub_ring]; }
 
-    /** Address layout a task sees when placed on a core. */
+    /** Address layout a task sees when placed on a core; panics when
+     *  the task names no profile. */
     workloads::AddressLayout layoutFor(const workloads::TaskSpec &task,
                                        CoreId core) const;
 

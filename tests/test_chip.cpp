@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "sim/logging.hpp"
 #include "chip/chip_config.hpp"
 #include "chip/smarco_chip.hpp"
@@ -29,6 +31,30 @@ TEST(ChipConfig, MismatchedDramChannelsRejected)
     auto cfg = ChipConfig::scaled(4, 4);
     cfg.dram.channels = 2; // noc has 4 MCs
     EXPECT_DEATH(cfg.validate(), "DRAM channels");
+}
+
+TEST(ChipDeathTest, TaskWithoutProfilePanicsBeforeStaging)
+{
+    // A task must name the profile its layout and micro-op stream
+    // come from. The chip checks when it lays the task out, before
+    // its input is DMA-staged, so no DRAM traffic moves for it.
+    const auto run = [] {
+        Simulator sim;
+        SmarcoChip chip(sim, ChipConfig::scaled(1, 4));
+        workloads::TaskSpec t;
+        t.id = 7;
+        t.numOps = 100;
+        t.inputBytes = 4096;
+        chip.submit({t});
+        std::function<void()> watch = [&] {
+            if (sim.stats().total("chip.dma", ".bytes") > 0.0)
+                panic("DMA staged for a task with no profile");
+            sim.events().schedule(sim.now() + 1, watch);
+        };
+        sim.events().schedule(0, watch);
+        chip.runUntilDone(10'000'000);
+    };
+    EXPECT_DEATH(run(), "task 7 has no profile");
 }
 
 namespace {
