@@ -76,6 +76,7 @@ BaselineChip::BaselineChip(Simulator &sim, BaselineParams params)
             sim.stats(), tlb, strprintf("base.core%02u.dtlb", c));
         core.slots.resize(params_.smtPerCore);
     }
+    slotWake_.assign(params_.numCores * params_.smtPerCore, kNoCycle);
     sim.addTicking(this);
 }
 
@@ -112,6 +113,7 @@ BaselineChip::spawnWorkers(std::uint32_t num_threads,
 {
     if (num_threads == 0)
         fatal("baseline: zero worker threads");
+    settleForOutsideChange();
     persistent_ = persistent;
     for (auto &t : tasks)
         bag_.push_back(t);
@@ -119,8 +121,6 @@ BaselineChip::spawnWorkers(std::uint32_t num_threads,
     const std::uint32_t base =
         static_cast<std::uint32_t>(threads_.size());
     threads_.resize(base + num_threads);
-    const std::uint32_t hw_slots =
-        params_.numCores * params_.smtPerCore;
     for (std::uint32_t k = 0; k < num_threads; ++k) {
         SwThread &t = threads_[base + k];
         t.id = base + k;
@@ -129,13 +129,14 @@ BaselineChip::spawnWorkers(std::uint32_t num_threads,
         t.readyAt = sim_.now() +
             static_cast<Cycle>(k + 1) * params_.threadCreateCost;
         t.rng = Rng(0xba5e + t.id, t.id);
-        const std::uint32_t slot = t.id % hw_slots;
+        const std::uint32_t slot = slotOf(t);
         cores_[slot / params_.smtPerCore]
             .slots[slot % params_.smtPerCore].push_back(t.id);
         ++liveThreads_;
         ++startingCount_;
     }
-    sim_.wake(this);
+    for (std::uint32_t slot = 0; slot < slotWake_.size(); ++slot)
+        refreshSlot(slot);
 }
 
 void
@@ -156,6 +157,7 @@ void
 BaselineChip::submitRequest(workloads::TaskSpec task,
                             workloads::RequestHook hook)
 {
+    settleForOutsideChange();
     task.hook = hook ? std::make_shared<const workloads::RequestHook>(
                            std::move(hook))
                      : nullptr;
@@ -178,14 +180,11 @@ BaselineChip::taskDone(SwThread &t, Cycle now)
         ++deadlineMisses_;
     if (admissionOn_ && t.hasTask)
         e2eLatency_->sample(static_cast<double>(now - t.task.release));
-    if (t.hasTask) {
-        const std::uint32_t slot =
-            t.id % (params_.numCores * params_.smtPerCore);
+    if (t.hasTask)
         workloads::resolve(t.task,
                            {.completed = true,
                             .when = now,
-                            .core = slot / params_.smtPerCore});
-    }
+                            .core = slotOf(t) / params_.smtPerCore});
     nextTask(t, now);
 }
 
@@ -205,6 +204,7 @@ BaselineChip::restartWorker(SwThread &t, Cycle now)
     t.hasPending = false;
     t.state = SwThread::State::Runnable;
     t.readyAt = now + params_.threadCreateCost;
+    refreshSlot(slotOf(t));
 }
 
 bool
@@ -212,6 +212,7 @@ BaselineChip::injectWorkerFault(bool hang, Rng &rng, Cycle now)
 {
     if (threads_.empty())
         return false;
+    settleForOutsideChange();
     const std::uint32_t n =
         static_cast<std::uint32_t>(threads_.size());
     const std::uint32_t start =
@@ -226,6 +227,7 @@ BaselineChip::injectWorkerFault(bool hang, Rng &rng, Cycle now)
             t.hung = true;
             t.hungSince = now;
             ++workerHangs_;
+            refreshSlot(slotOf(t));
         } else {
             ++workerKills_;
             restartWorker(t, now);
@@ -245,6 +247,7 @@ BaselineChip::armRecovery(Cycle interval, Cycle timeout)
 {
     if (interval == 0 || timeout == 0)
         fatal("baseline: zero recovery interval");
+    settleForOutsideChange();
     recoveryOn_ = true;
     recoveryInterval_ = interval;
     recoveryTimeout_ = timeout;
@@ -398,12 +401,14 @@ BaselineChip::memAccess(Core &core, SwThread &t, Addr addr,
     ++pendingMisses_;
     const std::uint32_t tid = t.id;
     dram_->serve(addr, 64, now, [this, tid]() {
+        settleForOutsideChange();
         SwThread &th = threads_[tid];
         --th.outstanding;
         --pendingMisses_;
         if (th.state == SwThread::State::Stalled) {
             th.state = SwThread::State::Runnable;
             th.readyAt = std::max(th.readyAt, sim_.now());
+            refreshSlot(slotOf(th));
         }
     });
 
@@ -455,11 +460,138 @@ BaselineChip::executeOp(Core &core, SwThread &t, const MicroOp &op,
 }
 
 void
+BaselineChip::settleForOutsideChange()
+{
+    settle(sim_.now() + (sim_.tickPassed(this) ? 1 : 0));
+    sim_.wake(this);
+}
+
+void
+BaselineChip::refreshSlot(std::uint32_t slot)
+{
+    const auto &q =
+        cores_[slot / params_.smtPerCore].slots[slot % params_.smtPerCore];
+    Cycle wake = kNoCycle;
+    if (!q.empty()) {
+        const SwThread &t = threads_[q.front()];
+        if (!t.hung && (t.state == SwThread::State::Starting ||
+                        t.state == SwThread::State::Runnable))
+            wake = t.readyAt;
+    }
+    slotWake_[slot] = wake;
+    wakeMin_ = std::min(wakeMin_, wake);
+}
+
+Cycle
+BaselineChip::nextActiveCycle(Cycle now) const
+{
+    if (liveThreads_ == 0)
+        return kNoCycle;
+    // An idle persistent pool stays awake so that settle() can tell
+    // a sleep from the kernel's idle jump.
+    if (!busy() || retirable())
+        return now + 1;
+    Cycle next = wakeMin_;
+    if (oversubscribed())
+        next = std::min(next, nextRotate_);
+    if (recoveryOn_)
+        next = std::min(next, nextScan_);
+    return std::max(next, now + 1);
+}
+
+void
+BaselineChip::settle(Cycle now)
+{
+    if (now <= nextTick_)
+        return;
+    const Cycle from = nextTick_;
+    const Cycle n = now - from;
+    nextTick_ = now;
+    // The chip sleeps only while busy(), and busy() cannot change
+    // without a settle first. A gap while it is not busy is thus the
+    // kernel's idle jump, which skips these ticks in both kernel
+    // modes (and a chip with no live thread ticks as a no-op).
+    if (!busy())
+        return;
+    // A skipped tick only counts its cycle and offered slots and
+    // advances the rotation clock; nextActiveCycle() keeps every
+    // other effect from being skipped.
+    const Cycle rotate = std::max(from, nextRotate_);
+    if (*std::min_element(slotWake_.begin(), slotWake_.end()) < now ||
+        (recoveryOn_ && nextScan_ < now) ||
+        (oversubscribed() && rotate < now))
+        panic("baseline: skipped an active tick in [%llu, %llu)",
+              static_cast<unsigned long long>(from),
+              static_cast<unsigned long long>(now));
+    cycles_ += static_cast<double>(n);
+    slotsOffered_ += static_cast<double>(
+        n * params_.issueWidth * params_.numCores);
+    if (rotate < now) {
+        // Rotations fire at rotate, rotate + quantum, ... below now.
+        const Cycle q = params_.schedQuantum;
+        nextRotate_ = q == 0 ? now - 1
+                             : rotate + ((now - 1 - rotate) / q + 1) * q;
+    }
+}
+
+void
+BaselineChip::runThread(Core &core, SwThread &t, Cycle now,
+                        std::uint32_t &budget)
+{
+    if (t.hung)
+        return; // frozen fault: holds the slot until restart
+    if (t.state == SwThread::State::Starting) {
+        if (now >= t.readyAt) {
+            --startingCount_;
+            nextTask(t, now);
+        }
+        return;
+    }
+    if (t.state != SwThread::State::Runnable || t.readyAt > now)
+        return;
+    if (!t.hasTask) {
+        nextTask(t, now); // poll the queue again
+        if (!t.hasTask)
+            return;
+    }
+    const double ilp = t.task.profile->ilp * params_.ilpBoost;
+    const auto base_cap = static_cast<std::uint32_t>(ilp);
+    const std::uint32_t cap = base_cap +
+        (t.rng.chance(ilp - base_cap) ? 1u : 0u);
+    if (!fetchOk(core, t, now))
+        return;
+    std::uint32_t issued = 0;
+    while (budget > 0 && issued < cap &&
+           t.state == SwThread::State::Runnable && t.readyAt <= now) {
+        if (!t.hasPending) {
+            if (!t.stream || !t.stream->next(t.pending)) {
+                taskDone(t, now);
+                break;
+            }
+            t.hasPending = true;
+        }
+        const MicroOp op = t.pending;
+        const double before = committed_.value();
+        const bool more = executeOp(core, t, op, now);
+        if (committed_.value() > before) {
+            ++issued;
+            --budget;
+        }
+        if (!more)
+            break;
+    }
+}
+
+void
 BaselineChip::tick(Cycle now)
 {
+    settle(now);
+    nextTick_ = now + 1;
     if (liveThreads_ == 0)
         return;
     ++cycles_;
+    slotsOffered_ +=
+        static_cast<double>(params_.issueWidth * params_.numCores);
 
     // OS watchdog: restart workers hung past the timeout.
     if (recoveryOn_ && now >= nextScan_) {
@@ -472,88 +604,56 @@ BaselineChip::tick(Cycle now)
         }
     }
 
-    for (auto &core : cores_) {
-        // OS time slicing when software threads oversubscribe a slot.
-        if (now >= core.nextRotate) {
-            core.nextRotate = now + params_.schedQuantum;
-            for (auto &slot : core.slots) {
-                if (slot.size() > 1) {
-                    slot.push_back(slot.front());
-                    slot.pop_front();
-                    SwThread &in = threads_[slot.front()];
-                    in.readyAt = std::max(
-                        in.readyAt, now + params_.contextSwitchCost);
-                    ++switches_;
-                }
-            }
-        }
-
-        slotsOffered_ += static_cast<double>(params_.issueWidth);
-        std::uint32_t budget = params_.issueWidth;
-        for (auto &slot : core.slots) {
-            if (budget == 0 || slot.empty())
+    // OS time slicing when software threads oversubscribe a slot.
+    if (now >= nextRotate_) {
+        nextRotate_ = now + params_.schedQuantum;
+        for (std::uint32_t slot = 0; slot < slotWake_.size(); ++slot) {
+            auto &q = cores_[slot / params_.smtPerCore]
+                          .slots[slot % params_.smtPerCore];
+            if (q.size() < 2)
                 continue;
-            SwThread &t = threads_[slot.front()];
-            if (t.hung)
-                continue; // frozen fault: holds the slot until restart
-            if (t.state == SwThread::State::Starting) {
-                if (now >= t.readyAt) {
-                    --startingCount_;
-                    nextTask(t, now);
-                }
-                continue;
-            }
-            if (t.state != SwThread::State::Runnable ||
-                t.readyAt > now)
-                continue;
-            if (!t.hasTask) {
-                nextTask(t, now); // poll the queue again
-                if (!t.hasTask)
-                    continue;
-            }
-            const double ilp = t.task.profile->ilp * params_.ilpBoost;
-            const auto base_cap = static_cast<std::uint32_t>(ilp);
-            const std::uint32_t cap = base_cap +
-                (t.rng.chance(ilp - base_cap) ? 1u : 0u);
-            if (!fetchOk(core, t, now))
-                continue;
-            std::uint32_t issued = 0;
-            while (budget > 0 && issued < cap &&
-                   t.state == SwThread::State::Runnable &&
-                   t.readyAt <= now) {
-                if (!t.hasPending) {
-                    if (!t.stream ||
-                        !t.stream->next(t.pending)) {
-                        taskDone(t, now);
-                        break;
-                    }
-                    t.hasPending = true;
-                }
-                const MicroOp op = t.pending;
-                const double before = committed_.value();
-                const bool more = executeOp(core, t, op, now);
-                if (committed_.value() > before) {
-                    ++issued;
-                    --budget;
-                }
-                if (!more)
-                    break;
-            }
+            q.push_back(q.front());
+            q.pop_front();
+            SwThread &in = threads_[q.front()];
+            in.readyAt =
+                std::max(in.readyAt, now + params_.contextSwitchCost);
+            ++switches_;
+            refreshSlot(slot);
         }
     }
+
+    // Visit each core's slots in order under its issue budget,
+    // skipping slots whose front thread cannot act yet, and recompute
+    // the earliest wake time on the way.
+    const std::uint32_t smt = params_.smtPerCore;
+    Cycle wake_min = kNoCycle;
+    for (std::uint32_t c = 0; c < cores_.size(); ++c) {
+        std::uint32_t budget = params_.issueWidth;
+        for (std::uint32_t w = 0; w < smt; ++w) {
+            const std::uint32_t slot = c * smt + w;
+            if (slotWake_[slot] <= now && budget > 0) {
+                runThread(cores_[c],
+                          threads_[cores_[c].slots[w].front()], now,
+                          budget);
+                refreshSlot(slot);
+            }
+            wake_min = std::min(wake_min, slotWake_[slot]);
+        }
+    }
+    wakeMin_ = wake_min;
 
     // Run completion (non-persistent pools): once the bag is dry and
     // every worker has parked, retire the pool so the simulator can
     // go idle.
-    if (!persistent_ && bag_.empty() && pendingMisses_ == 0 &&
-        activeTasks_ == 0 && startingCount_ == 0 &&
-        liveThreads_ > 0) {
+    if (retirable()) {
         for (auto &t : threads_) {
             if (t.state != SwThread::State::Finished) {
                 t.state = SwThread::State::Finished;
                 --liveThreads_;
             }
         }
+        std::fill(slotWake_.begin(), slotWake_.end(), kNoCycle);
+        wakeMin_ = kNoCycle;
     }
 }
 

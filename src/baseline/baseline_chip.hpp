@@ -145,9 +145,21 @@ class BaselineChip : public Ticking
 
     void tick(Cycle now) override;
     bool busy() const override;
-    /** A chip with no live software thread sleeps until spawn. */
-    Cycle nextActiveCycle(Cycle now) const override
-    { return liveThreads_ == 0 ? kNoCycle : now + 1; }
+    /**
+     * The earliest cycle a tick can change state: a slot's wake time,
+     * the next context switch (only when some slot holds more than
+     * one thread) or the next watchdog scan. A chip with no live
+     * software thread sleeps until spawn; an idle persistent pool
+     * stays awake (see settle()).
+     */
+    Cycle nextActiveCycle(Cycle now) const override;
+    /**
+     * Replay the skipped ticks' active-cycle and offered-slot counts
+     * and the rotation clock (see Ticking::settle). A gap while the
+     * chip is not busy() is the kernel's idle jump, which ticks
+     * nothing in either kernel mode, and is not replayed.
+     */
+    void settle(Cycle now) override;
 
     BaselineMetrics metrics() const;
     Simulator &sim() { return sim_; }
@@ -207,10 +219,31 @@ class BaselineChip : public Ticking
         std::unique_ptr<mem::Cache> dtlb;
         /** Software threads affined to each SMT slot, front = live. */
         std::vector<std::deque<std::uint32_t>> slots;
-        Cycle nextRotate = 0;
     };
 
     workloads::AddressLayout layoutFor(const SwThread &t) const;
+    /** Run one slot's front thread for this cycle. */
+    void runThread(Core &core, SwThread &t, Cycle now,
+                   std::uint32_t &budget);
+    /** Flat SMT slot (core * smtPerCore + way) a thread is affined to. */
+    std::uint32_t slotOf(const SwThread &t) const
+    { return t.id % static_cast<std::uint32_t>(slotWake_.size()); }
+    /** Some slot holds more than one thread, so rotations switch
+     *  contexts (otherwise they only advance nextRotate_). */
+    bool oversubscribed() const
+    { return threads_.size() > slotWake_.size(); }
+    /** Recompute slotWake_[slot] from the slot's front thread. */
+    void refreshSlot(std::uint32_t slot);
+    /** Non-persistent pool with nothing left to run: retire it. */
+    bool retirable() const
+    {
+        return !persistent_ && bag_.empty() && pendingMisses_ == 0 &&
+               activeTasks_ == 0 && startingCount_ == 0 &&
+               liveThreads_ > 0;
+    }
+    /** Settle before a state change made from outside tick(), then
+     *  wake the chip so its hint is recomputed. */
+    void settleForOutsideChange();
     void nextTask(SwThread &t, Cycle now);
     /** Record and resolve a completion, then pop the next task. */
     void taskDone(SwThread &t, Cycle now);
@@ -242,6 +275,23 @@ class BaselineChip : public Ticking
     Cycle recoveryTimeout_ = 60'000;
     Cycle nextScan_ = 0;
     Cycle lastTaskFinish_ = 0;
+    /** OS time-slice clock, shared by every core: all of them start
+     *  at 0 and every live tick visits every core. */
+    Cycle nextRotate_ = 0;
+    /**
+     * Per SMT slot: the cycle its front thread can next act, i.e. its
+     * readyAt when it is Starting or Runnable and not hung, else
+     * kNoCycle. A tick visits only slots whose wake time has come;
+     * it is refreshed wherever a front thread's state, readyAt or
+     * hung flag changes, and wherever a slot's front changes.
+     */
+    std::vector<Cycle> slotWake_;
+    /** At most min(slotWake_): recomputed by each tick, lowered by
+     *  every refresh in between (a raised entry leaves it early,
+     *  which costs one spurious tick). */
+    Cycle wakeMin_ = kNoCycle;
+    /** First cycle whose tick is not yet accounted (see settle()). */
+    Cycle nextTick_ = 0;
 
     Scalar committed_;
     Scalar cycles_;

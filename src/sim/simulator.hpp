@@ -60,12 +60,15 @@ class Ticking
      *
      * Amendment: a component may also skip ticks whose only effects
      * are its own counters, its rotation state and draws on its own
-     * RNGs (e.g. a core whose live contexts all wait on memory). It
-     * may do so only if settle(now) applies exactly those effects for
-     * every skipped cycle before now, and it must settle before any
-     * change to its state made from outside tick(). Forced mode still
-     * ticks every component every cycle, so it proves the skips
-     * byte-identical.
+     * RNGs (e.g. a TCG core whose live contexts all wait on memory,
+     * or the baseline chip between the cycles in which a slot's front
+     * thread, an OS time slice or its watchdog can act). It may do so
+     * only if settle(now) applies exactly those effects for every
+     * skipped cycle before now, and it must settle before any change
+     * to its state made from outside tick(). Cycles the kernel's idle
+     * jump skips are not ticked in either mode, so settle() must not
+     * replay them. Forced mode still ticks every component every
+     * cycle, so it proves the skips byte-identical.
      */
     virtual Cycle nextActiveCycle(Cycle now) const { return now + 1; }
 

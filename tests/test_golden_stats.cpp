@@ -84,23 +84,182 @@ smarcoRun(bool fast_forward)
     return dumpStats(sim);
 }
 
-/** The covered baseline config: 4 cores, shrunken LLC for speed. */
-std::string
-baselineRun(bool fast_forward)
+/** The covered baseline chip: 4 cores, shrunken LLC for speed. */
+baseline::BaselineParams
+smallBaseline()
 {
-    Simulator sim;
-    sim.setFastForward(fast_forward);
     baseline::BaselineParams bp;
     bp.numCores = 4;
     bp.llc = mem::CacheParams{"llc", 4 * 1024 * 1024, 16, 64, 38};
-    baseline::BaselineChip chip(sim, bp);
+    return bp;
+}
+
+/** Sees a baseline run's simulator after it finishes. */
+using SimInspect = std::function<void(Simulator &)>;
+
+/**
+ * The covered baseline config: a closed batch on smallBaseline().
+ * sampled adds an interval sampler whose probes read the counters a
+ * sleeping chip settles, and appends the samples to the dump.
+ */
+std::string
+baselineRun(bool fast_forward, bool sampled = false,
+            const SimInspect &inspect = {})
+{
+    Simulator sim;
+    sim.setFastForward(fast_forward);
+    baseline::BaselineChip chip(sim, smallBaseline());
+    if (sampled) {
+        sim.sampler().setInterval(7'919);
+        for (const char *name :
+             {"base.cycles", "base.slotsOffered", "base.committed"}) {
+            const Stat &stat = sim.stats().get(name);
+            sim.sampler().addProbe(name,
+                                   [&stat] { return stat.value(); });
+        }
+    }
     workloads::TaskSetParams tp;
     tp.count = 12;
     tp.seed = 42;
     chip.spawnWorkers(8, workloads::makeTaskSet(
                              workloads::htcProfile("search"), tp));
     sim.run(200'000'000);
+    if (inspect)
+        inspect(sim);
+    if (!sampled)
+        return dumpStats(sim);
+    std::ostringstream os;
+    os << dumpStats(sim) << '\n';
+    sim.sampler().dumpCsv(os);
+    return os.str();
+}
+
+/** First spawn cycle of baselineOversubscribedRun. */
+constexpr Cycle kOversubscribedSpawn = 50'000;
+
+/**
+ * Baseline wake path, oversubscribed slots: 20 software threads on 4 cores x 2 SMT
+ * with a short quantum, so slots hold several threads and context
+ * switches happen. The workers are spawned in two batches from
+ * events: 8 after an idle start, while no thread is live, and 12
+ * more while the first batch is still being created, so a spawn
+ * lands on a sleeping chip that has slept across a rotation.
+ */
+std::string
+baselineOversubscribedRun(bool fast_forward,
+                          const SimInspect &inspect = {})
+{
+    Simulator sim;
+    sim.setFastForward(fast_forward);
+    baseline::BaselineParams bp = smallBaseline();
+    bp.schedQuantum = 20'000;
+    baseline::BaselineChip chip(sim, bp);
+    workloads::TaskSetParams tp;
+    tp.count = 24;
+    tp.seed = 42;
+    auto first = workloads::makeTaskSet(
+        workloads::htcProfile("search"), tp);
+    tp.count = 16;
+    tp.seed = 43;
+    auto second = workloads::makeTaskSet(
+        workloads::htcProfile("wordcount"), tp);
+    sim.events().schedule(kOversubscribedSpawn,
+                          [&] { chip.spawnWorkers(8, first); });
+    sim.events().schedule(kOversubscribedSpawn + 25'000,
+                          [&] { chip.spawnWorkers(12, second); });
+    sim.run(200'000'000);
+    if (inspect)
+        inspect(sim);
     return dumpStats(sim);
+}
+
+/**
+ * Baseline wake path, faults: the hang + kill + DRAM-stall campaign of
+ * FaultRecovery.BaselineWorkerKillsStillDrainTheBag with the OS
+ * watchdog on. The campaign is armed from an event while every
+ * worker is still being created and the chip sleeps, at a cycle off
+ * the watchdog interval's grid.
+ */
+std::string
+baselineFaultedRun(bool fast_forward, const SimInspect &inspect = {})
+{
+    Simulator sim;
+    sim.setFastForward(fast_forward);
+    baseline::BaselineChip chip(sim, smallBaseline());
+    workloads::TaskSetParams tp;
+    tp.count = 16;
+    tp.seed = 3;
+    chip.spawnWorkers(8, workloads::makeTaskSet(
+                             workloads::htcProfile("wordcount"), tp));
+    fault::FaultSpec spec;
+    spec.coreKillRate = 10.0;
+    spec.coreHangRate = 10.0;
+    spec.dramStallRate = 10.0;
+    spec.horizon = 20'000'000;
+    spec.recovery.heartbeatInterval = 5'000;
+    spec.recovery.hangTimeout = 30'000;
+    fault::FaultCampaign campaign(sim, spec, 3);
+    sim.events().schedule(12'345,
+                          [&] { campaign.arm(chip.faultTargets()); });
+    sim.run(400'000'000);
+    if (inspect)
+        inspect(sim);
+    return dumpStats(sim);
+}
+
+/**
+ * Baseline wake path, open loop: a persistent pool behind admission (a
+ * bounded bag plus early drop of requests that can no longer meet
+ * their deadline), fed open-loop through runtime::OverloadDriver: a
+ * burst above capacity, then a sparse trickle during which the
+ * workers park on the empty bag and poll every 500 cycles, and the
+ * kernel jumps over the gaps in which nothing is in flight.
+ */
+std::string
+baselineOpenLoopRun(bool fast_forward, const SimInspect &inspect = {})
+{
+    const auto profile = workloads::CdnWorkload().chunkProfile(300);
+
+    Simulator sim;
+    sim.setFastForward(fast_forward);
+    baseline::BaselineChip chip(sim, smallBaseline());
+    chip.enableAdmission(6);
+    chip.spawnWorkers(4, {}, /*persistent=*/true);
+
+    runtime::OverloadParams op;
+    op.seed = 42;
+    runtime::OverloadDriver driver(chip, op);
+    workloads::RequestGenParams gp;
+    gp.count = 40;
+    gp.start = 150'000;
+    gp.ratePerKCycle = 0.5;
+    gp.relativeDeadline = 60'000;
+    gp.opsOverride = 4'000;
+    gp.seed = 42;
+    driver.drive(makePoissonRequests(profile, gp));
+    gp.count = 8;
+    gp.start = 600'000;
+    gp.ratePerKCycle = 0.01;
+    gp.firstId = 40;
+    driver.drive(makePoissonRequests(profile, gp));
+    sim.run(200'000'000);
+    if (inspect)
+        inspect(sim);
+    return dumpStats(sim);
+}
+
+/**
+ * The oversubscribed, faulted and open-loop wake paths as one JSON
+ * object. Both kernel modes visit only the slots whose wake time has
+ * come, so a missing wake-time refresh shows in this snapshot and
+ * not in a mode comparison.
+ */
+std::string
+baselineWakePathsRun()
+{
+    return "{\n\"oversubscribed\":" + baselineOversubscribedRun(true) +
+           ",\n\"faulted\":" + baselineFaultedRun(true) +
+           ",\n\"open_loop\":" + baselineOpenLoopRun(true) + "\n}\n";
 }
 
 /**
@@ -462,6 +621,75 @@ TEST(GoldenStats, FastForwardMatchesForcedModeBaseline)
 {
     expectIdentical(baselineRun(true), baselineRun(false),
                     "baseline fast-forward vs forced dump");
+}
+
+TEST(GoldenStats, BaselineWakeRunsExerciseEveryWakePath)
+{
+    // Checked on the tick-every-cycle kernel, the reference the
+    // fast-forward dumps are compared against.
+    const auto stat = [](Simulator &sim, const char *name) {
+        return sim.stats().get(name).value();
+    };
+    baselineOversubscribedRun(false, [&](Simulator &sim) {
+        EXPECT_GT(stat(sim, "base.switches"), 0.0);
+        EXPECT_EQ(stat(sim, "base.tasksDone"), 40.0);
+        // No tick before the first spawn counts as active.
+        EXPECT_LE(stat(sim, "base.cycles"),
+                  static_cast<double>(sim.now() - kOversubscribedSpawn));
+    });
+    baselineFaultedRun(false, [&](Simulator &sim) {
+        EXPECT_GT(stat(sim, "base.workerHangs"), 0.0);
+        EXPECT_GT(stat(sim, "base.workerKills"), 0.0);
+        EXPECT_GT(stat(sim, "base.recoveries"), 0.0);
+        EXPECT_GT(stat(sim, "base.dram.faultStalls"), 0.0);
+        EXPECT_EQ(stat(sim, "base.tasksDone"), 16.0);
+    });
+    baselineOpenLoopRun(false, [&](Simulator &sim) {
+        EXPECT_GT(stat(sim, "base.shedQueueFull"), 0.0);
+        EXPECT_GT(stat(sim, "base.tasksExpired"), 0.0);
+        EXPECT_GT(stat(sim, "runtime.overload.retries"), 0.0);
+        EXPECT_GT(stat(sim, "runtime.overload.completed"), 0.0);
+        // The persistent pool lives from cycle 0 on, so every tick
+        // that ran counts as active and every cycle the kernel's idle
+        // jump skipped does not.
+        EXPECT_GT(sim.cyclesSkipped(), 0u);
+        EXPECT_EQ(stat(sim, "base.cycles"),
+                  static_cast<double>(sim.now() - sim.cyclesSkipped()));
+    });
+    baselineRun(false, /*sampled=*/true, [](Simulator &sim) {
+        EXPECT_GT(sim.sampler().times().size(), 10u);
+    });
+}
+
+TEST(GoldenStats, FastForwardMatchesForcedModeBaselineOversubscribed)
+{
+    expectIdentical(baselineOversubscribedRun(true),
+                    baselineOversubscribedRun(false),
+                    "oversubscribed baseline fast-forward vs forced dump");
+}
+
+TEST(GoldenStats, FastForwardMatchesForcedModeBaselineFaulted)
+{
+    expectIdentical(baselineFaultedRun(true), baselineFaultedRun(false),
+                    "faulted baseline fast-forward vs forced dump");
+}
+
+TEST(GoldenStats, FastForwardMatchesForcedModeBaselineOpenLoop)
+{
+    expectIdentical(baselineOpenLoopRun(true), baselineOpenLoopRun(false),
+                    "open-loop baseline fast-forward vs forced dump");
+}
+
+TEST(GoldenStats, FastForwardMatchesForcedModeBaselineSampled)
+{
+    expectIdentical(baselineRun(true, /*sampled=*/true),
+                    baselineRun(false, /*sampled=*/true),
+                    "sampled baseline fast-forward vs forced dump");
+}
+
+TEST(GoldenStats, BaselineWakePathsSnapshotMatchesGolden)
+{
+    checkGolden(baselineWakePathsRun(), "baseline_4core_wake_paths.json");
 }
 
 TEST(GoldenStats, SmarcoSnapshotMatchesGolden)
