@@ -644,7 +644,8 @@ BaselineChip::tick(Cycle now)
 
     // Run completion (non-persistent pools): once the bag is dry and
     // every worker has parked, retire the pool so the simulator can
-    // go idle.
+    // go idle. Its threads leave their slots, so a later spawn's
+    // threads are each at the front of theirs.
     if (retirable()) {
         for (auto &t : threads_) {
             if (t.state != SwThread::State::Finished) {
@@ -652,6 +653,9 @@ BaselineChip::tick(Cycle now)
                 --liveThreads_;
             }
         }
+        for (auto &core : cores_)
+            for (auto &q : core.slots)
+                q.clear();
         std::fill(slotWake_.begin(), slotWake_.end(), kNoCycle);
         wakeMin_ = kNoCycle;
     }

@@ -229,9 +229,10 @@ class BaselineChip : public Ticking
     std::uint32_t slotOf(const SwThread &t) const
     { return t.id % static_cast<std::uint32_t>(slotWake_.size()); }
     /** Some slot holds more than one thread, so rotations switch
-     *  contexts (otherwise they only advance nextRotate_). */
+     *  contexts (otherwise they only advance nextRotate_). Live
+     *  threads are exactly those in slots: retirement empties them. */
     bool oversubscribed() const
-    { return threads_.size() > slotWake_.size(); }
+    { return liveThreads_ > slotWake_.size(); }
     /** Recompute slotWake_[slot] from the slot's front thread. */
     void refreshSlot(std::uint32_t slot);
     /** Non-persistent pool with nothing left to run: retire it. */

@@ -108,6 +108,27 @@ TEST(Baseline, ThreadCreationSerialises)
     EXPECT_GE(end, 64u * params.threadCreateCost);
 }
 
+TEST(Baseline, SecondSpawnRunsAsFastAsTheFirst)
+{
+    // A retired pool must leave its SMT slots empty: a second batch
+    // on the same chip then starts at once instead of queueing behind
+    // the finished threads until the next OS time slice.
+    Simulator sim;
+    BaselineParams params;
+    params.numCores = 2;
+    params.smtPerCore = 2;
+    BaselineChip chip(sim, params);
+    chip.spawnWorkers(4, taskSet("search", 4, 5));
+    const Cycle first = sim.run(500'000'000);
+    ASSERT_TRUE(sim.finishedIdle());
+    chip.spawnWorkers(4, taskSet("search", 4, 5));
+    const Cycle second = sim.run(500'000'000) - first;
+    ASSERT_TRUE(sim.finishedIdle());
+    EXPECT_EQ(chip.tasksCompleted(), 8u);
+    EXPECT_LE(static_cast<double>(second),
+              1.1 * static_cast<double>(first));
+}
+
 TEST(Baseline, IdleRatioHighForMemoryBoundWork)
 {
     Simulator sim;
