@@ -11,17 +11,18 @@
  * forced kernel must tick through every gap; the fast-forward kernel
  * jumps straight to each release.
  *
- * kernel.* scalars are registered in each run's StatRegistry and
- * refreshed with a zero-length re-run after timing, so `--stats-json`
- * exports carry the measured throughput alongside the chip stats.
- *
  * A second workload runs the conventional baseline chip: a small
  * closed HTC batch whose last, long task drains alone, so most
  * workers park on the empty bag for the tail of the run and the chip
  * sleeps between the cycles in which a thread can act.
  *
- * Exits non-zero when fast-forward fails to reach a 1.5x speedup on
- * the SmarCo workload, or when the baseline run's stats dump differs
+ * Wall-clock throughput is host-side and only printed; `--stats-json`
+ * exports carry the simulated state alone, so each workload's stats
+ * dump must be identical in the two kernel modes.
+ *
+ * Exits non-zero when the modes disagree on the SmarCo simulation
+ * (cycles, tasks or stats dump), when fast-forward fails to reach a
+ * 1.5x speedup on it, or when the baseline run's stats dump differs
  * between the two kernel modes.
  */
 #include <algorithm>
@@ -30,21 +31,43 @@
 #include <string>
 
 #include "bench_util.hpp"
-#include "sim/stats.hpp"
 
 using namespace smarco;
 using namespace smarco::bench;
 
 namespace {
 
+/** One timed run: its kernel counters and its stats dump. */
 struct KernelRun {
     Cycle simCycles = 0;
     double wallSec = 0.0;
-    double cyclesPerSec = 0.0;
     Cycle skipped = 0;
     std::uint64_t jumps = 0;
     std::uint64_t tasks = 0;
+    std::string stats;
 };
+
+/** Time run(), which returns the cycle the run stopped at, then read
+ *  sim's kernel counters and stats dump. */
+template <class RunFn>
+KernelRun
+timeRun(Simulator &sim, RunFn run)
+{
+    const auto t0 = std::chrono::steady_clock::now();
+    const Cycle end = run();
+    const auto t1 = std::chrono::steady_clock::now();
+
+    KernelRun r;
+    r.simCycles = end;
+    r.wallSec = std::max(
+        std::chrono::duration<double>(t1 - t0).count(), 1e-9);
+    r.skipped = sim.cyclesSkipped();
+    r.jumps = sim.fastForwards();
+    std::ostringstream os;
+    sim.stats().dumpJson(os);
+    r.stats = os.str();
+    return r;
+}
 
 KernelRun
 measure(bool fast_forward)
@@ -52,15 +75,6 @@ measure(bool fast_forward)
     Simulator sim;
     sim.setFastForward(fast_forward);
     chip::SmarcoChip chip(sim, chip::ChipConfig::scaled(1, 16));
-
-    Scalar cps(sim.stats(), "kernel.cyclesPerSec",
-               "simulated cycles per wall-clock second");
-    Scalar skipped(sim.stats(), "kernel.cyclesSkipped",
-                   "cycles the kernel fast-forwarded over");
-    Scalar jumps(sim.stats(), "kernel.fastForwards",
-                 "number of multi-cycle clock jumps");
-    Scalar mode(sim.stats(), "kernel.fastForward",
-                "1 when fast-forward was enabled for this run");
 
     workloads::TaskSetParams tp;
     tp.count = 48;
@@ -77,43 +91,18 @@ measure(bool fast_forward)
         chip.submitTo(0, t);
 
     auto campaign = fault::armFaultsFromCli(sim, chip);
-    const auto t0 = std::chrono::steady_clock::now();
-    const Cycle end = chip.runUntilDone(50'000'000);
-    const auto t1 = std::chrono::steady_clock::now();
-
-    KernelRun r;
-    r.simCycles = end;
-    r.wallSec = std::chrono::duration<double>(t1 - t0).count();
-    if (r.wallSec <= 0.0)
-        r.wallSec = 1e-9;
-    r.cyclesPerSec = static_cast<double>(end) / r.wallSec;
-    r.skipped = sim.cyclesSkipped();
-    r.jumps = sim.fastForwards();
+    KernelRun r = timeRun(
+        sim, [&chip] { return chip.runUntilDone(50'000'000); });
     r.tasks = chip.metrics().tasksCompleted;
-
-    mode.set(fast_forward ? 1.0 : 0.0);
-    cps.set(r.cyclesPerSec);
-    skipped.set(static_cast<double>(r.skipped));
-    jumps.set(static_cast<double>(r.jumps));
-    sim.run(0); // zero-length re-run refreshes the stats snapshot
     return r;
 }
 
-/** One baseline-chip run: its timing and its stats dump. */
-struct BaselineRun {
-    KernelRun timing;
-    std::string stats;
-};
-
-BaselineRun
+KernelRun
 measureBaseline(bool fast_forward)
 {
     Simulator sim;
     sim.setFastForward(fast_forward);
-    baseline::BaselineParams bp;
-    bp.numCores = 4;
-    bp.llc = mem::CacheParams{"llc", 4 * 1024 * 1024, 16, 64, 38};
-    baseline::BaselineChip chip(sim, bp);
+    baseline::BaselineChip chip(sim, smallBaseline());
 
     workloads::TaskSetParams tp;
     tp.count = 16;
@@ -124,21 +113,9 @@ measureBaseline(bool fast_forward)
     tasks.back().numOps *= 20;
     chip.spawnWorkers(8, std::move(tasks));
 
-    const auto t0 = std::chrono::steady_clock::now();
-    const Cycle end = sim.run(400'000'000);
-    const auto t1 = std::chrono::steady_clock::now();
-
-    BaselineRun r;
-    r.timing.simCycles = end;
-    r.timing.wallSec = std::max(
-        std::chrono::duration<double>(t1 - t0).count(), 1e-9);
-    r.timing.cyclesPerSec = static_cast<double>(end) / r.timing.wallSec;
-    r.timing.skipped = sim.cyclesSkipped();
-    r.timing.jumps = sim.fastForwards();
-    r.timing.tasks = chip.tasksCompleted();
-    std::ostringstream os;
-    sim.stats().dumpJson(os);
-    r.stats = os.str();
+    KernelRun r =
+        timeRun(sim, [&sim] { return sim.run(400'000'000); });
+    r.tasks = chip.tasksCompleted();
     return r;
 }
 
@@ -148,7 +125,7 @@ printRow(const char *name, const KernelRun &r)
 {
     std::printf("  %-14s %14llu %10.3f %14.3e %12llu %8llu\n", name,
                 static_cast<unsigned long long>(r.simCycles), r.wallSec,
-                r.cyclesPerSec,
+                static_cast<double>(r.simCycles) / r.wallSec,
                 static_cast<unsigned long long>(r.skipped),
                 static_cast<unsigned long long>(r.jumps));
 }
@@ -177,53 +154,43 @@ main()
     printRow("forced", forced);
     printRow("fast-forward", ff);
 
-    if (ff.simCycles != forced.simCycles ||
-        ff.tasks != forced.tasks) {
-        std::printf("\n  FAIL: modes disagree on the simulation "
-                    "itself (cycles %llu vs %llu, tasks %llu vs "
-                    "%llu)\n",
-                    static_cast<unsigned long long>(ff.simCycles),
-                    static_cast<unsigned long long>(forced.simCycles),
-                    static_cast<unsigned long long>(ff.tasks),
-                    static_cast<unsigned long long>(forced.tasks));
-        return 1;
-    }
-
     const double speedup = forced.wallSec / ff.wallSec;
     std::printf("\n  speedup: %.2fx (%llu of %llu cycles skipped)\n",
                 speedup,
                 static_cast<unsigned long long>(ff.skipped),
                 static_cast<unsigned long long>(ff.simCycles));
-    int failures = 0;
-    if (speedup < 1.5) {
-        std::printf("  FAIL: expected >= 1.5x on this idle-heavy "
-                    "workload\n");
-        ++failures;
-    }
+    Checks checks;
+    checks.check("modes agree on the simulation",
+                 ff.simCycles == forced.simCycles &&
+                     ff.tasks == forced.tasks,
+                 strprintf("cycles %llu vs %llu, tasks %llu vs %llu",
+                           static_cast<unsigned long long>(ff.simCycles),
+                           static_cast<unsigned long long>(
+                               forced.simCycles),
+                           static_cast<unsigned long long>(ff.tasks),
+                           static_cast<unsigned long long>(
+                               forced.tasks)));
+    checks.check("SmarCo stats identical in both kernel modes",
+                 ff.stats == forced.stats);
+    checks.check("fast-forward >= 1.5x on this idle-heavy workload",
+                 speedup >= 1.5, strprintf("%.2fx", speedup));
 
     std::printf("\n");
     note("baseline chip: 16 search tasks on 8 workers, 4 cores x 2 "
          "SMT; the last task is 20x longer and drains alone");
-    const BaselineRun base_forced = measureBaseline(false);
-    const BaselineRun base_ff = measureBaseline(true);
+    const KernelRun base_forced = measureBaseline(false);
+    const KernelRun base_ff = measureBaseline(true);
     printHeader();
-    printRow("forced", base_forced.timing);
-    printRow("fast-forward", base_ff.timing);
-    const KernelRun &bf = base_ff.timing;
+    printRow("forced", base_forced);
+    printRow("fast-forward", base_ff);
     std::printf("\n  speedup: %.2fx (%llu of %llu cycles skipped, "
                 "%.1f%%)\n",
-                base_forced.timing.wallSec / bf.wallSec,
-                static_cast<unsigned long long>(bf.skipped),
-                static_cast<unsigned long long>(bf.simCycles),
-                100.0 * static_cast<double>(bf.skipped) /
-                    static_cast<double>(bf.simCycles));
-    if (base_ff.stats != base_forced.stats) {
-        std::printf("  FAIL: baseline stats differ between the kernel "
-                    "modes\n");
-        ++failures;
-    }
-
-    if (failures == 0)
-        std::printf("  PASS\n");
-    return failures == 0 ? 0 : 1;
+                base_forced.wallSec / base_ff.wallSec,
+                static_cast<unsigned long long>(base_ff.skipped),
+                static_cast<unsigned long long>(base_ff.simCycles),
+                100.0 * static_cast<double>(base_ff.skipped) /
+                    static_cast<double>(base_ff.simCycles));
+    checks.check("baseline stats identical in both kernel modes",
+                 base_ff.stats == base_forced.stats);
+    return checks.exitCode();
 }

@@ -28,7 +28,6 @@
  * Usage: bench_overload [--quick]
  */
 #include <algorithm>
-#include <cstring>
 
 #include "bench_util.hpp"
 #include "runtime/overload.hpp"
@@ -89,38 +88,30 @@ printPoint(const SweepPoint &p)
                 p.goodputRate, p.p50, p.p95, p.p99);
 }
 
-/**
- * Check the overload-control contract over one chip's sweep; returns
- * the number of failed checks.
- */
-int
-checkSweep(const char *chip_name, const std::vector<SweepPoint> &pts,
-           Cycle deadline)
+/** Check the overload-control contract over one chip's sweep. */
+void
+checkSweep(Checks &checks, const char *chip_name,
+           const std::vector<SweepPoint> &pts, Cycle deadline)
 {
-    int failures = 0;
     double peak = 0.0;
-    for (const auto &p : pts)
-        peak = std::max(peak, p.goodputRate);
-    const auto &last = pts.back();
-    if (last.goodputRate < 0.9 * peak) {
-        std::printf("FAIL %s: goodput collapsed at %.1fx (%.3f vs "
-                    "peak %.3f tasks/kcycle)\n", chip_name, last.mult,
-                    last.goodputRate, peak);
-        ++failures;
-    }
-    const double p99_bound = 3.0 * static_cast<double>(deadline);
+    const SweepPoint *worst = &pts.front();
     for (const auto &p : pts) {
-        if (p.p99 > p99_bound) {
-            std::printf("FAIL %s: p99 unbounded at %.1fx (%.0f > "
-                        "%.0f cycles)\n", chip_name, p.mult, p.p99,
-                        p99_bound);
-            ++failures;
-        }
+        peak = std::max(peak, p.goodputRate);
+        if (p.p99 > worst->p99)
+            worst = &p;
     }
-    if (failures == 0)
-        std::printf("  OK: goodput at %.1fx within 10%% of peak, p99 "
-                    "<= 3x deadline at every point\n", last.mult);
-    return failures;
+    const auto &last = pts.back();
+    checks.check(strprintf("%s goodput at %.1fx within 10%% of peak",
+                           chip_name, last.mult),
+                 last.goodputRate >= 0.9 * peak,
+                 strprintf("%.3f vs peak %.3f tasks/kcycle",
+                           last.goodputRate, peak));
+    const double p99_bound = 3.0 * static_cast<double>(deadline);
+    checks.check(strprintf("%s p99 <= 3x deadline at every point",
+                           chip_name),
+                 worst->p99 <= p99_bound,
+                 strprintf("worst %.0f at %.1fx, bound %.0f cycles",
+                           worst->p99, worst->mult, p99_bound));
 }
 
 /**
@@ -295,11 +286,7 @@ runBaselinePoint(const baseline::BaselineParams &params,
 int
 main(int argc, char **argv)
 {
-    bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0)
-            quick = true;
-    }
+    const bool quick = quickRun(argc, argv);
 
     banner("overload", "goodput and tail latency versus offered load "
                        "(0.5x..4x saturation)");
@@ -323,7 +310,7 @@ main(int argc, char **argv)
     workloads::CdnWorkload cdn;
     const auto profile = cdn.chunkProfile(300);
 
-    int failures = 0;
+    Checks checks;
 
     // --- SmarCo ---------------------------------------------------
     const auto cfg = chip::ChipConfig::scaled(1, 4);
@@ -340,7 +327,7 @@ main(int argc, char **argv)
                                         sm_interval));
         printPoint(sm_pts.back());
     }
-    failures += checkSweep(cfg.name.c_str(), sm_pts, sm_deadline);
+    checkSweep(checks, cfg.name.c_str(), sm_pts, sm_deadline);
 
     // --- conventional baseline ------------------------------------
     baseline::BaselineParams bp;
@@ -359,12 +346,12 @@ main(int argc, char **argv)
                                           ba_interval));
         printPoint(ba_pts.back());
     }
-    failures += checkSweep("baseline", ba_pts, ba_deadline);
+    checkSweep(checks, "baseline", ba_pts, ba_deadline);
 
     note("");
     note("shape: goodput rises with offered load until saturation,");
     note("then plateaus -- admission + deadline-aware shedding turn");
     note("the excess into shed/expired requests instead of queueing");
     note("collapse, and completion p99 stays within 3x the deadline.");
-    return failures == 0 ? 0 : 1;
+    return checks.exitCode();
 }

@@ -18,7 +18,6 @@
  * Usage: bench_resilience [--quick]
  */
 #include <algorithm>
-#include <cstring>
 
 #include "bench_util.hpp"
 #include "sched/sub_scheduler.hpp"
@@ -69,6 +68,24 @@ struct Point {
     std::uint64_t injected = 0;
 };
 
+/** A point's completions, expected tasks, throughput over the span
+ *  up to the last task exit, and the faults the campaign injected. */
+Point
+sweepPoint(double scale, std::uint64_t completed, std::uint64_t expected,
+           Cycle last_finish, const fault::FaultCampaign *campaign)
+{
+    Point p;
+    p.scale = scale;
+    p.completed = completed;
+    p.expected = expected;
+    p.throughput = last_finish > 0
+                       ? static_cast<double>(completed) * 1e6 /
+                             static_cast<double>(last_finish)
+                       : 0.0;
+    p.injected = campaign ? campaign->injected() : 0;
+    return p;
+}
+
 struct SmarcoSetup {
     std::uint64_t searchCount;
     std::uint64_t rncCount;
@@ -117,19 +134,13 @@ runSmarcoPoint(const SmarcoSetup &setup, double scale, double ceiling,
     chip.runUntilDone(400'000'000);
 
     const auto m = chip.metrics();
-    Point p;
-    p.scale = scale;
-    p.completed = m.tasksCompleted;
-    p.expected = setup.searchCount + setup.rncCount;
-    p.throughput = m.lastTaskFinish > 0
-                       ? static_cast<double>(m.tasksCompleted) * 1e6 /
-                             static_cast<double>(m.lastTaskFinish)
-                       : 0.0;
+    Point p = sweepPoint(scale, m.tasksCompleted,
+                         setup.searchCount + setup.rncCount,
+                         m.lastTaskFinish, campaign.get());
     p.missRate = setup.rncCount > 0
                      ? static_cast<double>(m.deadlineMisses) /
                            static_cast<double>(setup.rncCount)
                      : 0.0;
-    p.injected = campaign ? campaign->injected() : 0;
     if (rnc_last_finish) {
         *rnc_last_finish = 0;
         for (std::uint32_t r = 0; r < cfg.noc.numSubRings; ++r)
@@ -146,10 +157,7 @@ Point
 runBaselinePoint(std::uint64_t count, double scale, double ceiling)
 {
     Simulator sim;
-    baseline::BaselineParams bp;
-    bp.numCores = 4;
-    bp.llc = mem::CacheParams{"llc", 4 * 1024 * 1024, 16, 64, 38};
-    baseline::BaselineChip chip(sim, bp);
+    baseline::BaselineChip chip(sim, smallBaseline());
     workloads::TaskSetParams tp;
     tp.count = count;
     tp.seed = 17;
@@ -163,16 +171,8 @@ runBaselinePoint(std::uint64_t count, double scale, double ceiling)
     }
     sim.run(800'000'000);
     const auto m = chip.metrics();
-    Point p;
-    p.scale = scale;
-    p.completed = m.tasksCompleted;
-    p.expected = count;
-    p.throughput = m.lastTaskFinish > 0
-                       ? static_cast<double>(m.tasksCompleted) * 1e6 /
-                             static_cast<double>(m.lastTaskFinish)
-                       : 0.0;
-    p.injected = campaign ? campaign->injected() : 0;
-    return p;
+    return sweepPoint(scale, m.tasksCompleted, count, m.lastTaskFinish,
+                      campaign.get());
 }
 
 void
@@ -191,24 +191,27 @@ printPoints(const char *name, const std::vector<Point> &points,
                     static_cast<unsigned long long>(p.expected));
 }
 
-/** Monotone non-increasing within tolerance (thinning nests the
- *  fault sets, but recovery reshuffles schedules slightly). */
-bool
-checkMonotone(const std::vector<Point> &points)
+/** Check one chip's sweep: throughput is monotone non-increasing
+ *  within tolerance (thinning nests the fault sets, but recovery
+ *  reshuffles schedules slightly), and every point completes. */
+void
+checkSweep(Checks &checks, const char *chip,
+           const std::vector<Point> &points)
 {
+    bool monotone = true;
     for (std::size_t i = 1; i < points.size(); ++i)
         if (points[i].throughput > points[i - 1].throughput * 1.02)
-            return false;
-    return true;
-}
-
-bool
-checkGraceful(const std::vector<Point> &points)
-{
+            monotone = false;
+    bool graceful = true;
     for (const Point &p : points)
         if (p.completed != p.expected || p.throughput <= 0.0)
-            return false;
-    return true;
+            graceful = false;
+    checks.check(strprintf("%s throughput monotone non-increasing",
+                           chip),
+                 monotone);
+    checks.check(strprintf("%s graceful degradation (all complete)",
+                           chip),
+                 graceful);
 }
 
 } // namespace
@@ -216,10 +219,7 @@ checkGraceful(const std::vector<Point> &points)
 int
 main(int argc, char **argv)
 {
-    bool quick = false;
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], "--quick") == 0)
-            quick = true;
+    const bool quick = quickRun(argc, argv);
 
     banner("Resilience",
            "throughput & deadline-miss degradation vs fault rate");
@@ -253,24 +253,15 @@ main(int argc, char **argv)
         base.push_back(runBaselinePoint(quick ? 8 : 16, s, ceiling));
     printPoints("baseline 4-core / 8-thread (search)", base, false);
 
-    const bool mono_s = checkMonotone(smarco);
-    const bool mono_b = checkMonotone(base);
-    const bool grace_s = checkGraceful(smarco);
-    const bool grace_b = checkGraceful(base);
     std::printf("\nchecks:\n");
-    std::printf("  smarco throughput monotone non-increasing: %s\n",
-                mono_s ? "PASS" : "FAIL");
-    std::printf("  baseline throughput monotone non-increasing: %s\n",
-                mono_b ? "PASS" : "FAIL");
-    std::printf("  smarco graceful degradation (all complete): %s\n",
-                grace_s ? "PASS" : "FAIL");
-    std::printf("  baseline graceful degradation (all complete): %s\n",
-                grace_b ? "PASS" : "FAIL");
+    Checks checks;
+    checkSweep(checks, "smarco", smarco);
+    checkSweep(checks, "baseline", base);
 
     note("");
     note("expected shape: throughput falls and the RNC miss rate");
     note("rises as the fault mix scales up; every point completes");
     note("(recovery re-dispatches killed/hung tasks) -- a wedged run");
     note("would be aborted by the campaign watchdog instead.");
-    return (mono_s && mono_b && grace_s && grace_b) ? 0 : 1;
+    return checks.exitCode();
 }
