@@ -36,70 +36,68 @@ Cache::Cache(StatRegistry &stats, CacheParams params,
               params_.name.c_str(),
               static_cast<unsigned long long>(params_.sizeBytes),
               params_.assoc);
-    lines_.resize(numSets_ * params_.assoc);
+    const std::uint64_t ways = numSets_ * params_.assoc;
+    tags_.assign(ways, kNoAddr);
+    stamps_.assign(ways, 0);
+    dirty_.assign(ways, 0);
     lineShift_ = std::countr_zero(params_.lineBytes);
     pow2Sets_ = isPow2(numSets_);
     setShift_ = std::countr_zero(numSets_);
 }
 
-std::uint64_t
-Cache::setIndex(Addr addr) const
+Cache::Location
+Cache::locate(Addr addr) const
 {
+    const Addr line = addr >> lineShift_;
+    if (pow2Sets_)
+        return {line & (numSets_ - 1), line >> setShift_};
     // Set counts need not be powers of two (e.g. a 60 MB LLC); those
-    // keep the division.
-    const Addr line = addr >> lineShift_;
-    return pow2Sets_ ? line & (numSets_ - 1) : line % numSets_;
-}
-
-Addr
-Cache::tagOf(Addr addr) const
-{
-    const Addr line = addr >> lineShift_;
-    return pow2Sets_ ? line >> setShift_ : line / numSets_;
+    // divide once for the tag and take the set from it.
+    const Addr tag = line / numSets_;
+    return {line - tag * numSets_, tag};
 }
 
 CacheResult
 Cache::access(Addr addr, bool write)
 {
-    const std::uint64_t set = setIndex(addr);
-    const Addr tag = tagOf(addr);
-    Line *const base = &lines_[set * params_.assoc];
+    const auto [set, tag] = locate(addr);
+    const std::uint64_t base = set * params_.assoc;
+    Addr *const tags = &tags_[base];
+    std::uint64_t *const stamps = &stamps_[base];
+    std::uint8_t *const dirty = &dirty_[base];
     ++useClock_;
 
     for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-        Line &line = base[w];
-        if (line.valid && line.tag == tag) {
-            line.lastUse = useClock_;
-            line.dirty = line.dirty || write;
+        if (tags[w] == tag) {
+            stamps[w] = useClock_;
+            if (write)
+                dirty[w] = 1;
             ++hits_;
             return CacheResult{true, false, kNoAddr};
         }
     }
 
-    // Miss: pick an invalid way if any, else the LRU way.
-    Line *victim = nullptr;
-    for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-        Line &line = base[w];
-        if (!line.valid) {
-            victim = &line;
-            break;
-        }
-        if (!victim || line.lastUse < victim->lastUse)
-            victim = &line;
+    // Miss: the first way with the smallest stamp, which is the first
+    // invalid way if any, else the LRU way. Nothing is below stamp 0,
+    // so the scan stops at the first invalid way.
+    std::uint32_t victim = 0;
+    for (std::uint32_t w = 1; w < params_.assoc && stamps[victim] != 0;
+         ++w) {
+        if (stamps[w] < stamps[victim])
+            victim = w;
     }
 
     CacheResult res;
     res.hit = false;
-    if (victim->valid && victim->dirty) {
+    // Only a valid way can be dirty.
+    if (dirty[victim]) {
         res.writeback = true;
-        res.victimAddr =
-            (victim->tag * numSets_ + set) * params_.lineBytes;
+        res.victimAddr = (tags[victim] * numSets_ + set) * params_.lineBytes;
         ++writebacks_;
     }
-    victim->valid = true;
-    victim->tag = tag;
-    victim->dirty = write;
-    victim->lastUse = useClock_;
+    tags[victim] = tag;
+    stamps[victim] = useClock_;
+    dirty[victim] = write;
     ++misses_;
     return res;
 }
@@ -107,20 +105,18 @@ Cache::access(Addr addr, bool write)
 bool
 Cache::probe(Addr addr) const
 {
-    const std::uint64_t set = setIndex(addr);
-    const Addr tag = tagOf(addr);
-    const Line *const base = &lines_[set * params_.assoc];
-    for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-        if (base[w].valid && base[w].tag == tag)
-            return true;
-    }
-    return false;
+    const auto [set, tag] = locate(addr);
+    const Addr *const tags = &tags_[set * params_.assoc];
+    return std::find(tags, tags + params_.assoc, tag) !=
+           tags + params_.assoc;
 }
 
 void
 Cache::flush()
 {
-    std::fill(lines_.begin(), lines_.end(), Line{});
+    std::fill(tags_.begin(), tags_.end(), kNoAddr);
+    std::fill(stamps_.begin(), stamps_.end(), 0);
+    std::fill(dirty_.begin(), dirty_.end(), 0);
 }
 
 double

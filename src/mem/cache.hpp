@@ -40,6 +40,14 @@ struct CacheResult {
  * LRU set-associative cache. access() performs lookup and, on miss,
  * allocates the line immediately (the timing of the fill is the
  * caller's concern; this keeps the tag model reusable by both chips).
+ *
+ * The tag store is three set-major arrays, way w of set s at entry
+ * s * assoc + w: tags (kNoAddr marks an invalid way), 64-bit LRU
+ * stamps and dirty flags. A stamp is the use clock of the way's last
+ * access; valid stamps start at 1 and no two are equal, so stamp 0
+ * marks an invalid way and a miss evicts the first way with the
+ * smallest stamp: the first invalid way, else the LRU way. A hit
+ * scans only the set's tags, 8 bytes a way.
  */
 class Cache
 {
@@ -53,7 +61,8 @@ class Cache
     /** Look up without allocating or touching LRU (for tests). */
     bool probe(Addr addr) const;
 
-    /** Invalidate everything (task switch on baseline SMT, tests). */
+    /** Invalidate every way, dropping dirty lines without a
+     *  writeback. Only tests call it. */
     void flush();
 
     const CacheParams &params() const { return params_; }
@@ -65,15 +74,13 @@ class Cache
     double missRatio() const;
 
   private:
-    struct Line {
-        Addr tag = kNoAddr;
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t lastUse = 0;
+    /** Where a line lives: its set and its tag within the set. */
+    struct Location {
+        std::uint64_t set;
+        Addr tag;
     };
 
-    std::uint64_t setIndex(Addr addr) const;
-    Addr tagOf(Addr addr) const;
+    Location locate(Addr addr) const;
 
     CacheParams params_;
     std::uint64_t numSets_;
@@ -83,7 +90,10 @@ class Cache
      *  setShift_ is log2(numSets_) then. */
     bool pow2Sets_ = false;
     int setShift_ = 0;
-    std::vector<Line> lines_; // numSets * assoc, set-major
+    // numSets * assoc entries each, set-major.
+    std::vector<Addr> tags_;            ///< kNoAddr: invalid way
+    std::vector<std::uint64_t> stamps_; ///< last use; 0: invalid way
+    std::vector<std::uint8_t> dirty_;
     std::uint64_t useClock_ = 0;
 
     Scalar hits_;

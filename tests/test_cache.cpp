@@ -4,7 +4,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "mem/cache.hpp"
+#include "sim/random.hpp"
 #include "sim/stats.hpp"
 
 using namespace smarco;
@@ -171,4 +175,178 @@ TEST(Cache, DirtyEvictionInThreeSetCacheReturnsVictimLine)
     const CacheResult clean = c.access(11 * 64, false);
     EXPECT_FALSE(clean.writeback);
     EXPECT_EQ(clean.victimAddr, kNoAddr);
+}
+
+namespace {
+
+/**
+ * The array-of-Line tag model that Cache's split tag/stamp/dirty
+ * arrays replaced, kept as a plain reference: valid bit, tag, dirty
+ * bit and last use per way; set and tag by % and /; a miss takes the
+ * first invalid way, else the least recently used one.
+ */
+class ReferenceCache
+{
+  public:
+    explicit ReferenceCache(const CacheParams &p)
+        : p_(p), sets_(p.sizeBytes / (p.assoc * p.lineBytes)),
+          lines_(sets_ * p.assoc)
+    {}
+
+    CacheResult
+    access(Addr addr, bool write)
+    {
+        const std::uint64_t set = (addr / p_.lineBytes) % sets_;
+        const Addr tag = (addr / p_.lineBytes) / sets_;
+        Line *const base = &lines_[set * p_.assoc];
+        ++clock_;
+        for (std::uint32_t w = 0; w < p_.assoc; ++w) {
+            if (base[w].valid && base[w].tag == tag) {
+                base[w].lastUse = clock_;
+                base[w].dirty = base[w].dirty || write;
+                return CacheResult{true, false, kNoAddr};
+            }
+        }
+        Line *victim = nullptr;
+        for (std::uint32_t w = 0; w < p_.assoc; ++w) {
+            if (!base[w].valid) {
+                victim = &base[w];
+                break;
+            }
+            if (!victim || base[w].lastUse < victim->lastUse)
+                victim = &base[w];
+        }
+        CacheResult res;
+        if (victim->valid && victim->dirty) {
+            res.writeback = true;
+            res.victimAddr = (victim->tag * sets_ + set) * p_.lineBytes;
+        }
+        *victim = Line{tag, true, write, clock_};
+        return res;
+    }
+
+    bool
+    probe(Addr addr) const
+    {
+        const std::uint64_t set = (addr / p_.lineBytes) % sets_;
+        const Addr tag = (addr / p_.lineBytes) / sets_;
+        for (std::uint32_t w = 0; w < p_.assoc; ++w) {
+            const Line &line = lines_[set * p_.assoc + w];
+            if (line.valid && line.tag == tag)
+                return true;
+        }
+        return false;
+    }
+
+    void flush() { std::fill(lines_.begin(), lines_.end(), Line{}); }
+
+    std::uint64_t sets() const { return sets_; }
+
+  private:
+    struct Line {
+        Addr tag = kNoAddr;
+        bool valid = false;
+        bool dirty = false;
+        std::uint64_t lastUse = 0;
+    };
+
+    CacheParams p_;
+    std::uint64_t sets_;
+    std::vector<Line> lines_;
+    std::uint64_t clock_ = 0;
+};
+
+CacheParams
+geometry(const char *name, std::uint64_t size, std::uint32_t assoc,
+         std::uint32_t line_bytes)
+{
+    CacheParams p;
+    p.name = name;
+    p.sizeBytes = size;
+    p.assoc = assoc;
+    p.lineBytes = line_bytes;
+    return p;
+}
+
+/**
+ * Replay one seeded read/write stream through Cache and the
+ * reference, flushing both halfway: every access must agree on hit,
+ * writeback and victim, and afterwards every line the stream touched
+ * must probe alike. Half the accesses go to a hot set of lines that
+ * map to four sets, twice as many lines as ways each, so those sets
+ * evict and write back all the time; the rest are random lines below
+ * 1 TiB, as far apart as the workloads' address ranges.
+ */
+void
+replayAgainstReference(const CacheParams &p, std::uint64_t seed,
+                       int accesses)
+{
+    StatRegistry reg;
+    Cache cache(reg, p, "c");
+    ReferenceCache ref(p);
+    Rng rng(seed);
+
+    std::vector<Addr> hot;
+    for (std::uint64_t s = 0; s < 4; ++s) {
+        const std::uint64_t set = rng.nextBelow(ref.sets());
+        for (std::uint64_t k = 0; k < 2 * p.assoc; ++k)
+            hot.push_back((rng.nextBelow(1 << 20) * ref.sets() + set) *
+                              p.lineBytes +
+                          rng.nextBelow(p.lineBytes));
+    }
+
+    std::vector<Addr> touched;
+    std::uint64_t hits = 0, writebacks = 0;
+    for (int i = 0; i < accesses; ++i) {
+        if (i == accesses / 2) {
+            cache.flush();
+            ref.flush();
+        }
+        const Addr addr = rng.chance(0.5)
+            ? hot[rng.nextBelow(hot.size())]
+            : rng.nextBelow(Addr{1} << 40);
+        const bool write = rng.chance(0.3);
+        const CacheResult got = cache.access(addr, write);
+        const CacheResult want = ref.access(addr, write);
+        ASSERT_EQ(got.hit, want.hit) << p.name << " access " << i;
+        ASSERT_EQ(got.writeback, want.writeback)
+            << p.name << " access " << i;
+        ASSERT_EQ(got.victimAddr, want.victimAddr)
+            << p.name << " access " << i;
+        hits += want.hit ? 1 : 0;
+        writebacks += want.writeback ? 1 : 0;
+        touched.push_back(addr);
+    }
+    for (const Addr addr : touched)
+        ASSERT_EQ(cache.probe(addr), ref.probe(addr))
+            << p.name << " probe " << addr;
+    EXPECT_EQ(cache.hits(), hits);
+    EXPECT_EQ(cache.misses(), static_cast<std::uint64_t>(accesses) - hits);
+    EXPECT_EQ(reg.get("c.writebacks").value(),
+              static_cast<double>(writebacks));
+    // The stream must reach every path it checks.
+    EXPECT_GT(hits, 0u);
+    EXPECT_GT(writebacks, 0u);
+}
+
+} // namespace
+
+TEST(Cache, MatchesReferenceModelOnEveryGeometryInUse)
+{
+    const CacheParams geometries[] = {
+        geometry("tcg", 16 * 1024, 4, 64),
+        geometry("l1", 32 * 1024, 8, 64),
+        geometry("l2", 256 * 1024, 8, 64),
+        geometry("dtlb", 256 * 4096, 8, 4096),
+        geometry("llc", 60 * 1024 * 1024, 20, 64), // 49,152 sets
+        geometry("three_sets", 3 * 2 * 64, 2, 64),
+    };
+    for (const CacheParams &p : geometries) {
+        for (const std::uint64_t seed : {1, 1009}) {
+            SCOPED_TRACE(p.name);
+            replayAgainstReference(p, seed, 20000);
+            if (HasFatalFailure())
+                return;
+        }
+    }
 }
