@@ -624,17 +624,21 @@ BaselineChip::tick(Cycle now)
 
     // Visit each core's slots in order under its issue budget,
     // skipping slots whose front thread cannot act yet, and recompute
-    // the earliest wake time on the way.
+    // the earliest wake time on the way. The tick-every-cycle kernel
+    // ignores the wake array and visits every non-empty slot: a visit
+    // to a front thread that cannot act is a no-op, so the stats of
+    // the two modes are identical exactly when every wake time is.
+    const bool visit_all = !sim_.fastForward();
     const std::uint32_t smt = params_.smtPerCore;
     Cycle wake_min = kNoCycle;
     for (std::uint32_t c = 0; c < cores_.size(); ++c) {
         std::uint32_t budget = params_.issueWidth;
         for (std::uint32_t w = 0; w < smt; ++w) {
             const std::uint32_t slot = c * smt + w;
-            if (slotWake_[slot] <= now && budget > 0) {
-                runThread(cores_[c],
-                          threads_[cores_[c].slots[w].front()], now,
-                          budget);
+            const auto &q = cores_[c].slots[w];
+            if (budget > 0 &&
+                (visit_all ? !q.empty() : slotWake_[slot] <= now)) {
+                runThread(cores_[c], threads_[q.front()], now, budget);
                 refreshSlot(slot);
             }
             wake_min = std::min(wake_min, slotWake_[slot]);

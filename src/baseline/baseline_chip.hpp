@@ -282,9 +282,11 @@ class BaselineChip : public Ticking
     /**
      * Per SMT slot: the cycle its front thread can next act, i.e. its
      * readyAt when it is Starting or Runnable and not hung, else
-     * kNoCycle. A tick visits only slots whose wake time has come;
-     * it is refreshed wherever a front thread's state, readyAt or
-     * hung flag changes, and wherever a slot's front changes.
+     * kNoCycle. A fast-forward tick visits only slots whose wake
+     * time has come; it is refreshed wherever a front thread's state,
+     * readyAt or hung flag changes, and wherever a slot's front
+     * changes. A tick-every-cycle tick visits every non-empty slot
+     * instead, so a missing refresh makes the two modes' stats differ.
      */
     std::vector<Cycle> slotWake_;
     /** At most min(slotWake_): recomputed by each tick, lowered by

@@ -201,6 +201,8 @@ class Simulator
      * slow reference mode the golden-stats harness compares against.
      */
     void setFastForward(bool on) { fastForward_ = on; }
+    /** Whether quiescence fast-forwarding is on (see setFastForward). */
+    bool fastForward() const { return fastForward_; }
 
     /** Cycles skipped by quiescence fast-forwards (kernel metric;
      *  deliberately not a registered Stat so both kernel modes dump
