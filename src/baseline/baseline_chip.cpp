@@ -113,7 +113,7 @@ BaselineChip::spawnWorkers(std::uint32_t num_threads,
 {
     if (num_threads == 0)
         fatal("baseline: zero worker threads");
-    settleForOutsideChange();
+    sim_.wake(this);
     persistent_ = persistent;
     for (auto &t : tasks)
         bag_.push_back(t);
@@ -157,7 +157,7 @@ void
 BaselineChip::submitRequest(workloads::TaskSpec task,
                             workloads::RequestHook hook)
 {
-    settleForOutsideChange();
+    sim_.wake(this);
     task.hook = hook ? std::make_shared<const workloads::RequestHook>(
                            std::move(hook))
                      : nullptr;
@@ -212,7 +212,7 @@ BaselineChip::injectWorkerFault(bool hang, Rng &rng, Cycle now)
 {
     if (threads_.empty())
         return false;
-    settleForOutsideChange();
+    sim_.wake(this);
     const std::uint32_t n =
         static_cast<std::uint32_t>(threads_.size());
     const std::uint32_t start =
@@ -247,7 +247,7 @@ BaselineChip::armRecovery(Cycle interval, Cycle timeout)
 {
     if (interval == 0 || timeout == 0)
         fatal("baseline: zero recovery interval");
-    settleForOutsideChange();
+    sim_.wake(this);
     recoveryOn_ = true;
     recoveryInterval_ = interval;
     recoveryTimeout_ = timeout;
@@ -401,7 +401,7 @@ BaselineChip::memAccess(Core &core, SwThread &t, Addr addr,
     ++pendingMisses_;
     const std::uint32_t tid = t.id;
     dram_->serve(addr, 64, now, [this, tid]() {
-        settleForOutsideChange();
+        sim_.wake(this);
         SwThread &th = threads_[tid];
         --th.outstanding;
         --pendingMisses_;
@@ -460,13 +460,6 @@ BaselineChip::executeOp(Core &core, SwThread &t, const MicroOp &op,
 }
 
 void
-BaselineChip::settleForOutsideChange()
-{
-    settle(sim_.now() + (sim_.tickPassed(this) ? 1 : 0));
-    sim_.wake(this);
-}
-
-void
 BaselineChip::refreshSlot(std::uint32_t slot)
 {
     const auto &q =
@@ -487,9 +480,7 @@ BaselineChip::nextActiveCycle(Cycle now) const
 {
     if (liveThreads_ == 0)
         return kNoCycle;
-    // An idle persistent pool stays awake so that settle() can tell
-    // a sleep from the kernel's idle jump.
-    if (!busy() || retirable())
+    if (retirable())
         return now + 1;
     Cycle next = wakeMin_;
     if (oversubscribed())
@@ -500,37 +491,29 @@ BaselineChip::nextActiveCycle(Cycle now) const
 }
 
 void
-BaselineChip::settle(Cycle now)
+BaselineChip::skipTicks(Cycle from, Cycle n)
 {
-    if (now <= nextTick_)
-        return;
-    const Cycle from = nextTick_;
-    const Cycle n = now - from;
-    nextTick_ = now;
-    // The chip sleeps only while busy(), and busy() cannot change
-    // without a settle first. A gap while it is not busy is thus the
-    // kernel's idle jump, which skips these ticks in both kernel
-    // modes (and a chip with no live thread ticks as a no-op).
-    if (!busy())
-        return;
+    if (liveThreads_ == 0)
+        return; // a chip with no live thread ticks as a no-op
     // A skipped tick only counts its cycle and offered slots and
     // advances the rotation clock; nextActiveCycle() keeps every
     // other effect from being skipped.
+    const Cycle end = from + n;
     const Cycle rotate = std::max(from, nextRotate_);
-    if (*std::min_element(slotWake_.begin(), slotWake_.end()) < now ||
-        (recoveryOn_ && nextScan_ < now) ||
-        (oversubscribed() && rotate < now))
+    if (*std::min_element(slotWake_.begin(), slotWake_.end()) < end ||
+        (recoveryOn_ && nextScan_ < end) ||
+        (oversubscribed() && rotate < end))
         panic("baseline: skipped an active tick in [%llu, %llu)",
               static_cast<unsigned long long>(from),
-              static_cast<unsigned long long>(now));
+              static_cast<unsigned long long>(end));
     cycles_ += static_cast<double>(n);
     slotsOffered_ += static_cast<double>(
         n * params_.issueWidth * params_.numCores);
-    if (rotate < now) {
-        // Rotations fire at rotate, rotate + quantum, ... below now.
+    if (rotate < end) {
+        // Rotations fire at rotate, rotate + quantum, ... below end.
         const Cycle q = params_.schedQuantum;
-        nextRotate_ = q == 0 ? now - 1
-                             : rotate + ((now - 1 - rotate) / q + 1) * q;
+        nextRotate_ = q == 0 ? end - 1
+                             : rotate + ((end - 1 - rotate) / q + 1) * q;
     }
 }
 
@@ -585,8 +568,6 @@ BaselineChip::runThread(Core &core, SwThread &t, Cycle now,
 void
 BaselineChip::tick(Cycle now)
 {
-    settle(now);
-    nextTick_ = now + 1;
     if (liveThreads_ == 0)
         return;
     ++cycles_;

@@ -63,7 +63,8 @@ struct BaselineParams {
     mem::CacheParams llc{"llc", 60 * 1024 * 1024, 20, 64, 38};
 
     /** 85 GB/s at 2.2 GHz core clock = 38.6 B/cycle across 4 channels. */
-    mem::DramParams dram{4, 9.66, 180, 2, 16, 64};
+    mem::DramParams dram{
+        .channels = 4, .bytesPerCycle = 9.66, .accessLatency = 180};
 
     // --- OS / software threading model -----------------------------------
     Cycle threadCreateCost = 30000;
@@ -149,17 +150,12 @@ class BaselineChip : public Ticking
      * The earliest cycle a tick can change state: a slot's wake time,
      * the next context switch (only when some slot holds more than
      * one thread) or the next watchdog scan. A chip with no live
-     * software thread sleeps until spawn; an idle persistent pool
-     * stays awake (see settle()).
+     * software thread sleeps until spawn.
      */
     Cycle nextActiveCycle(Cycle now) const override;
-    /**
-     * Replay the skipped ticks' active-cycle and offered-slot counts
-     * and the rotation clock (see Ticking::settle). A gap while the
-     * chip is not busy() is the kernel's idle jump, which ticks
-     * nothing in either kernel mode, and is not replayed.
-     */
-    void settle(Cycle now) override;
+    /** Replay the skipped ticks' active-cycle and offered-slot counts
+     *  and the rotation clock. */
+    void skipTicks(Cycle from, Cycle n) override;
 
     BaselineMetrics metrics() const;
     Simulator &sim() { return sim_; }
@@ -242,9 +238,6 @@ class BaselineChip : public Ticking
                activeTasks_ == 0 && startingCount_ == 0 &&
                liveThreads_ > 0;
     }
-    /** Settle before a state change made from outside tick(), then
-     *  wake the chip so its hint is recomputed. */
-    void settleForOutsideChange();
     void nextTask(SwThread &t, Cycle now);
     /** Record and resolve a completion, then pop the next task. */
     void taskDone(SwThread &t, Cycle now);
@@ -293,8 +286,6 @@ class BaselineChip : public Ticking
      *  every refresh in between (a raised entry leaves it early,
      *  which costs one spurious tick). */
     Cycle wakeMin_ = kNoCycle;
-    /** First cycle whose tick is not yet accounted (see settle()). */
-    Cycle nextTick_ = 0;
 
     Scalar committed_;
     Scalar cycles_;

@@ -60,12 +60,8 @@ TcgCore::TcgCore(Simulator &sim, CoreParams params, CoreId id,
 }
 
 void
-TcgCore::settle(Cycle now)
+TcgCore::skipTicks(Cycle, Cycle n)
 {
-    if (now <= nextTick_)
-        return;
-    const Cycle n = now - nextTick_;
-    nextTick_ = now;
     if (live_ == 0)
         return; // idle ticks do nothing
     if (runnable_ != 0)
@@ -80,12 +76,6 @@ TcgCore::settle(Cycle now)
             rng_.chance(params_.pairingSelectTax);
 }
 
-void
-TcgCore::settleForOutsideChange()
-{
-    settle(sim_.now() + (sim_.tickPassed(this) ? 1 : 0));
-}
-
 std::uint32_t
 TcgCore::friendOf(std::uint32_t ctx) const
 {
@@ -98,7 +88,7 @@ bool
 TcgCore::attachTask(const workloads::TaskSpec &task,
                     isa::StreamPtr stream, TaskDone done)
 {
-    settleForOutsideChange();
+    sim_.wake(this);
     for (std::uint32_t i = 0; i < contexts_.size(); ++i) {
         Context &ctx = contexts_[i];
         if (ctx.state != State::Idle)
@@ -127,7 +117,6 @@ TcgCore::attachTask(const workloads::TaskSpec &task,
             ctx.state = State::Ready;
         ++live_;
         ++runnable_;
-        sim_.wake(this);
         return true;
     }
     return false;
@@ -229,7 +218,6 @@ TcgCore::stallThread(std::uint32_t ctx_idx, Cycle now)
 void
 TcgCore::wakeThread(std::uint32_t ctx_idx, Cycle now)
 {
-    settleForOutsideChange();
     sim_.wake(this);
     Context &ctx = contexts_[ctx_idx];
     if (ctx.killed) {
@@ -324,7 +312,7 @@ TcgCore::killContext(std::uint32_t ctx_idx, Cycle now)
 bool
 TcgCore::injectThreadFault(ThreadFault kind, Rng &rng, Cycle now)
 {
-    settleForOutsideChange();
+    sim_.wake(this);
     std::uint32_t cand[32]; // numThreads <= 2 * maxRunning <= 32
     std::uint32_t n = 0;
     for (std::uint32_t i = 0; i < contexts_.size(); ++i) {
@@ -365,7 +353,7 @@ TcgCore::injectThreadFault(ThreadFault kind, Rng &rng, Cycle now)
 bool
 TcgCore::killTask(TaskId id, Cycle now)
 {
-    settleForOutsideChange();
+    sim_.wake(this);
     for (std::uint32_t i = 0; i < contexts_.size(); ++i) {
         Context &ctx = contexts_[i];
         if (ctx.state == State::Idle || ctx.killed ||
@@ -561,25 +549,14 @@ TcgCore::executeOp(std::uint32_t ctx_idx, Context &ctx,
 void
 TcgCore::tick(Cycle now)
 {
-    settle(now);
-    nextTick_ = now + 1;
     if (liveContexts() == 0)
         return;
+    // With no Running or Ready context (runnable_ == 0) this full
+    // tick only counts, rotates and draws the pairing tax: what
+    // skipTicks() replays for a sleeping core. Forced mode ticks such
+    // a core every cycle, so the two kernel modes cross-check.
     ++cyclesActive_;
     slotsOffered_ += static_cast<double>(params_.issueWidth);
-
-    if (runnable_ == 0) {
-        // Every live context waits on memory: no slot has a context
-        // to issue from, so only the rotation and the tax draw of a
-        // full tick remain. The fast-forward kernel lets such a core
-        // sleep and settle() replays this; forced mode and spurious
-        // wakes come here, so the two kernel modes cross-check.
-        if (params_.issuePolicy == IssuePolicy::RoundRobin)
-            ++rrSlot_;
-        if (liveContexts() > params_.maxRunning)
-            rng_.chance(params_.pairingSelectTax);
-        return;
-    }
 
     // Slot visit order: round-robin rotation or least-laxity-first.
     std::uint32_t order[16];

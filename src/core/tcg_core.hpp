@@ -122,12 +122,12 @@ class TcgCore : public Ticking
     Cycle nextActiveCycle(Cycle now) const override
     { return runnable_ == 0 ? kNoCycle : now + 1; }
     /**
-     * Replay the ticks skipped while asleep, before cycle now: for
-     * each, one active cycle, issueWidth offered slots, one round-robin
-     * step and, with more live contexts than run slots, one
-     * pairing-select draw on the core's RNG.
+     * Replay the ticks skipped while asleep: for each, one active
+     * cycle, issueWidth offered slots, one round-robin step and, with
+     * more live contexts than run slots, one pairing-select draw on
+     * the core's RNG.
      */
-    void settle(Cycle now) override;
+    void skipTicks(Cycle from, Cycle n) override;
 
     CoreId id() const { return id_; }
     const CoreParams &params() const { return params_; }
@@ -206,9 +206,6 @@ class TcgCore : public Ticking
         Rng rng{0, 0};
     };
 
-    /** Settle before a change made from outside tick(): up to this
-     *  cycle, or through it when this cycle's tick has already run. */
-    void settleForOutsideChange();
     /** Friend context index of ctx (its pair partner). */
     std::uint32_t friendOf(std::uint32_t ctx) const;
     /** Context currently eligible to issue for a run slot. */
@@ -267,12 +264,10 @@ class TcgCore : public Ticking
      * is 0 every live context waits on memory, so a tick would only
      * do bookkeeping: the active-cycle and offered-slot counts, the
      * round-robin rotation and the pairing-select draw. Such a core
-     * sleeps, and settle() replays that bookkeeping for the skipped
-     * cycles; forced mode ticks it, one settled cycle a tick.
+     * sleeps, and skipTicks() replays that bookkeeping for the
+     * skipped cycles; forced mode ticks it instead.
      */
     std::uint32_t runnable_ = 0;
-    /** First cycle whose tick is not yet accounted (see settle()). */
-    Cycle nextTick_ = 0;
     std::uint32_t storeBufferUsed_ = 0;
     std::uint32_t rrSlot_ = 0;
     std::uint64_t pendingResponses_ = 0;

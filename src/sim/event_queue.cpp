@@ -1,5 +1,6 @@
 #include "sim/event_queue.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "sim/logging.hpp"
@@ -11,23 +12,26 @@ EventQueue::schedule(Cycle when, EventFn fn)
 {
     if (!fn)
         panic("EventQueue::schedule: empty callback");
-    heap_.push(Entry{when, nextSeq_++, std::move(fn)});
+    heap_.push_back(Entry{when, nextSeq_++, std::move(fn)});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 Cycle
 EventQueue::nextEventCycle() const
 {
-    return heap_.empty() ? kNoCycle : heap_.top().when;
+    return heap_.empty() ? kNoCycle : heap_.front().when;
 }
 
 std::size_t
 EventQueue::runUntil(Cycle now)
 {
     std::size_t fired = 0;
-    while (!heap_.empty() && heap_.top().when <= now) {
-        // Copy out before pop so the callback may schedule new events.
-        EventFn fn = heap_.top().fn;
-        heap_.pop();
+    while (!heap_.empty() && heap_.front().when <= now) {
+        // Move out before firing so the callback may schedule new
+        // events.
+        std::pop_heap(heap_.begin(), heap_.end(), Later{});
+        EventFn fn = std::move(heap_.back().fn);
+        heap_.pop_back();
         fn();
         ++fired;
     }

@@ -4,7 +4,9 @@
  *
  * The SmarCo simulator is primarily cycle-driven (see Simulator), but
  * components use the event queue for sparse, latency-shaped actions:
- * memory response arrival, MACT deadline expiry, DMA completion.
+ * memory response arrival, DRAM channel service, task release and
+ * dispatch delay, request arrival and retry, NoC retransmission,
+ * fault arrival and recovery.
  * Events scheduled for the same cycle fire in scheduling order, which
  * keeps runs bit-reproducible.
  */
@@ -12,7 +14,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "sim/types.hpp"
@@ -62,7 +63,9 @@ class EventQueue
         }
     };
 
-    std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+    /** Min-heap under Later, kept with std::push_heap/pop_heap so a
+     *  fired entry can be moved out instead of copied. */
+    std::vector<Entry> heap_;
     std::uint64_t nextSeq_ = 0;
 };
 

@@ -48,9 +48,10 @@ Simulator::addTicking(Ticking *component)
     component->simIndex_ =
         static_cast<std::uint32_t>(ticking_.size());
     ticking_.push_back(component);
+    component->nextTick_ = now_;
     if (component->simIndex_ % 64 == 0)
         active_.push_back(0);
-    wake(component);
+    activate(component->simIndex_);
 }
 
 void
@@ -81,10 +82,10 @@ Simulator::advanceTo(Cycle target)
 }
 
 void
-Simulator::settleAll(Cycle now)
+Simulator::catchUpAll(Cycle upTo)
 {
     for (Ticking *t : ticking_)
-        t->settle(now);
+        catchUp(*t, upTo);
 }
 
 Cycle
@@ -100,14 +101,14 @@ Simulator::run(Cycle max_cycles)
     // Components stimulated between runs (direct submit/attach/spawn
     // calls) have already woken themselves; re-arming everything once
     // per run() additionally shields against stimulus paths that
-    // forget to wake — one round of provable no-op ticks at worst.
-    for (Ticking *t : ticking_)
-        wake(t);
+    // forget to wake — one round of spurious ticks at worst.
+    for (std::uint32_t i = 0; i < ticking_.size(); ++i)
+        activate(i);
 
     while (now_ < end && !stopRequested_) {
         tickCursor_ = 0;
         while (!wakeHeap_.empty() && wakeHeap_.top().first <= now_) {
-            wake(ticking_[wakeHeap_.top().second]);
+            activate(wakeHeap_.top().second);
             wakeHeap_.pop();
         }
         events_.runUntil(now_);
@@ -122,7 +123,7 @@ Simulator::run(Cycle max_cycles)
                 while (bits != 0) {
                     const int b = std::countr_zero(bits);
                     tickCursor_ = static_cast<std::uint32_t>(w * 64 + b);
-                    ticking_[tickCursor_]->tick(now_);
+                    tickOne(*ticking_[tickCursor_]);
                     bits = b == 63
                         ? 0
                         : active_[w] & (~std::uint64_t{0} << (b + 1));
@@ -146,12 +147,12 @@ Simulator::run(Cycle max_cycles)
         } else {
             for (tickCursor_ = 0; tickCursor_ < ticking_.size();
                  ++tickCursor_)
-                ticking_[tickCursor_]->tick(now_);
+                tickOne(*ticking_[tickCursor_]);
         }
         if (sampling && now_ >= sampler_.nextBoundary()) {
             // Probes read stats: bring sleeping components up to date,
             // this cycle's tick included.
-            settleAll(now_ + 1);
+            catchUpAll(now_ + 1);
             sampler_.maybeSample(now_);
         }
 
@@ -165,15 +166,20 @@ Simulator::run(Cycle max_cycles)
                 break;
             }
             // Jump the clock to just before the next event fires.
+            // Neither kernel mode ticks the cycles in between, so each
+            // component is accounted through this cycle and then
+            // moved past them.
+            catchUpAll(now_ + 1);
             advanceTo(next);
+            for (Ticking *t : ticking_)
+                t->nextTick_ = now_;
             continue;
         }
 
         if (fastForward_) {
             // Quiescence fast-forward: with every ticking component
             // asleep, no state can change until the earliest wake-up
-            // or event, so the skipped cycles are provably no-ops or
-            // bookkeeping that settle() replays.
+            // or event, so skipTicks() replays the skipped cycles.
             if (std::all_of(active_.begin(), active_.end(),
                             [](std::uint64_t w) { return w == 0; })) {
                 Cycle target = events_.nextEventCycle();
@@ -195,7 +201,7 @@ Simulator::run(Cycle max_cycles)
     // No tick of cycle now_ has run yet; callers between runs see the
     // stats of every cycle before it.
     tickCursor_ = 0;
-    settleAll(now_);
+    catchUpAll(now_);
     trace_.complete(TraceCat::Sim, "run", start, now_);
     if (runId_ != 0)
         snapshotObservability();

@@ -29,6 +29,14 @@ class Simulator;
  * Interface for components evaluated once per simulated cycle.
  * Ticking objects are evaluated in registration order, which is part
  * of the deterministic contract of the simulator.
+ *
+ * The kernel may skip a component's ticks (see nextActiveCycle) and
+ * accounts for every skipped one: skipTicks() replays it before the
+ * component's next tick, before an interval sample, when run()
+ * returns and when the component is woken. Hence the one rule for a
+ * component whose state is changed from outside its tick()
+ * (inject/submit/attach/a memory response/...): call
+ * Simulator::wake(this) before the change.
  */
 class Ticking
 {
@@ -47,46 +55,34 @@ class Ticking
 
     /**
      * Quiescence hint: the earliest future cycle at which tick() might
-     * do something, assuming no external stimulus arrives in between.
-     * Contract: every tick() between now and the returned cycle must
-     * be a provable no-op (no state change, no stats, no RNG draws),
-     * so the fast-forward kernel may skip it. Return now + 1 (the
-     * default) to stay on the per-cycle path, a future cycle for a
-     * known timer (deadline, quantum boundary), or kNoCycle to sleep
-     * until an external Simulator::wake(). A component whose state is
-     * changed from outside tick() (inject/submit/attach/...) must
-     * wake() itself there; spurious wakes are harmless by the no-op
-     * contract.
-     *
-     * Amendment: a component may also skip ticks whose only effects
-     * are its own counters, its rotation state and draws on its own
-     * RNGs (e.g. a TCG core whose live contexts all wait on memory,
-     * or the baseline chip between the cycles in which a slot's front
-     * thread, an OS time slice or its watchdog can act). It may do so
-     * only if settle(now) applies exactly those effects for every
-     * skipped cycle before now, and it must settle before any change
-     * to its state made from outside tick(). Cycles the kernel's idle
-     * jump skips are not ticked in either mode, so settle() must not
-     * replay them. Forced mode still ticks every component every
-     * cycle, so it proves the skips byte-identical.
+     * do more than skipTicks() replays, assuming no outside change in
+     * between. Return now + 1 (the default) to stay on the per-cycle
+     * path, a future cycle for a known timer (deadline, quantum
+     * boundary), or kNoCycle to sleep until a Simulator::wake().
+     * Spurious wakes are harmless: a tick the hint allowed to skip
+     * does exactly what skipTicks() does for it. Forced mode ticks
+     * every component every cycle, so it proves the skips
+     * byte-identical.
      */
     virtual Cycle nextActiveCycle(Cycle now) const { return now + 1; }
 
     /**
-     * Catch up on the bookkeeping of every tick skipped before cycle
-     * now (see nextActiveCycle). The kernel settles every component
-     * before run() returns and before an interval sample; components
-     * settle themselves in tick() and before outside state changes,
-     * using Simulator::tickPassed() to tell whether this cycle's tick
-     * already counts as done. A no-op by default.
+     * Apply the effects of the n skipped ticks of cycles from to
+     * from + n - 1: nothing by default (skipped ticks are no-ops), or
+     * only the component's own counters, rotation state and draws on
+     * its own RNGs (e.g. a TCG core whose live contexts all wait on
+     * memory). Cycles the kernel's idle jump passes over are ticked
+     * in neither kernel mode and never reach this hook.
      */
-    virtual void settle(Cycle) {}
+    virtual void skipTicks(Cycle /*from*/, Cycle /*n*/) {}
 
   private:
     friend class Simulator;
     /** Registration slot in the owning simulator's active set. */
     std::uint32_t simIndex_ = 0;
     Simulator *simOwner_ = nullptr;
+    /** First cycle neither ticked nor replayed by skipTicks(). */
+    Cycle nextTick_ = 0;
 };
 
 /**
@@ -169,29 +165,18 @@ class Simulator
     void releaseWork();
 
     /**
-     * Return a sleeping component to the active set (idempotent; a
-     * no-op for components registered to another simulator). Called
-     * by components from their stimulus entry points.
+     * Account for the component's skipped ticks up to this cycle, or
+     * through it when its tick for this cycle has already run, and
+     * return it to the active set (idempotent; a no-op for components
+     * registered to another simulator). Components call it before
+     * every change to their state made from outside tick().
      */
     void wake(Ticking *component)
     {
-        if (component && component->simOwner_ == this)
-            active_[component->simIndex_ / 64] |=
-                std::uint64_t{1} << (component->simIndex_ % 64);
-    }
-
-    /**
-     * Whether the component's tick for the current cycle has already
-     * run in tick-every-cycle order: false while events run, true
-     * during the tick pass for components of a lower registration
-     * index than the one ticking, and true after the tick pass. A
-     * tick cursor, kept in both kernel modes; a component settles to
-     * now() + (tickPassed ? 1 : 0) before an outside state change.
-     */
-    bool tickPassed(const Ticking *component) const
-    {
-        return component->simOwner_ == this &&
-               component->simIndex_ < tickCursor_;
+        if (!component || component->simOwner_ != this)
+            return;
+        catchUp(*component, now_ + (tickPassed(component) ? 1 : 0));
+        activate(component->simIndex_);
     }
 
     /**
@@ -222,8 +207,40 @@ class Simulator
      */
     void advanceTo(Cycle target);
 
-    /** Settle every component's skipped ticks before cycle now. */
-    void settleAll(Cycle now);
+    /** Set the active bit of registration index i. */
+    void activate(std::uint32_t i)
+    { active_[i / 64] |= std::uint64_t{1} << (i % 64); }
+
+    /**
+     * Whether the component's tick for the current cycle has already
+     * run in tick-every-cycle order: false while events run, true
+     * during the tick pass for components of a lower registration
+     * index than the one ticking, and true after the tick pass. Kept
+     * in both kernel modes.
+     */
+    bool tickPassed(const Ticking *component) const
+    { return component->simIndex_ < tickCursor_; }
+
+    /** Replay the component's skipped ticks before cycle upTo. */
+    static void catchUp(Ticking &component, Cycle upTo)
+    {
+        const Cycle from = component.nextTick_;
+        if (from >= upTo)
+            return;
+        component.nextTick_ = upTo;
+        component.skipTicks(from, upTo - from);
+    }
+
+    /** catchUp() every component to upTo. */
+    void catchUpAll(Cycle upTo);
+
+    /** Catch the component up and tick it for cycle now_. */
+    void tickOne(Ticking &component)
+    {
+        catchUp(component, now_);
+        component.nextTick_ = now_ + 1;
+        component.tick(now_);
+    }
 
     Cycle now_ = 0;
     bool stopRequested_ = false;
@@ -240,8 +257,8 @@ class Simulator
      */
     std::vector<std::uint64_t> active_;
     /** (wake cycle, registration index); entries may be stale — a
-     *  popped entry merely re-activates the component, and spurious
-     *  ticks are no-ops by the Ticking contract. */
+     *  popped entry merely re-activates the component, and a spurious
+     *  tick is harmless by the Ticking contract. */
     std::priority_queue<std::pair<Cycle, std::uint32_t>,
                         std::vector<std::pair<Cycle, std::uint32_t>>,
                         std::greater<>>

@@ -4,6 +4,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "baseline/baseline_chip.hpp"
 #include "workloads/profile.hpp"
 #include "workloads/task.hpp"
@@ -200,4 +203,50 @@ TEST(Baseline, UtilisationLowWhenWorkIsSparse)
     const auto m = chip.metrics();
     EXPECT_LT(m.cpuUtilisation, 0.2);
     EXPECT_GT(chip.tasksCompleted(), 0u);
+}
+
+TEST(Baseline, DramNamesOnlyChannelsBandwidthAndLatency)
+{
+    // 85 GB/s over four channels at ~82 ns; every other controller
+    // field keeps its default.
+    const mem::DramParams d = BaselineParams{}.dram;
+    const mem::DramParams def{};
+    EXPECT_EQ(d.channels, 4u);
+    EXPECT_DOUBLE_EQ(d.bytesPerCycle, 9.66);
+    EXPECT_EQ(d.accessLatency, 180u);
+    EXPECT_EQ(d.requestOverhead, def.requestOverhead);
+    EXPECT_EQ(d.writeDrainThreshold, def.writeDrainThreshold);
+    EXPECT_EQ(d.demandStreakLimit, def.demandStreakLimit);
+    EXPECT_EQ(d.interleaveBytes, def.interleaveBytes);
+}
+
+TEST(Baseline, IdlePersistentPoolSleepsBetweenPolls)
+{
+    // A persistent pool with an empty bag is not busy, but held work
+    // keeps the run going. The chip sleeps between its parked
+    // workers' empty-bag polls, and the kernel replays the skipped
+    // ticks' counters; both kernel modes dump the same stats.
+    struct Outcome {
+        std::string stats;
+        Cycle activeCycles;
+        std::uint64_t skipped;
+    };
+    const auto run = [](bool fast_forward) {
+        Simulator sim;
+        sim.setFastForward(fast_forward);
+        BaselineChip chip(sim, {});
+        chip.spawnWorkers(4, {}, /*persistent=*/true);
+        sim.holdWork();
+        EXPECT_EQ(sim.run(1'000'000), 1'000'000u);
+        std::ostringstream os;
+        sim.stats().dumpJson(os);
+        return Outcome{os.str(), chip.metrics().cycles,
+                       sim.cyclesSkipped()};
+    };
+    const Outcome ff = run(true);
+    const Outcome forced = run(false);
+    EXPECT_EQ(ff.stats, forced.stats);
+    EXPECT_EQ(ff.activeCycles, 1'000'000u);
+    EXPECT_GE(ff.skipped, 900'000u);
+    EXPECT_EQ(forced.skipped, 0u);
 }

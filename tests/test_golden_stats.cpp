@@ -100,7 +100,7 @@ using SimInspect = std::function<void(Simulator &)>;
 /**
  * The covered baseline config: a closed batch on smallBaseline().
  * sampled adds an interval sampler whose probes read the counters a
- * sleeping chip settles, and appends the samples to the dump.
+ * sleeping chip replays, and appends the samples to the dump.
  */
 std::string
 baselineRun(bool fast_forward, bool sampled = false,

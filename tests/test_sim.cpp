@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -394,100 +396,112 @@ TEST(FastForward, WakeChainsAcrossActiveSetWordsKeepTickOrder)
     }
 }
 
-TEST(FastForward, TickPassedFollowsTheTickCursor)
+TEST(FastForward, WakeAccountsUpToTheTickCursor)
 {
-    // Three components; the middle one reads the cursor during its
-    // tick, an event reads it before the tick pass and a sampler probe
-    // after it. Both kernel modes keep the same cursor.
-    struct Reader : Ticking {
+    // wake() replays a component's skipped ticks up to this cycle, or
+    // through it when the component's tick for this cycle has already
+    // run in tick-every-cycle order. Three sleepers record the first
+    // cycle they have accounted for (ticked or replayed). An event
+    // wakes all three before the tick pass of cycle 3, the middle one
+    // wakes them during its tick of cycle 7 and a sampler probe after
+    // the tick pass of cycle 10. Both kernel modes keep the same
+    // cursor; only fast-forward has ticks to replay.
+    struct Sleeper : Ticking {
         void
         tick(Cycle now) override
         {
-            if (now == 5 && sim)
-                for (const Ticking *t : all)
-                    during.push_back(sim->tickPassed(t));
+            if (now == 7 && wakeAll)
+                during = wakeAll();
+            accounted = now + 1;
         }
-        Simulator *sim = nullptr;
-        std::vector<const Ticking *> all;
-        std::vector<bool> during;
+        void skipTicks(Cycle from, Cycle n) override
+        { accounted = from + n; }
+        Cycle nextActiveCycle(Cycle now) const override
+        { return wakeAll && now < 7 ? 7 : kNoCycle; }
+        Cycle accounted = 0;
+        std::function<std::vector<Cycle>()> wakeAll;
+        std::vector<Cycle> during;
     };
     for (const bool fast_forward : {true, false}) {
         Simulator sim;
         sim.setFastForward(fast_forward);
-        Reader low, mid, high;
-        for (Reader *r : {&low, &mid, &high})
-            sim.addTicking(r);
-        mid.sim = &sim;
-        mid.all = {&low, &mid, &high};
-        std::vector<bool> in_event, after_pass;
-        sim.events().schedule(5, [&] {
-            for (const Ticking *t : mid.all)
-                in_event.push_back(sim.tickPassed(t));
-        });
+        Sleeper low, mid, high;
+        for (Sleeper *s : {&low, &mid, &high})
+            sim.addTicking(s);
+        const auto wake_all = [&] {
+            std::vector<Cycle> accounted;
+            for (Sleeper *s : {&low, &mid, &high}) {
+                sim.wake(s);
+                accounted.push_back(s->accounted);
+            }
+            return accounted;
+        };
+        mid.wakeAll = wake_all;
+        std::vector<Cycle> in_event, after_pass;
+        sim.events().schedule(3, [&] { in_event = wake_all(); });
         sim.sampler().setInterval(5);
         sim.sampler().addProbe("cursor", [&] {
-            if (sim.now() == 5)
-                for (const Ticking *t : mid.all)
-                    after_pass.push_back(sim.tickPassed(t));
+            if (sim.now() == 10)
+                after_pass = wake_all();
             return 0.0;
         });
-        sim.run(8);
-        EXPECT_EQ(in_event, (std::vector<bool>{false, false, false}));
-        EXPECT_EQ(mid.during, (std::vector<bool>{true, false, false}));
-        EXPECT_EQ(after_pass, (std::vector<bool>{true, true, true}));
+        EXPECT_EQ(sim.run(12), 12u);
+        EXPECT_EQ(in_event, (std::vector<Cycle>{3, 3, 3}));
+        EXPECT_EQ(mid.during, (std::vector<Cycle>{8, 7, 7}));
+        EXPECT_EQ(after_pass, (std::vector<Cycle>{11, 11, 11}));
         // Between runs no tick of now() has run yet.
-        EXPECT_FALSE(sim.tickPassed(&low));
-        EXPECT_FALSE(sim.tickPassed(&high));
+        EXPECT_EQ(wake_all(), (std::vector<Cycle>{12, 12, 12}));
         Simulator other;
-        EXPECT_FALSE(other.tickPassed(&low));
+        other.wake(&low);
+        EXPECT_EQ(low.accounted, 12u);
+        if (fast_forward) {
+            EXPECT_GT(sim.cyclesSkipped(), 0u);
+        }
     }
 }
 
-TEST(FastForward, SettledSkippedTicksMatchForcedMode)
+TEST(FastForward, ReplayedSkippedTicksMatchForcedMode)
 {
     // A component that counts every tick but, while it waits, does
-    // nothing else: it sleeps then and settle() counts the skipped
+    // nothing else: it sleeps then and skipTicks() counts the skipped
     // ticks. It is poked into one cycle of work by an event (cycle
     // 10), by a lower-index component (20) and by a higher-index one
-    // (30), across run() returns. Forced mode ticks it every cycle;
-    // both see the same work cycles and tick count at every return.
+    // (30), across run() returns. It is never busy: held work keeps
+    // the run going until an event releases it at 45, so the kernel
+    // jumps idle to the event at 60 that holds work again and pokes
+    // it. Forced mode ticks it every cycle; both see the same work
+    // cycles and tick count at every return, and neither accounts
+    // for the jumped cycles.
     struct Sleeper : Ticking {
         void
-        settle(Cycle now) override
+        skipTicks(Cycle from, Cycle n) override
         {
-            if (now <= nextTick)
-                return;
-            if (waiting)
-                counted += now - nextTick;
-            nextTick = now;
+            counted += n;
+            skips.emplace_back(from, n);
         }
         void
         tick(Cycle now) override
         {
-            if (waiting) {
-                settle(now + 1);
-                return;
-            }
-            settle(now);
-            nextTick = now + 1;
             ++counted;
+            if (waiting)
+                return;
             worked.push_back(now);
             waiting = true;
         }
+        bool busy() const override { return false; }
         Cycle nextActiveCycle(Cycle now) const override
         { return waiting ? kNoCycle : now + 1; }
         void
         poke()
         {
-            settle(sim->now() + (sim->tickPassed(this) ? 1 : 0));
-            waiting = false;
             sim->wake(this);
+            waiting = false;
         }
         Simulator *sim = nullptr;
         bool waiting = true;
-        Cycle nextTick = 0;
         std::uint64_t counted = 0;
         std::vector<Cycle> worked;
+        std::vector<std::pair<Cycle, Cycle>> skips;
     };
     struct Poker : Ticking {
         void
@@ -506,6 +520,7 @@ TEST(FastForward, SettledSkippedTicksMatchForcedMode)
         std::vector<std::uint64_t> counted;
         std::vector<Cycle> ends;
         std::vector<Cycle> worked;
+        std::vector<std::pair<Cycle, Cycle>> skips;
         std::uint64_t skipped;
     };
     const auto run = [](bool fast_forward) {
@@ -520,26 +535,39 @@ TEST(FastForward, SettledSkippedTicksMatchForcedMode)
         sim.addTicking(&low);
         sim.addTicking(&sleeper);
         sim.addTicking(&high);
+        sim.holdWork();
         sim.events().schedule(10, [&] { sleeper.poke(); });
+        sim.events().schedule(45, [&] { sim.releaseWork(); });
+        sim.events().schedule(60, [&] {
+            sim.holdWork();
+            sleeper.poke();
+        });
         Outcome out;
         for (const Cycle n : {15, 20, 1, 100}) {
             out.ends.push_back(sim.run(n));
             out.counted.push_back(sleeper.counted);
         }
         out.worked = sleeper.worked;
+        out.skips = sleeper.skips;
         out.skipped = sim.cyclesSkipped();
         return out;
     };
     const Outcome ff = run(true);
     const Outcome forced = run(false);
-    EXPECT_EQ(ff.worked, (std::vector<Cycle>{10, 20, 31}));
+    EXPECT_EQ(ff.worked, (std::vector<Cycle>{10, 20, 31, 60}));
     EXPECT_EQ(ff.ends, (std::vector<Cycle>{15, 35, 36, 136}));
-    EXPECT_EQ(ff.counted, (std::vector<std::uint64_t>{15, 35, 36, 136}));
+    // Cycles 46 to 59 are jumped: ticked in neither mode.
+    EXPECT_EQ(ff.counted, (std::vector<std::uint64_t>{15, 35, 36, 122}));
     EXPECT_GT(ff.skipped, 90u); // the sleeper really slept
+    EXPECT_FALSE(ff.skips.empty());
+    for (const auto &[from, n] : ff.skips)
+        EXPECT_TRUE(from + n <= 46 || from >= 60)
+            << "replayed [" << from << ", " << from + n << ")";
     EXPECT_EQ(forced.worked, ff.worked);
     EXPECT_EQ(forced.ends, ff.ends);
     EXPECT_EQ(forced.counted, ff.counted);
-    EXPECT_EQ(forced.skipped, 0u);
+    EXPECT_TRUE(forced.skips.empty());
+    EXPECT_EQ(forced.skipped, 14u); // the idle jump only
 }
 
 TEST(SimulatorDeath, ReleaseWithoutHoldPanics)
