@@ -1,6 +1,7 @@
 #include "baseline/baseline_chip.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "sim/logging.hpp"
@@ -77,6 +78,7 @@ BaselineChip::BaselineChip(Simulator &sim, BaselineParams params)
         core.slots.resize(params_.smtPerCore);
     }
     slotWake_.assign(params_.numCores * params_.smtPerCore, kNoCycle);
+    dueMask_.assign((slotWake_.size() + 63) / 64, 0);
     sim.addTicking(this);
 }
 
@@ -129,9 +131,7 @@ BaselineChip::spawnWorkers(std::uint32_t num_threads,
         t.readyAt = sim_.now() +
             static_cast<Cycle>(k + 1) * params_.threadCreateCost;
         t.rng = Rng(0xba5e + t.id, t.id);
-        const std::uint32_t slot = slotOf(t);
-        cores_[slot / params_.smtPerCore]
-            .slots[slot % params_.smtPerCore].push_back(t.id);
+        slotQueue(slotOf(t)).push_back(t.id);
         ++liveThreads_;
         ++startingCount_;
     }
@@ -462,8 +462,7 @@ BaselineChip::executeOp(Core &core, SwThread &t, const MicroOp &op,
 void
 BaselineChip::refreshSlot(std::uint32_t slot)
 {
-    const auto &q =
-        cores_[slot / params_.smtPerCore].slots[slot % params_.smtPerCore];
+    const auto &q = slotQueue(slot);
     Cycle wake = kNoCycle;
     if (!q.empty()) {
         const SwThread &t = threads_[q.front()];
@@ -589,8 +588,7 @@ BaselineChip::tick(Cycle now)
     if (now >= nextRotate_) {
         nextRotate_ = now + params_.schedQuantum;
         for (std::uint32_t slot = 0; slot < slotWake_.size(); ++slot) {
-            auto &q = cores_[slot / params_.smtPerCore]
-                          .slots[slot % params_.smtPerCore];
+            auto &q = slotQueue(slot);
             if (q.size() < 2)
                 continue;
             q.push_back(q.front());
@@ -603,29 +601,60 @@ BaselineChip::tick(Cycle now)
         }
     }
 
-    // Visit each core's slots in order under its issue budget,
-    // skipping slots whose front thread cannot act yet, and recompute
-    // the earliest wake time on the way. The tick-every-cycle kernel
-    // ignores the wake array and visits every non-empty slot: a visit
-    // to a front thread that cannot act is a no-op, so the stats of
-    // the two modes are identical exactly when every wake time is.
-    const bool visit_all = !sim_.fastForward();
-    const std::uint32_t smt = params_.smtPerCore;
+    // One pass over the wake array marks the due slots in dueMask_
+    // and takes the earliest wake of the others. The tick-every-cycle
+    // kernel marks every non-empty slot instead: a visit to a front
+    // thread that cannot act is a no-op, so the stats of the two
+    // modes are identical exactly when every wake time is.
+    const std::uint32_t num_slots =
+        static_cast<std::uint32_t>(slotWake_.size());
     Cycle wake_min = kNoCycle;
-    for (std::uint32_t c = 0; c < cores_.size(); ++c) {
-        std::uint32_t budget = params_.issueWidth;
-        for (std::uint32_t w = 0; w < smt; ++w) {
-            const std::uint32_t slot = c * smt + w;
-            const auto &q = cores_[c].slots[w];
-            if (budget > 0 &&
-                (visit_all ? !q.empty() : slotWake_[slot] <= now)) {
-                runThread(cores_[c], threads_[q.front()], now, budget);
-                refreshSlot(slot);
-            }
-            wake_min = std::min(wake_min, slotWake_[slot]);
+    for (std::uint32_t word = 0; word < dueMask_.size(); ++word) {
+        const std::uint32_t first = word * 64;
+        const std::uint32_t end = std::min(num_slots, first + 64);
+        std::uint64_t due = 0;
+        for (std::uint32_t slot = first; slot < end; ++slot) {
+            const Cycle wake = slotWake_[slot];
+            const bool is_due = wake <= now;
+            due |= static_cast<std::uint64_t>(is_due) << (slot - first);
+            wake_min = std::min(wake_min, is_due ? kNoCycle : wake);
         }
+        dueMask_[word] = due;
+    }
+    if (!sim_.fastForward()) {
+        for (std::uint32_t slot = 0; slot < num_slots; ++slot)
+            if (!slotQueue(slot).empty())
+                dueMask_[slot / 64] |= std::uint64_t{1} << (slot % 64);
     }
     wakeMin_ = wake_min;
+
+    // Visit the marked slots in core-then-slot order, each core's
+    // under its issue budget. A visit refreshes the slot's wake, which
+    // folds it into wakeMin_; a slot passed over for budget is still
+    // due, so its wake is folded in as it stands.
+    const std::uint32_t smt = params_.smtPerCore;
+    std::uint32_t core = 0;
+    std::uint32_t budget = params_.issueWidth;
+    for (std::uint32_t word = 0; word < dueMask_.size(); ++word) {
+        for (std::uint64_t due = dueMask_[word]; due != 0;
+             due &= due - 1) {
+            const std::uint32_t slot =
+                word * 64 + static_cast<std::uint32_t>(
+                                std::countr_zero(due));
+            if (slot / smt != core) {
+                core = slot / smt;
+                budget = params_.issueWidth;
+            }
+            if (budget == 0) {
+                wakeMin_ = std::min(wakeMin_, slotWake_[slot]);
+                continue;
+            }
+            Core &c = cores_[core];
+            runThread(c, threads_[c.slots[slot - core * smt].front()],
+                      now, budget);
+            refreshSlot(slot);
+        }
+    }
 
     // Run completion (non-persistent pools): once the bag is dry and
     // every worker has parked, retire the pool so the simulator can

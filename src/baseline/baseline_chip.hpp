@@ -221,6 +221,12 @@ class BaselineChip : public Ticking
     /** Run one slot's front thread for this cycle. */
     void runThread(Core &core, SwThread &t, Cycle now,
                    std::uint32_t &budget);
+    /** Software threads of flat SMT slot `slot`, front = live. */
+    std::deque<std::uint32_t> &slotQueue(std::uint32_t slot)
+    {
+        return cores_[slot / params_.smtPerCore]
+            .slots[slot % params_.smtPerCore];
+    }
     /** Flat SMT slot (core * smtPerCore + way) a thread is affined to. */
     std::uint32_t slotOf(const SwThread &t) const
     { return t.id % static_cast<std::uint32_t>(slotWake_.size()); }
@@ -286,6 +292,9 @@ class BaselineChip : public Ticking
      *  every refresh in between (a raised entry leaves it early,
      *  which costs one spurious tick). */
     Cycle wakeMin_ = kNoCycle;
+    /** Scratch of tick(): bit s % 64 of word s / 64 marks SMT slot s
+     *  as due for a visit this cycle. Sized with slotWake_. */
+    std::vector<std::uint64_t> dueMask_;
 
     Scalar committed_;
     Scalar cycles_;

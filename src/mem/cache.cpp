@@ -66,25 +66,30 @@ Cache::access(Addr addr, bool write)
     std::uint64_t *const stamps = &stamps_[base];
     std::uint8_t *const dirty = &dirty_[base];
     ++useClock_;
+    const std::uint32_t assoc = params_.assoc;
 
-    for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-        if (tags[w] == tag) {
-            stamps[w] = useClock_;
-            if (write)
-                dirty[w] = 1;
-            ++hits_;
-            return CacheResult{true, false, kNoAddr};
-        }
+    // A valid tag sits in at most one way of a set, so comparing every
+    // way with no early exit finds the hit way without a mispredicted
+    // loop exit.
+    std::uint32_t way = assoc;
+    for (std::uint32_t w = 0; w < assoc; ++w)
+        way = tags[w] == tag ? w : way;
+    if (way != assoc) {
+        stamps[way] = useClock_;
+        dirty[way] |= static_cast<std::uint8_t>(write);
+        ++hits_;
+        return CacheResult{true, false, kNoAddr};
     }
 
     // Miss: the first way with the smallest stamp, which is the first
-    // invalid way if any, else the LRU way. Nothing is below stamp 0,
-    // so the scan stops at the first invalid way.
+    // invalid way if any, else the LRU way. A running minimum over
+    // every way with a strict < keeps the first of equal stamps.
     std::uint32_t victim = 0;
-    for (std::uint32_t w = 1; w < params_.assoc && stamps[victim] != 0;
-         ++w) {
-        if (stamps[w] < stamps[victim])
-            victim = w;
+    std::uint64_t oldest = stamps[0];
+    for (std::uint32_t w = 1; w < assoc; ++w) {
+        const bool older = stamps[w] < oldest;
+        victim = older ? w : victim;
+        oldest = older ? stamps[w] : oldest;
     }
 
     CacheResult res;

@@ -46,8 +46,11 @@ struct CacheResult {
  * stamps and dirty flags. A stamp is the use clock of the way's last
  * access; valid stamps start at 1 and no two are equal, so stamp 0
  * marks an invalid way and a miss evicts the first way with the
- * smallest stamp: the first invalid way, else the LRU way. A hit
- * scans only the set's tags, 8 bytes a way.
+ * smallest stamp: the first invalid way, else the LRU way. Both
+ * searches are branch-free. A lookup compares every tag of the set,
+ * 8 bytes a way, with no early exit (a valid tag matches at most one
+ * way). A miss takes a running minimum of the set's stamps with a
+ * strict <, so the first of equal stamps wins.
  */
 class Cache
 {

@@ -22,12 +22,6 @@ splitmix64(std::uint64_t &state)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed, std::uint64_t stream)
@@ -37,20 +31,6 @@ Rng::Rng(std::uint64_t seed, std::uint64_t stream)
     std::uint64_t sm = seed ^ (stream * 0xd1342543de82ef95ULL + 1);
     for (auto &s : s_)
         s = splitmix64(sm);
-}
-
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
 }
 
 std::uint64_t
@@ -102,22 +82,6 @@ Rng::nextRange(std::int64_t lo, std::int64_t hi)
     return lo + static_cast<std::int64_t>(nextBelow(span));
 }
 
-double
-Rng::nextDouble()
-{
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::chance(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return nextDouble() < p;
-}
-
 std::uint64_t
 Rng::nextGeometric(double mean, std::uint64_t cap)
 {
@@ -147,14 +111,6 @@ DiscreteDist::DiscreteDist(std::vector<double> weights)
         cdf_.push_back(acc);
     }
     cdf_.back() = 1.0; // guard against fp drift
-}
-
-std::size_t
-DiscreteDist::sample(Rng &rng) const
-{
-    const double u = rng.nextDouble();
-    const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-    return static_cast<std::size_t>(it - cdf_.begin());
 }
 
 double

@@ -8,6 +8,7 @@
  */
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <string_view>
@@ -27,7 +28,18 @@ class Rng
     explicit Rng(std::uint64_t seed = 0x5eed, std::uint64_t stream = 0);
 
     /** Next raw 64-bit value. */
-    std::uint64_t next();
+    std::uint64_t next()
+    {
+        const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = std::rotl(s_[3], 45);
+        return result;
+    }
 
     /** Uniform integer in [0, bound) using Lemire rejection. */
     std::uint64_t nextBelow(std::uint64_t bound);
@@ -36,10 +48,20 @@ class Rng
     std::int64_t nextRange(std::int64_t lo, std::int64_t hi);
 
     /** Uniform double in [0, 1). */
-    double nextDouble();
+    double nextDouble()
+    {
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Bernoulli draw with probability p of true. */
-    bool chance(double p);
+    bool chance(double p)
+    {
+        if (p <= 0.0)
+            return false;
+        if (p >= 1.0)
+            return true;
+        return nextDouble() < p;
+    }
 
     /** Geometric-ish bounded draw: mean roughly m, capped at cap. */
     std::uint64_t nextGeometric(double mean, std::uint64_t cap);
@@ -65,8 +87,11 @@ std::uint64_t rngStreamId(std::string_view name);
 Rng namedRng(std::uint64_t seed, std::string_view name);
 
 /**
- * Discrete distribution over arbitrary weights, sampled by inverse
- * CDF lookup. Used for per-benchmark access-granularity histograms.
+ * Discrete distribution over arbitrary weights. Used for
+ * per-benchmark access-granularity histograms, which have a handful
+ * of categories, so a draw of u in [0, 1) counts the CDF entries
+ * below u without branches. On the non-decreasing CDF that count is
+ * the index std::lower_bound finds.
  */
 class DiscreteDist
 {
@@ -77,7 +102,14 @@ class DiscreteDist
     explicit DiscreteDist(std::vector<double> weights);
 
     /** Sample an index according to the weights. */
-    std::size_t sample(Rng &rng) const;
+    std::size_t sample(Rng &rng) const
+    {
+        const double u = rng.nextDouble();
+        std::size_t below = 0;
+        for (const double c : cdf_)
+            below += c < u;
+        return below;
+    }
 
     /** Number of categories. */
     std::size_t size() const { return cdf_.size(); }

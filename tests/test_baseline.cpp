@@ -250,3 +250,28 @@ TEST(Baseline, IdlePersistentPoolSleepsBetweenPolls)
     EXPECT_GE(ff.skipped, 900'000u);
     EXPECT_EQ(forced.skipped, 0u);
 }
+
+TEST(Baseline, DueSlotPassedOverForBudgetStaysAwake)
+{
+    // One core, two SMT slots, search tasks: ILP 3.0 times the 1.5
+    // OoO boost reaches the 4-wide issue width, so slot 0 can spend
+    // the core's whole budget while slot 1 is due. The passed-over
+    // slot's wake must stay in the chip's wake minimum, or the kernel
+    // skips a tick in which it acts (and panics on it).
+    const auto run = [](bool fast_forward) {
+        Simulator sim;
+        sim.setFastForward(fast_forward);
+        BaselineParams params;
+        params.numCores = 1;
+        params.smtPerCore = 2;
+        BaselineChip chip(sim, params);
+        chip.spawnWorkers(2, taskSet("search", 6, 11));
+        sim.run(200'000'000);
+        EXPECT_EQ(chip.tasksCompleted(), 6u);
+        EXPECT_TRUE(sim.finishedIdle());
+        std::ostringstream os;
+        sim.stats().dumpJson(os);
+        return os.str();
+    };
+    EXPECT_EQ(run(true), run(false));
+}

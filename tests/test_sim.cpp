@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <limits>
@@ -18,6 +19,7 @@
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
+#include "workloads/profile.hpp"
 
 using namespace smarco;
 
@@ -736,6 +738,43 @@ TEST(DiscreteDist, MatchesWeights)
     EXPECT_NEAR(counts[0] / double(n), 0.1, 0.01);
     EXPECT_NEAR(counts[1] / double(n), 0.3, 0.015);
     EXPECT_NEAR(counts[2] / double(n), 0.6, 0.015);
+}
+
+TEST(DiscreteDist, CountedDrawMatchesLowerBound)
+{
+    // sample() counts the CDF entries below u; lower_bound over the
+    // same CDF must give every draw the same index. The reference CDF
+    // repeats the constructor's arithmetic, so both see the same
+    // doubles, and zero weights make runs of equal entries.
+    std::vector<std::vector<double>> tables = {
+        {0.0, 0.0, 3.0, 0.0, 1.5, 2.0, 0.0, 0.25, 0.0, 0.0}};
+    for (const auto &p : workloads::htcProfiles())
+        tables.push_back(p.granularityWeights);
+    for (std::size_t k = 0; k < tables.size(); ++k) {
+        const std::vector<double> &weights = tables[k];
+        double total = 0.0;
+        for (double w : weights)
+            total += w;
+        std::vector<double> cdf;
+        double acc = 0.0;
+        for (double w : weights) {
+            acc += w / total;
+            cdf.push_back(acc);
+        }
+        cdf.back() = 1.0;
+
+        const DiscreteDist d(weights);
+        Rng draws(21, k);
+        Rng ref(21, k);
+        for (int i = 0; i < 100'000; ++i) {
+            const double u = ref.nextDouble();
+            const auto want = static_cast<std::size_t>(
+                std::lower_bound(cdf.begin(), cdf.end(), u) -
+                cdf.begin());
+            ASSERT_EQ(d.sample(draws), want)
+                << "table " << k << ", draw " << i << ", u " << u;
+        }
+    }
 }
 
 TEST(ZipfDist, SkewsTowardLowRanks)
