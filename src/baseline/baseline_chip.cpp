@@ -355,7 +355,7 @@ BaselineChip::fetchOk(Core &core, SwThread &t, Cycle now)
         t.readyAt = std::max(t.readyAt, now + params_.llcHitLatency);
         return false;
     }
-    t.readyAt = std::max(t.readyAt, now + params_.memLatency);
+    t.readyAt = std::max(t.readyAt, now + params_.dram.accessLatency);
     return false;
 }
 

@@ -42,12 +42,11 @@ SmarcoChip::SmarcoChip(Simulator &sim, ChipConfig cfg)
             strprintf("chip.core%03u", c)));
         dmas_.push_back(std::make_unique<mem::DmaEngine>(
             sim_.stats(), cfg_.core.spm.dmaChunkBytes,
-            strprintf("chip.dma%03u", c)));
-        dmas_.back()->setTransport(
             [this, c](Addr src, Addr dst, std::uint32_t bytes,
                       std::function<void()> done) {
                 dmaChunk(c, src, dst, bytes, std::move(done));
-            });
+            },
+            strprintf("chip.dma%03u", c)));
     }
 
     for (std::uint32_t g = 0; g < cfg_.noc.numSubRings; ++g) {
@@ -71,11 +70,7 @@ SmarcoChip::SmarcoChip(Simulator &sim, ChipConfig cfg)
 
     for (std::uint32_t g = 0; g < cfg_.noc.numSubRings; ++g) {
         subScheds_.push_back(std::make_unique<sched::SubScheduler>(
-            sim_, cfg_.subSched, g, strprintf("chip.sched%02u", g)));
-        auto &sub = *subScheds_.back();
-        for (std::uint32_t k = 0; k < cfg_.noc.coresPerSubRing; ++k)
-            sub.addCore(cores_[g * cfg_.noc.coresPerSubRing + k].get());
-        sub.setStreamFactory(
+            sim_, cfg_.subSched, g,
             [this](const workloads::TaskSpec &task, CoreId core_id) {
                 // layoutFor() rejects a task with no profile, so it
                 // runs before the profile is dereferenced.
@@ -83,21 +78,21 @@ SmarcoChip::SmarcoChip(Simulator &sim, ChipConfig cfg)
                     layoutFor(task, core_id);
                 return std::make_unique<workloads::ProfileStream>(
                     *task.profile, layout, task.numOps, task.seed);
-            });
-        sub.setStageFn([this](CoreId core_id,
-                              const workloads::TaskSpec &task,
-                              std::function<void()> ready) {
-            stageTask(core_id, task, std::move(ready));
-        });
+            },
+            [this](CoreId core_id, const workloads::TaskSpec &task,
+                   std::function<void()> ready) {
+                stageTask(core_id, task, std::move(ready));
+            },
+            strprintf("chip.sched%02u", g)));
+        for (std::uint32_t k = 0; k < cfg_.noc.coresPerSubRing; ++k)
+            subScheds_.back()->addCore(
+                cores_[g * cfg_.noc.coresPerSubRing + k].get());
     }
 
-    mainSched_ = std::make_unique<sched::MainScheduler>(
-        sim_, cfg_.mainSched, "chip.mainSched");
-    for (auto &s : subScheds_)
-        mainSched_->addSubScheduler(s.get());
     // Task hand-off travels the main ring as a control packet from
     // the host-facing I/O stop to the target gateway.
-    mainSched_->setTransport(
+    mainSched_ = std::make_unique<sched::MainScheduler>(
+        sim_, cfg_.mainSched,
         [this](std::uint32_t sub_ring, const workloads::TaskSpec &t) {
             Packet pkt;
             pkt.src = NodeId{NodeKind::Io, 0};
@@ -108,7 +103,10 @@ SmarcoChip::SmarcoChip(Simulator &sim, ChipConfig cfg)
                 subScheds_[sub_ring]->submit(t);
             };
             network_->send(std::move(pkt));
-        });
+        },
+        "chip.mainSched");
+    for (auto &s : subScheds_)
+        mainSched_->addSubScheduler(s.get());
 
     // Time-series probes: rates are computed over the sampling
     // interval from the cumulative counters, so the series shows

@@ -88,6 +88,9 @@ bool
 TcgCore::attachTask(const workloads::TaskSpec &task,
                     isa::StreamPtr stream, TaskDone done)
 {
+    if (!task.profile)
+        panic("task %llu has no profile",
+              static_cast<unsigned long long>(task.id));
     sim_.wake(this);
     for (std::uint32_t i = 0; i < contexts_.size(); ++i) {
         Context &ctx = contexts_[i];
@@ -179,10 +182,8 @@ void
 TcgCore::traceTaskDone(const Context &ctx, std::uint32_t ctx_idx,
                        Cycle now)
 {
-    const std::string kernel =
-        ctx.task.profile ? ctx.task.profile->name : "task";
     sim_.trace().complete(
-        TraceCat::Core, kernel, ctx.taskStart, now, id_,
+        TraceCat::Core, ctx.task.profile->name, ctx.taskStart, now, id_,
         strprintf("{\"task\":%llu,\"ops\":%llu,\"ctx\":%u}",
                   static_cast<unsigned long long>(ctx.task.id),
                   static_cast<unsigned long long>(ctx.opsDone),
@@ -236,7 +237,8 @@ TcgCore::wakeThread(std::uint32_t ctx_idx, Cycle now)
         // Laxity-aware arbitration may preempt the friend when the
         // woken task is more urgent (lagging behind its deadline).
         if (params_.issuePolicy == IssuePolicy::LaxityAware &&
-            laxityOf(ctx, now) < laxityOf(contexts_[fi], now)) {
+            ctx.task.laxity(now, ctx.opsDone) <
+                contexts_[fi].task.laxity(now, contexts_[fi].opsDone)) {
             contexts_[fi].state = State::Ready;
             ctx.state = State::Running;
             ctx.readyAt = std::max(ctx.readyAt,
@@ -382,7 +384,7 @@ TcgCore::taskProgress(TaskId id) const
 std::uint32_t
 TcgCore::ilpCap(Context &ctx) const
 {
-    const double ilp = ctx.task.profile ? ctx.task.profile->ilp : 2.0;
+    const double ilp = ctx.task.profile->ilp;
     const auto base = static_cast<std::uint32_t>(ilp);
     const double frac = ilp - static_cast<double>(base);
     return base + (ctx.rng.chance(frac) ? 1u : 0u);
@@ -394,9 +396,8 @@ TcgCore::fetchOk(Context &ctx, Cycle now)
     if (ctx.fetchedAt == now)
         return true;
     ctx.fetchedAt = now;
-    const std::uint64_t footprint = ctx.task.profile
-        ? std::max<std::uint64_t>(ctx.task.profile->instrFootprint, 256)
-        : params_.instrFootprint;
+    const std::uint64_t footprint =
+        std::max<std::uint64_t>(ctx.task.profile->instrFootprint, 256);
     const Addr pc = ctx.pcBase + (ctx.fetchOff % footprint);
     ctx.fetchOff += 16; // one fetch group of four 32-bit instructions
     if (icache_.access(pc, false).hit)
@@ -409,20 +410,6 @@ TcgCore::fetchOk(Context &ctx, Cycle now)
                    static_cast<std::uint32_t>(&ctx - contexts_.data()),
                    now);
     return false;
-}
-
-double
-TcgCore::laxityOf(const Context &ctx, Cycle now) const
-{
-    if (!ctx.task.hasDeadline())
-        return std::numeric_limits<double>::infinity();
-    const double remaining_ops = ctx.task.numOps > ctx.opsDone
-        ? static_cast<double>(ctx.task.numOps - ctx.opsDone)
-        : 0.0;
-    const double time_left = ctx.task.deadline > now
-        ? static_cast<double>(ctx.task.deadline - now)
-        : 0.0;
-    return time_left - remaining_ops; // assumes ~1 op/cycle/thread
 }
 
 void
@@ -523,12 +510,7 @@ TcgCore::executeOp(std::uint32_t ctx_idx, Context &ctx,
 
       case MemClass::Stream:
         if (!is_store) {
-            // Trace-driven tasks (no profile) treat every stream load
-            // as a demand miss; profiled tasks follow the profile.
-            const double blocking = ctx.task.profile
-                ? ctx.task.profile->streamLoadBlocking
-                : 1.0;
-            if (!ctx.rng.chance(blocking)) {
+            if (!ctx.rng.chance(ctx.task.profile->streamLoadBlocking)) {
                 // Staged into the SPM by the runtime's DMA prefetch.
                 spm_.access(false);
                 commitOp(ctx);
@@ -571,7 +553,7 @@ TcgCore::tick(Cycle now)
         double min_laxity = std::numeric_limits<double>::infinity();
         for (std::uint32_t s = 0; s < nslots; ++s) {
             const Context *c = activeOf(s);
-            laxity[s] = c ? laxityOf(*c, now)
+            laxity[s] = c ? c->task.laxity(now, c->opsDone)
                           : std::numeric_limits<double>::infinity();
             min_laxity = std::min(min_laxity, laxity[s]);
         }

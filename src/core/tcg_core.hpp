@@ -63,8 +63,6 @@ struct CoreParams {
     Cycle icacheMissPenalty = 6; ///< refill from prefetched SPM segment
     std::uint32_t storeBufferSlots = 8;
     bool sharedInstrSegment = true;
-    /** Instruction-loop footprint per distinct kernel, bytes. */
-    std::uint64_t instrFootprint = 6 * 1024;
     mem::CacheParams icache{"icache", 16 * 1024, 4, 64, 1};
     mem::CacheParams dcache{"dcache", 16 * 1024, 4, 64, 2};
     mem::SpmParams spm{};
@@ -100,7 +98,9 @@ class TcgCore : public Ticking
             const std::string &stat_prefix);
 
     /**
-     * Attach a task to a free context.
+     * Attach a task to a free context. The task's profile supplies
+     * its ILP, instruction footprint and stream-load blocking rate;
+     * a task without one panics.
      * @return false when every context is occupied.
      */
     bool attachTask(const workloads::TaskSpec &task,
@@ -244,7 +244,6 @@ class TcgCore : public Ticking
      */
     bool executeOp(std::uint32_t ctx_idx, Context &ctx,
                    const isa::MicroOp &op, Cycle now);
-    double laxityOf(const Context &ctx, Cycle now) const;
 
     Simulator &sim_;
     CoreParams params_;

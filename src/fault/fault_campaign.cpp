@@ -118,8 +118,12 @@ FaultCampaign::generate()
         if (rate <= 0.0 || spec_.rateScale <= 0.0 || genScale <= 0.0)
             continue;
         const double meanGap = 1e6 / (rate * genScale);
-        const std::uint64_t gapCap =
-            static_cast<std::uint64_t>(8.0 * meanGap) + 1;
+        // A gap past the horizon ends the loop whatever its length,
+        // so capping at the horizon keeps every arrival and the cast
+        // in range.
+        const double capCycles =
+            std::min(8.0 * meanGap, static_cast<double>(spec_.horizon));
+        const auto gapCap = static_cast<std::uint64_t>(capCycles) + 1;
         const double acceptProb = spec_.rateScale / genScale;
         Rng gapRng = namedRng(seed_, "fault.gap." + name);
         Rng acceptRng = namedRng(seed_, "fault.accept." + name);

@@ -119,12 +119,8 @@ class FaultCampaign
     /** Generate the arrival sequence and start the event chains. */
     void arm(const FaultTargets &targets);
 
-    const FaultSpec &spec() const { return spec_; }
-
     std::uint64_t injected() const
     { return static_cast<std::uint64_t>(injected_.value()); }
-    std::uint64_t noVictim() const
-    { return static_cast<std::uint64_t>(noVictim_.value()); }
     const FaultLog &log() const { return log_; }
 
   private:

@@ -1,20 +1,86 @@
 #include "fault/fault_spec.hpp"
 
+#include <array>
 #include <cctype>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <type_traits>
+#include <variant>
 
 #include "sim/logging.hpp"
 
 namespace smarco::fault {
 namespace {
 
+/** What a spec number means; fixes its range and its C++ type. */
+enum class Kind : std::uint8_t {
+    Rate,        ///< per-million-cycle rate or its sweep multiplier
+    Probability, ///< per-event probability
+    Factor,      ///< bandwidth multiplier
+    Cycles,      ///< a cycle count
+    Count,       ///< an attempt count
+};
+
+/** Closed range of each kind, indexed by Kind. NaN is in none. */
+struct Range {
+    double lo;
+    double hi;
+    const char *text;
+};
+constexpr Range kRanges[] = {
+    {0.0, std::numeric_limits<double>::max(), "[0, inf)"},
+    {0.0, 0x1.fffffffffffffp-1, "[0, 1)"},
+    {std::numeric_limits<double>::denorm_min(), 1.0, "(0, 1]"},
+    {0.0, 0x1p53, "[0, 2^53]"}, // a double holds every such cycle
+    {0.0, 4294967295.0, "[0, 2^32)"},
+};
+
+/** One spec key: its dotted path, its kind and the field it sets. */
+struct Field {
+    const char *path;
+    Kind kind;
+    std::variant<double *, Cycle *, std::uint32_t *> slot;
+};
+
+/** Every key a campaign spec may set. */
+auto
+fieldsOf(FaultSpec &s)
+{
+    return std::to_array<Field>({
+        {"core.hangRate", Kind::Rate, &s.coreHangRate},
+        {"core.killRate", Kind::Rate, &s.coreKillRate},
+        {"noc.dropProb", Kind::Probability, &s.nocDropProb},
+        {"noc.nackDelay", Kind::Cycles, &s.nocNackDelay},
+        {"noc.maxRetransmits", Kind::Count, &s.nocMaxRetransmits},
+        {"noc.degradeRate", Kind::Rate, &s.nocDegradeRate},
+        {"noc.degradeFactor", Kind::Factor, &s.nocDegradeFactor},
+        {"noc.degradeDuration", Kind::Cycles, &s.nocDegradeDuration},
+        {"noc.dupRate", Kind::Rate, &s.nocDupRate},
+        {"dram.stallRate", Kind::Rate, &s.dramStallRate},
+        {"dram.stallDuration", Kind::Cycles, &s.dramStallDuration},
+        {"mact.lossRate", Kind::Rate, &s.mactLossRate},
+        {"mact.recoveryLatency", Kind::Cycles, &s.mactRecoveryLatency},
+        {"recovery.heartbeatInterval", Kind::Cycles,
+         &s.recovery.heartbeatInterval},
+        {"recovery.hangTimeout", Kind::Cycles, &s.recovery.hangTimeout},
+        {"recovery.backoffBase", Kind::Cycles, &s.recovery.backoffBase},
+        {"recovery.backoffMax", Kind::Cycles, &s.recovery.backoffMax},
+        {"recovery.maxAttempts", Kind::Count, &s.recovery.maxAttempts},
+        {"campaign.horizon", Kind::Cycles, &s.horizon},
+        {"campaign.watchdogInterval", Kind::Cycles, &s.watchdogInterval},
+        {"campaign.rateScale", Kind::Rate, &s.rateScale},
+        {"campaign.rateScaleCeiling", Kind::Rate, &s.rateScaleCeiling},
+    });
+}
+
 /**
  * Minimal recursive-descent parser for the campaign subset of JSON:
- * objects, string keys, numbers, and nested objects. Arrays, strings
- * as values, booleans and null are rejected — no campaign field needs
- * them, and a loud failure beats silently mis-reading a spec.
+ * objects, string keys, numbers, and one level of nested objects.
+ * Arrays, strings as values, booleans and null are rejected — no
+ * campaign field needs them, and a loud failure beats silently
+ * mis-reading a spec.
  */
 class SpecParser
 {
@@ -25,28 +91,7 @@ class SpecParser
     void parseInto(FaultSpec &spec)
     {
         skipWs();
-        expect('{');
-        skipWs();
-        if (peek() == '}') {
-            ++pos_;
-            return;
-        }
-        for (;;) {
-            const std::string section = parseKey();
-            skipWs();
-            if (peek() == '{')
-                parseSection(section, spec);
-            else
-                setField(spec, "", section, parseNumber());
-            skipWs();
-            if (peek() == ',') {
-                ++pos_;
-                skipWs();
-                continue;
-            }
-            expect('}');
-            return;
-        }
+        parseObject(spec, "");
     }
 
   private:
@@ -100,7 +145,11 @@ class SpecParser
         return v;
     }
 
-    void parseSection(const std::string &section, FaultSpec &spec)
+    /**
+     * Parse one object. At the top level (empty section) a value may
+     * be an object, a section whose keys are dotted under its name.
+     */
+    void parseObject(FaultSpec &spec, const std::string &section)
     {
         expect('{');
         skipWs();
@@ -110,7 +159,12 @@ class SpecParser
         }
         for (;;) {
             const std::string key = parseKey();
-            setField(spec, section, key, parseNumber());
+            if (section.empty() && peek() == '{')
+                parseObject(spec, key);
+            else
+                setField(spec, section.empty() ? key
+                                               : section + "." + key,
+                         parseNumber());
             skipWs();
             if (peek() == ',') {
                 ++pos_;
@@ -122,61 +176,27 @@ class SpecParser
         }
     }
 
-    static Cycle asCycle(double v)
-    { return v <= 0.0 ? 0 : static_cast<Cycle>(v); }
-
-    void setField(FaultSpec &spec, const std::string &section,
-                  const std::string &key, double v)
+    void setField(FaultSpec &spec, const std::string &path, double v)
     {
-        const std::string path =
-            section.empty() ? key : section + "." + key;
-        if (path == "core.hangRate")
-            spec.coreHangRate = v;
-        else if (path == "core.killRate")
-            spec.coreKillRate = v;
-        else if (path == "noc.dropProb")
-            spec.nocDropProb = v;
-        else if (path == "noc.nackDelay")
-            spec.nocNackDelay = asCycle(v);
-        else if (path == "noc.maxRetransmits")
-            spec.nocMaxRetransmits = static_cast<std::uint32_t>(v);
-        else if (path == "noc.degradeRate")
-            spec.nocDegradeRate = v;
-        else if (path == "noc.degradeFactor")
-            spec.nocDegradeFactor = v;
-        else if (path == "noc.degradeDuration")
-            spec.nocDegradeDuration = asCycle(v);
-        else if (path == "noc.dupRate")
-            spec.nocDupRate = v;
-        else if (path == "dram.stallRate")
-            spec.dramStallRate = v;
-        else if (path == "dram.stallDuration")
-            spec.dramStallDuration = asCycle(v);
-        else if (path == "mact.lossRate")
-            spec.mactLossRate = v;
-        else if (path == "mact.recoveryLatency")
-            spec.mactRecoveryLatency = asCycle(v);
-        else if (path == "recovery.heartbeatInterval")
-            spec.recovery.heartbeatInterval = asCycle(v);
-        else if (path == "recovery.hangTimeout")
-            spec.recovery.hangTimeout = asCycle(v);
-        else if (path == "recovery.backoffBase")
-            spec.recovery.backoffBase = asCycle(v);
-        else if (path == "recovery.backoffMax")
-            spec.recovery.backoffMax = asCycle(v);
-        else if (path == "recovery.maxAttempts")
-            spec.recovery.maxAttempts = static_cast<std::uint32_t>(v);
-        else if (path == "campaign.horizon")
-            spec.horizon = asCycle(v);
-        else if (path == "campaign.watchdogInterval")
-            spec.watchdogInterval = asCycle(v);
-        else if (path == "campaign.rateScale")
-            spec.rateScale = v;
-        else if (path == "campaign.rateScaleCeiling")
-            spec.rateScaleCeiling = v;
-        else
-            warn("fault spec %s: ignoring unknown key \"%s\"",
-                 origin_.c_str(), path.c_str());
+        for (const Field &f : fieldsOf(spec)) {
+            if (path != f.path)
+                continue;
+            // Checked before the cast: a value outside the field's
+            // type would be undefined behaviour to convert.
+            const Range &r = kRanges[static_cast<int>(f.kind)];
+            if (!(v >= r.lo && v <= r.hi))
+                fatal("fault spec %s: %s %g outside %s",
+                      origin_.c_str(), f.path, v, r.text);
+            std::visit(
+                [v](auto *field) {
+                    *field = static_cast<
+                        std::remove_pointer_t<decltype(field)>>(v);
+                },
+                f.slot);
+            return;
+        }
+        warn("fault spec %s: ignoring unknown key \"%s\"",
+             origin_.c_str(), path.c_str());
     }
 
     const std::string &text_;
@@ -201,14 +221,6 @@ FaultSpec::fromJsonText(const std::string &text,
 {
     FaultSpec spec;
     SpecParser(text, origin).parseInto(spec);
-    if (spec.nocDropProb < 0.0 || spec.nocDropProb >= 1.0)
-        fatal("fault spec %s: noc.dropProb %.3f outside [0,1)",
-              origin.c_str(), spec.nocDropProb);
-    if (spec.nocDegradeFactor <= 0.0 || spec.nocDegradeFactor > 1.0)
-        fatal("fault spec %s: noc.degradeFactor %.3f outside (0,1]",
-              origin.c_str(), spec.nocDegradeFactor);
-    if (spec.rateScale < 0.0)
-        fatal("fault spec %s: negative rateScale", origin.c_str());
     return spec;
 }
 

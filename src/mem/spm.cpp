@@ -42,10 +42,12 @@ Spm::access(bool write)
 }
 
 DmaEngine::DmaEngine(StatRegistry &stats, std::uint32_t chunk_bytes,
+                     Transport transport,
                      const std::string &stat_prefix,
                      std::uint32_t max_outstanding)
     : chunkBytes_(chunk_bytes),
       maxOutstanding_(max_outstanding),
+      transport_(std::move(transport)),
       transfers_(stats, stat_prefix + ".transfers", "DMA transfers"),
       chunkCount_(stats, stat_prefix + ".chunks", "DMA chunk packets"),
       bytesMoved_(stats, stat_prefix + ".bytes", "DMA bytes moved")
@@ -57,17 +59,9 @@ DmaEngine::DmaEngine(StatRegistry &stats, std::uint32_t chunk_bytes,
 }
 
 void
-DmaEngine::setTransport(Transport transport)
-{
-    transport_ = std::move(transport);
-}
-
-void
 DmaEngine::start(Addr src, Addr dst, std::uint64_t bytes,
                  std::function<void()> done)
 {
-    if (!transport_)
-        panic("DmaEngine::start before setTransport");
     if (bytes == 0) {
         if (done)
             done();

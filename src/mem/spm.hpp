@@ -66,9 +66,9 @@ class Spm
 
 /**
  * DMA engine attached to an SPM. The engine hands chunk-granularity
- * transfer requests to a transport function supplied by the chip
- * (which injects them into the NoC / memory system) and invokes the
- * completion callback when every chunk has been acknowledged.
+ * transfer requests to the transport it is built with (on the chip,
+ * one that injects them into the NoC / memory system) and invokes
+ * the completion callback when every chunk has been acknowledged.
  */
 class DmaEngine
 {
@@ -79,11 +79,8 @@ class DmaEngine
                            std::function<void()> done)>;
 
     DmaEngine(StatRegistry &stats, std::uint32_t chunk_bytes,
-              const std::string &stat_prefix,
+              Transport transport, const std::string &stat_prefix,
               std::uint32_t max_outstanding = 4);
-
-    /** Install the chunk transport (wired by the chip). */
-    void setTransport(Transport transport);
 
     /**
      * Start a transfer of bytes from src to dst; done runs once the

@@ -79,10 +79,6 @@ Ring::Ring(Simulator &sim, RingParams params,
         fatal("ring %s: need at least 3 stops", params_.name.c_str());
     if (params_.fixedBytesPerDir == 0 && params_.flexBytes == 0)
         fatal("ring %s: zero link width", params_.name.c_str());
-    if (params_.flexBytes > 0 && params_.flexUnitBytes == 0)
-        fatal("ring %s: zero flex datapath unit", params_.name.c_str());
-    if (params_.flexBytes > 0)
-        flexUnits_ = params_.flexBytes / params_.flexUnitBytes;
     // Slices wider than a datapath are clamped to the per-cycle
     // budget at transfer time (they behave like conventional links).
     sim.addTicking(this);
@@ -281,7 +277,7 @@ Ring::dirBudget(const Stop &s, std::uint32_t stop_idx, std::uint32_t d,
         // with more pending bytes this cycle.
         const std::uint64_t p0 = s.pending[0];
         const std::uint64_t p1 = s.pending[1];
-        const std::uint32_t units = flexUnits_;
+        const std::uint32_t units = params_.flexBytes / kFlexUnitBytes;
         std::uint32_t mine = 0;
         if (p0 == p1) {
             mine = units / 2 + (d == 0 ? units % 2 : 0);
@@ -295,7 +291,7 @@ Ring::dirBudget(const Stop &s, std::uint32_t stop_idx, std::uint32_t d,
                                    : (units > 1 ? units - 1 : units);
             mine = d == heavy ? heavy_units : units - heavy_units;
         }
-        budget += mine * params_.flexUnitBytes;
+        budget += mine * kFlexUnitBytes;
     }
     bool degraded = false;
     for (const Degrade &g : degrades_) {

@@ -66,16 +66,18 @@
 
 namespace smarco::noc {
 
+/** Width of one bidirectional datapath of the flex pool (64 bits). */
+inline constexpr std::uint32_t kFlexUnitBytes = 8;
+
 /** Configuration of one ring instance. */
 struct RingParams {
     std::string name = "ring";
     std::uint32_t numStops = 17;
     /** Bytes per cycle of the fixed datapaths of ONE direction. */
     std::uint32_t fixedBytesPerDir = 8;
-    /** Bytes per cycle of the shared bidirectional datapath pool. */
+    /** Bytes per cycle of the shared bidirectional datapath pool,
+     *  assigned per cycle in whole kFlexUnitBytes datapaths. */
     std::uint32_t flexBytes = 16;
-    /** Unit in which the flex pool is assigned (one datapath). */
-    std::uint32_t flexUnitBytes = 8;
     /**
      * High-density slice width in bytes. 0 means conventional mode:
      * the whole per-direction width acts as a single channel.
@@ -289,8 +291,6 @@ class Ring : public Ticking
     std::vector<Stop> stops_;
     /** Ejection handler of each stop. */
     std::vector<Handler> handlers_;
-    /** flexBytes / flexUnitBytes: bidirectional datapath units. */
-    std::uint32_t flexUnits_ = 0;
     /** Transit slots of queued, staged and NACKed packets. */
     std::vector<Transit> pool_;
     /** The packet of each pool slot. */

@@ -7,17 +7,6 @@
 
 namespace smarco::sched {
 
-double
-taskLaxity(const workloads::TaskSpec &task, Cycle now)
-{
-    if (!task.hasDeadline())
-        return std::numeric_limits<double>::infinity();
-    const double time_left = task.deadline > now
-        ? static_cast<double>(task.deadline - now)
-        : 0.0;
-    return time_left - static_cast<double>(task.numOps);
-}
-
 TaskChainTable::TaskChainTable(std::uint32_t capacity)
     : ram_(capacity)
 {
@@ -100,7 +89,7 @@ TaskChainTable::popFrom(std::int32_t *head, std::int32_t *tail,
     std::int32_t prev = kNil, best_prev = kNil;
     double best = std::numeric_limits<double>::infinity();
     for (std::int32_t i = *head; i != kNil; i = ram_[i].next) {
-        const double l = taskLaxity(ram_[i].task, now);
+        const double l = ram_[i].task.laxity(now);
         if (l < best) {
             best = l;
             best_prev = prev;

@@ -22,13 +22,6 @@
 
 namespace smarco::sched {
 
-/**
- * Laxity of a not-yet-started task at cycle now: time to deadline
- * minus a remaining-execution estimate of one op per cycle. Tasks
- * without deadlines report +infinity-like laxity (always last).
- */
-double taskLaxity(const workloads::TaskSpec &task, Cycle now);
-
 /** The three-chain task table. */
 class TaskChainTable
 {

@@ -10,9 +10,11 @@ namespace smarco::sched {
 using workloads::ShedReason;
 
 MainScheduler::MainScheduler(Simulator &sim, MainSchedulerParams params,
+                             Transport transport,
                              const std::string &stat_prefix)
     : sim_(sim),
       params_(params),
+      transport_(std::move(transport)),
       routed_(sim.stats(), stat_prefix + ".routed",
               "tasks routed to sub-rings"),
       admitted_(sim.stats(), stat_prefix + ".admitted",
@@ -54,12 +56,6 @@ MainScheduler::addSubScheduler(SubScheduler *sub)
     if (!sub)
         panic("MainScheduler: null sub-scheduler");
     subs_.push_back(sub);
-}
-
-void
-MainScheduler::setTransport(Transport transport)
-{
-    transport_ = std::move(transport);
 }
 
 std::uint32_t
@@ -117,7 +113,7 @@ MainScheduler::admit(const workloads::TaskSpec &task,
     }
     // Laxity feasibility: by the time the task reaches the head of
     // the target queue (estimated queuedCost cycles per task ahead)
-    // and executes (~1 op/cycle, matching taskLaxity), the deadline
+    // and executes (~1 op/cycle, as TaskSpec::laxity assumes), the deadline
     // must still be reachable. Rejecting now lets the client retry
     // elsewhere instead of wasting chip work on a doomed request.
     const Cycle wait = admission_.queuedCost * subs_[target]->load();
@@ -169,10 +165,7 @@ MainScheduler::route(const workloads::TaskSpec &task)
             strprintf("{\"task\":%llu,\"sub\":%u}",
                       static_cast<unsigned long long>(task.id),
                       target));
-    if (transport_)
-        transport_(target, task);
-    else
-        subs_[target]->submit(task);
+    transport_(target, task);
 }
 
 void

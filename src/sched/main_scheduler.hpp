@@ -4,9 +4,9 @@
  *
  * The main scheduler receives task sets from the host CPU over PCIe
  * and spreads them across sub-ring schedulers to keep the whole chip
- * load-balanced. Task hand-off to a sub-ring travels as a control
- * packet when a transport is installed (so dispatch traffic shows up
- * in the NoC), or is delivered directly in stand-alone tests.
+ * load-balanced. Task hand-off to a sub-ring goes through the
+ * transport given at construction: on the chip, a control packet on
+ * the main ring, so dispatch traffic shows up in the NoC.
  */
 #pragma once
 
@@ -38,18 +38,15 @@ struct MainSchedulerParams {
 class MainScheduler
 {
   public:
-    /** Deliver a task to sub-ring target (e.g. via a NoC packet). */
+    /** Deliver a routed task to its sub-ring's scheduler. */
     using Transport = std::function<void(std::uint32_t sub_ring,
                                          const workloads::TaskSpec &)>;
 
     MainScheduler(Simulator &sim, MainSchedulerParams params,
-                  const std::string &stat_prefix);
+                  Transport transport, const std::string &stat_prefix);
 
     /** Register sub-ring schedulers, in sub-ring order. */
     void addSubScheduler(SubScheduler *sub);
-
-    /** Route hand-off through the NoC instead of direct delivery. */
-    void setTransport(Transport transport);
 
     /**
      * Submit one task. A task with a future release is held until

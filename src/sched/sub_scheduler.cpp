@@ -9,11 +9,14 @@ namespace smarco::sched {
 
 SubScheduler::SubScheduler(Simulator &sim, SubSchedulerParams params,
                            std::uint32_t sub_ring_id,
+                           StreamFactory make_stream, StageFn stage,
                            const std::string &stat_prefix)
     : sim_(sim),
       params_(params),
       id_(sub_ring_id),
       table_(params.chainCapacity),
+      makeStream_(std::move(make_stream)),
+      stage_(std::move(stage)),
       submitted_(sim.stats(), stat_prefix + ".submitted",
                  "tasks submitted to this sub-scheduler"),
       dispatched_(sim.stats(), stat_prefix + ".dispatched",
@@ -56,18 +59,6 @@ SubScheduler::addCore(core::TcgCore *core)
         [this](const workloads::TaskSpec &task, Cycle now) {
             onTaskFailed(task, now);
         });
-}
-
-void
-SubScheduler::setStreamFactory(StreamFactory factory)
-{
-    makeStream_ = std::move(factory);
-}
-
-void
-SubScheduler::setStageFn(StageFn stage)
-{
-    stage_ = std::move(stage);
 }
 
 void
@@ -154,18 +145,12 @@ SubScheduler::dispatchOne(const workloads::TaskSpec &task, Cycle now)
         }
     }
 
-    const CoreId core_id = core->id();
     auto attach = [this, task, core, slot, now]() {
         // Staging completes through DMA callbacks while the scheduler
         // may be asleep; reserved_/table_ change here, so re-arm.
         sim_.wake(this);
         --reserved_[slot];
-        isa::StreamPtr stream = makeStream_
-            ? makeStream_(task, core->id())
-            : nullptr;
-        if (!stream)
-            panic("sub-scheduler %u: no stream factory", id_);
-        const bool ok = core->attachTask(task, std::move(stream),
+        const bool ok = core->attachTask(task, makeStream_(task, core->id()),
             [this, core, now](const workloads::TaskSpec &t,
                               Cycle finish) {
                 TaskExit exit;
@@ -209,10 +194,7 @@ SubScheduler::dispatchOne(const workloads::TaskSpec &task, Cycle now)
         }
     };
 
-    if (stage_)
-        stage_(core_id, task, std::move(attach));
-    else
-        attach();
+    stage_(core->id(), task, std::move(attach));
 }
 
 void

@@ -56,9 +56,10 @@ struct TaskExit {
 };
 
 /**
- * The sub-ring scheduler. The chip wires a stream factory (building
- * the task's micro-op stream with the core's address layout) and a
- * staging function (SPM DMA prefetch) before use.
+ * The sub-ring scheduler. It is built with a stream factory (which
+ * builds the task's micro-op stream with the core's address layout)
+ * and a staging function (the SPM DMA prefetch); every dispatch
+ * stages the task and attaches it once staging completes.
  */
 class SubScheduler : public Ticking
 {
@@ -71,15 +72,12 @@ class SubScheduler : public Ticking
         CoreId, const workloads::TaskSpec &, std::function<void()>)>;
 
     SubScheduler(Simulator &sim, SubSchedulerParams params,
-                 std::uint32_t sub_ring_id,
-                 const std::string &stat_prefix);
+                 std::uint32_t sub_ring_id, StreamFactory make_stream,
+                 StageFn stage, const std::string &stat_prefix);
 
     /** Register a core of this sub-ring (in ring order) and install
      *  this scheduler as its task-failure handler. */
     void addCore(core::TcgCore *core);
-
-    void setStreamFactory(StreamFactory factory);
-    void setStageFn(StageFn stage);
 
     /**
      * Enqueue a task for dispatch (from the main scheduler). The

@@ -90,8 +90,11 @@ Rng::nextGeometric(double mean, std::uint64_t cap)
     const double p = 1.0 / (mean + 1.0);
     const double u = std::max(nextDouble(), 1e-300);
     const double v = std::log(u) / std::log(1.0 - p);
-    const auto draw = static_cast<std::uint64_t>(v);
-    return std::min(draw, cap);
+    // A draw at or above the cap is never cast (it may not fit), nor
+    // is the -inf of a mean so long that 1 - p rounds to 1.
+    if (!(v >= 0.0 && v < static_cast<double>(cap)))
+        return cap;
+    return static_cast<std::uint64_t>(v);
 }
 
 DiscreteDist::DiscreteDist(std::vector<double> weights)

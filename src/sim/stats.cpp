@@ -15,15 +15,6 @@ Stat::Stat(StatRegistry &registry, std::string name, std::string desc)
 }
 
 void
-Stat::print(std::ostream &os) const
-{
-    os << name_ << " = " << value();
-    if (!desc_.empty())
-        os << "   # " << desc_;
-    os << '\n';
-}
-
-void
 Stat::printJsonHead(std::ostream &os, const char *kind) const
 {
     os << "{\"kind\":\"" << kind << "\",\"value\":"
@@ -126,16 +117,6 @@ Histogram::percentile(double p) const
 }
 
 void
-Histogram::print(std::ostream &os) const
-{
-    os << name() << " mean=" << value() << " stddev=" << stddev()
-       << " min=" << min_ << " max=" << max_ << " n=" << count_;
-    if (!description().empty())
-        os << "   # " << description();
-    os << '\n';
-}
-
-void
 Histogram::printJson(std::ostream &os) const
 {
     printJsonHead(os, "histogram");
@@ -207,13 +188,6 @@ StatRegistry::total(const std::string &prefix,
             sum += it->second->value();
     }
     return sum;
-}
-
-void
-StatRegistry::dump(std::ostream &os) const
-{
-    for (auto &[name, stat] : stats_)
-        stat->print(os);
 }
 
 void

@@ -36,9 +36,6 @@ class Stat
     /** Primary scalar summary of this statistic. */
     virtual double value() const = 0;
 
-    /** One-or-more-line human readable dump. */
-    virtual void print(std::ostream &os) const;
-
     /**
      * JSON value object of this stat (everything except the name),
      * e.g. {"kind":"scalar","value":3,"desc":"..."}. Every concrete
@@ -113,7 +110,6 @@ class Histogram : public Stat
 
     /** value() reports the sample mean. */
     double value() const override;
-    void print(std::ostream &os) const override;
     void printJson(std::ostream &os) const override;
 
     std::uint64_t count() const { return count_; }
@@ -130,7 +126,6 @@ class Histogram : public Stat
     double stddev() const;
     const std::vector<std::uint64_t> &buckets() const { return buckets_; }
     double bucketLow(std::size_t i) const;
-    double bucketWidth() const { return width_; }
 
   private:
     double lo_;
@@ -190,9 +185,6 @@ class StatRegistry
      */
     double total(const std::string &prefix,
                  const std::string &suffix) const;
-
-    /** Dump every stat, one per line, in name order. */
-    void dump(std::ostream &os) const;
 
     /**
      * Dump every stat as one JSON object keyed by name, in name

@@ -23,14 +23,7 @@ shedReasonName(ShedReason reason)
 Addr
 kernelCodeBase(const TaskSpec &task, Addr base)
 {
-    const std::string &name =
-        task.profile ? task.profile->name : std::string("task");
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (char c : name) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ULL;
-    }
-    return base + ((h & 0xffff) << 16);
+    return base + ((rngStreamId(task.profile->name) & 0xffff) << 16);
 }
 
 std::vector<TaskSpec>

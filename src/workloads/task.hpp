@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -83,12 +84,34 @@ struct TaskSpec {
      *  it started at start and ran ~1 op/cycle. */
     bool canFinishBy(Cycle start) const
     { return !hasDeadline() || start + numOps <= deadline; }
+
+    /**
+     * Laxity at cycle now after ops_done of the task's ops: time left
+     * to the deadline minus the ops left, at ~1 op/cycle. +infinity
+     * without a deadline, so best-effort tasks rank last. The one
+     * urgency measure of the paper's hardware scheduler: the chain
+     * table pops queued tasks by it (Section 3.7) and LaxityAware
+     * issue ranks running ones (Section 3.1).
+     */
+    double laxity(Cycle now, std::uint64_t ops_done = 0) const
+    {
+        if (!hasDeadline())
+            return std::numeric_limits<double>::infinity();
+        const double ops_left = numOps > ops_done
+            ? static_cast<double>(numOps - ops_done)
+            : 0.0;
+        const double time_left = deadline > now
+            ? static_cast<double>(deadline - now)
+            : 0.0;
+        return time_left - ops_left;
+    }
 };
 
 /**
  * Deterministic code base address of the task's kernel in a synthetic
  * PC space: base plus a 64 KiB-aligned offset hashed from the profile
- * name, so tasks of one kernel share instruction lines.
+ * name, so tasks of one kernel share instruction lines. The task must
+ * carry a profile.
  */
 Addr kernelCodeBase(const TaskSpec &task, Addr base);
 

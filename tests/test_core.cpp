@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -76,6 +77,23 @@ haltOp()
     MicroOp op;
     op.kind = OpKind::Halt;
     return op;
+}
+
+/**
+ * Profile of the trace-driven tasks that need no benchmark: the
+ * profile defaults (ILP 2.0, a 6 KiB instruction loop), every stream
+ * load a demand miss.
+ */
+const workloads::BenchProfile &
+traceProfile()
+{
+    static const workloads::BenchProfile profile = [] {
+        workloads::BenchProfile p;
+        p.name = "task";
+        p.streamLoadBlocking = 1.0;
+        return p;
+    }();
+    return profile;
 }
 
 workloads::TaskSpec
@@ -257,8 +275,8 @@ TEST_F(CoreFixture, InPairThreadsHideMemoryLatency)
             ops.push_back(haltOp());
             workloads::TaskSpec ts;
             ts.id = t;
+            ts.profile = &traceProfile(); // stream loads all block
             ts.numOps = ops.size();
-            // No profile: stream loads always reach the port.
             c.attachTask(ts, std::make_unique<isa::TraceStream>(ops),
                          nullptr);
         }
@@ -292,12 +310,15 @@ TEST_F(CoreFixture, PairPromotionOnStall)
         ops.push_back(haltOp());
         workloads::TaskSpec ts;
         ts.id = t;
+        ts.profile = &traceProfile();
         ts.numOps = ops.size();
         c.attachTask(ts, std::make_unique<isa::TraceStream>(ops),
                      nullptr);
     }
     sim.run(1000000);
     EXPECT_FALSE(c.busy());
+    // The trace profile makes every stream load a demand miss.
+    EXPECT_EQ(port->requests, 8 * 20);
     const Stat &switches = sim.stats().get("core.pairSwitches");
     EXPECT_GT(switches.value(), 0.0);
 }
@@ -405,6 +426,7 @@ TEST_F(CoreFixture, LaxityAwareIssueFavoursUrgentTask)
         ops.push_back(haltOp());
         workloads::TaskSpec ts;
         ts.id = t;
+        ts.profile = &traceProfile();
         ts.numOps = ops.size();
         ts.deadline = t == 0 ? 4000 : kNoCycle;
         c.attachTask(ts, std::make_unique<isa::TraceStream>(ops),
@@ -424,6 +446,36 @@ TEST_F(CoreFixture, LaxityAwareIssueFavoursUrgentTask)
     // finish strictly later than the urgent one.
     EXPECT_LT(urgent_finish, lax_finish[1]);
     EXPECT_LT(urgent_finish, lax_finish[2]);
+}
+
+TEST_F(CoreFixture, LaxityAwareIssueKeepsEqualDeadlineTasksInStep)
+{
+    // Four ALU tasks of one length and deadline on four run slots; at
+    // ILP 2 and issue width 4, two issue a cycle. Laxity counts each
+    // task's retired ops, so whichever pair lags issues next and all
+    // four finish together (Fig. 21's narrow exit spread). Laxity
+    // that ignored progress would keep one pair ahead until it ends.
+    params.issuePolicy = IssuePolicy::LaxityAware;
+    auto &c = make();
+    std::vector<Cycle> finish;
+    for (TaskId t = 0; t < 4; ++t) {
+        std::vector<MicroOp> ops(3000, aluOp());
+        ops.push_back(haltOp());
+        workloads::TaskSpec ts;
+        ts.id = t;
+        ts.profile = &traceProfile();
+        ts.numOps = ops.size();
+        ts.deadline = 20000;
+        c.attachTask(ts, std::make_unique<isa::TraceStream>(ops),
+                     [&](const workloads::TaskSpec &, Cycle f) {
+                         finish.push_back(f);
+                     });
+    }
+    sim.run(100000);
+    ASSERT_EQ(finish.size(), 4u);
+    const auto [first, last] =
+        std::minmax_element(finish.begin(), finish.end());
+    EXPECT_LT(*last - *first, 50u);
 }
 
 TEST_F(CoreFixture, KillFaultsReachEveryContextOfTheWidestCore)
@@ -514,6 +566,7 @@ TEST(CoreKernelModes, StalledCoreStatsMatchForcedModeAtEverySliceEnd)
             ops.push_back(haltOp());
             workloads::TaskSpec ts;
             ts.id = id;
+            ts.profile = &traceProfile();
             ts.numOps = ops.size();
             ts.deadline = 2000 + 150 * id;
             return c.attachTask(
@@ -558,4 +611,25 @@ TEST(CoreKernelModes, StalledCoreStatsMatchForcedModeAtEverySliceEnd)
                 << "slice " << k << " policy "
                 << static_cast<int>(policy);
     }
+}
+
+TEST(CoreDeathTest, TaskWithoutProfilePanics)
+{
+    // The profile supplies the task's ILP, instruction footprint and
+    // stream-load blocking rate, so the core refuses a task without
+    // one at attach time, as both chips do.
+    const auto attach = [] {
+        Simulator sim;
+        FixedLatencyPort port(sim, 50);
+        TcgCore c(sim, CoreParams{}, 0, 0x1000'0000, port, "core");
+        std::vector<MicroOp> ops(10, aluOp());
+        ops.push_back(haltOp());
+        workloads::TaskSpec t;
+        t.id = 7;
+        t.numOps = ops.size();
+        c.attachTask(t, std::make_unique<isa::TraceStream>(ops),
+                     nullptr);
+        sim.run(1000);
+    };
+    EXPECT_DEATH(attach(), "task 7 has no profile");
 }

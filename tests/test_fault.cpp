@@ -242,6 +242,96 @@ TEST(FaultSpecJsonDeath, OutOfRangeDropProbIsFatal)
                 ::testing::ExitedWithCode(1), "dropProb");
 }
 
+// Every number must be finite and in its field's range, checked
+// before any cast to the field's integer type.
+
+TEST(FaultSpecJsonDeath, RateOutOfRangeIsFatal)
+{
+    EXPECT_EXIT(fault::FaultSpec::fromJsonText(
+                    R"({"core": {"hangRate": -1}})", "t"),
+                ::testing::ExitedWithCode(1), "core.hangRate -1 outside");
+    EXPECT_EXIT(fault::FaultSpec::fromJsonText(
+                    R"({"dram": {"stallRate": inf}})", "t"),
+                ::testing::ExitedWithCode(1), "dram.stallRate inf outside");
+    // A NaN scale would silently make the campaign inert.
+    EXPECT_EXIT(fault::FaultSpec::fromJsonText(
+                    R"({"campaign": {"rateScale": nan}})", "t"),
+                ::testing::ExitedWithCode(1), "campaign.rateScale nan");
+}
+
+TEST(FaultSpecJsonDeath, ProbabilityOutOfRangeIsFatal)
+{
+    EXPECT_EXIT(fault::FaultSpec::fromJsonText(
+                    R"({"noc": {"dropProb": nan}})", "t"),
+                ::testing::ExitedWithCode(1), "noc.dropProb nan outside");
+}
+
+TEST(FaultSpecJsonDeath, FactorOutOfRangeIsFatal)
+{
+    EXPECT_EXIT(fault::FaultSpec::fromJsonText(
+                    R"({"noc": {"degradeFactor": nan}})", "t"),
+                ::testing::ExitedWithCode(1),
+                "noc.degradeFactor nan outside");
+    EXPECT_EXIT(fault::FaultSpec::fromJsonText(
+                    R"({"noc": {"degradeFactor": 0}})", "t"),
+                ::testing::ExitedWithCode(1),
+                "noc.degradeFactor 0 outside");
+}
+
+TEST(FaultSpecJsonDeath, CyclesOutOfRangeIsFatal)
+{
+    EXPECT_EXIT(fault::FaultSpec::fromJsonText(
+                    R"({"campaign": {"horizon": 1e30}})", "t"),
+                ::testing::ExitedWithCode(1),
+                "campaign.horizon 1e\\+30 outside");
+    EXPECT_EXIT(fault::FaultSpec::fromJsonText(
+                    R"({"noc": {"nackDelay": -5}})", "t"),
+                ::testing::ExitedWithCode(1), "noc.nackDelay -5 outside");
+}
+
+TEST(FaultSpecJsonDeath, CountOutOfRangeIsFatal)
+{
+    EXPECT_EXIT(fault::FaultSpec::fromJsonText(
+                    R"({"recovery": {"maxAttempts": -1}})", "t"),
+                ::testing::ExitedWithCode(1),
+                "recovery.maxAttempts -1 outside");
+    EXPECT_EXIT(fault::FaultSpec::fromJsonText(
+                    R"({"noc": {"maxRetransmits": 1e12}})", "t"),
+                ::testing::ExitedWithCode(1),
+                "noc.maxRetransmits 1e\\+12 outside");
+}
+
+TEST(FaultSpecJson, RangeEdgesAreAccepted)
+{
+    const fault::FaultSpec spec = fault::FaultSpec::fromJsonText(
+        R"({"noc": {"dropProb": 0, "degradeFactor": 1,
+                    "maxRetransmits": 4294967295},
+            "campaign": {"horizon": 9007199254740992, "rateScale": 0}})",
+        "t");
+    EXPECT_EQ(spec.nocDropProb, 0.0);
+    EXPECT_EQ(spec.nocDegradeFactor, 1.0);
+    EXPECT_EQ(spec.nocMaxRetransmits, 4294967295u);
+    EXPECT_EQ(spec.horizon, Cycle{1} << 53);
+    EXPECT_EQ(spec.rateScale, 0.0);
+}
+
+TEST(FaultCampaignArm, TinyRateArmsWithNoArrival)
+{
+    // A rate of 1e-16 per million cycles puts the mean gap near 1e22
+    // cycles, past any gap cap a cycle count can hold: the gap is
+    // capped at the horizon, no fault lands before it, and nothing is
+    // scheduled. A usual rate schedules its first arrival.
+    for (const double rate : {1e-16, 1e3}) {
+        Simulator sim;
+        fault::FaultSpec spec;
+        spec.coreHangRate = rate;
+        fault::FaultCampaign campaign(sim, spec, 1);
+        campaign.arm(fault::FaultTargets{});
+        EXPECT_EQ(sim.events().size(), rate < 1.0 ? 0u : 1u)
+            << "rate " << rate;
+    }
+}
+
 // ---------------------------------------------------------------------
 // Zero-fault byte-identity and cross-mode determinism.
 

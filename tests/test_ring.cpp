@@ -209,25 +209,6 @@ TEST_F(RingFixture, SelfInjectionPanics)
     EXPECT_DEATH(ring->inject(2, 2, pkt(8)), "self-injection");
 }
 
-TEST_F(RingFixture, ZeroFlexUnitIsRejected)
-{
-    // A flex pool with a zero-byte unit cannot be divided into
-    // datapaths; the constructor refuses it instead of the first
-    // loaded tick dividing by zero.
-    params.numStops = 5;
-    params.fixedBytesPerDir = 8;
-    params.flexBytes = 8;
-    params.flexUnitBytes = 0;
-    EXPECT_DEATH(
-        {
-            Ring ring(sim, params, "r");
-            Packet q = pkt(8);
-            ring.inject(0, 2, std::move(q));
-            sim.run(10);
-        },
-        "zero flex datapath unit");
-}
-
 TEST_F(RingFixture, UtilisationBetweenZeroAndOne)
 {
     auto ring = make();

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "sim/logging.hpp"
@@ -19,12 +21,29 @@ using namespace smarco::sched;
 
 namespace {
 
+/**
+ * Profile of the trace-driven test tasks: the profile defaults (ILP
+ * 2.0, a 6 KiB instruction loop), every stream load a demand miss.
+ */
+const workloads::BenchProfile &
+traceProfile()
+{
+    static const workloads::BenchProfile profile = [] {
+        workloads::BenchProfile p;
+        p.name = "task";
+        p.streamLoadBlocking = 1.0;
+        return p;
+    }();
+    return profile;
+}
+
 workloads::TaskSpec
 task(TaskId id, Cycle deadline = kNoCycle, bool realtime = false,
      std::uint64_t ops = 1000)
 {
     workloads::TaskSpec t;
     t.id = id;
+    t.profile = &traceProfile();
     t.numOps = ops;
     t.deadline = deadline;
     t.realtime = realtime;
@@ -36,14 +55,20 @@ task(TaskId id, Cycle deadline = kNoCycle, bool realtime = false,
 TEST(Laxity, DeadlineMinusRemaining)
 {
     const auto t = task(1, 5000, false, 1000);
-    EXPECT_DOUBLE_EQ(taskLaxity(t, 0), 4000.0);
-    EXPECT_DOUBLE_EQ(taskLaxity(t, 1000), 3000.0);
-    EXPECT_DOUBLE_EQ(taskLaxity(t, 6000), -1000.0);
+    EXPECT_DOUBLE_EQ(t.laxity(0), 4000.0);
+    EXPECT_DOUBLE_EQ(t.laxity(1000), 3000.0);
+    EXPECT_DOUBLE_EQ(t.laxity(6000), -1000.0);
+    // A running task's retired ops no longer count against it; ops
+    // past numOps leave nothing to run.
+    EXPECT_DOUBLE_EQ(t.laxity(1000, 400), 3400.0);
+    EXPECT_DOUBLE_EQ(t.laxity(1000, 1000), 4000.0);
+    EXPECT_DOUBLE_EQ(t.laxity(1000, 1500), 4000.0);
 }
 
 TEST(Laxity, NoDeadlineIsInfinite)
 {
-    EXPECT_TRUE(std::isinf(taskLaxity(task(1), 0)));
+    EXPECT_TRUE(std::isinf(task(1).laxity(0)));
+    EXPECT_TRUE(std::isinf(task(1).laxity(0, 500)));
 }
 
 TEST(ChainTable, FifoWithoutLaxity)
@@ -116,6 +141,24 @@ TEST(ChainTable, InterleavedInsertPopKeepsIntegrity)
 
 namespace {
 
+/** Stream factory: a task's numOps ALU ops, then a halt. */
+isa::StreamPtr
+aluTrace(const workloads::TaskSpec &t, CoreId)
+{
+    std::vector<isa::MicroOp> ops(t.numOps);
+    isa::MicroOp halt;
+    halt.kind = isa::OpKind::Halt;
+    ops.push_back(halt);
+    return std::make_unique<isa::TraceStream>(ops);
+}
+
+/** Staging function of a core with no input to stage. */
+void
+stageNow(CoreId, const workloads::TaskSpec &, std::function<void()> ready)
+{
+    ready();
+}
+
 /** Fake core farm for scheduler tests (through real TcgCores). */
 struct SchedEnv {
     Simulator sim;
@@ -139,7 +182,8 @@ struct SchedEnv {
     {
         SubSchedulerParams sp;
         sp.policy = policy;
-        sub = std::make_unique<SubScheduler>(sim, sp, 0, "sched");
+        sub = std::make_unique<SubScheduler>(sim, sp, 0, aluTrace,
+                                             stageNow, "sched");
         for (std::uint32_t i = 0; i < num_cores; ++i) {
             core::CoreParams cp;
             cores.push_back(std::make_unique<core::TcgCore>(
@@ -147,14 +191,6 @@ struct SchedEnv {
                 strprintf("core%u", i)));
             sub->addCore(cores.back().get());
         }
-        sub->setStreamFactory(
-            [](const workloads::TaskSpec &t, CoreId) {
-                std::vector<isa::MicroOp> ops(t.numOps);
-                isa::MicroOp halt;
-                halt.kind = isa::OpKind::Halt;
-                ops.push_back(halt);
-                return std::make_unique<isa::TraceStream>(ops);
-            });
         return *sub;
     }
 
@@ -259,34 +295,24 @@ TEST(MainScheduler, BalancesAcrossSubRings)
     SubSchedulerParams sp;
     for (std::uint32_t g = 0; g < 4; ++g) {
         subs.push_back(std::make_unique<SubScheduler>(
-            sim, sp, g, strprintf("s%u", g)));
+            sim, sp, g, aluTrace, stageNow, strprintf("s%u", g)));
         core::CoreParams cp;
         cores.push_back(std::make_unique<core::TcgCore>(
             sim, cp, g, 0x1000'0000 + g * 0x20000, port,
             strprintf("c%u", g)));
         subs.back()->addCore(cores.back().get());
-        subs.back()->setStreamFactory(
-            [](const workloads::TaskSpec &t, CoreId) {
-                std::vector<isa::MicroOp> ops(t.numOps);
-                isa::MicroOp halt;
-                halt.kind = isa::OpKind::Halt;
-                ops.push_back(halt);
-                return std::make_unique<isa::TraceStream>(ops);
-            });
     }
-    MainScheduler main(sim, {}, "main");
+    MainScheduler main(
+        sim, {},
+        [&subs](std::uint32_t g, const workloads::TaskSpec &t) {
+            subs[g]->submit(t);
+        },
+        "main");
     for (auto &s : subs)
         main.addSubScheduler(s.get());
 
-    std::vector<workloads::TaskSpec> tasks;
-    for (TaskId i = 0; i < 64; ++i) {
-        workloads::TaskSpec t;
-        t.id = i;
-        t.numOps = 3000;
-        tasks.push_back(t);
-    }
-    for (const auto &t : tasks)
-        main.submit(t);
+    for (TaskId i = 0; i < 64; ++i)
+        main.submit(task(i, kNoCycle, false, 3000));
     sim.run(5000000);
 
     std::uint64_t total = 0;
@@ -310,7 +336,12 @@ TEST(MainScheduler, FutureReleaseKeepsSimulatorBusyUntilRouted)
         SchedEnv env;
         env.sim.setFastForward(fast_forward);
         SubScheduler &sub = env.make(SchedPolicy::HardwareLaxity, 1);
-        MainScheduler main(env.sim, {}, "main");
+        MainScheduler main(
+            env.sim, {},
+            [&sub](std::uint32_t, const workloads::TaskSpec &t) {
+                sub.submit(t);
+            },
+            "main");
         main.addSubScheduler(&sub);
         auto t = task(0, kNoCycle, false, 100);
         t.release = 5000;

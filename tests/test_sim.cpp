@@ -10,7 +10,6 @@
 #include <cmath>
 #include <functional>
 #include <limits>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -642,20 +641,6 @@ TEST(Stats, RegistryLookupAndPrefix)
     (void)c;
 }
 
-TEST(Stats, DumpContainsAllStats)
-{
-    StatRegistry reg;
-    Scalar a(reg, "x.one", "first");
-    Average b(reg, "x.two", "second");
-    a += 3;
-    b.sample(7);
-    std::ostringstream os;
-    reg.dump(os);
-    const std::string out = os.str();
-    EXPECT_NE(out.find("x.one"), std::string::npos);
-    EXPECT_NE(out.find("x.two"), std::string::npos);
-}
-
 TEST(Rng, DeterministicAcrossInstances)
 {
     Rng a(123, 7), b(123, 7);
@@ -721,6 +706,28 @@ TEST(Rng, ChanceApproximatesProbability)
     for (int i = 0; i < n; ++i)
         hits += r.chance(0.3) ? 1 : 0;
     EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.02);
+}
+
+TEST(Rng, GeometricKeepsInRangeDrawsAndCapsTheRest)
+{
+    // In range, a draw is the truncated inverse-CDF value, as it was
+    // when every draw was cast and then clamped to the cap.
+    Rng a(17), b(17);
+    const double p = 1.0 / (3.0 + 1.0);
+    for (int i = 0; i < 10000; ++i) {
+        const double u = std::max(b.nextDouble(), 1e-300);
+        const double v = std::log(u) / std::log(1.0 - p);
+        EXPECT_EQ(a.nextGeometric(3.0, 16),
+                  std::min<std::uint64_t>(static_cast<std::uint64_t>(v),
+                                          16));
+    }
+    // A mean far past the cap returns the cap; so does a mean so long
+    // that 1 - p rounds to 1, where the draw itself is -inf.
+    Rng r(18);
+    for (int i = 0; i < 100; ++i) {
+        EXPECT_EQ(r.nextGeometric(1e12, 5), 5u);
+        EXPECT_EQ(r.nextGeometric(1e22, 1000), 1000u);
+    }
 }
 
 TEST(DiscreteDist, MatchesWeights)

@@ -69,9 +69,8 @@ struct ManualTransport {
 TEST(Dma, SplitsIntoChunksWithWindow)
 {
     StatRegistry reg;
-    DmaEngine dma(reg, 256, "dma", /*max_outstanding=*/4);
     ManualTransport tr;
-    dma.setTransport(tr.fn());
+    DmaEngine dma(reg, 256, tr.fn(), "dma", /*max_outstanding=*/4);
 
     bool done = false;
     dma.start(0x1000, 0x2000, 1000, [&] { done = true; });
@@ -94,9 +93,8 @@ TEST(Dma, SplitsIntoChunksWithWindow)
 TEST(Dma, WindowLimitsOutstandingChunks)
 {
     StatRegistry reg;
-    DmaEngine dma(reg, 64, "dma", /*max_outstanding=*/2);
     ManualTransport tr;
-    dma.setTransport(tr.fn());
+    DmaEngine dma(reg, 64, tr.fn(), "dma", /*max_outstanding=*/2);
 
     bool done = false;
     dma.start(0, 0x8000, 64 * 10, [&] { done = true; });
@@ -127,9 +125,8 @@ TEST(Dma, WindowLimitsOutstandingChunks)
 TEST(Dma, ZeroByteTransferCompletesImmediately)
 {
     StatRegistry reg;
-    DmaEngine dma(reg, 256, "dma");
     ManualTransport tr;
-    dma.setTransport(tr.fn());
+    DmaEngine dma(reg, 256, tr.fn(), "dma");
     bool done = false;
     dma.start(0, 0, 0, [&] { done = true; });
     EXPECT_TRUE(done);
@@ -139,9 +136,8 @@ TEST(Dma, ZeroByteTransferCompletesImmediately)
 TEST(Dma, ConcurrentTransfersTracked)
 {
     StatRegistry reg;
-    DmaEngine dma(reg, 128, "dma", 8);
     ManualTransport tr;
-    dma.setTransport(tr.fn());
+    DmaEngine dma(reg, 128, tr.fn(), "dma", 8);
     int done_count = 0;
     dma.start(0, 0x1000, 128, [&] { ++done_count; });
     dma.start(0x2000, 0x3000, 128, [&] { ++done_count; });
