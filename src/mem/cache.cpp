@@ -28,6 +28,9 @@ Cache::Cache(StatRegistry &stats, CacheParams params,
     if (params_.sizeBytes == 0 || params_.assoc == 0 ||
         params_.lineBytes == 0)
         fatal("cache %s: zero-sized parameter", params_.name.c_str());
+    if (params_.assoc > kMaxAssoc)
+        fatal("cache %s: associativity %u above the LRU rank limit %u",
+              params_.name.c_str(), params_.assoc, kMaxAssoc);
     if (!isPow2(params_.lineBytes))
         fatal("cache %s: line size must be a power of two",
               params_.name.c_str());
@@ -38,11 +41,20 @@ Cache::Cache(StatRegistry &stats, CacheParams params,
               params_.assoc);
     const std::uint64_t ways = numSets_ * params_.assoc;
     tags_.assign(ways, kNoAddr);
-    stamps_.assign(ways, 0);
-    dirty_.assign(ways, 0);
+    state_.assign(ways, kInvalidRank);
     lineShift_ = std::countr_zero(params_.lineBytes);
     pow2Sets_ = isPow2(numSets_);
     setShift_ = std::countr_zero(numSets_);
+}
+
+void
+Cache::ageBelow(std::uint8_t *state, std::uint32_t assoc, std::uint8_t rank)
+{
+    // rank is at most kInvalidRank, so a rank below it ages to at
+    // most kInvalidRank and never carries into the dirty bit.
+    for (std::uint32_t w = 0; w < assoc; ++w)
+        state[w] = static_cast<std::uint8_t>(
+            state[w] + ((state[w] & kRankMask) < rank));
 }
 
 Cache::Location
@@ -63,10 +75,9 @@ Cache::access(Addr addr, bool write)
     const auto [set, tag] = locate(addr);
     const std::uint64_t base = set * params_.assoc;
     Addr *const tags = &tags_[base];
-    std::uint64_t *const stamps = &stamps_[base];
-    std::uint8_t *const dirty = &dirty_[base];
-    ++useClock_;
+    std::uint8_t *const state = &state_[base];
     const std::uint32_t assoc = params_.assoc;
+    const std::uint8_t dirtyIfWrite = write ? kDirty : 0;
 
     // A valid tag sits in at most one way of a set, so comparing every
     // way with no early exit finds the hit way without a mispredicted
@@ -75,34 +86,35 @@ Cache::access(Addr addr, bool write)
     for (std::uint32_t w = 0; w < assoc; ++w)
         way = tags[w] == tag ? w : way;
     if (way != assoc) {
-        stamps[way] = useClock_;
-        dirty[way] |= static_cast<std::uint8_t>(write);
+        ageBelow(state, assoc, state[way] & kRankMask);
+        state[way] = (state[way] & kDirty) | dirtyIfWrite; // rank 0
         ++hits_;
         return CacheResult{true, false, kNoAddr};
     }
 
-    // Miss: the first way with the smallest stamp, which is the first
-    // invalid way if any, else the LRU way. A running minimum over
-    // every way with a strict < keeps the first of equal stamps.
+    // Miss: the first way with the largest rank, which is the first
+    // invalid way if any, else the LRU way. A running maximum over
+    // every way with a strict > keeps the first of equal ranks.
     std::uint32_t victim = 0;
-    std::uint64_t oldest = stamps[0];
+    std::uint8_t oldest = state[0] & kRankMask;
     for (std::uint32_t w = 1; w < assoc; ++w) {
-        const bool older = stamps[w] < oldest;
+        const std::uint8_t rank = state[w] & kRankMask;
+        const bool older = rank > oldest;
         victim = older ? w : victim;
-        oldest = older ? stamps[w] : oldest;
+        oldest = older ? rank : oldest;
     }
 
     CacheResult res;
     res.hit = false;
     // Only a valid way can be dirty.
-    if (dirty[victim]) {
+    if (state[victim] & kDirty) {
         res.writeback = true;
         res.victimAddr = (tags[victim] * numSets_ + set) * params_.lineBytes;
         ++writebacks_;
     }
+    ageBelow(state, assoc, oldest);
     tags[victim] = tag;
-    stamps[victim] = useClock_;
-    dirty[victim] = write;
+    state[victim] = dirtyIfWrite; // rank 0
     ++misses_;
     return res;
 }
@@ -120,8 +132,7 @@ void
 Cache::flush()
 {
     std::fill(tags_.begin(), tags_.end(), kNoAddr);
-    std::fill(stamps_.begin(), stamps_.end(), 0);
-    std::fill(dirty_.begin(), dirty_.end(), 0);
+    std::fill(state_.begin(), state_.end(), kInvalidRank);
 }
 
 double

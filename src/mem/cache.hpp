@@ -41,20 +41,31 @@ struct CacheResult {
  * allocates the line immediately (the timing of the fill is the
  * caller's concern; this keeps the tag model reusable by both chips).
  *
- * The tag store is three set-major arrays, way w of set s at entry
- * s * assoc + w: tags (kNoAddr marks an invalid way), 64-bit LRU
- * stamps and dirty flags. A stamp is the use clock of the way's last
- * access; valid stamps start at 1 and no two are equal, so stamp 0
- * marks an invalid way and a miss evicts the first way with the
- * smallest stamp: the first invalid way, else the LRU way. Both
- * searches are branch-free. A lookup compares every tag of the set,
- * 8 bytes a way, with no early exit (a valid tag matches at most one
- * way). A miss takes a running minimum of the set's stamps with a
- * strict <, so the first of equal stamps wins.
+ * The tag store is two set-major arrays, way w of set s at entry
+ * s * assoc + w: 8-byte tags (kNoAddr marks an invalid way) and one
+ * state byte, 9 bytes a way. A state byte holds the way's LRU rank in
+ * its low seven bits and its dirty flag in the top bit. The valid
+ * ways of a set hold the ranks 0 (MRU) to valid - 1, one each;
+ * kInvalidRank, above every valid rank, marks an invalid way. An
+ * access to a way of rank r ages every way ranked below r by one and
+ * gives the way rank 0. A miss evicts the first way with the largest
+ * rank: the first invalid way, else the LRU way.
+ *
+ * Every search is branch-free. A lookup compares every tag of the
+ * set with no early exit (a valid tag matches at most one way); a
+ * miss takes a running maximum of the set's ranks with a strict >,
+ * so the first of equal (invalid) ranks wins; aging is a byte loop
+ * over the set.
  */
 class Cache
 {
   public:
+    /** Rank of an invalid way; valid ranks are below it. */
+    static constexpr std::uint8_t kInvalidRank = 0x7F;
+    /** Largest associativity: ranks 0..125, one value spare below
+     *  kInvalidRank. */
+    static constexpr std::uint32_t kMaxAssoc = 126;
+
     Cache(StatRegistry &stats, CacheParams params,
           const std::string &stat_prefix);
 
@@ -85,6 +96,13 @@ class Cache
 
     Location locate(Addr addr) const;
 
+    static constexpr std::uint8_t kDirty = 0x80;
+    static constexpr std::uint8_t kRankMask = 0x7F;
+
+    /** Age every way of a set ranked below rank by one. */
+    static void ageBelow(std::uint8_t *state, std::uint32_t assoc,
+                         std::uint8_t rank);
+
     CacheParams params_;
     std::uint64_t numSets_;
     /** log2(lineBytes); set index and tag shift the line number. */
@@ -94,10 +112,8 @@ class Cache
     bool pow2Sets_ = false;
     int setShift_ = 0;
     // numSets * assoc entries each, set-major.
-    std::vector<Addr> tags_;            ///< kNoAddr: invalid way
-    std::vector<std::uint64_t> stamps_; ///< last use; 0: invalid way
-    std::vector<std::uint8_t> dirty_;
-    std::uint64_t useClock_ = 0;
+    std::vector<Addr> tags_;          ///< kNoAddr: invalid way
+    std::vector<std::uint8_t> state_; ///< kDirty | LRU rank
 
     Scalar hits_;
     Scalar misses_;

@@ -14,7 +14,7 @@ namespace {
 std::uint32_t
 quantise(std::uint32_t bytes, std::uint32_t slice)
 {
-    if (std::has_single_bit(slice))
+    if ((slice & (slice - 1)) == 0) // a power of two: slice > 0
         return (bytes + slice - 1) & ~(slice - 1);
     return ((bytes + slice - 1) / slice) * slice;
 }
@@ -23,7 +23,7 @@ quantise(std::uint32_t bytes, std::uint32_t slice)
 std::uint32_t
 floorToSlice(std::uint32_t bytes, std::uint32_t slice)
 {
-    if (std::has_single_bit(slice))
+    if ((slice & (slice - 1)) == 0)
         return bytes & ~(slice - 1);
     return (bytes / slice) * slice;
 }
@@ -151,6 +151,7 @@ Ring::inject(std::uint32_t src_stop, std::uint32_t dst_stop,
     const std::uint32_t bytes =
         std::max<std::uint32_t>(pkt.payloadBytes, 1);
     const bool priority = pkt.priority;
+    sim_.wake(this);
     const std::uint32_t slot = alloc();
     packets_[slot] = std::move(pkt);
     pool_[slot] = Transit{dst_stop, bytes, bytes, 0};
@@ -163,7 +164,6 @@ Ring::inject(std::uint32_t src_stop, std::uint32_t dst_stop,
     updateMasks(src_stop);
     ++inFlight_;
     ++injected_;
-    sim_.wake(this);
     if (sim_.trace().enabled(TraceCat::Noc))
         sim_.trace().instant(
             TraceCat::Noc, params_.name + ".inject", sim_.now(),
@@ -176,6 +176,7 @@ Ring::inject(std::uint32_t src_stop, std::uint32_t dst_stop,
 void
 Ring::setFaults(const RingFaultParams &faults)
 {
+    sim_.wake(this);
     faults_ = faults;
     if (faults_.dropProb > 0.0 && !faults_.rng)
         panic("ring %s: dropProb without an RNG", params_.name.c_str());
@@ -184,12 +185,14 @@ Ring::setFaults(const RingFaultParams &faults)
 void
 Ring::armDrop(std::uint32_t count)
 {
+    sim_.wake(this);
     dropArm_ += count;
 }
 
 void
 Ring::armDuplicate(std::uint32_t count)
 {
+    sim_.wake(this);
     dupArm_ += count;
     dedupOn_ = true;
 }
@@ -201,6 +204,7 @@ Ring::degradeLink(std::uint32_t stop, std::uint32_t dir, double factor,
     if (stop >= stops_.size() || dir > 1)
         panic("ring %s: degradeLink(%u, %u) out of range",
               params_.name.c_str(), stop, dir);
+    sim_.wake(this);
     degrades_.push_back({stop, dir, factor, until});
     ++linkDegrades_;
     if (sim_.trace().enabled(TraceCat::Fault))
@@ -240,12 +244,12 @@ Ring::scheduleRetransmit(std::uint32_t src_stop, std::uint32_t d,
     sim_.events().schedule(
         now + faults_.nackDelay,
         [this, src_stop, d, slot] {
+            sim_.wake(this);
             Stop &s = stops_[src_stop];
             s.pending[d] += pool_[slot].remBytes;
             ++queued_;
             s.through[d].push_front(slot);
             updateMasks(src_stop);
-            sim_.wake(this);
         });
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <mutex>
 
@@ -128,6 +129,8 @@ ZipfDist::ZipfDist(std::size_t n, double s)
 {
     if (n == 0)
         panic("ZipfDist: empty support");
+    if (n > std::numeric_limits<std::uint32_t>::max())
+        panic("ZipfDist: support %zu too large", n);
     if (!std::isfinite(s) || s < 0.0)
         panic("ZipfDist: exponent %f is not finite and >= 0", s);
 
@@ -135,33 +138,53 @@ ZipfDist::ZipfDist(std::size_t n, double s)
     // built a bit-identical table shares one.
     using Key = std::pair<std::size_t, std::uint64_t>;
     static std::mutex lock;
-    static std::map<Key, std::shared_ptr<const std::vector<double>>> memo;
+    static std::map<Key, std::shared_ptr<const Table>> memo;
     const std::lock_guard<std::mutex> guard(lock);
     auto &table = memo[{n, std::bit_cast<std::uint64_t>(s)}];
     if (!table) {
-        std::vector<double> cdf(n);
+        Table t;
+        t.cdf.resize(n);
         double acc = 0.0;
         for (std::size_t i = 0; i < n; ++i) {
             acc += 1.0 / std::pow(static_cast<double>(i + 1), s);
-            cdf[i] = acc;
+            t.cdf[i] = acc;
         }
-        for (auto &c : cdf)
+        for (auto &c : t.cdf)
             c /= acc;
-        cdf.back() = 1.0;
-        table = std::make_shared<const std::vector<double>>(
-            std::move(cdf));
+        t.cdf.back() = 1.0;
+
+        // About one bucket per rank, at most 2^16. K is a power of
+        // two, so k / K and u * K in sample() are exact.
+        const std::size_t buckets =
+            std::min<std::size_t>(std::bit_ceil(n), std::size_t{1} << 16);
+        t.guide.resize(buckets + 1);
+        std::size_t i = 0;
+        for (std::size_t k = 0; k <= buckets; ++k) {
+            const double start =
+                static_cast<double>(k) / static_cast<double>(buckets);
+            while (t.cdf[i] < start)
+                ++i; // stops at n - 1 at the latest: cdf.back() is 1
+            t.guide[k] = static_cast<std::uint32_t>(i);
+        }
+        table = std::make_shared<const Table>(std::move(t));
     }
-    cdf_ = table;
+    table_ = table;
 }
 
 std::size_t
 ZipfDist::sample(Rng &rng) const
 {
-    if (!cdf_)
+    if (!table_)
         panic("ZipfDist::sample: empty support");
     const double u = rng.nextDouble();
-    const auto it = std::lower_bound(cdf_->begin(), cdf_->end(), u);
-    return static_cast<std::size_t>(it - cdf_->begin());
+    // u lies in bucket k, [k / K, (k + 1) / K), so its lower_bound
+    // rank lies in [guide[k], guide[k + 1]].
+    const std::vector<std::uint32_t> &guide = table_->guide;
+    const auto k = static_cast<std::size_t>(
+        u * static_cast<double>(guide.size() - 1));
+    const double *const cdf = table_->cdf.data();
+    return static_cast<std::size_t>(
+        std::lower_bound(cdf + guide[k], cdf + guide[k + 1], u) - cdf);
 }
 
 } // namespace smarco

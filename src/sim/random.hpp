@@ -124,29 +124,41 @@ class DiscreteDist
 /**
  * Zipf distribution over [0, n) with exponent s. Models the skewed
  * popularity of keys/pages in HTC workloads (web objects, words).
- * Sampling is by binary search over a precomputed CDF.
+ * Sampling is by indexed search (Chen and Asau, 1974) over a
+ * precomputed CDF: a guide table of K buckets over [0, 1) holds, for
+ * each bucket start k / K, the first CDF index at or above it, so a
+ * draw u binary-searches only between its bucket's two guide entries
+ * and returns exactly the rank that std::lower_bound over the whole
+ * CDF returns.
  *
- * The CDF depends only on (n, s), so it is built once per distinct
- * key and shared: every ZipfDist with that key, and every copy of
- * one, reads the same immutable table. A process-wide memo keeps one
- * table per key it has seen for the life of the process, so starting
- * a task costs a lookup, not n calls to pow().
+ * The tables depend only on (n, s), so they are built once per
+ * distinct key and shared: every ZipfDist with that key, and every
+ * copy of one, reads the same immutable tables. A process-wide memo
+ * keeps them per key it has seen for the life of the process, so
+ * starting a task costs a lookup, not n calls to pow().
  */
 class ZipfDist
 {
   public:
     ZipfDist() = default;
 
-    /** Zipf(n, s); n > 0, and s finite and >= 0. */
+    /** Zipf(n, s); 0 < n < 2^32, and s finite and >= 0. */
     ZipfDist(std::size_t n, double s);
 
     /** Sample a rank in [0, n). */
     std::size_t sample(Rng &rng) const;
 
-    std::size_t size() const { return cdf_ ? cdf_->size() : 0; }
+    std::size_t size() const { return table_ ? table_->cdf.size() : 0; }
 
   private:
-    std::shared_ptr<const std::vector<double>> cdf_;
+    struct Table {
+        std::vector<double> cdf;
+        /** K + 1 entries, K a power of two: guide[k] is the first CDF
+         *  index whose value is at least k / K. */
+        std::vector<std::uint32_t> guide;
+    };
+
+    std::shared_ptr<const Table> table_;
 };
 
 } // namespace smarco

@@ -180,9 +180,9 @@ TEST(Cache, DirtyEvictionInThreeSetCacheReturnsVictimLine)
 namespace {
 
 /**
- * The array-of-Line tag model that Cache's split tag/stamp/dirty
- * arrays replaced, kept as a plain reference: valid bit, tag, dirty
- * bit and last use per way; set and tag by % and /; a miss takes the
+ * The array-of-Line tag model that Cache's tag and LRU-rank arrays
+ * replaced, kept as a plain reference: valid bit, tag, dirty bit and
+ * a last-use stamp per way; set and tag by % and /; a miss takes the
  * first invalid way, else the least recently used one.
  */
 class ReferenceCache
@@ -272,10 +272,12 @@ geometry(const char *name, std::uint64_t size, std::uint32_t assoc,
  * Replay one seeded read/write stream through Cache and the
  * reference, flushing both halfway: every access must agree on hit,
  * writeback and victim, and afterwards every line the stream touched
- * must probe alike. Half the accesses go to a hot set of lines that
- * map to four sets, twice as many lines as ways each, so those sets
- * evict and write back all the time; the rest are random lines below
- * 1 TiB, as far apart as the workloads' address ranges.
+ * must probe alike. The flush leaves every way invalid again, so the
+ * second half checks the invalid-rank victims a second time. Half the
+ * accesses go to a hot set of lines that map to four sets, twice as
+ * many lines as ways each, so those sets evict and write back all the
+ * time; the rest are random lines below 1 TiB, as far apart as the
+ * workloads' address ranges.
  */
 void
 replayAgainstReference(const CacheParams &p, std::uint64_t seed,
@@ -340,6 +342,9 @@ TEST(Cache, MatchesReferenceModelOnEveryGeometryInUse)
         geometry("dtlb", 256 * 4096, 8, 4096),
         geometry("llc", 60 * 1024 * 1024, 20, 64), // 49,152 sets
         geometry("three_sets", 3 * 2 * 64, 2, 64),
+        geometry("direct_mapped", 64 * 64, 1, 64),
+        geometry("max_assoc", 8 * Cache::kMaxAssoc * 64, Cache::kMaxAssoc,
+                 64),
     };
     for (const CacheParams &p : geometries) {
         for (const std::uint64_t seed : {1, 1009}) {
@@ -349,4 +354,17 @@ TEST(Cache, MatchesReferenceModelOnEveryGeometryInUse)
                 return;
         }
     }
+}
+
+TEST(CacheDeathTest, AssociativityAboveRankLimitIsFatal)
+{
+    CacheParams p = smallCache();
+    p.assoc = Cache::kMaxAssoc + 1; // 127 ways
+    p.sizeBytes = 2 * p.assoc * p.lineBytes;
+    EXPECT_DEATH(
+        {
+            StatRegistry reg;
+            Cache c(reg, p, "c");
+        },
+        "associativity 127");
 }

@@ -835,6 +835,43 @@ TEST(ZipfDist, PinnedDrawsSkewedBaselineTable)
     EXPECT_EQ(got, want);
 }
 
+// The guide table narrows each draw's binary search to one bucket; the
+// rank must still be exactly std::lower_bound's over the whole CDF.
+// The reference CDF repeats ZipfDist's construction operation for
+// operation, so its doubles are bit-identical. Supports of one rank,
+// of fewer ranks than 2^16 buckets and not a power of two, and of
+// cdn-overload's 115,200 ranks (more ranks than buckets), each also
+// with s = 0, where many CDF steps are equal.
+TEST(ZipfDist, GuideTableDrawsMatchLowerBound)
+{
+    const std::pair<std::size_t, double> keys[] = {
+        {1, 1.0}, {1, 0.0}, {1000, 1.0}, {1000, 0.0},
+        {115200, 0.35}, {115200, 0.0}};
+    for (const auto &[n, s] : keys) {
+        std::vector<double> cdf(n);
+        double acc = 0.0;
+        for (std::size_t i = 0; i < n; ++i) {
+            acc += 1.0 / std::pow(static_cast<double>(i + 1), s);
+            cdf[i] = acc;
+        }
+        for (auto &c : cdf)
+            c /= acc;
+        cdf.back() = 1.0;
+
+        const ZipfDist z(n, s);
+        Rng draws(31), uniforms(31);
+        for (int i = 0; i < 100000; ++i) {
+            const double u = uniforms.nextDouble();
+            const auto want = static_cast<std::size_t>(
+                std::lower_bound(cdf.begin(), cdf.end(), u) -
+                cdf.begin());
+            ASSERT_EQ(z.sample(draws), want)
+                << "n " << n << ", s " << s << ", draw " << i
+                << ", u " << u;
+        }
+    }
+}
+
 TEST(ZipfDist, SameKeyAndCopiesDrawIdentically)
 {
     ZipfDist a(5000, 0.8);
