@@ -74,10 +74,7 @@ serve(sched::SchedPolicy policy, std::uint64_t num_tasks,
     }
     if (const Stat *s = sim.stats().find("chip.direct.transfers"))
         out.directTransfers = s->value();
-    double bypassed = 0.0;
-    for (std::uint32_t g = 0; g < cfg.noc.numSubRings; ++g)
-        bypassed += static_cast<double>(chip.mact(g).bypassed());
-    out.mactBypassed = bypassed;
+    out.mactBypassed = sim.stats().total("chip.mact", ".bypassed");
     return out;
 }
 

@@ -145,6 +145,7 @@ BaselineChip::enableAdmission(std::uint32_t queue_cap,
 {
     if (queue_cap == 0)
         fatal("baseline: zero admission queue cap");
+    sim_.wake(this);
     admissionOn_ = true;
     bagCap_ = queue_cap;
     e2eLatency_ = std::make_unique<Histogram>(

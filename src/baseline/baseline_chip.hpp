@@ -182,9 +182,6 @@ class BaselineChip : public Ticking
      *  only: the baseline has no ring NoC or MACT). */
     fault::FaultTargets faultTargets();
 
-    std::uint64_t workerKills() const
-    { return static_cast<std::uint64_t>(workerKills_.value()); }
-
   private:
     /** One software thread. */
     struct SwThread {

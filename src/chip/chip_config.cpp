@@ -9,9 +9,6 @@ ChipConfig::validate() const
 {
     if (noc.numSubRings == 0 || noc.coresPerSubRing == 0)
         fatal("chip %s: empty topology", name.c_str());
-    if (dram.channels != noc.numMemCtrls)
-        fatal("chip %s: %u DRAM channels vs %u MC ring stops",
-              name.c_str(), dram.channels, noc.numMemCtrls);
     if (freqGHz <= 0.0)
         fatal("chip %s: non-positive frequency", name.c_str());
 }
@@ -37,7 +34,6 @@ ChipConfig::prototype40nm()
     // 256 threads at most: 32 cores x 8 threads, 2 sub-rings of 16.
     cfg.freqGHz = 1.0; // conservative 40 nm clock
     cfg.noc.numSubRings = 2;
-    cfg.noc.numMemCtrls = 1;
     cfg.dram.channels = 1;
     cfg.validate();
     return cfg;
@@ -50,9 +46,7 @@ ChipConfig::scaled(std::uint32_t sub_rings, std::uint32_t cores_per)
     cfg.name = strprintf("smarco-%ux%u", sub_rings, cores_per);
     cfg.noc.numSubRings = sub_rings;
     cfg.noc.coresPerSubRing = cores_per;
-    cfg.noc.numMemCtrls =
-        sub_rings >= 4 && sub_rings % 4 == 0 ? 4 : 1;
-    cfg.dram.channels = cfg.noc.numMemCtrls;
+    cfg.dram.channels = sub_rings >= 4 && sub_rings % 4 == 0 ? 4 : 1;
     cfg.validate();
     return cfg;
 }

@@ -27,7 +27,8 @@ SmarcoChip::SmarcoChip(Simulator &sim, ChipConfig cfg)
 {
     cfg_.validate();
 
-    network_ = std::make_unique<noc::Network>(sim_, cfg_.noc, "chip.noc");
+    network_ = std::make_unique<noc::Network>(
+        sim_, cfg_.noc, cfg_.dram.channels, "chip.noc");
     directPath_ = std::make_unique<noc::DirectPath>(
         sim_, cfg_.directPath, cfg_.noc.numSubRings, "chip.direct");
     dram_ = std::make_unique<mem::DramController>(
@@ -38,13 +39,12 @@ SmarcoChip::SmarcoChip(Simulator &sim, ChipConfig cfg)
     dmas_.reserve(n);
     for (CoreId c = 0; c < n; ++c) {
         cores_.push_back(std::make_unique<core::TcgCore>(
-            sim_, cfg_.core, c, cfg_.map().spmBaseOf(c), *this,
-            strprintf("chip.core%03u", c)));
+            sim_, cfg_.core, c, *this, strprintf("chip.core%03u", c)));
         dmas_.push_back(std::make_unique<mem::DmaEngine>(
             sim_.stats(), cfg_.core.spm.dmaChunkBytes,
-            [this, c](Addr src, Addr dst, std::uint32_t bytes,
+            [this, c](Addr src, std::uint32_t bytes,
                       std::function<void()> done) {
-                dmaChunk(c, src, dst, bytes, std::move(done));
+                dmaChunk(c, src, bytes, std::move(done));
             },
             strprintf("chip.dma%03u", c)));
     }
@@ -412,8 +412,8 @@ SmarcoChip::handleMcPacket(std::uint32_t mc, Packet &&pkt)
         noc::RequestPtr &carried = std::get<noc::RequestPtr>(pkt.payload);
         MemRequest &req = *carried;
         if (req.write) {
-            // Posted write (store, writeback or DMA chunk): complete
-            // at the controller.
+            // Posted write (store or writeback): complete at the
+            // controller.
             dram_->serve(req.addr, req.bytes, sim_.now(), nullptr,
                          mem::DramClass::Write);
             if (req.done)
@@ -508,46 +508,21 @@ SmarcoChip::stageTask(CoreId core_id, const workloads::TaskSpec &task,
     const std::uint64_t bytes =
         std::min<std::uint64_t>(task.inputBytes,
                                 layout.spmLocalSize);
-    dmas_[core_id]->start(layout.streamBase, layout.spmLocalBase,
-                          bytes, std::move(ready));
+    dmas_[core_id]->start(layout.streamBase, bytes, std::move(ready));
 }
 
 void
-SmarcoChip::dmaChunk(CoreId core_id, Addr src, Addr dst,
-                     std::uint32_t bytes, std::function<void()> done)
+SmarcoChip::dmaChunk(CoreId core_id, Addr src, std::uint32_t bytes,
+                     std::function<void()> done)
 {
-    const mem::MemoryMap map = cfg_.map();
-    const bool src_dram = map.isDram(src);
-    const bool dst_dram = map.isDram(dst);
-
-    if (src_dram != dst_dram) {
-        // DRAM -> SPM is a read chunk answered with the data; SPM ->
-        // DRAM a posted write chunk carrying the payload.
-        MemRequest req;
-        req.write = dst_dram;
-        req.addr = dst_dram ? dst : src;
-        req.bytes = bytes;
-        req.core = core_id;
-        req.issued = sim_.now();
-        req.done = std::move(done);
-        sendToMemory(std::move(req), /*dma=*/true);
-        return;
-    }
-    // SPM -> SPM transfer between sub-ring neighbours.
-    const CoreId owner = map.isSpm(dst) ? map.spmOwner(dst) : core_id;
-    Packet pkt;
-    pkt.src = NodeId{NodeKind::Core, core_id};
-    pkt.dst = NodeId{NodeKind::Core, owner};
-    pkt.kind = PacketKind::DmaChunk;
-    pkt.payloadBytes = mem::kReqHeaderBytes + bytes;
-    pkt.onDeliver = std::move(done);
-    if (pkt.src == pkt.dst) {
-        // Local copy: charge a cycle per SPM word, no NoC traffic.
-        sim_.events().schedule(sim_.now() + 1 + bytes / 16,
-                               std::move(pkt.onDeliver));
-        return;
-    }
-    network_->send(std::move(pkt));
+    // A staging chunk is a DRAM read answered with the data.
+    MemRequest req;
+    req.addr = src;
+    req.bytes = bytes;
+    req.core = core_id;
+    req.issued = sim_.now();
+    req.done = std::move(done);
+    sendToMemory(std::move(req), /*dma=*/true);
 }
 
 bool

@@ -138,8 +138,9 @@ class SmarcoChip : public core::MemPort
     void onMactBatch(std::uint32_t gw, mem::MactBatch &&batch);
     void stageTask(CoreId core, const workloads::TaskSpec &task,
                    std::function<void()> ready);
-    void dmaChunk(CoreId core, Addr src, Addr dst,
-                  std::uint32_t bytes, std::function<void()> done);
+    /** Move one DMA chunk from DRAM at src into core's own SPM. */
+    void dmaChunk(CoreId core, Addr src, std::uint32_t bytes,
+                  std::function<void()> done);
 
     Simulator &sim_;
     ChipConfig cfg_;

@@ -14,15 +14,14 @@ using isa::MicroOp;
 using isa::OpKind;
 
 TcgCore::TcgCore(Simulator &sim, CoreParams params, CoreId id,
-                 Addr spm_base, MemPort &port,
-                 const std::string &stat_prefix)
+                 MemPort &port, const std::string &stat_prefix)
     : sim_(sim),
       params_(params),
       id_(id),
       port_(port),
       icache_(sim.stats(), params.icache, stat_prefix + ".icache"),
       dcache_(sim.stats(), params.dcache, stat_prefix + ".dcache"),
-      spm_(sim.stats(), params.spm, spm_base, stat_prefix + ".spm"),
+      spm_(sim.stats(), params.spm, stat_prefix + ".spm"),
       contexts_(params.numThreads),
       rng_(0x5eed0 + id, id),
       committed_(sim.stats(), stat_prefix + ".committed",
@@ -621,13 +620,6 @@ TcgCore::ipc() const
 {
     const double cycles = cyclesActive_.value();
     return cycles > 0.0 ? committed_.value() / cycles : 0.0;
-}
-
-double
-TcgCore::idleSlotRatio() const
-{
-    const double offered = slotsOffered_.value();
-    return offered > 0.0 ? 1.0 - slotsUsed_.value() / offered : 0.0;
 }
 
 double

@@ -94,8 +94,7 @@ class TcgCore : public Ticking
 {
   public:
     TcgCore(Simulator &sim, CoreParams params, CoreId id,
-            Addr spm_base, MemPort &port,
-            const std::string &stat_prefix);
+            MemPort &port, const std::string &stat_prefix);
 
     /**
      * Attach a task to a free context. The task's profile supplies
@@ -138,8 +137,6 @@ class TcgCore : public Ticking
     { return static_cast<std::uint64_t>(committed_.value()); }
     /** IPC over the core's ticked lifetime. */
     double ipc() const;
-    /** Fraction of issue slots that went unused. */
-    double idleSlotRatio() const;
     /** Fraction of cycles lost to instruction starvation. */
     double starvationRatio() const;
 

@@ -58,7 +58,6 @@ struct MicroOp {
     Addr addr = kNoAddr;
 
     bool isMem() const { return kind == OpKind::Load || kind == OpKind::Store; }
-    bool isLoad() const { return kind == OpKind::Load; }
     bool isStore() const { return kind == OpKind::Store; }
 };
 

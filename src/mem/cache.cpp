@@ -20,7 +20,6 @@ isPow2(std::uint64_t v)
 Cache::Cache(StatRegistry &stats, CacheParams params,
              const std::string &stat_prefix)
     : params_(std::move(params)),
-      numSets_(params_.sizeBytes / (params_.assoc * params_.lineBytes)),
       hits_(stats, stat_prefix + ".hits", "cache hits"),
       misses_(stats, stat_prefix + ".misses", "cache misses"),
       writebacks_(stats, stat_prefix + ".writebacks", "dirty evictions")
@@ -28,6 +27,9 @@ Cache::Cache(StatRegistry &stats, CacheParams params,
     if (params_.sizeBytes == 0 || params_.assoc == 0 ||
         params_.lineBytes == 0)
         fatal("cache %s: zero-sized parameter", params_.name.c_str());
+    // In 64 bits: a 32-bit way-size product can wrap to zero.
+    numSets_ = params_.sizeBytes /
+        (std::uint64_t{params_.assoc} * params_.lineBytes);
     if (params_.assoc > kMaxAssoc)
         fatal("cache %s: associativity %u above the LRU rank limit %u",
               params_.name.c_str(), params_.assoc, kMaxAssoc);

@@ -104,7 +104,7 @@ class Cache
                          std::uint8_t rank);
 
     CacheParams params_;
-    std::uint64_t numSets_;
+    std::uint64_t numSets_ = 0;
     /** log2(lineBytes); set index and tag shift the line number. */
     int lineShift_ = 0;
     /** Power-of-two set counts mask and shift instead of dividing;

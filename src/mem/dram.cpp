@@ -152,15 +152,4 @@ DramController::serviceNext(std::uint32_t ch)
                            [this, ch]() { serviceNext(ch); });
 }
 
-bool
-DramController::busyNow() const
-{
-    for (const auto &c : channels_) {
-        if (c.serving || !c.demandQ.empty() || !c.bulkQ.empty() ||
-            !c.writeQ.empty())
-            return true;
-    }
-    return false;
-}
-
 } // namespace smarco::mem

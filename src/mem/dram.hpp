@@ -79,9 +79,6 @@ class DramController
     { return static_cast<std::uint64_t>(requests_.value()); }
     double totalBytes() const { return bytes_.value(); }
 
-    /** True while any channel has queued or in-service requests. */
-    bool busyNow() const;
-
     /**
      * Fault model (see src/fault/): freeze one channel's service loop
      * until now + duration. Queued and newly arriving requests wait

@@ -64,13 +64,6 @@ class Mact : public Ticking
     const MactParams &params() const { return params_; }
     std::uint32_t occupancy() const { return used_; }
 
-    std::uint64_t collected() const
-    { return static_cast<std::uint64_t>(collected_.value()); }
-    std::uint64_t bypassed() const
-    { return static_cast<std::uint64_t>(bypassed_.value()); }
-    std::uint64_t batches() const
-    { return static_cast<std::uint64_t>(batches_.value()); }
-
     /**
      * Fault model (see src/fault/): lose one occupied table entry, as
      * if a soft error flipped its valid bit. The entry's contents are
@@ -82,9 +75,6 @@ class Mact : public Ticking
      */
     bool injectEntryLoss(std::uint64_t pick, Cycle recovery_latency,
                          Cycle now);
-
-    std::uint64_t entriesLost() const
-    { return static_cast<std::uint64_t>(entriesLost_.value()); }
 
   private:
     struct Line {

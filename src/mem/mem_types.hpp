@@ -49,8 +49,6 @@ struct MemoryMap {
     {
         return static_cast<CoreId>((addr - spmBase) / spmPerCore);
     }
-
-    bool isDram(Addr addr) const { return addr >= dramBase; }
 };
 
 /**

@@ -7,10 +7,9 @@
 
 namespace smarco::mem {
 
-Spm::Spm(StatRegistry &stats, SpmParams params, Addr base,
+Spm::Spm(StatRegistry &stats, SpmParams params,
          const std::string &stat_prefix)
     : params_(params),
-      base_(base),
       reads_(stats, stat_prefix + ".reads", "SPM read accesses"),
       writes_(stats, stat_prefix + ".writes", "SPM write accesses")
 {
@@ -18,18 +17,6 @@ Spm::Spm(StatRegistry &stats, SpmParams params, Addr base,
         fatal("SPM: control window (%llu) exceeds capacity (%llu)",
               static_cast<unsigned long long>(params_.controlBytes),
               static_cast<unsigned long long>(params_.sizeBytes));
-}
-
-bool
-Spm::contains(Addr addr) const
-{
-    return addr >= base_ && addr < base_ + dataBytes();
-}
-
-bool
-Spm::isControl(Addr addr) const
-{
-    return addr >= base_ + dataBytes() && addr < base_ + params_.sizeBytes;
 }
 
 void
@@ -59,7 +46,7 @@ DmaEngine::DmaEngine(StatRegistry &stats, std::uint32_t chunk_bytes,
 }
 
 void
-DmaEngine::start(Addr src, Addr dst, std::uint64_t bytes,
+DmaEngine::start(Addr src, std::uint64_t bytes,
                  std::function<void()> done)
 {
     if (bytes == 0) {
@@ -70,7 +57,6 @@ DmaEngine::start(Addr src, Addr dst, std::uint64_t bytes,
 
     ++transfers_;
     bytesMoved_ += static_cast<double>(bytes);
-    ++inFlight_;
 
     const std::uint64_t chunks =
         (bytes + chunkBytes_ - 1) / chunkBytes_;
@@ -82,11 +68,8 @@ DmaEngine::start(Addr src, Addr dst, std::uint64_t bytes,
     auto remaining = std::make_shared<std::uint64_t>(chunks);
     auto on_chunk = [this, remaining, done = std::move(done)]() {
         --outstanding_;
-        if (--*remaining == 0) {
-            --inFlight_;
-            if (done)
-                done();
-        }
+        if (--*remaining == 0 && done)
+            done();
         issueNext();
     };
 
@@ -94,7 +77,7 @@ DmaEngine::start(Addr src, Addr dst, std::uint64_t bytes,
     for (std::uint64_t c = 0; c < chunks; ++c) {
         const std::uint32_t sz = static_cast<std::uint32_t>(
             std::min<std::uint64_t>(chunkBytes_, bytes - off));
-        queue_.push_back(Chunk{src + off, dst + off, sz, on_chunk});
+        queue_.push_back(Chunk{src + off, sz, on_chunk});
         off += sz;
     }
     issueNext();
@@ -107,8 +90,7 @@ DmaEngine::issueNext()
            queueHead_ < queue_.size()) {
         Chunk chunk = std::move(queue_[queueHead_++]);
         ++outstanding_;
-        transport_(chunk.src, chunk.dst, chunk.bytes,
-                   std::move(chunk.onChunk));
+        transport_(chunk.src, chunk.bytes, std::move(chunk.onChunk));
     }
     if (queueHead_ == queue_.size()) {
         queue_.clear();

@@ -4,8 +4,8 @@
  *
  * Each TCG core owns a 128 KB programmer-managed SPM mapped into the
  * unified address space. The top 256 bytes act as control registers
- * (DMA source/destination/size). DMA moves data between the SPM and
- * DRAM or a neighbour's SPM without blocking the pipeline.
+ * (DMA source/destination/size). DMA stages a task's input from DRAM
+ * into the core's own SPM without blocking the pipeline.
  */
 #pragma once
 
@@ -35,68 +35,49 @@ struct SpmParams {
 class Spm
 {
   public:
-    Spm(StatRegistry &stats, SpmParams params, Addr base,
+    Spm(StatRegistry &stats, SpmParams params,
         const std::string &stat_prefix);
-
-    /** True when addr lies inside this scratch-pad's data region. */
-    bool contains(Addr addr) const;
-
-    /** True when addr falls in the DMA control-register window. */
-    bool isControl(Addr addr) const;
 
     /** Account one pipeline access. */
     void access(bool write);
 
-    Addr base() const { return base_; }
     const SpmParams &params() const { return params_; }
     std::uint64_t dataBytes() const
     { return params_.sizeBytes - params_.controlBytes; }
 
-    std::uint64_t reads() const
-    { return static_cast<std::uint64_t>(reads_.value()); }
-    std::uint64_t writes() const
-    { return static_cast<std::uint64_t>(writes_.value()); }
-
   private:
     SpmParams params_;
-    Addr base_;
     Scalar reads_;
     Scalar writes_;
 };
 
 /**
  * DMA engine attached to an SPM. The engine hands chunk-granularity
- * transfer requests to the transport it is built with (on the chip,
- * one that injects them into the NoC / memory system) and invokes
- * the completion callback when every chunk has been acknowledged.
+ * reads to the transport it is built with (on the chip, one that
+ * sends each to DRAM and answers the owning core) and invokes the
+ * completion callback when every chunk has been acknowledged.
  */
 class DmaEngine
 {
   public:
-    /** Transport: move one chunk; call done() when it completes. */
-    using Transport =
-        std::function<void(Addr src, Addr dst, std::uint32_t bytes,
-                           std::function<void()> done)>;
+    /** Transport: move one chunk from src into the SPM; call done()
+     *  when it completes. */
+    using Transport = std::function<void(
+        Addr src, std::uint32_t bytes, std::function<void()> done)>;
 
     DmaEngine(StatRegistry &stats, std::uint32_t chunk_bytes,
               Transport transport, const std::string &stat_prefix,
               std::uint32_t max_outstanding = 4);
 
     /**
-     * Start a transfer of bytes from src to dst; done runs once the
-     * final chunk completes. Multiple transfers may be in flight.
+     * Start a transfer of bytes from src into the SPM; done runs once
+     * the final chunk completes. Multiple transfers may be in flight.
      */
-    void start(Addr src, Addr dst, std::uint64_t bytes,
-               std::function<void()> done);
-
-    bool busy() const { return inFlight_ > 0; }
-    std::uint64_t transfersStarted() const
-    { return static_cast<std::uint64_t>(transfers_.value()); }
+    void start(Addr src, std::uint64_t bytes, std::function<void()> done);
 
   private:
     struct Chunk {
         Addr src;
-        Addr dst;
         std::uint32_t bytes;
         std::function<void()> onChunk;
     };
@@ -106,7 +87,6 @@ class DmaEngine
     std::uint32_t chunkBytes_;
     std::uint32_t maxOutstanding_;
     Transport transport_;
-    std::uint64_t inFlight_ = 0;
     std::uint32_t outstanding_ = 0;
     std::vector<Chunk> queue_;   ///< pending chunks, FIFO by index
     std::size_t queueHead_ = 0;

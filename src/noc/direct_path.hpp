@@ -51,9 +51,6 @@ class DirectPath
     void transfer(std::uint32_t sub_ring, std::uint32_t payload_bytes,
                   Cycle now, Done done);
 
-    std::uint64_t transfers() const
-    { return static_cast<std::uint64_t>(transfers_.value()); }
-
   private:
     Simulator &sim_;
     DirectPathParams params_;

@@ -7,6 +7,7 @@
 namespace smarco::noc {
 
 Network::Network(Simulator &sim, NetworkParams params,
+                 std::uint32_t num_mem_ctrls,
                  const std::string &stat_prefix)
     : sim_(sim),
       params_(params),
@@ -22,17 +23,17 @@ Network::Network(Simulator &sim, NetworkParams params,
 {
     if (params_.numSubRings == 0 || params_.coresPerSubRing == 0)
         fatal("network: empty topology");
-    if (params_.numMemCtrls == 0)
+    if (num_mem_ctrls == 0)
         fatal("network: need at least one memory controller");
-    if (params_.numSubRings % params_.numMemCtrls != 0)
+    if (params_.numSubRings % num_mem_ctrls != 0)
         fatal("network: %u MCs cannot be equally spaced among %u "
-              "gateways", params_.numMemCtrls, params_.numSubRings);
+              "gateways", num_mem_ctrls, params_.numSubRings);
 
     // Main-ring layout: MCs equally spaced between gateway groups,
     // I/O stops at the end (Fig. 4).
-    const std::uint32_t group = params_.numSubRings / params_.numMemCtrls;
+    const std::uint32_t group = params_.numSubRings / num_mem_ctrls;
     std::uint32_t g = 0;
-    for (std::uint32_t m = 0; m < params_.numMemCtrls; ++m) {
+    for (std::uint32_t m = 0; m < num_mem_ctrls; ++m) {
         for (std::uint32_t k = 0; k < group; ++k, ++g) {
             gatewayStop_.push_back(
                 static_cast<std::uint32_t>(mainLayout_.size()));

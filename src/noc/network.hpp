@@ -12,8 +12,7 @@
  *
  * Every ring stop's handler is a routing hook of this class: it takes
  * each ejected packet, also at an intermediate gateway stop, and
- * applies the delivery rule below only at the final destination (see
- * Ring for why the ring's order differs).
+ * applies the delivery rule below only at the final destination.
  */
 #pragma once
 
@@ -33,7 +32,6 @@ namespace smarco::noc {
 struct NetworkParams {
     std::uint32_t numSubRings = 16;
     std::uint32_t coresPerSubRing = 16;
-    std::uint32_t numMemCtrls = 4;
     std::uint32_t numIo = 2;
     /**
      * Main ring: 512-bit total = 64 B/cycle; per direction three
@@ -68,8 +66,10 @@ class Network
     using Interceptor =
         std::function<bool(std::uint32_t sub_ring, Packet &)>;
 
+    /** num_mem_ctrls memory-controller stops are spaced equally
+     *  among the gateways; it must divide params.numSubRings. */
     Network(Simulator &sim, NetworkParams params,
-            const std::string &stat_prefix);
+            std::uint32_t num_mem_ctrls, const std::string &stat_prefix);
 
     /** Register the consumer of packets without onDeliver that are
      *  addressed to a memory controller or gateway. */
@@ -97,10 +97,6 @@ class Network
 
     std::uint64_t packetsDelivered() const
     { return static_cast<std::uint64_t>(delivered_.value()); }
-    /** Injection attempts bounced by a full ring inject queue (each
-     *  is retried next cycle — backpressure, never loss). */
-    std::uint64_t injectRejected() const
-    { return static_cast<std::uint64_t>(injectRejected_.value()); }
     /** Packets currently queued or traversing any ring. */
     std::uint64_t totalInFlight() const
     {

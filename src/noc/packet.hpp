@@ -65,7 +65,8 @@ using BatchPtr = std::shared_ptr<mem::MactBatch>;
  * mem::MactBatch, both in payload, where the gateway interceptor and
  * the endpoint handlers read them. Every other packet (responses,
  * remote-SPM traffic, task hand-off) carries its effect in onDeliver,
- * which the network runs on arrival instead of an endpoint handler.
+ * which Network runs at the final destination instead of an endpoint
+ * handler. A Ring never runs it: a stop's handler takes the packet.
  *
  * The carried request or batch is held by pointer so a packet stays
  * small on every ring hop. Packets are copyable: a ring's duplicate

@@ -362,8 +362,6 @@ Ring::eject(Stop &s, std::uint32_t stop_idx, Cycle now)
                                   pkt.payloadBytes, 1)));
             if (const Handler &handler = handlers_[stop_idx])
                 handler(std::move(pkt));
-            else if (pkt.onDeliver)
-                pkt.onDeliver();
         }
     }
 }

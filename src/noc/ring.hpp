@@ -117,14 +117,12 @@ struct RingFaultParams {
  * injection: shortest path, switched when the preferred side is
  * congested (Fig. 7).
  *
- * Ejection rule: a stop's handler, when installed, takes the packet,
- * and the packet's onDeliver runs only at a stop without a handler.
- * This is the reverse of Network::deliver's order on purpose: the
- * stop handler is a routing hook, and Network installs one at every
- * stop. A packet ejected at an intermediate stop (a main-ring
- * gateway on the way to a core) still carries its endpoint onDeliver;
- * running that first would deliver a response before it crossed the
- * sub-ring. onDeliver is the fallback for a bare ring.
+ * Ejection rule: the stop's handler takes every packet ejected there;
+ * a stop without one discards the packet. The ring never runs
+ * onDeliver: a packet ejected at an intermediate stop (a main-ring
+ * gateway on the way to a core) still carries its endpoint onDeliver,
+ * which only the owner of the handlers (Network::deliver) runs, at
+ * the final destination.
  */
 class Ring : public Ticking
 {
@@ -135,7 +133,7 @@ class Ring : public Ticking
          const std::string &stat_prefix);
 
     /** Install the ejection handler of a stop: it takes every packet
-     *  ejected there, onDeliver or not. */
+     *  ejected there. */
     void setHandler(std::uint32_t stop, Handler handler);
 
     /**
@@ -156,8 +154,6 @@ class Ring : public Ticking
                            std::uint32_t dir) const;
 
     const RingParams &params() const { return params_; }
-    std::uint64_t packetsDelivered() const
-    { return static_cast<std::uint64_t>(delivered_.value()); }
     /** Fraction of link capacity carrying payload so far. */
     double utilisation(Cycle elapsed) const;
     std::uint64_t inFlight() const { return inFlight_; }
@@ -184,13 +180,6 @@ class Ring : public Ticking
      */
     void degradeLink(std::uint32_t stop, std::uint32_t dir,
                      double factor, Cycle until);
-
-    std::uint64_t faultDrops() const
-    { return static_cast<std::uint64_t>(drops_.value()); }
-    std::uint64_t retransmits() const
-    { return static_cast<std::uint64_t>(retransmits_.value()); }
-    std::uint64_t dupsSuppressed() const
-    { return static_cast<std::uint64_t>(dupsSuppressed_.value()); }
 
   private:
     /** Hot per-packet state of a pool slot (the Packet is cold). */

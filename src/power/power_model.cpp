@@ -218,7 +218,7 @@ smarcoPower(const chip::ChipConfig &cfg, TechNode node, double activity)
     // controllers and the I/O ports; each sub-ring adds its gateway
     // to its cores.
     report.components.push_back(model.ring(
-        noc.numSubRings + noc.numMemCtrls + noc.numIo, noc.numSubRings,
+        noc.numSubRings + cfg.dram.channels + noc.numIo, noc.numSubRings,
         noc.coresPerSubRing + 1,
         2 * noc.mainFixedBytesPerDir + noc.mainFlexBytes,
         2 * noc.subFixedBytesPerDir + noc.subFlexBytes, cfg.freqGHz,
@@ -231,7 +231,7 @@ smarcoPower(const chip::ChipConfig &cfg, TechNode node, double activity)
              core.dcache.sizeBytes),
         cfg.freqGHz, activity));
     report.components.push_back(model.memCtrl(
-        noc.numMemCtrls,
+        cfg.dram.channels,
         cfg.dram.channels * cfg.dram.bytesPerCycle * cfg.freqGHz,
         activity));
     return report;

@@ -64,11 +64,6 @@ class MainScheduler
 
     bool degraded() const { return degraded_; }
 
-    std::uint64_t tasksRouted() const
-    { return static_cast<std::uint64_t>(routed_.value()); }
-    std::uint64_t tasksAdmitted() const
-    { return admissionOn_ ? static_cast<std::uint64_t>(admitted_.value())
-                          : tasksRouted(); }
     std::uint64_t tasksShed() const;
 
   private:

@@ -45,6 +45,7 @@ SubScheduler::SubScheduler(Simulator &sim, SubSchedulerParams params,
 void
 SubScheduler::enableShedding()
 {
+    sim_.wake(this);
     sheddingOn_ = true;
 }
 
@@ -53,6 +54,7 @@ SubScheduler::addCore(core::TcgCore *core)
 {
     if (!core)
         panic("SubScheduler %u: null core", id_);
+    sim_.wake(this);
     cores_.push_back(core);
     reserved_.push_back(0);
     core->setTaskFailHandler(
@@ -66,6 +68,7 @@ SubScheduler::enableRecovery(const RecoveryParams &params)
 {
     if (params.heartbeatInterval == 0 || params.hangTimeout == 0)
         fatal("sub-scheduler %u: zero recovery interval", id_);
+    sim_.wake(this);
     recovery_ = params;
     recoveryOn_ = true;
 }

@@ -101,14 +101,6 @@ class SubScheduler : public Ticking
      */
     void enableShedding();
 
-    std::uint64_t tasksExpired() const
-    { return static_cast<std::uint64_t>(expired_.value()); }
-
-    std::uint64_t redispatches() const
-    { return static_cast<std::uint64_t>(redispatches_.value()); }
-    std::uint64_t tasksAbandoned() const
-    { return static_cast<std::uint64_t>(tasksAbandoned_.value()); }
-
     void tick(Cycle now) override;
     bool busy() const override;
     /**

@@ -91,7 +91,6 @@ Simulator::catchUpAll(Cycle upTo)
 Cycle
 Simulator::run(Cycle max_cycles)
 {
-    stopRequested_ = false;
     finishedIdle_ = false;
     const Cycle start = now_;
     const Cycle end = now_ + max_cycles;
@@ -99,13 +98,9 @@ Simulator::run(Cycle max_cycles)
     const std::size_t words = active_.size();
 
     // Components stimulated between runs (direct submit/attach/spawn
-    // calls) have already woken themselves; re-arming everything once
-    // per run() additionally shields against stimulus paths that
-    // forget to wake — one round of spurious ticks at worst.
-    for (std::uint32_t i = 0; i < ticking_.size(); ++i)
-        activate(i);
-
-    while (now_ < end && !stopRequested_) {
+    // calls) wake themselves (the Ticking rule), so a component left
+    // asleep by the last run stays asleep until its hint or a wake.
+    while (now_ < end) {
         tickCursor_ = 0;
         while (!wakeHeap_.empty() && wakeHeap_.top().first <= now_) {
             activate(wakeHeap_.top().second);

@@ -122,18 +122,12 @@ class Simulator
     /** Interval time-series sampler driven by the run loop. */
     IntervalSampler &sampler() { return sampler_; }
 
-    /** Run id in the process-wide observability outputs (0 = none). */
-    std::uint32_t obsRunId() const { return runId_; }
-
     /**
-     * Run until max_cycles elapse, stop is requested, or the system
-     * goes idle (no busy component, empty event queue).
+     * Run until max_cycles elapse or the system goes idle (no busy
+     * component, empty event queue).
      * @return the cycle at which the run stopped.
      */
     Cycle run(Cycle max_cycles);
-
-    /** Ask the kernel to stop at the end of the current cycle. */
-    void requestStop() { stopRequested_ = true; }
 
     /** True when the last run() ended because everything went idle. */
     bool finishedIdle() const { return finishedIdle_; }
@@ -243,7 +237,6 @@ class Simulator
     }
 
     Cycle now_ = 0;
-    bool stopRequested_ = false;
     bool finishedIdle_ = false;
     bool fastForward_ = true;
     std::vector<Ticking *> ticking_;

@@ -31,7 +31,6 @@ class Stat
     Stat &operator=(const Stat &) = delete;
 
     const std::string &name() const { return name_; }
-    const std::string &description() const { return desc_; }
 
     /** Primary scalar summary of this statistic. */
     virtual double value() const = 0;

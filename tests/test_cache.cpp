@@ -41,6 +41,21 @@ TEST(Cache, ColdMissThenHit)
     EXPECT_EQ(c.misses(), 2u);
 }
 
+TEST(Cache, WaySizeAbove32BitsKeepsItsSets)
+{
+    // 64 ways of 64 MB lines: the way size is 2^32 bytes, which wraps
+    // to zero in 32-bit arithmetic.
+    CacheParams p = smallCache();
+    p.assoc = 64;
+    p.lineBytes = 1u << 26;
+    p.sizeBytes = 2 * std::uint64_t{p.assoc} * p.lineBytes;
+    StatRegistry reg;
+    Cache c(reg, p, "c");
+    EXPECT_FALSE(c.access(0, false).hit);
+    EXPECT_TRUE(c.access(0, false).hit);
+    EXPECT_FALSE(c.probe(p.lineBytes)); // the second set is still empty
+}
+
 TEST(Cache, LruEvictsOldest)
 {
     StatRegistry reg;
@@ -367,4 +382,28 @@ TEST(CacheDeathTest, AssociativityAboveRankLimitIsFatal)
             Cache c(reg, p, "c");
         },
         "associativity 127");
+}
+
+TEST(CacheDeathTest, ZeroAssociativityIsFatal)
+{
+    CacheParams p = smallCache();
+    p.assoc = 0;
+    EXPECT_DEATH(
+        {
+            StatRegistry reg;
+            Cache c(reg, p, "c");
+        },
+        "zero-sized parameter");
+}
+
+TEST(CacheDeathTest, ZeroLineSizeIsFatal)
+{
+    CacheParams p = smallCache();
+    p.lineBytes = 0;
+    EXPECT_DEATH(
+        {
+            StatRegistry reg;
+            Cache c(reg, p, "c");
+        },
+        "zero-sized parameter");
 }

@@ -117,8 +117,7 @@ struct CoreFixture : ::testing::Test {
     make(Cycle mem_latency = 50)
     {
         port = std::make_unique<FixedLatencyPort>(sim, mem_latency);
-        core = std::make_unique<TcgCore>(sim, params, 0, 0x1000'0000,
-                                         *port, "core");
+        core = std::make_unique<TcgCore>(sim, params, 0, *port, "core");
         return *core;
     }
 };
@@ -166,7 +165,7 @@ TEST_F(CoreFixture, SpmLocalAccessDoesNotLeaveCore)
                  nullptr);
     sim.run(1000);
     EXPECT_EQ(port->requests, 0);
-    EXPECT_EQ(c.spm().reads(), 50u);
+    EXPECT_EQ(sim.stats().get("core.spm.reads").value(), 50.0);
 }
 
 TEST_F(CoreFixture, HeapMissBlocksUntilFill)
@@ -264,7 +263,7 @@ TEST_F(CoreFixture, InPairThreadsHideMemoryLatency)
         p.numThreads = threads;
         p.maxRunning = threads <= 4 ? threads : 4;
         FixedLatencyPort prt(s, 60);
-        TcgCore c(s, p, 0, 0x1000'0000, prt, "c");
+        TcgCore c(s, p, 0, prt, "c");
         for (std::uint32_t t = 0; t < threads; ++t) {
             std::vector<MicroOp> ops;
             for (int i = 0; i < 40; ++i) {
@@ -352,7 +351,7 @@ TEST_F(CoreFixture, IpcImprovesWithThreads)
         p.numThreads = threads;
         p.maxRunning = std::min<std::uint32_t>(threads, 4);
         FixedLatencyPort prt(s, 60);
-        TcgCore c(s, p, 0, 0x1000'0000, prt, "c");
+        TcgCore c(s, p, 0, prt, "c");
         const auto &prof = workloads::htcProfile("wordcount");
         for (std::uint32_t t = 0; t < threads; ++t) {
             workloads::TaskSpec ts;
@@ -386,7 +385,7 @@ TEST_F(CoreFixture, SharedInstrSegmentAvoidsStarvation)
         CoreParams p;
         p.sharedInstrSegment = shared;
         FixedLatencyPort prt(s, 60);
-        TcgCore c(s, p, 0, 0x1000'0000, prt, "c");
+        TcgCore c(s, p, 0, prt, "c");
         const auto &prof = workloads::htcProfile("search"); // 12KB code
         for (std::uint32_t t = 0; t < 8; ++t) {
             workloads::TaskSpec ts;
@@ -548,7 +547,7 @@ TEST(CoreKernelModes, StalledCoreStatsMatchForcedModeAtEverySliceEnd)
         FixedLatencyPort port(sim, 300);
         Stimulus before;
         sim.addTicking(&before);
-        TcgCore c(sim, p, 0, 0x1000'0000, port, "core");
+        TcgCore c(sim, p, 0, port, "core");
         Stimulus after;
         sim.addTicking(&after);
         std::vector<TaskId> failed;
@@ -621,7 +620,7 @@ TEST(CoreDeathTest, TaskWithoutProfilePanics)
     const auto attach = [] {
         Simulator sim;
         FixedLatencyPort port(sim, 50);
-        TcgCore c(sim, CoreParams{}, 0, 0x1000'0000, port, "core");
+        TcgCore c(sim, CoreParams{}, 0, port, "core");
         std::vector<MicroOp> ops(10, aluOp());
         ops.push_back(haltOp());
         workloads::TaskSpec t;

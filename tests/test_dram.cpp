@@ -139,16 +139,6 @@ TEST_F(DramFixture, StatsTrackRequestsAndBytes)
     EXPECT_DOUBLE_EQ(dram->totalBytes(), 80.0);
 }
 
-TEST_F(DramFixture, BusyNowReflectsQueues)
-{
-    auto dram = make();
-    EXPECT_FALSE(dram->busyNow());
-    dram->serve(0x00, 64, 0, nullptr);
-    EXPECT_TRUE(dram->busyNow());
-    sim.run(1000);
-    EXPECT_FALSE(dram->busyNow());
-}
-
 TEST_F(DramFixture, BatchingReducesTotalServiceTime)
 {
     // The MACT effect at the controller: one 16-byte batch versus

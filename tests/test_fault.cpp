@@ -504,7 +504,7 @@ TEST(MactFault, LostEntryIsReemittedAfterRecoveryLatency)
     ASSERT_EQ(mact.occupancy(), 1u);
     ASSERT_TRUE(mact.injectEntryLoss(0, 400, 0));
     EXPECT_EQ(mact.occupancy(), 0u);
-    EXPECT_EQ(mact.entriesLost(), 1u);
+    EXPECT_EQ(sim.stats().get("mact.entriesLost").value(), 1.0);
     sim.run(2000);
     ASSERT_EQ(batches.size(), 1u);
     EXPECT_GE(arrived[0], 400u);
@@ -519,7 +519,7 @@ TEST(MactFault, LossOnEmptyTableMisses)
     mem::Mact mact(sim, params, "mact");
     mact.setSink([](mem::MactBatch &&) {});
     EXPECT_FALSE(mact.injectEntryLoss(0, 400, 0));
-    EXPECT_EQ(mact.entriesLost(), 0u);
+    EXPECT_EQ(sim.stats().get("mact.entriesLost").value(), 0.0);
 }
 
 // ---------------------------------------------------------------------

@@ -420,8 +420,8 @@ threadSchemeRun(
  *    dropProb and armed duplicates.
  *  - "sub": shaped like a sub-ring (17 stops, default widths and
  *    queues) with armed drops and overlapping degrade windows.
- *  - "conv": conventional wide links with no flex pool and no
- *    handlers, so packets complete through onDeliver.
+ *  - "conv": conventional wide links with no flex pool; its
+ *    handlers only record deliveries.
  * On big and sub, some stops answer a request from the eject handler,
  * as a remote-SPM access does: sub from the ejecting stop, big from
  * the stop half-way round, which may hold no packet yet.
@@ -492,14 +492,14 @@ ringTrafficRun(bool fast_forward,
         p.priority = priority;
         p.payloadBytes = bytes;
         p.created = sim.now();
-        if (r == 2)
-            p.onDeliver = [&record, dst, id = p.id] {
-                record(2, dst, id);
-            };
         if (rings[r]->inject(src, dst, std::move(p)))
             accepted.insert(next_id);
     };
 
+    for (std::uint32_t s = 0; s < conv.numStops; ++s)
+        rings[2]->setHandler(s, [&record, s](noc::Packet &&p) {
+            record(2, s, p.id);
+        });
     for (std::size_t r = 0; r < 2; ++r) {
         for (std::uint32_t s = 0; s < rings[r]->params().numStops; ++s) {
             rings[r]->setHandler(s, [&, r, s](noc::Packet &&p) {

@@ -17,7 +17,6 @@ TEST(MicroOp, Predicates)
     MicroOp op;
     op.kind = OpKind::Load;
     EXPECT_TRUE(op.isMem());
-    EXPECT_TRUE(op.isLoad());
     EXPECT_FALSE(op.isStore());
     op.kind = OpKind::Store;
     EXPECT_TRUE(op.isMem());

@@ -21,13 +21,13 @@ struct NetFixture : ::testing::Test {
     {
         params.numSubRings = 4;
         params.coresPerSubRing = 4;
-        params.numMemCtrls = 4;
     }
 
     std::unique_ptr<Network>
     make()
     {
-        return std::make_unique<Network>(sim, params, "noc");
+        return std::make_unique<Network>(sim, params, /*num_mem_ctrls=*/4,
+                                         "noc");
     }
 
     Packet
@@ -210,7 +210,7 @@ TEST_F(NetFixture, FullInjectQueueRetriesUntilDelivered)
 {
     // A single-slot inject queue bounces a same-cycle burst; the
     // endpoint-side buffer model must retry every bounced packet
-    // until it lands — congestion shows up as injectRejected counts
+    // until it lands — congestion shows up as noc.injectRejected counts
     // and latency, never as loss.
     params.injectQueueCap = 1;
     auto net = make();
@@ -222,7 +222,7 @@ TEST_F(NetFixture, FullInjectQueueRetriesUntilDelivered)
                       [&] { ++delivered; }));
     sim.run(20000);
     EXPECT_EQ(delivered, burst);
-    EXPECT_GT(net->injectRejected(), 0u);
+    EXPECT_GT(sim.stats().get("noc.injectRejected").value(), 0.0);
 }
 
 TEST_F(NetFixture, UtilisationGrowsWithTraffic)

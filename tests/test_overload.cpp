@@ -202,7 +202,8 @@ TEST(Admission, FullQueueShedsInsteadOfFatal)
     EXPECT_EQ(out.completed + out.shed, total);
     EXPECT_EQ(out.lastReason, workloads::ShedReason::QueueFull);
     EXPECT_EQ(chip.scheduler().tasksShed(), out.shed);
-    EXPECT_EQ(chip.scheduler().tasksAdmitted(), out.completed);
+    EXPECT_EQ(sim.stats().get("chip.mainSched.admitted").value(),
+              static_cast<double>(out.completed));
 }
 
 TEST(Admission, InfeasibleDeadlineShedsAtIngress)
@@ -261,7 +262,7 @@ TEST(Admission, QueuedRequestPastDeadlineIsDroppedEarly)
     EXPECT_EQ(out.shed, 1u);
     EXPECT_EQ(out.lastReason, workloads::ShedReason::Expired);
     EXPECT_EQ(fill.completed, 32u);
-    EXPECT_GT(chip.subScheduler(0).tasksExpired(), 0u);
+    EXPECT_GT(sim.stats().get("chip.sched00.tasksExpired").value(), 0.0);
 }
 
 TEST(Admission, DegradedModeShedsBestEffortFirst)
@@ -582,8 +583,10 @@ TEST(RequestLifecycle, EachRequestResolvesExactlyOnceOnBothChips)
 
         // Kill + re-dispatch is exercised; maxAttempts is high
         // enough that no task is abandoned.
-        EXPECT_GT(chip.subScheduler(0).redispatches(), 0u);
-        EXPECT_EQ(chip.subScheduler(0).tasksAbandoned(), 0u);
+        EXPECT_GT(sim.stats().get("chip.sched00.redispatches").value(),
+                  0.0);
+        EXPECT_EQ(sim.stats().get("chip.sched00.tasksAbandoned").value(),
+                  0.0);
         EXPECT_GT(driver.retries(), 0u);
         EXPECT_EQ(driver.requests(), reqs.size());
         EXPECT_EQ(ledger.byId.size(), reqs.size());
@@ -607,7 +610,8 @@ TEST(RequestLifecycle, EachRequestResolvesExactlyOnceOnBothChips)
         campaign.arm(chip.faultTargets());
         sim.run(2'000'000);
 
-        EXPECT_GT(chip.workerKills(), 0u); // bag_.push_front re-queue
+        // bag_.push_front re-queue
+        EXPECT_GT(sim.stats().get("base.workerKills").value(), 0.0);
         EXPECT_GT(driver.retries(), 0u);
         EXPECT_EQ(driver.requests(), reqs.size());
         expectConserved(driver, ledger);
@@ -652,19 +656,21 @@ TEST(RequestLifecycle, AbandonedTaskResolvesItsHook)
 
         // Kill the task wherever it runs, every 10k cycles, until the
         // sub-scheduler gives it up.
+        const Stat &abandoned =
+            sim.stats().get("chip.sched00.tasksAbandoned");
         std::function<void()> kill = [&]() {
             for (CoreId c = 0; c < chip.numCores(); ++c)
                 chip.core(c).killTask(id, sim.now());
-            if (chip.subScheduler(0).tasksAbandoned() == 0)
+            if (abandoned.value() == 0.0)
                 sim.events().schedule(sim.now() + 10'000, kill);
         };
         sim.events().schedule(10'000, kill);
         chip.runUntilDone(10'000'000);
 
         EXPECT_TRUE(sim.finishedIdle());
-        EXPECT_EQ(chip.subScheduler(0).redispatches(),
-                  recovery ? 1u : 0u);
-        EXPECT_EQ(chip.subScheduler(0).tasksAbandoned(), 1u);
+        EXPECT_EQ(sim.stats().get("chip.sched00.redispatches").value(),
+                  recovery ? 1.0 : 0.0);
+        EXPECT_EQ(abandoned.value(), 1.0);
         ASSERT_EQ(results.size(), 1u);
         EXPECT_FALSE(results[0].completed);
         EXPECT_EQ(results[0].reason, workloads::ShedReason::Abandoned);

@@ -35,15 +35,14 @@ TEST(MemoryMap, SpmWindowsPartitionTheSpmRange)
     }
     EXPECT_FALSE(map.isSpm(map.spmBase - 1));
     EXPECT_FALSE(map.isSpm(map.spmBase + 256ull * map.spmPerCore));
-    EXPECT_TRUE(map.isDram(map.dramBase));
-    EXPECT_FALSE(map.isDram(map.spmBase));
 }
 
 TEST(MemoryMap, SpmAndDramDisjoint)
 {
     const auto map = chip::ChipConfig::simulated256().map();
-    for (Addr a = map.spmBase; a < map.spmBase + 4096; a += 64)
-        EXPECT_FALSE(map.isDram(a));
+    // The last scratch-pad window ends at or below the DRAM base.
+    EXPECT_LE(map.spmBaseOf(map.numCores - 1) + map.spmPerCore,
+              map.dramBase);
     for (Addr a = map.dramBase; a < map.dramBase + 4096; a += 64)
         EXPECT_FALSE(map.isSpm(a));
 }

@@ -4,6 +4,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "noc/ring.hpp"
@@ -13,6 +14,13 @@ using namespace smarco;
 using namespace smarco::noc;
 
 namespace {
+
+/** Value of the registered stat "<prefix>.<name>" of a ring. */
+double
+ringStat(Simulator &s, const std::string &prefix, const char *name)
+{
+    return s.stats().get(prefix + "." + name).value();
+}
 
 struct RingFixture : ::testing::Test {
     Simulator sim;
@@ -63,15 +71,16 @@ TEST_F(RingFixture, DeliversToHandler)
     ASSERT_TRUE(ring->inject(0, 3, pkt(8)));
     sim.run(100);
     EXPECT_EQ(delivered, 1);
-    EXPECT_EQ(ring->packetsDelivered(), 1u);
+    EXPECT_EQ(ringStat(sim, "ring", "delivered"), 1.0);
     EXPECT_EQ(ring->inFlight(), 0u);
 }
 
 TEST_F(RingFixture, StopHandlerTakesPacketBeforeOnDeliver)
 {
     // The stop handler is a routing hook: it takes a packet that
-    // carries onDeliver, closure intact, and does not run it. Only a
-    // stop without a handler falls back to onDeliver.
+    // carries onDeliver, closure intact, and does not run it. A stop
+    // without a handler discards the packet; the ring never runs
+    // onDeliver.
     auto ring = make();
     int handled = 0, fired = 0;
     ring->setHandler(3, [&](Packet &&p) {
@@ -90,7 +99,8 @@ TEST_F(RingFixture, StopHandlerTakesPacketBeforeOnDeliver)
     ASSERT_TRUE(ring->inject(0, 5, std::move(bare)));
     sim.run(100);
     EXPECT_EQ(handled, 1);
-    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(fired, 0);
+    EXPECT_EQ(ring->inFlight(), 0u);
 }
 
 TEST_F(RingFixture, LatencyScalesWithHops)
@@ -252,7 +262,8 @@ TEST_F(RingFixture, DropNackRetransmitDeliversExactlyOnce)
     Cycle clean_arrive = 0, fault_arrive = 0;
     for (int mode = 0; mode < 2; ++mode) {
         Simulator s;
-        Ring ring(s, params, mode == 0 ? "clean" : "faulted");
+        const std::string prefix = mode == 0 ? "clean" : "faulted";
+        Ring ring(s, params, prefix);
         if (mode == 1) {
             RingFaultParams rf;
             rf.nackDelay = 12;
@@ -273,11 +284,11 @@ TEST_F(RingFixture, DropNackRetransmitDeliversExactlyOnce)
         EXPECT_EQ(delivered, 1);
         if (mode == 0) {
             clean_arrive = arrive;
-            EXPECT_EQ(ring.faultDrops(), 0u);
+            EXPECT_EQ(ringStat(s, prefix, "faultDrops"), 0.0);
         } else {
             fault_arrive = arrive;
-            EXPECT_EQ(ring.faultDrops(), 1u);
-            EXPECT_EQ(ring.retransmits(), 1u);
+            EXPECT_EQ(ringStat(s, prefix, "faultDrops"), 1.0);
+            EXPECT_EQ(ringStat(s, prefix, "retransmits"), 1.0);
             EXPECT_EQ(ring.inFlight(), 0u);
         }
     }
@@ -295,7 +306,7 @@ TEST_F(RingFixture, DuplicateDeliveredOnceAndSuppressed)
     ASSERT_TRUE(ring->inject(0, 5, std::move(q)));
     sim.run(500);
     EXPECT_EQ(delivered, 1);
-    EXPECT_EQ(ring->dupsSuppressed(), 1u);
+    EXPECT_EQ(ringStat(sim, "ring", "dupsSuppressed"), 1.0);
     EXPECT_EQ(ring->inFlight(), 0u);
 }
 
@@ -345,7 +356,8 @@ TEST_F(RingFixture, MaxRetransmitsProtectsDelivery)
     sim.run(5000);
     EXPECT_EQ(delivered, 1);
     EXPECT_EQ(ring->inFlight(), 0u);
-    EXPECT_LE(ring->faultDrops(), 3u * 2u); // <= retries x hops
+    EXPECT_LE(ringStat(sim, "ring", "faultDrops"),
+              3.0 * 2.0); // <= retries x hops
 }
 
 TEST_F(RingFixture, DegradedLinkSlowsThenRecovers)
@@ -471,8 +483,8 @@ TEST_F(RingFixture, OverfullThroughQueuesDeliverOnceInBothKernelModes)
         s.run(50'000);
         EXPECT_TRUE(s.finishedIdle());
         EXPECT_EQ(ring.inFlight(), 0u);
-        EXPECT_EQ(ring.faultDrops(), 12u);
-        EXPECT_EQ(ring.dupsSuppressed(), 40u);
+        EXPECT_EQ(ringStat(s, "r", "faultDrops"), 12.0);
+        EXPECT_EQ(ringStat(s, "r", "dupsSuppressed"), 40.0);
         std::vector<int> seen(id, 0);
         for (const Delivery &d : out)
             ++seen[d.id];

@@ -187,8 +187,7 @@ struct SchedEnv {
         for (std::uint32_t i = 0; i < num_cores; ++i) {
             core::CoreParams cp;
             cores.push_back(std::make_unique<core::TcgCore>(
-                sim, cp, i, 0x1000'0000 + i * 0x20000, port,
-                strprintf("core%u", i)));
+                sim, cp, i, port, strprintf("core%u", i)));
             sub->addCore(cores.back().get());
         }
         return *sub;
@@ -298,8 +297,7 @@ TEST(MainScheduler, BalancesAcrossSubRings)
             sim, sp, g, aluTrace, stageNow, strprintf("s%u", g)));
         core::CoreParams cp;
         cores.push_back(std::make_unique<core::TcgCore>(
-            sim, cp, g, 0x1000'0000 + g * 0x20000, port,
-            strprintf("c%u", g)));
+            sim, cp, g, port, strprintf("c%u", g)));
         subs.back()->addCore(cores.back().get());
     }
     MainScheduler main(
@@ -322,7 +320,7 @@ TEST(MainScheduler, BalancesAcrossSubRings)
         total += s->tasksCompleted();
     }
     EXPECT_EQ(total, 64u);
-    EXPECT_EQ(main.tasksRouted(), 64u);
+    EXPECT_EQ(sim.stats().get("main.routed").value(), 64.0);
 }
 
 TEST(MainScheduler, FutureReleaseKeepsSimulatorBusyUntilRouted)
@@ -353,7 +351,8 @@ TEST(MainScheduler, FutureReleaseKeepsSimulatorBusyUntilRouted)
                               Cycle{4999}})
             env.sim.events().schedule(c, [&, c] {
                 EXPECT_TRUE(env.sim.anyBusy()) << "cycle " << c;
-                EXPECT_EQ(main.tasksRouted(), 0u) << "cycle " << c;
+                EXPECT_EQ(env.sim.stats().get("main.routed").value(), 0.0)
+                    << "cycle " << c;
                 probed.push_back(c);
             });
         env.sim.run(1'000'000);
@@ -361,7 +360,7 @@ TEST(MainScheduler, FutureReleaseKeepsSimulatorBusyUntilRouted)
         EXPECT_EQ(probed.size(), 4u);
         EXPECT_TRUE(env.sim.finishedIdle());
         EXPECT_FALSE(env.sim.anyBusy());
-        EXPECT_EQ(main.tasksRouted(), 1u);
+        EXPECT_EQ(env.sim.stats().get("main.routed").value(), 1.0);
         ASSERT_EQ(sub.exits().size(), 1u);
         EXPECT_GE(sub.exits().front().finish, 5000u);
     }

@@ -121,16 +121,6 @@ TEST(Simulator, IdleFastForwardsToNextEvent)
     EXPECT_LE(sim.now(), 10002u);
 }
 
-TEST(Simulator, RequestStopEndsRun)
-{
-    Simulator sim;
-    CountTicker t(1000000);
-    sim.addTicking(&t);
-    sim.events().schedule(7, [&] { sim.requestStop(); });
-    const Cycle end = sim.run(1000000);
-    EXPECT_LE(end, 8u);
-}
-
 namespace {
 
 /**
