@@ -64,8 +64,10 @@ SmarcoChip::SmarcoChip(Simulator &sim, ChipConfig cfg)
         const std::uint32_t node = pkt.dst.index;
         if (pkt.dst.kind == NodeKind::MemCtrl)
             handleMcPacket(node, std::move(pkt));
-        else
+        else if (pkt.dst.kind == NodeKind::Gateway)
             handleGatewayPacket(node, std::move(pkt));
+        else
+            handleCorePacket(node, std::move(pkt));
     });
 
     for (std::uint32_t g = 0; g < cfg_.noc.numSubRings; ++g) {
@@ -99,9 +101,7 @@ SmarcoChip::SmarcoChip(Simulator &sim, ChipConfig cfg)
             pkt.dst = NodeId{NodeKind::Gateway, sub_ring};
             pkt.kind = PacketKind::Control;
             pkt.payloadBytes = 32;
-            pkt.onDeliver = [this, sub_ring, t]() {
-                subScheds_[sub_ring]->submit(t);
-            };
+            pkt.payload = std::make_shared<const workloads::TaskSpec>(t);
             network_->send(std::move(pkt));
         },
         "chip.mainSched");
@@ -280,50 +280,14 @@ SmarcoChip::request(CoreId core_id, ThreadId thread, const MicroOp &op,
     req.core = core_id;
     req.thread = thread;
     req.issued = sim_.now();
-
-    // Wrap the completion to sample the end-to-end request latency.
-    const bool blocking = !req.write;
-    req.done =
-        [this, issued = req.issued, blocking, done = std::move(done)]() {
-            if (blocking)
-                memLatency_.sample(
-                    static_cast<double>(sim_.now() - issued));
-            if (done)
-                done();
-        };
+    req.done = std::move(done);
 
     if (op.memClass == MemClass::SpmRemote) {
         const mem::MemoryMap map = cfg_.map();
         const CoreId owner =
             map.isSpm(op.addr) ? map.spmOwner(op.addr) : core_id;
-        core::TcgCore *owner_core = cores_[owner].get();
-        Packet pkt;
-        pkt.src = NodeId{NodeKind::Core, core_id};
-        pkt.dst = NodeId{NodeKind::Core, owner};
-        pkt.priority = req.priority;
-        pkt.kind = PacketKind::SpmRemoteReq;
-        if (!req.write) {
-            pkt.payloadBytes = mem::kReadReqBytes;
-            pkt.onDeliver = [this, owner_core,
-                             req = std::move(req)]() mutable {
-                owner_core->spm().access(false);
-                Packet resp;
-                resp.src = NodeId{NodeKind::Core, owner_core->id()};
-                resp.dst = NodeId{NodeKind::Core, req.core};
-                resp.kind = PacketKind::SpmRemoteResp;
-                resp.payloadBytes = mem::kReqHeaderBytes + req.bytes;
-                resp.priority = req.priority;
-                resp.onDeliver = std::move(req.done);
-                network_->send(std::move(resp));
-            };
-        } else {
-            pkt.payloadBytes = mem::kReqHeaderBytes + req.bytes;
-            pkt.onDeliver = [owner_core, done = std::move(req.done)]() {
-                owner_core->spm().access(true);
-                done();
-            };
-        }
-        network_->send(std::move(pkt));
+        sendRequest(std::move(req), NodeId{NodeKind::Core, owner},
+                    PacketKind::SpmRemoteReq);
         return;
     }
 
@@ -331,7 +295,9 @@ SmarcoChip::request(CoreId core_id, ThreadId thread, const MicroOp &op,
     if (req.priority && !req.write && directPath_->enabled())
         sendViaDirectPath(std::move(req));
     else
-        sendToMemory(std::move(req), /*dma=*/false);
+        sendRequest(std::move(req), mcNodeFor(op.addr),
+                    op.isStore() ? PacketKind::MemWriteReq
+                                 : PacketKind::MemReadReq);
 }
 
 void
@@ -343,18 +309,17 @@ SmarcoChip::writeback(CoreId core_id, Addr line_addr)
     req.bytes = 64;
     req.core = core_id;
     req.issued = sim_.now();
-    sendToMemory(std::move(req), /*dma=*/false);
+    sendRequest(std::move(req), mcNodeFor(line_addr),
+                PacketKind::MemWriteReq);
 }
 
 void
-SmarcoChip::sendToMemory(MemRequest &&req, bool dma)
+SmarcoChip::sendRequest(MemRequest &&req, NodeId dst, PacketKind kind)
 {
     Packet pkt;
     pkt.src = NodeId{NodeKind::Core, req.core};
-    pkt.dst = mcNodeFor(req.addr);
-    pkt.kind = dma ? PacketKind::DmaChunk
-        : req.write ? PacketKind::MemWriteReq
-                    : PacketKind::MemReadReq;
+    pkt.dst = dst;
+    pkt.kind = kind;
     // Writes carry their data; reads only the address.
     pkt.payloadBytes = req.write ? mem::kReqHeaderBytes + req.bytes
                                  : mem::kReadReqBytes;
@@ -364,20 +329,45 @@ SmarcoChip::sendToMemory(MemRequest &&req, bool dma)
 }
 
 void
+SmarcoChip::respond(NodeId src, noc::RequestPtr req, PacketKind kind)
+{
+    Packet pkt;
+    pkt.src = src;
+    pkt.dst = NodeId{NodeKind::Core, req->core};
+    pkt.kind = kind;
+    pkt.payloadBytes = mem::kReqHeaderBytes + req->bytes;
+    pkt.priority = req->priority;
+    pkt.payload = std::move(req);
+    network_->send(std::move(pkt));
+}
+
+void
+SmarcoChip::complete(const MemRequest &req)
+{
+    if (!req.write)
+        memLatency_.sample(static_cast<double>(sim_.now() - req.issued));
+    if (req.done)
+        req.done();
+}
+
+void
 SmarcoChip::sendViaDirectPath(MemRequest &&req)
 {
     ++priorityDirect_;
     const std::uint32_t ring = req.core / cfg_.noc.coresPerSubRing;
-    auto respond = [this, ring, req = std::move(req)]() mutable {
-        dram_->serve(req.addr, req.bytes, sim_.now(),
-                     [this, ring, bytes = req.bytes,
-                      done = std::move(req.done)]() {
+    const Addr addr = req.addr;
+    const std::uint32_t bytes = req.bytes;
+    auto fetch = [this, ring, addr, bytes,
+                  req = std::move(req)]() mutable {
+        dram_->serve(addr, bytes, sim_.now(),
+                     [this, ring, bytes, req = std::move(req)]() mutable {
             directPath_->transfer(
-                ring, mem::kReqHeaderBytes + bytes, sim_.now(), done);
+                ring, mem::kReqHeaderBytes + bytes, sim_.now(),
+                [this, req = std::move(req)]() { complete(req); });
         });
     };
     directPath_->transfer(ring, mem::kReadReqBytes, sim_.now(),
-                          std::move(respond));
+                          std::move(fetch));
 }
 
 bool
@@ -416,24 +406,17 @@ SmarcoChip::handleMcPacket(std::uint32_t mc, Packet &&pkt)
             // controller.
             dram_->serve(req.addr, req.bytes, sim_.now(), nullptr,
                          mem::DramClass::Write);
-            if (req.done)
-                req.done();
+            complete(req);
             return;
         }
         const bool is_dma = pkt.kind == PacketKind::DmaChunk;
         // Staging chunks ride the bulk class so they cannot queue
         // ahead of pipeline-stalling demand reads.
         dram_->serve(req.addr, req.bytes, sim_.now(),
-                     [this, mc, is_dma, r = std::move(carried)]() {
-            Packet resp;
-            resp.src = NodeId{NodeKind::MemCtrl, mc};
-            resp.dst = NodeId{NodeKind::Core, r->core};
-            resp.kind = is_dma ? PacketKind::DmaChunk
-                               : PacketKind::MemReadResp;
-            resp.payloadBytes = mem::kReqHeaderBytes + r->bytes;
-            resp.priority = r->priority;
-            resp.onDeliver = std::move(r->done);
-            network_->send(std::move(resp));
+                     [this, mc, is_dma, r = std::move(carried)]() mutable {
+            respond(NodeId{NodeKind::MemCtrl, mc}, std::move(r),
+                    is_dma ? PacketKind::DmaChunk
+                           : PacketKind::MemReadResp);
         }, is_dma ? mem::DramClass::Bulk
                   : mem::DramClass::DemandRead);
         return;
@@ -447,8 +430,7 @@ SmarcoChip::handleMcPacket(std::uint32_t mc, Packet &&pkt)
             dram_->serve(batch.lineBase, batch.coveredBytes(),
                          sim_.now(), nullptr, mem::DramClass::Write);
             for (const auto &r : batch.requests)
-                if (r.done)
-                    r.done();
+                complete(r);
             return;
         }
         // Read batch: one DRAM access, one response to the gateway.
@@ -481,18 +463,44 @@ SmarcoChip::handleMcPacket(std::uint32_t mc, Packet &&pkt)
 void
 SmarcoChip::handleGatewayPacket(std::uint32_t gw, Packet &&pkt)
 {
+    if (pkt.kind == PacketKind::Control) {
+        // Task hand-off from the main scheduler.
+        subScheds_[gw]->submit(*std::get<noc::TaskPtr>(pkt.payload));
+        return;
+    }
     if (pkt.kind != PacketKind::MactBatchResp)
         panic("gateway %u: unexpected packet kind %s", gw,
               toString(pkt.kind).c_str());
     // Fan the merged line back out as per-request responses.
-    for (auto &r : std::get<noc::BatchPtr>(pkt.payload)->requests) {
-        Packet resp;
-        resp.src = NodeId{NodeKind::Gateway, gw};
-        resp.dst = NodeId{NodeKind::Core, r.core};
-        resp.kind = PacketKind::MemReadResp;
-        resp.payloadBytes = mem::kReqHeaderBytes + r.bytes;
-        resp.onDeliver = std::move(r.done);
-        network_->send(std::move(resp));
+    for (auto &r : std::get<noc::BatchPtr>(pkt.payload)->requests)
+        respond(pkt.dst, std::make_shared<MemRequest>(std::move(r)),
+                PacketKind::MemReadResp);
+}
+
+void
+SmarcoChip::handleCorePacket(CoreId core_id, Packet &&pkt)
+{
+    noc::RequestPtr &carried = std::get<noc::RequestPtr>(pkt.payload);
+    switch (pkt.kind) {
+      case PacketKind::SpmRemoteReq:
+        // At the SPM's owner: a store completes, a load is answered.
+        cores_[core_id]->spm().access(carried->write);
+        if (carried->write)
+            complete(*carried);
+        else
+            respond(pkt.dst, std::move(carried), PacketKind::SpmRemoteResp);
+        return;
+      case PacketKind::MemReadResp:
+      case PacketKind::SpmRemoteResp:
+        complete(*carried);
+        return;
+      case PacketKind::DmaChunk:
+        // A staging chunk runs its engine's completion, untimed.
+        carried->done();
+        return;
+      default:
+        panic("core %u: unexpected packet kind %s", core_id,
+              toString(pkt.kind).c_str());
     }
 }
 
@@ -522,7 +530,7 @@ SmarcoChip::dmaChunk(CoreId core_id, Addr src, std::uint32_t bytes,
     req.core = core_id;
     req.issued = sim_.now();
     req.done = std::move(done);
-    sendToMemory(std::move(req), /*dma=*/true);
+    sendRequest(std::move(req), mcNodeFor(src), PacketKind::DmaChunk);
 }
 
 bool

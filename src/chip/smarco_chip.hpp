@@ -128,12 +128,18 @@ class SmarcoChip : public core::MemPort
     bool injectCoreFault(core::ThreadFault kind, Rng &rng, Cycle now);
     /** Ring picked uniformly among main + subs. */
     noc::Ring &pickRing(Rng &rng);
-    /** Send req from its core to its DRAM controller; dma marks an
-     *  SPM staging chunk. */
-    void sendToMemory(mem::MemRequest &&req, bool dma);
+    /** Send req from its core to dst in a kind packet. */
+    void sendRequest(mem::MemRequest &&req, noc::NodeId dst,
+                     noc::PacketKind kind);
+    /** Send req back from src to its core in a kind packet. */
+    void respond(noc::NodeId src, noc::RequestPtr req,
+                 noc::PacketKind kind);
+    /** Finish a core's request: time a load, then run its done. */
+    void complete(const mem::MemRequest &req);
     void sendViaDirectPath(mem::MemRequest &&req);
     void handleMcPacket(std::uint32_t mc, noc::Packet &&pkt);
     void handleGatewayPacket(std::uint32_t gw, noc::Packet &&pkt);
+    void handleCorePacket(CoreId core, noc::Packet &&pkt);
     bool interceptAtGateway(std::uint32_t gw, noc::Packet &pkt);
     void onMactBatch(std::uint32_t gw, mem::MactBatch &&batch);
     void stageTask(CoreId core, const workloads::TaskSpec &task,

@@ -127,10 +127,11 @@ Network::injectWithRetry(Ring &ring, std::uint32_t src,
     // Injection queue full: model an endpoint-side buffer by
     // retrying next cycle. Congestion thus shows up as latency.
     ++injectRejected_;
-    auto retry = [this, &ring, src, dst, p = std::move(pkt)]() mutable {
-        injectWithRetry(ring, src, dst, std::move(p));
-    };
-    sim_.events().schedule(sim_.now() + 1, std::move(retry));
+    sim_.events().schedule(
+        sim_.now() + 1,
+        [this, &ring, src, dst, p = std::move(pkt)]() mutable {
+            injectWithRetry(ring, src, dst, std::move(p));
+        });
 }
 
 void
@@ -186,12 +187,7 @@ Network::deliver(Packet &&pkt)
     ++delivered_;
     endToEnd_.sample(static_cast<double>(sim_.now() - pkt.created));
 
-    if (pkt.onDeliver) {
-        pkt.onDeliver();
-        return;
-    }
-    if (endpointHandler_ && (pkt.dst.kind == NodeKind::MemCtrl ||
-                             pkt.dst.kind == NodeKind::Gateway)) {
+    if (endpointHandler_) {
         endpointHandler_(std::move(pkt));
         return;
     }

@@ -7,12 +7,12 @@
  * controllers are spaced equally around the main ring, plus I/O
  * (PCIe/host) stops. This class owns all the rings, installs the
  * routing handlers, and exposes a single send() interface between
- * NodeIds. The chip installs one endpoint handler for the memory
- * controllers and gateways, and one gateway interceptor for the MACT.
+ * NodeIds. The chip installs one endpoint handler for every node and
+ * one gateway interceptor for the MACT.
  *
  * Every ring stop's handler is a routing hook of this class: it takes
  * each ejected packet, also at an intermediate gateway stop, and
- * applies the delivery rule below only at the final destination.
+ * delivers it only at the final destination.
  */
 #pragma once
 
@@ -52,10 +52,9 @@ struct NetworkParams {
 };
 
 /**
- * The hierarchical ring NoC. One delivery rule: a packet that carries
- * an onDeliver closure runs it; any other packet addressed to a
- * memory controller or gateway goes to the endpoint handler, which
- * reads the node from pkt.dst.
+ * The hierarchical ring NoC. One delivery rule: every packet goes to
+ * the endpoint handler at its final destination (core, gateway,
+ * memory controller or I/O stop), which reads the node from pkt.dst.
  */
 class Network
 {
@@ -71,8 +70,7 @@ class Network
     Network(Simulator &sim, NetworkParams params,
             std::uint32_t num_mem_ctrls, const std::string &stat_prefix);
 
-    /** Register the consumer of packets without onDeliver that are
-     *  addressed to a memory controller or gateway. */
+    /** Register the consumer of every delivered packet. */
     void setEndpointHandler(Handler handler);
 
     /** Hook outbound packets at every sub-ring's gateway. */

@@ -5,13 +5,16 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <variant>
 
 #include "mem/mem_types.hpp"
 #include "sim/types.hpp"
+
+namespace smarco::workloads {
+struct TaskSpec;
+} // namespace smarco::workloads
 
 namespace smarco::noc {
 
@@ -53,24 +56,24 @@ enum class PacketKind : std::uint8_t {
 
 std::string toString(PacketKind kind);
 
-/** A memory request or MACT batch carried by a packet. */
+/** What a packet carries, held by shared pointer. */
 using RequestPtr = std::shared_ptr<mem::MemRequest>;
 using BatchPtr = std::shared_ptr<mem::MactBatch>;
+using TaskPtr = std::shared_ptr<const workloads::TaskSpec>;
 
 /**
- * One NoC packet. The network only moves bytes; what a packet carries
- * depends on its kind. A core's request to a memory controller
- * (MemReadReq, MemWriteReq, DmaChunk) carries its mem::MemRequest,
- * completion included, and a MactBatchReq/Resp carries its
- * mem::MactBatch, both in payload, where the gateway interceptor and
- * the endpoint handlers read them. Every other packet (responses,
- * remote-SPM traffic, task hand-off) carries its effect in onDeliver,
- * which Network runs at the final destination instead of an endpoint
- * handler. A Ring never runs it: a stop's handler takes the packet.
+ * One NoC packet: data only. The network moves bytes and hands every
+ * packet to the endpoint handler at its final destination, which
+ * reads what the packet carries by its kind. A core's request
+ * (MemReadReq, MemWriteReq, DmaChunk, SpmRemoteReq) carries its
+ * mem::MemRequest, completion included, and the response
+ * (MemReadResp, DmaChunk, SpmRemoteResp) carries the same record back
+ * to the core. A MactBatchReq/Resp carries its mem::MactBatch, and a
+ * Control packet the task it hands off to a sub-ring.
  *
- * The carried request or batch is held by pointer so a packet stays
- * small on every ring hop. Packets are copyable: a ring's duplicate
- * fault copies one, sharing the carried object, and ring dedup (on
+ * The carried object is held by pointer so a packet stays small on
+ * every ring hop. Packets are copyable: a ring's duplicate fault
+ * copies one, sharing the carried object, and ring dedup (on
  * whenever duplication is armed) drops the copy before any endpoint
  * reads it, so a carried completion still runs exactly once.
  */
@@ -82,8 +85,7 @@ struct Packet {
     bool priority = false;
     std::uint32_t payloadBytes = 8;
     Cycle created = 0;
-    std::variant<std::monostate, RequestPtr, BatchPtr> payload;
-    std::function<void()> onDeliver;
+    std::variant<std::monostate, RequestPtr, BatchPtr, TaskPtr> payload;
 };
 
 } // namespace smarco::noc

@@ -118,11 +118,7 @@ struct RingFaultParams {
  * congested (Fig. 7).
  *
  * Ejection rule: the stop's handler takes every packet ejected there;
- * a stop without one discards the packet. The ring never runs
- * onDeliver: a packet ejected at an intermediate stop (a main-ring
- * gateway on the way to a core) still carries its endpoint onDeliver,
- * which only the owner of the handlers (Network::deliver) runs, at
- * the final destination.
+ * a stop without one discards the packet.
  */
 class Ring : public Ticking
 {

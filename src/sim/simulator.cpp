@@ -109,36 +109,30 @@ Simulator::run(Cycle max_cycles)
         events_.runUntil(now_);
 
         if (fastForward_) {
-            // Tick the active set only. Re-reading the word after
-            // each tick picks up a component woken mid-cycle by an
-            // earlier-indexed one, matching the tick-every-cycle
-            // order.
+            // Tick the active set only, and retire a component right
+            // after its tick when its hint lets it sleep (wake()
+            // re-arms it). Re-reading the word after each tick picks
+            // up a component woken mid-cycle by an earlier-indexed
+            // one, matching the tick-every-cycle order.
             for (std::size_t w = 0; w < words; ++w) {
                 std::uint64_t bits = active_[w];
                 while (bits != 0) {
                     const int b = std::countr_zero(bits);
                     tickCursor_ = static_cast<std::uint32_t>(w * 64 + b);
-                    tickOne(*ticking_[tickCursor_]);
+                    Ticking &t = *ticking_[tickCursor_];
+                    tickOne(t);
+                    const Cycle next = t.nextActiveCycle(now_);
+                    if (next > now_ + 1) {
+                        active_[w] &= ~(std::uint64_t{1} << b);
+                        if (next != kNoCycle)
+                            wakeHeap_.emplace(next, tickCursor_);
+                    }
                     bits = b == 63
                         ? 0
                         : active_[w] & (~std::uint64_t{0} << (b + 1));
                 }
             }
             tickCursor_ = static_cast<std::uint32_t>(ticking_.size());
-            // Re-arm or retire based on each component's hint.
-            for (std::size_t w = 0; w < words; ++w) {
-                for (std::uint64_t bits = active_[w]; bits != 0;
-                     bits &= bits - 1) {
-                    const int b = std::countr_zero(bits);
-                    const auto i = static_cast<std::uint32_t>(w * 64 + b);
-                    const Cycle next = ticking_[i]->nextActiveCycle(now_);
-                    if (next <= now_ + 1)
-                        continue;
-                    active_[w] &= ~(std::uint64_t{1} << b);
-                    if (next != kNoCycle)
-                        wakeHeap_.emplace(next, i);
-                }
-            }
         } else {
             for (tickCursor_ = 0; tickCursor_ < ticking_.size();
                  ++tickCursor_)

@@ -246,7 +246,7 @@ class Simulator
      * order and re-reads the word after each tick, so a component
      * woken mid-cycle by a lower index is ticked this cycle and one
      * woken by a higher index next cycle — the tick-every-cycle
-     * order. Only the hint pass clears bits.
+     * order. Only a component's own tick clears its bit.
      */
     std::vector<std::uint64_t> active_;
     /** (wake cycle, registration index); entries may be stale — a

@@ -370,6 +370,9 @@ TEST_F(ChipFixture, MemPortCompletesEveryRequestExactlyOnce)
         EXPECT_EQ(fired[i], 1) << "request " << i;
     expectDrained(*chip);
     const StatRegistry &st = sim.stats();
+    // Half the requests are loads: each is timed exactly once.
+    EXPECT_EQ(st.getAs<Average>("chip.memLatency").count(),
+              static_cast<double>(fired.size() / 2));
     EXPECT_GT(st.total("chip.mact", ".collected"), 0.0);
     EXPECT_GT(st.total("chip.mact", ".bypassed"), 0.0);
     EXPECT_GT(st.get("chip.priorityDirect").value(), 0.0);

@@ -4,6 +4,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "noc/direct_path.hpp"
 #include "noc/network.hpp"
 #include "sim/simulator.hpp"
@@ -14,8 +16,16 @@ using namespace smarco::noc;
 namespace {
 
 struct NetFixture : ::testing::Test {
+    /** One packet the endpoint handler took. */
+    struct Delivery {
+        NodeId dst;
+        Cycle at = 0;
+    };
+
     Simulator sim;
     NetworkParams params;
+    /** Deliveries in arrival order, recorded by make()'s handler. */
+    std::vector<Delivery> deliveries;
 
     NetFixture()
     {
@@ -26,8 +36,22 @@ struct NetFixture : ::testing::Test {
     std::unique_ptr<Network>
     make()
     {
-        return std::make_unique<Network>(sim, params, /*num_mem_ctrls=*/4,
-                                         "noc");
+        auto net = std::make_unique<Network>(sim, params,
+                                             /*num_mem_ctrls=*/4, "noc");
+        net->setEndpointHandler([this](Packet &&p) {
+            deliveries.push_back(Delivery{p.dst, sim.now()});
+        });
+        return net;
+    }
+
+    /** Arrival cycle of the first packet delivered to dst, or 0. */
+    Cycle
+    arrival(NodeId dst) const
+    {
+        for (const Delivery &d : deliveries)
+            if (d.dst == dst)
+                return d.at;
+        return 0;
     }
 
     Packet
@@ -39,16 +63,6 @@ struct NetFixture : ::testing::Test {
         p.dst = dst;
         p.payloadBytes = bytes;
         p.kind = kind;
-        return p;
-    }
-
-    /** A packet that runs on_deliver when it arrives. */
-    Packet
-    pkt(NodeId src, NodeId dst, std::uint32_t bytes,
-        std::function<void()> on_deliver)
-    {
-        Packet p = pkt(src, dst, bytes);
-        p.onDeliver = std::move(on_deliver);
         return p;
     }
 };
@@ -68,11 +82,10 @@ TEST_F(NetFixture, TopologyHelpers)
 TEST_F(NetFixture, CoreToCoreSameSubRing)
 {
     auto net = make();
-    bool delivered = false;
     net->send(pkt(NodeId{NodeKind::Core, 0}, NodeId{NodeKind::Core, 2},
-                  8, [&] { delivered = true; }));
+                  8));
     sim.run(100);
-    EXPECT_TRUE(delivered);
+    EXPECT_GT(arrival(NodeId{NodeKind::Core, 2}), 0u);
     // Same sub-ring: no gateway crossing.
     EXPECT_EQ(net->packetsDelivered(), 1u);
 }
@@ -80,23 +93,22 @@ TEST_F(NetFixture, CoreToCoreSameSubRing)
 TEST_F(NetFixture, CoreToCoreAcrossSubRings)
 {
     auto net = make();
-    Cycle arrive = 0;
     net->send(pkt(NodeId{NodeKind::Core, 0}, NodeId{NodeKind::Core, 13},
-                  8, [&] { arrive = sim.now(); }));
+                  8));
     sim.run(500);
-    EXPECT_GT(arrive, 0u);
+    EXPECT_GT(arrival(NodeId{NodeKind::Core, 13}), 0u);
 }
 
 TEST_F(NetFixture, CrossRingSlowerThanLocal)
 {
     auto net = make();
-    Cycle local = 0, remote = 0;
     net->send(pkt(NodeId{NodeKind::Core, 0}, NodeId{NodeKind::Core, 1},
-                  8, [&] { local = sim.now(); }));
+                  8));
     net->send(pkt(NodeId{NodeKind::Core, 0}, NodeId{NodeKind::Core, 9},
-                  8, [&] { remote = sim.now(); }));
+                  8));
     sim.run(500);
-    EXPECT_GT(remote, local);
+    EXPECT_GT(arrival(NodeId{NodeKind::Core, 9}),
+              arrival(NodeId{NodeKind::Core, 1}));
 }
 
 TEST_F(NetFixture, CoreToMemCtrlAndBack)
@@ -104,6 +116,10 @@ TEST_F(NetFixture, CoreToMemCtrlAndBack)
     auto net = make();
     bool req_at_mc = false, resp_at_core = false;
     net->setEndpointHandler([&](Packet &&p) {
+        if (p.dst == NodeId{NodeKind::Core, 6}) {
+            resp_at_core = p.kind == PacketKind::MemReadResp;
+            return;
+        }
         req_at_mc = p.dst == NodeId{NodeKind::MemCtrl, 1};
         // Bounce a response.
         Packet resp;
@@ -111,7 +127,6 @@ TEST_F(NetFixture, CoreToMemCtrlAndBack)
         resp.dst = p.src;
         resp.payloadBytes = 72;
         resp.kind = PacketKind::MemReadResp;
-        resp.onDeliver = [&] { resp_at_core = true; };
         net->send(std::move(resp));
     });
     net->send(pkt(NodeId{NodeKind::Core, 6},
@@ -173,37 +188,39 @@ TEST_F(NetFixture, GatewayEndpointReceivesControl)
     EXPECT_TRUE(got);
 }
 
-TEST_F(NetFixture, OnDeliverRunsInsteadOfEndpointHandler)
+TEST_F(NetFixture, EndpointHandlerTakesEveryDelivery)
 {
-    // The delivery rule: a packet's own onDeliver runs when it is
-    // set, and the destination's handler sees only packets without.
+    // The delivery rule: every packet goes to the endpoint handler at
+    // its final destination, whatever kind of node that is.
     auto net = make();
-    int handled = 0, fired = 0;
-    net->setEndpointHandler([&](Packet &&) { ++handled; });
-    net->send(pkt(NodeId{NodeKind::Core, 0},
-                  NodeId{NodeKind::MemCtrl, 2}, 8, [&] { ++fired; }));
-    net->send(pkt(NodeId{NodeKind::Core, 0},
-                  NodeId{NodeKind::MemCtrl, 2}, 8));
+    const NodeId dsts[] = {NodeId{NodeKind::Core, 9},
+                           NodeId{NodeKind::Gateway, 1},
+                           NodeId{NodeKind::MemCtrl, 2}};
+    for (const NodeId &dst : dsts)
+        net->send(pkt(NodeId{NodeKind::Core, 0}, dst, 8));
     sim.run(500);
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(handled, 1);
-    EXPECT_EQ(net->packetsDelivered(), 2u);
+    for (const NodeId &dst : dsts) {
+        int seen = 0;
+        for (const Delivery &d : deliveries)
+            seen += d.dst == dst ? 1 : 0;
+        EXPECT_EQ(seen, 1) << toString(dst);
+    }
+    EXPECT_EQ(deliveries.size(), 3u);
+    EXPECT_EQ(net->packetsDelivered(), 3u);
 }
 
 TEST_F(NetFixture, ManyPacketsAllDelivered)
 {
     auto net = make();
-    int delivered = 0;
-    const int per_core = 20;
+    const std::size_t per_core = 20;
     for (std::uint32_t c = 0; c < 16; ++c) {
-        for (int i = 0; i < per_core; ++i) {
+        for (std::size_t i = 0; i < per_core; ++i) {
             net->send(pkt(NodeId{NodeKind::Core, c},
-                          NodeId{NodeKind::Core, (c + 5) % 16}, 8,
-                          [&] { ++delivered; }));
+                          NodeId{NodeKind::Core, (c + 5) % 16}, 8));
         }
     }
     sim.run(20000);
-    EXPECT_EQ(delivered, 16 * per_core);
+    EXPECT_EQ(deliveries.size(), 16 * per_core);
 }
 
 TEST_F(NetFixture, FullInjectQueueRetriesUntilDelivered)
@@ -214,14 +231,12 @@ TEST_F(NetFixture, FullInjectQueueRetriesUntilDelivered)
     // and latency, never as loss.
     params.injectQueueCap = 1;
     auto net = make();
-    int delivered = 0;
-    const int burst = 32;
-    for (int i = 0; i < burst; ++i)
+    const std::size_t burst = 32;
+    for (std::size_t i = 0; i < burst; ++i)
         net->send(pkt(NodeId{NodeKind::Core, 0},
-                      NodeId{NodeKind::Core, 3}, 32,
-                      [&] { ++delivered; }));
+                      NodeId{NodeKind::Core, 3}, 32));
     sim.run(20000);
-    EXPECT_EQ(delivered, burst);
+    EXPECT_EQ(deliveries.size(), burst);
     EXPECT_GT(sim.stats().get("noc.injectRejected").value(), 0.0);
 }
 
@@ -230,7 +245,7 @@ TEST_F(NetFixture, UtilisationGrowsWithTraffic)
     auto net = make();
     for (int i = 0; i < 50; ++i)
         net->send(pkt(NodeId{NodeKind::Core, 0},
-                      NodeId{NodeKind::Core, 9}, 32, [] {}));
+                      NodeId{NodeKind::Core, 9}, 32));
     sim.run(200);
     EXPECT_GT(net->utilisation(sim.now()), 0.0);
 }

@@ -75,31 +75,20 @@ TEST_F(RingFixture, DeliversToHandler)
     EXPECT_EQ(ring->inFlight(), 0u);
 }
 
-TEST_F(RingFixture, StopHandlerTakesPacketBeforeOnDeliver)
+TEST_F(RingFixture, StopWithoutHandlerDiscardsPacket)
 {
-    // The stop handler is a routing hook: it takes a packet that
-    // carries onDeliver, closure intact, and does not run it. A stop
-    // without a handler discards the packet; the ring never runs
-    // onDeliver.
+    // The stop handler takes every packet ejected at its stop; a stop
+    // without a handler discards the packet.
     auto ring = make();
-    int handled = 0, fired = 0;
-    ring->setHandler(3, [&](Packet &&p) {
-        ++handled;
-        EXPECT_TRUE(static_cast<bool>(p.onDeliver));
-    });
-    Packet routed = pkt(8);
-    routed.onDeliver = [&] { ++fired; };
-    ASSERT_TRUE(ring->inject(0, 3, std::move(routed)));
+    int handled = 0;
+    ring->setHandler(3, [&](Packet &&) { ++handled; });
+    ASSERT_TRUE(ring->inject(0, 3, pkt(8)));
     sim.run(100);
     EXPECT_EQ(handled, 1);
-    EXPECT_EQ(fired, 0);
 
-    Packet bare = pkt(8);
-    bare.onDeliver = [&] { ++fired; };
-    ASSERT_TRUE(ring->inject(0, 5, std::move(bare)));
+    ASSERT_TRUE(ring->inject(0, 5, pkt(8)));
     sim.run(100);
     EXPECT_EQ(handled, 1);
-    EXPECT_EQ(fired, 0);
     EXPECT_EQ(ring->inFlight(), 0u);
 }
 
