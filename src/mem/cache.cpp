@@ -19,10 +19,16 @@ isPow2(std::uint64_t v)
 
 Cache::Cache(StatRegistry &stats, CacheParams params,
              const std::string &stat_prefix)
+    // strprintf builds each name in one allocation; `prefix + ".x"`
+    // copies a prefix too long for the short-string buffer, then
+    // grows the copy (512 caches on a 256-core chip).
     : params_(std::move(params)),
-      hits_(stats, stat_prefix + ".hits", "cache hits"),
-      misses_(stats, stat_prefix + ".misses", "cache misses"),
-      writebacks_(stats, stat_prefix + ".writebacks", "dirty evictions")
+      hits_(stats, strprintf("%s.hits", stat_prefix.c_str()),
+            "cache hits"),
+      misses_(stats, strprintf("%s.misses", stat_prefix.c_str()),
+              "cache misses"),
+      writebacks_(stats, strprintf("%s.writebacks", stat_prefix.c_str()),
+                  "dirty evictions")
 {
     if (params_.sizeBytes == 0 || params_.assoc == 0 ||
         params_.lineBytes == 0)

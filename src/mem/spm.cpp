@@ -9,9 +9,12 @@ namespace smarco::mem {
 
 Spm::Spm(StatRegistry &stats, SpmParams params,
          const std::string &stat_prefix)
+    // One allocation per name, as in Cache (the prefix is heap-sized).
     : params_(params),
-      reads_(stats, stat_prefix + ".reads", "SPM read accesses"),
-      writes_(stats, stat_prefix + ".writes", "SPM write accesses")
+      reads_(stats, strprintf("%s.reads", stat_prefix.c_str()),
+             "SPM read accesses"),
+      writes_(stats, strprintf("%s.writes", stat_prefix.c_str()),
+              "SPM write accesses")
 {
     if (params_.controlBytes >= params_.sizeBytes)
         fatal("SPM: control window (%llu) exceeds capacity (%llu)",

@@ -10,12 +10,13 @@
 #include <cstdio>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 namespace smarco::json {
 
 /** Escape a string for inclusion inside JSON double quotes. */
 inline std::string
-escape(const std::string &s)
+escape(std::string_view s)
 {
     std::string out;
     out.reserve(s.size() + 2);
@@ -42,7 +43,7 @@ escape(const std::string &s)
 
 /** Quoted, escaped JSON string literal. */
 inline std::string
-str(const std::string &s)
+str(std::string_view s)
 {
     return '"' + escape(s) + '"';
 }

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <vector>
 
 namespace smarco {
 
@@ -38,15 +37,21 @@ namespace detail {
 std::string
 vstrprintf(const char *fmt, std::va_list args)
 {
+    // One pass into a stack buffer covers nearly every message (stat
+    // name prefixes, log lines); only longer results format twice.
+    char buf[256];
     std::va_list args_copy;
     va_copy(args_copy, args);
-    const int needed = std::vsnprintf(nullptr, 0, fmt, args_copy);
+    const int needed = std::vsnprintf(buf, sizeof buf, fmt, args_copy);
     va_end(args_copy);
     if (needed < 0)
         return "<format error>";
-    std::vector<char> buf(static_cast<size_t>(needed) + 1);
-    std::vsnprintf(buf.data(), buf.size(), fmt, args);
-    return std::string(buf.data(), static_cast<size_t>(needed));
+    const auto len = static_cast<std::size_t>(needed);
+    if (len < sizeof buf)
+        return std::string(buf, len);
+    std::string out(len, '\0');
+    std::vsnprintf(out.data(), len + 1, fmt, args);
+    return out;
 }
 
 } // namespace detail

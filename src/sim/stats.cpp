@@ -2,16 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "sim/json_writer.hpp"
 #include "sim/logging.hpp"
 
 namespace smarco {
 
-Stat::Stat(StatRegistry &registry, std::string name, std::string desc)
-    : name_(std::move(name)), desc_(std::move(desc))
+Stat::Stat(StatRegistry &registry, std::string name, const char *desc)
+    : name_(&registry.add(std::move(name), this)), desc_(desc)
 {
-    registry.add(this);
 }
 
 void
@@ -37,9 +37,9 @@ Average::printJson(std::ostream &os) const
 }
 
 Histogram::Histogram(StatRegistry &registry, std::string name,
-                     std::string desc, double lo, double hi,
+                     const char *desc, double lo, double hi,
                      std::size_t buckets)
-    : Stat(registry, std::move(name), std::move(desc)),
+    : Stat(registry, std::move(name), desc),
       lo_(lo), hi_(hi),
       width_((hi - lo) / static_cast<double>(buckets)),
       buckets_(buckets, 0)
@@ -136,56 +136,129 @@ Histogram::printJson(std::ostream &os) const
     os << "]}";
 }
 
-void
-StatRegistry::add(Stat *stat)
+namespace {
+
+std::uint32_t
+nameHash(std::string_view name)
 {
-    auto [it, inserted] = stats_.emplace(stat->name(), stat);
-    (void)it;
-    if (!inserted)
-        panic("duplicate stat name '%s'", stat->name().c_str());
+    return static_cast<std::uint32_t>(std::hash<std::string_view>{}(name));
+}
+
+} // namespace
+
+std::size_t
+StatRegistry::probe(std::string_view name, std::uint32_t hash) const
+{
+    const std::size_t mask = table_.size() - 1;
+    for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+        const Slot &slot = table_[i];
+        if (slot.index == kEmpty ||
+            (slot.hash == hash && names_[slot.index] == name))
+            return i;
+    }
+}
+
+void
+StatRegistry::rehash(std::size_t slots)
+{
+    const std::vector<Slot> old =
+        std::exchange(table_, std::vector<Slot>(slots));
+    const std::size_t mask = slots - 1;
+    for (const Slot &slot : old) {
+        if (slot.index == kEmpty)
+            continue;
+        std::size_t i = slot.hash & mask;
+        while (table_[i].index != kEmpty)
+            i = (i + 1) & mask;
+        table_[i] = slot;
+    }
+}
+
+const std::string &
+StatRegistry::add(std::string name, Stat *stat)
+{
+    if (2 * (stats_.size() + 1) > table_.size())
+        rehash(table_.empty() ? 16 : 2 * table_.size());
+    const std::uint32_t hash = nameHash(name);
+    Slot &slot = table_[probe(name, hash)];
+    if (slot.index != kEmpty)
+        panic("duplicate stat name '%s'", name.c_str());
+    slot = {hash, static_cast<std::uint32_t>(stats_.size())};
+    names_.push_back(std::move(name));
+    stats_.push_back(stat);
+    return names_.back();
 }
 
 Stat *
-StatRegistry::find(const std::string &name) const
+StatRegistry::find(std::string_view name) const
 {
-    auto it = stats_.find(name);
-    return it == stats_.end() ? nullptr : it->second;
+    if (table_.empty())
+        return nullptr;
+    const Slot &slot = table_[probe(name, nameHash(name))];
+    return slot.index == kEmpty ? nullptr : stats_[slot.index];
 }
 
 Stat &
-StatRegistry::get(const std::string &name) const
+StatRegistry::get(std::string_view name) const
 {
     Stat *s = find(name);
     if (!s)
-        panic("stat '%s' not registered", name.c_str());
+        panic("stat '%.*s' not registered",
+              static_cast<int>(name.size()), name.data());
     return *s;
 }
 
+void
+StatRegistry::sortNew() const
+{
+    const std::size_t sorted = byName_.size();
+    if (sorted == stats_.size())
+        return;
+    for (std::size_t i = sorted; i < stats_.size(); ++i)
+        byName_.push_back(static_cast<std::uint32_t>(i));
+    auto less = [this](std::uint32_t a, std::uint32_t b) {
+        return names_[a] < names_[b];
+    };
+    const auto mid = byName_.begin() + static_cast<std::ptrdiff_t>(sorted);
+    std::sort(mid, byName_.end(), less);
+    std::inplace_merge(byName_.begin(), mid, byName_.end(), less);
+}
+
+std::size_t
+StatRegistry::lowerBound(std::string_view prefix) const
+{
+    sortNew();
+    const auto it = std::lower_bound(
+        byName_.begin(), byName_.end(), prefix,
+        [this](std::uint32_t i, std::string_view p) {
+            return std::string_view(names_[i]) < p;
+        });
+    return static_cast<std::size_t>(it - byName_.begin());
+}
+
 std::vector<Stat *>
-StatRegistry::findPrefix(const std::string &prefix) const
+StatRegistry::findPrefix(std::string_view prefix) const
 {
     std::vector<Stat *> out;
-    for (auto it = stats_.lower_bound(prefix); it != stats_.end(); ++it) {
-        if (it->first.compare(0, prefix.size(), prefix) != 0)
+    for (std::size_t k = lowerBound(prefix); k < byName_.size(); ++k) {
+        const std::uint32_t i = byName_[k];
+        if (!names_[i].starts_with(prefix))
             break;
-        out.push_back(it->second);
+        out.push_back(stats_[i]);
     }
     return out;
 }
 
 double
-StatRegistry::total(const std::string &prefix,
-                    const std::string &suffix) const
+StatRegistry::total(std::string_view prefix, std::string_view suffix) const
 {
     double sum = 0.0;
-    for (auto it = stats_.lower_bound(prefix); it != stats_.end(); ++it) {
-        const std::string &n = it->first;
-        if (n.compare(0, prefix.size(), prefix) != 0)
+    for (std::size_t k = lowerBound(prefix); k < byName_.size(); ++k) {
+        const std::uint32_t i = byName_[k];
+        if (!names_[i].starts_with(prefix))
             break;
-        if (n.size() >= suffix.size() &&
-            n.compare(n.size() - suffix.size(), suffix.size(),
-                      suffix) == 0)
-            sum += it->second->value();
+        if (names_[i].ends_with(suffix))
+            sum += stats_[i]->value();
     }
     return sum;
 }
@@ -193,21 +266,22 @@ StatRegistry::total(const std::string &prefix,
 void
 StatRegistry::dumpJson(std::ostream &os) const
 {
+    sortNew();
     os << '{';
     bool first = true;
-    for (auto &[name, stat] : stats_) {
-        os << (first ? "" : ",") << '\n' << json::str(name) << ':';
-        stat->printJson(os);
+    for (std::uint32_t i : byName_) {
+        os << (first ? "" : ",") << '\n' << json::str(names_[i]) << ':';
+        stats_[i]->printJson(os);
         first = false;
     }
     os << "\n}";
 }
 
 void
-StatRegistry::missingTyped(const std::string &name) const
+StatRegistry::missingTyped(std::string_view name) const
 {
-    panic("stat '%s' not registered with the requested type",
-          name.c_str());
+    panic("stat '%.*s' not registered with the requested type",
+          static_cast<int>(name.size()), name.data());
 }
 
 } // namespace smarco

@@ -7,13 +7,32 @@
  * three concrete kinds are needed by the SmarCo models: Scalar
  * (counter/value), Average (ratio of two accumulators), and Histogram
  * (linear-bucket distribution with moment tracking).
+ *
+ * Ownership. The registry owns every name: registering moves the
+ * caller's string into registry storage that never moves, and the
+ * stat keeps a pointer to it. A stat's description is not copied at
+ * all: the stat keeps the `const char *` it was given, so a
+ * description must have static storage (a string literal). A 256-core
+ * chip registers about 6,000 stats per build, so a registration
+ * allocates nothing per stat beyond the caller's name (storage grows
+ * in amortized blocks) and inserts into no tree.
+ *
+ * Lookup. Exact lookups and the duplicate-name check go through an
+ * open-addressing hash index over the names and never touch a Stat
+ * object. Name-ordered queries (findPrefix, total, dumpJson) read a
+ * view of the stats sorted by name (std::string's operator<). The
+ * first ordered query after a registration builds it, merging in
+ * what was registered since the last one, so even a const query may
+ * write the view: a registry belongs to one Simulator and must not
+ * be shared across threads.
  */
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <deque>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace smarco {
@@ -24,13 +43,15 @@ class StatRegistry;
 class Stat
 {
   public:
-    Stat(StatRegistry &registry, std::string name, std::string desc);
+    /** @p desc must have static storage: the stat keeps the pointer. */
+    Stat(StatRegistry &registry, std::string name, const char *desc);
     virtual ~Stat() = default;
 
     Stat(const Stat &) = delete;
     Stat &operator=(const Stat &) = delete;
 
-    const std::string &name() const { return name_; }
+    /** The registry's copy of the name: valid while it lives. */
+    const std::string &name() const { return *name_; }
 
     /** Primary scalar summary of this statistic. */
     virtual double value() const = 0;
@@ -47,8 +68,8 @@ class Stat
     void printJsonHead(std::ostream &os, const char *kind) const;
 
   private:
-    std::string name_;
-    std::string desc_;
+    const std::string *name_; ///< owned by the registry
+    const char *desc_;
 };
 
 /** A plain accumulating counter / settable value. */
@@ -102,7 +123,7 @@ class Histogram : public Stat
 {
   public:
     Histogram(StatRegistry &registry, std::string name,
-              std::string desc, double lo, double hi,
+              const char *desc, double lo, double hi,
               std::size_t buckets);
 
     void sample(double v, std::uint64_t weight = 1);
@@ -141,32 +162,37 @@ class Histogram : public Stat
 /**
  * Owner-side registry mapping dotted names to statistics. Statistics
  * register themselves on construction and must outlive the registry
- * queries made against them (they are member fields of components in
- * practice).
+ * queries that return or read them (they are member fields of
+ * components in practice); exact lookups read only the registry's
+ * own names.
  */
 class StatRegistry
 {
   public:
-    /** Register a stat; names must be unique. Called by Stat ctor. */
-    void add(Stat *stat);
+    /**
+     * Register @p stat under @p name, which must be unique (a
+     * duplicate panics). Returns the registry's copy of the name,
+     * which lives as long as the registry. Called by the Stat ctor.
+     */
+    const std::string &add(std::string name, Stat *stat);
 
     /** Look up by exact name; returns nullptr when absent. */
-    Stat *find(const std::string &name) const;
+    Stat *find(std::string_view name) const;
 
     /** Look up and panic when absent (for tests/harnesses). */
-    Stat &get(const std::string &name) const;
+    Stat &get(std::string_view name) const;
 
     /**
      * Typed lookup; nullptr when absent or of a different kind.
      * Harnesses use this instead of casting or name scraping.
      */
     template <typename T>
-    T *findAs(const std::string &name) const
+    T *findAs(std::string_view name) const
     { return dynamic_cast<T *>(find(name)); }
 
     /** Typed lookup that panics when absent or of the wrong kind. */
     template <typename T>
-    T &getAs(const std::string &name) const
+    T &getAs(std::string_view name) const
     {
         T *s = findAs<T>(name);
         if (!s)
@@ -175,15 +201,14 @@ class StatRegistry
     }
 
     /** All stats whose name starts with prefix, in name order. */
-    std::vector<Stat *> findPrefix(const std::string &prefix) const;
+    std::vector<Stat *> findPrefix(std::string_view prefix) const;
 
     /**
      * Sum of value() over every stat whose name starts with prefix
      * and ends with suffix (e.g. total("chip.core", ".slotsUsed")
      * aggregates one per-core counter across the chip).
      */
-    double total(const std::string &prefix,
-                 const std::string &suffix) const;
+    double total(std::string_view prefix, std::string_view suffix) const;
 
     /**
      * Dump every stat as one JSON object keyed by name, in name
@@ -194,9 +219,33 @@ class StatRegistry
     std::size_t size() const { return stats_.size(); }
 
   private:
-    [[noreturn]] void missingTyped(const std::string &name) const;
+    /**
+     * Hash-table slot: the low 32 bits of a name's hash (enough to
+     * place it in any table a 32-bit registration index allows) and
+     * its registration index.
+     */
+    struct Slot
+    {
+        std::uint32_t hash = 0;
+        std::uint32_t index = kEmpty;
+    };
+    static constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
 
-    std::map<std::string, Stat *> stats_;
+    /** Slot holding @p name, or the empty slot where it would go. */
+    std::size_t probe(std::string_view name, std::uint32_t hash) const;
+    /** Resize the hash table to @p slots (a power of two). */
+    void rehash(std::size_t slots);
+    /** Merge stats registered since the last ordered query. */
+    void sortNew() const;
+    /** First position in byName_ whose name is not below @p prefix. */
+    std::size_t lowerBound(std::string_view prefix) const;
+
+    [[noreturn]] void missingTyped(std::string_view name) const;
+
+    std::deque<std::string> names_; ///< by index; never moves
+    std::vector<Stat *> stats_;     ///< by index
+    std::vector<Slot> table_;       ///< open addressing, <= half full
+    mutable std::vector<std::uint32_t> byName_; ///< indices by name
 };
 
 } // namespace smarco

@@ -10,6 +10,10 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <map>
+#include <memory>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -631,6 +635,91 @@ TEST(Stats, RegistryLookupAndPrefix)
     (void)c;
 }
 
+TEST(StatsDeath, DuplicateNamePanicsAtRegistration)
+{
+    EXPECT_DEATH(
+        {
+            StatRegistry reg;
+            Scalar a(reg, "a.dup", "");
+            Scalar b(reg, "a.dup", "");
+        },
+        "duplicate stat name 'a.dup'");
+}
+
+// The ordered queries must keep std::map<std::string, ...> order, the
+// order every stats dump is written in, whatever order the names were
+// registered in, including names registered after an ordered query.
+TEST(Stats, OrderedQueriesMatchMapOrder)
+{
+    std::vector<std::string> names = {
+        "a.B", "a.a", "a.a.b", "a.a0", "a.a_", "a", "b.a", "a.", "A",
+        "a.a.a", "a.ab", "a.aa", "ab", "a-b", "a.a.b.c"};
+    for (int i = 0; i < 40; ++i)
+        names.push_back(strprintf("a.core%03d.x", (i * 17) % 40));
+    Rng rng(7);
+    for (std::size_t i = names.size() - 1; i > 0; --i)
+        std::swap(names[i], names[rng.nextBelow(i + 1)]);
+
+    StatRegistry reg;
+    std::vector<std::unique_ptr<Scalar>> stats;
+    std::map<std::string, Scalar *> ref;
+    auto check = [&] {
+        std::vector<Stat *> want;
+        double want_total = 0.0;
+        for (auto &[name, stat] : ref) {
+            if (!name.starts_with("a."))
+                continue;
+            want.push_back(stat);
+            if (name.ends_with(".x"))
+                want_total += stat->value();
+        }
+        EXPECT_EQ(reg.findPrefix("a."), want);
+        EXPECT_DOUBLE_EQ(reg.total("a.", ".x"), want_total);
+
+        std::ostringstream dump;
+        reg.dumpJson(dump);
+        const std::string text = dump.str();
+        std::size_t at = 0;
+        for (auto &[name, stat] : ref) {
+            const std::size_t found =
+                text.find("\n\"" + name + "\":", at);
+            ASSERT_NE(found, std::string::npos) << name;
+            at = found + 1;
+        }
+    };
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        stats.push_back(
+            std::make_unique<Scalar>(reg, names[i], "test"));
+        stats.back()->set(static_cast<double>(i + 1));
+        ref.emplace(names[i], stats.back().get());
+        // Query between registrations so later names are merged into
+        // an already-built ordered view.
+        if (i % 7 == 3)
+            check();
+    }
+    check();
+    EXPECT_EQ(reg.size(), ref.size());
+    for (auto &[name, stat] : ref)
+        EXPECT_EQ(reg.find(name), stat);
+}
+
+// Lookups read only the registry's own names, so a stat destroyed
+// before its registry leaves the other lookups intact (heap-allocated
+// so that a lookup reading the dead stat is a use-after-free).
+TEST(Stats, LookupAfterAStatIsDestroyed)
+{
+    StatRegistry reg;
+    auto a = std::make_unique<Scalar>(
+        reg, "early.stat.with.a.long.name", "");
+    a.reset();
+    Scalar b(reg, "late.stat.with.a.long.name", "");
+    EXPECT_EQ(reg.find("late.stat.with.a.long.name"), &b);
+    EXPECT_EQ(b.name(), "late.stat.with.a.long.name");
+    EXPECT_NE(reg.find("early.stat.with.a.long.name"), nullptr);
+    EXPECT_EQ(reg.find("early.stat"), nullptr);
+    EXPECT_EQ(reg.size(), 2u);
+}
+
 TEST(Rng, DeterministicAcrossInstances)
 {
     Rng a(123, 7), b(123, 7);
@@ -921,4 +1010,10 @@ TEST(Logging, StrprintfFormats)
 {
     EXPECT_EQ(strprintf("x=%d y=%s", 5, "abc"), "x=5 y=abc");
     EXPECT_EQ(strprintf("%03u", 7u), "007");
+    // Results that do not fit the one-pass stack buffer.
+    for (std::size_t n : {255u, 256u, 257u, 1000u}) {
+        const std::string s(n, 'x');
+        EXPECT_EQ(strprintf("%s", s.c_str()), s);
+        EXPECT_EQ(strprintf("<%s>", s.c_str()), "<" + s + ">");
+    }
 }
