@@ -48,19 +48,20 @@ Cache::Cache(StatRegistry &stats, CacheParams params,
               static_cast<unsigned long long>(params_.sizeBytes),
               params_.assoc);
     const std::uint64_t ways = numSets_ * params_.assoc;
-    tags_.assign(ways, kNoAddr);
-    state_.assign(ways, kInvalidRank);
+    tags_ = std::make_unique_for_overwrite<Addr[]>(ways);
+    state_ = std::make_unique_for_overwrite<std::uint8_t[]>(ways);
+    fill_ = std::make_unique<std::uint8_t[]>(numSets_); // every set empty
     lineShift_ = std::countr_zero(params_.lineBytes);
     pow2Sets_ = isPow2(numSets_);
     setShift_ = std::countr_zero(numSets_);
 }
 
 void
-Cache::ageBelow(std::uint8_t *state, std::uint32_t assoc, std::uint8_t rank)
+Cache::ageBelow(std::uint8_t *state, std::uint32_t ways, std::uint8_t rank)
 {
-    // rank is at most kInvalidRank, so a rank below it ages to at
-    // most kInvalidRank and never carries into the dirty bit.
-    for (std::uint32_t w = 0; w < assoc; ++w)
+    // Ranks stay below assoc <= kMaxAssoc, so aging never carries
+    // into the dirty bit.
+    for (std::uint32_t w = 0; w < ways; ++w)
         state[w] = static_cast<std::uint8_t>(
             state[w] + ((state[w] & kRankMask) < rank));
 }
@@ -85,44 +86,45 @@ Cache::access(Addr addr, bool write)
     Addr *const tags = &tags_[base];
     std::uint8_t *const state = &state_[base];
     const std::uint32_t assoc = params_.assoc;
+    const std::uint32_t fill = fill_[set];
     const std::uint8_t dirtyIfWrite = write ? kDirty : 0;
 
-    // A valid tag sits in at most one way of a set, so comparing every
-    // way with no early exit finds the hit way without a mispredicted
-    // loop exit.
+    // A tag sits in at most one valid way of a set, so comparing every
+    // valid way with no early exit finds the hit way without a
+    // mispredicted loop exit.
     std::uint32_t way = assoc;
-    for (std::uint32_t w = 0; w < assoc; ++w)
+    for (std::uint32_t w = 0; w < fill; ++w)
         way = tags[w] == tag ? w : way;
     if (way != assoc) {
-        ageBelow(state, assoc, state[way] & kRankMask);
+        ageBelow(state, fill, state[way] & kRankMask);
         state[way] = (state[way] & kDirty) | dirtyIfWrite; // rank 0
         ++hits_;
         return CacheResult{true, false, kNoAddr};
     }
 
-    // Miss: the first way with the largest rank, which is the first
-    // invalid way if any, else the LRU way. A running maximum over
-    // every way with a strict > keeps the first of equal ranks.
-    std::uint32_t victim = 0;
-    std::uint8_t oldest = state[0] & kRankMask;
-    for (std::uint32_t w = 1; w < assoc; ++w) {
-        const std::uint8_t rank = state[w] & kRankMask;
-        const bool older = rank > oldest;
-        victim = older ? w : victim;
-        oldest = older ? rank : oldest;
-    }
+    // Miss. A full set holds the ranks 0 .. assoc - 1 once each, and
+    // its victim is the LRU way, of rank assoc - 1. A set that is not
+    // full holds only ranks below fill <= assoc - 1, so the scan finds
+    // no such way and the miss fills way fill, the first invalid way.
+    // Aging every way ranked below assoc - 1 ages every valid way but
+    // the victim either way.
+    const std::uint8_t lru = static_cast<std::uint8_t>(assoc - 1);
+    const bool full = fill == assoc;
+    std::uint32_t victim = fill;
+    for (std::uint32_t w = 0; w < fill; ++w)
+        victim = (state[w] & kRankMask) == lru ? w : victim;
 
     CacheResult res;
-    res.hit = false;
-    // Only a valid way can be dirty.
-    if (state[victim] & kDirty) {
+    // Only a valid way can be dirty, and way fill is not yet valid.
+    if (full && (state[victim] & kDirty)) {
         res.writeback = true;
         res.victimAddr = (tags[victim] * numSets_ + set) * params_.lineBytes;
         ++writebacks_;
     }
-    ageBelow(state, assoc, oldest);
+    ageBelow(state, fill, lru);
     tags[victim] = tag;
     state[victim] = dirtyIfWrite; // rank 0
+    fill_[set] = static_cast<std::uint8_t>(fill + !full);
     ++misses_;
     return res;
 }
@@ -132,15 +134,13 @@ Cache::probe(Addr addr) const
 {
     const auto [set, tag] = locate(addr);
     const Addr *const tags = &tags_[set * params_.assoc];
-    return std::find(tags, tags + params_.assoc, tag) !=
-           tags + params_.assoc;
+    return std::find(tags, tags + fill_[set], tag) != tags + fill_[set];
 }
 
 void
 Cache::flush()
 {
-    std::fill(tags_.begin(), tags_.end(), kNoAddr);
-    std::fill(state_.begin(), state_.end(), kInvalidRank);
+    std::fill_n(fill_.get(), numSets_, std::uint8_t{0});
 }
 
 double

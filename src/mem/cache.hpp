@@ -10,8 +10,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
-#include <vector>
 
 #include "sim/stats.hpp"
 #include "sim/types.hpp"
@@ -42,28 +42,35 @@ struct CacheResult {
  * caller's concern; this keeps the tag model reusable by both chips).
  *
  * The tag store is two set-major arrays, way w of set s at entry
- * s * assoc + w: 8-byte tags (kNoAddr marks an invalid way) and one
- * state byte, 9 bytes a way. A state byte holds the way's LRU rank in
- * its low seven bits and its dirty flag in the top bit. The valid
- * ways of a set hold the ranks 0 (MRU) to valid - 1, one each;
- * kInvalidRank, above every valid rank, marks an invalid way. An
- * access to a way of rank r ages every way ranked below r by one and
- * gives the way rank 0. A miss evicts the first way with the largest
- * rank: the first invalid way, else the LRU way.
+ * s * assoc + w: 8-byte tags and one state byte, 9 bytes a way, plus
+ * one fill count per set. A state byte holds the way's LRU rank in its
+ * low seven bits and its dirty flag in the top bit.
  *
- * Every search is branch-free. A lookup compares every tag of the
- * set with no early exit (a valid tag matches at most one way); a
- * miss takes a running maximum of the set's ranks with a strict >,
- * so the first of equal (invalid) ranks wins; aging is a byte loop
- * over the set.
+ * A miss always fills the first invalid way, and only flush()
+ * invalidates, so the valid ways of a set are always its ways
+ * 0 .. fill - 1; the fill count is the whole of a set's valid state.
+ * The valid ways hold the ranks 0 (MRU) to fill - 1, one each. An
+ * access to a way of rank r ages every valid way ranked below r by
+ * one and gives the way rank 0. A miss in a set that is not full
+ * takes way fill, with no eviction and no writeback; a miss in a full
+ * set evicts the one way of rank assoc - 1, the LRU way.
+ *
+ * No way is read before the miss that fills it, so the tag and state
+ * arrays are left uninitialised: building a cache writes one byte per
+ * set (the zeroed fill counts) and touches no way, which keeps a 60 MB
+ * LLC's 8.8 MB of ways out of the build. flush() zeroes the counts.
+ *
+ * Every search is branch-free. A lookup compares every valid tag of
+ * the set with no early exit (a tag matches at most one way); a miss
+ * compares every valid rank with assoc - 1, which no way of a set
+ * that is not full holds, and falls back to way fill; aging is a byte
+ * loop over the valid ways.
  */
 class Cache
 {
   public:
-    /** Rank of an invalid way; valid ranks are below it. */
-    static constexpr std::uint8_t kInvalidRank = 0x7F;
-    /** Largest associativity: ranks 0..125, one value spare below
-     *  kInvalidRank. */
+    /** Largest associativity. Ranks 0..125 fit the seven rank bits,
+     *  and a fill count fits its byte. */
     static constexpr std::uint32_t kMaxAssoc = 126;
 
     Cache(StatRegistry &stats, CacheParams params,
@@ -99,8 +106,8 @@ class Cache
     static constexpr std::uint8_t kDirty = 0x80;
     static constexpr std::uint8_t kRankMask = 0x7F;
 
-    /** Age every way of a set ranked below rank by one. */
-    static void ageBelow(std::uint8_t *state, std::uint32_t assoc,
+    /** Age each of the first ways ways ranked below rank by one. */
+    static void ageBelow(std::uint8_t *state, std::uint32_t ways,
                          std::uint8_t rank);
 
     CacheParams params_;
@@ -111,9 +118,12 @@ class Cache
      *  setShift_ is log2(numSets_) then. */
     bool pow2Sets_ = false;
     int setShift_ = 0;
-    // numSets * assoc entries each, set-major.
-    std::vector<Addr> tags_;          ///< kNoAddr: invalid way
-    std::vector<std::uint8_t> state_; ///< kDirty | LRU rank
+    // numSets * assoc entries each, set-major; uninitialised until
+    // a miss fills the way.
+    std::unique_ptr<Addr[]> tags_;
+    std::unique_ptr<std::uint8_t[]> state_; ///< kDirty | LRU rank
+    /** Valid ways of each set: ways 0 .. fill_[s] - 1. */
+    std::unique_ptr<std::uint8_t[]> fill_;
 
     Scalar hits_;
     Scalar misses_;

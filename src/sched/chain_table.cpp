@@ -8,26 +8,28 @@
 namespace smarco::sched {
 
 TaskChainTable::TaskChainTable(std::uint32_t capacity)
-    : ram_(capacity)
+    : capacity_(capacity)
 {
     if (capacity == 0)
         fatal("TaskChainTable: zero capacity");
-    // Thread every entry onto the null (free) chain.
-    for (std::uint32_t i = 0; i + 1 < capacity; ++i)
-        ram_[i].next = static_cast<std::int32_t>(i + 1);
-    ram_[capacity - 1].next = kNil;
-    freeHead_ = 0;
+    ram_.reserve(capacity);
 }
 
 bool
 TaskChainTable::insert(const workloads::TaskSpec &task)
 {
-    if (freeHead_ == kNil)
+    std::int32_t idx;
+    if (freeHead_ != kNil) {
+        idx = freeHead_;
+        freeHead_ = ram_[idx].next;
+        ram_[idx].task = task;
+        ram_[idx].next = kNil;
+    } else if (ram_.size() < capacity_) {
+        idx = static_cast<std::int32_t>(ram_.size());
+        ram_.push_back(Entry{task, kNil});
+    } else {
         return false;
-    const std::int32_t idx = freeHead_;
-    freeHead_ = ram_[idx].next;
-    ram_[idx].task = task;
-    ram_[idx].next = kNil;
+    }
 
     std::int32_t *head = task.realtime ? &highHead_ : &normalHead_;
     std::int32_t *tail = task.realtime ? &highTail_ : &normalTail_;

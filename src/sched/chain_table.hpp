@@ -8,6 +8,13 @@
  * RAM instead of CAM to save area/power); insertion appends to the
  * tail of the class chain, and the pop operation walks the chain to
  * find the least-laxity task.
+ *
+ * The RAM is reserved at construction but an entry is built only when
+ * an insert first needs it: the null chain holds the freed entries
+ * (most recently freed first), and an insert that finds it empty
+ * builds the next never-used entry while fewer than capacity exist.
+ * That hands out entries in the order a fully threaded null chain
+ * would, so a table costs no per-entry work until tasks arrive.
  */
 #pragma once
 
@@ -44,8 +51,7 @@ class TaskChainTable
 
     std::uint32_t size() const { return used_; }
     bool empty() const { return used_ == 0; }
-    std::uint32_t capacity() const
-    { return static_cast<std::uint32_t>(ram_.size()); }
+    std::uint32_t capacity() const { return capacity_; }
 
     /**
      * Smallest release time of any queued task (kNoCycle when empty).
@@ -73,7 +79,9 @@ class TaskChainTable
                                                std::int32_t *tail,
                                                Cycle now);
 
+    /** Entries built so far; reserved to capacity_, never above. */
     std::vector<Entry> ram_;
+    std::uint32_t capacity_;
     std::int32_t freeHead_ = kNil;          // null thread chain
     std::int32_t normalHead_ = kNil, normalTail_ = kNil;
     std::int32_t highHead_ = kNil, highTail_ = kNil;

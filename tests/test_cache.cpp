@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "mem/cache.hpp"
@@ -39,6 +42,94 @@ TEST(Cache, ColdMissThenHit)
     EXPECT_FALSE(c.access(0x1040, false).hit); // next line
     EXPECT_EQ(c.hits(), 2u);
     EXPECT_EQ(c.misses(), 2u);
+}
+
+TEST(Cache, StaleMemoryNeverHits)
+{
+    // The tag and state arrays are not initialised. Leave the tags the
+    // accesses below look up, and dirty state bytes, in freed blocks
+    // of the arrays' sizes, which the allocator is likely to hand the
+    // cache: way w of set s holds tag kTag + w.
+    CacheParams p = smallCache();
+    p.sizeBytes = 64 * 4 * 64; // 64 sets x 4 ways
+    const std::uint64_t sets = 64, ways = sets * p.assoc;
+    const Addr kTag = 0x1234;
+    {
+        auto tags = std::make_unique<Addr[]>(ways);
+        auto state = std::make_unique<std::uint8_t[]>(ways);
+        for (std::uint64_t i = 0; i < ways; ++i) {
+            tags[i] = kTag + i % p.assoc;
+            state[i] = 0x80 | static_cast<std::uint8_t>(i % p.assoc);
+        }
+    }
+    StatRegistry reg;
+    Cache c(reg, p, "c");
+    auto addr = [&](std::uint64_t set, std::uint32_t w) {
+        return ((kTag + w) * sets + set) * p.lineBytes;
+    };
+    for (std::uint64_t s = 0; s < sets; ++s)
+        for (std::uint32_t w = 0; w < p.assoc; ++w)
+            ASSERT_FALSE(c.probe(addr(s, w))) << s << " " << w;
+    for (std::uint64_t s = 0; s < sets; ++s) {
+        for (std::uint32_t w = 0; w < p.assoc; ++w) {
+            const CacheResult res = c.access(addr(s, w), false);
+            ASSERT_FALSE(res.hit) << s << " " << w;
+            ASSERT_FALSE(res.writeback) << s << " " << w;
+        }
+    }
+    EXPECT_EQ(c.misses(), ways);
+    EXPECT_EQ(reg.get("c.writebacks").value(), 0.0);
+}
+
+namespace {
+
+/** Resident set size of this process in KiB, from /proc/self/status
+ *  (-1 where that file is missing). */
+long
+residentKiB()
+{
+    std::ifstream status("/proc/self/status");
+    std::string key;
+    while (status >> key) {
+        if (key == "VmRSS:") {
+            long kib = -1;
+            status >> kib;
+            return kib;
+        }
+        status.ignore(1 << 12, '\n');
+    }
+    return -1;
+}
+
+} // namespace
+
+TEST(Cache, BuildLeavesTagStoreUntouched)
+{
+    // Four 60 MB 20-way LLCs hold 4 x 8.8 MB of ways. Building them
+    // must write only the per-set fill counts (48 KB each), so the
+    // resident set grows by far less than one tag store. A build that
+    // wrote every way would add about 35 MB. This test comes before
+    // every other LLC-sized build in this file, so the tag stores
+    // cannot land in memory that an earlier test already made
+    // resident.
+    const long before = residentKiB();
+    if (before < 0)
+        GTEST_SKIP() << "no /proc/self/status";
+    CacheParams p;
+    p.name = "llc";
+    p.sizeBytes = 60 * 1024 * 1024;
+    p.assoc = 20;
+    p.lineBytes = 64;
+    StatRegistry reg;
+    std::vector<std::unique_ptr<Cache>> llcs;
+    for (int i = 0; i < 4; ++i)
+        llcs.push_back(
+            std::make_unique<Cache>(reg, p, "llc" + std::to_string(i)));
+    const long grown = residentKiB() - before;
+    EXPECT_LT(grown, 4 * 1024) << "KiB";
+    // The caches work: a cold miss, then a hit.
+    EXPECT_FALSE(llcs[3]->access(0x12345678, false).hit);
+    EXPECT_TRUE(llcs[3]->access(0x12345678, false).hit);
 }
 
 TEST(Cache, WaySizeAbove32BitsKeepsItsSets)
@@ -287,8 +378,8 @@ geometry(const char *name, std::uint64_t size, std::uint32_t assoc,
  * Replay one seeded read/write stream through Cache and the
  * reference, flushing both halfway: every access must agree on hit,
  * writeback and victim, and afterwards every line the stream touched
- * must probe alike. The flush leaves every way invalid again, so the
- * second half checks the invalid-rank victims a second time. Half the
+ * must probe alike. The flush empties every set again, so the second
+ * half checks the fills of empty ways a second time. Half the
  * accesses go to a hot set of lines that map to four sets, twice as
  * many lines as ways each, so those sets evict and write back all the
  * time; the rest are random lines below 1 TiB, as far apart as the
@@ -357,6 +448,7 @@ TEST(Cache, MatchesReferenceModelOnEveryGeometryInUse)
         geometry("dtlb", 256 * 4096, 8, 4096),
         geometry("llc", 60 * 1024 * 1024, 20, 64), // 49,152 sets
         geometry("three_sets", 3 * 2 * 64, 2, 64),
+        geometry("odd", 5 * 3 * 64, 3, 64), // 3 ways, 5 sets
         geometry("direct_mapped", 64 * 64, 1, 64),
         geometry("max_assoc", 8 * Cache::kMaxAssoc * 64, Cache::kMaxAssoc,
                  64),

@@ -116,6 +116,39 @@ TEST(ChainTable, CapacityExhaustion)
     EXPECT_TRUE(table.insert(task(100)));
 }
 
+TEST(ChainTable, ReachesCapacityAfterChurn)
+{
+    // Entries are built on first use, so churn leaves some entries
+    // freed and one never built; the table must still hold exactly
+    // its capacity, in the same pop order.
+    TaskChainTable table(8);
+    EXPECT_EQ(table.capacity(), 8u);
+    TaskId next = 0;
+    for (int round = 0; round < 5; ++round) { // peaks at 7 queued
+        for (int k = 0; k < 3; ++k)
+            ASSERT_TRUE(table.insert(task(next++)));
+        for (int k = 0; k < 2; ++k)
+            ASSERT_TRUE(table.popNext(0).has_value());
+    }
+    while (table.popNext(0).has_value()) {
+    }
+    ASSERT_TRUE(table.empty());
+
+    // Four tasks without deadlines, four with, interleaved.
+    const Cycle deadlines[] = {9000, 3000, 5000, 7000};
+    for (TaskId i = 0; i < 4; ++i) {
+        ASSERT_TRUE(table.insert(task(100 + i)));
+        ASSERT_TRUE(table.insert(task(200 + i, deadlines[i])));
+    }
+    EXPECT_EQ(table.size(), 8u);
+    EXPECT_FALSE(table.insert(task(999)));
+    EXPECT_EQ(table.capacity(), 8u);
+    // Least laxity first, then the deadline-free tasks in FIFO order.
+    for (const TaskId want : {201, 202, 203, 200, 100, 101, 102, 103})
+        EXPECT_EQ(table.popNext(0)->id, want);
+    EXPECT_TRUE(table.empty());
+}
+
 TEST(ChainTable, InterleavedInsertPopKeepsIntegrity)
 {
     TaskChainTable table(8);
