@@ -13,8 +13,9 @@ using namespace smarco;
 using namespace smarco::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    parseArgs(argc, argv);
     banner("Fig. 1", "HTC kernels on the conventional (Xeon-like) chip");
 
     // Three basic HTC algorithms, as in the paper's motivation

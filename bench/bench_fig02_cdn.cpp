@@ -1,9 +1,10 @@
 /**
  * @file
  * Fig. 2 — CDN (Nginx-like video service) on the conventional
- * processor: achieved throughput saturates at the 10 Gbps NIC while
- * CPU utilisation stays low, and branch / L1 miss ratios degrade as
- * the client count approaches the limit.
+ * processor. In the paper, achieved throughput saturates at the 10
+ * Gbps NIC while CPU utilisation stays low, and branch / L1 miss
+ * ratios degrade as the client count approaches the limit;
+ * EXPERIMENTS.md records where this model departs from that.
  */
 #include "bench_util.hpp"
 
@@ -69,13 +70,15 @@ servePoint(const workloads::CdnWorkload &cdn, std::uint64_t clients,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    parseArgs(argc, argv);
     banner("Fig. 2", "conventional processor under the CDN workload "
                      "(25 Mbps streams, 10 Gbps NIC)");
 
     workloads::CdnWorkload cdn;
-    std::printf("NIC saturates at %llu clients\n\n",
+    std::printf("offered load reaches the 10 Gbps NIC at %llu "
+                "clients\n\n",
                 static_cast<unsigned long long>(
                     cdn.saturationClients()));
     std::printf("%8s %10s %10s %9s %12s %9s\n", "clients",

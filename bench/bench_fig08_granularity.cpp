@@ -59,8 +59,9 @@ printDistribution(const std::vector<workloads::BenchProfile> &profiles)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    parseArgs(argc, argv);
     banner("Fig. 8", "memory access granularity distribution");
 
     std::printf("\nHTC applications (left of Fig. 8):\n");

@@ -45,8 +45,9 @@ coreIpc(const workloads::BenchProfile &prof, std::uint32_t threads,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    parseArgs(argc, argv);
     banner("Fig. 17", "IPC of one TCG core vs thread count (1..8)");
 
     std::printf("%-12s", "bench");

@@ -64,8 +64,9 @@ ringThroughput(const workloads::BenchProfile &prof,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    parseArgs(argc, argv);
     banner("Fig. 18", "throughput improvement vs channel slice width "
                       "(normalised to 16-byte slices)");
 

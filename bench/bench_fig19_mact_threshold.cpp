@@ -10,8 +10,9 @@ using namespace smarco;
 using namespace smarco::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    parseArgs(argc, argv);
     banner("Fig. 19", "speedup vs MACT time threshold "
                       "(normalised to 8 cycles)");
 

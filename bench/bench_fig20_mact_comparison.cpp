@@ -12,8 +12,9 @@ using namespace smarco;
 using namespace smarco::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    parseArgs(argc, argv);
     banner("Fig. 20", "MACT vs conventional (per benchmark, "
                       "normalised to MACT off)");
 

@@ -77,8 +77,9 @@ printSeries(const char *name, const ExitSeries &s, Cycle deadline)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    parseArgs(argc, argv);
     banner("Fig. 21", "exit time of 128 RNC task threads in one "
                       "sub-ring");
 

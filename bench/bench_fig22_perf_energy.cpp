@@ -11,8 +11,9 @@ using namespace smarco;
 using namespace smarco::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    parseArgs(argc, argv);
     banner("Fig. 22", "SmarCo (256 cores, 2048 threads) vs Xeon "
                       "E7-8890V4 (24 cores, 48 threads)");
 

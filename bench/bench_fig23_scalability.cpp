@@ -51,8 +51,9 @@ smarcoPerf(std::uint32_t threads, const workloads::BenchProfile &prof)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    parseArgs(argc, argv);
     banner("Fig. 23", "scalability on KMP: performance vs thread "
                       "count");
 

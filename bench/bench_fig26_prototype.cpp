@@ -11,8 +11,9 @@ using namespace smarco;
 using namespace smarco::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    parseArgs(argc, argv);
     banner("Fig. 26", "prototype (TSMC 40 nm, 32 cores / 256 threads) "
                       "energy efficiency vs Xeon E7-8890V4");
 

@@ -141,8 +141,9 @@ printHeader()
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    parseArgs(argc, argv);
     banner("KERNEL", "fast-forward vs tick-every-cycle throughput");
     note("idle-heavy workload: 48 rnc tasks over a 5M-cycle release "
          "span, 1 sub-ring x 16 cores");

@@ -286,7 +286,7 @@ runBaselinePoint(const baseline::BaselineParams &params,
 int
 main(int argc, char **argv)
 {
-    const bool quick = quickRun(argc, argv);
+    const bool quick = parseArgs(argc, argv, "[--quick]");
 
     banner("overload", "goodput and tail latency versus offered load "
                        "(0.5x..4x saturation)");

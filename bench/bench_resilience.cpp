@@ -219,7 +219,7 @@ checkSweep(Checks &checks, const char *chip,
 int
 main(int argc, char **argv)
 {
-    const bool quick = quickRun(argc, argv);
+    const bool quick = parseArgs(argc, argv, "[--quick]");
 
     banner("Resilience",
            "throughput & deadline-miss degradation vs fault rate");

@@ -29,8 +29,9 @@ printReport(const char *title, const power::ChipPowerReport &report)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    parseArgs(argc, argv);
     banner("Table 1", "area and power of SmarCo (1.5 GHz, 32 nm)");
 
     const auto full = chip::ChipConfig::simulated256();

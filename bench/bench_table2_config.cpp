@@ -10,8 +10,9 @@ using namespace smarco;
 using namespace smarco::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    parseArgs(argc, argv);
     banner("Table 2", "parameters of Xeon E7-8890V4 and SmarCo");
 
     const auto cfg = chip::ChipConfig::simulated256();

@@ -8,7 +8,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -43,14 +42,15 @@ note(const char *text)
     std::printf("  %s\n", text);
 }
 
-/** True when the command line asks for the reduced --quick sweep. */
+/**
+ * Parse a bench's command line (see parseCommandLine()). A bench takes
+ * no argument of its own unless `usage` offers "[--quick]"; the result
+ * is true when that reduced sweep was asked for.
+ */
 inline bool
-quickRun(int argc, char **argv)
+parseArgs(int argc, char **argv, const char *usage = "")
 {
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], "--quick") == 0)
-            return true;
-    return false;
+    return !parseCommandLine(argc, argv, usage).empty();
 }
 
 /**

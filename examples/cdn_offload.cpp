@@ -11,13 +11,13 @@
  *   $ ./cdn_offload [clients]
  */
 #include <cstdio>
-#include <cstdlib>
 
 #include "baseline/baseline_chip.hpp"
 #include "chip/chip_config.hpp"
 #include "chip/smarco_chip.hpp"
 #include "fault/fault_campaign.hpp"
 #include "power/power_model.hpp"
+#include "sim/observability.hpp"
 #include "workloads/cdn.hpp"
 #include "workloads/task.hpp"
 
@@ -27,7 +27,7 @@ int
 main(int argc, char **argv)
 {
     const std::uint64_t clients =
-        argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 400;
+        countArg(parseCommandLine(argc, argv, "[clients]"), 400);
 
     workloads::CdnWorkload cdn;
     // Host-side profile: everything cacheable, connection table in

@@ -21,6 +21,7 @@
 #include "chip/smarco_chip.hpp"
 #include "fault/fault_campaign.hpp"
 #include "runtime/mapreduce.hpp"
+#include "sim/observability.hpp"
 #include "workloads/profile.hpp"
 
 using namespace smarco;
@@ -49,11 +50,12 @@ sampleText()
 int
 main(int argc, char **argv)
 {
+    const auto args = parseCommandLine(argc, argv, "[file.txt]");
     std::string input;
-    if (argc > 1) {
-        std::ifstream in(argv[1]);
+    if (!args.empty()) {
+        std::ifstream in(args[0]);
         if (!in) {
-            std::fprintf(stderr, "cannot open %s\n", argv[1]);
+            std::fprintf(stderr, "cannot open %s\n", args[0].c_str());
             return 1;
         }
         std::ostringstream ss;

@@ -13,11 +13,11 @@
  *   - ChipMetrics / StatRegistry: results
  */
 #include <cstdio>
-#include <cstdlib>
 
 #include "chip/chip_config.hpp"
 #include "chip/smarco_chip.hpp"
 #include "fault/fault_campaign.hpp"
+#include "sim/observability.hpp"
 #include "workloads/profile.hpp"
 #include "workloads/task.hpp"
 
@@ -27,7 +27,7 @@ int
 main(int argc, char **argv)
 {
     const std::uint64_t num_tasks =
-        argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 256;
+        countArg(parseCommandLine(argc, argv, "[num_tasks]"), 256);
 
     // 1. A Simulator owns simulated time, the event queue, and the
     //    statistics registry.

@@ -13,12 +13,12 @@
  */
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "chip/chip_config.hpp"
 #include "chip/smarco_chip.hpp"
 #include "fault/fault_campaign.hpp"
+#include "sim/observability.hpp"
 #include "workloads/profile.hpp"
 #include "workloads/task.hpp"
 
@@ -84,7 +84,7 @@ int
 main(int argc, char **argv)
 {
     const std::uint64_t num_tasks =
-        argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 256;
+        countArg(parseCommandLine(argc, argv, "[num_tasks]"), 256);
 
     // Deadline chosen so a well-scheduled run just fits (probe with
     // the hardware scheduler, pad by ~2%).

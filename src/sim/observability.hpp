@@ -3,10 +3,9 @@
  * Process-level observability wiring.
  *
  * Every binary linking the simulator gains a shared set of
- * machine-readable output channels, configured from the command line
- * or the environment — no per-binary plumbing required (an ELF
- * .init_array hook scans argv before main on glibc; the environment
- * works everywhere):
+ * machine-readable output channels, configured from the environment
+ * or, in a binary whose main() hands its argv to parseCommandLine(),
+ * from the command line as well (the command line wins):
  *
  *   --stats-json=PATH        SMARCO_STATS_JSON        JSON stat dump
  *   --trace=PATH             SMARCO_TRACE             Chrome trace
@@ -26,12 +25,12 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "sim/types.hpp"
 
 namespace smarco {
 
-class Simulator;
 class TraceSink;
 
 /** Parsed observability options (process-global). */
@@ -40,7 +39,7 @@ struct ObsOptions {
     std::string tracePath;
     std::uint32_t traceCategories = 0xffffffffu; ///< kAllTraceCats
     Cycle sampleInterval = 0;
-    std::string samplePath; ///< default: derived "<binary>.samples.csv"
+    std::string samplePath; ///< default: "samples.csv"
     /** Disable the quiescence fast-forward kernel (escape hatch /
      *  slow reference mode for the golden-stats harness). */
     bool noFastForward = false;
@@ -57,66 +56,48 @@ struct ObsOptions {
     { return statsWanted() || traceWanted() || samplingWanted(); }
 };
 
-/** Mutable global options (normally filled before main). */
+/** Process-global options, read from the environment on first use. */
 ObsOptions &obsOptions();
 
 /**
- * Try to consume one --flag=value argument.
- * @return true when the argument was an observability flag.
+ * Set the options from the environment, then from the flags in
+ * argv[1..argc), and return the other arguments in order. `usage`
+ * names the binary's own arguments: each "[--switch]" in it is a
+ * switch it accepts, each other "[word]" one optional positional.
+ * Exits 2 with a usage line naming the argument on an unknown --flag,
+ * a surplus positional, a malformed number or an unknown trace
+ * category.
  */
-bool parseObsFlag(const std::string &arg);
-
-/** Read SMARCO_* environment overrides into the global options. */
-void obsInitFromEnv();
+std::vector<std::string> parseCommandLine(int argc,
+                                          const char *const *argv,
+                                          const std::string &usage);
 
 /**
- * Read the environment, then the flags in argv[1..argc), so the
- * command line wins. Runs before main on glibc.
+ * The positional of `args` as a count, `fallback` when absent. Exits
+ * 2 unless it parses in full and is > 0.
  */
-void obsInit(int argc, const char *const *argv);
+std::uint64_t countArg(const std::vector<std::string> &args,
+                       std::uint64_t fallback);
 
 namespace detail {
 
-/**
- * Process-wide collector behind the Simulator integration: assigns
- * run ids, owns the trace sink, buffers per-run stat/sample payloads
- * and writes all configured files at process exit.
- */
-class ObsSession
-{
-  public:
-    static ObsSession &instance();
+// The process-wide collector behind the Simulator integration: it
+// numbers the runs, owns the trace sink, buffers each run's stats and
+// samples, and writes every configured file when the process exits.
 
-    /** Register a new simulator run; returns its run id (1-based). */
-    std::uint32_t beginRun();
+/** Register a new simulator run; returns its run id (1-based). */
+std::uint32_t obsBeginRun();
 
-    /** Trace sink for the configured trace file (null when off). */
-    TraceSink *traceSink();
+/** Trace sink for the configured trace file (null when off). */
+TraceSink *obsTraceSink();
 
-    /**
-     * Record (or replace) the stats payload of a run — the body of
-     * one JSON object, already serialised.
-     */
-    void recordStats(std::uint32_t run_id, std::string json_object);
+/** Record (or replace) a run's stats: one serialised JSON object. */
+void obsRecordStats(std::uint32_t run_id, std::string json_object);
 
-    /** Record (or replace) the sample dump of a run. */
-    void recordSamples(std::uint32_t run_id, std::string csv,
-                       std::string json_payload);
-
-    /** Header row of the sample CSV (latest run wins). */
-    void setSampleHeader(std::string header);
-
-    /** Write every configured file (idempotent; also runs at exit). */
-    void finalise();
-
-  private:
-    ObsSession() = default;
-    ~ObsSession();
-
-    struct Impl;
-    Impl *impl();
-    Impl *impl_ = nullptr;
-};
+/** Record (or replace) a run's samples: CSV rows under `header` (the
+ *  latest run's header wins) and one serialised JSON object. */
+void obsRecordSamples(std::uint32_t run_id, std::string header,
+                      std::string csv, std::string json_object);
 
 } // namespace detail
 

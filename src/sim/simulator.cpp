@@ -15,10 +15,9 @@ Simulator::Simulator()
     const ObsOptions &opts = obsOptions();
     fastForward_ = !opts.noFastForward;
     if (opts.anyWanted()) {
-        auto &session = detail::ObsSession::instance();
-        runId_ = session.beginRun();
+        runId_ = detail::obsBeginRun();
         if (opts.traceWanted()) {
-            if (TraceSink *sink = session.traceSink()) {
+            if (TraceSink *sink = detail::obsTraceSink()) {
                 trace_.enable(sink, opts.traceCategories, runId_);
                 trace_.labelRun(strprintf("run %u", runId_));
             }
@@ -200,23 +199,19 @@ Simulator::run(Cycle max_cycles)
 void
 Simulator::snapshotObservability()
 {
-    const ObsOptions &opts = obsOptions();
-    auto &session = detail::ObsSession::instance();
-
-    if (opts.statsWanted()) {
+    if (obsOptions().statsWanted()) {
         std::ostringstream ss;
         ss << "{\"run\":" << runId_ << ",\"cycles\":" << now_
            << ",\"stats\":";
         stats_.dumpJson(ss);
         ss << '}';
-        session.recordStats(runId_, ss.str());
+        detail::obsRecordStats(runId_, ss.str());
     }
 
     if (sampler_.active() && !sampler_.times().empty()) {
         std::string header = "run,cycle";
         for (const auto &name : sampler_.probeNames())
             header += ',' + name;
-        session.setSampleHeader(std::move(header));
 
         std::string body;
         const auto &times = sampler_.times();
@@ -234,7 +229,8 @@ Simulator::snapshotObservability()
         std::ostringstream inner;
         sampler_.dumpJson(inner);
         js << inner.str().substr(1);
-        session.recordSamples(runId_, std::move(body), js.str());
+        detail::obsRecordSamples(runId_, std::move(header),
+                                 std::move(body), js.str());
     }
 }
 

@@ -1,10 +1,10 @@
 #include "sim/trace.hpp"
 
+#include <algorithm>
 #include <array>
 #include <utility>
 
 #include "sim/json_writer.hpp"
-#include "sim/logging.hpp"
 
 namespace smarco {
 
@@ -51,7 +51,7 @@ traceCatName(TraceCat cat)
     return "?";
 }
 
-std::uint32_t
+std::optional<std::uint32_t>
 parseTraceCategories(const std::string &spec)
 {
     if (spec.empty() || spec == "all")
@@ -66,16 +66,12 @@ parseTraceCategories(const std::string &spec)
         pos = comma + 1;
         if (tok.empty())
             continue;
-        bool known = false;
-        for (const auto &[c, name] : kCatNames) {
-            if (tok == name) {
-                mask |= static_cast<std::uint32_t>(c);
-                known = true;
-                break;
-            }
-        }
-        if (!known)
-            warn("unknown trace category '%s' ignored", tok.c_str());
+        const auto cat = std::find_if(
+            kCatNames.begin(), kCatNames.end(),
+            [&](const auto &entry) { return tok == entry.second; });
+        if (cat == kCatNames.end())
+            return std::nullopt;
+        mask |= static_cast<std::uint32_t>(cat->first);
     }
     return mask;
 }

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <ostream>
 #include <string>
 
@@ -43,10 +44,10 @@ const char *traceCatName(TraceCat cat);
 
 /**
  * Parse a comma-separated category list ("core,noc,sched") into a
- * bitmask. Empty or "all" selects every category; unknown names are
- * reported via warn() and ignored.
+ * bitmask. Empty or "all" selects every category; an unknown name
+ * makes the whole list invalid (nullopt).
  */
-std::uint32_t parseTraceCategories(const std::string &spec);
+std::optional<std::uint32_t> parseTraceCategories(const std::string &spec);
 
 /**
  * Serialisation point of a trace stream: owns the comma/bracket state

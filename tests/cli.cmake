@@ -1,0 +1,60 @@
+# Drive the binaries' command lines: an example's run takes the
+# observability flags it is given, and a mistyped argument stops a
+# binary before it simulates. Called by the cli_args test as
+#
+#   cmake -DQUICKSTART=<binary> -DREALTIME_RNC=<binary>
+#         -DMAPREDUCE_WORDCOUNT=<binary> -DCDN_OFFLOAD=<binary>
+#         -DTABLE2=<binary> -DWORK=<dir> -P cli.cmake
+
+file(MAKE_DIRECTORY "${WORK}")
+
+# `bin --stats-json=F` exits 0, and F is JSON holding at least one run.
+function(expect_stats_json bin)
+    get_filename_component(name "${bin}" NAME)
+    set(out "${WORK}/${name}.stats.json")
+    file(REMOVE "${out}")
+    execute_process(COMMAND "${bin}" "--stats-json=${out}"
+        WORKING_DIRECTORY "${WORK}"
+        OUTPUT_QUIET
+        ERROR_VARIABLE err
+        RESULT_VARIABLE rc)
+    if(NOT rc EQUAL 0)
+        message(FATAL_ERROR "${name} --stats-json=${out} exited with "
+            "${rc}:\n${err}")
+    endif()
+    if(NOT EXISTS "${out}")
+        message(FATAL_ERROR "${name} --stats-json=${out} wrote no file")
+    endif()
+    file(READ "${out}" json)
+    string(JSON runs ERROR_VARIABLE bad LENGTH "${json}" runs)
+    if(bad OR runs LESS 1)
+        message(FATAL_ERROR "${out} is not a stats dump with a run: "
+            "${bad}")
+    endif()
+endfunction()
+
+# `bin arg` exits non-zero with nothing on stdout, naming arg on stderr.
+function(expect_rejected bin arg)
+    get_filename_component(name "${bin}" NAME)
+    execute_process(COMMAND "${bin}" "${arg}"
+        WORKING_DIRECTORY "${WORK}"
+        OUTPUT_VARIABLE out
+        ERROR_VARIABLE err
+        RESULT_VARIABLE rc)
+    if(rc EQUAL 0 OR NOT out STREQUAL "")
+        message(FATAL_ERROR "${name} ${arg} exited with ${rc} after "
+            "printing:\n${out}")
+    endif()
+    string(FIND "${err}" "'${arg}'" at)
+    if(at EQUAL -1)
+        message(FATAL_ERROR "${name} ${arg}: stderr does not name "
+            "'${arg}':\n${err}")
+    endif()
+endfunction()
+
+expect_rejected("${TABLE2}" "--stats_json=x")
+expect_rejected("${TABLE2}" "--sample-interval=abc")
+expect_rejected("${CDN_OFFLOAD}" "abc")
+expect_stats_json("${QUICKSTART}")
+expect_stats_json("${REALTIME_RNC}")
+expect_stats_json("${MAPREDUCE_WORDCOUNT}")

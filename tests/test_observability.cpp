@@ -455,9 +455,8 @@ TEST(Trace, CategoryParsing)
                     static_cast<std::uint32_t>(TraceCat::Noc)));
     EXPECT_EQ(parseTraceCategories("fault"),
               static_cast<std::uint32_t>(TraceCat::Fault));
-    // Unknown names warn and are ignored.
-    EXPECT_EQ(parseTraceCategories("core,bogus"),
-              static_cast<std::uint32_t>(TraceCat::Core));
+    // An unknown name invalidates the whole list.
+    EXPECT_FALSE(parseTraceCategories("core,bogus").has_value());
 }
 
 // ---------------------------------------------------------------------
@@ -681,25 +680,33 @@ class ObsOptionsTest : public ::testing::Test
     std::map<std::string, std::string> savedEnv_;
 };
 
+/** Parse `args` as the command line of a binary whose own arguments
+ *  are `usage`. */
+std::vector<std::string>
+parse(std::vector<const char *> args, const std::string &usage = "")
+{
+    args.insert(args.begin(), "binary");
+    return parseCommandLine(static_cast<int>(args.size()), args.data(),
+                            usage);
+}
+
+using Args = std::vector<std::string>;
+
 TEST_F(ObsOptionsTest, FlagAndVariableSetTheSameField)
 {
     for (const OptionCase &c : kOptionCases) {
-        obsOptions() = ObsOptions{};
-        ASSERT_TRUE(parseObsFlag(flagArg(c))) << c.flag;
+        const std::string flag = flagArg(c);
+        EXPECT_EQ(parse({flag.c_str()}), Args{}) << c.flag;
         const auto from_flag = fieldsOf(obsOptions());
 
-        obsOptions() = ObsOptions{};
         setenv(c.env, c.value, 1);
-        obsInitFromEnv();
+        EXPECT_EQ(parse({}), Args{});
         unsetenv(c.env);
         const auto from_env = fieldsOf(obsOptions());
 
         EXPECT_EQ(from_flag, from_env) << c.flag << " vs " << c.env;
         EXPECT_NE(from_flag, fieldsOf(ObsOptions{})) << c.flag;
     }
-    EXPECT_FALSE(parseObsFlag("--not-an-option=1"));
-    EXPECT_FALSE(parseObsFlag("--trace-categoriesx=core"));
-    EXPECT_FALSE(parseObsFlag("--no-fast-forward=1"));
 }
 
 TEST_F(ObsOptionsTest, CommandLineWinsOverEnvironment)
@@ -707,13 +714,62 @@ TEST_F(ObsOptionsTest, CommandLineWinsOverEnvironment)
     setenv("SMARCO_SAMPLE_INTERVAL", "100", 1);
     setenv("SMARCO_TRACE", "env.trace", 1);
     setenv("SMARCO_NO_FAST_FORWARD", "0", 1);
-    const char *argv[] = {"binary", "--sample-interval=200",
-                          "--no-fast-forward", "unrelated"};
-    obsInit(4, argv);
+    EXPECT_EQ(parse({"--sample-interval=200", "--no-fast-forward", "7"},
+                    "[count]"),
+              Args{"7"});
     EXPECT_EQ(obsOptions().sampleInterval, 200u);
     EXPECT_TRUE(obsOptions().noFastForward);
     // An option absent from the command line keeps the variable's.
     EXPECT_EQ(obsOptions().tracePath, "env.trace");
+}
+
+TEST_F(ObsOptionsTest, OwnArgumentsAreTheOnesTheUsageNames)
+{
+    EXPECT_EQ(parse({"--quick"}, "[--quick]"), Args{"--quick"});
+    EXPECT_EQ(parse({}, "[--quick]"), Args{});
+    EXPECT_EQ(countArg(parse({"16"}, "[num_tasks]"), 256), 16u);
+    EXPECT_EQ(countArg(parse({}, "[num_tasks]"), 256), 256u);
+}
+
+TEST_F(ObsOptionsTest, AnythingElseExitsNamingTheArgument)
+{
+    const auto usage = ::testing::ExitedWithCode(2);
+    // Arguments that are not options, once ignored, are rejected.
+    EXPECT_EXIT(parse({"--not-an-option=1"}), usage,
+                "unknown option '--not-an-option=1'");
+    EXPECT_EXIT(parse({"--trace-categoriesx=core"}), usage,
+                "unknown option '--trace-categoriesx=core'");
+    EXPECT_EXIT(parse({"--stats_json=x"}), usage,
+                "unknown option '--stats_json=x'");
+    EXPECT_EXIT(parse({"--quick"}), usage, "unknown option '--quick'");
+    EXPECT_EXIT(parse({"unrelated"}), usage,
+                "unexpected argument 'unrelated'");
+    EXPECT_EXIT(parse({"1", "2"}, "[count]"), usage,
+                "unexpected argument '2'");
+    // A switch takes no value, and every other flag needs one.
+    EXPECT_EXIT(parse({"--no-fast-forward=1"}), usage,
+                "malformed option '--no-fast-forward=1'");
+    EXPECT_EXIT(parse({"--stats-json"}), usage,
+                "malformed option '--stats-json'");
+    // Numbers parse in full; trace categories must all be known.
+    for (const char *bad :
+         {"--sample-interval=abc", "--sample-interval=12x",
+          "--sample-interval=", "--fault-seed=-1",
+          "--trace-categories=core,bogus"})
+        EXPECT_EXIT(parse({bad}), usage,
+                    std::string("malformed option '") + bad + "'");
+    EXPECT_EXIT(countArg(parse({"abc"}, "[clients]"), 400), usage,
+                "not a positive count 'abc'");
+    EXPECT_EXIT(countArg(parse({"0"}, "[clients]"), 400), usage,
+                "not a positive count '0'");
+    // The usage line lists the binary's own arguments and the flags.
+    EXPECT_EXIT(parse({"x"}), usage,
+                "usage: binary \\[--stats-json=...\\].* "
+                "\\[--no-fast-forward\\]");
+    // A malformed variable is an error too, naming the variable.
+    setenv("SMARCO_FAULT_SEED", "seven", 1);
+    EXPECT_EXIT(parse({}), ::testing::ExitedWithCode(1),
+                "SMARCO_FAULT_SEED=seven");
 }
 
 } // namespace
