@@ -42,9 +42,8 @@ SmarcoChip::SmarcoChip(Simulator &sim, ChipConfig cfg)
             sim_, cfg_.core, c, *this, strprintf("chip.core%03u", c)));
         dmas_.push_back(std::make_unique<mem::DmaEngine>(
             sim_.stats(), cfg_.core.spm.dmaChunkBytes,
-            [this, c](Addr src, std::uint32_t bytes,
-                      std::function<void()> done) {
-                dmaChunk(c, src, bytes, std::move(done));
+            [this, c](Addr src, std::uint32_t bytes, std::uint64_t tag) {
+                dmaChunk(c, src, bytes, tag);
             },
             strprintf("chip.dma%03u", c)));
     }
@@ -269,18 +268,13 @@ SmarcoChip::mcNodeFor(Addr addr) const
 
 void
 SmarcoChip::request(CoreId core_id, ThreadId thread, const MicroOp &op,
-                    core::MemDone done)
+                    mem::AccessClass access)
 {
     ++memRequests_;
-    MemRequest req;
-    req.write = op.isStore();
-    req.addr = op.addr;
-    req.bytes = op.size;
-    req.priority = op.priority;
-    req.core = core_id;
-    req.thread = thread;
-    req.issued = sim_.now();
-    req.done = std::move(done);
+    MemRequest req{.write = op.isStore(), .access = access,
+                   .addr = op.addr, .bytes = op.size,
+                   .priority = op.priority, .core = core_id,
+                   .thread = thread, .issued = sim_.now()};
 
     if (op.memClass == MemClass::SpmRemote) {
         const mem::MemoryMap map = cfg_.map();
@@ -293,7 +287,7 @@ SmarcoChip::request(CoreId core_id, ThreadId thread, const MicroOp &op,
 
     // Heap fills and stream accesses go to DRAM.
     if (req.priority && !req.write && directPath_->enabled())
-        sendViaDirectPath(std::move(req));
+        sendViaDirectPath(req);
     else
         sendRequest(std::move(req), mcNodeFor(op.addr),
                     op.isStore() ? PacketKind::MemWriteReq
@@ -303,14 +297,11 @@ SmarcoChip::request(CoreId core_id, ThreadId thread, const MicroOp &op,
 void
 SmarcoChip::writeback(CoreId core_id, Addr line_addr)
 {
-    MemRequest req;
-    req.write = true;
-    req.addr = line_addr;
-    req.bytes = 64;
-    req.core = core_id;
-    req.issued = sim_.now();
-    sendRequest(std::move(req), mcNodeFor(line_addr),
-                PacketKind::MemWriteReq);
+    sendRequest(MemRequest{.write = true,
+                           .access = mem::AccessClass::Writeback,
+                           .addr = line_addr, .bytes = 64,
+                           .core = core_id, .issued = sim_.now()},
+                mcNodeFor(line_addr), PacketKind::MemWriteReq);
 }
 
 void
@@ -344,26 +335,33 @@ SmarcoChip::respond(NodeId src, noc::RequestPtr req, PacketKind kind)
 void
 SmarcoChip::complete(const MemRequest &req)
 {
-    if (!req.write)
+    switch (req.access) {
+      case mem::AccessClass::Load:
         memLatency_.sample(static_cast<double>(sim_.now() - req.issued));
-    if (req.done)
-        req.done();
+        cores_[req.core]->loadDone(req.thread);
+        return;
+      case mem::AccessClass::Store:
+        cores_[req.core]->storeDone();
+        return;
+      case mem::AccessClass::Writeback:
+        return;
+      case mem::AccessClass::DmaChunk:
+        // A staging chunk is untimed.
+        dmas_[req.core]->chunkDone(req.id);
+        return;
+    }
 }
 
 void
-SmarcoChip::sendViaDirectPath(MemRequest &&req)
+SmarcoChip::sendViaDirectPath(const MemRequest &req)
 {
     ++priorityDirect_;
     const std::uint32_t ring = req.core / cfg_.noc.coresPerSubRing;
-    const Addr addr = req.addr;
-    const std::uint32_t bytes = req.bytes;
-    auto fetch = [this, ring, addr, bytes,
-                  req = std::move(req)]() mutable {
-        dram_->serve(addr, bytes, sim_.now(),
-                     [this, ring, bytes, req = std::move(req)]() mutable {
+    auto fetch = [this, ring, req]() {
+        dram_->serve(req.addr, req.bytes, sim_.now(), [this, ring, req]() {
             directPath_->transfer(
-                ring, mem::kReqHeaderBytes + bytes, sim_.now(),
-                [this, req = std::move(req)]() { complete(req); });
+                ring, mem::kReqHeaderBytes + req.bytes, sim_.now(),
+                [this, req]() { complete(req); });
         });
     };
     directPath_->transfer(ring, mem::kReadReqBytes, sim_.now(),
@@ -492,11 +490,8 @@ SmarcoChip::handleCorePacket(CoreId core_id, Packet &&pkt)
         return;
       case PacketKind::MemReadResp:
       case PacketKind::SpmRemoteResp:
-        complete(*carried);
-        return;
       case PacketKind::DmaChunk:
-        // A staging chunk runs its engine's completion, untimed.
-        carried->done();
+        complete(*carried);
         return;
       default:
         panic("core %u: unexpected packet kind %s", core_id,
@@ -521,16 +516,14 @@ SmarcoChip::stageTask(CoreId core_id, const workloads::TaskSpec &task,
 
 void
 SmarcoChip::dmaChunk(CoreId core_id, Addr src, std::uint32_t bytes,
-                     std::function<void()> done)
+                     std::uint64_t tag)
 {
     // A staging chunk is a DRAM read answered with the data.
-    MemRequest req;
-    req.addr = src;
-    req.bytes = bytes;
-    req.core = core_id;
-    req.issued = sim_.now();
-    req.done = std::move(done);
-    sendRequest(std::move(req), mcNodeFor(src), PacketKind::DmaChunk);
+    sendRequest(MemRequest{.id = tag,
+                           .access = mem::AccessClass::DmaChunk,
+                           .addr = src, .bytes = bytes, .core = core_id,
+                           .issued = sim_.now()},
+                mcNodeFor(src), PacketKind::DmaChunk);
 }
 
 bool

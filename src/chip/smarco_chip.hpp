@@ -119,7 +119,7 @@ class SmarcoChip : public core::MemPort
 
     // --- MemPort --------------------------------------------------------
     void request(CoreId core, ThreadId thread, const isa::MicroOp &op,
-                 core::MemDone done) override;
+                 mem::AccessClass access) override;
     void writeback(CoreId core, Addr line_addr) override;
 
   private:
@@ -134,9 +134,10 @@ class SmarcoChip : public core::MemPort
     /** Send req back from src to its core in a kind packet. */
     void respond(noc::NodeId src, noc::RequestPtr req,
                  noc::PacketKind kind);
-    /** Finish a core's request: time a load, then run its done. */
+    /** Finish a request by its access class: time and wake a load,
+     *  free a store's buffer slot, land a DMA chunk (untimed). */
     void complete(const mem::MemRequest &req);
-    void sendViaDirectPath(mem::MemRequest &&req);
+    void sendViaDirectPath(const mem::MemRequest &req);
     void handleMcPacket(std::uint32_t mc, noc::Packet &&pkt);
     void handleGatewayPacket(std::uint32_t gw, noc::Packet &&pkt);
     void handleCorePacket(CoreId core, noc::Packet &&pkt);
@@ -144,9 +145,9 @@ class SmarcoChip : public core::MemPort
     void onMactBatch(std::uint32_t gw, mem::MactBatch &&batch);
     void stageTask(CoreId core, const workloads::TaskSpec &task,
                    std::function<void()> ready);
-    /** Move one DMA chunk from DRAM at src into core's own SPM. */
+    /** Move one chunk of DMA transfer tag from DRAM to core's SPM. */
     void dmaChunk(CoreId core, Addr src, std::uint32_t bytes,
-                  std::function<void()> done);
+                  std::uint64_t tag);
 
     Simulator &sim_;
     ChipConfig cfg_;

@@ -7,20 +7,18 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "isa/micro_op.hpp"
+#include "mem/mem_types.hpp"
 #include "sim/types.hpp"
 
 namespace smarco::core {
 
-/** Completion callback for an off-core memory operation. */
-using MemDone = std::function<void()>;
-
 /**
- * Off-core memory port. All methods are fire-and-remember: the chip
- * invokes done when the operation completes (possibly many cycles
- * later); done may be empty for operations nobody waits on.
+ * Off-core memory port. All methods are fire-and-forget: the port
+ * completes a request by its access class, possibly many cycles
+ * later, through the issuing core's TcgCore::loadDone (a load) or
+ * TcgCore::storeDone (a store); a writeback completes silently.
  */
 class MemPort
 {
@@ -30,10 +28,12 @@ class MemPort
     /**
      * A demand access that missed the local structures: heap D-cache
      * line fill, remote-SPM access, or uncached stream access. The
-     * micro-op carries class, address, size and priority.
+     * micro-op carries address, size and priority; access is Load for
+     * a blocking load and Store for a posted store.
      */
     virtual void request(CoreId core, ThreadId thread,
-                         const isa::MicroOp &op, MemDone done) = 0;
+                         const isa::MicroOp &op,
+                         mem::AccessClass access) = 0;
 
     /** Write back a dirty 64-byte victim line to memory. */
     virtual void writeback(CoreId core, Addr line_addr) = 0;

@@ -216,8 +216,10 @@ TcgCore::stallThread(std::uint32_t ctx_idx, Cycle now)
 }
 
 void
-TcgCore::wakeThread(std::uint32_t ctx_idx, Cycle now)
+TcgCore::loadDone(ThreadId ctx_idx)
 {
+    --pendingResponses_;
+    const Cycle now = sim_.now();
     sim_.wake(this);
     Context &ctx = contexts_[ctx_idx];
     if (ctx.killed) {
@@ -427,10 +429,7 @@ TcgCore::issueBlockingLoad(std::uint32_t ctx_idx, Context &ctx,
     commitOp(ctx);
     ++pendingResponses_;
     stallThread(ctx_idx, now);
-    port_.request(id_, ctx_idx, op, [this, ctx_idx]() {
-        --pendingResponses_;
-        wakeThread(ctx_idx, sim_.now());
-    });
+    port_.request(id_, ctx_idx, op, mem::AccessClass::Load);
     return false;
 }
 
@@ -442,8 +441,17 @@ TcgCore::issuePostedStore(std::uint32_t ctx_idx, Context &ctx,
         return false; // retry next cycle (op stays pending)
     ++storeBufferUsed_;
     commitOp(ctx);
-    port_.request(id_, ctx_idx, op, [this]() { --storeBufferUsed_; });
+    port_.request(id_, ctx_idx, op, mem::AccessClass::Store);
     return true;
+}
+
+void
+TcgCore::storeDone()
+{
+    if (storeBufferUsed_ == 0)
+        panic("core %u: store completion with an empty store buffer",
+              id_);
+    --storeBufferUsed_;
 }
 
 bool

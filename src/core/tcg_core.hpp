@@ -173,6 +173,12 @@ class TcgCore : public Ticking
      */
     std::uint64_t taskProgress(TaskId id) const;
 
+    /** The port's completions: a blocking load wakes its stalled
+     *  context, a posted store frees its store-buffer slot. Each
+     *  panics when it has nothing outstanding to complete. */
+    void loadDone(ThreadId ctx_idx);
+    void storeDone();
+
   private:
     enum class State : std::uint8_t {
         Idle,    ///< no task attached
@@ -215,7 +221,6 @@ class TcgCore : public Ticking
     void traceTaskDone(const Context &ctx, std::uint32_t ctx_idx,
                        Cycle now);
     void stallThread(std::uint32_t ctx_idx, Cycle now);
-    void wakeThread(std::uint32_t ctx_idx, Cycle now);
     /** Give a vacated run slot to the context's Ready friend. */
     void handOffSlot(std::uint32_t ctx_idx);
     void finishTask(std::uint32_t ctx_idx, Cycle now);

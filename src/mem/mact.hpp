@@ -35,10 +35,10 @@ struct MactParams {
 
 /**
  * The collection table. collect() either absorbs a request (returns
- * true and takes it over, completion included; the caller must not
- * forward it) or refuses it (priority, oversize, line-straddling),
- * leaving it untouched for the caller to forward on the ordinary
- * path. Flushed batches are handed to the sink installed by the chip.
+ * true and takes it over; the caller must not forward it) or
+ * refuses it (priority, oversize, line-straddling), leaving it
+ * untouched for the caller to forward on the ordinary path. Flushed
+ * batches are handed to the sink installed by the chip.
  */
 class Mact : public Ticking
 {

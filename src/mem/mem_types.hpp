@@ -5,7 +5,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "sim/types.hpp"
@@ -51,16 +51,24 @@ struct MemoryMap {
     }
 };
 
+/** What a memory request is, and so how the chip completes it. */
+enum class AccessClass : std::uint8_t {
+    Load,      ///< a core's blocking load: timed, wakes its context
+    Store,     ///< a core's posted store: frees a store-buffer slot
+    Writeback, ///< a dirty victim line nobody waits on
+    DmaChunk   ///< one chunk of a DMA transfer into the core's SPM
+};
+
 /**
- * A single in-flight memory request. It carries its own completion
- * through the NoC and the MACT, so whoever finishes it (the memory
- * controller for a posted write, the response for a read) runs done
- * with no lookup.
+ * A single in-flight memory request: plain data. It rides the NoC and
+ * the MACT from its core to whatever serves it and back, and the chip
+ * completes it by its access class (SmarcoChip::complete).
  */
 struct MemRequest {
-    /** Caller-chosen tag; the chip leaves it 0. */
+    /** A DMA chunk's transfer tag (DmaEngine::chunkDone); else 0. */
     std::uint64_t id = 0;
     bool write = false;
+    AccessClass access = AccessClass::Load;
     Addr addr = kNoAddr;
     std::uint32_t bytes = 0;
     /** Superior real-time priority: bypasses MACT, may use the
@@ -69,18 +77,17 @@ struct MemRequest {
     CoreId core = 0;
     ThreadId thread = 0;
     Cycle issued = 0;
-    /** Completion, run once when the request is served; may be
-     *  empty (writebacks nobody waits on). */
-    std::function<void()> done;
 };
+
+// A request is data, so no completion closure can ride it.
+static_assert(std::is_trivially_copyable_v<MemRequest>);
 
 /** One flushed MACT batch: a merged per-line memory access. */
 struct MactBatch {
     bool write = false;
     Addr lineBase = kNoAddr;
     std::uint64_t vector = 0;
-    /** The original requests merged into this batch, completions
-     *  included. */
+    /** The original requests merged into this batch. */
     std::vector<MemRequest> requests;
 
     /** Number of distinct bytes covered by the bitmap. */

@@ -1,6 +1,6 @@
 #include "mem/spm.hpp"
 
-#include <memory>
+#include <algorithm>
 #include <utility>
 
 #include "sim/logging.hpp"
@@ -60,44 +60,56 @@ DmaEngine::start(Addr src, std::uint64_t bytes,
 
     ++transfers_;
     bytesMoved_ += static_cast<double>(bytes);
+    chunkCount_ += static_cast<double>((bytes + chunkBytes_ - 1) /
+                                       chunkBytes_);
+    pending_.push_back(Transfer{src, bytes, 0, std::move(done)});
+    issueNext();
+}
 
-    const std::uint64_t chunks =
-        (bytes + chunkBytes_ - 1) / chunkBytes_;
-    chunkCount_ += static_cast<double>(chunks);
-
-    // Shared countdown across chunk completions; only a bounded
-    // window of chunks is in flight at once so a large transfer does
-    // not flood the NoC in a single cycle.
-    auto remaining = std::make_shared<std::uint64_t>(chunks);
-    auto on_chunk = [this, remaining, done = std::move(done)]() {
-        --outstanding_;
-        if (--*remaining == 0 && done)
-            done();
-        issueNext();
-    };
-
-    std::uint64_t off = 0;
-    for (std::uint64_t c = 0; c < chunks; ++c) {
-        const std::uint32_t sz = static_cast<std::uint32_t>(
-            std::min<std::uint64_t>(chunkBytes_, bytes - off));
-        queue_.push_back(Chunk{src + off, sz, on_chunk});
-        off += sz;
+void
+DmaEngine::chunkDone(std::uint64_t tag)
+{
+    const std::uint64_t i = tag - firstTag_; // wraps below firstTag_
+    if (i >= pending_.size() || pending_[i].inFlight == 0)
+        panic("DmaEngine: no chunk of transfer %llu in flight",
+              static_cast<unsigned long long>(tag));
+    --outstanding_;
+    std::function<void()> done;
+    if (--pending_[i].inFlight == 0 && pending_[i].unsent == 0) {
+        done = std::move(pending_[i].done);
+        // Finished transfers leave from the front only, so the tags
+        // of those still in flight keep their indices.
+        while (!pending_.empty() && pending_.front().inFlight == 0 &&
+               pending_.front().unsent == 0) {
+            pending_.erase(pending_.begin());
+            ++firstTag_;
+            --issueAt_;
+        }
     }
+    if (done)
+        done();
     issueNext();
 }
 
 void
 DmaEngine::issueNext()
 {
+    // Only a bounded window of chunks is in flight at once so a large
+    // transfer does not flood the NoC in a single cycle.
     while (outstanding_ < maxOutstanding_ &&
-           queueHead_ < queue_.size()) {
-        Chunk chunk = std::move(queue_[queueHead_++]);
+           issueAt_ < pending_.size()) {
+        Transfer &t = pending_[issueAt_];
+        const Addr src = t.next;
+        const std::uint32_t sz = static_cast<std::uint32_t>(
+            std::min<std::uint64_t>(chunkBytes_, t.unsent));
+        const std::uint64_t tag = firstTag_ + issueAt_;
+        t.next += sz;
+        t.unsent -= sz;
+        ++t.inFlight;
+        if (t.unsent == 0)
+            ++issueAt_;
         ++outstanding_;
-        transport_(chunk.src, chunk.bytes, std::move(chunk.onChunk));
-    }
-    if (queueHead_ == queue_.size()) {
-        queue_.clear();
-        queueHead_ = 0;
+        transport_(src, sz, tag);
     }
 }
 

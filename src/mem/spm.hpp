@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "sim/stats.hpp"
 #include "sim/types.hpp"
@@ -54,16 +55,17 @@ class Spm
 /**
  * DMA engine attached to an SPM. The engine hands chunk-granularity
  * reads to the transport it is built with (on the chip, one that
- * sends each to DRAM and answers the owning core) and invokes the
- * completion callback when every chunk has been acknowledged.
+ * sends each to DRAM and answers the owning core), each tagged with
+ * its transfer; whoever serves a chunk reports it with chunkDone(tag),
+ * and a transfer's completion runs when its last chunk lands.
  */
 class DmaEngine
 {
   public:
-    /** Transport: move one chunk from src into the SPM; call done()
-     *  when it completes. */
-    using Transport = std::function<void(
-        Addr src, std::uint32_t bytes, std::function<void()> done)>;
+    /** Transport: move one chunk from src into the SPM; report it
+     *  with chunkDone(tag) when it lands. */
+    using Transport =
+        std::function<void(Addr src, std::uint32_t bytes, std::uint64_t tag)>;
 
     DmaEngine(StatRegistry &stats, std::uint32_t chunk_bytes,
               Transport transport, const std::string &stat_prefix,
@@ -71,15 +73,22 @@ class DmaEngine
 
     /**
      * Start a transfer of bytes from src into the SPM; done runs once
-     * the final chunk completes. Multiple transfers may be in flight.
+     * the final chunk completes. Multiple transfers may be in flight;
+     * their chunks issue in start order.
      */
     void start(Addr src, std::uint64_t bytes, std::function<void()> done);
 
+    /** One chunk of transfer tag landed; panics when the transfer has
+     *  no chunk in flight. */
+    void chunkDone(std::uint64_t tag);
+
   private:
-    struct Chunk {
-        Addr src;
-        std::uint32_t bytes;
-        std::function<void()> onChunk;
+    /** One started transfer that has not finished. */
+    struct Transfer {
+        Addr next;              ///< source of its next unissued chunk
+        std::uint64_t unsent;   ///< bytes not yet issued
+        std::uint32_t inFlight; ///< chunks issued, not landed
+        std::function<void()> done;
     };
 
     void issueNext();
@@ -88,8 +97,12 @@ class DmaEngine
     std::uint32_t maxOutstanding_;
     Transport transport_;
     std::uint32_t outstanding_ = 0;
-    std::vector<Chunk> queue_;   ///< pending chunks, FIFO by index
-    std::size_t queueHead_ = 0;
+    /** Unfinished transfers in start order; pending_[i] has tag
+     *  firstTag_ + i. */
+    std::vector<Transfer> pending_;
+    std::uint64_t firstTag_ = 0;
+    /** Index of the first transfer with unissued bytes. */
+    std::size_t issueAt_ = 0;
     Scalar transfers_;
     Scalar chunkCount_;
     Scalar bytesMoved_;

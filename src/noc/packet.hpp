@@ -66,16 +66,17 @@ using TaskPtr = std::shared_ptr<const workloads::TaskSpec>;
  * packet to the endpoint handler at its final destination, which
  * reads what the packet carries by its kind. A core's request
  * (MemReadReq, MemWriteReq, DmaChunk, SpmRemoteReq) carries its
- * mem::MemRequest, completion included, and the response
- * (MemReadResp, DmaChunk, SpmRemoteResp) carries the same record back
- * to the core. A MactBatchReq/Resp carries its mem::MactBatch, and a
- * Control packet the task it hands off to a sub-ring.
+ * mem::MemRequest, and the response (MemReadResp, DmaChunk,
+ * SpmRemoteResp) carries the same record back to the core, where the
+ * chip completes it by its access class. A MactBatchReq/Resp carries
+ * its mem::MactBatch, and a Control packet the task it hands off to a
+ * sub-ring.
  *
  * The carried object is held by pointer so a packet stays small on
  * every ring hop. Packets are copyable: a ring's duplicate fault
  * copies one, sharing the carried object, and ring dedup (on
  * whenever duplication is armed) drops the copy before any endpoint
- * reads it, so a carried completion still runs exactly once.
+ * reads it, so the chip still completes each request exactly once.
  */
 struct Packet {
     std::uint64_t id = 0;

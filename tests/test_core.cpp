@@ -30,16 +30,23 @@ using isa::OpKind;
 
 namespace {
 
-/** MemPort completing every request after a fixed latency. */
+/** MemPort completing every request of its one core (set after the
+ *  core is built) after a fixed latency. */
 struct FixedLatencyPort : MemPort {
     explicit FixedLatencyPort(Simulator &sim, Cycle latency)
         : sim(sim), latency(latency) {}
 
     void
-    request(CoreId, ThreadId, const MicroOp &, MemDone done) override
+    request(CoreId, ThreadId thread, const MicroOp &,
+            mem::AccessClass access) override
     {
         ++requests;
-        sim.events().schedule(sim.now() + latency, std::move(done));
+        sim.events().schedule(sim.now() + latency, [this, thread, access] {
+            if (access == mem::AccessClass::Load)
+                core->loadDone(thread);
+            else
+                core->storeDone();
+        });
     }
 
     void
@@ -50,6 +57,7 @@ struct FixedLatencyPort : MemPort {
 
     Simulator &sim;
     Cycle latency;
+    TcgCore *core = nullptr;
     int requests = 0;
     int writebacks = 0;
 };
@@ -118,6 +126,7 @@ struct CoreFixture : ::testing::Test {
     {
         port = std::make_unique<FixedLatencyPort>(sim, mem_latency);
         core = std::make_unique<TcgCore>(sim, params, 0, *port, "core");
+        port->core = core.get();
         return *core;
     }
 };
@@ -264,6 +273,7 @@ TEST_F(CoreFixture, InPairThreadsHideMemoryLatency)
         p.maxRunning = threads <= 4 ? threads : 4;
         FixedLatencyPort prt(s, 60);
         TcgCore c(s, p, 0, prt, "c");
+        prt.core = &c;
         for (std::uint32_t t = 0; t < threads; ++t) {
             std::vector<MicroOp> ops;
             for (int i = 0; i < 40; ++i) {
@@ -352,6 +362,7 @@ TEST_F(CoreFixture, IpcImprovesWithThreads)
         p.maxRunning = std::min<std::uint32_t>(threads, 4);
         FixedLatencyPort prt(s, 60);
         TcgCore c(s, p, 0, prt, "c");
+        prt.core = &c;
         const auto &prof = workloads::htcProfile("wordcount");
         for (std::uint32_t t = 0; t < threads; ++t) {
             workloads::TaskSpec ts;
@@ -386,6 +397,7 @@ TEST_F(CoreFixture, SharedInstrSegmentAvoidsStarvation)
         p.sharedInstrSegment = shared;
         FixedLatencyPort prt(s, 60);
         TcgCore c(s, p, 0, prt, "c");
+        prt.core = &c;
         const auto &prof = workloads::htcProfile("search"); // 12KB code
         for (std::uint32_t t = 0; t < 8; ++t) {
             workloads::TaskSpec ts;
@@ -548,6 +560,7 @@ TEST(CoreKernelModes, StalledCoreStatsMatchForcedModeAtEverySliceEnd)
         Stimulus before;
         sim.addTicking(&before);
         TcgCore c(sim, p, 0, port, "core");
+        port.core = &c;
         Stimulus after;
         sim.addTicking(&after);
         std::vector<TaskId> failed;
@@ -631,4 +644,23 @@ TEST(CoreDeathTest, TaskWithoutProfilePanics)
         sim.run(1000);
     };
     EXPECT_DEATH(attach(), "task 7 has no profile");
+}
+
+TEST(CoreDeathTest, CompletionWithNothingOutstandingPanics)
+{
+    // The port completes each request exactly once: a store
+    // completion with an empty store buffer, or a load completion for
+    // a context that is not stalled, is a model fault.
+    const auto complete = [](bool store) {
+        Simulator sim;
+        FixedLatencyPort port(sim, 50);
+        TcgCore c(sim, CoreParams{}, 0, port, "core");
+        if (store)
+            c.storeDone();
+        else
+            c.loadDone(0);
+    };
+    EXPECT_DEATH(complete(true),
+                 "core 0: store completion with an empty store buffer");
+    EXPECT_DEATH(complete(false), "core 0: waking context 0 in state 0");
 }

@@ -196,19 +196,28 @@ stageNow(CoreId, const workloads::TaskSpec &, std::function<void()> ready)
 struct SchedEnv {
     Simulator sim;
 
+    /** Completes every request of cores at once. */
     struct NullPort : core::MemPort {
+        explicit NullPort(
+            std::vector<std::unique_ptr<core::TcgCore>> &cores)
+            : cores(cores) {}
+
         void
-        request(CoreId, ThreadId, const isa::MicroOp &,
-                core::MemDone done) override
+        request(CoreId core, ThreadId thread, const isa::MicroOp &,
+                mem::AccessClass access) override
         {
-            if (done)
-                done();
+            if (access == mem::AccessClass::Load)
+                cores[core]->loadDone(thread);
+            else
+                cores[core]->storeDone();
         }
         void writeback(CoreId, Addr) override {}
+
+        std::vector<std::unique_ptr<core::TcgCore>> &cores;
     };
 
-    NullPort port;
     std::vector<std::unique_ptr<core::TcgCore>> cores;
+    NullPort port{cores};
 
     SubScheduler &
     make(SchedPolicy policy, std::uint32_t num_cores = 2)
@@ -321,8 +330,8 @@ TEST_F(SchedFixture, LoadCountsQueuedAndInFlight)
 TEST(MainScheduler, BalancesAcrossSubRings)
 {
     Simulator sim;
-    SchedEnv::NullPort port;
     std::vector<std::unique_ptr<core::TcgCore>> cores;
+    SchedEnv::NullPort port{cores};
     std::vector<std::unique_ptr<SubScheduler>> subs;
     SubSchedulerParams sp;
     for (std::uint32_t g = 0; g < 4; ++g) {

@@ -4,6 +4,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <vector>
 
 #include "mem/spm.hpp"
@@ -37,22 +38,31 @@ TEST(Spm, AccessCounts)
 
 namespace {
 
-/** Transport that records chunks and completes them on demand. */
+/** Transport that records chunks; a test lands them on demand. */
 struct ManualTransport {
     struct Chunk {
         Addr src;
         std::uint32_t bytes;
-        std::function<void()> done;
+        std::uint64_t tag;
+        bool landed = false;
     };
     std::vector<Chunk> chunks;
 
     DmaEngine::Transport
     fn()
     {
-        return [this](Addr s, std::uint32_t b,
-                      std::function<void()> done) {
-            chunks.push_back(Chunk{s, b, std::move(done)});
+        return [this](Addr s, std::uint32_t b, std::uint64_t tag) {
+            chunks.push_back(Chunk{s, b, tag});
         };
+    }
+
+    /** Report chunk i to dma as landed. */
+    void
+    land(DmaEngine &dma, std::size_t i)
+    {
+        ASSERT_FALSE(chunks[i].landed) << "chunk " << i;
+        chunks[i].landed = true;
+        dma.chunkDone(chunks[i].tag);
     }
 };
 
@@ -77,9 +87,9 @@ TEST(Dma, SplitsIntoChunksWithWindow)
 
     // done runs with the final chunk, not before.
     for (std::size_t i = 0; i + 1 < tr.chunks.size(); ++i)
-        tr.chunks[i].done();
+        tr.land(dma, i);
     EXPECT_FALSE(done);
-    tr.chunks.back().done();
+    tr.land(dma, tr.chunks.size() - 1);
     EXPECT_TRUE(done);
 }
 
@@ -92,20 +102,18 @@ TEST(Dma, WindowLimitsOutstandingChunks)
     bool done = false;
     dma.start(0, 64 * 10, [&] { done = true; });
     EXPECT_EQ(tr.chunks.size(), 2u); // window of 2
-    tr.chunks[0].done();
+    tr.land(dma, 0);
     EXPECT_EQ(tr.chunks.size(), 3u); // next chunk issued
-    tr.chunks[1].done();
-    tr.chunks[2].done();
+    tr.land(dma, 1);
+    tr.land(dma, 2);
     EXPECT_EQ(tr.chunks.size(), 5u);
     while (tr.chunks.size() < 10 || !done) {
         bool progressed = false;
-        // Index loop: completing a chunk appends new ones, which
-        // would invalidate range-for iterators.
+        // Index loop: landing a chunk appends new ones, which would
+        // invalidate range-for iterators.
         for (std::size_t i = 0; i < tr.chunks.size(); ++i) {
-            if (tr.chunks[i].done) {
-                auto d = std::move(tr.chunks[i].done);
-                tr.chunks[i].done = nullptr;
-                d();
+            if (!tr.chunks[i].landed) {
+                tr.land(dma, i);
                 progressed = true;
             }
         }
@@ -136,9 +144,61 @@ TEST(Dma, ConcurrentTransfersTracked)
     dma.start(0x2000, 128, [&] { ++done_count; });
     EXPECT_EQ(tr.chunks.size(), 2u);
     EXPECT_EQ(done_count, 0);
-    tr.chunks[0].done();
+    tr.land(dma, 0);
     EXPECT_EQ(done_count, 1);
-    tr.chunks[1].done();
+    tr.land(dma, 1);
     EXPECT_EQ(done_count, 2);
     EXPECT_EQ(reg.get("dma.transfers").value(), 2.0);
+}
+
+TEST(Dma, ChunksCompleteOutOfOrder)
+{
+    // Two overlapping transfers whose chunks land in reverse: each
+    // done runs once, when its own last chunk lands.
+    StatRegistry reg;
+    ManualTransport tr;
+    DmaEngine dma(reg, 64, tr.fn(), "dma", /*max_outstanding=*/8);
+    int first = 0;
+    int second = 0;
+    dma.start(0x1000, 64 * 3, [&] { ++first; });
+    dma.start(0x2000, 64 * 2, [&] { ++second; });
+    ASSERT_EQ(tr.chunks.size(), 5u);
+    EXPECT_NE(tr.chunks[0].tag, tr.chunks[3].tag);
+    EXPECT_EQ(tr.chunks[3].src, 0x2000u);
+
+    tr.land(dma, 4);
+    EXPECT_EQ(second, 0);
+    tr.land(dma, 3);
+    EXPECT_EQ(second, 1);
+    EXPECT_EQ(first, 0);
+    tr.land(dma, 2);
+    tr.land(dma, 1);
+    EXPECT_EQ(first, 0);
+    tr.land(dma, 0);
+    EXPECT_EQ(first, 1);
+    EXPECT_EQ(second, 1);
+
+    // The engine is empty again: a later transfer runs as the first.
+    int third = 0;
+    dma.start(0x3000, 64, [&] { ++third; });
+    ASSERT_EQ(tr.chunks.size(), 6u);
+    tr.land(dma, 5);
+    EXPECT_EQ(third, 1);
+    EXPECT_EQ(first, 1);
+    EXPECT_EQ(second, 1);
+}
+
+TEST(DmaDeathTest, ChunkWithNoneInFlightPanics)
+{
+    // A chunk that lands twice (or for a finished transfer) is a
+    // model fault, not a second completion.
+    const auto twice = [] {
+        StatRegistry reg;
+        ManualTransport tr;
+        DmaEngine dma(reg, 64, tr.fn(), "dma");
+        dma.start(0, 64, [] {});
+        dma.chunkDone(tr.chunks[0].tag);
+        dma.chunkDone(tr.chunks[0].tag);
+    };
+    EXPECT_DEATH(twice(), "no chunk of transfer 0 in flight");
 }
