@@ -30,7 +30,8 @@ SmarcoChip::SmarcoChip(Simulator &sim, ChipConfig cfg)
     network_ = std::make_unique<noc::Network>(
         sim_, cfg_.noc, cfg_.dram.channels, "chip.noc");
     directPath_ = std::make_unique<noc::DirectPath>(
-        sim_, cfg_.directPath, cfg_.noc.numSubRings, "chip.direct");
+        sim_.stats(), cfg_.directPath, cfg_.noc.numSubRings,
+        "chip.direct");
     dram_ = std::make_unique<mem::DramController>(
         sim_, cfg_.dram, "chip.dram");
 
@@ -280,7 +281,7 @@ SmarcoChip::request(CoreId core_id, ThreadId thread, const MicroOp &op,
         const mem::MemoryMap map = cfg_.map();
         const CoreId owner =
             map.isSpm(op.addr) ? map.spmOwner(op.addr) : core_id;
-        sendRequest(std::move(req), NodeId{NodeKind::Core, owner},
+        sendRequest(req, NodeId{NodeKind::Core, owner},
                     PacketKind::SpmRemoteReq);
         return;
     }
@@ -289,7 +290,7 @@ SmarcoChip::request(CoreId core_id, ThreadId thread, const MicroOp &op,
     if (req.priority && !req.write && directPath_->enabled())
         sendViaDirectPath(req);
     else
-        sendRequest(std::move(req), mcNodeFor(op.addr),
+        sendRequest(req, mcNodeFor(op.addr),
                     op.isStore() ? PacketKind::MemWriteReq
                                  : PacketKind::MemReadReq);
 }
@@ -305,7 +306,8 @@ SmarcoChip::writeback(CoreId core_id, Addr line_addr)
 }
 
 void
-SmarcoChip::sendRequest(MemRequest &&req, NodeId dst, PacketKind kind)
+SmarcoChip::sendRequest(const MemRequest &req, NodeId dst,
+                        PacketKind kind)
 {
     Packet pkt;
     pkt.src = NodeId{NodeKind::Core, req.core};
@@ -315,20 +317,20 @@ SmarcoChip::sendRequest(MemRequest &&req, NodeId dst, PacketKind kind)
     pkt.payloadBytes = req.write ? mem::kReqHeaderBytes + req.bytes
                                  : mem::kReadReqBytes;
     pkt.priority = req.priority;
-    pkt.payload = std::make_shared<MemRequest>(std::move(req));
+    pkt.payload = req;
     network_->send(std::move(pkt));
 }
 
 void
-SmarcoChip::respond(NodeId src, noc::RequestPtr req, PacketKind kind)
+SmarcoChip::respond(NodeId src, const MemRequest &req, PacketKind kind)
 {
     Packet pkt;
     pkt.src = src;
-    pkt.dst = NodeId{NodeKind::Core, req->core};
+    pkt.dst = NodeId{NodeKind::Core, req.core};
     pkt.kind = kind;
-    pkt.payloadBytes = mem::kReqHeaderBytes + req->bytes;
-    pkt.priority = req->priority;
-    pkt.payload = std::move(req);
+    pkt.payloadBytes = mem::kReqHeaderBytes + req.bytes;
+    pkt.priority = req.priority;
+    pkt.payload = req;
     network_->send(std::move(pkt));
 }
 
@@ -359,13 +361,14 @@ SmarcoChip::sendViaDirectPath(const MemRequest &req)
     const std::uint32_t ring = req.core / cfg_.noc.coresPerSubRing;
     auto fetch = [this, ring, req]() {
         dram_->serve(req.addr, req.bytes, sim_.now(), [this, ring, req]() {
-            directPath_->transfer(
-                ring, mem::kReqHeaderBytes + req.bytes, sim_.now(),
-                [this, req]() { complete(req); });
+            const Cycle back = directPath_->transfer(
+                ring, mem::kReqHeaderBytes + req.bytes, sim_.now());
+            sim_.events().schedule(back, [this, req]() { complete(req); });
         });
     };
-    directPath_->transfer(ring, mem::kReadReqBytes, sim_.now(),
-                          std::move(fetch));
+    const Cycle there =
+        directPath_->transfer(ring, mem::kReadReqBytes, sim_.now());
+    sim_.events().schedule(there, std::move(fetch));
 }
 
 bool
@@ -374,7 +377,7 @@ SmarcoChip::interceptAtGateway(std::uint32_t gw, Packet &pkt)
     if (pkt.kind != PacketKind::MemReadReq &&
         pkt.kind != PacketKind::MemWriteReq)
         return false;
-    return macts_[gw]->collect(*std::get<noc::RequestPtr>(pkt.payload),
+    return macts_[gw]->collect(std::get<MemRequest>(pkt.payload),
                                sim_.now());
 }
 
@@ -386,7 +389,7 @@ SmarcoChip::onMactBatch(std::uint32_t gw, mem::MactBatch &&batch)
     pkt.dst = mcNodeFor(batch.lineBase);
     pkt.kind = PacketKind::MactBatchReq;
     pkt.payloadBytes = batch.wireBytes();
-    pkt.payload = std::make_shared<mem::MactBatch>(std::move(batch));
+    pkt.payload = std::move(batch);
     network_->send(std::move(pkt));
 }
 
@@ -397,8 +400,7 @@ SmarcoChip::handleMcPacket(std::uint32_t mc, Packet &&pkt)
       case PacketKind::MemReadReq:
       case PacketKind::MemWriteReq:
       case PacketKind::DmaChunk: {
-        noc::RequestPtr &carried = std::get<noc::RequestPtr>(pkt.payload);
-        MemRequest &req = *carried;
+        const MemRequest &req = std::get<MemRequest>(pkt.payload);
         if (req.write) {
             // Posted write (store or writeback): complete at the
             // controller.
@@ -411,8 +413,8 @@ SmarcoChip::handleMcPacket(std::uint32_t mc, Packet &&pkt)
         // Staging chunks ride the bulk class so they cannot queue
         // ahead of pipeline-stalling demand reads.
         dram_->serve(req.addr, req.bytes, sim_.now(),
-                     [this, mc, is_dma, r = std::move(carried)]() mutable {
-            respond(NodeId{NodeKind::MemCtrl, mc}, std::move(r),
+                     [this, mc, is_dma, req]() {
+            respond(NodeId{NodeKind::MemCtrl, mc}, req,
                     is_dma ? PacketKind::DmaChunk
                            : PacketKind::MemReadResp);
         }, is_dma ? mem::DramClass::Bulk
@@ -421,8 +423,7 @@ SmarcoChip::handleMcPacket(std::uint32_t mc, Packet &&pkt)
       }
 
       case PacketKind::MactBatchReq: {
-        noc::BatchPtr &carried = std::get<noc::BatchPtr>(pkt.payload);
-        const mem::MactBatch &batch = *carried;
+        mem::MactBatch &batch = std::get<mem::MactBatch>(pkt.payload);
         if (batch.write) {
             // One DRAM write covering every merged store.
             dram_->serve(batch.lineBase, batch.coveredBytes(),
@@ -432,21 +433,20 @@ SmarcoChip::handleMcPacket(std::uint32_t mc, Packet &&pkt)
             return;
         }
         // Read batch: one DRAM access, one response to the gateway.
+        const Addr line = batch.lineBase;
         const std::uint32_t data = batch.coveredBytes();
         const std::uint32_t home_gw = batch.requests.empty()
             ? 0
             : batch.requests.front().core / cfg_.noc.coresPerSubRing;
-        dram_->serve(batch.lineBase, data, sim_.now(),
+        dram_->serve(line, data, sim_.now(),
                      [this, mc, data, home_gw,
-                      b = std::move(carried)]() mutable {
+                      b = std::move(batch)]() mutable {
             Packet resp;
             resp.src = NodeId{NodeKind::MemCtrl, mc};
             resp.dst = NodeId{NodeKind::Gateway, home_gw};
             resp.kind = PacketKind::MactBatchResp;
             resp.payloadBytes = mem::kReqHeaderBytes + data;
-            // Assigned from a prvalue: moving b in directly trips a
-            // -Wmaybe-uninitialized false positive in GCC 12 + ASan.
-            resp.payload = noc::BatchPtr(std::move(b));
+            resp.payload = std::move(b);
             network_->send(std::move(resp));
         });
         return;
@@ -470,28 +470,27 @@ SmarcoChip::handleGatewayPacket(std::uint32_t gw, Packet &&pkt)
         panic("gateway %u: unexpected packet kind %s", gw,
               toString(pkt.kind).c_str());
     // Fan the merged line back out as per-request responses.
-    for (auto &r : std::get<noc::BatchPtr>(pkt.payload)->requests)
-        respond(pkt.dst, std::make_shared<MemRequest>(std::move(r)),
-                PacketKind::MemReadResp);
+    for (const auto &r : std::get<mem::MactBatch>(pkt.payload).requests)
+        respond(pkt.dst, r, PacketKind::MemReadResp);
 }
 
 void
 SmarcoChip::handleCorePacket(CoreId core_id, Packet &&pkt)
 {
-    noc::RequestPtr &carried = std::get<noc::RequestPtr>(pkt.payload);
+    const MemRequest &req = std::get<MemRequest>(pkt.payload);
     switch (pkt.kind) {
       case PacketKind::SpmRemoteReq:
         // At the SPM's owner: a store completes, a load is answered.
-        cores_[core_id]->spm().access(carried->write);
-        if (carried->write)
-            complete(*carried);
+        cores_[core_id]->spm().access(req.write);
+        if (req.write)
+            complete(req);
         else
-            respond(pkt.dst, std::move(carried), PacketKind::SpmRemoteResp);
+            respond(pkt.dst, req, PacketKind::SpmRemoteResp);
         return;
       case PacketKind::MemReadResp:
       case PacketKind::SpmRemoteResp:
       case PacketKind::DmaChunk:
-        complete(*carried);
+        complete(req);
         return;
       default:
         panic("core %u: unexpected packet kind %s", core_id,

@@ -129,10 +129,10 @@ class SmarcoChip : public core::MemPort
     /** Ring picked uniformly among main + subs. */
     noc::Ring &pickRing(Rng &rng);
     /** Send req from its core to dst in a kind packet. */
-    void sendRequest(mem::MemRequest &&req, noc::NodeId dst,
+    void sendRequest(const mem::MemRequest &req, noc::NodeId dst,
                      noc::PacketKind kind);
     /** Send req back from src to its core in a kind packet. */
-    void respond(noc::NodeId src, noc::RequestPtr req,
+    void respond(noc::NodeId src, const mem::MemRequest &req,
                  noc::PacketKind kind);
     /** Finish a request by its access class: time and wake a load,
      *  free a store's buffer slot, land a DMA chunk (untimed). */

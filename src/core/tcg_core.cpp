@@ -127,8 +127,9 @@ TcgCore::attachTask(const workloads::TaskSpec &task,
 bool
 TcgCore::busy() const
 {
-    return liveContexts() > 0 || pendingResponses_ > 0 ||
-           storeBufferUsed_ > 0;
+    // A stalled context, killed or not, stays live until its load's
+    // response arrives, so live contexts cover outstanding loads.
+    return liveContexts() > 0 || storeBufferUsed_ > 0;
 }
 
 TcgCore::Context *
@@ -218,7 +219,6 @@ TcgCore::stallThread(std::uint32_t ctx_idx, Cycle now)
 void
 TcgCore::loadDone(ThreadId ctx_idx)
 {
-    --pendingResponses_;
     const Cycle now = sim_.now();
     sim_.wake(this);
     Context &ctx = contexts_[ctx_idx];
@@ -427,7 +427,6 @@ TcgCore::issueBlockingLoad(std::uint32_t ctx_idx, Context &ctx,
                            const MicroOp &op, Cycle now)
 {
     commitOp(ctx);
-    ++pendingResponses_;
     stallThread(ctx_idx, now);
     port_.request(id_, ctx_idx, op, mem::AccessClass::Load);
     return false;

@@ -271,7 +271,6 @@ class TcgCore : public Ticking
     std::uint32_t runnable_ = 0;
     std::uint32_t storeBufferUsed_ = 0;
     std::uint32_t rrSlot_ = 0;
-    std::uint64_t pendingResponses_ = 0;
     Rng rng_;
     TaskFail failHandler_;
 

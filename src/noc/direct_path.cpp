@@ -2,32 +2,30 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "sim/logging.hpp"
 
 namespace smarco::noc {
 
-DirectPath::DirectPath(Simulator &sim, DirectPathParams params,
+DirectPath::DirectPath(StatRegistry &stats, DirectPathParams params,
                        std::uint32_t num_sub_rings,
                        const std::string &stat_prefix)
-    : sim_(sim),
-      params_(params),
+    : params_(params),
       nextFree_(num_sub_rings, 0),
-      transfers_(sim.stats(), stat_prefix + ".transfers",
+      transfers_(stats, stat_prefix + ".transfers",
                  "direct-path transfers"),
-      bytes_(sim.stats(), stat_prefix + ".bytes",
+      bytes_(stats, stat_prefix + ".bytes",
              "direct-path payload bytes"),
-      latency_(sim.stats(), stat_prefix + ".latency",
+      latency_(stats, stat_prefix + ".latency",
                "mean direct-path latency (cycles)")
 {
     if (params_.bytesPerCycle <= 0.0)
         fatal("direct path: non-positive bandwidth");
 }
 
-void
+Cycle
 DirectPath::transfer(std::uint32_t sub_ring,
-                     std::uint32_t payload_bytes, Cycle now, Done done)
+                     std::uint32_t payload_bytes, Cycle now)
 {
     if (!params_.enabled)
         panic("direct path used while disabled");
@@ -43,9 +41,7 @@ DirectPath::transfer(std::uint32_t sub_ring,
     ++transfers_;
     bytes_ += static_cast<double>(payload_bytes);
     latency_.sample(static_cast<double>(arrive - now));
-
-    if (done)
-        sim_.events().schedule(arrive, std::move(done));
+    return arrive;
 }
 
 } // namespace smarco::noc

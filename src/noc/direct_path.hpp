@@ -10,12 +10,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "sim/simulator.hpp"
 #include "sim/stats.hpp"
+#include "sim/types.hpp"
 
 namespace smarco::noc {
 
@@ -30,29 +29,27 @@ struct DirectPathParams {
 
 /**
  * Star links from sub-rings to the memory complex, one per sub-ring.
- * transfer() moves payload_bytes one way and fires done at arrival;
- * each link is a bandwidth-limited pipe with FIFO queueing.
+ * transfer() books payload_bytes one way and returns the arrival
+ * cycle; the caller schedules whatever happens there. Each link is a
+ * bandwidth-limited pipe with FIFO queueing.
  */
 class DirectPath
 {
   public:
-    using Done = std::function<void()>;
-
-    DirectPath(Simulator &sim, DirectPathParams params,
+    DirectPath(StatRegistry &stats, DirectPathParams params,
                std::uint32_t num_sub_rings,
                const std::string &stat_prefix);
 
     bool enabled() const { return params_.enabled; }
 
     /**
-     * Move payload_bytes over sub-ring's star link starting at now;
-     * done fires at the arrival cycle.
+     * Move payload_bytes over sub-ring's star link starting at now.
+     * @return the arrival cycle.
      */
-    void transfer(std::uint32_t sub_ring, std::uint32_t payload_bytes,
-                  Cycle now, Done done);
+    Cycle transfer(std::uint32_t sub_ring, std::uint32_t payload_bytes,
+                   Cycle now);
 
   private:
-    Simulator &sim_;
     DirectPathParams params_;
     std::vector<Cycle> nextFree_;
 

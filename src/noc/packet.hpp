@@ -56,9 +56,7 @@ enum class PacketKind : std::uint8_t {
 
 std::string toString(PacketKind kind);
 
-/** What a packet carries, held by shared pointer. */
-using RequestPtr = std::shared_ptr<mem::MemRequest>;
-using BatchPtr = std::shared_ptr<mem::MactBatch>;
+/** The task a Control packet hands off to a sub-ring. */
 using TaskPtr = std::shared_ptr<const workloads::TaskSpec>;
 
 /**
@@ -67,16 +65,17 @@ using TaskPtr = std::shared_ptr<const workloads::TaskSpec>;
  * reads what the packet carries by its kind. A core's request
  * (MemReadReq, MemWriteReq, DmaChunk, SpmRemoteReq) carries its
  * mem::MemRequest, and the response (MemReadResp, DmaChunk,
- * SpmRemoteResp) carries the same record back to the core, where the
+ * SpmRemoteResp) carries a copy of it back to the core, where the
  * chip completes it by its access class. A MactBatchReq/Resp carries
  * its mem::MactBatch, and a Control packet the task it hands off to a
  * sub-ring.
  *
- * The carried object is held by pointer so a packet stays small on
- * every ring hop. Packets are copyable: a ring's duplicate fault
- * copies one, sharing the carried object, and ring dedup (on
- * whenever duplication is armed) drops the copy before any endpoint
- * reads it, so the chip still completes each request exactly once.
+ * The payload is held by value: a ring keeps its in-flight packets
+ * in a slot pool and a hop moves a slot index, so the packet itself
+ * moves only at inject and eject. A ring's duplicate fault copies a
+ * packet, payload included, and ring dedup (on whenever duplication
+ * is armed) drops the copy before any endpoint reads it, so the chip
+ * still completes each request exactly once.
  */
 struct Packet {
     std::uint64_t id = 0;
@@ -86,7 +85,8 @@ struct Packet {
     bool priority = false;
     std::uint32_t payloadBytes = 8;
     Cycle created = 0;
-    std::variant<std::monostate, RequestPtr, BatchPtr, TaskPtr> payload;
+    std::variant<std::monostate, mem::MemRequest, mem::MactBatch, TaskPtr>
+        payload;
 };
 
 } // namespace smarco::noc

@@ -520,6 +520,7 @@ TEST_F(CoreFixture, KillFaultsReachEveryContextOfTheWidestCore)
         ASSERT_TRUE(c.injectThreadFault(ThreadFault::Kill, rng, sim.now()));
     EXPECT_FALSE(c.injectThreadFault(ThreadFault::Kill, rng, sim.now()));
     EXPECT_LT(failed.size(), 32u); // stalled victims still pending
+    EXPECT_TRUE(c.busy()); // they stay live until their responses
     sim.run(1000);
     EXPECT_EQ(failed.size(), 32u);
     EXPECT_EQ(c.liveContexts(), 0u);

@@ -252,35 +252,31 @@ TEST_F(NetFixture, UtilisationGrowsWithTraffic)
 
 TEST(DirectPath, FixedLatencyTransfer)
 {
-    Simulator sim;
+    StatRegistry reg;
     DirectPathParams p;
     p.linkLatency = 6;
     p.bytesPerCycle = 8.0;
-    DirectPath path(sim, p, 4, "direct");
-    Cycle done_at = 0;
-    path.transfer(0, 16, 0, [&] { done_at = sim.now(); });
-    sim.run(100);
-    EXPECT_EQ(done_at, 8u); // 6 + ceil(16/8)
+    DirectPath path(reg, p, 4, "direct");
+    EXPECT_EQ(path.transfer(0, 16, 0), 8u); // 6 + ceil(16/8)
+    EXPECT_EQ(reg.get("direct.transfers").value(), 1.0);
+    EXPECT_EQ(reg.get("direct.bytes").value(), 16.0);
+    EXPECT_EQ(reg.get("direct.latency").value(), 8.0);
 }
 
 TEST(DirectPath, PerSubRingChannelsIndependent)
 {
-    Simulator sim;
-    DirectPath path(sim, DirectPathParams{}, 2, "direct");
-    Cycle a = 0, b = 0;
-    path.transfer(0, 64, 0, [&] { a = sim.now(); });
-    path.transfer(1, 64, 0, [&] { b = sim.now(); });
-    sim.run(100);
+    StatRegistry reg;
+    DirectPath path(reg, DirectPathParams{}, 2, "direct");
+    const Cycle a = path.transfer(0, 64, 0);
+    const Cycle b = path.transfer(1, 64, 0);
     EXPECT_EQ(a, b); // no interference between star links
 }
 
 TEST(DirectPath, SerialisationQueuesOnOneLink)
 {
-    Simulator sim;
-    DirectPath path(sim, DirectPathParams{}, 1, "direct");
-    Cycle first = 0, second = 0;
-    path.transfer(0, 64, 0, [&] { first = sim.now(); });
-    path.transfer(0, 64, 0, [&] { second = sim.now(); });
-    sim.run(100);
+    StatRegistry reg;
+    DirectPath path(reg, DirectPathParams{}, 1, "direct");
+    const Cycle first = path.transfer(0, 64, 0);
+    const Cycle second = path.transfer(0, 64, 0);
     EXPECT_GT(second, first);
 }
