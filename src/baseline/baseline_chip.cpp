@@ -58,6 +58,17 @@ BaselineChip::BaselineChip(Simulator &sim, BaselineParams params)
                                         "base.llc");
     dram_ = std::make_unique<mem::DramController>(sim, params_.dram,
                                                   "base.dram");
+    dram_->setSink([this](mem::DramJob &&job) {
+        sim_.wake(this);
+        SwThread &th = threads_[std::get<mem::MemRequest>(job).thread];
+        --th.outstanding;
+        --pendingMisses_;
+        if (th.state == SwThread::State::Stalled) {
+            th.state = SwThread::State::Runnable;
+            th.readyAt = std::max(th.readyAt, sim_.now());
+            refreshSlot(slotOf(th));
+        }
+    });
     cores_.resize(params_.numCores);
     for (std::uint32_t c = 0; c < params_.numCores; ++c) {
         Core &core = cores_[c];
@@ -384,7 +395,7 @@ BaselineChip::memAccess(Core &core, SwThread &t, Addr addr,
     }
     const auto llc_res = llc_->access(addr, is_store);
     if (llc_res.writeback)
-        dram_->serve(llc_res.victimAddr, 64, now, nullptr,
+        dram_->serve(llc_res.victimAddr, 64, now, {},
                      mem::DramClass::Write);
     if (llc_res.hit) {
         // Shared LLC: queueing grows mildly with in-flight misses.
@@ -400,18 +411,8 @@ BaselineChip::memAccess(Core &core, SwThread &t, Addr addr,
     // DRAM fill.
     ++t.outstanding;
     ++pendingMisses_;
-    const std::uint32_t tid = t.id;
-    dram_->serve(addr, 64, now, [this, tid]() {
-        sim_.wake(this);
-        SwThread &th = threads_[tid];
-        --th.outstanding;
-        --pendingMisses_;
-        if (th.state == SwThread::State::Stalled) {
-            th.state = SwThread::State::Runnable;
-            th.readyAt = std::max(th.readyAt, sim_.now());
-            refreshSlot(slotOf(th));
-        }
-    });
+    dram_->serve(addr, 64, now,
+                 mem::MemRequest{.addr = addr, .bytes = 64, .thread = t.id});
 
     if (!is_store && t.rng.chance(params_.dependStall)) {
         t.state = SwThread::State::Stalled;

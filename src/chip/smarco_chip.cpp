@@ -34,6 +34,7 @@ SmarcoChip::SmarcoChip(Simulator &sim, ChipConfig cfg)
         "chip.direct");
     dram_ = std::make_unique<mem::DramController>(
         sim_, cfg_.dram, "chip.dram");
+    dram_->setSink([this](mem::DramJob &&job) { dramDone(std::move(job)); });
 
     const std::uint32_t n = cfg_.numCores();
     cores_.reserve(n);
@@ -287,7 +288,7 @@ SmarcoChip::request(CoreId core_id, ThreadId thread, const MicroOp &op,
     }
 
     // Heap fills and stream accesses go to DRAM.
-    if (req.priority && !req.write && directPath_->enabled())
+    if (viaDirectPath(req))
         sendViaDirectPath(req);
     else
         sendRequest(req, mcNodeFor(op.addr),
@@ -358,17 +359,41 @@ void
 SmarcoChip::sendViaDirectPath(const MemRequest &req)
 {
     ++priorityDirect_;
-    const std::uint32_t ring = req.core / cfg_.noc.coresPerSubRing;
-    auto fetch = [this, ring, req]() {
-        dram_->serve(req.addr, req.bytes, sim_.now(), [this, ring, req]() {
-            const Cycle back = directPath_->transfer(
-                ring, mem::kReqHeaderBytes + req.bytes, sim_.now());
-            sim_.events().schedule(back, [this, req]() { complete(req); });
-        });
-    };
-    const Cycle there =
-        directPath_->transfer(ring, mem::kReadReqBytes, sim_.now());
-    sim_.events().schedule(there, std::move(fetch));
+    const Cycle there = directPath_->transfer(
+        req.core / cfg_.noc.coresPerSubRing, mem::kReadReqBytes,
+        sim_.now());
+    sim_.events().schedule(there, [this, req]() {
+        dram_->serve(req.addr, req.bytes, sim_.now(), req);
+    });
+}
+
+void
+SmarcoChip::dramDone(mem::DramJob &&job)
+{
+    if (auto *batch = std::get_if<mem::MactBatch>(&job)) {
+        Packet resp;
+        resp.src = mcNodeFor(batch->lineBase);
+        resp.dst = NodeId{NodeKind::Gateway, batch->requests.empty()
+            ? 0
+            : batch->requests.front().core / cfg_.noc.coresPerSubRing};
+        resp.kind = PacketKind::MactBatchResp;
+        resp.payloadBytes = mem::kReqHeaderBytes + batch->coveredBytes();
+        resp.payload = std::move(*batch);
+        network_->send(std::move(resp));
+        return;
+    }
+    const MemRequest &req = std::get<MemRequest>(job);
+    if (viaDirectPath(req)) {
+        const Cycle back = directPath_->transfer(
+            req.core / cfg_.noc.coresPerSubRing,
+            mem::kReqHeaderBytes + req.bytes, sim_.now());
+        sim_.events().schedule(back, [this, req]() { complete(req); });
+        return;
+    }
+    // Answered from the controller the request was sent to.
+    const bool dma = req.access == mem::AccessClass::DmaChunk;
+    respond(mcNodeFor(req.addr), req,
+            dma ? PacketKind::DmaChunk : PacketKind::MemReadResp);
 }
 
 bool
@@ -404,21 +429,17 @@ SmarcoChip::handleMcPacket(std::uint32_t mc, Packet &&pkt)
         if (req.write) {
             // Posted write (store or writeback): complete at the
             // controller.
-            dram_->serve(req.addr, req.bytes, sim_.now(), nullptr,
+            dram_->serve(req.addr, req.bytes, sim_.now(), {},
                          mem::DramClass::Write);
             complete(req);
             return;
         }
-        const bool is_dma = pkt.kind == PacketKind::DmaChunk;
         // Staging chunks ride the bulk class so they cannot queue
         // ahead of pipeline-stalling demand reads.
-        dram_->serve(req.addr, req.bytes, sim_.now(),
-                     [this, mc, is_dma, req]() {
-            respond(NodeId{NodeKind::MemCtrl, mc}, req,
-                    is_dma ? PacketKind::DmaChunk
-                           : PacketKind::MemReadResp);
-        }, is_dma ? mem::DramClass::Bulk
-                  : mem::DramClass::DemandRead);
+        dram_->serve(req.addr, req.bytes, sim_.now(), req,
+                     pkt.kind == PacketKind::DmaChunk
+                         ? mem::DramClass::Bulk
+                         : mem::DramClass::DemandRead);
         return;
       }
 
@@ -427,28 +448,15 @@ SmarcoChip::handleMcPacket(std::uint32_t mc, Packet &&pkt)
         if (batch.write) {
             // One DRAM write covering every merged store.
             dram_->serve(batch.lineBase, batch.coveredBytes(),
-                         sim_.now(), nullptr, mem::DramClass::Write);
+                         sim_.now(), {}, mem::DramClass::Write);
             for (const auto &r : batch.requests)
                 complete(r);
             return;
         }
-        // Read batch: one DRAM access, one response to the gateway.
+        // Read batch: one DRAM access, one response (dramDone).
         const Addr line = batch.lineBase;
         const std::uint32_t data = batch.coveredBytes();
-        const std::uint32_t home_gw = batch.requests.empty()
-            ? 0
-            : batch.requests.front().core / cfg_.noc.coresPerSubRing;
-        dram_->serve(line, data, sim_.now(),
-                     [this, mc, data, home_gw,
-                      b = std::move(batch)]() mutable {
-            Packet resp;
-            resp.src = NodeId{NodeKind::MemCtrl, mc};
-            resp.dst = NodeId{NodeKind::Gateway, home_gw};
-            resp.kind = PacketKind::MactBatchResp;
-            resp.payloadBytes = mem::kReqHeaderBytes + data;
-            resp.payload = std::move(b);
-            network_->send(std::move(resp));
-        });
+        dram_->serve(line, data, sim_.now(), std::move(batch));
         return;
       }
 

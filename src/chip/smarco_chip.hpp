@@ -137,7 +137,12 @@ class SmarcoChip : public core::MemPort
     /** Finish a request by its access class: time and wake a load,
      *  free a store's buffer slot, land a DMA chunk (untimed). */
     void complete(const mem::MemRequest &req);
+    /** A real-time read takes the star datapath to DRAM and back. */
+    bool viaDirectPath(const mem::MemRequest &req) const
+    { return req.priority && !req.write && directPath_->enabled(); }
     void sendViaDirectPath(const mem::MemRequest &req);
+    /** The chip's one DRAM completion: answer a read or a batch. */
+    void dramDone(mem::DramJob &&job);
     void handleMcPacket(std::uint32_t mc, noc::Packet &&pkt);
     void handleGatewayPacket(std::uint32_t gw, noc::Packet &&pkt);
     void handleCorePacket(CoreId core, noc::Packet &&pkt);

@@ -30,6 +30,8 @@ DramController::DramController(Simulator &sim, DramParams params,
         fatal("DRAM: zero channels");
     if (params_.bytesPerCycle <= 0.0)
         fatal("DRAM: non-positive bandwidth");
+    if (params_.interleaveBytes == 0)
+        fatal("DRAM: zero interleave granularity");
     channelBytes_.reserve(params_.channels);
     for (std::uint32_t ch = 0; ch < params_.channels; ++ch)
         channelBytes_.push_back(std::make_unique<Scalar>(
@@ -51,11 +53,23 @@ DramController::channelOf(Addr addr) const
 
 void
 DramController::serve(Addr addr, std::uint32_t data_bytes, Cycle now,
-                      Done done, DramClass cls)
+                      DramJob job, DramClass cls)
 {
+    std::uint32_t slot = kNoJob;
+    if (!std::holds_alternative<std::monostate>(job)) {
+        if (!sink_)
+            panic("DRAM: job served before setSink");
+        if (freeJobs_.empty()) {
+            freeJobs_.push_back(static_cast<std::uint32_t>(jobs_.size()));
+            jobs_.emplace_back();
+        }
+        slot = freeJobs_.back();
+        freeJobs_.pop_back();
+        jobs_[slot] = std::move(job);
+    }
     const std::uint32_t ch = channelOf(addr);
     Channel &channel = channels_[ch];
-    Request req{addr, data_bytes, now, std::move(done)};
+    Request req{addr, data_bytes, slot, now};
     switch (cls) {
       case DramClass::DemandRead:
         channel.demandQ.push_back(std::move(req));
@@ -125,7 +139,7 @@ DramController::serviceNext(std::uint32_t ch)
     }
     const bool is_read = q != &channel.writeQ;
 
-    Request req = std::move(q->front());
+    const Request req = q->front();
     q->pop_front();
 
     const Cycle now = sim_.now();
@@ -146,8 +160,13 @@ DramController::serviceNext(std::uint32_t ch)
                              strprintf("dram.ch%u.bytes", ch), now,
                              channelBytes_[ch]->value());
 
-    if (req.done)
-        sim_.events().schedule(finish, std::move(req.done));
+    // The sink may serve again: free the slot before calling it.
+    if (req.job != kNoJob)
+        sim_.events().schedule(finish, [this, slot = req.job]() {
+            DramJob job = std::move(jobs_[slot]);
+            freeJobs_.push_back(slot);
+            sink_(std::move(job));
+        });
     sim_.events().schedule(now + busy,
                            [this, ch]() { serviceNext(ch); });
 }

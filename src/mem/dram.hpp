@@ -19,6 +19,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "mem/mem_types.hpp"
@@ -51,24 +52,29 @@ struct DramParams {
  *  posted writes drain opportunistically. */
 enum class DramClass : std::uint8_t { DemandRead, Bulk, Write };
 
+/** What a DRAM access hands back when it completes, if anything. */
+using DramJob = std::variant<std::monostate, MemRequest, MactBatch>;
+
 /**
- * Multi-channel DRAM controller. serve() enqueues an access of
- * data_bytes and invokes done when the transfer completes.
+ * Multi-channel DRAM controller. serve() enqueues an access with its
+ * job, plain data, which waits in a controller-owned slot pool until
+ * the transfer completes and goes back unchanged to the chip's sink.
  */
 class DramController
 {
   public:
-    using Done = std::function<void()>;
+    using Sink = std::function<void(DramJob &&job)>;
 
     DramController(Simulator &sim, DramParams params,
                    const std::string &stat_prefix);
 
-    /**
-     * Enqueue an access of the given service class; done may be
-     * empty (posted writes, fire-and-forget bulk).
-     */
-    void serve(Addr addr, std::uint32_t data_bytes, Cycle now, Done done,
-               DramClass cls = DramClass::DemandRead);
+    /** Install the completion destination (wired by the chip). */
+    void setSink(Sink sink) { sink_ = std::move(sink); }
+
+    /** Enqueue an access of the given service class. An empty job
+     *  ({}) never reaches the sink; any other panics without one. */
+    void serve(Addr addr, std::uint32_t data_bytes, Cycle now,
+               DramJob job, DramClass cls = DramClass::DemandRead);
 
     /** Channel index an address maps to. */
     std::uint32_t channelOf(Addr addr) const;
@@ -89,11 +95,13 @@ class DramController
     void stallChannel(std::uint32_t ch, Cycle duration, Cycle now);
 
   private:
+    static constexpr std::uint32_t kNoJob = ~std::uint32_t{0};
+
     struct Request {
         Addr addr;
         std::uint32_t bytes;
+        std::uint32_t job; ///< slot of jobs_, or kNoJob
         Cycle enqueued;
-        Done done;
     };
 
     struct Channel {
@@ -111,6 +119,9 @@ class DramController
     Simulator &sim_;
     DramParams params_;
     std::vector<Channel> channels_;
+    Sink sink_;
+    std::vector<DramJob> jobs_;             ///< in flight, by slot
+    std::vector<std::uint32_t> freeJobs_;   ///< reused last-freed first
 
     Scalar requests_;
     Scalar bytes_;

@@ -476,7 +476,8 @@ TEST(DramFault, StalledChannelServesLate)
         if (mode == 1)
             dram.stallChannel(dram.channelOf(0x40), 500, 0);
         Cycle done = 0;
-        dram.serve(0x40, 64, 0, [&] { done = sim.now(); });
+        dram.setSink([&](mem::DramJob &&) { done = sim.now(); });
+        dram.serve(0x40, 64, 0, mem::MemRequest{});
         sim.run(5000);
         (mode == 0 ? clean : stalled) = done;
     }

@@ -248,10 +248,17 @@ TEST(DramClasses, DemandOvertakesBulk)
     mem::DramParams params;
     mem::DramController dram(sim, params, "dram");
     Cycle bulk_done = 0, demand_done = 0;
+    // The job's id says which class it was served in.
+    enum : std::uint64_t { kBulk = 1, kDemand = 2 };
+    dram.setSink([&](mem::DramJob &&job) {
+        (std::get<mem::MemRequest>(job).id == kBulk ? bulk_done
+                                                    : demand_done) =
+            sim.now();
+    });
     for (int i = 0; i < 10; ++i)
-        dram.serve(0x40, 256, 0, [&] { bulk_done = sim.now(); },
+        dram.serve(0x40, 256, 0, mem::MemRequest{.id = kBulk},
                    mem::DramClass::Bulk);
-    dram.serve(0x40, 8, 0, [&] { demand_done = sim.now(); },
+    dram.serve(0x40, 8, 0, mem::MemRequest{.id = kDemand},
                mem::DramClass::DemandRead);
     sim.run(10000);
     EXPECT_LT(demand_done, bulk_done);
@@ -264,12 +271,13 @@ TEST(DramClasses, BulkNotStarvedByDemandStream)
     params.demandStreakLimit = 3;
     mem::DramController dram(sim, params, "dram");
     int bulk_served = 0;
+    dram.setSink([&](mem::DramJob &&) { ++bulk_served; });
     for (int i = 0; i < 8; ++i)
-        dram.serve(0x40, 64, 0, [&] { ++bulk_served; },
+        dram.serve(0x40, 64, 0, mem::MemRequest{},
                    mem::DramClass::Bulk);
     // A long steady stream of demand reads on the same channel.
     for (int i = 0; i < 200; ++i)
-        dram.serve(0x40, 8, 0, nullptr, mem::DramClass::DemandRead);
+        dram.serve(0x40, 8, 0, {}, mem::DramClass::DemandRead);
     sim.run(1200);
     // The anti-starvation share must have served all bulk requests
     // even though demand never went empty.
