@@ -36,7 +36,7 @@ coreIpc(const workloads::BenchProfile &prof, std::uint32_t threads,
             ts,
             std::make_unique<workloads::ProfileStream>(
                 prof, chip.layoutFor(ts, 0), ts.numOps, ts.seed),
-            nullptr);
+            core::kNoTicket);
     }
     chip.runUntilDone(20'000'000);
     return chip.core(0).ipc();

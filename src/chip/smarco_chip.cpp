@@ -47,6 +47,9 @@ SmarcoChip::SmarcoChip(Simulator &sim, ChipConfig cfg)
             [this, c](Addr src, std::uint32_t bytes, std::uint64_t tag) {
                 dmaChunk(c, src, bytes, tag);
             },
+            [this, c](std::uint32_t ticket) {
+                subScheds_[c / cfg_.noc.coresPerSubRing]->staged(ticket);
+            },
             strprintf("chip.dma%03u", c)));
     }
 
@@ -83,8 +86,8 @@ SmarcoChip::SmarcoChip(Simulator &sim, ChipConfig cfg)
                     *task.profile, layout, task.numOps, task.seed);
             },
             [this](CoreId core_id, const workloads::TaskSpec &task,
-                   std::function<void()> ready) {
-                stageTask(core_id, task, std::move(ready));
+                   std::uint32_t ticket) {
+                stageTask(core_id, task, ticket);
             },
             strprintf("chip.sched%02u", g)));
         for (std::uint32_t k = 0; k < cfg_.noc.coresPerSubRing; ++k)
@@ -102,7 +105,7 @@ SmarcoChip::SmarcoChip(Simulator &sim, ChipConfig cfg)
             pkt.dst = NodeId{NodeKind::Gateway, sub_ring};
             pkt.kind = PacketKind::Control;
             pkt.payloadBytes = 32;
-            pkt.payload = std::make_shared<const workloads::TaskSpec>(t);
+            pkt.payload = t;
             network_->send(std::move(pkt));
         },
         "chip.mainSched");
@@ -471,7 +474,7 @@ SmarcoChip::handleGatewayPacket(std::uint32_t gw, Packet &&pkt)
 {
     if (pkt.kind == PacketKind::Control) {
         // Task hand-off from the main scheduler.
-        subScheds_[gw]->submit(*std::get<noc::TaskPtr>(pkt.payload));
+        subScheds_[gw]->submit(std::get<workloads::TaskSpec>(pkt.payload));
         return;
     }
     if (pkt.kind != PacketKind::MactBatchResp)
@@ -508,17 +511,17 @@ SmarcoChip::handleCorePacket(CoreId core_id, Packet &&pkt)
 
 void
 SmarcoChip::stageTask(CoreId core_id, const workloads::TaskSpec &task,
-                      std::function<void()> ready)
+                      std::uint32_t ticket)
 {
     if (task.inputBytes == 0) {
-        ready();
+        subScheds_[core_id / cfg_.noc.coresPerSubRing]->staged(ticket);
         return;
     }
     const workloads::AddressLayout layout = layoutFor(task, core_id);
     const std::uint64_t bytes =
         std::min<std::uint64_t>(task.inputBytes,
                                 layout.spmLocalSize);
-    dmas_[core_id]->start(layout.streamBase, bytes, std::move(ready));
+    dmas_[core_id]->start(layout.streamBase, bytes, ticket);
 }
 
 void

@@ -148,8 +148,10 @@ class SmarcoChip : public core::MemPort
     void handleCorePacket(CoreId core, noc::Packet &&pkt);
     bool interceptAtGateway(std::uint32_t gw, noc::Packet &pkt);
     void onMactBatch(std::uint32_t gw, mem::MactBatch &&batch);
+    /** Stage task's input into core's SPM; the core's sub-scheduler
+     *  gets ticket back through staged() when it lands. */
     void stageTask(CoreId core, const workloads::TaskSpec &task,
-                   std::function<void()> ready);
+                   std::uint32_t ticket);
     /** Move one chunk of DMA transfer tag from DRAM to core's SPM. */
     void dmaChunk(CoreId core, Addr src, std::uint32_t bytes,
                   std::uint64_t tag);

@@ -85,7 +85,7 @@ TcgCore::friendOf(std::uint32_t ctx) const
 
 bool
 TcgCore::attachTask(const workloads::TaskSpec &task,
-                    isa::StreamPtr stream, TaskDone done)
+                    isa::StreamPtr stream, std::uint32_t ticket)
 {
     if (!task.profile)
         panic("task %llu has no profile",
@@ -97,7 +97,7 @@ TcgCore::attachTask(const workloads::TaskSpec &task,
             continue;
         ctx.task = task;
         ctx.stream = std::move(stream);
-        ctx.done = std::move(done);
+        ctx.ticket = ticket;
         ctx.opsDone = 0;
         ctx.readyAt = sim_.now();
         ctx.taskStart = sim_.now();
@@ -266,28 +266,16 @@ TcgCore::handOffSlot(std::uint32_t ctx_idx)
 void
 TcgCore::finishTask(std::uint32_t ctx_idx, Cycle now)
 {
-    Context &ctx = contexts_[ctx_idx];
     ++tasksFinished_;
     if (sim_.trace().enabled(TraceCat::Core)) [[unlikely]]
-        traceTaskDone(ctx, ctx_idx, now);
-    const workloads::TaskSpec task = ctx.task;
-    TaskDone done = std::move(ctx.done);
-    ctx.state = State::Idle;
-    --live_;
-    --runnable_;
-    ctx.stream.reset();
-    ctx.hasPending = false;
-    ctx.done = nullptr;
-    handOffSlot(ctx_idx);
-
-    if (done)
-        done(task, now);
+        traceTaskDone(contexts_[ctx_idx], ctx_idx, now);
+    exitContext(ctx_idx, now, true);
 }
 
 void
 TcgCore::killContext(std::uint32_t ctx_idx, Cycle now)
 {
-    Context &ctx = contexts_[ctx_idx];
+    const Context &ctx = contexts_[ctx_idx];
     ++tasksKilled_;
     if (sim_.trace().enabled(TraceCat::Fault)) [[unlikely]]
         sim_.trace().instant(
@@ -296,20 +284,25 @@ TcgCore::killContext(std::uint32_t ctx_idx, Cycle now)
                       static_cast<unsigned long long>(ctx.task.id),
                       ctx_idx,
                       static_cast<unsigned long long>(ctx.opsDone)));
-    const workloads::TaskSpec task = ctx.task;
+    exitContext(ctx_idx, now, false);
+}
+
+void
+TcgCore::exitContext(std::uint32_t ctx_idx, Cycle now, bool finished)
+{
+    Context &ctx = contexts_[ctx_idx];
     if (ctx.state != State::Stalled)
         --runnable_;
     ctx.state = State::Idle;
     --live_;
     ctx.stream.reset();
     ctx.hasPending = false;
-    ctx.done = nullptr;
     ctx.hung = false;
     ctx.killed = false;
     handOffSlot(ctx_idx);
 
-    if (failHandler_)
-        failHandler_(task, now);
+    if (ctx.ticket != kNoTicket)
+        exitHandler_(ctx.ticket, now, finished);
 }
 
 bool

@@ -68,16 +68,13 @@ struct CoreParams {
     mem::SpmParams spm{};
 };
 
-/** Invoked when a task running on the core finishes. */
-using TaskDone = std::function<void(const workloads::TaskSpec &task,
-                                    Cycle finish)>;
+/** Ticket of a task attached by hand: its exit is reported to no one. */
+inline constexpr std::uint32_t kNoTicket = ~std::uint32_t{0};
 
-/**
- * Invoked when a task is killed (fault injection / hang recovery)
- * instead of finishing; the scheduler re-dispatches or abandons it.
- */
-using TaskFail = std::function<void(const workloads::TaskSpec &task,
-                                    Cycle when)>;
+/** Invoked once for each ticketed task that leaves the core: finished,
+ *  or killed (fault injection / hang recovery). */
+using ExitHandler =
+    std::function<void(std::uint32_t ticket, Cycle when, bool finished)>;
 
 /** Thread-context fault kinds (see src/fault/). */
 enum class ThreadFault : std::uint8_t {
@@ -99,11 +96,13 @@ class TcgCore : public Ticking
     /**
      * Attach a task to a free context. The task's profile supplies
      * its ILP, instruction footprint and stream-load blocking rate;
-     * a task without one panics.
+     * a task without one panics. Its exit, finished or killed, goes
+     * with ticket to the exit handler; a task attached with kNoTicket
+     * is reported to no one.
      * @return false when every context is occupied.
      */
     bool attachTask(const workloads::TaskSpec &task,
-                    isa::StreamPtr stream, TaskDone done);
+                    isa::StreamPtr stream, std::uint32_t ticket);
 
     /** Contexts currently free for dispatch. */
     std::uint32_t freeContexts() const
@@ -143,13 +142,9 @@ class TcgCore : public Ticking
     /** taskProgress() result when the task is not on this core. */
     static constexpr std::uint64_t kNoTask = ~std::uint64_t{0};
 
-    /**
-     * Install the task-failure handler (normally the owning
-     * sub-scheduler). Killed tasks are reported here instead of
-     * through their TaskDone callback.
-     */
-    void setTaskFailHandler(TaskFail handler)
-    { failHandler_ = std::move(handler); }
+    /** Install the exit handler (the owning sub-scheduler). */
+    void setExitHandler(ExitHandler handler)
+    { exitHandler_ = std::move(handler); }
 
     /**
      * Inject a thread fault on a pseudo-randomly chosen victim
@@ -191,7 +186,7 @@ class TcgCore : public Ticking
         State state = State::Idle;
         workloads::TaskSpec task;
         isa::StreamPtr stream;
-        TaskDone done;
+        std::uint32_t ticket = kNoTicket;
         std::uint64_t opsDone = 0;
         Cycle readyAt = 0;      ///< earliest next issue cycle
         Cycle taskStart = 0;
@@ -226,6 +221,8 @@ class TcgCore : public Ticking
     void finishTask(std::uint32_t ctx_idx, Cycle now);
     /** Free a context without completing its task (kill path). */
     void killContext(std::uint32_t ctx_idx, Cycle now);
+    /** Free a context and report its task's exit. */
+    void exitContext(std::uint32_t ctx_idx, Cycle now, bool finished);
     /** Per-thread issue limit this cycle from the task's ILP. */
     std::uint32_t ilpCap(Context &ctx) const;
     /** Model instruction fetch; false on I-starvation this cycle. */
@@ -255,8 +252,8 @@ class TcgCore : public Ticking
     mem::Cache dcache_;
     mem::Spm spm_;
     std::vector<Context> contexts_;
-    /** Contexts not Idle: attachTask counts up, finishTask and
-     *  killContext count down. */
+    /** Contexts not Idle: attachTask counts up, exitContext counts
+     *  down. */
     std::uint32_t live_ = 0;
     /**
      * Contexts Running or Ready (hung ones included). Attach and wake
@@ -272,7 +269,7 @@ class TcgCore : public Ticking
     std::uint32_t storeBufferUsed_ = 0;
     std::uint32_t rrSlot_ = 0;
     Rng rng_;
-    TaskFail failHandler_;
+    ExitHandler exitHandler_;
 
     Scalar committed_;
     Scalar cyclesActive_;

@@ -229,7 +229,8 @@ Mact::flushLine(Line &line, const char *reason)
     batch.write = line.write;
     batch.lineBase = line.base;
     batch.vector = line.vector;
-    batch.requests = std::move(line.requests);
+    // Copy: the line keeps its buffer for its next collects.
+    batch.requests.assign(line.requests.begin(), line.requests.end());
     batchSize_.sample(static_cast<double>(batch.requests.size()));
     ++batches_;
     if (sim_.trace().enabled(TraceCat::Mem))

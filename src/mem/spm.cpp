@@ -32,12 +32,13 @@ Spm::access(bool write)
 }
 
 DmaEngine::DmaEngine(StatRegistry &stats, std::uint32_t chunk_bytes,
-                     Transport transport,
+                     Transport transport, Sink sink,
                      const std::string &stat_prefix,
                      std::uint32_t max_outstanding)
     : chunkBytes_(chunk_bytes),
       maxOutstanding_(max_outstanding),
       transport_(std::move(transport)),
+      sink_(std::move(sink)),
       transfers_(stats, stat_prefix + ".transfers", "DMA transfers"),
       chunkCount_(stats, stat_prefix + ".chunks", "DMA chunk packets"),
       bytesMoved_(stats, stat_prefix + ".bytes", "DMA bytes moved")
@@ -49,20 +50,15 @@ DmaEngine::DmaEngine(StatRegistry &stats, std::uint32_t chunk_bytes,
 }
 
 void
-DmaEngine::start(Addr src, std::uint64_t bytes,
-                 std::function<void()> done)
+DmaEngine::start(Addr src, std::uint64_t bytes, std::uint32_t ticket)
 {
-    if (bytes == 0) {
-        if (done)
-            done();
-        return;
-    }
-
+    if (bytes == 0)
+        panic("DmaEngine: empty transfer %u", ticket);
     ++transfers_;
     bytesMoved_ += static_cast<double>(bytes);
     chunkCount_ += static_cast<double>((bytes + chunkBytes_ - 1) /
                                        chunkBytes_);
-    pending_.push_back(Transfer{src, bytes, 0, std::move(done)});
+    pending_.push_back(Transfer{src, bytes, 0, ticket});
     issueNext();
 }
 
@@ -74,9 +70,8 @@ DmaEngine::chunkDone(std::uint64_t tag)
         panic("DmaEngine: no chunk of transfer %llu in flight",
               static_cast<unsigned long long>(tag));
     --outstanding_;
-    std::function<void()> done;
     if (--pending_[i].inFlight == 0 && pending_[i].unsent == 0) {
-        done = std::move(pending_[i].done);
+        const std::uint32_t ticket = pending_[i].ticket;
         // Finished transfers leave from the front only, so the tags
         // of those still in flight keep their indices.
         while (!pending_.empty() && pending_.front().inFlight == 0 &&
@@ -85,9 +80,8 @@ DmaEngine::chunkDone(std::uint64_t tag)
             ++firstTag_;
             --issueAt_;
         }
+        sink_(ticket);
     }
-    if (done)
-        done();
     issueNext();
 }
 

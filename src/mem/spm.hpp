@@ -56,8 +56,10 @@ class Spm
  * DMA engine attached to an SPM. The engine hands chunk-granularity
  * reads to the transport it is built with (on the chip, one that
  * sends each to DRAM and answers the owning core), each tagged with
- * its transfer; whoever serves a chunk reports it with chunkDone(tag),
- * and a transfer's completion runs when its last chunk lands.
+ * its transfer; whoever serves a chunk reports it with chunkDone(tag).
+ * A transfer is started with its owner's ticket, and when its last
+ * chunk lands the engine hands that ticket to the sink it is built
+ * with (on the chip, the core's sub-scheduler, whose staging ends).
  */
 class DmaEngine
 {
@@ -66,17 +68,21 @@ class DmaEngine
      *  with chunkDone(tag) when it lands. */
     using Transport =
         std::function<void(Addr src, std::uint32_t bytes, std::uint64_t tag)>;
+    /** Sink: the transfer started with ticket has landed. */
+    using Sink = std::function<void(std::uint32_t ticket)>;
 
     DmaEngine(StatRegistry &stats, std::uint32_t chunk_bytes,
-              Transport transport, const std::string &stat_prefix,
+              Transport transport, Sink sink,
+              const std::string &stat_prefix,
               std::uint32_t max_outstanding = 4);
 
     /**
-     * Start a transfer of bytes from src into the SPM; done runs once
-     * the final chunk completes. Multiple transfers may be in flight;
-     * their chunks issue in start order.
+     * Start a transfer of bytes (> 0; an empty one panics) from src
+     * into the SPM; the sink gets ticket once the final chunk lands.
+     * Multiple transfers may be in flight; their chunks issue in
+     * start order.
      */
-    void start(Addr src, std::uint64_t bytes, std::function<void()> done);
+    void start(Addr src, std::uint64_t bytes, std::uint32_t ticket);
 
     /** One chunk of transfer tag landed; panics when the transfer has
      *  no chunk in flight. */
@@ -88,7 +94,7 @@ class DmaEngine
         Addr next;              ///< source of its next unissued chunk
         std::uint64_t unsent;   ///< bytes not yet issued
         std::uint32_t inFlight; ///< chunks issued, not landed
-        std::function<void()> done;
+        std::uint32_t ticket;   ///< handed to the sink when it lands
     };
 
     void issueNext();
@@ -96,6 +102,7 @@ class DmaEngine
     std::uint32_t chunkBytes_;
     std::uint32_t maxOutstanding_;
     Transport transport_;
+    Sink sink_;
     std::uint32_t outstanding_ = 0;
     /** Unfinished transfers in start order; pending_[i] has tag
      *  firstTag_ + i. */

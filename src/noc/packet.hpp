@@ -5,16 +5,12 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <variant>
 
 #include "mem/mem_types.hpp"
 #include "sim/types.hpp"
-
-namespace smarco::workloads {
-struct TaskSpec;
-} // namespace smarco::workloads
+#include "workloads/task.hpp"
 
 namespace smarco::noc {
 
@@ -56,9 +52,6 @@ enum class PacketKind : std::uint8_t {
 
 std::string toString(PacketKind kind);
 
-/** The task a Control packet hands off to a sub-ring. */
-using TaskPtr = std::shared_ptr<const workloads::TaskSpec>;
-
 /**
  * One NoC packet: data only. The network moves bytes and hands every
  * packet to the endpoint handler at its final destination, which
@@ -67,8 +60,8 @@ using TaskPtr = std::shared_ptr<const workloads::TaskSpec>;
  * mem::MemRequest, and the response (MemReadResp, DmaChunk,
  * SpmRemoteResp) carries a copy of it back to the core, where the
  * chip completes it by its access class. A MactBatchReq/Resp carries
- * its mem::MactBatch, and a Control packet the task it hands off to a
- * sub-ring.
+ * its mem::MactBatch, and a Control packet a copy of the task it
+ * hands off to a sub-ring.
  *
  * The payload is held by value: a ring keeps its in-flight packets
  * in a slot pool and a hop moves a slot index, so the packet itself
@@ -85,7 +78,8 @@ struct Packet {
     bool priority = false;
     std::uint32_t payloadBytes = 8;
     Cycle created = 0;
-    std::variant<std::monostate, mem::MemRequest, mem::MactBatch, TaskPtr>
+    std::variant<std::monostate, mem::MemRequest, mem::MactBatch,
+                 workloads::TaskSpec>
         payload;
 };
 

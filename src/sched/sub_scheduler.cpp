@@ -57,9 +57,9 @@ SubScheduler::addCore(core::TcgCore *core)
     sim_.wake(this);
     cores_.push_back(core);
     reserved_.push_back(0);
-    core->setTaskFailHandler(
-        [this](const workloads::TaskSpec &task, Cycle now) {
-            onTaskFailed(task, now);
+    core->setExitHandler(
+        [this](std::uint32_t ticket, Cycle when, bool finished) {
+            onTaskExit(ticket, when, finished);
         });
 }
 
@@ -128,16 +128,15 @@ SubScheduler::dispatchOne(const workloads::TaskSpec &task, Cycle now)
 {
     const std::int32_t slot = pickCore();
     if (slot < 0) {
-        // Placement raced with another dispatch: requeue.
+        // A software quantum counted contexts its earlier dispatch
+        // events, not yet run, have since taken: requeue.
         if (!table_.insert(task))
             fatal("sub-scheduler %u: requeue overflow", id_);
         return;
     }
-    core::TcgCore *core = cores_[slot];
     ++reserved_[slot];
     ++dispatched_;
     queueDelay_.sample(static_cast<double>(now - task.release));
-    ++inFlight_;
     if (recoveryOn_) {
         auto it = recov_.find(task.id);
         if (it != recov_.end() && it->second.pendingRedispatch) {
@@ -148,62 +147,72 @@ SubScheduler::dispatchOne(const workloads::TaskSpec &task, Cycle now)
         }
     }
 
-    auto attach = [this, task, core, slot, now]() {
-        // Staging completes through DMA callbacks while the scheduler
-        // may be asleep; reserved_/table_ change here, so re-arm.
-        sim_.wake(this);
-        --reserved_[slot];
-        const bool ok = core->attachTask(task, makeStream_(task, core->id()),
-            [this, core, now](const workloads::TaskSpec &t,
-                              Cycle finish) {
-                TaskExit exit;
-                exit.taskId = t.id;
-                exit.core = core->id();
-                exit.finish = finish;
-                exit.deadline = t.deadline;
-                exit.metDeadline =
-                    !t.hasDeadline() || finish <= t.deadline;
-                if (!exit.metDeadline)
-                    ++misses_;
-                if (sim_.trace().enabled(TraceCat::Sched))
-                    sim_.trace().complete(
-                        TraceCat::Sched, "task", now, finish,
-                        core->id(),
-                        strprintf("{\"task\":%llu,\"met\":%s}",
-                                  static_cast<unsigned long long>(
-                                      t.id),
-                                  exit.metDeadline ? "true"
-                                                   : "false"));
-                exits_.push_back(exit);
-                if (recoveryOn_) {
-                    watch_.erase(t.id);
-                    recov_.erase(t.id);
-                }
-                --inFlight_;
-                // A context freed up: a sleeping scheduler blocked on
-                // pickCore() can place the next task again.
-                sim_.wake(this);
-                workloads::resolve(t, {.completed = true,
-                                       .when = finish,
-                                       .core = exit.core});
-            });
-        if (!ok) {
-            // Context taken between staging and attach: requeue.
-            --inFlight_;
-            if (!table_.insert(task))
-                fatal("sub-scheduler %u: requeue overflow", id_);
-        } else if (recoveryOn_) {
-            watch_[task.id] = Watch{core, 0, sim_.now()};
-        }
-    };
+    if (freeTickets_.empty()) {
+        freeTickets_.push_back(static_cast<std::uint32_t>(dispatches_.size()));
+        dispatches_.emplace_back();
+    }
+    const std::uint32_t ticket = freeTickets_.back();
+    freeTickets_.pop_back();
+    dispatches_[ticket] =
+        Dispatch{task, static_cast<std::uint32_t>(slot), now};
+    stage_(cores_[slot]->id(), task, ticket);
+}
 
-    stage_(core->id(), task, std::move(attach));
+void
+SubScheduler::staged(std::uint32_t ticket)
+{
+    // Staging completes through DMA callbacks while the scheduler may
+    // be asleep; reserved_ changes here, so re-arm.
+    sim_.wake(this);
+    const Dispatch &d = dispatches_[ticket];
+    --reserved_[d.slot];
+    core::TcgCore *core = cores_[d.slot];
+    // reserved_ held the context from dispatch on, and only this
+    // scheduler attaches to its cores.
+    if (!core->attachTask(d.task, makeStream_(d.task, core->id()), ticket))
+        panic("sub-scheduler %u: core %u lost a reserved context", id_,
+              core->id());
+    if (recoveryOn_)
+        watch_[d.task.id] = Watch{core, 0, sim_.now()};
+}
+
+void
+SubScheduler::onTaskExit(std::uint32_t ticket, Cycle when, bool finished)
+{
+    // Free the ticket before the task resolves: its hook may dispatch.
+    const Dispatch d = std::move(dispatches_[ticket]);
+    freeTickets_.push_back(ticket);
+    if (!finished) {
+        onTaskFailed(d.task, when);
+        return;
+    }
+    const workloads::TaskSpec &t = d.task;
+    const TaskExit exit{.taskId = t.id, .core = cores_[d.slot]->id(),
+                        .finish = when, .deadline = t.deadline,
+                        .metDeadline = !t.hasDeadline() || when <= t.deadline};
+    if (!exit.metDeadline)
+        ++misses_;
+    if (sim_.trace().enabled(TraceCat::Sched))
+        sim_.trace().complete(
+            TraceCat::Sched, "task", d.at, when, exit.core,
+            strprintf("{\"task\":%llu,\"met\":%s}",
+                      static_cast<unsigned long long>(t.id),
+                      exit.metDeadline ? "true" : "false"));
+    exits_.push_back(exit);
+    if (recoveryOn_) {
+        watch_.erase(t.id);
+        recov_.erase(t.id);
+    }
+    // A context freed up: a sleeping scheduler blocked on pickCore()
+    // can place the next task again.
+    sim_.wake(this);
+    workloads::resolve(t, {.completed = true, .when = when,
+                           .core = exit.core});
 }
 
 void
 SubScheduler::onTaskFailed(const workloads::TaskSpec &task, Cycle now)
 {
-    --inFlight_;
     sim_.wake(this);
     const workloads::RequestResult abandoned{
         .when = now, .reason = workloads::ShedReason::Abandoned};
@@ -251,7 +260,7 @@ SubScheduler::heartbeat(Cycle now)
 {
     nextHeartbeat_ = now + recovery_.heartbeatInterval;
     // Collect victims first: killTask() re-enters this scheduler
-    // through the failure handler, which mutates watch_/recov_.
+    // through its exit handler, which mutates watch_/recov_.
     std::vector<std::pair<TaskId, core::TcgCore *>> victims;
     for (auto &[tid, w] : watch_) {
         const std::uint64_t ops = w.core->taskProgress(tid);
@@ -343,7 +352,7 @@ SubScheduler::tick(Cycle now)
 bool
 SubScheduler::busy() const
 {
-    return !table_.empty() || inFlight_ > 0;
+    return load() > 0;
 }
 
 Cycle
@@ -365,7 +374,7 @@ SubScheduler::nextActiveCycle(Cycle now) const
 std::uint64_t
 SubScheduler::load() const
 {
-    return table_.size() + inFlight_;
+    return table_.size() + dispatches_.size() - freeTickets_.size();
 }
 
 } // namespace smarco::sched

@@ -58,8 +58,11 @@ struct TaskExit {
 /**
  * The sub-ring scheduler. It is built with a stream factory (which
  * builds the task's micro-op stream with the core's address layout)
- * and a staging function (the SPM DMA prefetch); every dispatch
- * stages the task and attaches it once staging completes.
+ * and a staging function (the SPM DMA prefetch). Every dispatch takes
+ * a ticket that indexes the scheduler's table of dispatched tasks
+ * from dispatch to exit: staging gets the ticket and hands it back
+ * through staged(), which attaches the task under it, and the core
+ * reports the task's exit, finished or killed, with it.
  */
 class SubScheduler : public Ticking
 {
@@ -67,17 +70,21 @@ class SubScheduler : public Ticking
     /** Build the instruction stream of a task placed on a core. */
     using StreamFactory = std::function<isa::StreamPtr(
         const workloads::TaskSpec &, CoreId)>;
-    /** Stage task input into the core's SPM; call done when ready. */
+    /** Stage task input into the core's SPM; call staged(ticket)
+     *  when ready. */
     using StageFn = std::function<void(
-        CoreId, const workloads::TaskSpec &, std::function<void()>)>;
+        CoreId, const workloads::TaskSpec &, std::uint32_t ticket)>;
 
     SubScheduler(Simulator &sim, SubSchedulerParams params,
                  std::uint32_t sub_ring_id, StreamFactory make_stream,
                  StageFn stage, const std::string &stat_prefix);
 
     /** Register a core of this sub-ring (in ring order) and install
-     *  this scheduler as its task-failure handler. */
+     *  this scheduler as its exit handler. */
     void addCore(core::TcgCore *core);
+
+    /** Staging of ticket's task ended: attach it to its core. */
+    void staged(std::uint32_t ticket);
 
     /**
      * Enqueue a task for dispatch (from the main scheduler). The
@@ -128,11 +135,19 @@ class SubScheduler : public Ticking
     void dispatchOne(const workloads::TaskSpec &task, Cycle now);
     /** Core with the most unreserved free contexts; -1 when none. */
     std::int32_t pickCore() const;
+    /** A core reported ticket's task finished or killed. */
+    void onTaskExit(std::uint32_t ticket, Cycle when, bool finished);
     /** Recovery: a core reported the task killed (not completed). */
     void onTaskFailed(const workloads::TaskSpec &task, Cycle now);
     /** Heartbeat scan: kill tasks whose progress counter froze. */
     void heartbeat(Cycle now);
 
+    /** One dispatched task, from dispatch to exit. */
+    struct Dispatch {
+        workloads::TaskSpec task;
+        std::uint32_t slot = 0; ///< its core's index in cores_
+        Cycle at = 0;           ///< dispatch cycle
+    };
     /** Progress snapshot of one watched in-flight task. */
     struct Watch {
         core::TcgCore *core = nullptr;
@@ -157,7 +172,10 @@ class SubScheduler : public Ticking
     StageFn stage_;
     Cycle nextDecision_ = 0;
     Cycle nextQuantum_ = 0;
-    std::uint64_t inFlight_ = 0; ///< staged/running, not yet finished
+    /** Dispatched tasks by ticket; a ticket on freeTickets_ (LIFO)
+     *  is unused, every other one staged or running. */
+    std::vector<Dispatch> dispatches_;
+    std::vector<std::uint32_t> freeTickets_;
     std::vector<TaskExit> exits_;
 
     bool sheddingOn_ = false;

@@ -4,7 +4,7 @@
 #
 #   cmake -DQUICKSTART=<binary> -DREALTIME_RNC=<binary>
 #         -DMAPREDUCE_WORDCOUNT=<binary> -DCDN_OFFLOAD=<binary>
-#         -DTABLE2=<binary> -DWORK=<dir> -P cli.cmake
+#         -DTABLE2=<binary> -DFIG17=<binary> -DWORK=<dir> -P cli.cmake
 
 file(MAKE_DIRECTORY "${WORK}")
 
@@ -58,3 +58,17 @@ expect_rejected("${CDN_OFFLOAD}" "abc")
 expect_stats_json("${QUICKSTART}")
 expect_stats_json("${REALTIME_RNC}")
 expect_stats_json("${MAPREDUCE_WORDCOUNT}")
+
+# Fig. 17 attaches its tasks to a core by hand; a kill campaign on
+# them must still let the run drain (no scheduler owns their exits).
+set(kills "${WORK}/fig17_kills.json")
+file(WRITE "${kills}" "{\"core\": {\"killRate\": 40}}\n")
+execute_process(COMMAND "${FIG17}" "--faults=${kills}"
+    WORKING_DIRECTORY "${WORK}"
+    OUTPUT_QUIET
+    ERROR_VARIABLE err
+    RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "bench_fig17_tcg_ipc --faults=${kills} exited "
+        "with ${rc}:\n${err}")
+endif()

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
 #include <string>
 
 #include "sim/logging.hpp"
@@ -63,6 +64,36 @@ TEST(ChipDeathTest, TaskWithoutProfilePanicsBeforeStaging)
         chip.runUntilDone(10'000'000);
     };
     EXPECT_DEATH(run(), "task 7 has no profile");
+}
+
+TEST(Chip, KillOfHandAttachedTaskReachesNoScheduler)
+{
+    // A harness that attaches a task to a core by hand, as Fig. 17's
+    // does, gives it no ticket: its exit is reported to no
+    // sub-scheduler, which never dispatched it. So a kill neither
+    // counts an abandonment nor leaves the scheduler busy, and the
+    // run drains.
+    Simulator sim;
+    SmarcoChip chip(sim, ChipConfig::scaled(1, 4));
+    const auto &prof = workloads::htcProfile("wordcount");
+    workloads::TaskSpec ts;
+    ts.id = 0;
+    ts.profile = &prof;
+    ts.numOps = 40000;
+    ts.seed = 11;
+    ASSERT_TRUE(chip.core(0).attachTask(
+        ts,
+        std::make_unique<workloads::ProfileStream>(
+            prof, chip.layoutFor(ts, 0), ts.numOps, ts.seed),
+        core::kNoTicket));
+    sim.events().schedule(1000, [&] {
+        EXPECT_TRUE(chip.core(0).killTask(ts.id, sim.now()));
+    });
+    chip.runUntilDone(2'000'000);
+    EXPECT_TRUE(sim.finishedIdle());
+    EXPECT_EQ(sim.stats().get("chip.sched00.tasksAbandoned").value(), 0.0);
+    EXPECT_EQ(chip.subScheduler(0).load(), 0u);
+    EXPECT_EQ(sim.stats().get("chip.core000.tasksKilled").value(), 1.0);
 }
 
 namespace {

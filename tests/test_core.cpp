@@ -115,11 +115,19 @@ task(std::uint64_t ops = 100)
     return t;
 }
 
+/** One task exit a core reported to its exit handler. */
+struct Exit {
+    std::uint32_t ticket;
+    Cycle when;
+    bool finished;
+};
+
 struct CoreFixture : ::testing::Test {
     Simulator sim;
     CoreParams params;
     std::unique_ptr<FixedLatencyPort> port;
     std::unique_ptr<TcgCore> core;
+    std::vector<Exit> exits;
 
     TcgCore &
     make(Cycle mem_latency = 50)
@@ -127,7 +135,21 @@ struct CoreFixture : ::testing::Test {
         port = std::make_unique<FixedLatencyPort>(sim, mem_latency);
         core = std::make_unique<TcgCore>(sim, params, 0, *port, "core");
         port->core = core.get();
+        core->setExitHandler(
+            [this](std::uint32_t ticket, Cycle when, bool finished) {
+                exits.push_back(Exit{ticket, when, finished});
+            });
         return *core;
+    }
+
+    /** Finish cycle of ticket's task; kNoCycle until it finishes. */
+    Cycle
+    finishOf(std::uint32_t ticket) const
+    {
+        for (const Exit &e : exits)
+            if (e.ticket == ticket && e.finished)
+                return e.when;
+        return kNoCycle;
     }
 };
 
@@ -138,12 +160,10 @@ TEST_F(CoreFixture, RunsAluTraceToCompletion)
     auto &c = make();
     std::vector<MicroOp> ops(200, aluOp());
     ops.push_back(haltOp());
-    bool finished = false;
     ASSERT_TRUE(c.attachTask(task(),
-        std::make_unique<isa::TraceStream>(ops),
-        [&](const workloads::TaskSpec &, Cycle) { finished = true; }));
+        std::make_unique<isa::TraceStream>(ops), 0));
     sim.run(10000);
-    EXPECT_TRUE(finished);
+    EXPECT_NE(finishOf(0), kNoCycle);
     EXPECT_EQ(c.committedOps(), 200u);
     EXPECT_FALSE(c.busy());
 }
@@ -154,11 +174,11 @@ TEST_F(CoreFixture, AttachFailsWhenAllContextsBusy)
     for (std::uint32_t i = 0; i < params.numThreads; ++i) {
         std::vector<MicroOp> ops(1000, aluOp());
         EXPECT_TRUE(c.attachTask(task(),
-            std::make_unique<isa::TraceStream>(ops), nullptr));
+            std::make_unique<isa::TraceStream>(ops), kNoTicket));
     }
     std::vector<MicroOp> ops(10, aluOp());
     EXPECT_FALSE(c.attachTask(task(),
-        std::make_unique<isa::TraceStream>(ops), nullptr));
+        std::make_unique<isa::TraceStream>(ops), kNoTicket));
     EXPECT_EQ(c.freeContexts(), 0u);
 }
 
@@ -171,7 +191,7 @@ TEST_F(CoreFixture, SpmLocalAccessDoesNotLeaveCore)
                             0x1000'0000 + i * 8));
     ops.push_back(haltOp());
     c.attachTask(task(), std::make_unique<isa::TraceStream>(ops),
-                 nullptr);
+                 kNoTicket);
     sim.run(1000);
     EXPECT_EQ(port->requests, 0);
     EXPECT_EQ(sim.stats().get("core.spm.reads").value(), 50.0);
@@ -184,17 +204,11 @@ TEST_F(CoreFixture, HeapMissBlocksUntilFill)
     ops.push_back(memOp(OpKind::Load, MemClass::Heap, 0x8000'0000));
     ops.push_back(aluOp());
     ops.push_back(haltOp());
-    bool finished = false;
-    Cycle finish = 0;
-    c.attachTask(task(), std::make_unique<isa::TraceStream>(ops),
-                 [&](const workloads::TaskSpec &, Cycle f) {
-                     finished = true;
-                     finish = f;
-                 });
+    c.attachTask(task(), std::make_unique<isa::TraceStream>(ops), 0);
     sim.run(10000);
-    EXPECT_TRUE(finished);
+    ASSERT_NE(finishOf(0), kNoCycle);
     EXPECT_EQ(port->requests, 1);
-    EXPECT_GE(finish, 80u); // waited for the fill
+    EXPECT_GE(finishOf(0), 80u); // waited for the fill
 }
 
 TEST_F(CoreFixture, HeapHitAfterFillIsFast)
@@ -206,7 +220,7 @@ TEST_F(CoreFixture, HeapHitAfterFillIsFast)
     ops.push_back(memOp(OpKind::Load, MemClass::Heap, 0x8000'0008));
     ops.push_back(haltOp());
     c.attachTask(task(), std::make_unique<isa::TraceStream>(ops),
-                 nullptr);
+                 kNoTicket);
     sim.run(10000);
     EXPECT_EQ(port->requests, 1);
 }
@@ -221,18 +235,12 @@ TEST_F(CoreFixture, StoresAreNonBlockingThroughStoreBuffer)
     for (int i = 0; i < 100; ++i)
         ops.push_back(aluOp());
     ops.push_back(haltOp());
-    bool finished = false;
-    Cycle finish = 0;
-    c.attachTask(task(), std::make_unique<isa::TraceStream>(ops),
-                 [&](const workloads::TaskSpec &, Cycle f) {
-                     finished = true;
-                     finish = f;
-                 });
+    c.attachTask(task(), std::make_unique<isa::TraceStream>(ops), 0);
     sim.run(10000);
-    EXPECT_TRUE(finished);
+    ASSERT_NE(finishOf(0), kNoCycle);
     // Task completed well before 2x the memory latency: stores
     // overlapped with the ALU work.
-    EXPECT_LT(finish, 200u);
+    EXPECT_LT(finishOf(0), 200u);
     EXPECT_EQ(port->requests, 2);
 }
 
@@ -245,18 +253,12 @@ TEST_F(CoreFixture, StoreBufferFullStallsThread)
         ops.push_back(memOp(OpKind::Store, MemClass::Stream,
                             0x9000'0000 + i * 256));
     ops.push_back(haltOp());
-    bool finished = false;
-    Cycle finish = 0;
-    c.attachTask(task(), std::make_unique<isa::TraceStream>(ops),
-                 [&](const workloads::TaskSpec &, Cycle f) {
-                     finished = true;
-                     finish = f;
-                 });
+    c.attachTask(task(), std::make_unique<isa::TraceStream>(ops), 0);
     sim.run(100000);
-    EXPECT_TRUE(finished);
+    ASSERT_NE(finishOf(0), kNoCycle);
     // 6 stores with only 2 slots at 500-cycle latency: the thread
     // must have waited for at least two full drain rounds.
-    EXPECT_GE(finish, 1000u);
+    EXPECT_GE(finishOf(0), 1000u);
 }
 
 TEST_F(CoreFixture, InPairThreadsHideMemoryLatency)
@@ -287,7 +289,7 @@ TEST_F(CoreFixture, InPairThreadsHideMemoryLatency)
             ts.profile = &traceProfile(); // stream loads all block
             ts.numOps = ops.size();
             c.attachTask(ts, std::make_unique<isa::TraceStream>(ops),
-                         nullptr);
+                         kNoTicket);
         }
         s.run(1000000);
         return s.now();
@@ -322,7 +324,7 @@ TEST_F(CoreFixture, PairPromotionOnStall)
         ts.profile = &traceProfile();
         ts.numOps = ops.size();
         c.attachTask(ts, std::make_unique<isa::TraceStream>(ops),
-                     nullptr);
+                     kNoTicket);
     }
     sim.run(1000000);
     EXPECT_FALSE(c.busy());
@@ -343,14 +345,11 @@ TEST_F(CoreFixture, MispredictFlushCostsCycles)
         ops.push_back(b);
     }
     ops.push_back(haltOp());
-    Cycle finish = 0;
-    c.attachTask(task(), std::make_unique<isa::TraceStream>(ops),
-                 [&](const workloads::TaskSpec &, Cycle f) {
-                     finish = f;
-                 });
+    c.attachTask(task(), std::make_unique<isa::TraceStream>(ops), 0);
     sim.run(100000);
     // Each mispredict costs ~branchPenalty cycles.
-    EXPECT_GE(finish, 50u * params.branchPenalty);
+    ASSERT_NE(finishOf(0), kNoCycle);
+    EXPECT_GE(finishOf(0), 50u * params.branchPenalty);
 }
 
 TEST_F(CoreFixture, IpcImprovesWithThreads)
@@ -376,7 +375,7 @@ TEST_F(CoreFixture, IpcImprovesWithThreads)
             l.streamBase = 0x9000'0000;
             c.attachTask(ts, std::make_unique<workloads::ProfileStream>(
                              prof, l, ts.numOps, ts.seed),
-                         nullptr);
+                         kNoTicket);
         }
         s.run(10000000);
         return c.ipc();
@@ -411,7 +410,7 @@ TEST_F(CoreFixture, SharedInstrSegmentAvoidsStarvation)
             l.streamBase = 0x9000'0000;
             c.attachTask(ts, std::make_unique<workloads::ProfileStream>(
                              prof, l, ts.numOps, ts.seed),
-                         nullptr);
+                         kNoTicket);
         }
         s.run(10000000);
         return c.starvationRatio();
@@ -428,9 +427,7 @@ TEST_F(CoreFixture, LaxityAwareIssueFavoursUrgentTask)
     // Four identical tasks competing for 4 issue slots; only one has
     // a tight deadline, so under laxity-aware arbitration it issues
     // first each cycle and finishes earliest.
-    Cycle urgent_finish = 0;
-    Cycle lax_finish[3] = {0, 0, 0};
-    for (int t = 0; t < 4; ++t) {
+    for (std::uint32_t t = 0; t < 4; ++t) {
         std::vector<MicroOp> ops;
         for (int i = 0; i < 3000; ++i)
             ops.push_back(aluOp());
@@ -440,18 +437,14 @@ TEST_F(CoreFixture, LaxityAwareIssueFavoursUrgentTask)
         ts.profile = &traceProfile();
         ts.numOps = ops.size();
         ts.deadline = t == 0 ? 4000 : kNoCycle;
-        c.attachTask(ts, std::make_unique<isa::TraceStream>(ops),
-                     [&, t](const workloads::TaskSpec &, Cycle f) {
-                         if (t == 0)
-                             urgent_finish = f;
-                         else
-                             lax_finish[t - 1] = f;
-                     });
+        c.attachTask(ts, std::make_unique<isa::TraceStream>(ops), t);
     }
     sim.run(100000);
-    EXPECT_GT(urgent_finish, 0u);
+    const Cycle urgent_finish = finishOf(0);
+    const Cycle lax_finish[3] = {finishOf(1), finishOf(2), finishOf(3)};
+    EXPECT_NE(urgent_finish, kNoCycle);
     for (Cycle f : lax_finish)
-        EXPECT_GT(f, 0u);
+        EXPECT_NE(f, kNoCycle);
     // With issue width 4 and per-thread ILP 2, the urgent task plus
     // at most one other run at full speed; the remaining two must
     // finish strictly later than the urgent one.
@@ -468,8 +461,7 @@ TEST_F(CoreFixture, LaxityAwareIssueKeepsEqualDeadlineTasksInStep)
     // that ignored progress would keep one pair ahead until it ends.
     params.issuePolicy = IssuePolicy::LaxityAware;
     auto &c = make();
-    std::vector<Cycle> finish;
-    for (TaskId t = 0; t < 4; ++t) {
+    for (std::uint32_t t = 0; t < 4; ++t) {
         std::vector<MicroOp> ops(3000, aluOp());
         ops.push_back(haltOp());
         workloads::TaskSpec ts;
@@ -477,12 +469,12 @@ TEST_F(CoreFixture, LaxityAwareIssueKeepsEqualDeadlineTasksInStep)
         ts.profile = &traceProfile();
         ts.numOps = ops.size();
         ts.deadline = 20000;
-        c.attachTask(ts, std::make_unique<isa::TraceStream>(ops),
-                     [&](const workloads::TaskSpec &, Cycle f) {
-                         finish.push_back(f);
-                     });
+        c.attachTask(ts, std::make_unique<isa::TraceStream>(ops), t);
     }
     sim.run(100000);
+    std::vector<Cycle> finish;
+    for (const Exit &e : exits)
+        finish.push_back(e.when);
     ASSERT_EQ(finish.size(), 4u);
     const auto [first, last] =
         std::minmax_element(finish.begin(), finish.end());
@@ -497,10 +489,6 @@ TEST_F(CoreFixture, KillFaultsReachEveryContextOfTheWidestCore)
     params.maxRunning = 16;
     params.numThreads = 32;
     auto &c = make(50);
-    std::vector<TaskId> failed;
-    c.setTaskFailHandler([&](const workloads::TaskSpec &t, Cycle) {
-        failed.push_back(t.id);
-    });
     for (std::uint32_t i = 0; i < 32; ++i) {
         std::vector<MicroOp> ops{
             memOp(OpKind::Load, MemClass::Heap, 0x100000 + i * 4096)};
@@ -510,7 +498,7 @@ TEST_F(CoreFixture, KillFaultsReachEveryContextOfTheWidestCore)
         t.id = i;
         ASSERT_TRUE(c.attachTask(t,
                                  std::make_unique<isa::TraceStream>(ops),
-                                 nullptr));
+                                 i));
     }
     // Let the running half issue its load misses and stall.
     sim.run(3);
@@ -519,12 +507,53 @@ TEST_F(CoreFixture, KillFaultsReachEveryContextOfTheWidestCore)
     for (int k = 0; k < 32; ++k)
         ASSERT_TRUE(c.injectThreadFault(ThreadFault::Kill, rng, sim.now()));
     EXPECT_FALSE(c.injectThreadFault(ThreadFault::Kill, rng, sim.now()));
-    EXPECT_LT(failed.size(), 32u); // stalled victims still pending
+    EXPECT_LT(exits.size(), 32u); // stalled victims still pending
     EXPECT_TRUE(c.busy()); // they stay live until their responses
     sim.run(1000);
-    EXPECT_EQ(failed.size(), 32u);
+    EXPECT_EQ(exits.size(), 32u);
+    for (const Exit &e : exits)
+        EXPECT_FALSE(e.finished) << "ticket " << e.ticket;
     EXPECT_EQ(c.liveContexts(), 0u);
     EXPECT_FALSE(c.busy());
+}
+
+TEST_F(CoreFixture, ExitHandlerHearsEachTicketOnce)
+{
+    // Every exit of a ticketed task, finished or killed (running or
+    // stalled), reaches the one exit handler once with its ticket. A
+    // task attached by hand with kNoTicket is reported to no one,
+    // killed or not.
+    auto &c = make(50);
+    const auto attach = [&](TaskId id, std::uint32_t ticket) {
+        std::vector<MicroOp> ops{
+            memOp(OpKind::Load, MemClass::Heap, 0x100000 + id * 4096)};
+        ops.insert(ops.end(), 100, aluOp());
+        ops.push_back(haltOp());
+        workloads::TaskSpec t = task();
+        t.id = id;
+        ASSERT_TRUE(c.attachTask(
+            t, std::make_unique<isa::TraceStream>(ops), ticket));
+    };
+    attach(1, 10);
+    attach(2, 11);
+    attach(3, 12);
+    attach(4, kNoTicket);
+    attach(5, kNoTicket);
+    EXPECT_TRUE(c.killTask(2, sim.now()));
+    EXPECT_TRUE(c.killTask(5, sim.now()));
+    sim.run(3); // task 3 issues its load miss and stalls
+    EXPECT_TRUE(c.killTask(3, sim.now()));
+    sim.run(10000);
+
+    std::vector<std::pair<std::uint32_t, bool>> got;
+    for (const Exit &e : exits)
+        got.emplace_back(e.ticket, e.finished);
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, (std::vector<std::pair<std::uint32_t, bool>>{
+                       {10, true}, {11, false}, {12, false}}));
+    EXPECT_EQ(c.liveContexts(), 0u);
+    EXPECT_EQ(sim.stats().get("core.tasksFinished").value(), 2.0);
+    EXPECT_EQ(sim.stats().get("core.tasksKilled").value(), 3.0);
 }
 
 TEST(CoreKernelModes, StalledCoreStatsMatchForcedModeAtEverySliceEnd)
@@ -564,11 +593,15 @@ TEST(CoreKernelModes, StalledCoreStatsMatchForcedModeAtEverySliceEnd)
         port.core = &c;
         Stimulus after;
         sim.addTicking(&after);
-        std::vector<TaskId> failed;
-        c.setTaskFailHandler([&](const workloads::TaskSpec &t, Cycle) {
-            failed.push_back(t.id);
+        // Each task's ticket is its id.
+        std::vector<std::uint32_t> failed;
+        std::vector<std::pair<std::uint32_t, Cycle>> finished;
+        c.setExitHandler([&](std::uint32_t ticket, Cycle when, bool done) {
+            if (done)
+                finished.emplace_back(ticket, when);
+            else
+                failed.push_back(ticket);
         });
-        std::vector<std::pair<TaskId, Cycle>> finished;
         const auto attach = [&](TaskId id) {
             std::vector<MicroOp> ops;
             for (int k = 0; k < 6; ++k) {
@@ -584,9 +617,7 @@ TEST(CoreKernelModes, StalledCoreStatsMatchForcedModeAtEverySliceEnd)
             ts.deadline = 2000 + 150 * id;
             return c.attachTask(
                 ts, std::make_unique<isa::TraceStream>(ops),
-                [&finished](const workloads::TaskSpec &t, Cycle f) {
-                    finished.emplace_back(t.id, f);
-                });
+                static_cast<std::uint32_t>(id));
         };
         for (TaskId id = 0; id < 6; ++id)
             EXPECT_TRUE(attach(id));
@@ -605,7 +636,7 @@ TEST(CoreKernelModes, StalledCoreStatsMatchForcedModeAtEverySliceEnd)
             sim.stats().dumpJson(ss);
             dumps.push_back(ss.str());
         }
-        EXPECT_EQ(failed, std::vector<TaskId>{2});
+        EXPECT_EQ(failed, std::vector<std::uint32_t>{2});
         EXPECT_EQ(finished.size(), 6u);
         EXPECT_FALSE(c.busy());
         std::ostringstream tail;
@@ -641,7 +672,7 @@ TEST(CoreDeathTest, TaskWithoutProfilePanics)
         t.id = 7;
         t.numOps = ops.size();
         c.attachTask(t, std::make_unique<isa::TraceStream>(ops),
-                     nullptr);
+                     kNoTicket);
         sim.run(1000);
     };
     EXPECT_DEATH(attach(), "task 7 has no profile");

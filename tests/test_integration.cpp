@@ -113,7 +113,7 @@ TEST(PaperShape, IpcGrowsNearLinearlyUpToFourThreads)
                 ts,
                 std::make_unique<workloads::ProfileStream>(
                     prof, c.layoutFor(ts, 0), ts.numOps, ts.seed),
-                nullptr);
+                core::kNoTicket);
         }
         c.runUntilDone(20'000'000);
         return c.core(0).ipc();

@@ -4,10 +4,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <vector>
 
 #include "sim/logging.hpp"
@@ -185,11 +186,13 @@ aluTrace(const workloads::TaskSpec &t, CoreId)
     return std::make_unique<isa::TraceStream>(ops);
 }
 
-/** Staging function of a core with no input to stage. */
-void
-stageNow(CoreId, const workloads::TaskSpec &, std::function<void()> ready)
+/** Staging function of cores with no input to stage: the ticket goes
+ *  straight back to sub. */
+SubScheduler::StageFn
+stageNow(const std::unique_ptr<SubScheduler> &sub)
 {
-    ready();
+    return [&sub](CoreId, const workloads::TaskSpec &,
+                  std::uint32_t ticket) { sub->staged(ticket); };
 }
 
 /** Fake core farm for scheduler tests (through real TcgCores). */
@@ -225,7 +228,7 @@ struct SchedEnv {
         SubSchedulerParams sp;
         sp.policy = policy;
         sub = std::make_unique<SubScheduler>(sim, sp, 0, aluTrace,
-                                             stageNow, "sched");
+                                             stageNow(sub), "sched");
         for (std::uint32_t i = 0; i < num_cores; ++i) {
             core::CoreParams cp;
             cores.push_back(std::make_unique<core::TcgCore>(
@@ -327,20 +330,44 @@ TEST_F(SchedFixture, LoadCountsQueuedAndInFlight)
     EXPECT_EQ(s.load(), 0u);
 }
 
+TEST_F(SchedFixture, SoftwareQuantumOverCommitRequeuesAndDrains)
+{
+    // 3 cores x 8 contexts and 40 long tasks. A quantum's 24 dispatch
+    // events take 24 x 120 cycles, past the next 2000-cycle boundary,
+    // which counts the contexts of the events not yet run as free and
+    // pops that many more tasks. The last of these dispatches find
+    // every context taken and requeue their tasks; each task still
+    // runs once.
+    auto &s = make(SchedPolicy::SoftwareDeadline, 3);
+    for (TaskId i = 0; i < 40; ++i)
+        s.submit(task(i, kNoCycle, false, 20000));
+    sim.run(50'000'000);
+    std::vector<TaskId> ids;
+    for (const auto &e : s.exits())
+        ids.push_back(e.taskId);
+    std::sort(ids.begin(), ids.end());
+    std::vector<TaskId> all(40);
+    std::iota(all.begin(), all.end(), TaskId{0});
+    EXPECT_EQ(ids, all);
+    EXPECT_EQ(sim.stats().get("sched.dispatched").value(), 40.0);
+    EXPECT_EQ(sim.stats().get("sched.submitted").value(), 40.0);
+    EXPECT_EQ(s.load(), 0u);
+}
+
 TEST(MainScheduler, BalancesAcrossSubRings)
 {
     Simulator sim;
     std::vector<std::unique_ptr<core::TcgCore>> cores;
     SchedEnv::NullPort port{cores};
-    std::vector<std::unique_ptr<SubScheduler>> subs;
+    std::vector<std::unique_ptr<SubScheduler>> subs(4);
     SubSchedulerParams sp;
     for (std::uint32_t g = 0; g < 4; ++g) {
-        subs.push_back(std::make_unique<SubScheduler>(
-            sim, sp, g, aluTrace, stageNow, strprintf("s%u", g)));
+        subs[g] = std::make_unique<SubScheduler>(
+            sim, sp, g, aluTrace, stageNow(subs[g]), strprintf("s%u", g));
         core::CoreParams cp;
         cores.push_back(std::make_unique<core::TcgCore>(
             sim, cp, g, port, strprintf("c%u", g)));
-        subs.back()->addCore(cores.back().get());
+        subs[g]->addCore(cores.back().get());
     }
     MainScheduler main(
         sim, {},
