@@ -46,7 +46,7 @@ servePoint(const workloads::CdnWorkload &cdn, std::uint64_t clients,
             task.profile = profile.get();
             task.numOps = profile->opsPerTask;
             task.seed = t * 2654435761ull;
-            chip.submitRequest(task, {});
+            chip.submitRequest(task);
         });
     }
     auto campaign = fault::armFaultsFromCli(sim, chip);

@@ -166,13 +166,9 @@ BaselineChip::enableAdmission(std::uint32_t queue_cap,
 }
 
 void
-BaselineChip::submitRequest(workloads::TaskSpec task,
-                            workloads::RequestHook hook)
+BaselineChip::submitRequest(const workloads::TaskSpec &task)
 {
     sim_.wake(this);
-    task.hook = hook ? std::make_shared<const workloads::RequestHook>(
-                           std::move(hook))
-                     : nullptr;
     if (admissionOn_ && bag_.size() >= bagCap_) {
         ++shedQueueFull_;
         workloads::resolve(
@@ -180,7 +176,7 @@ BaselineChip::submitRequest(workloads::TaskSpec task,
                    .reason = workloads::ShedReason::QueueFull});
         return;
     }
-    bag_.push_back(std::move(task));
+    bag_.push_back(task);
 }
 
 void

@@ -131,14 +131,13 @@ class BaselineChip : public Ticking
 
     /**
      * Submit one request to the shared bag, also while workers run.
-     * The task carries hook (none when it is empty), which fires
-     * once with its terminal outcome: QueueFull when admission is on
-     * and the bag is full, Expired when it is early-dropped at pop
-     * time, or completion. A killed worker's task returns to the bag
-     * with its hook. Same contract as chip::SmarcoChip::submitRequest.
+     * The task's observer (TaskSpec::observer, null for none) hears
+     * its terminal outcome once: QueueFull when admission is on and
+     * the bag is full, Expired when it is early-dropped at pop time,
+     * or completion. A killed worker's task returns to the bag with
+     * its observer. Same contract as chip::SmarcoChip::submitRequest.
      */
-    void submitRequest(workloads::TaskSpec task,
-                       workloads::RequestHook hook);
+    void submitRequest(const workloads::TaskSpec &task);
 
     std::uint64_t tasksShed() const
     { return static_cast<std::uint64_t>(shedQueueFull_.value()); }

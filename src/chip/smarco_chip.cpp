@@ -176,12 +176,8 @@ SmarcoChip::submitTo(std::uint32_t sub_ring,
 }
 
 void
-SmarcoChip::submitRequest(workloads::TaskSpec task,
-                          workloads::RequestHook hook)
+SmarcoChip::submitRequest(const workloads::TaskSpec &task)
 {
-    task.hook = hook ? std::make_shared<const workloads::RequestHook>(
-                           std::move(hook))
-                     : nullptr;
     mainSched_->submit(task);
 }
 

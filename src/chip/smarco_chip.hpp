@@ -69,22 +69,20 @@ class SmarcoChip : public core::MemPort
     /**
      * Turn on end-to-end overload control: admission + degraded-mode
      * shedding at the main scheduler and deadline early-drop at every
-     * sub-scheduler, all resolved through the tasks' hooks. Off by
+     * sub-scheduler, all resolved through the tasks' observers. Off by
      * default: an uncontrolled run routes and queues every task, and
      * its admission and shed counters stay zero.
      */
     void enableOverloadControl(const sched::AdmissionParams &params);
 
     /**
-     * Submit one request through the main scheduler. The task carries
-     * hook (none when it is empty), which fires once with its
-     * terminal outcome: at main-scheduler shed, sub-ring overflow,
-     * early drop or exit (workloads::RequestHook names the one gap).
-     * Same contract as
+     * Submit one request through the main scheduler. The task's
+     * observer (TaskSpec::observer, null for none) hears its terminal
+     * outcome once: at main-scheduler shed, sub-ring overflow, early
+     * drop, abandonment or exit. Same contract as
      * baseline::BaselineChip::submitRequest.
      */
-    void submitRequest(workloads::TaskSpec task,
-                       workloads::RequestHook hook);
+    void submitRequest(const workloads::TaskSpec &task);
 
     /**
      * Run until all submitted work has drained (or max_cycles).

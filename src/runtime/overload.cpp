@@ -13,9 +13,8 @@ template <class Chip>
 OverloadDriver::SubmitFn
 submitTo(Chip &chip)
 {
-    return [&chip](const workloads::TaskSpec &task,
-                   workloads::RequestHook hook) {
-        chip.submitRequest(task, std::move(hook));
+    return [&chip](const workloads::TaskSpec &task) {
+        chip.submitRequest(task);
     };
 }
 
@@ -69,44 +68,51 @@ OverloadDriver::OverloadDriver(Simulator &sim, SubmitFn submit,
 void
 OverloadDriver::drive(const std::vector<workloads::TaskSpec> &requests)
 {
+    open_.reserve(open_.size() + requests.size());
     for (const auto &r : requests) {
+        const auto [it, fresh] = open_.try_emplace(r.id);
+        if (!fresh)
+            fatal("overload driver: request %llu driven twice",
+                  static_cast<unsigned long long>(r.id));
+        it->second.task = r;
+        it->second.task.observer = this;
+        it->second.arrival = r.release;
         ++requests_;
-        ++pending_;
-        if (r.release <= sim_.now()) {
-            submitOne(r, r.release, 0);
-            continue;
-        }
-        auto t = r;
-        sim_.events().schedule(r.release, [this, t]() {
-            submitOne(t, t.release, 0);
-        });
+        if (r.release <= sim_.now())
+            submit(r.id);
+        else
+            sim_.events().schedule(r.release,
+                                   [this, id = r.id]() { submit(id); });
     }
 }
 
 void
-OverloadDriver::submitOne(const workloads::TaskSpec &task,
-                          Cycle arrival, std::uint32_t attempt)
+OverloadDriver::submit(TaskId id)
 {
-    submit_(task, [this, arrival, attempt](
-                      const workloads::TaskSpec &t,
-                      const workloads::RequestResult &res) {
-        onOutcome(t, res, arrival, attempt);
-    });
+    Open &o = open_.at(id);
+    o.submitted = true;
+    // Hand over a copy: a terminal shed at submit erases the entry.
+    submit_(workloads::TaskSpec(o.task));
 }
 
 void
-OverloadDriver::onOutcome(const workloads::TaskSpec &task,
-                          const workloads::RequestResult &res,
-                          Cycle arrival, std::uint32_t attempt)
+OverloadDriver::resolved(const workloads::TaskSpec &task,
+                         const workloads::RequestResult &res)
 {
+    const auto it = open_.find(task.id);
+    if (it == open_.end() || !it->second.submitted)
+        panic("overload driver: request %llu resolved twice",
+              static_cast<unsigned long long>(task.id));
+    Open &o = it->second;
+    o.submitted = false;
     if (res.completed) {
-        --pending_;
         ++completed_;
-        e2eLatency_.sample(static_cast<double>(res.when - arrival));
+        e2eLatency_.sample(static_cast<double>(res.when - o.arrival));
         if (!task.hasDeadline() || res.when <= task.deadline)
             ++goodput_;
         else
             ++sloMisses_;
+        open_.erase(it);
         return;
     }
 
@@ -122,8 +128,8 @@ OverloadDriver::onOutcome(const workloads::TaskSpec &task,
         res.reason == workloads::ShedReason::Expired ||
         res.reason == workloads::ShedReason::Infeasible;
     const Cycle now = res.when;
-    if (!terminal && attempt < params_.maxRetries) {
-        const std::uint32_t shift = std::min<std::uint32_t>(attempt, 20);
+    if (!terminal && o.attempt < params_.maxRetries) {
+        const std::uint32_t shift = std::min<std::uint32_t>(o.attempt, 20);
         Cycle backoff = std::min<Cycle>(
             params_.backoffBase << shift, params_.backoffMax);
         // Jitter decorrelates the retry herd that a synchronized
@@ -140,18 +146,16 @@ OverloadDriver::onOutcome(const workloads::TaskSpec &task,
                     strprintf("{\"task\":%llu,\"attempt\":%u,"
                               "\"backoff\":%llu}",
                               static_cast<unsigned long long>(task.id),
-                              attempt + 1,
+                              o.attempt + 1,
                               static_cast<unsigned long long>(backoff)));
-            auto t = task;
-            sim_.events().schedule(retry_at, [this, t, arrival,
-                                              attempt]() {
-                submitOne(t, arrival, attempt + 1);
-            });
+            ++o.attempt;
+            sim_.events().schedule(retry_at,
+                                   [this, id = task.id]() { submit(id); });
             return;
         }
     }
 
-    --pending_;
+    open_.erase(it);
     ++expired_;
     if (sim_.trace().enabled(TraceCat::Runtime))
         sim_.trace().instant(

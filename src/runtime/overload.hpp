@@ -4,7 +4,7 @@
  *
  * The OverloadDriver plays the role of the serving tier in front of
  * either chip — SmarCo or the conventional baseline — through the
- * same submitRequest(task, hook) call, so goodput, SLO misses,
+ * same submitRequest(task) call, so goodput, SLO misses,
  * retries and end-to-end latency are defined once for both. It
  * submits an open-loop request stream (see workloads/request_gen.hpp)
  * at each request's arrival cycle, and when the chip's admission
@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "baseline/baseline_chip.hpp"
@@ -58,7 +59,7 @@ struct OverloadParams {
  * BaselineChip::enableAdmission), drive() a pre-generated request
  * stream, run the simulator, then read the lifecycle stats.
  */
-class OverloadDriver
+class OverloadDriver : public workloads::RequestObserver
 {
   public:
     OverloadDriver(chip::SmarcoChip &chip, OverloadParams params,
@@ -66,9 +67,8 @@ class OverloadDriver
     OverloadDriver(baseline::BaselineChip &chip, OverloadParams params,
                    const std::string &stat_prefix = "runtime.overload");
 
-    /** A chip's submitRequest(task, hook). */
-    using SubmitFn = std::function<void(const workloads::TaskSpec &,
-                                        workloads::RequestHook)>;
+    /** A chip's submitRequest(task). */
+    using SubmitFn = std::function<void(const workloads::TaskSpec &)>;
     /** Drive any submit surface, e.g. a chip behind an observer. */
     OverloadDriver(Simulator &sim, SubmitFn submit,
                    OverloadParams params,
@@ -77,9 +77,14 @@ class OverloadDriver
     /**
      * Schedule open-loop submission of every request at its release
      * cycle. May be called repeatedly (e.g. one call per traffic
-     * class); id ranges must not collide.
+     * class); driving an id that is still open is fatal.
      */
     void drive(const std::vector<workloads::TaskSpec> &requests);
+
+    /** The driver observes every task it submits: count an attempt's
+     *  outcome, or retry. A second outcome of one attempt panics. */
+    void resolved(const workloads::TaskSpec &task,
+                  const workloads::RequestResult &res) override;
 
     std::uint64_t requests() const
     { return static_cast<std::uint64_t>(requests_.value()); }
@@ -99,22 +104,28 @@ class OverloadDriver
     std::uint64_t expired() const
     { return static_cast<std::uint64_t>(expired_.value()); }
     /** Requests submitted but not yet resolved. */
-    std::uint64_t pending() const { return pending_; }
+    std::uint64_t pending() const { return open_.size(); }
 
     const Histogram &latency() const { return e2eLatency_; }
 
   private:
-    void submitOne(const workloads::TaskSpec &task, Cycle arrival,
-                   std::uint32_t attempt);
-    void onOutcome(const workloads::TaskSpec &task,
-                   const workloads::RequestResult &res,
-                   Cycle arrival, std::uint32_t attempt);
+    /** An open request: the task as driven (observed by this driver),
+     *  its arrival, its retries and whether an attempt is at the chip. */
+    struct Open {
+        workloads::TaskSpec task;
+        Cycle arrival = 0;
+        std::uint32_t attempt = 0;
+        bool submitted = false;
+    };
+
+    /** Hand the open request id to the chip for its next attempt. */
+    void submit(TaskId id);
 
     Simulator &sim_;
     SubmitFn submit_;
     OverloadParams params_;
     Rng backoffRng_;
-    std::uint64_t pending_ = 0;
+    std::unordered_map<TaskId, Open> open_;
 
     Scalar requests_;
     Scalar completed_;

@@ -7,8 +7,8 @@
  * Admission control bounds the per-sub-ring queues, sheds requests
  * whose deadline is already infeasible given the queue depth, and —
  * under a hysteresis-driven degraded mode — sheds best-effort traffic
- * before deadline traffic. Every shed task resolves through the hook
- * it carries (workloads::RequestHook), so the runtime can retry it
+ * before deadline traffic. Every shed task resolves to the observer
+ * it names (workloads::RequestObserver), so the runtime can retry it
  * with bounded backoff; nothing is ever dropped silently.
  */
 #pragma once

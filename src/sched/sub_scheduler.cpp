@@ -179,8 +179,8 @@ SubScheduler::staged(std::uint32_t ticket)
 void
 SubScheduler::onTaskExit(std::uint32_t ticket, Cycle when, bool finished)
 {
-    // Free the ticket before the task resolves: its hook may dispatch.
-    const Dispatch d = std::move(dispatches_[ticket]);
+    // Free the ticket first: the task's observer may dispatch.
+    const Dispatch d = dispatches_[ticket];
     freeTickets_.push_back(ticket);
     if (!finished) {
         onTaskFailed(d.task, when);

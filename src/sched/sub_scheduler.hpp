@@ -88,7 +88,7 @@ class SubScheduler : public Ticking
 
     /**
      * Enqueue a task for dispatch (from the main scheduler). The
-     * task's hook, if any, fires on its completion or shed.
+     * task's observer, if any, hears its completion or shed.
      */
     void submit(const workloads::TaskSpec &task);
 
@@ -103,7 +103,7 @@ class SubScheduler : public Ticking
      * Turn on deadline-aware shedding: tasks whose deadline has
      * become unreachable are dropped at pop time (early drop: the
      * chip never wastes a context on a doomed request), and a full
-     * chain table sheds the overflowing task back through its hook
+     * chain table sheds the overflowing task back to its observer
      * instead of aborting the run. Off by default.
      */
     void enableShedding();

@@ -8,37 +8,6 @@
 
 namespace smarco::workloads {
 
-namespace {
-
-TaskSpec
-makeRequest(const BenchProfile &profile, const RequestGenParams &params,
-            Rng &rng, std::uint64_t i, Cycle arrival)
-{
-    TaskSpec t;
-    t.id = params.firstId + i;
-    t.profile = &profile;
-    const double jitter =
-        1.0 + params.opsJitter * (2.0 * rng.nextDouble() - 1.0);
-    const std::uint64_t base_ops =
-        params.opsOverride ? params.opsOverride : profile.opsPerTask;
-    t.numOps = std::max<std::uint64_t>(
-        static_cast<std::uint64_t>(
-            static_cast<double>(base_ops) * jitter),
-        16);
-    t.inputBytes = profile.taskInputBytes;
-    t.release = arrival;
-    const bool slo = params.relativeDeadline != kNoCycle &&
-                     rng.chance(params.deadlineFraction);
-    if (slo) {
-        t.deadline = arrival + params.relativeDeadline;
-        t.realtime = params.realtime;
-    }
-    t.seed = params.seed * 0x10001 + t.id;
-    return t;
-}
-
-} // namespace
-
 std::vector<TaskSpec>
 makePoissonRequests(const BenchProfile &profile,
                     const RequestGenParams &params)
@@ -54,6 +23,8 @@ makePoissonRequests(const BenchProfile &profile,
 
     Rng rng = namedRng(params.seed, "overload.arrivals");
     const double mean_gap = 1000.0 / params.ratePerKCycle;
+    const std::uint64_t base_ops =
+        params.opsOverride ? params.opsOverride : profile.opsPerTask;
     std::vector<TaskSpec> requests;
     requests.reserve(params.count);
     Cycle arrival = params.start;
@@ -65,8 +36,26 @@ makePoissonRequests(const BenchProfile &profile,
             1, static_cast<Cycle>(-mean_gap *
                                   std::log(1.0 - u)));
         arrival += gap;
-        requests.push_back(
-            makeRequest(profile, params, rng, i, arrival));
+        // Built in place: copying a task just written field by field
+        // stalls on store forwarding.
+        TaskSpec &t = requests.emplace_back();
+        t.id = params.firstId + i;
+        t.profile = &profile;
+        const double jitter =
+            1.0 + params.opsJitter * (2.0 * rng.nextDouble() - 1.0);
+        t.numOps = std::max<std::uint64_t>(
+            static_cast<std::uint64_t>(
+                static_cast<double>(base_ops) * jitter),
+            16);
+        t.inputBytes = profile.taskInputBytes;
+        t.release = arrival;
+        const bool slo = params.relativeDeadline != kNoCycle &&
+                         rng.chance(params.deadlineFraction);
+        if (slo) {
+            t.deadline = arrival + params.relativeDeadline;
+            t.realtime = params.realtime;
+        }
+        t.seed = params.seed * 0x10001 + t.id;
     }
     return requests;
 }

@@ -38,7 +38,8 @@ makeTaskSet(const BenchProfile &profile, const TaskSetParams &params)
     std::vector<TaskSpec> tasks;
     tasks.reserve(params.count);
     for (std::uint64_t i = 0; i < params.count; ++i) {
-        TaskSpec t;
+        // Built in place: copying a fresh task stalls on store forwarding.
+        TaskSpec &t = tasks.emplace_back();
         t.id = i;
         t.profile = &profile;
         const double jitter =
@@ -54,7 +55,6 @@ makeTaskSet(const BenchProfile &profile, const TaskSetParams &params)
         t.deadline = params.deadline;
         t.realtime = params.realtime;
         t.seed = params.seed * 0x10001 + i;
-        tasks.push_back(t);
     }
     return tasks;
 }

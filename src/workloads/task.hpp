@@ -6,9 +6,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
-#include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "sim/types.hpp"
@@ -47,14 +46,22 @@ struct RequestResult {
 };
 
 /**
- * Observer of a request's terminal outcome. The task carries it
- * (TaskSpec::hook) through every queue, hand-off packet and
+ * Observer of a request's terminal outcome. The task names it
+ * (TaskSpec::observer) through every queue, hand-off packet and
  * re-dispatch, and whichever component resolves the request calls
- * it, once: on completion, when admission control or load shedding
- * rejects it, or when fault recovery abandons it.
+ * resolved(), once: on completion, when admission control or load
+ * shedding rejects it, or when fault recovery abandons it. The
+ * observer must outlive every task that names it.
  */
-using RequestHook =
-    std::function<void(const TaskSpec &, const RequestResult &)>;
+class RequestObserver
+{
+  public:
+    virtual void resolved(const TaskSpec &task,
+                          const RequestResult &res) = 0;
+
+  protected:
+    ~RequestObserver() = default;
+};
 
 /**
  * One schedulable task: a bounded instruction stream drawn from a
@@ -75,9 +82,8 @@ struct TaskSpec {
     bool realtime = false;
     /** Per-task RNG seed so task bodies are independent streams. */
     std::uint64_t seed = 0;
-    /** Outcome observer (null = none); shared, not copied, as the
-     *  task is copied through queues. */
-    std::shared_ptr<const RequestHook> hook;
+    /** Outcome observer (null = none). */
+    RequestObserver *observer = nullptr;
 
     bool hasDeadline() const { return deadline != kNoCycle; }
     /** True when the task has no deadline, or could still meet it if
@@ -107,6 +113,8 @@ struct TaskSpec {
     }
 };
 
+static_assert(std::is_trivially_copyable_v<TaskSpec>);
+
 /**
  * Deterministic code base address of the task's kernel in a synthetic
  * PC space: base plus a 64 KiB-aligned offset hashed from the profile
@@ -115,14 +123,12 @@ struct TaskSpec {
  */
 Addr kernelCodeBase(const TaskSpec &task, Addr base);
 
-/** Resolve a request: call its hook, if it carries one. */
+/** Resolve a request: tell its observer, if it names one. */
 inline void
 resolve(const TaskSpec &task, const RequestResult &res)
 {
-    // Call through a local copy: the hook stays alive even if the
-    // call replaces the task's own copy of it.
-    if (const auto hook = task.hook)
-        (*hook)(task, res);
+    if (task.observer)
+        task.observer->resolved(task, res);
 }
 
 /** Knobs for makeTaskSet. */

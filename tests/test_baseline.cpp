@@ -180,7 +180,7 @@ TEST(Baseline, PersistentWorkersServeInjectedTasks)
     auto tasks = taskSet("wordcount", 4, 8);
     sim.events().schedule(200'000, [&] {
         for (const auto &t : tasks)
-            chip.submitRequest(t, {});
+            chip.submitRequest(t);
     });
     sim.run(5'000'000);
     EXPECT_EQ(chip.tasksCompleted(), 4u);
@@ -197,7 +197,7 @@ TEST(Baseline, UtilisationLowWhenWorkIsSparse)
     for (std::size_t i = 0; i < tasks.size(); ++i) {
         const auto t = tasks[i];
         sim.events().schedule(300'000 + i * 400'000,
-                              [&chip, t] { chip.submitRequest(t, {}); });
+                              [&chip, t] { chip.submitRequest(t); });
     }
     sim.run(4'000'000);
     const auto m = chip.metrics();

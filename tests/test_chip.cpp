@@ -300,20 +300,25 @@ TEST_F(ChipFixture, SubmitToTargetsSpecificSubRing)
     EXPECT_EQ(chip->subScheduler(0).tasksCompleted(), 0u);
 }
 
-TEST_F(ChipFixture, SubmitRequestHookFiresOnCompletion)
+TEST_F(ChipFixture, SubmitRequestObserverHearsCompletion)
 {
-    auto chip = make();
-    bool fired = false;
-    Cycle finish = 0;
-    chip->submitRequest(taskOf("kmeans", 3000),
-        [&](const workloads::TaskSpec &,
-            const workloads::RequestResult &res) {
+    struct Finish : workloads::RequestObserver {
+        bool fired = false;
+        Cycle when = 0;
+        void resolved(const workloads::TaskSpec &,
+                      const workloads::RequestResult &res) override
+        {
             fired = res.completed;
-            finish = res.when;
-        });
+            when = res.when;
+        }
+    } finish;
+    auto chip = make();
+    auto task = taskOf("kmeans", 3000);
+    task.observer = &finish;
+    chip->submitRequest(task);
     chip->runUntilDone(10'000'000);
-    EXPECT_TRUE(fired);
-    EXPECT_GT(finish, 0u);
+    EXPECT_TRUE(finish.fired);
+    EXPECT_GT(finish.when, 0u);
 }
 
 namespace {

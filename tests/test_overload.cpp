@@ -146,25 +146,30 @@ TEST(RequestGenDeath, RejectsBadParams)
 
 namespace {
 
-struct Outcomes {
+struct Outcomes : workloads::RequestObserver {
     std::uint64_t completed = 0;
     std::uint64_t shed = 0;
     workloads::ShedReason lastReason = workloads::ShedReason::QueueFull;
     /** Sheds per reason, indexed by the enum value. */
     std::array<std::uint64_t, 4> byReason{};
 
-    workloads::RequestHook hook()
+    /** The task, observed by this record. */
+    workloads::TaskSpec watch(workloads::TaskSpec task)
     {
-        return [this](const workloads::TaskSpec &,
-                      const workloads::RequestResult &res) {
-            if (res.completed) {
-                ++completed;
-            } else {
-                ++shed;
-                lastReason = res.reason;
-                ++byReason[static_cast<std::size_t>(res.reason)];
-            }
-        };
+        task.observer = this;
+        return task;
+    }
+
+    void resolved(const workloads::TaskSpec &,
+                  const workloads::RequestResult &res) override
+    {
+        if (res.completed) {
+            ++completed;
+        } else {
+            ++shed;
+            lastReason = res.reason;
+            ++byReason[static_cast<std::size_t>(res.reason)];
+        }
     }
 
     std::uint64_t shedFor(workloads::ShedReason reason) const
@@ -194,7 +199,7 @@ TEST(Admission, FullQueueShedsInsteadOfFatal)
     Outcomes out;
     const std::uint64_t total = 32;
     for (std::uint64_t i = 0; i < total; ++i)
-        chip.submitRequest(request(i, 50'000), out.hook());
+        chip.submitRequest(out.watch(request(i, 50'000)));
     chip.runUntilDone(100'000'000);
 
     EXPECT_GT(out.shed, 0u);
@@ -215,7 +220,7 @@ TEST(Admission, InfeasibleDeadlineShedsAtIngress)
     Outcomes out;
     // 10k ops can never finish by cycle 100: laxity test rejects it
     // without wasting a queue slot.
-    chip.submitRequest(request(1, 10'000, 0, 100), out.hook());
+    chip.submitRequest(out.watch(request(1, 10'000, 0, 100)));
     chip.runUntilDone(1'000'000);
 
     EXPECT_EQ(out.shed, 1u);
@@ -234,8 +239,8 @@ TEST(Admission, QueuedCostTightensFeasibility)
 
     Outcomes out;
     for (std::uint64_t i = 0; i < 8; ++i)
-        chip.submitRequest(request(i, 60'000), out.hook());
-    chip.submitRequest(request(99, 1'000, 0, 200'000), out.hook());
+        chip.submitRequest(out.watch(request(i, 60'000)));
+    chip.submitRequest(out.watch(request(99, 1'000, 0, 200'000)));
     chip.runUntilDone(100'000'000);
 
     EXPECT_EQ(out.shed, 1u);
@@ -252,11 +257,11 @@ TEST(Admission, QueuedRequestPastDeadlineIsDroppedEarly)
     Outcomes fill, out;
     // 32 fillers with tight laxity grab every hardware context.
     for (std::uint64_t i = 0; i < 32; ++i)
-        chip.submitRequest(request(i, 30'000, 0, 31'000), fill.hook());
+        chip.submitRequest(fill.watch(request(i, 30'000, 0, 31'000)));
     // The victim passes admission (now + 1000 <= 3000) but every
     // context is held for ~30k cycles; by the first free slot its
     // deadline is history and the scheduler drops it at pop time.
-    chip.submitRequest(request(99, 1'000, 0, 3'000), out.hook());
+    chip.submitRequest(out.watch(request(99, 1'000, 0, 3'000)));
     chip.runUntilDone(100'000'000);
 
     EXPECT_EQ(out.shed, 1u);
@@ -275,13 +280,13 @@ TEST(Admission, DegradedModeShedsBestEffortFirst)
 
     Outcomes out;
     for (std::uint64_t i = 0; i < 3; ++i)
-        chip.submitRequest(request(i, 100'000, 0, 10'000'000),
-                           out.hook());
+        chip.submitRequest(
+            out.watch(request(i, 100'000, 0, 10'000'000)));
     sim.run(2'000); // let the load build up
 
     Outcomes be, dl;
-    chip.submitRequest(request(10, 1'000), be.hook());
-    chip.submitRequest(request(11, 1'000, 0, 10'000'000), dl.hook());
+    chip.submitRequest(be.watch(request(10, 1'000)));
+    chip.submitRequest(dl.watch(request(11, 1'000, 0, 10'000'000)));
     chip.runUntilDone(100'000'000);
 
     EXPECT_TRUE(chip.scheduler().degraded());
@@ -293,7 +298,7 @@ TEST(Admission, DegradedModeShedsBestEffortFirst)
     // Hysteresis: once drained the next submission leaves degraded
     // mode and best-effort traffic is admitted again.
     Outcomes late;
-    chip.submitRequest(request(12, 1'000), late.hook());
+    chip.submitRequest(late.watch(request(12, 1'000)));
     chip.runUntilDone(100'000'000);
     EXPECT_FALSE(chip.scheduler().degraded());
     EXPECT_EQ(late.completed, 1u);
@@ -393,7 +398,7 @@ TEST(BaselineOverload, BoundedBagShedsAndRecords)
 
     Outcomes out;
     for (std::uint64_t i = 0; i < 10; ++i)
-        chip.submitRequest(request(i, 5'000), out.hook());
+        chip.submitRequest(out.watch(request(i, 5'000)));
     sim.run(1'000'000);
 
     EXPECT_EQ(out.completed, 4u);
@@ -417,11 +422,10 @@ TEST(BaselineOverload, ExpiredTasksDropAtPopNotAfterService)
     // deadlines are already history by then, so the bag drops them
     // at pop time instead of burning service cycles.
     Outcomes out;
-    chip.submitRequest(request(1, 20'000), out.hook());
+    chip.submitRequest(out.watch(request(1, 20'000)));
     for (std::uint64_t i = 2; i <= 5; ++i)
-        chip.submitRequest(
-            request(i, 20'000, 0, params.threadCreateCost / 2),
-            out.hook());
+        chip.submitRequest(out.watch(
+            request(i, 20'000, 0, params.threadCreateCost / 2)));
     sim.run(2'000'000);
 
     EXPECT_EQ(out.shed, 4u);
@@ -433,14 +437,14 @@ TEST(BaselineOverload, ExpiredTasksDropAtPopNotAfterService)
 
 // ------------------------------------------ one request lifecycle
 
-TEST(RequestLifecycle, EmptyHookRunsWithoutObserver)
+TEST(RequestLifecycle, RequestWithoutObserverRuns)
 {
-    // An empty hook means no observer: the task completes and nothing
-    // is called at resolution.
+    // A null observer means no one hears the outcome: the task
+    // completes and nothing is called at resolution.
     {
         Simulator sim;
         chip::SmarcoChip chip(sim, chip::ChipConfig::scaled(1, 4));
-        chip.submitRequest(request(1, 5'000), {});
+        chip.submitRequest(request(1, 5'000));
         chip.runUntilDone(10'000'000);
         EXPECT_TRUE(sim.finishedIdle());
         EXPECT_EQ(chip.metrics().tasksCompleted, 1u);
@@ -448,7 +452,7 @@ TEST(RequestLifecycle, EmptyHookRunsWithoutObserver)
     {
         Simulator sim;
         baseline::BaselineChip chip(sim, baseline::BaselineParams{});
-        chip.submitRequest(request(1, 5'000), {});
+        chip.submitRequest(request(1, 5'000));
         chip.spawnWorkers(1, {});
         sim.run(10'000'000);
         EXPECT_TRUE(sim.finishedIdle());
@@ -459,43 +463,48 @@ TEST(RequestLifecycle, EmptyHookRunsWithoutObserver)
 namespace {
 
 /**
- * Sits between an OverloadDriver and a chip and counts, per request
- * id, the submission attempts and the hook calls each attempt gets.
+ * Sits between an OverloadDriver and a chip: observes every attempt,
+ * counts per request id the submission attempts and the outcomes
+ * they get, and forwards each outcome to the driver.
  */
-struct HookLedger {
+struct OutcomeLedger : workloads::RequestObserver {
     struct Entry {
         std::uint32_t attempts = 0;
         std::uint32_t calls = 0;
         std::uint32_t completions = 0;
-        /** Attempts whose hook fired more than once. */
+        /** Outcomes beyond one per attempt. */
         std::uint32_t repeats = 0;
     };
     std::map<TaskId, Entry> byId;
+    /** Hears every outcome after the ledger; set once it exists. */
+    workloads::RequestObserver *driver = nullptr;
 
     template <class Chip>
     runtime::OverloadDriver::SubmitFn
     wrap(Chip &chip)
     {
-        return [this, &chip](const workloads::TaskSpec &task,
-                             workloads::RequestHook hook) {
+        return [this, &chip](const workloads::TaskSpec &task) {
             ++byId[task.id].attempts;
-            auto fired = std::make_shared<bool>(false);
-            chip.submitRequest(
-                task, [this, fired, hook = std::move(hook)](
-                          const workloads::TaskSpec &t,
-                          const workloads::RequestResult &res) {
-                    Entry &e = byId[t.id];
-                    e.repeats += *fired ? 1 : 0;
-                    *fired = true;
-                    ++e.calls;
-                    e.completions += res.completed ? 1 : 0;
-                    hook(t, res);
-                });
+            auto t = task;
+            t.observer = this;
+            chip.submitRequest(t);
         };
     }
 
+    void resolved(const workloads::TaskSpec &t,
+                  const workloads::RequestResult &res) override
+    {
+        Entry &e = byId[t.id];
+        // The driver retries only after an outcome, so an attempt's
+        // second outcome is the one that overtakes the attempts.
+        e.repeats += e.calls >= e.attempts ? 1 : 0;
+        ++e.calls;
+        e.completions += res.completed ? 1 : 0;
+        driver->resolved(t, res);
+    }
+
     /**
-     * Check every request against its hook calls: each attempt is
+     * Check every request against its outcomes: each attempt is
      * resolved at most once, every call but a request's last leads
      * to a retry, and at most one call per request is terminal.
      * Returns the requests with a terminal call.
@@ -546,7 +555,7 @@ lifecycleStream(const workloads::BenchProfile &profile, Cycle deadline)
 
 void
 expectConserved(const runtime::OverloadDriver &driver,
-                const HookLedger &ledger)
+                const OutcomeLedger &ledger)
 {
     EXPECT_EQ(driver.requests(),
               driver.completed() + driver.expired() + driver.pending());
@@ -573,8 +582,9 @@ TEST(RequestLifecycle, EachRequestResolvesExactlyOnceOnBothChips)
         Simulator sim;
         chip::SmarcoChip chip(sim, chip::ChipConfig::scaled(1, 4));
         chip.enableOverloadControl(admission(8, 5'000));
-        HookLedger ledger;
+        OutcomeLedger ledger;
         runtime::OverloadDriver driver(sim, ledger.wrap(chip), op);
+        ledger.driver = &driver;
         const auto reqs = lifecycleStream(cdn_prof, 150'000);
         driver.drive(reqs);
         fault::FaultCampaign campaign(sim, spec, 7);
@@ -599,8 +609,9 @@ TEST(RequestLifecycle, EachRequestResolvesExactlyOnceOnBothChips)
         baseline::BaselineChip chip(sim, params);
         chip.enableAdmission(16);
         chip.spawnWorkers(8, {}, /*persistent=*/true);
-        HookLedger ledger;
+        OutcomeLedger ledger;
         runtime::OverloadDriver driver(sim, ledger.wrap(chip), op);
+        ledger.driver = &driver;
         // The same arrivals, overlapping the workers' spawn ramp (the
         // campaign stops injecting once the chip goes idle), with a
         // deadline the slower baseline can mostly meet.
@@ -621,7 +632,7 @@ TEST(RequestLifecycle, EachRequestResolvesExactlyOnceOnBothChips)
     }
 }
 
-TEST(RequestLifecycle, AbandonedTaskResolvesItsHook)
+TEST(RequestLifecycle, AbandonedTaskResolvesItsObserver)
 {
     // With recovery, maxAttempts = 1 re-dispatches after the first
     // kill and abandons on the second; without it, the first kill
@@ -637,20 +648,26 @@ TEST(RequestLifecycle, AbandonedTaskResolvesItsHook)
             chip.subScheduler(0).enableRecovery(rp);
         }
 
-        std::vector<workloads::RequestResult> results;
+        struct Recorder : workloads::RequestObserver {
+            std::vector<workloads::RequestResult> results;
+            workloads::RequestObserver *driver = nullptr;
+            void resolved(const workloads::TaskSpec &t,
+                          const workloads::RequestResult &res) override
+            {
+                results.push_back(res);
+                driver->resolved(t, res);
+            }
+        } recorder;
+        const auto &results = recorder.results;
         runtime::OverloadDriver driver(
             sim,
-            [&](const workloads::TaskSpec &task,
-                workloads::RequestHook hook) {
-                chip.submitRequest(
-                    task, [&results, hook = std::move(hook)](
-                              const workloads::TaskSpec &t,
-                              const workloads::RequestResult &res) {
-                        results.push_back(res);
-                        hook(t, res);
-                    });
+            [&](const workloads::TaskSpec &task) {
+                auto t = task;
+                t.observer = &recorder;
+                chip.submitRequest(t);
             },
             {});
+        recorder.driver = &driver;
         const TaskId id = 7;
         driver.drive({request(id, 200'000)});
 
@@ -678,6 +695,58 @@ TEST(RequestLifecycle, AbandonedTaskResolvesItsHook)
         EXPECT_EQ(driver.retries(), 0u);
         EXPECT_EQ(driver.shedEvents(), 0u);
         EXPECT_EQ(driver.pending(), 0u);
+    }
+}
+
+TEST(RequestLifecycle, RedispatchedRequestIsTimedFromItsArrival)
+{
+    // Recovery re-queues a killed task with a later release; its
+    // end-to-end latency still runs from the request's arrival.
+    Simulator sim;
+    chip::SmarcoChip chip(sim, chip::ChipConfig::scaled(1, 4));
+    chip.enableOverloadControl(admission(8));
+    chip.subScheduler(0).enableRecovery(sched::RecoveryParams{});
+
+    runtime::OverloadDriver driver(chip, {});
+    const TaskId id = 3;
+    driver.drive({request(id, 50'000, 1'000)});
+    sim.events().schedule(20'000, [&]() {
+        for (CoreId c = 0; c < chip.numCores(); ++c)
+            chip.core(c).killTask(id, sim.now());
+    });
+    chip.runUntilDone(10'000'000);
+
+    EXPECT_EQ(sim.stats().get("chip.sched00.redispatches").value(), 1.0);
+    const auto &exits = chip.subScheduler(0).exits();
+    ASSERT_EQ(exits.size(), 1u);
+    EXPECT_EQ(driver.completed(), 1u);
+    EXPECT_EQ(driver.latency().minSample(),
+              static_cast<double>(exits[0].finish - 1'000));
+}
+
+TEST(RequestLifecycleDeath, DriverRejectsRepeatsAndDoubleResolution)
+{
+    // Two simulators: two drivers with one stat prefix collide.
+    {
+        Simulator sim;
+        runtime::OverloadDriver driver(
+            sim, [](const workloads::TaskSpec &) {}, {});
+        EXPECT_DEATH(driver.drive({request(1, 1'000, 10),
+                                   request(1, 1'000, 20)}),
+                     "driven twice");
+    }
+    {
+        Simulator sim;
+        runtime::OverloadDriver driver(
+            sim,
+            [](const workloads::TaskSpec &task) {
+                const workloads::TaskSpec copy = task;
+                const workloads::RequestResult done{.completed = true};
+                workloads::resolve(copy, done);
+                workloads::resolve(copy, done);
+            },
+            {});
+        EXPECT_DEATH(driver.drive({request(1, 1'000)}), "resolved twice");
     }
 }
 
