@@ -129,7 +129,7 @@ runSmarcoPoint(const SmarcoSetup &setup, double scale, double ceiling,
     if (scale > 0.0) {
         campaign = std::make_unique<fault::FaultCampaign>(
             sim, baseSpec(scale, ceiling), 23);
-        campaign->arm(chip.faultTargets());
+        campaign->arm(chip);
     }
     chip.runUntilDone(400'000'000);
 
@@ -167,7 +167,7 @@ runBaselinePoint(std::uint64_t count, double scale, double ceiling)
     if (scale > 0.0) {
         campaign = std::make_unique<fault::FaultCampaign>(
             sim, baseSpec(scale, ceiling), 23);
-        campaign->arm(chip.faultTargets());
+        campaign->arm(chip);
     }
     sim.run(800'000'000);
     const auto m = chip.metrics();

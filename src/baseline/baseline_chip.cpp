@@ -250,44 +250,48 @@ BaselineChip::injectWorkerFault(bool hang, Rng &rng, Cycle now)
     return false;
 }
 
-void
-BaselineChip::armRecovery(Cycle interval, Cycle timeout)
+bool
+BaselineChip::inject(fault::FaultKind kind, Rng &rng, Cycle now,
+                     const fault::FaultSpec &spec)
 {
-    if (interval == 0 || timeout == 0)
-        fatal("baseline: zero recovery interval");
-    sim_.wake(this);
-    recoveryOn_ = true;
-    recoveryInterval_ = interval;
-    recoveryTimeout_ = timeout;
-}
-
-fault::FaultTargets
-BaselineChip::faultTargets()
-{
-    fault::FaultTargets t;
-    t.coreHang = [this](Rng &rng, Cycle now, const fault::FaultSpec &) {
+    switch (kind) {
+      case fault::FaultKind::CoreHang:
         return injectWorkerFault(/*hang=*/true, rng, now);
-    };
-    t.coreKill = [this](Rng &rng, Cycle now, const fault::FaultSpec &) {
+      case fault::FaultKind::CoreKill:
         return injectWorkerFault(/*hang=*/false, rng, now);
-    };
-    t.dramStall = [this](Rng &rng, Cycle now,
-                         const fault::FaultSpec &spec) {
+      case fault::FaultKind::DramStall: {
         const std::uint32_t ch = static_cast<std::uint32_t>(
             rng.nextBelow(params_.dram.channels));
         dram_->stallChannel(ch, spec.dramStallDuration, now);
         return true;
-    };
-    t.armContinuous = [this](const fault::FaultSpec &spec, Rng &) {
-        armRecovery(spec.recovery.heartbeatInterval,
-                    spec.recovery.hangTimeout);
-    };
-    t.progress = [this]() {
-        return static_cast<std::uint64_t>(committed_.value()) +
-               static_cast<std::uint64_t>(tasksDone_.value()) +
-               dram_->requestsServed();
-    };
-    return t;
+      }
+      case fault::FaultKind::NocDegrade:
+      case fault::FaultKind::NocDup:
+      case fault::FaultKind::MactLoss:
+        return false;
+    }
+    panic("baseline: bad fault kind");
+}
+
+void
+BaselineChip::armContinuous(const fault::FaultSpec &spec, Rng &)
+{
+    recoveryInterval_ = spec.recovery.heartbeatInterval;
+    recoveryTimeout_ = spec.recovery.hangTimeout;
+    if (recoveryInterval_ == 0 || recoveryTimeout_ == 0)
+        fatal("baseline: zero recovery interval");
+    sim_.wake(this);
+    recoveryOn_ = true;
+}
+
+std::uint64_t
+BaselineChip::progress() const
+{
+    // Thread creations count: a spawn's serial creations can outlast
+    // its tasks. Time slices do not: they recur on a wedged chip too.
+    return static_cast<std::uint64_t>(committed_.value()) +
+           static_cast<std::uint64_t>(tasksDone_.value()) +
+           dram_->requestsServed() + (threads_.size() - startingCount_);
 }
 
 void

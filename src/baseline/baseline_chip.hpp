@@ -103,7 +103,7 @@ struct BaselineMetrics {
  * The conventional chip. Usage: construct, submit tasks with a
  * software-thread count, run the simulator, read metrics().
  */
-class BaselineChip : public Ticking
+class BaselineChip : public Ticking, public fault::FaultTarget
 {
   public:
     BaselineChip(Simulator &sim, BaselineParams params);
@@ -163,23 +163,17 @@ class BaselineChip : public Ticking
     std::uint64_t tasksCompleted() const
     { return static_cast<std::uint64_t>(tasksDone_.value()); }
 
-    /**
-     * Fault model: hang (thread freezes holding its SMT slot until
-     * the OS watchdog restarts it) or kill (the worker dies; its task
-     * returns to the shared bag and the thread respawns, paying
-     * threadCreateCost). The victim is a pseudo-randomly chosen
-     * worker that currently holds a task.
-     * @return false when no eligible victim exists.
-     */
-    bool injectWorkerFault(bool hang, Rng &rng, Cycle now);
-
-    /** OS watchdog: scan every interval, restart workers hung for
-     *  at least timeout cycles. */
-    void armRecovery(Cycle interval, Cycle timeout);
-
-    /** Injection surfaces for a fault::FaultCampaign (core + DRAM
-     *  only: the baseline has no ring NoC or MACT). */
-    fault::FaultTargets faultTargets();
+    // --- FaultTarget -----------------------------------------------------
+    /** Hang a worker (it freezes in its SMT slot until the OS
+     *  watchdog restarts it), kill one (its task returns to the bag
+     *  and it respawns at threadCreateCost) or stall a DRAM channel.
+     *  The chip has no ring NoC or MACT: their kinds find no victim. */
+    bool inject(fault::FaultKind kind, Rng &rng, Cycle now,
+                const fault::FaultSpec &spec) override;
+    /** OS watchdog: scan every heartbeatInterval, restart workers
+     *  hung for at least hangTimeout cycles. */
+    void armContinuous(const fault::FaultSpec &spec, Rng &) override;
+    std::uint64_t progress() const override;
 
   private:
     /** One software thread. */
@@ -246,6 +240,9 @@ class BaselineChip : public Ticking
     void taskDone(SwThread &t, Cycle now);
     /** Return the worker's task to the bag and respawn it. */
     void restartWorker(SwThread &t, Cycle now);
+    /** Hang or kill a pseudo-randomly chosen worker holding a task;
+     *  false when there is none. */
+    bool injectWorkerFault(bool hang, Rng &rng, Cycle now);
     bool fetchOk(Core &core, SwThread &t, Cycle now);
     /** @return true when the thread may keep issuing this cycle. */
     bool executeOp(Core &core, SwThread &t, const isa::MicroOp &op,

@@ -557,18 +557,16 @@ SmarcoChip::pickRing(Rng &rng)
                      : network_->subRing(pick - 1);
 }
 
-fault::FaultTargets
-SmarcoChip::faultTargets()
+bool
+SmarcoChip::inject(fault::FaultKind kind, Rng &rng, Cycle now,
+                   const fault::FaultSpec &spec)
 {
-    fault::FaultTargets t;
-    t.coreHang = [this](Rng &rng, Cycle now, const fault::FaultSpec &) {
+    switch (kind) {
+      case fault::FaultKind::CoreHang:
         return injectCoreFault(core::ThreadFault::Hang, rng, now);
-    };
-    t.coreKill = [this](Rng &rng, Cycle now, const fault::FaultSpec &) {
+      case fault::FaultKind::CoreKill:
         return injectCoreFault(core::ThreadFault::Kill, rng, now);
-    };
-    t.nocDegrade = [this](Rng &rng, Cycle now,
-                          const fault::FaultSpec &spec) {
+      case fault::FaultKind::NocDegrade: {
         noc::Ring &ring = pickRing(rng);
         const std::uint32_t stop = static_cast<std::uint32_t>(
             rng.nextBelow(ring.params().numStops));
@@ -577,20 +575,17 @@ SmarcoChip::faultTargets()
         ring.degradeLink(stop, dir, spec.nocDegradeFactor,
                          now + spec.nocDegradeDuration);
         return true;
-    };
-    t.nocDup = [this](Rng &rng, Cycle, const fault::FaultSpec &) {
+      }
+      case fault::FaultKind::NocDup:
         pickRing(rng).armDuplicate(1);
         return true;
-    };
-    t.dramStall = [this](Rng &rng, Cycle now,
-                         const fault::FaultSpec &spec) {
+      case fault::FaultKind::DramStall: {
         const std::uint32_t ch = static_cast<std::uint32_t>(
             rng.nextBelow(dram_->params().channels));
         dram_->stallChannel(ch, spec.dramStallDuration, now);
         return true;
-    };
-    t.mactLoss = [this](Rng &rng, Cycle now,
-                        const fault::FaultSpec &spec) {
+      }
+      case fault::FaultKind::MactLoss: {
         const std::uint32_t n =
             static_cast<std::uint32_t>(macts_.size());
         const std::uint32_t start =
@@ -603,33 +598,39 @@ SmarcoChip::faultTargets()
                     pick, spec.mactRecoveryLatency, now);
         }
         return false;
-    };
-    t.armContinuous = [this](const fault::FaultSpec &spec,
-                             Rng &drop_rng) {
-        if (spec.nocDropProb > 0.0) {
-            noc::RingFaultParams rf;
-            rf.dropProb = spec.nocDropProb;
-            rf.nackDelay = spec.nocNackDelay;
-            rf.maxRetransmits = spec.nocMaxRetransmits;
-            rf.rng = &drop_rng;
-            network_->mainRing().setFaults(rf);
-            for (std::uint32_t i = 0; i < cfg_.noc.numSubRings; ++i)
-                network_->subRing(i).setFaults(rf);
-        }
-        for (auto &s : subScheds_)
-            s->enableRecovery(spec.recovery);
-    };
-    t.progress = [this]() {
-        std::uint64_t p = 0;
-        for (const auto &c : cores_)
-            p += c->committedOps();
-        for (const auto &s : subScheds_)
-            p += s->tasksCompleted();
-        p += network_->packetsDelivered();
-        p += dram_->requestsServed();
-        return p;
-    };
-    return t;
+      }
+    }
+    panic("chip: bad fault kind");
+}
+
+void
+SmarcoChip::armContinuous(const fault::FaultSpec &spec, Rng &drop_rng)
+{
+    if (spec.nocDropProb > 0.0) {
+        noc::RingFaultParams rf;
+        rf.dropProb = spec.nocDropProb;
+        rf.nackDelay = spec.nocNackDelay;
+        rf.maxRetransmits = spec.nocMaxRetransmits;
+        rf.rng = &drop_rng;
+        network_->mainRing().setFaults(rf);
+        for (std::uint32_t i = 0; i < cfg_.noc.numSubRings; ++i)
+            network_->subRing(i).setFaults(rf);
+    }
+    for (auto &s : subScheds_)
+        s->enableRecovery(spec.recovery);
+}
+
+std::uint64_t
+SmarcoChip::progress() const
+{
+    std::uint64_t p = 0;
+    for (const auto &c : cores_)
+        p += c->committedOps();
+    for (const auto &s : subScheds_)
+        p += s->tasksCompleted();
+    p += network_->packetsDelivered();
+    p += dram_->requestsServed();
+    return p;
 }
 
 } // namespace smarco::chip

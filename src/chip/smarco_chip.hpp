@@ -51,7 +51,7 @@ struct ChipMetrics {
  * The SmarCo chip. Construct with a Simulator and a ChipConfig, then
  * submit task sets through scheduler() and run the simulator.
  */
-class SmarcoChip : public core::MemPort
+class SmarcoChip : public core::MemPort, public fault::FaultTarget
 {
   public:
     SmarcoChip(Simulator &sim, ChipConfig cfg);
@@ -112,8 +112,12 @@ class SmarcoChip : public core::MemPort
     workloads::AddressLayout layoutFor(const workloads::TaskSpec &task,
                                        CoreId core) const;
 
-    /** Injection surfaces for a fault::FaultCampaign. */
-    fault::FaultTargets faultTargets();
+    // --- FaultTarget -----------------------------------------------------
+    bool inject(fault::FaultKind kind, Rng &rng, Cycle now,
+                const fault::FaultSpec &spec) override;
+    void armContinuous(const fault::FaultSpec &spec,
+                       Rng &drop_rng) override;
+    std::uint64_t progress() const override;
 
     // --- MemPort --------------------------------------------------------
     void request(CoreId core, ThreadId thread, const isa::MicroOp &op,

@@ -6,6 +6,7 @@
 
 #include "sim/json_writer.hpp"
 #include "sim/logging.hpp"
+#include "sim/observability.hpp"
 
 namespace smarco::fault {
 
@@ -77,22 +78,20 @@ FaultCampaign::FaultCampaign(Simulator &sim, FaultSpec spec,
 }
 
 void
-FaultCampaign::arm(const FaultTargets &targets)
+FaultCampaign::arm(FaultTarget &target)
 {
-    if (armed_)
+    if (target_)
         panic("fault campaign armed twice");
-    targets_ = targets;
+    target_ = &target;
     if (!spec_.anyFaults())
         return; // inert: schedule nothing, counters stay zero
-    armed_ = true;
 
     dropRng_ = namedRng(seed_, "fault.drop");
-    if (targets_.armContinuous)
-        targets_.armContinuous(spec_, dropRng_);
+    target_->armContinuous(spec_, dropRng_);
     generate();
     if (!arrivals_.empty())
         scheduleNext(0);
-    if (spec_.watchdogInterval > 0 && targets_.progress)
+    if (spec_.watchdogInterval > 0)
         scheduleWatchdog(sim_.now() + spec_.watchdogInterval);
 }
 
@@ -162,19 +161,8 @@ FaultCampaign::fire(std::size_t idx)
         return; // workload drained: stop the injection chain
     const Arrival &a = arrivals_[idx];
     const FaultKind kind = static_cast<FaultKind>(a.src);
-    const FaultTargets::InjectFn *hook = nullptr;
-    switch (kind) {
-      case FaultKind::CoreHang:   hook = &targets_.coreHang;   break;
-      case FaultKind::CoreKill:   hook = &targets_.coreKill;   break;
-      case FaultKind::NocDegrade: hook = &targets_.nocDegrade; break;
-      case FaultKind::NocDup:     hook = &targets_.nocDup;     break;
-      case FaultKind::DramStall:  hook = &targets_.dramStall;  break;
-      case FaultKind::MactLoss:   hook = &targets_.mactLoss;   break;
-    }
     const Cycle now = sim_.now();
-    const bool hit =
-        (hook && *hook) ? (*hook)(pickRngs_[a.src], now, spec_)
-                        : false;
+    const bool hit = target_->inject(kind, pickRngs_[a.src], now, spec_);
     if (hit) {
         ++injected_;
         ++byKind_[a.src];
@@ -196,7 +184,7 @@ FaultCampaign::scheduleWatchdog(Cycle when)
     sim_.events().schedule(when, [this, when]() {
         if (!sim_.anyBusy())
             return; // run complete: watchdog retires
-        const std::uint64_t cur = targets_.progress();
+        const std::uint64_t cur = target_->progress();
         if (progressSeen_ && cur == lastProgress_)
             watchdogAbort(when);
         progressSeen_ = true;
@@ -215,6 +203,18 @@ FaultCampaign::watchdogAbort(Cycle now)
     std::cerr << '\n';
     fatal("fault watchdog: simulation wedged at cycle %llu",
           static_cast<unsigned long long>(now));
+}
+
+std::unique_ptr<FaultCampaign>
+armFaultsFromCli(Simulator &sim, FaultTarget &target)
+{
+    if (!obsOptions().faultsWanted())
+        return nullptr;
+    auto campaign = std::make_unique<FaultCampaign>(
+        sim, FaultSpec::fromJsonFile(obsOptions().faultsPath),
+        obsOptions().faultSeed);
+    campaign->arm(target);
+    return campaign;
 }
 
 } // namespace smarco::fault

@@ -12,9 +12,8 @@
  * run unfolds — so the same spec and seed give the same injection
  * cycles in the cycle-accurate and fast-forward kernels alike.
  *
- * The chip exposes its injectable surfaces as FaultTargets hooks; the
- * campaign stays ignorant of chip internals and depends only on the
- * sim layer.
+ * A chip answers the campaign as a FaultTarget; the campaign stays
+ * ignorant of chip internals and depends only on the sim layer.
  */
 #pragma once
 
@@ -25,7 +24,6 @@
 #include <vector>
 
 #include "fault/fault_spec.hpp"
-#include "sim/observability.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
@@ -54,30 +52,25 @@ struct FaultRecord {
 };
 
 /**
- * Injection surfaces of one chip. Each hook attempts one injection
- * (picking a victim from the supplied per-kind Rng) and reports
- * whether it landed. armContinuous installs the always-on knobs:
- * ring drop probability and scheduler recovery. progress returns a
- * monotonically growing work counter for the watchdog.
+ * The campaign's view of one chip. Every chip answers every kind:
+ * one without the surface a kind names answers "no victim".
  */
-struct FaultTargets {
-    using InjectFn =
-        std::function<bool(Rng &, Cycle, const FaultSpec &)>;
+class FaultTarget
+{
+  public:
+    /** Attempt one injection, picking the victim from rng (the
+     *  kind's own stream); false when no victim is eligible. */
+    virtual bool inject(FaultKind kind, Rng &rng, Cycle now,
+                        const FaultSpec &spec) = 0;
+    /** Install the always-on knobs: ring drop probability (drawing
+     *  from the campaign-owned drop_rng) and recovery. */
+    virtual void armContinuous(const FaultSpec &spec,
+                               Rng &drop_rng) = 0;
+    /** A monotonically growing work counter for the watchdog. */
+    virtual std::uint64_t progress() const = 0;
 
-    InjectFn coreHang;
-    InjectFn coreKill;
-    InjectFn nocDegrade;
-    InjectFn nocDup;
-    InjectFn dramStall;
-    InjectFn mactLoss;
-    /**
-     * Install the always-on knobs: ring drop probability (drawing
-     * from the campaign-owned drop_rng, which outlives the run) and
-     * scheduler recovery.
-     */
-    std::function<void(const FaultSpec &, Rng &drop_rng)>
-        armContinuous;
-    std::function<std::uint64_t()> progress;
+  protected:
+    ~FaultTarget() = default;
 };
 
 /**
@@ -107,9 +100,9 @@ class FaultLog : public Stat
 
 /**
  * The campaign. Construct with the spec and the fault seed, then
- * arm() with a chip's targets after the chip is built and before the
- * run starts. The campaign must outlive the run: pending injection
- * and watchdog events hold a pointer to it.
+ * arm() with a chip after it is built and before the run starts. The
+ * campaign and the chip must outlive the run: pending events hold a
+ * pointer to the campaign, and the campaign one to the chip.
  */
 class FaultCampaign
 {
@@ -117,7 +110,7 @@ class FaultCampaign
     FaultCampaign(Simulator &sim, FaultSpec spec, std::uint64_t seed);
 
     /** Generate the arrival sequence and start the event chains. */
-    void arm(const FaultTargets &targets);
+    void arm(FaultTarget &target);
 
     std::uint64_t injected() const
     { return static_cast<std::uint64_t>(injected_.value()); }
@@ -138,8 +131,7 @@ class FaultCampaign
     Simulator &sim_;
     FaultSpec spec_;
     std::uint64_t seed_;
-    FaultTargets targets_;
-    bool armed_ = false;
+    FaultTarget *target_ = nullptr;
 
     std::vector<Arrival> arrivals_;
     std::array<Rng, kNumFaultKinds> pickRngs_;
@@ -156,23 +148,12 @@ class FaultCampaign
 
 /**
  * When the process was launched with --faults=campaign.json, build a
- * campaign from the CLI options and arm it with the chip's targets;
- * return null (and do nothing) otherwise. Works with any chip that
- * exposes faultTargets(). The caller keeps the campaign alive for
+ * campaign from the CLI options and arm it with the chip; return null
+ * (and do nothing) otherwise. The caller keeps the campaign alive for
  * the duration of the run. Every bench and example routes through
  * this, so --faults / --fault-seed behave uniformly everywhere.
  */
-template <typename Chip>
-inline std::unique_ptr<FaultCampaign>
-armFaultsFromCli(Simulator &sim, Chip &chip)
-{
-    if (!obsOptions().faultsWanted())
-        return nullptr;
-    auto campaign = std::make_unique<FaultCampaign>(
-        sim, FaultSpec::fromJsonFile(obsOptions().faultsPath),
-        obsOptions().faultSeed);
-    campaign->arm(chip.faultTargets());
-    return campaign;
-}
+std::unique_ptr<FaultCampaign> armFaultsFromCli(Simulator &sim,
+                                                FaultTarget &target);
 
 } // namespace smarco::fault

@@ -92,6 +92,9 @@ class SpecParser
     {
         skipWs();
         parseObject(spec, "");
+        skipWs();
+        if (pos_ < text_.size())
+            malformed("trailing content");
     }
 
   private:

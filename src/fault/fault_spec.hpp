@@ -64,10 +64,10 @@ struct FaultSpec {
 
     /**
      * Parse a campaign spec. Malformed JSON is a user error (fatal),
-     * and so is a number that is not finite or lies outside its
-     * field's range: rates >= 0, probabilities in [0, 1), the
-     * degrade factor in (0, 1], cycles in [0, 2^53], counts in
-     * [0, 2^32). Unknown keys warn and are ignored so specs stay
+     * and so are text after the top-level object and a number that
+     * is not finite or lies outside its field's range: rates >= 0,
+     * probabilities in [0, 1), the degrade factor in (0, 1], cycles
+     * in [0, 2^53], counts in [0, 2^32). Unknown keys warn and are ignored so specs stay
      * forward compatible. origin names the source in diagnostics.
      */
     static FaultSpec fromJsonText(const std::string &text,

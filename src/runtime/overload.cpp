@@ -1,8 +1,8 @@
 #include "runtime/overload.hpp"
 
-#include <algorithm>
 #include <utility>
 
+#include "sched/shed.hpp"
 #include "sim/logging.hpp"
 
 namespace smarco::runtime {
@@ -129,9 +129,8 @@ OverloadDriver::resolved(const workloads::TaskSpec &task,
         res.reason == workloads::ShedReason::Infeasible;
     const Cycle now = res.when;
     if (!terminal && o.attempt < params_.maxRetries) {
-        const std::uint32_t shift = std::min<std::uint32_t>(o.attempt, 20);
-        Cycle backoff = std::min<Cycle>(
-            params_.backoffBase << shift, params_.backoffMax);
+        Cycle backoff = sched::boundedBackoff(
+            params_.backoffBase, o.attempt, params_.backoffMax);
         // Jitter decorrelates the retry herd that a synchronized
         // backoff would re-inject all at once.
         backoff += backoffRng_.nextBelow(backoff / 2 + 1);

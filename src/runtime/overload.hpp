@@ -42,7 +42,8 @@ namespace smarco::runtime {
 
 /** Retry/backoff knobs of the request driver. */
 struct OverloadParams {
-    /** Retry backoff: min(base << attempt, max) plus jitter. */
+    /** Retry backoff: sched::boundedBackoff(base, attempt, max)
+     *  plus jitter. */
     Cycle backoffBase = 2'000;
     Cycle backoffMax = 64'000;
     /** Retries per request after which it is given up. */

@@ -48,11 +48,20 @@ struct AdmissionParams {
 struct RecoveryParams {
     Cycle heartbeatInterval = 10'000;
     Cycle hangTimeout = 60'000;
-    /** Re-dispatch backoff: min(base << (attempt-1), max). */
+    /** Re-dispatch backoff: boundedBackoff(base, attempt - 1, max). */
     Cycle backoffBase = 500;
     Cycle backoffMax = 32'000;
     /** Failed attempts after which the task is abandoned. */
     std::uint32_t maxAttempts = 8;
 };
+
+/** Bounded exponential backoff, min(base << min(n, 20), max), that
+ *  saturates at max where the shift would overflow a Cycle. */
+constexpr Cycle
+boundedBackoff(Cycle base, std::uint32_t n, Cycle max)
+{
+    const std::uint32_t shift = n < 20 ? n : 20;
+    return base > (max >> shift) ? max : base << shift;
+}
 
 } // namespace smarco::sched

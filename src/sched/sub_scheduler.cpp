@@ -235,10 +235,8 @@ SubScheduler::onTaskFailed(const workloads::TaskSpec &task, Cycle now)
         workloads::resolve(task, abandoned);
         return;
     }
-    const std::uint32_t shift =
-        std::min<std::uint32_t>(r.attempts - 1, 20);
-    const Cycle backoff = std::min<Cycle>(
-        recovery_.backoffBase << shift, recovery_.backoffMax);
+    const Cycle backoff = boundedBackoff(
+        recovery_.backoffBase, r.attempts - 1, recovery_.backoffMax);
     r.failAt = now;
     r.pendingRedispatch = true;
     workloads::TaskSpec retry = task;

@@ -4,7 +4,8 @@
 #
 #   cmake -DQUICKSTART=<binary> -DREALTIME_RNC=<binary>
 #         -DMAPREDUCE_WORDCOUNT=<binary> -DCDN_OFFLOAD=<binary>
-#         -DTABLE2=<binary> -DFIG17=<binary> -DWORK=<dir> -P cli.cmake
+#         -DTABLE2=<binary> -DFIG17=<binary> -DFIG01=<binary>
+#         -DWORK=<dir> -P cli.cmake
 
 file(MAKE_DIRECTORY "${WORK}")
 
@@ -59,16 +60,27 @@ expect_stats_json("${QUICKSTART}")
 expect_stats_json("${REALTIME_RNC}")
 expect_stats_json("${MAPREDUCE_WORDCOUNT}")
 
+# `bin --faults=F` exits 0, where F is a file named name holding spec.
+function(expect_drains bin name spec)
+    get_filename_component(bin_name "${bin}" NAME)
+    set(path "${WORK}/${name}")
+    file(WRITE "${path}" "${spec}\n")
+    execute_process(COMMAND "${bin}" "--faults=${path}"
+        WORKING_DIRECTORY "${WORK}"
+        OUTPUT_QUIET
+        ERROR_VARIABLE err
+        RESULT_VARIABLE rc)
+    if(NOT rc EQUAL 0)
+        message(FATAL_ERROR "${bin_name} --faults=${path} exited with "
+            "${rc}:\n${err}")
+    endif()
+endfunction()
+
 # Fig. 17 attaches its tasks to a core by hand; a kill campaign on
 # them must still let the run drain (no scheduler owns their exits).
-set(kills "${WORK}/fig17_kills.json")
-file(WRITE "${kills}" "{\"core\": {\"killRate\": 40}}\n")
-execute_process(COMMAND "${FIG17}" "--faults=${kills}"
-    WORKING_DIRECTORY "${WORK}"
-    OUTPUT_QUIET
-    ERROR_VARIABLE err
-    RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "bench_fig17_tcg_ipc --faults=${kills} exited "
-        "with ${rc}:\n${err}")
-endif()
+expect_drains("${FIG17}" fig17_kills.json "{\"core\": {\"killRate\": 40}}")
+# Fig. 1's baseline runs keep creating threads after their last task
+# ends, and the baseline finds no victim for a NoC fault: the fault
+# watchdog must count creations as progress and let each run drain.
+expect_drains("${FIG01}" fig01_noc_dram.json
+    "{\"noc\": {\"degradeRate\": 40}, \"dram\": {\"stallRate\": 40}}")

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -60,7 +61,7 @@ smarcoRun(std::uint64_t seed, bool fast_forward,
     if (spec) {
         campaign = std::make_unique<fault::FaultCampaign>(
             sim, *spec, fault_seed);
-        campaign->arm(chip.faultTargets());
+        campaign->arm(chip);
     }
     chip.runUntilDone(100'000'000);
     if (out)
@@ -83,6 +84,19 @@ expectIdentical(const std::string &a, const std::string &b)
            << a.substr(from, 80) << "\n  run B: ..."
            << b.substr(from, 80);
 }
+
+/** A chip stand-in: every injection hits or none does, and progress
+ *  stays at a fixed count. */
+struct FakeTarget final : fault::FaultTarget {
+    bool hits = false;
+    std::uint64_t work = 0;
+
+    bool inject(fault::FaultKind, Rng &, Cycle,
+                const fault::FaultSpec &) override
+    { return hits; }
+    void armContinuous(const fault::FaultSpec &, Rng &) override {}
+    std::uint64_t progress() const override { return work; }
+};
 
 } // namespace
 
@@ -235,6 +249,23 @@ TEST(FaultSpecJsonDeath, MalformedTextIsFatal)
                 ::testing::ExitedWithCode(1), "fault spec t");
 }
 
+TEST(FaultSpecJsonDeath, TrailingContentIsFatal)
+{
+    // Trailing whitespace is fine; anything else after the top-level
+    // object is reported at its offset.
+    EXPECT_EQ(fault::FaultSpec::fromJsonText(
+                  "{\"core\": {\"hangRate\": 1}}\n  ", "t")
+                  .coreHangRate,
+              1.0);
+    EXPECT_EXIT(fault::FaultSpec::fromJsonText(
+                    "{\"core\": {\"hangRate\": 1}} trailing junk", "t"),
+                ::testing::ExitedWithCode(1),
+                "fault spec t: trailing content at offset 26");
+    EXPECT_EXIT(fault::FaultSpec::fromJsonText("{}{}", "t"),
+                ::testing::ExitedWithCode(1),
+                "trailing content at offset 2");
+}
+
 TEST(FaultSpecJsonDeath, OutOfRangeDropProbIsFatal)
 {
     EXPECT_EXIT(fault::FaultSpec::fromJsonText(
@@ -325,8 +356,10 @@ TEST(FaultCampaignArm, TinyRateArmsWithNoArrival)
         Simulator sim;
         fault::FaultSpec spec;
         spec.coreHangRate = rate;
+        spec.watchdogInterval = 0; // count only arrival events
         fault::FaultCampaign campaign(sim, spec, 1);
-        campaign.arm(fault::FaultTargets{});
+        FakeTarget target;
+        campaign.arm(target);
         EXPECT_EQ(sim.events().size(), rate < 1.0 ? 0u : 1u)
             << "rate " << rate;
     }
@@ -418,7 +451,7 @@ TEST(FaultRecovery, KilledTasksAreRedispatchedAndComplete)
     chip.submit(workloads::makeTaskSet(
         workloads::htcProfile("wordcount"), tp));
     fault::FaultCampaign campaign(sim, spec, 3);
-    campaign.arm(chip.faultTargets());
+    campaign.arm(chip);
     chip.runUntilDone(100'000'000);
     EXPECT_EQ(chip.metrics().tasksCompleted, 24u);
     if (campaign.injected() > 0) {
@@ -457,7 +490,7 @@ TEST(FaultRecovery, BaselineWorkerKillsStillDrainTheBag)
     spec.recovery.heartbeatInterval = 5'000;
     spec.recovery.hangTimeout = 30'000;
     fault::FaultCampaign campaign(sim, spec, 3);
-    campaign.arm(chip.faultTargets());
+    campaign.arm(chip);
     sim.run(400'000'000);
     EXPECT_EQ(chip.tasksCompleted(), 16u);
     EXPECT_GT(campaign.injected(), 0u);
@@ -548,14 +581,56 @@ TEST(WatchdogDeath, WedgedRunAbortsWithStatsDump)
             spec.horizon = 1'000'000;
             spec.watchdogInterval = 1'000;
             fault::FaultCampaign campaign(sim, spec, 1);
-            fault::FaultTargets targets;
-            targets.armContinuous = [](const fault::FaultSpec &,
-                                       Rng &) {};
-            targets.progress = [] { return std::uint64_t{42}; };
-            campaign.arm(targets);
+            FakeTarget target;
+            target.work = 42;
+            campaign.arm(target);
             sim.run(10'000'000);
         },
         ::testing::ExitedWithCode(1), "watchdog");
+}
+
+namespace {
+
+/**
+ * Eight serial 30,000-cycle thread creations keep a baseline chip
+ * busy to cycle 240,000, long after its two short tasks are done.
+ * Arms a watchdog-only campaign (its one rate too small to land a
+ * fault) and reports whether the run drained.
+ */
+bool
+baselineCreationsDrain()
+{
+    Simulator sim;
+    baseline::BaselineParams bp;
+    bp.numCores = 4;
+    bp.llc = mem::CacheParams{"llc", 4 * 1024 * 1024, 16, 64, 38};
+    baseline::BaselineChip chip(sim, bp);
+    workloads::TaskSetParams tp;
+    tp.count = 2;
+    tp.seed = 3;
+    auto tasks =
+        workloads::makeTaskSet(workloads::htcProfile("wordcount"), tp);
+    for (auto &t : tasks)
+        t.numOps = 2'000;
+    chip.spawnWorkers(8, std::move(tasks));
+    fault::FaultSpec spec;
+    spec.dramStallRate = 1e-6;
+    spec.watchdogInterval = 40'000;
+    fault::FaultCampaign campaign(sim, spec, 1);
+    campaign.arm(chip);
+    sim.run(10'000'000);
+    return chip.tasksCompleted() == 2 && !sim.anyBusy() &&
+           sim.now() >= 240'000;
+}
+
+} // namespace
+
+TEST(WatchdogDeath, BaselineCreationsOutlastingTasksDrain)
+{
+    // Each creation is progress, so the watchdog lets the run drain.
+    // Run in a child: an abort must fail the test, not end the binary.
+    EXPECT_EXIT(std::exit(baselineCreationsDrain() ? 0 : 3),
+                ::testing::ExitedWithCode(0), "");
 }
 
 // ---------------------------------------------------------------------
@@ -576,7 +651,7 @@ TEST(Campaign, InjectionsAreCountedAndLogged)
     chip.submit(workloads::makeTaskSet(
         workloads::htcProfile("wordcount"), tp));
     fault::FaultCampaign campaign(sim, spec, 1);
-    campaign.arm(chip.faultTargets());
+    campaign.arm(chip);
     chip.runUntilDone(100'000'000);
     EXPECT_GT(campaign.injected(), 0u);
     EXPECT_EQ(campaign.log().records().size(), campaign.injected());
@@ -603,14 +678,9 @@ TEST(Campaign, RateScaleThinningNestsAcceptedSets)
         sim.addTicking(&wedge);
         spec.watchdogInterval = 0; // no watchdog: wedge is the clock
         fault::FaultCampaign campaign(sim, spec, 9);
-        fault::FaultTargets targets;
-        targets.dramStall = [](Rng &, Cycle,
-                               const fault::FaultSpec &) {
-            return true;
-        };
-        targets.armContinuous = [](const fault::FaultSpec &,
-                                   Rng &) {};
-        campaign.arm(targets);
+        FakeTarget target;
+        target.hits = true;
+        campaign.arm(target);
         sim.run(2'100'000);
         std::vector<Cycle> cycles;
         for (const auto &rec : campaign.log().records())

@@ -200,7 +200,7 @@ baselineFaultedRun(bool fast_forward, const SimInspect &inspect = {})
     spec.recovery.hangTimeout = 30'000;
     fault::FaultCampaign campaign(sim, spec, 3);
     sim.events().schedule(12'345,
-                          [&] { campaign.arm(chip.faultTargets()); });
+                          [&] { campaign.arm(chip); });
     sim.run(400'000'000);
     if (inspect)
         inspect(sim);
@@ -334,7 +334,7 @@ faultedHtcRun(bool fast_forward,
     spec.nocDropProb = 0.002;
     spec.horizon = 1'000'000;
     fault::FaultCampaign campaign(sim, spec, 7);
-    campaign.arm(chip.faultTargets());
+    campaign.arm(chip);
     chip.runUntilDone(100'000'000);
     if (inspect)
         inspect(sim.stats());
@@ -400,7 +400,7 @@ threadSchemeRun(
         spec.recovery.heartbeatInterval = 2'000;
         spec.recovery.hangTimeout = 20'000;
         fault::FaultCampaign campaign(sim, spec, 5);
-        campaign.arm(chip.faultTargets());
+        campaign.arm(chip);
         chip.runUntilDone(100'000'000);
         if (inspect)
             inspect(v.name, sim.stats());

@@ -588,7 +588,7 @@ TEST(RequestLifecycle, EachRequestResolvesExactlyOnceOnBothChips)
         const auto reqs = lifecycleStream(cdn_prof, 150'000);
         driver.drive(reqs);
         fault::FaultCampaign campaign(sim, spec, 7);
-        campaign.arm(chip.faultTargets());
+        campaign.arm(chip);
         chip.runUntilDone(400'000'000);
 
         // Kill + re-dispatch is exercised; maxAttempts is high
@@ -618,7 +618,7 @@ TEST(RequestLifecycle, EachRequestResolvesExactlyOnceOnBothChips)
         const auto reqs = lifecycleStream(cdn_prof, 600'000);
         driver.drive(reqs);
         fault::FaultCampaign campaign(sim, spec, 7);
-        campaign.arm(chip.faultTargets());
+        campaign.arm(chip);
         sim.run(2'000'000);
 
         // bag_.push_front re-queue
@@ -803,7 +803,7 @@ overloadRun(bool fast_forward, std::uint64_t seed,
     if (spec) {
         campaign =
             std::make_unique<fault::FaultCampaign>(sim, *spec, 23);
-        campaign->arm(chip.faultTargets());
+        campaign->arm(chip);
     }
     chip.runUntilDone(400'000'000);
 

@@ -354,6 +354,46 @@ TEST_F(SchedFixture, SoftwareQuantumOverCommitRequeuesAndDrains)
     EXPECT_EQ(s.load(), 0u);
 }
 
+TEST(Backoff, SaturatesInsteadOfWrapping)
+{
+    // The shift is capped at 20, and a shift past a Cycle's width
+    // saturates at max instead of wrapping to zero.
+    EXPECT_EQ(boundedBackoff(500, 0, 32'000), 500u);
+    EXPECT_EQ(boundedBackoff(500, 6, 32'000), 32'000u);
+    EXPECT_EQ(boundedBackoff(2'000, 4, 64'000), 32'000u);
+    EXPECT_EQ(boundedBackoff(1, 40, kNoCycle), Cycle{1} << 20);
+    EXPECT_EQ(boundedBackoff(Cycle{1} << 53, 11, 32'000), 32'000u);
+    EXPECT_EQ(boundedBackoff(Cycle{1} << 53, 11, kNoCycle), kNoCycle);
+}
+
+TEST_F(SchedFixture, RecoveryBackoffSaturatesAtItsMax)
+{
+    // backoffBase 2^53 is inside its spec range. Shifted by 11 for
+    // the twelfth retry it would wrap to 0 and redispatch at once;
+    // every retry must wait backoffMax instead.
+    auto &s = make(SchedPolicy::HardwareLaxity, 1);
+    RecoveryParams rp;
+    rp.heartbeatInterval = 1'000'000;
+    rp.hangTimeout = 1'000'000;
+    rp.backoffBase = Cycle{1} << 53;
+    rp.backoffMax = 10'000;
+    rp.maxAttempts = 64;
+    s.enableRecovery(rp);
+    s.submit(task(0, kNoCycle, false, 100'000));
+    Rng rng(1, 1);
+    for (int kill = 1; kill <= 12; ++kill) {
+        for (int i = 0; i < 100 && cores[0]->liveContexts() == 0; ++i)
+            sim.run(200);
+        ASSERT_EQ(cores[0]->liveContexts(), 1u) << "kill " << kill;
+        ASSERT_TRUE(cores[0]->injectThreadFault(core::ThreadFault::Kill,
+                                                rng, sim.now()));
+        sim.run(9'000);
+        EXPECT_EQ(cores[0]->liveContexts(), 0u)
+            << "retry " << kill << " redispatched before backoffMax";
+        EXPECT_EQ(s.pendingTasks(), 1u) << "retry " << kill;
+    }
+}
+
 TEST(MainScheduler, BalancesAcrossSubRings)
 {
     Simulator sim;
