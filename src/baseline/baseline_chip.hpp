@@ -95,7 +95,11 @@ struct BaselineMetrics {
     double llcAvgLatency = 0.0;
     double cpuUtilisation = 0.0; ///< busy issue slots / all slots
     std::uint64_t deadlineMisses = 0;
-    /** Finish cycle of the last completed task (see ChipMetrics). */
+    /** Finish cycle of the last completed task. As on the SmarCo
+     *  chip (ChipMetrics::lastTaskFinish), only bench_resilience
+     *  divides by it; aggregateIpc, tasksPerMCycle and Figs. 22, 23
+     *  and 26 divide by cycles, the chip's ticks while it has live
+     *  threads. */
     Cycle lastTaskFinish = 0;
 };
 

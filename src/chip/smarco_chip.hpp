@@ -41,9 +41,11 @@ struct ChipMetrics {
     double nocUtilisation = 0.0;
     std::uint64_t dramRequests = 0;
     std::uint64_t deadlineMisses = 0;
-    /** Finish cycle of the last completed task. Faulted runs append
-     *  recovery/watchdog events past the useful work, so throughput
-     *  is measured against this, not the final simulator cycle. */
+    /** Finish cycle of the last completed task. Only bench_resilience
+     *  divides by this span: its faulted runs append recovery and
+     *  watchdog events past the useful work. aggregateIpc,
+     *  tasksPerMCycle and Figs. 22, 23 and 26 divide by cycles, the
+     *  clock when the simulator drains. */
     Cycle lastTaskFinish = 0;
 };
 

@@ -1,40 +1,116 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "sim/logging.hpp"
 
 namespace smarco {
 
+namespace {
+
+constexpr Cycle kMask = EventQueue::kWindow - 1;
+
+} // namespace
+
 void
 EventQueue::schedule(Cycle when, EventFn fn)
 {
     if (!fn)
         panic("EventQueue::schedule: empty callback");
-    heap_.push_back(Entry{when, nextSeq_++, std::move(fn)});
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
+    if (when < next_)
+        next_ = when;
+    // Unsigned: a cycle before base_ wraps past the window too.
+    if (when - base_ >= kWindow) {
+        far_.push_back(FarEntry{when, farSeq_++, std::move(fn)});
+        std::push_heap(far_.begin(), far_.end(), Later{});
+        return;
+    }
+
+    std::uint32_t n = freeNode_;
+    if (n != kNil) {
+        freeNode_ = nodes_[n].next;
+        nodes_[n].fn = std::move(fn);
+        nodes_[n].next = kNil;
+    } else {
+        n = static_cast<std::uint32_t>(nodes_.size());
+        nodes_.push_back(Node{std::move(fn), kNil});
+    }
+    const std::size_t i = when & kMask;
+    Bucket &b = buckets_[i];
+    std::uint64_t &word = occupied_[i / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+    if (word & bit)
+        nodes_[b.tail].next = n;
+    else {
+        word |= bit;
+        b.head = n;
+    }
+    b.tail = n;
+    ++bucketed_;
+}
+
+EventFn
+EventQueue::pop(Cycle c)
+{
+    if (!far_.empty() && far_.front().when == c) {
+        std::pop_heap(far_.begin(), far_.end(), Later{});
+        EventFn fn = std::move(far_.back().fn);
+        far_.pop_back();
+        return fn;
+    }
+    const std::size_t i = c & kMask;
+    Bucket &b = buckets_[i];
+    const std::uint32_t n = b.head;
+    EventFn fn = std::move(nodes_[n].fn);
+    b.head = nodes_[n].next;
+    if (b.head == kNil)
+        occupied_[i / 64] &= ~(std::uint64_t{1} << (i % 64));
+    nodes_[n].next = freeNode_;
+    freeNode_ = n;
+    --bucketed_;
+    return fn;
 }
 
 Cycle
-EventQueue::nextEventCycle() const
+EventQueue::scanNext() const
 {
-    return heap_.empty() ? kNoCycle : heap_.front().when;
+    const Cycle far = far_.empty() ? kNoCycle : far_.front().when;
+    if (bucketed_ == 0)
+        return far;
+    // First occupied bucket at or after base_'s, wrapping once; the
+    // start word is visited again at the end for its low bits.
+    const std::size_t start = base_ & kMask;
+    std::size_t w = start / 64;
+    std::uint64_t bits = occupied_[w] & (~std::uint64_t{0} << (start % 64));
+    for (std::size_t k = 0; bits == 0 && k < kWords; ++k) {
+        w = (w + 1) % kWords;
+        bits = occupied_[w];
+    }
+    const std::size_t i = w * 64 + std::countr_zero(bits);
+    return std::min(far, base_ + ((i - start) & kMask));
 }
 
 std::size_t
-EventQueue::runUntil(Cycle now)
+EventQueue::fireThrough(Cycle now)
 {
     std::size_t fired = 0;
-    while (!heap_.empty() && heap_.front().when <= now) {
+    while (next_ <= now) {
+        const Cycle c = next_;
+        // Every cycle before c has fired, so the window may start at
+        // c: events scheduled while c fires then land in buckets.
+        if (c > base_)
+            base_ = c;
         // Move out before firing so the callback may schedule new
         // events.
-        std::pop_heap(heap_.begin(), heap_.end(), Later{});
-        EventFn fn = std::move(heap_.back().fn);
-        heap_.pop_back();
+        EventFn fn = pop(c);
+        next_ = scanNext();
         fn();
         ++fired;
     }
+    if (now >= base_)
+        base_ = now + 1;
     return fired;
 }
 

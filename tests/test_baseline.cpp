@@ -37,6 +37,35 @@ TEST(Baseline, CompletesAllTasks)
     EXPECT_TRUE(sim.finishedIdle());
 }
 
+TEST(Baseline, DrainedBatchCyclesEqualSimulatorEndClock)
+{
+    // The baseline counts its own ticks while it has live threads;
+    // SmarCo's cycles is the simulator's clock when it drains. For a
+    // closed batch spawned at cycle 0 the two spans must agree, so
+    // cross-chip rates divide by the same span.
+    struct Case {
+        const char *profile;
+        unsigned threads;
+        std::uint64_t tasks;
+        bool fastForward;
+    };
+    const Case cases[] = {{"wordcount", 8, 32, true},
+                          {"kmp", 48, 48, true},
+                          {"search", 64, 64, true},
+                          {"kmp", 8, 24, false}};
+    for (const Case &c : cases) {
+        Simulator sim;
+        sim.setFastForward(c.fastForward);
+        BaselineChip chip(sim, {});
+        chip.spawnWorkers(c.threads, taskSet(c.profile, c.tasks, 3));
+        const Cycle end = sim.run(500'000'000);
+        ASSERT_TRUE(sim.finishedIdle());
+        EXPECT_EQ(chip.tasksCompleted(), c.tasks);
+        EXPECT_EQ(chip.metrics().cycles, end)
+            << c.profile << ", " << c.threads << " threads";
+    }
+}
+
 TEST(BaselineDeathTest, TaskWithoutProfilePanics)
 {
     // Same contract as the SmarCo chip's stream factory: a task must

@@ -12,6 +12,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <queue>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -70,6 +71,176 @@ TEST(EventQueue, NextEventCycleReportsHead)
     EXPECT_EQ(q.nextEventCycle(), kNoCycle);
     q.schedule(42, [] {});
     EXPECT_EQ(q.nextEventCycle(), 42u);
+}
+
+namespace {
+
+/** The order EventQueue must keep: a (cycle, sequence) min-heap. */
+class ReferenceQueue
+{
+  public:
+    void
+    schedule(Cycle when, EventFn fn)
+    {
+        heap_.push(Entry{when, seq_++, std::move(fn)});
+    }
+    Cycle
+    nextEventCycle() const
+    {
+        return heap_.empty() ? kNoCycle : heap_.top().when;
+    }
+    std::size_t
+    runUntil(Cycle now)
+    {
+        std::size_t fired = 0;
+        while (!heap_.empty() && heap_.top().when <= now) {
+            const EventFn fn = heap_.top().fn;
+            heap_.pop();
+            fn();
+            ++fired;
+        }
+        return fired;
+    }
+    bool empty() const { return heap_.empty(); }
+    std::size_t size() const { return heap_.size(); }
+
+  private:
+    struct Entry {
+        Cycle when;
+        std::uint64_t seq;
+        EventFn fn;
+        bool
+        operator>(const Entry &o) const
+        {
+            return when != o.when ? when > o.when : seq > o.seq;
+        }
+    };
+    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
+    std::uint64_t seq_ = 0;
+};
+
+/**
+ * Drives a queue through a seeded random schedule and logs every
+ * firing (id, cycle) and, after every step, runUntil's count,
+ * nextEventCycle, size and empty. Both queue types see the same
+ * schedule as long as they fire in the same order, since fired events
+ * draw from the shared RNG to schedule children.
+ */
+template <class Queue>
+std::vector<std::uint64_t>
+driveRandomSchedule(std::uint64_t seed)
+{
+    constexpr Cycle W = EventQueue::kWindow;
+    Queue q;
+    Rng rng(seed);
+    std::vector<std::uint64_t> log;
+    std::vector<Cycle> farCycles; // cycles scheduled beyond the window
+    Cycle now = 0;                // the last cycle run through
+    std::uint64_t nextId = 0;
+
+    // A delay from `from`: same cycle, past, near, the window's edges,
+    // far, or a cycle already holding a far event.
+    auto pickWhen = [&](Cycle from) -> Cycle {
+        switch (rng.nextBelow(11)) {
+        case 0:
+            return from;
+        case 1:
+            return from - std::min<Cycle>(from, 1 + rng.nextBelow(2 * W));
+        case 2:
+            return from + 1 + rng.nextBelow(16);
+        case 3:
+            return from + 1 + rng.nextBelow(256);
+        case 4:
+            return from + W - 1;
+        case 5:
+            return from + W;
+        case 6:
+            return from + W + 1;
+        case 7:
+            return from + 1 + rng.nextBelow(4 * W);
+        case 8:
+            return from + 100 * W + rng.nextBelow(400'000);
+        default:
+            if (!farCycles.empty()) {
+                const Cycle c = farCycles[rng.nextBelow(farCycles.size())];
+                if (c > from)
+                    return c;
+            }
+            return from + 1 + rng.nextBelow(64);
+        }
+    };
+    std::function<void(Cycle, Cycle, int)> add = [&](Cycle from, Cycle when,
+                                                     int depth) {
+        if (when >= from + W)
+            farCycles.push_back(when);
+        const std::uint64_t id = nextId++;
+        q.schedule(when, [&, id, when, depth] {
+            log.push_back(id);
+            log.push_back(when);
+            // Re-entrant scheduling, relative to the cycle firing.
+            if (depth < 3 && rng.chance(0.3)) {
+                const std::uint64_t n = 1 + rng.nextBelow(3);
+                for (std::uint64_t i = 0; i < n; ++i)
+                    add(when, pickWhen(when), depth + 1);
+            }
+        });
+    };
+
+    for (int step = 0; step < 3000; ++step) {
+        std::size_t fired = 0;
+        switch (rng.nextBelow(8)) {
+        case 0:
+        case 1:
+        case 2: {
+            const std::uint64_t n = 1 + rng.nextBelow(5);
+            for (std::uint64_t i = 0; i < n; ++i)
+                add(now, pickWhen(now), 0);
+            break;
+        }
+        case 3:
+            fired = q.runUntil(now += rng.nextBelow(17));
+            break;
+        case 4: {
+            const Cycle jumps[] = {W - 1, W, W + 1, 1 + rng.nextBelow(3 * W)};
+            fired = q.runUntil(now += jumps[rng.nextBelow(4)]);
+            break;
+        }
+        case 5:
+            // An idle gap like cdn-overload's between bursts.
+            fired = q.runUntil(now += 375'000 + rng.nextBelow(50'001));
+            break;
+        case 6:
+            // The kernel's idle jump: straight to the next event.
+            if (q.nextEventCycle() != kNoCycle)
+                fired = q.runUntil(now = std::max(now, q.nextEventCycle()));
+            break;
+        default:
+            // A cycle already run through fires nothing new unless a
+            // past event waits.
+            fired = q.runUntil(now - std::min<Cycle>(now, rng.nextBelow(8)));
+            break;
+        }
+        log.push_back(fired);
+        log.push_back(q.nextEventCycle());
+        log.push_back(q.size());
+        log.push_back(q.empty());
+    }
+    return log;
+}
+
+} // namespace
+
+TEST(EventQueue, MatchesReferenceHeapOnRandomSchedules)
+{
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        const auto got = driveRandomSchedule<EventQueue>(seed);
+        const auto want = driveRandomSchedule<ReferenceQueue>(seed);
+        const auto diff =
+            std::mismatch(got.begin(), got.end(), want.begin(), want.end());
+        EXPECT_TRUE(diff.first == got.end() && diff.second == want.end())
+            << "seed " << seed << ": logs differ at entry "
+            << (diff.first - got.begin()) << " of " << want.size();
+    }
 }
 
 namespace {
