@@ -47,7 +47,7 @@ main(int argc, char **argv)
 
         std::printf("%-10s", (std::string(k) + " idle").c_str());
         for (const auto &m : runs)
-            std::printf("   %6.3f", m.idleSlotRatio);
+            std::printf("   %6.3f", 1.0 - m.slotUtilisation());
         std::printf("\n");
         std::printf("%-10s", "  starve");
         for (const auto &m : runs)

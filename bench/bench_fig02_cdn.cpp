@@ -16,10 +16,12 @@ using namespace smarco::bench;
 namespace {
 
 /**
- * Run the CDN serving model for a window: chunk-service tasks arrive
- * at the NIC-capped rate and persistent worker threads serve them.
+ * Run the CDN serving model for a window and print its row: chunk-
+ * service tasks arrive at the NIC-capped rate and persistent worker
+ * threads serve them. Offered Gbps is clients x videoMbps; CPU util
+ * is the chip's issue-slot utilisation.
  */
-workloads::CdnPoint
+void
 servePoint(const workloads::CdnWorkload &cdn, std::uint64_t clients,
            Cycle window)
 {
@@ -37,9 +39,7 @@ servePoint(const workloads::CdnWorkload &cdn, std::uint64_t clients,
     const Cycle spacing = chunks_per_cycle > 0.0
         ? static_cast<Cycle>(1.0 / chunks_per_cycle)
         : window;
-    std::uint64_t arrivals = 0;
     for (Cycle t = 30000; t + 30000 < window; t += spacing) {
-        ++arrivals;
         sim.events().schedule(t, [&chip, profile, t]() {
             workloads::TaskSpec task;
             task.id = t;
@@ -53,18 +53,15 @@ servePoint(const workloads::CdnWorkload &cdn, std::uint64_t clients,
     sim.run(window);
 
     const auto m = chip.metrics();
-    workloads::CdnPoint p;
-    p.clients = clients;
-    p.offeredGbps =
+    const double offered_gbps =
         static_cast<double>(clients) * cdn.params().videoMbps / 1000.0;
-    const double served = static_cast<double>(chip.tasksCompleted());
-    p.achievedGbps = served *
+    const double achieved_gbps = static_cast<double>(m.tasksCompleted) *
         static_cast<double>(cdn.params().chunkBytes) * 8.0 /
         (static_cast<double>(window) / (params.freqGHz * 1e9)) / 1e9;
-    p.cpuUtilisation = m.cpuUtilisation;
-    p.branchMissRatio = m.branchMissRatio;
-    p.l1MissRatio = m.l1MissRatio;
-    return p;
+    std::printf("%8llu %10.2f %10.2f %9.3f %12.3f %9.3f\n",
+                static_cast<unsigned long long>(clients), offered_gbps,
+                achieved_gbps, m.slotUtilisation(), m.branchMissRatio,
+                m.l1MissRatio);
 }
 
 } // namespace
@@ -88,13 +85,8 @@ main(int argc, char **argv)
                 "(Gbps)", "", "", "");
 
     for (std::uint64_t clients : {50ull, 100ull, 200ull, 300ull,
-                                  400ull, 500ull, 600ull}) {
-        const auto p = servePoint(cdn, clients, 10'000'000);
-        std::printf("%8llu %10.2f %10.2f %9.3f %12.3f %9.3f\n",
-                    static_cast<unsigned long long>(p.clients),
-                    p.offeredGbps, p.achievedGbps, p.cpuUtilisation,
-                    p.branchMissRatio, p.l1MissRatio);
-    }
+                                  400ull, 500ull, 600ull})
+        servePoint(cdn, clients, 10'000'000);
 
     note("");
     note("paper shape: achieved bandwidth caps at the NIC limit, CPU");

@@ -32,8 +32,7 @@ main(int argc, char **argv)
                 auto cfg = chip::ChipConfig::scaled(4, 8);
                 cfg.mact.threshold = th;
                 const auto run = runSmarco(cfg, prof, 96, 10000, seed);
-                cycles[i++] +=
-                    static_cast<double>(run.metrics.cycles);
+                cycles[i++] += static_cast<double>(run.cycles);
             }
         }
         const double base = cycles[1]; // normalise to 8 cycles

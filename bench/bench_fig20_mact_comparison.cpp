@@ -30,17 +30,15 @@ main(int argc, char **argv)
         const auto on = runSmarco(cfg_on, prof, 96, 10000, 29);
         const auto off = runSmarco(cfg_off, prof, 96, 10000, 29);
 
-        const double speedup =
-            static_cast<double>(off.metrics.cycles) /
-            static_cast<double>(on.metrics.cycles);
-        const double lat_ratio =
-            on.metrics.avgMemLatency / off.metrics.avgMemLatency;
-        const double noc_ratio = off.metrics.nocUtilisation > 0.0
-            ? on.metrics.nocUtilisation / off.metrics.nocUtilisation
+        const double speedup = static_cast<double>(off.cycles) /
+                               static_cast<double>(on.cycles);
+        const double lat_ratio = on.avgMemLatency / off.avgMemLatency;
+        const double noc_ratio = off.nocUtilisation > 0.0
+            ? on.nocUtilisation / off.nocUtilisation
             : 0.0;
         const double req_ratio =
-            static_cast<double>(on.metrics.dramRequests) /
-            static_cast<double>(off.metrics.dramRequests);
+            static_cast<double>(on.dramRequests) /
+            static_cast<double>(off.dramRequests);
         std::printf("%-12s %8.3fx %11.3fx %10.3fx %10.3fx\n",
                     prof.name.c_str(), speedup, lat_ratio, noc_ratio,
                     req_ratio);

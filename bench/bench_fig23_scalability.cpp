@@ -12,6 +12,17 @@ using namespace smarco::bench;
 
 namespace {
 
+/** Gops/s of one run: committed ops over its span at freq_ghz. */
+double
+gops(const RunRecord &run, double freq_ghz)
+{
+    const double secs =
+        static_cast<double>(run.cycles) / (freq_ghz * 1e9);
+    return secs > 0.0
+        ? static_cast<double>(run.opsCommitted) / secs / 1e9
+        : 0.0;
+}
+
 /**
  * Gops/s of the Xeon baseline with T software threads over a fixed
  * pool of work, so serial pthread creation and scheduling overhead
@@ -21,14 +32,9 @@ double
 xeonPerf(std::uint32_t threads, const workloads::BenchProfile &prof)
 {
     baseline::BaselineParams params;
-    const auto m =
-        runBaseline(params, prof, /*count=*/4096, threads, 8000, 61,
-                    /*max_cycles=*/2'000'000'000);
-    const double secs = static_cast<double>(m.cycles) /
-                        (params.freqGHz * 1e9);
-    return secs > 0.0
-        ? static_cast<double>(m.opsCommitted) / secs / 1e9
-        : 0.0;
+    return gops(runBaseline(params, prof, /*count=*/4096, threads, 8000,
+                            61, /*max_cycles=*/2'000'000'000),
+                params.freqGHz);
 }
 
 /** Gops/s of SmarCo with exactly T resident task threads. */
@@ -40,12 +46,7 @@ smarcoPerf(std::uint32_t threads, const workloads::BenchProfile &prof)
     // measurement window.
     const std::uint64_t ops = std::max<std::uint64_t>(
         6000, 1'500'000 / std::max(threads, 1u));
-    const auto run = runSmarco(cfg, prof, threads, ops, 61);
-    const double secs = static_cast<double>(run.metrics.cycles) /
-                        (cfg.freqGHz * 1e9);
-    return secs > 0.0
-        ? static_cast<double>(run.metrics.opsCommitted) / secs / 1e9
-        : 0.0;
+    return gops(runSmarco(cfg, prof, threads, ops, 61), cfg.freqGHz);
 }
 
 } // namespace

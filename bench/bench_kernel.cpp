@@ -115,7 +115,7 @@ measureBaseline(bool fast_forward)
 
     KernelRun r =
         timeRun(sim, [&sim] { return sim.run(400'000'000); });
-    r.tasks = chip.tasksCompleted();
+    r.tasks = chip.metrics().tasksCompleted;
     return r;
 }
 

@@ -252,7 +252,7 @@ calibrateBaseline(const baseline::BaselineParams &params,
         t.numOps = kOpsPerRequest;
     chip.spawnWorkers(workers, std::move(tasks));
     const Cycle end = sim.run(400'000'000);
-    return static_cast<double>(chip.tasksCompleted()) * 1000.0 /
+    return static_cast<double>(chip.metrics().tasksCompleted) * 1000.0 /
            static_cast<double>(end);
 }
 

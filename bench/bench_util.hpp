@@ -87,16 +87,8 @@ smallBaseline()
     return bp;
 }
 
-/** Result of one SmarCo chip run. */
-struct SmarcoRun {
-    chip::ChipMetrics metrics;
-    /** Issue-slot utilisation (activity proxy for the power model). */
-    double utilisation = 0.0;
-    double dramBytes = 0.0;
-};
-
 /** Run count tasks of a profile on a SmarCo configuration. */
-inline SmarcoRun
+inline chip::ChipMetrics
 runSmarco(const chip::ChipConfig &cfg,
           const workloads::BenchProfile &prof, std::uint64_t count,
           std::uint64_t ops_override = 0, std::uint64_t seed = 17,
@@ -115,15 +107,7 @@ runSmarco(const chip::ChipConfig &cfg,
     chip.submit(tasks);
     auto campaign = fault::armFaultsFromCli(sim, chip);
     chip.runUntilDone(max_cycles);
-
-    SmarcoRun run;
-    run.metrics = chip.metrics();
-    const double used = sim.stats().total("chip.core", ".slotsUsed");
-    const double offered =
-        sim.stats().total("chip.core", ".slotsOffered");
-    run.utilisation = offered > 0.0 ? used / offered : 0.0;
-    run.dramBytes = chip.dram().totalBytes();
-    return run;
+    return chip.metrics();
 }
 
 /** Run count tasks on the conventional baseline with T sw threads. */
@@ -162,9 +146,9 @@ struct XeonComparison {
  *   speedup = (tasks/cycle_smarco x cfg GHz) /
  *             (tasks/cycle_xeon   x Xeon GHz)
  * Energy efficiency divides each side by its operating power: the
- * analytical SmarCo model at tech and its measured activity, the
- * Xeon's 165 W TDP curve at its measured utilisation. label names
- * the SmarCo columns ("SmarCo", "proto").
+ * analytical SmarCo model at tech and activity 0.3 + 0.7 x slot
+ * utilisation, the Xeon's 165 W TDP curve at its slot utilisation.
+ * label names the SmarCo columns ("SmarCo", "proto").
  */
 inline XeonComparison
 compareWithXeon(const chip::ChipConfig &cfg, const power::TechNode &tech,
@@ -184,22 +168,22 @@ compareWithXeon(const chip::ChipConfig &cfg, const power::TechNode &tech,
         const auto xe = runBaseline(xeon, prof, count, 48, 0, seed,
                                     /*max_cycles=*/2'000'000'000);
 
-        const double sm_rate =
-            sm.metrics.tasksPerMCycle * cfg.freqGHz;
-        const double xe_rate = xe.tasksPerMCycle * xeon.freqGHz;
+        const double sm_rate = sm.tasksPerMCycle() * cfg.freqGHz;
+        const double xe_rate = xe.tasksPerMCycle() * xeon.freqGHz;
         const double speedup = sm_rate / xe_rate;
 
         const double sm_watts =
-            power::smarcoPower(cfg, tech, 0.3 + 0.7 * sm.utilisation)
+            power::smarcoPower(cfg, tech,
+                               0.3 + 0.7 * sm.slotUtilisation())
                 .totalPowerW();
-        const double xe_watts = power::xeonPowerW(xe.cpuUtilisation);
+        const double xe_watts = power::xeonPowerW(xe.slotUtilisation());
         const double eff = speedup * xe_watts / sm_watts;
 
         out.speedups.push_back(speedup);
         out.efficiencies.push_back(eff);
         std::printf("%-12s %10.1f %10.1f %8.2fx %9.1f %9.1f %9.2fx\n",
-                    prof.name.c_str(), sm.metrics.tasksPerMCycle,
-                    xe.tasksPerMCycle, speedup, sm_watts, xe_watts,
+                    prof.name.c_str(), sm.tasksPerMCycle(),
+                    xe.tasksPerMCycle(), speedup, sm_watts, xe_watts,
                     eff);
     }
     return out;

@@ -65,8 +65,8 @@ main(int argc, char **argv)
         auto campaign = fault::armFaultsFromCli(sim, host);
         sim.run(2'000'000'000);
         const auto m = host.metrics();
-        xeon_rate = m.tasksPerMCycle * params.freqGHz; // tasks/ms
-        xeon_watts = power::xeonPowerW(m.cpuUtilisation);
+        xeon_rate = m.tasksPerMCycle() * params.freqGHz; // tasks/ms
+        xeon_watts = power::xeonPowerW(m.slotUtilisation());
         std::printf("conventional Xeon : %8.1f chunks/ms at %.0f W\n",
                     xeon_rate * 1e3 / 1e3, xeon_watts);
     }
@@ -84,13 +84,10 @@ main(int argc, char **argv)
         auto campaign = fault::armFaultsFromCli(sim, accel);
         accel.runUntilDone();
         const auto m = accel.metrics();
-        smarco_rate = m.tasksPerMCycle * cfg.freqGHz;
-        const double activity =
-            0.3 + 0.7 * std::min(1.0, m.aggregateIpc /
-                                          (cfg.numCores() * 2.0));
-        smarco_watts =
-            power::smarcoPower(cfg, power::TechNode::nm40(), activity)
-                .totalPowerW();
+        smarco_rate = m.tasksPerMCycle() * cfg.freqGHz;
+        smarco_watts = power::smarcoPower(cfg, power::TechNode::nm40(),
+                                          0.3 + 0.7 * m.slotUtilisation())
+                           .totalPowerW();
         std::printf("SmarCo prototype  : %8.1f chunks/ms at %.0f W\n",
                     smarco_rate * 1e3 / 1e3, smarco_watts);
     }

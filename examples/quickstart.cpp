@@ -67,10 +67,10 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(m.tasksCompleted));
     std::printf("micro-ops       : %llu  (aggregate IPC %.1f)\n",
                 static_cast<unsigned long long>(m.opsCommitted),
-                m.aggregateIpc);
+                m.aggregateIpc());
     std::printf("throughput      : %.1f tasks per Mcycle "
-                "(%.2f Mtasks/s at %.1f GHz)\n", m.tasksPerMCycle,
-                m.tasksPerMCycle * cfg.freqGHz / 1e3, cfg.freqGHz);
+                "(%.2f Mtasks/s at %.1f GHz)\n", m.tasksPerMCycle(),
+                m.tasksPerMCycle() * cfg.freqGHz / 1e3, cfg.freqGHz);
     std::printf("mem latency     : %.1f cycles (blocking requests)\n",
                 m.avgMemLatency);
     std::printf("DRAM requests   : %llu\n",

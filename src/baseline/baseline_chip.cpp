@@ -696,17 +696,12 @@ BaselineChip::metrics() const
     m.tasksCompleted =
         static_cast<std::uint64_t>(tasksDone_.value());
     m.opsCommitted = static_cast<std::uint64_t>(committed_.value());
-    if (m.cycles > 0) {
-        m.aggregateIpc = committed_.value() / cycles_.value();
-        m.tasksPerMCycle = 1e6 * tasksDone_.value() / cycles_.value();
-    }
-    const double offered = slotsOffered_.value();
-    if (offered > 0.0) {
-        m.idleSlotRatio = 1.0 - slotsUsed_.value() / offered;
-        m.cpuUtilisation = slotsUsed_.value() / offered;
+    m.slotsOffered = static_cast<std::uint64_t>(slotsOffered_.value());
+    m.slotsUsed = static_cast<std::uint64_t>(slotsUsed_.value());
+    m.dramRequests = dram_->requestsServed();
+    if (m.slotsOffered > 0)
         m.starvationRatio = starveCycles_.value() /
-            (offered / params_.issueWidth);
-    }
+            (slotsOffered_.value() / params_.issueWidth);
     if (branches_.value() > 0.0)
         m.branchMissRatio = branchMisses_.value() / branches_.value();
 

@@ -25,6 +25,7 @@
 #include "mem/cache.hpp"
 #include "mem/dram.hpp"
 #include "sim/random.hpp"
+#include "sim/run_record.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
 #include "workloads/profile_stream.hpp"
@@ -77,14 +78,8 @@ struct BaselineParams {
     std::uint64_t hotRegionBytes = 24 * 1024;
 };
 
-/** Aggregated results of one baseline run. */
-struct BaselineMetrics {
-    Cycle cycles = 0;
-    std::uint64_t tasksCompleted = 0;
-    std::uint64_t opsCommitted = 0;
-    double aggregateIpc = 0.0;
-    double tasksPerMCycle = 0.0;
-    double idleSlotRatio = 0.0;
+/** A baseline run's record plus the numbers only this chip has. */
+struct BaselineMetrics : RunRecord {
     double starvationRatio = 0.0;
     double branchMissRatio = 0.0;
     double l1MissRatio = 0.0;
@@ -93,14 +88,6 @@ struct BaselineMetrics {
     double l1AvgLatency = 0.0;
     double l2AvgLatency = 0.0;
     double llcAvgLatency = 0.0;
-    double cpuUtilisation = 0.0; ///< busy issue slots / all slots
-    std::uint64_t deadlineMisses = 0;
-    /** Finish cycle of the last completed task. As on the SmarCo
-     *  chip (ChipMetrics::lastTaskFinish), only bench_resilience
-     *  divides by it; aggregateIpc, tasksPerMCycle and Figs. 22, 23
-     *  and 26 divide by cycles, the chip's ticks while it has live
-     *  threads. */
-    Cycle lastTaskFinish = 0;
 };
 
 /**
@@ -164,6 +151,7 @@ class BaselineChip : public Ticking, public fault::FaultTarget
     BaselineMetrics metrics() const;
     Simulator &sim() { return sim_; }
     const BaselineParams &params() const { return params_; }
+    /** metrics().tasksCompleted alone; perfbench's xeon-htc reads it. */
     std::uint64_t tasksCompleted() const
     { return static_cast<std::uint64_t>(tasksDone_.value()); }
 

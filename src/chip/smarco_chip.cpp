@@ -213,19 +213,16 @@ SmarcoChip::metrics() const
 {
     ChipMetrics m;
     m.cycles = sim_.now();
-    for (const auto &c : cores_)
+    for (const auto &c : cores_) {
         m.opsCommitted += c->committedOps();
+        m.slotsOffered += c->slotsOffered();
+        m.slotsUsed += c->slotsUsed();
+    }
     for (const auto &s : subScheds_) {
         m.tasksCompleted += s->tasksCompleted();
         m.deadlineMisses += s->deadlineMisses();
         for (const auto &e : s->exits())
             m.lastTaskFinish = std::max(m.lastTaskFinish, e.finish);
-    }
-    if (m.cycles > 0) {
-        m.aggregateIpc = static_cast<double>(m.opsCommitted) /
-                         static_cast<double>(m.cycles);
-        m.tasksPerMCycle = 1e6 * static_cast<double>(m.tasksCompleted) /
-                           static_cast<double>(m.cycles);
     }
     m.avgMemLatency = memLatency_.value();
     m.nocUtilisation = network_->utilisation(m.cycles);

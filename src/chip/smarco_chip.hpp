@@ -24,29 +24,17 @@
 #include "noc/network.hpp"
 #include "sched/main_scheduler.hpp"
 #include "sched/sub_scheduler.hpp"
+#include "sim/run_record.hpp"
 #include "sim/simulator.hpp"
 #include "workloads/profile_stream.hpp"
 #include "workloads/task.hpp"
 
 namespace smarco::chip {
 
-/** Aggregated run metrics reported by the experiment harnesses. */
-struct ChipMetrics {
-    Cycle cycles = 0;
-    std::uint64_t tasksCompleted = 0;
-    std::uint64_t opsCommitted = 0;
-    double aggregateIpc = 0.0;       ///< ops / cycle, whole chip
-    double tasksPerMCycle = 0.0;     ///< throughput
+/** A SmarCo run's record plus the numbers only this chip has. */
+struct ChipMetrics : RunRecord {
     double avgMemLatency = 0.0;      ///< blocking request latency
     double nocUtilisation = 0.0;
-    std::uint64_t dramRequests = 0;
-    std::uint64_t deadlineMisses = 0;
-    /** Finish cycle of the last completed task. Only bench_resilience
-     *  divides by this span: its faulted runs append recovery and
-     *  watchdog events past the useful work. aggregateIpc,
-     *  tasksPerMCycle and Figs. 22, 23 and 26 divide by cycles, the
-     *  clock when the simulator drains. */
-    Cycle lastTaskFinish = 0;
 };
 
 /**

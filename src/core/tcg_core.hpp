@@ -134,6 +134,11 @@ class TcgCore : public Ticking
     /** Committed micro-ops so far. */
     std::uint64_t committedOps() const
     { return static_cast<std::uint64_t>(committed_.value()); }
+    /** Issue slots offered while a context was live, and used. */
+    std::uint64_t slotsOffered() const
+    { return static_cast<std::uint64_t>(slotsOffered_.value()); }
+    std::uint64_t slotsUsed() const
+    { return static_cast<std::uint64_t>(slotsUsed_.value()); }
     /** IPC over the core's ticked lifetime. */
     double ipc() const;
     /** Fraction of cycles lost to instruction starvation. */

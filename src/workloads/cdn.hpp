@@ -30,16 +30,6 @@ struct CdnParams {
     std::uint64_t connStateBytes = 24 * 1024;
 };
 
-/** One row of the Fig. 2 sweep. */
-struct CdnPoint {
-    std::uint64_t clients = 0;
-    double offeredGbps = 0.0;   ///< clients * videoMbps
-    double achievedGbps = 0.0;  ///< min(offered, NIC)
-    double cpuUtilisation = 0.0;///< fraction of core cycles doing work
-    double branchMissRatio = 0.0;
-    double l1MissRatio = 0.0;
-};
-
 /**
  * CDN workload model. chunkProfile(clients) yields the benchmark
  * profile of one chunk's server work at a given client count: the

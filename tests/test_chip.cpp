@@ -134,7 +134,7 @@ TEST_F(ChipFixture, RunsTaskSetToCompletion)
     const auto m = chip->metrics();
     EXPECT_EQ(m.tasksCompleted, 24u);
     EXPECT_GT(m.opsCommitted, 24u * 10000);
-    EXPECT_GT(m.aggregateIpc, 0.0);
+    EXPECT_GT(m.aggregateIpc(), 0.0);
     EXPECT_GT(m.dramRequests, 0u);
 }
 
@@ -424,19 +424,30 @@ TEST_F(ChipFixture, WritebacksReachDramExactlyOnce)
 
 TEST_F(ChipFixture, MetricsConsistency)
 {
-    auto chip = make();
-    workloads::TaskSetParams tp;
-    tp.count = 12;
-    tp.seed = 6;
-    chip->submit(workloads::makeTaskSet(
-        workloads::htcProfile("rnc"), tp));
-    chip->runUntilDone(10'000'000);
-    const auto m = chip->metrics();
-    EXPECT_EQ(m.tasksCompleted, 12u);
-    EXPECT_GT(m.cycles, 0u);
-    EXPECT_NEAR(m.aggregateIpc,
-                static_cast<double>(m.opsCommitted) / m.cycles, 1e-9);
-    EXPECT_GE(m.nocUtilisation, 0.0);
-    EXPECT_LE(m.nocUtilisation, 1.0);
-    EXPECT_GT(m.avgMemLatency, 0.0);
+    for (bool fast_forward : {true, false}) {
+        SCOPED_TRACE(fast_forward ? "fast-forward" : "tick every cycle");
+        Simulator s;
+        s.setFastForward(fast_forward);
+        SmarcoChip chip(s, cfg);
+        workloads::TaskSetParams tp;
+        tp.count = 12;
+        tp.seed = 6;
+        chip.submit(workloads::makeTaskSet(
+            workloads::htcProfile("rnc"), tp));
+        chip.runUntilDone(10'000'000);
+        const auto m = chip.metrics();
+        EXPECT_EQ(m.tasksCompleted, 12u);
+        EXPECT_GT(m.cycles, 0u);
+        EXPECT_NEAR(m.aggregateIpc(),
+                    static_cast<double>(m.opsCommitted) / m.cycles, 1e-9);
+        EXPECT_GE(m.nocUtilisation, 0.0);
+        EXPECT_LE(m.nocUtilisation, 1.0);
+        EXPECT_GT(m.avgMemLatency, 0.0);
+        // The chip's slot sums are the per-core stats' totals.
+        EXPECT_GT(m.slotsUsed, 0u);
+        EXPECT_EQ(static_cast<double>(m.slotsUsed),
+                  s.stats().total("chip.core", ".slotsUsed"));
+        EXPECT_EQ(static_cast<double>(m.slotsOffered),
+                  s.stats().total("chip.core", ".slotsOffered"));
+    }
 }

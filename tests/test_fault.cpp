@@ -492,7 +492,7 @@ TEST(FaultRecovery, BaselineWorkerKillsStillDrainTheBag)
     fault::FaultCampaign campaign(sim, spec, 3);
     campaign.arm(chip);
     sim.run(400'000'000);
-    EXPECT_EQ(chip.tasksCompleted(), 16u);
+    EXPECT_EQ(chip.metrics().tasksCompleted, 16u);
     EXPECT_GT(campaign.injected(), 0u);
 }
 
@@ -619,7 +619,7 @@ baselineCreationsDrain()
     fault::FaultCampaign campaign(sim, spec, 1);
     campaign.arm(chip);
     sim.run(10'000'000);
-    return chip.tasksCompleted() == 2 && !sim.anyBusy() &&
+    return chip.metrics().tasksCompleted == 2 && !sim.anyBusy() &&
            sim.now() >= 240'000;
 }
 

@@ -50,7 +50,7 @@ TEST_P(PerBenchmark, ChipDrainsTaskSet)
     const auto &prof = workloads::htcProfile(GetParam());
     const auto m = runSmarco(prof, 16, chip::ChipConfig::scaled(2, 4));
     EXPECT_EQ(m.tasksCompleted, 16u);
-    EXPECT_GT(m.aggregateIpc, 0.1);
+    EXPECT_GT(m.aggregateIpc(), 0.1);
 }
 
 TEST_P(PerBenchmark, BaselineDrainsTaskSet)
@@ -64,7 +64,7 @@ TEST_P(PerBenchmark, BaselineDrainsTaskSet)
         8, workloads::makeTaskSet(workloads::htcProfile(GetParam()),
                                   tp));
     sim.run(500'000'000);
-    EXPECT_EQ(chip.tasksCompleted(), 16u);
+    EXPECT_EQ(chip.metrics().tasksCompleted, 16u);
 }
 
 TEST_P(PerBenchmark, InPairBeatsNoSwitchOnThroughput)
@@ -250,7 +250,7 @@ TEST(PaperShape, SmarcoBeatsBaselineOnThroughputPerCycle)
     sim.run(500'000'000);
     const auto bm = base.metrics();
     EXPECT_EQ(sm.tasksCompleted, bm.tasksCompleted);
-    EXPECT_GT(sm.tasksPerMCycle, bm.tasksPerMCycle);
+    EXPECT_GT(sm.tasksPerMCycle(), bm.tasksPerMCycle());
 }
 
 TEST(PaperShape, SharedInstrSegmentAblation)

@@ -405,7 +405,7 @@ TEST(BaselineOverload, BoundedBagShedsAndRecords)
     EXPECT_EQ(out.shed, 6u);
     EXPECT_EQ(out.shedFor(workloads::ShedReason::QueueFull), 6u);
     EXPECT_EQ(chip.tasksShed(), 6u);
-    EXPECT_EQ(chip.tasksCompleted(), 4u);
+    EXPECT_EQ(chip.metrics().tasksCompleted, 4u);
     const auto &lat = sim.stats().getAs<Histogram>("base.e2eLatency");
     EXPECT_EQ(lat.count(), 4u);
 }
@@ -432,7 +432,7 @@ TEST(BaselineOverload, ExpiredTasksDropAtPopNotAfterService)
     EXPECT_EQ(out.shedFor(workloads::ShedReason::Expired), 4u);
     EXPECT_EQ(out.completed, 1u);
     EXPECT_EQ(chip.tasksExpired(), 4u);
-    EXPECT_EQ(chip.tasksCompleted(), 1u);
+    EXPECT_EQ(chip.metrics().tasksCompleted, 1u);
 }
 
 // ------------------------------------------ one request lifecycle
@@ -456,7 +456,7 @@ TEST(RequestLifecycle, RequestWithoutObserverRuns)
         chip.spawnWorkers(1, {});
         sim.run(10'000'000);
         EXPECT_TRUE(sim.finishedIdle());
-        EXPECT_EQ(chip.tasksCompleted(), 1u);
+        EXPECT_EQ(chip.metrics().tasksCompleted, 1u);
     }
 }
 

@@ -21,6 +21,7 @@
 #include "sim/event_queue.hpp"
 #include "sim/logging.hpp"
 #include "sim/random.hpp"
+#include "sim/run_record.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
 #include "workloads/profile.hpp"
@@ -744,6 +745,33 @@ TEST(SimulatorDeath, ReleaseWithoutHoldPanics)
             sim.releaseWork();
         },
         "no work held");
+}
+
+TEST(RunRecord, DerivesRatesFromCounts)
+{
+    RunRecord r;
+    r.cycles = 4'000;
+    r.tasksCompleted = 2;
+    r.opsCommitted = 10'000;
+    r.slotsOffered = 16'000;
+    r.slotsUsed = 4'000;
+    EXPECT_DOUBLE_EQ(r.aggregateIpc(), 2.5);
+    EXPECT_DOUBLE_EQ(r.tasksPerMCycle(), 500.0);
+    EXPECT_DOUBLE_EQ(r.slotUtilisation(), 0.25);
+}
+
+TEST(RunRecord, ZeroSpanAndZeroSlotsGiveZeroRates)
+{
+    RunRecord r;
+    r.tasksCompleted = 3;
+    r.opsCommitted = 100;
+    r.slotsUsed = 7;
+    EXPECT_EQ(r.aggregateIpc(), 0.0);
+    EXPECT_EQ(r.tasksPerMCycle(), 0.0);
+    EXPECT_EQ(r.slotUtilisation(), 0.0);
+    r.cycles = 50;
+    EXPECT_DOUBLE_EQ(r.aggregateIpc(), 2.0);
+    EXPECT_EQ(r.slotUtilisation(), 0.0);
 }
 
 TEST(Stats, ScalarAccumulates)
