@@ -61,6 +61,7 @@ main(int argc, char **argv)
             for (auto &t : tasks)
                 t.numOps = 10000;
             chip.submit(tasks);
+            auto campaign = fault::armFaultsFromCli(sim, chip);
             chip.runUntilDone(200'000'000);
             return chip.metrics();
         };

@@ -113,6 +113,7 @@ measureBaseline(bool fast_forward)
     tasks.back().numOps *= 20;
     chip.spawnWorkers(8, std::move(tasks));
 
+    auto campaign = fault::armFaultsFromCli(sim, chip);
     KernelRun r =
         timeRun(sim, [&sim] { return sim.run(400'000'000); });
     r.tasks = chip.metrics().tasksCompleted;

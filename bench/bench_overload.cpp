@@ -141,7 +141,9 @@ makeStream(const workloads::BenchProfile &profile, std::uint64_t count,
 
 // ---------------------------------------------------------------- SmarCo
 
-/** Closed-loop saturation rate of the SmarCo config (tasks/kcycle). */
+/** Closed-loop saturation rate of the SmarCo config (tasks/kcycle).
+ *  Fault-free even under --faults: it scales the offered-load axis,
+ *  which a campaign must not move. */
 double
 calibrateSmarco(const chip::ChipConfig &cfg,
                 const workloads::BenchProfile &profile,
@@ -237,6 +239,8 @@ runSmarcoPoint(const chip::ChipConfig &cfg,
 
 // -------------------------------------------------------------- baseline
 
+/** Closed-loop saturation rate of the baseline config, fault-free
+ *  like calibrateSmarco's. */
 double
 calibrateBaseline(const baseline::BaselineParams &params,
                   const workloads::BenchProfile &profile,

@@ -118,8 +118,9 @@ runSmarcoPoint(const SmarcoSetup &setup, double scale, double ceiling,
     auto rnc =
         workloads::makeTaskSet(workloads::htcProfile("rnc"), rp);
     for (auto &t : rnc) {
-        // makeTaskSet numbers each set from 0; the scheduler needs
-        // chip-unique ids across the merged submission.
+        // makeTaskSet numbers each set from 0. The scheduler takes
+        // ids as labels; the renumbering only tells RNC exits apart
+        // from search ones.
         t.id += setup.searchCount;
         tasks.push_back(t);
     }

@@ -347,13 +347,13 @@ TcgCore::injectThreadFault(ThreadFault kind, Rng &rng, Cycle now)
 }
 
 bool
-TcgCore::killTask(TaskId id, Cycle now)
+TcgCore::killTask(std::uint32_t ticket, Cycle now)
 {
     sim_.wake(this);
     for (std::uint32_t i = 0; i < contexts_.size(); ++i) {
         Context &ctx = contexts_[i];
         if (ctx.state == State::Idle || ctx.killed ||
-            ctx.task.id != id)
+            ctx.ticket != ticket)
             continue;
         if (ctx.state == State::Stalled)
             ctx.killed = true; // freed on response arrival
@@ -365,11 +365,11 @@ TcgCore::killTask(TaskId id, Cycle now)
 }
 
 std::uint64_t
-TcgCore::taskProgress(TaskId id) const
+TcgCore::taskProgress(std::uint32_t ticket) const
 {
     for (const auto &ctx : contexts_) {
         if (ctx.state != State::Idle && !ctx.killed &&
-            ctx.task.id == id)
+            ctx.ticket == ticket)
             return ctx.opsDone;
     }
     return kNoTask;

@@ -159,19 +159,19 @@ class TcgCore : public Ticking
     bool injectThreadFault(ThreadFault kind, Rng &rng, Cycle now);
 
     /**
-     * Kill the context hosting the given task (recovery path). A
+     * Kill the context hosting ticket's task (recovery path). A
      * stalled context is freed when its outstanding memory response
-     * arrives; the failure handler fires at that point.
+     * arrives; the exit handler fires at that point.
      * @return false when the task is not on this core.
      */
-    bool killTask(TaskId id, Cycle now);
+    bool killTask(std::uint32_t ticket, Cycle now);
 
     /**
-     * Committed ops of the given task, or kNoTask when it is not
-     * hosted here — the scheduler's heartbeat reads this to detect
-     * frozen (hung) tasks.
+     * Committed ops of ticket's task, or kNoTask when it is not
+     * hosted here (or killed) — the scheduler's heartbeat reads this
+     * to detect frozen (hung) tasks.
      */
-    std::uint64_t taskProgress(TaskId id) const;
+    std::uint64_t taskProgress(std::uint32_t ticket) const;
 
     /** The port's completions: a blocking load wakes its stalled
      *  context, a posted store frees its store-buffer slot. Each

@@ -137,14 +137,12 @@ SubScheduler::dispatchOne(const workloads::TaskSpec &task, Cycle now)
     ++reserved_[slot];
     ++dispatched_;
     queueDelay_.sample(static_cast<double>(now - task.release));
-    if (recoveryOn_) {
-        auto it = recov_.find(task.id);
-        if (it != recov_.end() && it->second.pendingRedispatch) {
-            it->second.pendingRedispatch = false;
-            ++redispatches_;
-            redispatchDelay_.sample(
-                static_cast<double>(now - it->second.failAt));
-        }
+    if (task.failures > 0) { // released its backoff after failing
+        ++redispatches_;
+        redispatchDelay_.sample(static_cast<double>(
+            now - task.release +
+            boundedBackoff(recovery_.backoffBase, task.failures - 1,
+                           recovery_.backoffMax)));
     }
 
     if (freeTickets_.empty()) {
@@ -153,8 +151,8 @@ SubScheduler::dispatchOne(const workloads::TaskSpec &task, Cycle now)
     }
     const std::uint32_t ticket = freeTickets_.back();
     freeTickets_.pop_back();
-    dispatches_[ticket] =
-        Dispatch{task, static_cast<std::uint32_t>(slot), now};
+    dispatches_[ticket] = Dispatch{
+        .task = task, .slot = static_cast<std::uint32_t>(slot), .at = now};
     stage_(cores_[slot]->id(), task, ticket);
 }
 
@@ -164,7 +162,7 @@ SubScheduler::staged(std::uint32_t ticket)
     // Staging completes through DMA callbacks while the scheduler may
     // be asleep; reserved_ changes here, so re-arm.
     sim_.wake(this);
-    const Dispatch &d = dispatches_[ticket];
+    Dispatch &d = dispatches_[ticket];
     --reserved_[d.slot];
     core::TcgCore *core = cores_[d.slot];
     // reserved_ held the context from dispatch on, and only this
@@ -172,8 +170,11 @@ SubScheduler::staged(std::uint32_t ticket)
     if (!core->attachTask(d.task, makeStream_(d.task, core->id()), ticket))
         panic("sub-scheduler %u: core %u lost a reserved context", id_,
               core->id());
-    if (recoveryOn_)
-        watch_[d.task.id] = Watch{core, 0, sim_.now()};
+    if (recoveryOn_) {
+        d.watched = true;
+        d.lastChange = sim_.now();
+        ++watched_;
+    }
 }
 
 void
@@ -182,6 +183,8 @@ SubScheduler::onTaskExit(std::uint32_t ticket, Cycle when, bool finished)
     // Free the ticket first: the task's observer may dispatch.
     const Dispatch d = dispatches_[ticket];
     freeTickets_.push_back(ticket);
+    watched_ -= d.watched;
+    dispatches_[ticket].watched = false;
     if (!finished) {
         onTaskFailed(d.task, when);
         return;
@@ -199,10 +202,6 @@ SubScheduler::onTaskExit(std::uint32_t ticket, Cycle when, bool finished)
                       static_cast<unsigned long long>(t.id),
                       exit.metDeadline ? "true" : "false"));
     exits_.push_back(exit);
-    if (recoveryOn_) {
-        watch_.erase(t.id);
-        recov_.erase(t.id);
-    }
     // A context freed up: a sleeping scheduler blocked on pickCore()
     // can place the next task again.
     sim_.wake(this);
@@ -221,12 +220,10 @@ SubScheduler::onTaskFailed(const workloads::TaskSpec &task, Cycle now)
         workloads::resolve(task, abandoned);
         return;
     }
-    watch_.erase(task.id);
-    Recov &r = recov_[task.id];
-    ++r.attempts;
-    if (r.attempts > recovery_.maxAttempts) {
+    workloads::TaskSpec retry = task;
+    ++retry.failures;
+    if (retry.failures > recovery_.maxAttempts) {
         ++tasksAbandoned_;
-        recov_.erase(task.id);
         if (sim_.trace().enabled(TraceCat::Fault))
             sim_.trace().instant(
                 TraceCat::Fault, "sched.abandon", now, 0,
@@ -236,10 +233,7 @@ SubScheduler::onTaskFailed(const workloads::TaskSpec &task, Cycle now)
         return;
     }
     const Cycle backoff = boundedBackoff(
-        recovery_.backoffBase, r.attempts - 1, recovery_.backoffMax);
-    r.failAt = now;
-    r.pendingRedispatch = true;
-    workloads::TaskSpec retry = task;
+        recovery_.backoffBase, retry.failures - 1, recovery_.backoffMax);
     retry.release = now + backoff;
     if (!table_.insert(retry))
         fatal("sub-scheduler %u: recovery requeue overflow", id_);
@@ -249,7 +243,7 @@ SubScheduler::onTaskFailed(const workloads::TaskSpec &task, Cycle now)
             strprintf("{\"task\":%llu,\"attempt\":%u,"
                       "\"backoff\":%llu}",
                       static_cast<unsigned long long>(task.id),
-                      r.attempts,
+                      retry.failures,
                       static_cast<unsigned long long>(backoff)));
 }
 
@@ -258,23 +252,27 @@ SubScheduler::heartbeat(Cycle now)
 {
     nextHeartbeat_ = now + recovery_.heartbeatInterval;
     // Collect victims first: killTask() re-enters this scheduler
-    // through its exit handler, which mutates watch_/recov_.
-    std::vector<std::pair<TaskId, core::TcgCore *>> victims;
-    for (auto &[tid, w] : watch_) {
-        const std::uint64_t ops = w.core->taskProgress(tid);
+    // through its exit handler, which frees the victim's ticket.
+    std::vector<std::uint32_t> victims;
+    for (std::uint32_t t = 0; t < dispatches_.size(); ++t) {
+        Dispatch &d = dispatches_[t];
+        if (!d.watched)
+            continue;
+        const std::uint64_t ops = cores_[d.slot]->taskProgress(t);
         if (ops == core::TcgCore::kNoTask)
-            continue; // between staging and attach
-        if (ops != w.lastOps) {
-            w.lastOps = ops;
-            w.lastChange = now;
-        } else if (now - w.lastChange >= recovery_.hangTimeout) {
-            victims.emplace_back(tid, w.core);
+            continue; // killed, freed when its memory response lands
+        if (ops != d.lastOps) {
+            d.lastOps = ops;
+            d.lastChange = now;
+        } else if (now - d.lastChange >= recovery_.hangTimeout) {
+            victims.push_back(t);
         }
     }
-    for (auto &[tid, core] : victims) {
+    for (const std::uint32_t t : victims) {
         ++hangKills_;
-        watch_.erase(tid);
-        core->killTask(tid, now);
+        dispatches_[t].watched = false;
+        --watched_;
+        cores_[dispatches_[t].slot]->killTask(t, now);
     }
 }
 
@@ -283,7 +281,7 @@ SubScheduler::tick(Cycle now)
 {
     // Cycle-gated so both kernel modes run the scan at the same
     // cycles regardless of how often the scheduler ticks.
-    if (recoveryOn_ && !watch_.empty() && now >= nextHeartbeat_)
+    if (watched_ > 0 && now >= nextHeartbeat_)
         heartbeat(now);
 
     if (params_.policy == SchedPolicy::HardwareLaxity) {
@@ -357,7 +355,7 @@ Cycle
 SubScheduler::nextActiveCycle(Cycle now) const
 {
     Cycle hb = kNoCycle;
-    if (recoveryOn_ && !watch_.empty())
+    if (watched_ > 0)
         hb = std::max(now + 1, nextHeartbeat_);
     if (params_.policy == SchedPolicy::SoftwareDeadline)
         return std::min(hb, std::max(now + 1, nextQuantum_));

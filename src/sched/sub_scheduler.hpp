@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -61,8 +60,9 @@ struct TaskExit {
  * and a staging function (the SPM DMA prefetch). Every dispatch takes
  * a ticket that indexes the scheduler's table of dispatched tasks
  * from dispatch to exit: staging gets the ticket and hands it back
- * through staged(), which attaches the task under it, and the core
- * reports the task's exit, finished or killed, with it.
+ * through staged(), which attaches the task under it, the heartbeat
+ * reads its progress and kills it by it, and the core reports the
+ * task's exit, finished or killed, with it. Task ids are labels.
  */
 class SubScheduler : public Ticking
 {
@@ -146,19 +146,12 @@ class SubScheduler : public Ticking
     struct Dispatch {
         workloads::TaskSpec task;
         std::uint32_t slot = 0; ///< its core's index in cores_
+        /** Heartbeat: watched from attach to exit or hang kill; its
+         *  progress last moved to lastOps at cycle lastChange. */
+        bool watched = false;
         Cycle at = 0;           ///< dispatch cycle
-    };
-    /** Progress snapshot of one watched in-flight task. */
-    struct Watch {
-        core::TcgCore *core = nullptr;
         std::uint64_t lastOps = 0;
         Cycle lastChange = 0;
-    };
-    /** Re-dispatch bookkeeping of one failed task. */
-    struct Recov {
-        std::uint32_t attempts = 0;
-        Cycle failAt = 0;
-        bool pendingRedispatch = false;
     };
 
     Simulator &sim_;
@@ -173,7 +166,8 @@ class SubScheduler : public Ticking
     Cycle nextDecision_ = 0;
     Cycle nextQuantum_ = 0;
     /** Dispatched tasks by ticket; a ticket on freeTickets_ (LIFO)
-     *  is unused, every other one staged or running. */
+     *  is unused, every other one staged or running. Recovery keeps
+     *  no other per-task state: a retry counts its own failures. */
     std::vector<Dispatch> dispatches_;
     std::vector<std::uint32_t> freeTickets_;
     std::vector<TaskExit> exits_;
@@ -183,9 +177,8 @@ class SubScheduler : public Ticking
     bool recoveryOn_ = false;
     RecoveryParams recovery_;
     Cycle nextHeartbeat_ = 0;
-    /** In-flight watched tasks (ordered: deterministic iteration). */
-    std::map<TaskId, Watch> watch_;
-    std::map<TaskId, Recov> recov_;
+    /** Dispatches watched by the heartbeat; it runs while any is. */
+    std::uint32_t watched_ = 0;
 
     Scalar submitted_;
     Scalar dispatched_;

@@ -80,6 +80,9 @@ struct TaskSpec {
     Cycle deadline = kNoCycle;
     /** Superior real-time priority (uses MACT bypass / direct path). */
     bool realtime = false;
+    /** Fault recovery: times this task was killed and requeued; a
+     *  retry's release is its last failure plus the backoff for it. */
+    std::uint32_t failures = 0;
     /** Per-task RNG seed so task bodies are independent streams. */
     std::uint64_t seed = 0;
     /** Outcome observer (null = none). */

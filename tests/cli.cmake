@@ -5,7 +5,7 @@
 #   cmake -DQUICKSTART=<binary> -DREALTIME_RNC=<binary>
 #         -DMAPREDUCE_WORDCOUNT=<binary> -DCDN_OFFLOAD=<binary>
 #         -DTABLE2=<binary> -DFIG17=<binary> -DFIG01=<binary>
-#         -DWORK=<dir> -P cli.cmake
+#         -DFIG20=<binary> -DWORK=<dir> -P cli.cmake
 
 file(MAKE_DIRECTORY "${WORK}")
 
@@ -84,3 +84,46 @@ expect_drains("${FIG17}" fig17_kills.json "{\"core\": {\"killRate\": 40}}")
 # watchdog must count creations as progress and let each run drain.
 expect_drains("${FIG01}" fig01_noc_dram.json
     "{\"noc\": {\"degradeRate\": 40}, \"dram\": {\"stallRate\": 40}}")
+
+# `bin --faults=F --stats-json=S` exits 0, where F is a file named
+# name holding spec, and every run in S carries the campaign's
+# fault.injected stat: the campaign reached every chip bin built.
+function(expect_faults_in_every_run bin name spec)
+    get_filename_component(bin_name "${bin}" NAME)
+    set(path "${WORK}/${name}")
+    set(out "${WORK}/${name}.stats.json")
+    file(WRITE "${path}" "${spec}\n")
+    file(REMOVE "${out}")
+    execute_process(COMMAND "${bin}" "--faults=${path}"
+        "--stats-json=${out}"
+        WORKING_DIRECTORY "${WORK}"
+        OUTPUT_QUIET
+        ERROR_VARIABLE err
+        RESULT_VARIABLE rc)
+    if(NOT rc EQUAL 0)
+        message(FATAL_ERROR "${bin_name} --faults=${path} exited with "
+            "${rc}:\n${err}")
+    endif()
+    file(READ "${out}" json)
+    string(JSON runs ERROR_VARIABLE bad LENGTH "${json}" runs)
+    if(bad OR runs LESS 1)
+        message(FATAL_ERROR "${out} is not a stats dump with a run: "
+            "${bad}")
+    endif()
+    math(EXPR last "${runs} - 1")
+    foreach(i RANGE ${last})
+        string(JSON run ERROR_VARIABLE bad GET "${json}" runs ${i} run)
+        string(JSON injected ERROR_VARIABLE bad
+            GET "${json}" runs ${i} stats fault.injected)
+        if(bad)
+            message(FATAL_ERROR "${bin_name} --faults=${path}: run "
+                "${run} has no fault.injected stat: the campaign "
+                "never reached its chip")
+        endif()
+    endforeach()
+endfunction()
+
+# Fig. 20 builds its chips through runSmarco and, for its direct-path
+# ablation, by hand: a campaign must arm both.
+expect_faults_in_every_run("${FIG20}" fig20_kills.json
+    "{\"core\": {\"killRate\": 40}}")

@@ -86,8 +86,11 @@ TEST(Chip, KillOfHandAttachedTaskReachesNoScheduler)
         std::make_unique<workloads::ProfileStream>(
             prof, chip.layoutFor(ts, 0), ts.numOps, ts.seed),
         core::kNoTicket));
+    Rng rng(1, 0);
     sim.events().schedule(1000, [&] {
-        EXPECT_TRUE(chip.core(0).killTask(ts.id, sim.now()));
+        // The task is the core's one live context: the victim.
+        EXPECT_TRUE(chip.core(0).injectThreadFault(core::ThreadFault::Kill,
+                                                   rng, sim.now()));
     });
     chip.runUntilDone(2'000'000);
     EXPECT_TRUE(sim.finishedIdle());

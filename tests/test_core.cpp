@@ -522,7 +522,8 @@ TEST_F(CoreFixture, ExitHandlerHearsEachTicketOnce)
     // Every exit of a ticketed task, finished or killed (running or
     // stalled), reaches the one exit handler once with its ticket. A
     // task attached by hand with kNoTicket is reported to no one,
-    // killed or not.
+    // killed or not; only a thread fault reaches it, so the two
+    // hand-attached tasks are alone on the core when one is killed.
     auto &c = make(50);
     const auto attach = [&](TaskId id, std::uint32_t ticket) {
         std::vector<MicroOp> ops{
@@ -534,15 +535,17 @@ TEST_F(CoreFixture, ExitHandlerHearsEachTicketOnce)
         ASSERT_TRUE(c.attachTask(
             t, std::make_unique<isa::TraceStream>(ops), ticket));
     };
+    attach(4, kNoTicket);
+    attach(5, kNoTicket);
+    Rng rng(3, 0);
+    EXPECT_TRUE(c.injectThreadFault(ThreadFault::Kill, rng, sim.now()));
     attach(1, 10);
     attach(2, 11);
     attach(3, 12);
-    attach(4, kNoTicket);
-    attach(5, kNoTicket);
-    EXPECT_TRUE(c.killTask(2, sim.now()));
-    EXPECT_TRUE(c.killTask(5, sim.now()));
+    EXPECT_TRUE(c.killTask(11, sim.now()));
     sim.run(3); // task 3 issues its load miss and stalls
-    EXPECT_TRUE(c.killTask(3, sim.now()));
+    EXPECT_TRUE(c.killTask(12, sim.now()));
+    EXPECT_FALSE(c.killTask(12, sim.now())); // already dying
     sim.run(10000);
 
     std::vector<std::pair<std::uint32_t, bool>> got;

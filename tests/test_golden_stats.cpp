@@ -15,7 +15,9 @@
  *     or  SMARCO_UPDATE_GOLDEN=1 ctest -L golden
  *
  *     rewrites the snapshots in the source tree; review the diff
- *     before committing.
+ *     before committing. On a mismatch the actual dump is written
+ *     to the build tree and the failure names the tools/stats_diff.py
+ *     command that lists the stats that moved.
  *
  * This file carries its own main() (not gtest_main) so it can accept
  * the --update-golden flag.
@@ -606,7 +608,16 @@ checkGolden(const std::string &actual, const char *file)
         << " — regenerate with --update-golden";
     std::ostringstream buf;
     buf << in.rdbuf();
+    if (buf.str() == actual)
+        return;
+    const std::string actual_path =
+        std::string(SMARCO_ACTUAL_DIR) + "/actual_" + file;
+    std::ofstream(actual_path, std::ios::trunc) << actual;
     expectIdentical(buf.str(), actual, file);
+    ADD_FAILURE() << "list the stats that moved with\n  python3 "
+                  << SMARCO_SOURCE_DIR << "/tools/stats_diff.py " << path
+                  << ' ' << actual_path
+                  << "\nand regenerate with --update-golden if intended";
 }
 
 } // namespace

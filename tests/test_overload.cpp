@@ -671,13 +671,16 @@ TEST(RequestLifecycle, AbandonedTaskResolvesItsObserver)
         const TaskId id = 7;
         driver.drive({request(id, 200'000)});
 
-        // Kill the task wherever it runs, every 10k cycles, until the
-        // sub-scheduler gives it up.
+        // Kill the task wherever it runs (it is the chip's one live
+        // context), every 10k cycles, until the sub-scheduler gives
+        // it up.
         const Stat &abandoned =
             sim.stats().get("chip.sched00.tasksAbandoned");
+        Rng rng(1, 0);
         std::function<void()> kill = [&]() {
             for (CoreId c = 0; c < chip.numCores(); ++c)
-                chip.core(c).killTask(id, sim.now());
+                chip.core(c).injectThreadFault(core::ThreadFault::Kill,
+                                               rng, sim.now());
             if (abandoned.value() == 0.0)
                 sim.events().schedule(sim.now() + 10'000, kill);
         };
@@ -710,9 +713,13 @@ TEST(RequestLifecycle, RedispatchedRequestIsTimedFromItsArrival)
     runtime::OverloadDriver driver(chip, {});
     const TaskId id = 3;
     driver.drive({request(id, 50'000, 1'000)});
+    // Kill the task wherever it runs: it is the chip's one live
+    // context.
+    Rng rng(1, 0);
     sim.events().schedule(20'000, [&]() {
         for (CoreId c = 0; c < chip.numCores(); ++c)
-            chip.core(c).killTask(id, sim.now());
+            chip.core(c).injectThreadFault(core::ThreadFault::Kill, rng,
+                                           sim.now());
     });
     chip.runUntilDone(10'000'000);
 

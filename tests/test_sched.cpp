@@ -394,6 +394,104 @@ TEST_F(SchedFixture, RecoveryBackoffSaturatesAtItsMax)
     }
 }
 
+namespace {
+
+/** Recovery with a short heartbeat: a hang is caught in ~10k cycles. */
+RecoveryParams
+quickRecovery()
+{
+    RecoveryParams rp;
+    rp.heartbeatInterval = 1'000;
+    rp.hangTimeout = 5'000;
+    return rp;
+}
+
+} // namespace
+
+TEST_F(SchedFixture, NamesakesOnTwoCoresAreWatchedApart)
+{
+    // A task id is a label: two live tasks may share one. The first
+    // lands on core 0, its namesake on core 1, and the one on core 0
+    // hangs. The heartbeat must watch each on its own core, kill the
+    // hung one only, and the run must drain.
+    auto &s = make(SchedPolicy::HardwareLaxity, 2);
+    s.enableRecovery(quickRecovery());
+    s.submit(task(7, kNoCycle, false, 200'000));
+    s.submit(task(7, kNoCycle, false, 200'000));
+    sim.run(100);
+    ASSERT_EQ(cores[0]->liveContexts(), 1u);
+    ASSERT_EQ(cores[1]->liveContexts(), 1u);
+    Rng rng(1, 0);
+    ASSERT_TRUE(cores[0]->injectThreadFault(core::ThreadFault::Hang, rng,
+                                            sim.now()));
+    sim.run(10'000'000);
+    EXPECT_TRUE(sim.finishedIdle());
+    EXPECT_EQ(s.load(), 0u);
+    EXPECT_EQ(s.tasksCompleted(), 2u);
+    EXPECT_EQ(sim.stats().get("sched.hangKills").value(), 1.0);
+    EXPECT_EQ(sim.stats().get("sched.redispatches").value(), 1.0);
+    EXPECT_EQ(sim.stats().get("core0.tasksKilled").value(), 1.0);
+    EXPECT_EQ(sim.stats().get("core1.tasksKilled").value(), 0.0);
+}
+
+TEST_F(SchedFixture, HeartbeatKillsTheHungNamesakeOnOneCore)
+{
+    // Two tasks with one id share a core. The second to hold the id
+    // hangs: the heartbeat must read its progress, not its healthy
+    // namesake's, and kill it, not the healthy one.
+    auto &s = make(SchedPolicy::HardwareLaxity, 1);
+    s.enableRecovery(quickRecovery());
+    s.submit(task(7, kNoCycle, false, 100'000));
+    s.submit(task(7, kNoCycle, false, 100'000));
+    sim.run(100);
+    ASSERT_EQ(cores[0]->liveContexts(), 2u);
+    // This seed picks the second of the two candidate contexts.
+    Rng rng(2, 0);
+    ASSERT_TRUE(cores[0]->injectThreadFault(core::ThreadFault::Hang, rng,
+                                            sim.now()));
+    const std::uint64_t first = cores[0]->taskProgress(0);
+    const std::uint64_t second = cores[0]->taskProgress(1);
+    sim.run(1'000);
+    ASSERT_GT(cores[0]->taskProgress(0), first); // healthy
+    ASSERT_EQ(cores[0]->taskProgress(1), second); // hung
+    sim.run(10'000'000);
+    EXPECT_TRUE(sim.finishedIdle());
+    EXPECT_EQ(s.load(), 0u);
+    EXPECT_EQ(s.tasksCompleted(), 2u);
+    EXPECT_EQ(sim.stats().get("sched.hangKills").value(), 1.0);
+    EXPECT_EQ(sim.stats().get("sched.redispatches").value(), 1.0);
+    EXPECT_EQ(sim.stats().get("core0.tasksFinished").value(), 2.0);
+    EXPECT_EQ(sim.stats().get("core0.tasksKilled").value(), 1.0);
+}
+
+TEST_F(SchedFixture, DroppedRetryLeavesNoRecoveryStateForItsId)
+{
+    // A deadline task is killed, and its retry, released after the
+    // backoff, can no longer meet the deadline: it is early-dropped.
+    // A fresh task with the same id is a first dispatch, not a
+    // redispatch of the dropped one.
+    auto &s = make(SchedPolicy::HardwareLaxity, 1);
+    RecoveryParams rp = quickRecovery();
+    rp.backoffBase = 25'000;
+    s.enableRecovery(rp);
+    s.enableShedding();
+    s.submit(task(7, 30'000, false, 10'000));
+    sim.run(1'000);
+    Rng rng(1, 0);
+    ASSERT_TRUE(cores[0]->injectThreadFault(core::ThreadFault::Kill, rng,
+                                            sim.now()));
+    sim.run(40'000);
+    EXPECT_EQ(sim.stats().get("sched.tasksExpired").value(), 1.0);
+    EXPECT_EQ(s.load(), 0u);
+
+    s.submit(task(7, kNoCycle, false, 1'000));
+    sim.run(1'000'000);
+    EXPECT_EQ(s.tasksCompleted(), 1u);
+    EXPECT_EQ(sim.stats().get("sched.redispatches").value(), 0.0);
+    EXPECT_EQ(sim.stats().getAs<Histogram>("sched.redispatchDelay").count(),
+              0u);
+}
+
 TEST(MainScheduler, BalancesAcrossSubRings)
 {
     Simulator sim;
