@@ -89,7 +89,10 @@ BaselineChip::BaselineChip(Simulator &sim, BaselineParams params)
         core.slots.resize(params_.smtPerCore);
     }
     slotWake_.assign(params_.numCores * params_.smtPerCore, kNoCycle);
-    dueMask_.assign((slotWake_.size() + 63) / 64, 0);
+    slotWords_ = static_cast<std::uint32_t>((slotWake_.size() + 63) / 64);
+    calendar_.assign(kCalendarWindow * slotWords_, 0);
+    farSlots_.assign(slotWords_, 0);
+    dueMask_.assign(slotWords_, 0);
     sim.addTicking(this);
 }
 
@@ -473,7 +476,109 @@ BaselineChip::refreshSlot(std::uint32_t slot)
             wake = t.readyAt;
     }
     slotWake_[slot] = wake;
+    if (wake != kNoCycle)
+        fileSlot(slot, wake);
+}
+
+void
+BaselineChip::fileSlot(std::uint32_t slot, Cycle wake)
+{
+    const std::uint32_t word = slot / 64;
+    const std::uint64_t bit = std::uint64_t{1} << (slot % 64);
+    if (wake < calBase_) {
+        dueMask_[word] |= bit;
+    } else if (wake - calBase_ < kCalendarWindow) {
+        const auto bucket =
+            static_cast<std::uint32_t>(wake % kCalendarWindow);
+        calendar_[bucket * slotWords_ + word] |= bit;
+        calOccupied_[bucket / 64] |= std::uint64_t{1} << (bucket % 64);
+    } else {
+        farSlots_[word] |= bit;
+        farMin_ = std::min(farMin_, wake);
+    }
     wakeMin_ = std::min(wakeMin_, wake);
+}
+
+void
+BaselineChip::drainBuckets(std::uint32_t lo, std::uint32_t hi)
+{
+    for (std::uint32_t word = lo / 64; word * 64 < hi; ++word) {
+        const std::uint32_t first = std::max(lo, word * 64) - word * 64;
+        const std::uint32_t end = std::min(hi, word * 64 + 64) - word * 64;
+        const std::uint64_t range =
+            (end == 64 ? ~std::uint64_t{0}
+                       : (std::uint64_t{1} << end) - 1) &
+            (~std::uint64_t{0} << first);
+        std::uint64_t occupied = calOccupied_[word] & range;
+        calOccupied_[word] &= ~occupied;
+        for (; occupied != 0; occupied &= occupied - 1) {
+            const std::uint32_t bucket =
+                word * 64 +
+                static_cast<std::uint32_t>(std::countr_zero(occupied));
+            std::uint64_t *const slots = &calendar_[bucket * slotWords_];
+            for (std::uint32_t w = 0; w < slotWords_; ++w) {
+                dueMask_[w] |= slots[w];
+                slots[w] = 0;
+            }
+        }
+    }
+}
+
+void
+BaselineChip::drainCalendar(Cycle now)
+{
+    // The buckets hold the cycles calBase_ .. calBase_ + window - 1,
+    // one each, so a clock that has passed the whole window drains
+    // them all.
+    const auto lo = static_cast<std::uint32_t>(calBase_ % kCalendarWindow);
+    const auto hi = lo + static_cast<std::uint32_t>(std::min(
+                             now - calBase_ + 1, kCalendarWindow));
+    drainBuckets(lo, std::min<std::uint32_t>(hi, kCalendarWindow));
+    if (hi > kCalendarWindow)
+        drainBuckets(0, hi - kCalendarWindow);
+    calBase_ = now + 1;
+    if (farMin_ >= calBase_ + kCalendarWindow)
+        return;
+    // Refile the far set; slots whose wake has moved on are filed
+    // where it now is, or dropped when they wake no more.
+    farMin_ = kNoCycle;
+    for (std::uint32_t word = 0; word < slotWords_; ++word) {
+        std::uint64_t far = farSlots_[word];
+        farSlots_[word] = 0;
+        for (; far != 0; far &= far - 1) {
+            const std::uint32_t slot =
+                word * 64 + static_cast<std::uint32_t>(std::countr_zero(far));
+            if (slotWake_[slot] != kNoCycle)
+                fileSlot(slot, slotWake_[slot]);
+        }
+    }
+}
+
+Cycle
+BaselineChip::firstFiledWake() const
+{
+    for (const std::uint64_t due : dueMask_)
+        if (due != 0)
+            return calBase_;
+    // Bucket b holds cycle calBase_ + (b - start) mod window: search
+    // from start's word round to the bits of that word below start.
+    const auto start = static_cast<std::uint32_t>(calBase_ % kCalendarWindow);
+    for (std::uint32_t i = 0; i <= kOccupancyWords; ++i) {
+        const std::uint32_t word = (start / 64 + i) % kOccupancyWords;
+        std::uint64_t occupied = calOccupied_[word];
+        if (i == 0)
+            occupied &= ~std::uint64_t{0} << (start % 64);
+        else if (i == kOccupancyWords)
+            occupied &= ~(~std::uint64_t{0} << (start % 64));
+        if (occupied != 0) {
+            const std::uint32_t bucket =
+                word * 64 +
+                static_cast<std::uint32_t>(std::countr_zero(occupied));
+            return calBase_ +
+                   (bucket + kCalendarWindow - start) % kCalendarWindow;
+        }
+    }
+    return farMin_;
 }
 
 Cycle
@@ -574,6 +679,7 @@ BaselineChip::tick(Cycle now)
     ++cycles_;
     slotsOffered_ +=
         static_cast<double>(params_.issueWidth * params_.numCores);
+    drainCalendar(now);
 
     // OS watchdog: restart workers hung past the timeout.
     if (recoveryOn_ && now >= nextScan_) {
@@ -603,60 +709,49 @@ BaselineChip::tick(Cycle now)
         }
     }
 
-    // One pass over the wake array marks the due slots in dueMask_
-    // and takes the earliest wake of the others. The tick-every-cycle
-    // kernel marks every non-empty slot instead: a visit to a front
-    // thread that cannot act is a no-op, so the stats of the two
-    // modes are identical exactly when every wake time is.
-    const std::uint32_t num_slots =
-        static_cast<std::uint32_t>(slotWake_.size());
-    Cycle wake_min = kNoCycle;
-    for (std::uint32_t word = 0; word < dueMask_.size(); ++word) {
-        const std::uint32_t first = word * 64;
-        const std::uint32_t end = std::min(num_slots, first + 64);
-        std::uint64_t due = 0;
-        for (std::uint32_t slot = first; slot < end; ++slot) {
-            const Cycle wake = slotWake_[slot];
-            const bool is_due = wake <= now;
-            due |= static_cast<std::uint64_t>(is_due) << (slot - first);
-            wake_min = std::min(wake_min, is_due ? kNoCycle : wake);
-        }
-        dueMask_[word] = due;
-    }
-    if (!sim_.fastForward()) {
-        for (std::uint32_t slot = 0; slot < num_slots; ++slot)
-            if (!slotQueue(slot).empty())
-                dueMask_[slot / 64] |= std::uint64_t{1} << (slot % 64);
-    }
-    wakeMin_ = wake_min;
-
-    // Visit the marked slots in core-then-slot order, each core's
-    // under its issue budget. A visit refreshes the slot's wake, which
-    // folds it into wakeMin_; a slot passed over for budget is still
-    // due, so its wake is folded in as it stands.
+    // Visit the due slots in core-then-slot order, each core's under
+    // its issue budget. The tick-every-cycle kernel visits every
+    // non-empty slot instead: a visit to a front thread that cannot
+    // act is a no-op, so the stats of the two modes are identical
+    // exactly when every wake time is. A visit refreshes the slot,
+    // which files it anew (in the due set again when it can still
+    // act this cycle, for the next tick); a slot passed over for
+    // budget stays due.
+    const bool forced = !sim_.fastForward();
+    const auto num_slots = static_cast<std::uint32_t>(slotWake_.size());
     const std::uint32_t smt = params_.smtPerCore;
     std::uint32_t core = 0;
     std::uint32_t budget = params_.issueWidth;
-    for (std::uint32_t word = 0; word < dueMask_.size(); ++word) {
-        for (std::uint64_t due = dueMask_[word]; due != 0;
-             due &= due - 1) {
-            const std::uint32_t slot =
-                word * 64 + static_cast<std::uint32_t>(
-                                std::countr_zero(due));
+    for (std::uint32_t word = 0; word < slotWords_; ++word) {
+        std::uint64_t visit = dueMask_[word];
+        for (std::uint32_t slot = word * 64;
+             forced && slot < std::min(num_slots, word * 64 + 64); ++slot)
+            if (!slotQueue(slot).empty())
+                visit |= std::uint64_t{1} << (slot % 64);
+        for (; visit != 0; visit &= visit - 1) {
+            const auto lane =
+                static_cast<std::uint32_t>(std::countr_zero(visit));
+            const std::uint32_t slot = word * 64 + lane;
+            const std::uint64_t bit = std::uint64_t{1} << lane;
+            if (slotWake_[slot] > now) {
+                dueMask_[word] &= ~bit; // refiled at its later wake
+                if (!forced)
+                    continue;
+            }
             if (slot / smt != core) {
                 core = slot / smt;
                 budget = params_.issueWidth;
             }
-            if (budget == 0) {
-                wakeMin_ = std::min(wakeMin_, slotWake_[slot]);
+            if (budget == 0)
                 continue;
-            }
+            dueMask_[word] &= ~bit;
             Core &c = cores_[core];
             runThread(c, threads_[c.slots[slot - core * smt].front()],
                       now, budget);
             refreshSlot(slot);
         }
     }
+    wakeMin_ = firstFiledWake();
 
     // Run completion (non-persistent pools): once the bag is dry and
     // every worker has parked, retire the pool so the simulator can
@@ -673,6 +768,11 @@ BaselineChip::tick(Cycle now)
             for (auto &q : core.slots)
                 q.clear();
         std::fill(slotWake_.begin(), slotWake_.end(), kNoCycle);
+        std::fill(calendar_.begin(), calendar_.end(), 0);
+        std::fill(std::begin(calOccupied_), std::end(calOccupied_), 0);
+        std::fill(farSlots_.begin(), farSlots_.end(), 0);
+        std::fill(dueMask_.begin(), dueMask_.end(), 0);
+        farMin_ = kNoCycle;
         wakeMin_ = kNoCycle;
     }
 }

@@ -218,8 +218,19 @@ class BaselineChip : public Ticking, public fault::FaultTarget
      *  threads are exactly those in slots: retirement empties them. */
     bool oversubscribed() const
     { return liveThreads_ > slotWake_.size(); }
-    /** Recompute slotWake_[slot] from the slot's front thread. */
+    /** Recompute slotWake_[slot] from the slot's front thread and
+     *  file the slot in the wake calendar. */
     void refreshSlot(std::uint32_t slot);
+    /** File a slot whose wake is `wake` (not kNoCycle). */
+    void fileSlot(std::uint32_t slot, Cycle wake);
+    /** Move the slots of every bucket up to `now` into dueMask_, then
+     *  pull in the far set if the window has reached its minimum. */
+    void drainCalendar(Cycle now);
+    /** OR buckets lo .. hi - 1 into dueMask_ and empty them. */
+    void drainBuckets(std::uint32_t lo, std::uint32_t hi);
+    /** The wakeMin_ a tick leaves: calBase_ while a slot is due, else
+     *  the cycle of the first occupied bucket, else farMin_. */
+    Cycle firstFiledWake() const;
     /** Non-persistent pool with nothing left to run: retire it. */
     bool retirable() const
     {
@@ -267,19 +278,63 @@ class BaselineChip : public Ticking, public fault::FaultTarget
     /**
      * Per SMT slot: the cycle its front thread can next act, i.e. its
      * readyAt when it is Starting or Runnable and not hung, else
-     * kNoCycle. A fast-forward tick visits only slots whose wake
-     * time has come; it is refreshed wherever a front thread's state,
+     * kNoCycle. It is refreshed wherever a front thread's state,
      * readyAt or hung flag changes, and wherever a slot's front
-     * changes. A tick-every-cycle tick visits every non-empty slot
-     * instead, so a missing refresh makes the two modes' stats differ.
+     * changes; each refresh files the slot in the wake calendar
+     * below, and a fast-forward tick visits only the slots the
+     * calendar hands it whose wake time has come. A tick-every-cycle
+     * tick visits every non-empty slot instead, so a missing refresh
+     * makes the two modes' stats differ.
      */
     std::vector<Cycle> slotWake_;
-    /** At most min(slotWake_): recomputed by each tick, lowered by
-     *  every refresh in between (a raised entry leaves it early,
-     *  which costs one spurious tick). */
+    /** No later than the first cycle at which a slot is due:
+     *  recomputed by each tick from the due set, the calendar's first
+     *  occupied bucket or the far minimum, and lowered by every
+     *  refresh in between. A stale calendar bit leaves it early,
+     *  which costs one spurious tick; a late one would skip a due
+     *  slot. */
     Cycle wakeMin_ = kNoCycle;
-    /** Scratch of tick(): bit s % 64 of word s / 64 marks SMT slot s
-     *  as due for a visit this cycle. Sized with slotWake_. */
+
+    // --- Wake calendar ----------------------------------------------------
+    // A slot set is a bitmask of slotWords_ words, bit s % 64 of word
+    // s / 64 for SMT slot s. refreshSlot() files a slot under its wake
+    // cycle w: in dueMask_ when w < calBase_ (its bucket has drained),
+    // in bucket w % kCalendarWindow when w < calBase_ + kCalendarWindow,
+    // else in farSlots_. A refresh leaves the slot's earlier filing
+    // behind; such stale bits are dropped where the slot's wake no
+    // longer matches.
+
+    /** Cycles the calendar's buckets cover, one cycle a bucket. It
+     *  takes the common wakes -- cache hits (12-38 cycles), a
+     *  DRAM-served fetch (180), an empty-bag poll (500) and a task
+     *  pop (600) -- and leaves context switches (5,000) and thread
+     *  creations (30,000 apart) to the far set. The test
+     *  GoldenStats.FastForwardMatchesForcedModeBaselineWindowEdges
+     *  sweeps latencies around it. */
+    static constexpr Cycle kCalendarWindow = 1024;
+    static constexpr std::uint32_t kOccupancyWords =
+        kCalendarWindow / 64;
+
+    std::uint32_t slotWords_ = 0;
+    /** First cycle whose bucket has not drained: the last tick's
+     *  cycle plus one. */
+    Cycle calBase_ = 0;
+    /** kCalendarWindow slot sets, bucket b at words b * slotWords_. */
+    std::vector<std::uint64_t> calendar_;
+    /** Bit b % 64 of word b / 64: bucket b holds a slot. */
+    std::uint64_t calOccupied_[kOccupancyWords] = {};
+    /** Slots whose wake was past the window when filed; farMin_ is
+     *  at most the least of those wakes. */
+    std::vector<std::uint64_t> farSlots_;
+    Cycle farMin_ = kNoCycle;
+    /**
+     * Slots whose wake cycle has passed and that have not been
+     * visited since: drained buckets, refreshes to a wake at or
+     * before the current cycle, and slots a tick passed over because
+     * their core's issue budget ran out. A tick visits them in
+     * core-then-slot order and drops the bits whose slot's wake has
+     * moved past the current cycle.
+     */
     std::vector<std::uint64_t> dueMask_;
 
     Scalar committed_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 
 #include "sim/logging.hpp"
 
@@ -49,21 +50,85 @@ Cache::Cache(StatRegistry &stats, CacheParams params,
               params_.assoc);
     const std::uint64_t ways = numSets_ * params_.assoc;
     tags_ = std::make_unique_for_overwrite<Addr[]>(ways);
-    state_ = std::make_unique_for_overwrite<std::uint8_t[]>(ways);
+    // Eight padding bytes: the state words are read eight ways at a
+    // time, so the last set's last word runs up to seven bytes past
+    // its last way. Like the ways, the padding is left uninitialised:
+    // a word's bytes at or past the fill count are only ever written
+    // back unchanged.
+    state_ = std::make_unique_for_overwrite<std::uint8_t[]>(ways + 8);
     fill_ = std::make_unique<std::uint8_t[]>(numSets_); // every set empty
     lineShift_ = std::countr_zero(params_.lineBytes);
     pow2Sets_ = isPow2(numSets_);
     setShift_ = std::countr_zero(numSets_);
 }
 
+namespace {
+
+// A state word holds the state bytes of eight consecutive ways, way
+// w + i in byte i (the little-endian load order).
+static_assert(std::endian::native == std::endian::little,
+              "state bytes are read eight ways to a word");
+
+constexpr std::uint64_t kLanes = 0x0101010101010101ULL;
+constexpr std::uint64_t kLaneHigh = 0x80 * kLanes;
+constexpr std::uint64_t kLaneRanks = 0x7F * kLanes;
+
+std::uint64_t
+loadLanes(const std::uint8_t *p)
+{
+    std::uint64_t x = 0;
+    std::memcpy(&x, p, sizeof x);
+    return x;
+}
+
+void
+storeLanes(std::uint8_t *p, std::uint64_t x)
+{
+    std::memcpy(p, &x, sizeof x);
+}
+
+/** High bit of every lane below `ways` (all eight from eight on). */
+std::uint64_t
+validLanes(std::uint32_t ways)
+{
+    return ways >= 8 ? kLaneHigh
+                     : kLaneHigh & ((std::uint64_t{1} << (8 * ways)) - 1);
+}
+
+/** High bit of every lane whose rank is below `rank` (per lane). Each
+ *  lane computes 0x80 + rank_lane - rank in its own byte, which stays
+ *  in 3..255 for ranks below 126, so no lane borrows from the next and
+ *  the dirty bits never enter the compare. */
+std::uint64_t
+ranksBelow(std::uint64_t x, std::uint64_t rank_lanes)
+{
+    return ~(((x & kLaneRanks) | kLaneHigh) - rank_lanes) & kLaneHigh;
+}
+
+/** High bit of every lane whose rank equals `rank` (per lane): the
+ *  lane's rank XOR rank is at most 0x7F, and adding 0x7F sets its
+ *  high bit exactly when it is not zero. */
+std::uint64_t
+ranksEqual(std::uint64_t x, std::uint64_t rank_lanes)
+{
+    return ~(((x & kLaneRanks) ^ rank_lanes) + kLaneRanks) & kLaneHigh;
+}
+
+} // namespace
+
 void
 Cache::ageBelow(std::uint8_t *state, std::uint32_t ways, std::uint8_t rank)
 {
-    // Ranks stay below assoc <= kMaxAssoc, so aging never carries
-    // into the dirty bit.
-    for (std::uint32_t w = 0; w < ways; ++w)
-        state[w] = static_cast<std::uint8_t>(
-            state[w] + ((state[w] & kRankMask) < rank));
+    // Eight ways a word. An aged rank is below rank <= kMaxAssoc - 1,
+    // so it never carries into the dirty bit; lanes at or past ways
+    // add zero, so the store writes their bytes back unchanged.
+    const std::uint64_t rank_lanes = rank * kLanes;
+    for (std::uint32_t w = 0; w < ways; w += 8) {
+        const std::uint64_t x = loadLanes(state + w);
+        const std::uint64_t older =
+            ranksBelow(x, rank_lanes) & validLanes(ways - w);
+        storeLanes(state + w, x + (older >> 7));
+    }
 }
 
 Cache::Location
@@ -108,11 +173,17 @@ Cache::access(Addr addr, bool write)
     // no such way and the miss fills way fill, the first invalid way.
     // Aging every way ranked below assoc - 1 ages every valid way but
     // the victim either way.
-    const std::uint8_t lru = static_cast<std::uint8_t>(assoc - 1);
+    const std::uint64_t lru_lanes = (assoc - 1) * kLanes;
     const bool full = fill == assoc;
     std::uint32_t victim = fill;
-    for (std::uint32_t w = 0; w < fill; ++w)
-        victim = (state[w] & kRankMask) == lru ? w : victim;
+    for (std::uint32_t w = 0; w < fill; w += 8) {
+        const std::uint64_t lru = ranksEqual(loadLanes(state + w),
+                                             lru_lanes) &
+                                  validLanes(fill - w);
+        victim = lru != 0
+            ? w + static_cast<std::uint32_t>(std::countr_zero(lru)) / 8
+            : victim;
+    }
 
     CacheResult res;
     // Only a valid way can be dirty, and way fill is not yet valid.
@@ -121,7 +192,7 @@ Cache::access(Addr addr, bool write)
         res.victimAddr = (tags[victim] * numSets_ + set) * params_.lineBytes;
         ++writebacks_;
     }
-    ageBelow(state, fill, lru);
+    ageBelow(state, fill, static_cast<std::uint8_t>(assoc - 1));
     tags[victim] = tag;
     state[victim] = dirtyIfWrite; // rank 0
     fill_[set] = static_cast<std::uint8_t>(fill + !full);

@@ -55,16 +55,23 @@ struct CacheResult {
  * takes way fill, with no eviction and no writeback; a miss in a full
  * set evicts the one way of rank assoc - 1, the LRU way.
  *
- * No way is read before the miss that fills it, so the tag and state
- * arrays are left uninitialised: building a cache writes one byte per
- * set (the zeroed fill counts) and touches no way, which keeps a 60 MB
- * LLC's 8.8 MB of ways out of the build. flush() zeroes the counts.
+ * No way's value is used before the miss that fills it, so the tag and
+ * state arrays are left uninitialised: building a cache writes one
+ * byte per set (the zeroed fill counts) and touches no way, which
+ * keeps a 60 MB LLC's 8.8 MB of ways out of the build. flush() zeroes
+ * the counts.
  *
  * Every search is branch-free. A lookup compares every valid tag of
- * the set with no early exit (a tag matches at most one way); a miss
+ * the set with no early exit (a tag matches at most one way). The
+ * rank searches run eight state bytes to a 64-bit word: a miss
  * compares every valid rank with assoc - 1, which no way of a set
- * that is not full holds, and falls back to way fill; aging is a byte
- * loop over the valid ways.
+ * that is not full holds, and falls back to way fill; aging adds one
+ * to every lane ranked below the accessed way. Each lane compares its
+ * seven rank bits only, so the dirty bit never enters a result, and
+ * lanes at or past the fill count are masked out of every result, so
+ * the store writes their bytes back unchanged. The state array has
+ * eight bytes of padding, so the last set's last word stays inside
+ * it.
  */
 class Cache
 {
@@ -106,7 +113,8 @@ class Cache
     static constexpr std::uint8_t kDirty = 0x80;
     static constexpr std::uint8_t kRankMask = 0x7F;
 
-    /** Age each of the first ways ways ranked below rank by one. */
+    /** Age each of the first ways ways ranked below rank by one,
+     *  eight to a word. */
     static void ageBelow(std::uint8_t *state, std::uint32_t ways,
                          std::uint8_t rank);
 
@@ -121,7 +129,8 @@ class Cache
     // numSets * assoc entries each, set-major; uninitialised until
     // a miss fills the way.
     std::unique_ptr<Addr[]> tags_;
-    std::unique_ptr<std::uint8_t[]> state_; ///< kDirty | LRU rank
+    /** kDirty | LRU rank, plus eight bytes of padding. */
+    std::unique_ptr<std::uint8_t[]> state_;
     /** Valid ways of each set: ways 0 .. fill_[s] - 1. */
     std::unique_ptr<std::uint8_t[]> fill_;
 

@@ -452,6 +452,13 @@ TEST(Cache, MatchesReferenceModelOnEveryGeometryInUse)
         geometry("direct_mapped", 64 * 64, 1, 64),
         geometry("max_assoc", 8 * Cache::kMaxAssoc * 64, Cache::kMaxAssoc,
                  64),
+        // The rank searches take eight ways to a word: a set of one
+        // short word, a full word plus one lane, two full words, and
+        // two plus one lane in a set count that is not a power of two.
+        geometry("ways7", 16 * 7 * 64, 7, 64),
+        geometry("ways9", 16 * 9 * 64, 9, 64),
+        geometry("ways16", 16 * 16 * 64, 16, 64),
+        geometry("ways17", 13 * 17 * 64, 17, 64),
     };
     for (const CacheParams &p : geometries) {
         for (const std::uint64_t seed : {1, 1009}) {

@@ -251,6 +251,66 @@ baselineOpenLoopRun(bool fast_forward, const SimInspect &inspect = {})
 }
 
 /**
+ * Baseline wake path, calendar edges. The baseline chip files each SMT
+ * slot under its wake cycle in a calendar of one-cycle buckets that
+ * covers the next 1,024 cycles (BaselineChip::kCalendarWindow), and a
+ * wake further out in a far set it pulls in as the window reaches it.
+ * This run sets the branch penalty, the DTLB walk, the task pop and
+ * the context switch to `latency`, so the sweep below lands the wakes
+ * a tick files just inside the window's end, on its last bucket, just
+ * past it and past twice its length. A hang + kill campaign with the OS watchdog
+ * restarts workers (a far wake of threadCreateCost), and DRAM
+ * completions refresh stalled slots between ticks. The pool is either
+ * a closed batch of 12 threads on 8 slots, which context-switch, or a
+ * persistent pool of 6 workers fed one task every 9,001 cycles, which
+ * park on the empty bag between them. Every run must drain.
+ */
+std::string
+baselineWindowEdgeRun(bool fast_forward, bool persistent, Cycle latency)
+{
+    Simulator sim;
+    sim.setFastForward(fast_forward);
+    baseline::BaselineParams bp = smallBaseline();
+    bp.branchPenalty = latency;
+    bp.tlbWalkLatency = latency;
+    bp.taskPopCost = latency;
+    bp.contextSwitchCost = latency;
+    bp.schedQuantum = 20'000;
+    baseline::BaselineChip chip(sim, bp);
+    workloads::BenchProfile profile = workloads::htcProfile("search");
+    profile.opsPerTask = 3'000;
+    workloads::TaskSetParams tp;
+    tp.count = 16;
+    tp.seed = 7;
+    const auto tasks = workloads::makeTaskSet(profile, tp);
+    if (persistent) {
+        chip.spawnWorkers(6, {}, /*persistent=*/true);
+        for (std::size_t i = 0; i < tasks.size(); ++i)
+            sim.events().schedule(
+                100'000 + i * 9'001,
+                [&chip, &task = tasks[i]] { chip.submitRequest(task); });
+    } else {
+        chip.spawnWorkers(12, tasks);
+    }
+    fault::FaultSpec spec;
+    spec.coreKillRate = 20.0;
+    spec.coreHangRate = 20.0;
+    spec.horizon = 2'000'000;
+    spec.recovery.heartbeatInterval = 3'000;
+    spec.recovery.hangTimeout = 9'000;
+    fault::FaultCampaign campaign(sim, spec, 11);
+    campaign.arm(chip);
+    sim.run(400'000'000);
+    EXPECT_TRUE(sim.finishedIdle());
+    EXPECT_EQ(sim.stats().get("base.tasksDone").value(),
+              static_cast<double>(tasks.size()));
+    EXPECT_GT(sim.stats().get("base.workerKills").value() +
+                  sim.stats().get("base.workerHangs").value(),
+              0.0);
+    return dumpStats(sim);
+}
+
+/**
  * The oversubscribed, faulted and open-loop wake paths as one JSON
  * object. Both kernel modes visit only the slots whose wake time has
  * come, so a missing wake-time refresh shows in this snapshot and
@@ -696,6 +756,23 @@ TEST(GoldenStats, FastForwardMatchesForcedModeBaselineSampled)
     expectIdentical(baselineRun(true, /*sampled=*/true),
                     baselineRun(false, /*sampled=*/true),
                     "sampled baseline fast-forward vs forced dump");
+}
+
+TEST(GoldenStats, FastForwardMatchesForcedModeBaselineWindowEdges)
+{
+    constexpr Cycle kWindow = 1024; // BaselineChip::kCalendarWindow
+    for (const bool persistent : {false, true}) {
+        for (const Cycle latency :
+             {kWindow - 1, kWindow, kWindow + 1, 2 * kWindow + 1}) {
+            SCOPED_TRACE(testing::Message()
+                         << (persistent ? "persistent" : "oversubscribed")
+                         << " pool, latency " << latency);
+            expectIdentical(
+                baselineWindowEdgeRun(true, persistent, latency),
+                baselineWindowEdgeRun(false, persistent, latency),
+                "window-edge baseline fast-forward vs forced dump");
+        }
+    }
 }
 
 TEST(GoldenStats, BaselineWakePathsSnapshotMatchesGolden)
