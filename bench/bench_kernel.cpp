@@ -18,12 +18,16 @@
  *
  * Wall-clock throughput is host-side and only printed; `--stats-json`
  * exports carry the simulated state alone, so each workload's stats
- * dump must be identical in the two kernel modes.
+ * dump must be identical in the two kernel modes. The component ticks
+ * each kernel ran (Simulator::ticksRun) are printed beside the wall
+ * ratio as its deterministic companion.
  *
  * Exits non-zero when the modes disagree on the SmarCo simulation
  * (cycles, tasks or stats dump), when fast-forward fails to reach a
- * 1.5x speedup on it, or when the baseline run's stats dump differs
- * between the two kernel modes.
+ * 1.5x speedup on it, when the baseline run's stats dump differs
+ * between the two kernel modes, or when on either workload the
+ * fast-forward kernel does not tick fewer components than the forced
+ * one.
  */
 #include <algorithm>
 #include <chrono>
@@ -43,6 +47,7 @@ struct KernelRun {
     double wallSec = 0.0;
     Cycle skipped = 0;
     std::uint64_t jumps = 0;
+    std::uint64_t ticks = 0;
     std::uint64_t tasks = 0;
     std::string stats;
 };
@@ -63,6 +68,7 @@ timeRun(Simulator &sim, RunFn run)
         std::chrono::duration<double>(t1 - t0).count(), 1e-9);
     r.skipped = sim.cyclesSkipped();
     r.jumps = sim.fastForwards();
+    r.ticks = sim.ticksRun();
     std::ostringstream os;
     sim.stats().dumpJson(os);
     r.stats = os.str();
@@ -124,19 +130,45 @@ measureBaseline(bool fast_forward)
 void
 printRow(const char *name, const KernelRun &r)
 {
-    std::printf("  %-14s %14llu %10.3f %14.3e %12llu %8llu\n", name,
-                static_cast<unsigned long long>(r.simCycles), r.wallSec,
-                static_cast<double>(r.simCycles) / r.wallSec,
+    std::printf("  %-14s %14llu %10.3f %14.3e %12llu %8llu %12llu\n",
+                name, static_cast<unsigned long long>(r.simCycles),
+                r.wallSec, static_cast<double>(r.simCycles) / r.wallSec,
                 static_cast<unsigned long long>(r.skipped),
-                static_cast<unsigned long long>(r.jumps));
+                static_cast<unsigned long long>(r.jumps),
+                static_cast<unsigned long long>(r.ticks));
 }
 
 void
 printHeader()
 {
-    std::printf("\n  %-14s %14s %10s %14s %12s %8s\n", "mode",
-                "sim cycles", "wall s", "cycles/s", "skipped",
-                "jumps");
+    std::printf("\n  %-14s %14s %10s %14s %12s %8s %12s\n", "mode",
+                "sim cycles", "wall s", "cycles/s", "skipped", "jumps",
+                "ticks");
+}
+
+/** Print the wall and tick ratios and check that fast-forward ran
+ *  fewer component ticks. */
+void
+compare(Checks &checks, const char *what, const KernelRun &forced,
+        const KernelRun &ff)
+{
+    std::printf("\n  speedup: %.2fx (%llu of %llu cycles skipped, "
+                "%.1f%%); ticks %llu of %llu forced (%.3f)\n",
+                forced.wallSec / ff.wallSec,
+                static_cast<unsigned long long>(ff.skipped),
+                static_cast<unsigned long long>(ff.simCycles),
+                100.0 * static_cast<double>(ff.skipped) /
+                    static_cast<double>(ff.simCycles),
+                static_cast<unsigned long long>(ff.ticks),
+                static_cast<unsigned long long>(forced.ticks),
+                static_cast<double>(ff.ticks) /
+                    static_cast<double>(forced.ticks));
+    checks.check(strprintf("%s: fast-forward ticks fewer components",
+                           what),
+                 ff.ticks < forced.ticks,
+                 strprintf("%llu vs %llu",
+                           static_cast<unsigned long long>(ff.ticks),
+                           static_cast<unsigned long long>(forced.ticks)));
 }
 
 } // namespace
@@ -156,12 +188,9 @@ main(int argc, char **argv)
     printRow("forced", forced);
     printRow("fast-forward", ff);
 
-    const double speedup = forced.wallSec / ff.wallSec;
-    std::printf("\n  speedup: %.2fx (%llu of %llu cycles skipped)\n",
-                speedup,
-                static_cast<unsigned long long>(ff.skipped),
-                static_cast<unsigned long long>(ff.simCycles));
     Checks checks;
+    compare(checks, "SmarCo", forced, ff);
+    const double speedup = forced.wallSec / ff.wallSec;
     checks.check("modes agree on the simulation",
                  ff.simCycles == forced.simCycles &&
                      ff.tasks == forced.tasks,
@@ -185,13 +214,7 @@ main(int argc, char **argv)
     printHeader();
     printRow("forced", base_forced);
     printRow("fast-forward", base_ff);
-    std::printf("\n  speedup: %.2fx (%llu of %llu cycles skipped, "
-                "%.1f%%)\n",
-                base_forced.wallSec / base_ff.wallSec,
-                static_cast<unsigned long long>(base_ff.skipped),
-                static_cast<unsigned long long>(base_ff.simCycles),
-                100.0 * static_cast<double>(base_ff.skipped) /
-                    static_cast<double>(base_ff.simCycles));
+    compare(checks, "baseline", base_forced, base_ff);
     checks.check("baseline stats identical in both kernel modes",
                  base_ff.stats == base_forced.stats);
     return checks.exitCode();

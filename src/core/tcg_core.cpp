@@ -58,21 +58,65 @@ TcgCore::TcgCore(Simulator &sim, CoreParams params, CoreId id,
     sim.addTicking(this);
 }
 
+Cycle
+TcgCore::nextActiveCycle(Cycle now) const
+{
+    if (runnable_ == 0)
+        return kNoCycle;
+    if (params_.issuePolicy == IssuePolicy::LaxityAware)
+        return now + 1;
+    Cycle next = kNoCycle;
+    for (std::uint32_t s = 0; s < params_.maxRunning; ++s) {
+        const std::uint32_t h = holderOf(s);
+        if (h == kNoHolder)
+            continue;
+        const Context &ctx = contexts_[h];
+        if (ctx.state == State::Ready)
+            return now + 1; // the next tick promotes it
+        if (!ctx.hung)
+            next = std::min(next, ctx.readyAt);
+    }
+    return std::max(next, now + 1);
+}
+
 void
-TcgCore::skipTicks(Cycle, Cycle n)
+TcgCore::skipTicks(Cycle from, Cycle n)
 {
     if (live_ == 0)
         return; // idle ticks do nothing
-    if (runnable_ != 0)
-        panic("core %u: %llu skipped ticks with %u runnable contexts",
-              id_, static_cast<unsigned long long>(n), runnable_);
+    // Holders that draw their ILP cap in a tick in which none issues.
+    std::uint32_t drawing[16];
+    std::uint32_t ndrawing = 0;
+    for (std::uint32_t s = 0; s < params_.maxRunning; ++s) {
+        const std::uint32_t h = holderOf(s);
+        if (h == kNoHolder)
+            continue;
+        const Context &ctx = contexts_[h];
+        if (ctx.state == State::Ready ||
+            params_.issuePolicy == IssuePolicy::LaxityAware ||
+            (!ctx.hung && ctx.readyAt < from + n))
+            panic("core %u: skipped an active tick in [%llu, %llu) "
+                  "(context %u)", id_,
+                  static_cast<unsigned long long>(from),
+                  static_cast<unsigned long long>(from + n), h);
+        if (!ctx.hung)
+            drawing[ndrawing++] = h;
+    }
     cyclesActive_ += static_cast<double>(n);
     slotsOffered_ += static_cast<double>(n * params_.issueWidth);
     if (params_.issuePolicy == IssuePolicy::RoundRobin)
         rrSlot_ += static_cast<std::uint32_t>(n);
+    // A tick visits the slots while issue budget is left: always,
+    // unless the pairing tax took a one-wide core's only slot.
+    Cycle visits = n;
     if (live_ > params_.maxRunning)
         for (Cycle k = 0; k < n; ++k)
-            rng_.chance(params_.pairingSelectTax);
+            if (rng_.chance(params_.pairingSelectTax) &&
+                params_.issueWidth == 1)
+                --visits;
+    for (std::uint32_t d = 0; d < ndrawing; ++d)
+        for (Cycle k = 0; k < visits; ++k)
+            ilpCap(contexts_[drawing[d]]);
 }
 
 std::uint32_t
@@ -132,41 +176,44 @@ TcgCore::busy() const
     return liveContexts() > 0 || storeBufferUsed_ > 0;
 }
 
-TcgCore::Context *
-TcgCore::activeOf(std::uint32_t slot)
+std::uint32_t
+TcgCore::holderOf(std::uint32_t slot) const
 {
-    Context &a = contexts_[slot];
+    const Context &a = contexts_[slot];
     const std::uint32_t fi = friendOf(slot);
     if (fi == slot)
-        return a.state == State::Running ? &a : nullptr;
+        return a.state == State::Running ? slot : kNoHolder;
+    const Context &b = contexts_[fi];
     if (params_.scheme == ThreadScheme::NoSwitch) {
         // The slot is owned by one context until it finishes; the
         // friend context provides no latency hiding.
-        Context &prim = a.state != State::Idle ? a : contexts_[fi];
-        if (prim.state == State::Running)
-            return &prim;
-        if (prim.state == State::Ready) {
-            prim.state = State::Running;
-            return &prim;
-        }
-        return nullptr;
+        const std::uint32_t prim = a.state != State::Idle ? slot : fi;
+        const State st = contexts_[prim].state;
+        return st == State::Running || st == State::Ready ? prim
+                                                          : kNoHolder;
     }
-
-    Context &b = contexts_[fi];
     if (a.state == State::Running)
-        return &a;
+        return slot;
     if (b.state == State::Running)
-        return &b;
-    // Neither running: promote a Ready context (slot was vacated).
-    if (a.state == State::Ready) {
-        a.state = State::Running;
-        return &a;
-    }
-    if (b.state == State::Ready) {
-        b.state = State::Running;
-        return &b;
-    }
-    return nullptr;
+        return fi;
+    // Neither running: a Ready context takes the vacated slot.
+    if (a.state == State::Ready)
+        return slot;
+    if (b.state == State::Ready)
+        return fi;
+    return kNoHolder;
+}
+
+TcgCore::Context *
+TcgCore::activeOf(std::uint32_t slot)
+{
+    const std::uint32_t h = holderOf(slot);
+    if (h == kNoHolder)
+        return nullptr;
+    Context &ctx = contexts_[h];
+    if (ctx.state == State::Ready)
+        ctx.state = State::Running;
+    return &ctx;
 }
 
 void
@@ -532,8 +579,9 @@ TcgCore::tick(Cycle now)
 {
     if (liveContexts() == 0)
         return;
-    // With no Running or Ready context (runnable_ == 0) this full
-    // tick only counts, rotates and draws the pairing tax: what
+    // While no slot holder can issue (all wait on memory, on their
+    // readyAt or are hung) this full tick only counts, rotates and
+    // draws the pairing tax and the holders' ILP caps: what
     // skipTicks() replays for a sleeping core. Forced mode ticks such
     // a core every cycle, so the two kernel modes cross-check.
     ++cyclesActive_;

@@ -113,17 +113,23 @@ class TcgCore : public Ticking
     void tick(Cycle now) override;
     bool busy() const override;
     /**
-     * A core with no Running or Ready context sleeps: an idle one
-     * until a task attaches, one whose live contexts all wait on
-     * memory until a response wakes a context.
+     * The first cycle a run slot's holder can issue in: the smallest
+     * readyAt over the contexts activeOf() would pick (hung ones
+     * excluded, as they never issue), or now + 1 when one is Ready
+     * and waiting to be promoted. A core with no such context sleeps
+     * until a wake: an idle one until a task attaches, one whose live
+     * contexts all wait on memory or are hung until a response or a
+     * kill. A LaxityAware core with a runnable context stays on the
+     * per-cycle path, since its laxity gate moves with now.
      */
-    Cycle nextActiveCycle(Cycle now) const override
-    { return runnable_ == 0 ? kNoCycle : now + 1; }
+    Cycle nextActiveCycle(Cycle now) const override;
     /**
-     * Replay the ticks skipped while asleep: for each, one active
-     * cycle, issueWidth offered slots, one round-robin step and, with
-     * more live contexts than run slots, one pairing-select draw on
-     * the core's RNG.
+     * Replay the ticks skipped while asleep, each a tick in which no
+     * holder can issue: one active cycle, issueWidth offered slots,
+     * one round-robin step, with more live contexts than run slots
+     * one pairing-select draw on the core's RNG, and one ilpCap()
+     * draw for each unhung holder unless that draw took the only
+     * issue slot. Panics when a holder could have issued in one.
      */
     void skipTicks(Cycle from, Cycle n) override;
 
@@ -175,7 +181,11 @@ class TcgCore : public Ticking
 
     /** The port's completions: a blocking load wakes its stalled
      *  context, a posted store frees its store-buffer slot. Each
-     *  panics when it has nothing outstanding to complete. */
+     *  panics when it has nothing outstanding to complete. storeDone
+     *  needs no wake: a context that waits on a full store buffer
+     *  keeps its op pending with readyAt <= now, so its core never
+     *  sleeps while the slot is outstanding, and a sleeping core's
+     *  replay reads no store-buffer state. */
     void loadDone(ThreadId ctx_idx);
     void storeDone();
 
@@ -211,7 +221,13 @@ class TcgCore : public Ticking
 
     /** Friend context index of ctx (its pair partner). */
     std::uint32_t friendOf(std::uint32_t ctx) const;
-    /** Context currently eligible to issue for a run slot. */
+    /** No context holds the run slot (holderOf). */
+    static constexpr std::uint32_t kNoHolder = ~std::uint32_t{0};
+    /** Index of the context that holds a run slot: the Running one,
+     *  or a Ready one that activeOf() promotes; kNoHolder if none. */
+    std::uint32_t holderOf(std::uint32_t slot) const;
+    /** Context currently eligible to issue for a run slot, promoting
+     *  a Ready holder to Running. */
     Context *activeOf(std::uint32_t slot);
     /** Out-of-line trace emission keeps the issue path small. */
     [[gnu::cold, gnu::noinline]]
@@ -264,11 +280,14 @@ class TcgCore : public Ticking
      * Contexts Running or Ready (hung ones included). Attach and wake
      * count up; stall, finish and killing a Running or Ready context
      * count down (a deferred kill frees a Stalled context). While it
-     * is 0 every live context waits on memory, so a tick would only
-     * do bookkeeping: the active-cycle and offered-slot counts, the
-     * round-robin rotation and the pairing-select draw. Such a core
-     * sleeps, and skipTicks() replays that bookkeeping for the
-     * skipped cycles; forced mode ticks it instead.
+     * is 0 every live context waits on memory and the core sleeps
+     * until a wake (nextActiveCycle's fast path). A core with
+     * runnable contexts sleeps too while no slot holder's readyAt has
+     * come. Either way a tick would only do bookkeeping: the
+     * active-cycle and offered-slot counts, the round-robin rotation,
+     * the pairing-select draw and the holders' ILP draws, which
+     * skipTicks() replays for the skipped cycles; forced mode ticks
+     * the core instead.
      */
     std::uint32_t runnable_ = 0;
     std::uint32_t storeBufferUsed_ = 0;

@@ -48,8 +48,10 @@ Simulator::addTicking(Ticking *component)
         static_cast<std::uint32_t>(ticking_.size());
     ticking_.push_back(component);
     component->nextTick_ = now_;
-    if (component->simIndex_ % 64 == 0)
+    if (component->simIndex_ % 64 == 0) {
         active_.push_back(0);
+        wakeCal_.resize(wakeCal_.size() + kWakeWindow, 0);
+    }
     activate(component->simIndex_);
 }
 
@@ -81,6 +83,36 @@ Simulator::advanceTo(Cycle target)
 }
 
 void
+Simulator::drainCalendar()
+{
+    // Buckets of the cycles calFirst_ .. now_: all of them after an
+    // idle jump or a fast-forward of a window or more.
+    const Cycle span = now_ - calFirst_ + 1;
+    const std::uint64_t passed = span >= kWakeWindow
+        ? ~std::uint64_t{0}
+        : std::rotl((std::uint64_t{1} << span) - 1,
+                    static_cast<int>(calFirst_ % kWakeWindow));
+    std::uint64_t due = calOccupied_ & passed;
+    calOccupied_ &= ~due;
+    while (due != 0) {
+        const int b = std::countr_zero(due);
+        due &= due - 1;
+        for (std::size_t w = 0; w < active_.size(); ++w) {
+            std::uint64_t &bucket = wakeCal_[w * kWakeWindow + b];
+            active_[w] |= bucket;
+            bucket = 0;
+        }
+    }
+    // What is left lies in now_ + 1 .. calFirst_ + kWakeWindow - 1.
+    calFirst_ = calOccupied_ == 0
+        ? kNoCycle
+        : now_ + 1 +
+            static_cast<Cycle>(std::countr_zero(std::rotr(
+                calOccupied_,
+                static_cast<int>((now_ + 1) % kWakeWindow))));
+}
+
+void
 Simulator::catchUpAll(Cycle upTo)
 {
     for (Ticking *t : ticking_)
@@ -95,12 +127,16 @@ Simulator::run(Cycle max_cycles)
     const Cycle end = now_ + max_cycles;
     const bool sampling = sampler_.active();
     const std::size_t words = active_.size();
+    std::uint64_t ticks = 0; // added to ticksRun_ on return
 
     // Components stimulated between runs (direct submit/attach/spawn
     // calls) wake themselves (the Ticking rule), so a component left
     // asleep by the last run stays asleep until its hint or a wake.
     while (now_ < end) {
         tickCursor_ = 0;
+        // Re-activate every component whose timed wake has come.
+        if (calFirst_ <= now_)
+            drainCalendar();
         while (!wakeHeap_.empty() && wakeHeap_.top().first <= now_) {
             activate(wakeHeap_.top().second);
             wakeHeap_.pop();
@@ -120,11 +156,12 @@ Simulator::run(Cycle max_cycles)
                     tickCursor_ = static_cast<std::uint32_t>(w * 64 + b);
                     Ticking &t = *ticking_[tickCursor_];
                     tickOne(t);
+                    ++ticks;
                     const Cycle next = t.nextActiveCycle(now_);
                     if (next > now_ + 1) {
                         active_[w] &= ~(std::uint64_t{1} << b);
                         if (next != kNoCycle)
-                            wakeHeap_.emplace(next, tickCursor_);
+                            fileWake(next, tickCursor_);
                     }
                     bits = b == 63
                         ? 0
@@ -136,6 +173,7 @@ Simulator::run(Cycle max_cycles)
             for (tickCursor_ = 0; tickCursor_ < ticking_.size();
                  ++tickCursor_)
                 tickOne(*ticking_[tickCursor_]);
+            ticks += ticking_.size();
         }
         if (sampling && now_ >= sampler_.nextBoundary()) {
             // Probes read stats: bring sleeping components up to date,
@@ -170,7 +208,8 @@ Simulator::run(Cycle max_cycles)
             // or event, so skipTicks() replays the skipped cycles.
             if (std::all_of(active_.begin(), active_.end(),
                             [](std::uint64_t w) { return w == 0; })) {
-                Cycle target = events_.nextEventCycle();
+                Cycle target =
+                    std::min(events_.nextEventCycle(), calFirst_);
                 if (!wakeHeap_.empty() &&
                     wakeHeap_.top().first < target)
                     target = wakeHeap_.top().first;
@@ -189,6 +228,7 @@ Simulator::run(Cycle max_cycles)
     // No tick of cycle now_ has run yet; callers between runs see the
     // stats of every cycle before it.
     tickCursor_ = 0;
+    ticksRun_ += ticks;
     catchUpAll(now_);
     trace_.complete(TraceCat::Sim, "run", start, now_);
     if (runId_ != 0)

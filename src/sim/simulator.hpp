@@ -58,11 +58,13 @@ class Ticking
      * do more than skipTicks() replays, assuming no outside change in
      * between. Return now + 1 (the default) to stay on the per-cycle
      * path, a future cycle for a known timer (deadline, quantum
-     * boundary), or kNoCycle to sleep until a Simulator::wake().
-     * Spurious wakes are harmless: a tick the hint allowed to skip
-     * does exactly what skipTicks() does for it. Forced mode ticks
-     * every component every cycle, so it proves the skips
-     * byte-identical.
+     * boundary, a pipeline wait such as a TCG core's readyAt), or
+     * kNoCycle to sleep until a Simulator::wake(). A wake fewer than
+     * Simulator::kWakeWindow cycles ahead costs O(1) to file and
+     * fire, a farther one a heap push and pop. Spurious wakes are
+     * harmless: a tick the hint allowed to skip does exactly what
+     * skipTicks() does for it. Forced mode ticks every component every
+     * cycle, so it proves the skips byte-identical.
      */
     virtual Cycle nextActiveCycle(Cycle now) const { return now + 1; }
 
@@ -189,6 +191,16 @@ class Simulator
     std::uint64_t cyclesSkipped() const { return cyclesSkipped_; }
     /** Number of multi-cycle jumps the kernel performed. */
     std::uint64_t fastForwards() const { return fastForwards_; }
+    /** Component ticks run, replays excluded (kernel metric, kept out
+     *  of the registry like cyclesSkipped): every registered component
+     *  each cycle in forced mode, the active set's in fast-forward. */
+    std::uint64_t ticksRun() const { return ticksRun_; }
+
+    /**
+     * Timed wakes fewer than this many cycles ahead are filed in the
+     * wake calendar, one bucket per cycle; farther ones on the heap.
+     */
+    static constexpr Cycle kWakeWindow = 64;
 
   private:
     /** Record this run's stats/samples in the process outputs. */
@@ -200,6 +212,24 @@ class Simulator
      * exact cycles across a skip.
      */
     void advanceTo(Cycle target);
+
+    /** Re-activate every component filed in a calendar bucket whose
+     *  cycle is at or before now_ (calFirst_ <= now_). */
+    void drainCalendar();
+
+    /** File registration index i to be re-activated at cycle at
+     *  (at > now_ + 1). */
+    void fileWake(Cycle at, std::uint32_t i)
+    {
+        if (at - now_ >= kWakeWindow) {
+            wakeHeap_.emplace(at, i);
+            return;
+        }
+        const auto b = static_cast<std::uint32_t>(at % kWakeWindow);
+        wakeCal_[i / 64 * kWakeWindow + b] |= std::uint64_t{1} << (i % 64);
+        calOccupied_ |= std::uint64_t{1} << b;
+        calFirst_ = std::min(calFirst_, at);
+    }
 
     /** Set the active bit of registration index i. */
     void activate(std::uint32_t i)
@@ -249,9 +279,26 @@ class Simulator
      * order. Only a component's own tick clears its bit.
      */
     std::vector<std::uint64_t> active_;
-    /** (wake cycle, registration index); entries may be stale — a
-     *  popped entry merely re-activates the component, and a spurious
-     *  tick is harmless by the Ticking contract. */
+    /**
+     * Timed wakes, filed by the tick pass from a component's hint.
+     * Entries may be stale: a fired entry merely re-activates the
+     * component, and a spurious tick is harmless by the Ticking
+     * contract. A wake fewer than kWakeWindow cycles ahead goes to
+     * the calendar: wakeCal_[w * kWakeWindow + c % kWakeWindow] holds
+     * active-set word w's components due at cycle c, and bit b of
+     * calOccupied_ is set while bucket b holds any. Every filed cycle
+     * lies in calFirst_ .. calFirst_ + kWakeWindow - 1, so a bucket
+     * names one cycle. Farther wakes go to wakeHeap_ as (wake cycle,
+     * registration index). Both fire at the start of the first loop
+     * iteration at or past their cycle, an idle jump's target
+     * included, and stay out of the event queue, so a pending wake
+     * never keeps an idle run from ending. One occupancy word bounds
+     * kWakeWindow at 64.
+     */
+    std::vector<std::uint64_t> wakeCal_;
+    std::uint64_t calOccupied_ = 0;
+    /** Earliest cycle filed in the calendar; kNoCycle when empty. */
+    Cycle calFirst_ = kNoCycle;
     std::priority_queue<std::pair<Cycle, std::uint32_t>,
                         std::vector<std::pair<Cycle, std::uint32_t>>,
                         std::greater<>>
@@ -263,6 +310,7 @@ class Simulator
     std::uint64_t heldWork_ = 0;
     std::uint64_t cyclesSkipped_ = 0;
     std::uint64_t fastForwards_ = 0;
+    std::uint64_t ticksRun_ = 0;
     EventQueue events_;
     StatRegistry stats_;
     TraceManager trace_;

@@ -37,7 +37,10 @@
 #include "baseline/baseline_chip.hpp"
 #include "chip/chip_config.hpp"
 #include "chip/smarco_chip.hpp"
+#include "core/mem_port.hpp"
+#include "core/tcg_core.hpp"
 #include "fault/fault_campaign.hpp"
+#include "isa/instr_stream.hpp"
 #include "noc/ring.hpp"
 #include "runtime/overload.hpp"
 #include "sim/random.hpp"
@@ -474,6 +477,128 @@ threadSchemeRun(
 }
 
 /**
+ * SmarCo readyAt sleeps. A TCG core whose run-slot holders all wait
+ * on their readyAt (a mispredicted branch, an I-cache refill, a
+ * friend switch, a multi-cycle op) sleeps until the earliest one, and
+ * skipTicks() replays each skipped cycle's counts, round-robin step,
+ * pairing-select draw and holders' ILP draws. This run sets the
+ * branch, I-cache refill and both switch penalties to `penalty`, so
+ * the sweep below files the cores' wakes on both sides of the wake
+ * calendar's end (Simulator::kWakeWindow, 64 cycles). A 1 sub-ring x
+ * 4 core chip gets more tasks than run slots, so the pairing tax
+ * draws, under a hang + kill campaign: a core whose unhung contexts
+ * wait on memory sleeps until the recovery kill of its hung holder.
+ * `narrow` makes the cores one issue wide with one store-buffer slot,
+ * so a tax draw can take a cycle's whole budget and contexts wait on
+ * the store buffer. Every task must finish.
+ */
+std::string
+readyAtWaitRun(bool fast_forward, core::ThreadScheme scheme,
+               core::IssuePolicy policy, Cycle penalty, bool narrow)
+{
+    Simulator sim;
+    sim.setFastForward(fast_forward);
+    auto cfg = chip::ChipConfig::scaled(1, 4);
+    cfg.core.scheme = scheme;
+    cfg.core.issuePolicy = policy;
+    cfg.core.branchPenalty = penalty;
+    cfg.core.icacheMissPenalty = penalty;
+    cfg.core.pairSwitchPenalty = penalty;
+    cfg.core.coarseSwitchPenalty = penalty;
+    if (narrow) {
+        cfg.core.issueWidth = 1;
+        cfg.core.storeBufferSlots = 1;
+    }
+    chip::SmarcoChip chip(sim, cfg);
+    workloads::TaskSetParams tp;
+    tp.count = 20;
+    tp.seed = 17;
+    tp.releaseSpan = 5'000;
+    tp.deadline = 200'000;
+    // Tasks point at their profile: it must outlive the run.
+    workloads::BenchProfile profiles[] = {workloads::htcProfile("wordcount"),
+                                          workloads::htcProfile("kmeans")};
+    for (workloads::BenchProfile &profile : profiles) {
+        profile.opsPerTask = 2'000;
+        chip.submit(workloads::makeTaskSet(profile, tp));
+        ++tp.seed;
+    }
+    fault::FaultSpec spec;
+    spec.coreHangRate = 40.0;
+    spec.coreKillRate = 20.0;
+    spec.horizon = 200'000;
+    spec.recovery.heartbeatInterval = 1'000;
+    spec.recovery.hangTimeout = 4'000;
+    fault::FaultCampaign campaign(sim, spec, 13);
+    campaign.arm(chip);
+    chip.runUntilDone(100'000'000);
+    EXPECT_EQ(sim.stats().total("chip.core", ".tasksFinished"), 40.0);
+    EXPECT_GT(sim.stats().total("chip.core", ".threadHangs"), 0.0);
+    return dumpStats(sim);
+}
+
+/**
+ * SmarCo readyAt sleeps, a Ready slot holder. Under NoSwitch a run
+ * slot belongs to its first context while that one is live, so a task
+ * attached there while the friend runs holds the slot as a Ready
+ * context that the next tick promotes. Here one NoSwitch core with a
+ * single run slot attaches the next task from its exit handler, inside
+ * the tick in which a task halts, so the core ends that tick with a
+ * Ready holder and its hint must not sleep past it. Every task waits
+ * out mispredicted branches and multi-cycle ops of `penalty` cycles,
+ * with the friend context live behind it, and no memory op leaves the
+ * core.
+ */
+std::string
+readyHolderRun(bool fast_forward, Cycle penalty)
+{
+    struct NoMemory : core::MemPort {
+        void
+        request(CoreId, ThreadId, const isa::MicroOp &,
+                mem::AccessClass) override
+        { ADD_FAILURE() << "unexpected memory request"; }
+        void writeback(CoreId, Addr) override {}
+    };
+    constexpr std::uint32_t kTasks = 12;
+    Simulator sim;
+    sim.setFastForward(fast_forward);
+    core::CoreParams params;
+    params.scheme = core::ThreadScheme::NoSwitch;
+    params.maxRunning = 1;
+    params.numThreads = 2;
+    params.branchPenalty = penalty;
+    params.icacheMissPenalty = penalty;
+    NoMemory port;
+    core::TcgCore tcg(sim, params, 0, port, "core");
+    std::vector<isa::MicroOp> ops;
+    for (int k = 0; k < 3; ++k) {
+        ops.insert(ops.end(), 9, isa::MicroOp{});
+        ops.push_back({.kind = isa::OpKind::Branch, .mispredict = true});
+        ops.push_back({.kind = isa::OpKind::Mul,
+                       .execLatency = static_cast<std::uint8_t>(penalty)});
+    }
+    workloads::TaskSpec task;
+    task.profile = &workloads::htcProfile("wordcount");
+    task.numOps = ops.size();
+    std::uint32_t attached = 0;
+    const auto attach = [&] {
+        task.id = attached;
+        ASSERT_TRUE(tcg.attachTask(
+            task, std::make_unique<isa::TraceStream>(ops), attached++));
+    };
+    tcg.setExitHandler([&](std::uint32_t, Cycle, bool) {
+        if (attached < kTasks)
+            attach();
+    });
+    attach();
+    attach();
+    sim.run(1'000'000);
+    EXPECT_TRUE(sim.finishedIdle());
+    EXPECT_EQ(sim.stats().get("core.tasksFinished").value(), kTasks);
+    return dumpStats(sim);
+}
+
+/**
  * The covered standalone-ring config: seeded traffic on three rings
  * in one simulator.
  *  - "big": 72 stops, so a per-stop bitset spans two 64-bit words;
@@ -852,6 +977,45 @@ TEST(GoldenStats, ThreadSchemeSnapshotMatchesGolden)
 {
     checkGolden(threadSchemeRun(true),
                 "smarco_scaled_1x4_thread_schemes.json");
+}
+
+TEST(GoldenStats, FastForwardMatchesForcedModeReadyAtWaits)
+{
+    using core::IssuePolicy;
+    using core::ThreadScheme;
+    for (const ThreadScheme scheme :
+         {ThreadScheme::InPair, ThreadScheme::CoarseGrained,
+          ThreadScheme::NoSwitch}) {
+        for (const Cycle penalty : {1, 2, 63, 64, 65, 129}) {
+            for (const bool narrow : {false, true}) {
+                SCOPED_TRACE(testing::Message()
+                             << "scheme " << static_cast<int>(scheme)
+                             << ", penalty " << penalty
+                             << (narrow ? ", narrow" : ""));
+                expectIdentical(
+                    readyAtWaitRun(true, scheme, IssuePolicy::RoundRobin,
+                                   penalty, narrow),
+                    readyAtWaitRun(false, scheme, IssuePolicy::RoundRobin,
+                                   penalty, narrow),
+                    "readyAt-wait fast-forward vs forced dump");
+            }
+        }
+    }
+    for (const Cycle penalty : {2, 65}) {
+        SCOPED_TRACE(testing::Message() << "Ready holder, penalty "
+                                        << penalty);
+        expectIdentical(readyHolderRun(true, penalty),
+                        readyHolderRun(false, penalty),
+                        "Ready-holder fast-forward vs forced dump");
+    }
+    // A LaxityAware core stays on the per-cycle path while it has a
+    // runnable context and sleeps only while all wait on memory.
+    expectIdentical(
+        readyAtWaitRun(true, ThreadScheme::CoarseGrained,
+                       IssuePolicy::LaxityAware, 65, false),
+        readyAtWaitRun(false, ThreadScheme::CoarseGrained,
+                       IssuePolicy::LaxityAware, 65, false),
+        "laxity-aware readyAt-wait fast-forward vs forced dump");
 }
 
 TEST(GoldenStats, RingTrafficExercisesEveryRingPath)

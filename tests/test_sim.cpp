@@ -737,6 +737,209 @@ TEST(FastForward, ReplayedSkippedTicksMatchForcedMode)
     EXPECT_EQ(forced.skipped, 14u); // the idle jump only
 }
 
+namespace {
+
+/**
+ * Ticking fake for the wake-calendar reference test. Each tick logs
+ * (index, cycle), uses up one unit of work and draws its next hint
+ * from its own RNG: now + 1, now + k for k in 2..200 (62 to 65
+ * often), or kNoCycle once its work is done. Now and then it wakes a
+ * random other fake through `wake`, so wakes arrive mid-pass from
+ * lower and higher indices. Busy while it has work.
+ */
+struct RandomSleeper : Ticking {
+    void
+    tick(Cycle now) override
+    {
+        log->emplace_back(index, now);
+        if (work > 0)
+            --work;
+        switch (rng.nextBelow(8)) {
+        case 0:
+        case 1:
+            next = now + 1;
+            break;
+        case 2:
+            // Sleeping until a wake with work left would freeze it.
+            next = work > 0 ? now + 200 : kNoCycle;
+            break;
+        case 3:
+            next = now + 62 + rng.nextBelow(4); // the window's edges
+            break;
+        default:
+            next = now + 2 + rng.nextBelow(199);
+            break;
+        }
+        if (rng.chance(0.05)) {
+            const std::size_t other = rng.nextBelow(peers - 1);
+            wake(other < index ? other : other + 1);
+        }
+    }
+    bool busy() const override { return work > 0; }
+    Cycle nextActiveCycle(Cycle) const override { return next; }
+
+    std::size_t index = 0;
+    std::size_t peers = 0;
+    std::uint64_t work = 0;
+    Cycle next = 0;
+    Rng rng;
+    std::vector<std::pair<std::size_t, Cycle>> *log = nullptr;
+    std::function<void(std::size_t)> wake;
+};
+
+/**
+ * The fast-forward kernel's wake semantics with every timed wake on a
+ * binary heap, the reference the wake calendar must match: wakes due
+ * by a cycle re-activate at its start, an idle run jumps to the next
+ * event, and an all-asleep busy run jumps to the earlier of the next
+ * event and the next wake.
+ */
+class HeapKernel
+{
+  public:
+    explicit HeapKernel(std::vector<RandomSleeper> &comps)
+        : comps_(comps), active_(comps.size(), true)
+    {}
+
+    void wake(std::size_t i) { active_[i] = true; }
+    void schedule(Cycle when, std::function<void()> fn)
+    { events_.emplace(when, std::move(fn)); }
+
+    Cycle
+    run(Cycle max_cycles)
+    {
+        const Cycle end = now_ + max_cycles;
+        while (now_ < end) {
+            while (!wakes_.empty() && wakes_.top().first <= now_) {
+                active_[wakes_.top().second] = true;
+                wakes_.pop();
+            }
+            while (!events_.empty() && events_.begin()->first <= now_) {
+                const auto fn = std::move(events_.begin()->second);
+                events_.erase(events_.begin());
+                fn();
+            }
+            for (std::size_t i = 0; i < comps_.size(); ++i) {
+                if (!active_[i])
+                    continue;
+                comps_[i].tick(now_);
+                const Cycle next = comps_[i].nextActiveCycle(now_);
+                if (next > now_ + 1) {
+                    active_[i] = false;
+                    if (next != kNoCycle)
+                        wakes_.emplace(next, i);
+                }
+            }
+            const Cycle next_event =
+                events_.empty() ? kNoCycle : events_.begin()->first;
+            if (std::none_of(
+                    comps_.begin(), comps_.end(),
+                    [](const RandomSleeper &c) { return c.busy(); })) {
+                if (next_event == kNoCycle)
+                    return ++now_;
+                now_ = std::max(next_event, now_ + 1);
+                continue;
+            }
+            if (std::none_of(active_.begin(), active_.end(),
+                             [](bool a) { return a; })) {
+                Cycle target = next_event;
+                if (!wakes_.empty())
+                    target = std::min(target, wakes_.top().first);
+                now_ = std::max(std::min(target, end), now_ + 1);
+                continue;
+            }
+            ++now_;
+        }
+        return now_;
+    }
+
+  private:
+    std::vector<RandomSleeper> &comps_;
+    std::vector<bool> active_;
+    std::priority_queue<std::pair<Cycle, std::size_t>,
+                        std::vector<std::pair<Cycle, std::size_t>>,
+                        std::greater<>>
+        wakes_;
+    std::multimap<Cycle, std::function<void()>> events_;
+    Cycle now_ = 0;
+};
+
+/**
+ * Runs 70 RandomSleepers (two active-set words) on one kernel: outside
+ * events at seeded cycles hand a fake work and wake it, with gaps both
+ * shorter and far longer than the wake window, so idle jumps pass over
+ * filed wakes, and run() returns at seeded lengths. Logs every tick
+ * and each run's end cycle.
+ */
+template <class Kernel>
+std::vector<std::pair<std::size_t, Cycle>>
+driveRandomSleepers(std::uint64_t seed)
+{
+    constexpr std::size_t kFakes = 70;
+    std::vector<std::pair<std::size_t, Cycle>> log;
+    std::vector<RandomSleeper> fakes(kFakes);
+    const auto kernel = std::make_unique<Kernel>(fakes);
+    for (std::size_t i = 0; i < kFakes; ++i) {
+        fakes[i].index = i;
+        fakes[i].peers = kFakes;
+        fakes[i].rng = Rng(seed, i);
+        fakes[i].log = &log;
+        fakes[i].wake = [&kernel](std::size_t j) { kernel->wake(j); };
+    }
+    Rng rng(seed, 0xca1);
+    Cycle at = 0;
+    for (int e = 0; e < 150; ++e) {
+        const Cycle gaps[] = {1 + rng.nextBelow(64), 63 + rng.nextBelow(3),
+                              64 + rng.nextBelow(500),
+                              5'000 + rng.nextBelow(5'000)};
+        at += gaps[rng.nextBelow(4)];
+        const std::size_t i = rng.nextBelow(kFakes);
+        const std::uint64_t work = 1 + rng.nextBelow(400);
+        kernel->schedule(at, [&kernel, &fakes, i, work] {
+            kernel->wake(i);
+            fakes[i].work += work;
+        });
+    }
+    for (int r = 0; r < 8; ++r) {
+        const Cycle span = r < 7 ? 60'000 : 2'000'000;
+        log.emplace_back(kFakes, kernel->run(1 + rng.nextBelow(span)));
+    }
+    return log;
+}
+
+/** Adapts Simulator to driveRandomSleepers' kernel interface. */
+struct SimKernel {
+    explicit SimKernel(std::vector<RandomSleeper> &comps) : comps(comps)
+    {
+        for (RandomSleeper &c : comps)
+            sim.addTicking(&c);
+    }
+    void wake(std::size_t i) { sim.wake(&comps[i]); }
+    void schedule(Cycle when, std::function<void()> fn)
+    { sim.events().schedule(when, std::move(fn)); }
+    Cycle run(Cycle max_cycles) { return sim.run(max_cycles); }
+
+    Simulator sim;
+    std::vector<RandomSleeper> &comps;
+};
+
+} // namespace
+
+TEST(FastForward, WakeCalendarMatchesReferenceHeapOnRandomHints)
+{
+    static_assert(Simulator::kWakeWindow == 64);
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        const auto got = driveRandomSleepers<SimKernel>(seed);
+        const auto want = driveRandomSleepers<HeapKernel>(seed);
+        const auto diff =
+            std::mismatch(got.begin(), got.end(), want.begin(), want.end());
+        EXPECT_TRUE(diff.first == got.end() && diff.second == want.end())
+            << "seed " << seed << ": tick logs differ at entry "
+            << (diff.first - got.begin()) << " of " << want.size();
+        EXPECT_GT(want.size(), 20'000u);
+    }
+}
+
 TEST(SimulatorDeath, ReleaseWithoutHoldPanics)
 {
     EXPECT_DEATH(
