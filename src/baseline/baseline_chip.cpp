@@ -90,7 +90,8 @@ BaselineChip::BaselineChip(Simulator &sim, BaselineParams params)
     }
     slotWake_.assign(params_.numCores * params_.smtPerCore, kNoCycle);
     slotWords_ = static_cast<std::uint32_t>((slotWake_.size() + 63) / 64);
-    calendar_.assign(kCalendarWindow * slotWords_, 0);
+    for (std::uint32_t word = 0; word < slotWords_; ++word)
+        slotCalendar_.grow();
     farSlots_.assign(slotWords_, 0);
     dueMask_.assign(slotWords_, 0);
     sim.addTicking(this);
@@ -485,59 +486,22 @@ BaselineChip::fileSlot(std::uint32_t slot, Cycle wake)
 {
     const std::uint32_t word = slot / 64;
     const std::uint64_t bit = std::uint64_t{1} << (slot % 64);
-    if (wake < calBase_) {
+    const Cycle base = slotCalendar_.base();
+    if (wake < base) {
         dueMask_[word] |= bit;
-    } else if (wake - calBase_ < kCalendarWindow) {
-        const auto bucket =
-            static_cast<std::uint32_t>(wake % kCalendarWindow);
-        calendar_[bucket * slotWords_ + word] |= bit;
-        calOccupied_[bucket / 64] |= std::uint64_t{1} << (bucket % 64);
+    } else if (wake - base < kCalendarWindow) {
+        slotCalendar_.file(slot, wake);
     } else {
         farSlots_[word] |= bit;
         farMin_ = std::min(farMin_, wake);
-    }
-    wakeMin_ = std::min(wakeMin_, wake);
-}
-
-void
-BaselineChip::drainBuckets(std::uint32_t lo, std::uint32_t hi)
-{
-    for (std::uint32_t word = lo / 64; word * 64 < hi; ++word) {
-        const std::uint32_t first = std::max(lo, word * 64) - word * 64;
-        const std::uint32_t end = std::min(hi, word * 64 + 64) - word * 64;
-        const std::uint64_t range =
-            (end == 64 ? ~std::uint64_t{0}
-                       : (std::uint64_t{1} << end) - 1) &
-            (~std::uint64_t{0} << first);
-        std::uint64_t occupied = calOccupied_[word] & range;
-        calOccupied_[word] &= ~occupied;
-        for (; occupied != 0; occupied &= occupied - 1) {
-            const std::uint32_t bucket =
-                word * 64 +
-                static_cast<std::uint32_t>(std::countr_zero(occupied));
-            std::uint64_t *const slots = &calendar_[bucket * slotWords_];
-            for (std::uint32_t w = 0; w < slotWords_; ++w) {
-                dueMask_[w] |= slots[w];
-                slots[w] = 0;
-            }
-        }
     }
 }
 
 void
 BaselineChip::drainCalendar(Cycle now)
 {
-    // The buckets hold the cycles calBase_ .. calBase_ + window - 1,
-    // one each, so a clock that has passed the whole window drains
-    // them all.
-    const auto lo = static_cast<std::uint32_t>(calBase_ % kCalendarWindow);
-    const auto hi = lo + static_cast<std::uint32_t>(std::min(
-                             now - calBase_ + 1, kCalendarWindow));
-    drainBuckets(lo, std::min<std::uint32_t>(hi, kCalendarWindow));
-    if (hi > kCalendarWindow)
-        drainBuckets(0, hi - kCalendarWindow);
-    calBase_ = now + 1;
-    if (farMin_ >= calBase_ + kCalendarWindow)
+    slotCalendar_.drainThrough(now, dueMask_.data());
+    if (farMin_ >= slotCalendar_.base() + kCalendarWindow)
         return;
     // Refile the far set; slots whose wake has moved on are filed
     // where it now is, or dropped when they wake no more.
@@ -555,40 +519,18 @@ BaselineChip::drainCalendar(Cycle now)
 }
 
 Cycle
-BaselineChip::firstFiledWake() const
-{
-    for (const std::uint64_t due : dueMask_)
-        if (due != 0)
-            return calBase_;
-    // Bucket b holds cycle calBase_ + (b - start) mod window: search
-    // from start's word round to the bits of that word below start.
-    const auto start = static_cast<std::uint32_t>(calBase_ % kCalendarWindow);
-    for (std::uint32_t i = 0; i <= kOccupancyWords; ++i) {
-        const std::uint32_t word = (start / 64 + i) % kOccupancyWords;
-        std::uint64_t occupied = calOccupied_[word];
-        if (i == 0)
-            occupied &= ~std::uint64_t{0} << (start % 64);
-        else if (i == kOccupancyWords)
-            occupied &= ~(~std::uint64_t{0} << (start % 64));
-        if (occupied != 0) {
-            const std::uint32_t bucket =
-                word * 64 +
-                static_cast<std::uint32_t>(std::countr_zero(occupied));
-            return calBase_ +
-                   (bucket + kCalendarWindow - start) % kCalendarWindow;
-        }
-    }
-    return farMin_;
-}
-
-Cycle
 BaselineChip::nextActiveCycle(Cycle now) const
 {
     if (liveThreads_ == 0)
         return kNoCycle;
     if (retirable())
         return now + 1;
-    Cycle next = wakeMin_;
+    // A due slot (passed over for budget, or able to act again) wakes
+    // at the first cycle the last tick's drain left.
+    Cycle next = std::any_of(dueMask_.begin(), dueMask_.end(),
+                             [](std::uint64_t w) { return w != 0; })
+        ? slotCalendar_.base()
+        : std::min(slotCalendar_.first(), farMin_);
     if (oversubscribed())
         next = std::min(next, nextRotate_);
     if (recoveryOn_)
@@ -751,7 +693,6 @@ BaselineChip::tick(Cycle now)
             refreshSlot(slot);
         }
     }
-    wakeMin_ = firstFiledWake();
 
     // Run completion (non-persistent pools): once the bag is dry and
     // every worker has parked, retire the pool so the simulator can
@@ -768,12 +709,10 @@ BaselineChip::tick(Cycle now)
             for (auto &q : core.slots)
                 q.clear();
         std::fill(slotWake_.begin(), slotWake_.end(), kNoCycle);
-        std::fill(calendar_.begin(), calendar_.end(), 0);
-        std::fill(std::begin(calOccupied_), std::end(calOccupied_), 0);
+        slotCalendar_.clear();
         std::fill(farSlots_.begin(), farSlots_.end(), 0);
         std::fill(dueMask_.begin(), dueMask_.end(), 0);
         farMin_ = kNoCycle;
-        wakeMin_ = kNoCycle;
     }
 }
 

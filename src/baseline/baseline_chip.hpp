@@ -148,6 +148,15 @@ class BaselineChip : public Ticking, public fault::FaultTarget
      *  and the rotation clock. */
     void skipTicks(Cycle from, Cycle n) override;
 
+    /** Cycles the SMT-slot wake calendar covers, one cycle a bucket.
+     *  It takes the common wakes -- cache hits (12-38 cycles), a
+     *  DRAM-served fetch (180), an empty-bag poll (500) and a task
+     *  pop (600) -- and leaves context switches (5,000) and thread
+     *  creations (30,000 apart) to the far set. The test
+     *  GoldenStats.FastForwardMatchesForcedModeBaselineWindowEdges
+     *  sweeps latencies around it. */
+    static constexpr Cycle kCalendarWindow = 1024;
+
     BaselineMetrics metrics() const;
     Simulator &sim() { return sim_; }
     const BaselineParams &params() const { return params_; }
@@ -223,14 +232,9 @@ class BaselineChip : public Ticking, public fault::FaultTarget
     void refreshSlot(std::uint32_t slot);
     /** File a slot whose wake is `wake` (not kNoCycle). */
     void fileSlot(std::uint32_t slot, Cycle wake);
-    /** Move the slots of every bucket up to `now` into dueMask_, then
-     *  pull in the far set if the window has reached its minimum. */
+    /** Move the slots filed at cycles up to `now` into dueMask_, then
+     *  refile the far set if the window has reached its minimum. */
     void drainCalendar(Cycle now);
-    /** OR buckets lo .. hi - 1 into dueMask_ and empty them. */
-    void drainBuckets(std::uint32_t lo, std::uint32_t hi);
-    /** The wakeMin_ a tick leaves: calBase_ while a slot is due, else
-     *  the cycle of the first occupied bucket, else farMin_. */
-    Cycle firstFiledWake() const;
     /** Non-persistent pool with nothing left to run: retire it. */
     bool retirable() const
     {
@@ -287,42 +291,22 @@ class BaselineChip : public Ticking, public fault::FaultTarget
      * makes the two modes' stats differ.
      */
     std::vector<Cycle> slotWake_;
-    /** No later than the first cycle at which a slot is due:
-     *  recomputed by each tick from the due set, the calendar's first
-     *  occupied bucket or the far minimum, and lowered by every
-     *  refresh in between. A stale calendar bit leaves it early,
-     *  which costs one spurious tick; a late one would skip a due
-     *  slot. */
-    Cycle wakeMin_ = kNoCycle;
 
     // --- Wake calendar ----------------------------------------------------
     // A slot set is a bitmask of slotWords_ words, bit s % 64 of word
     // s / 64 for SMT slot s. refreshSlot() files a slot under its wake
-    // cycle w: in dueMask_ when w < calBase_ (its bucket has drained),
-    // in bucket w % kCalendarWindow when w < calBase_ + kCalendarWindow,
-    // else in farSlots_. A refresh leaves the slot's earlier filing
+    // cycle w: in dueMask_ when w is before the calendar's base (its
+    // bucket has drained), in slotCalendar_ when w lies fewer than
+    // kCalendarWindow cycles past that base, else in the far set,
+    // which drainCalendar() refiles from slotWake_ once the window
+    // reaches farMin_. A refresh leaves the slot's earlier filing
     // behind; such stale bits are dropped where the slot's wake no
     // longer matches.
 
-    /** Cycles the calendar's buckets cover, one cycle a bucket. It
-     *  takes the common wakes -- cache hits (12-38 cycles), a
-     *  DRAM-served fetch (180), an empty-bag poll (500) and a task
-     *  pop (600) -- and leaves context switches (5,000) and thread
-     *  creations (30,000 apart) to the far set. The test
-     *  GoldenStats.FastForwardMatchesForcedModeBaselineWindowEdges
-     *  sweeps latencies around it. */
-    static constexpr Cycle kCalendarWindow = 1024;
-    static constexpr std::uint32_t kOccupancyWords =
-        kCalendarWindow / 64;
-
     std::uint32_t slotWords_ = 0;
-    /** First cycle whose bucket has not drained: the last tick's
-     *  cycle plus one. */
-    Cycle calBase_ = 0;
-    /** kCalendarWindow slot sets, bucket b at words b * slotWords_. */
-    std::vector<std::uint64_t> calendar_;
-    /** Bit b % 64 of word b / 64: bucket b holds a slot. */
-    std::uint64_t calOccupied_[kOccupancyWords] = {};
+    /** Drained by every tick, so its base is the last tick's cycle
+     *  plus one. */
+    BitCalendar<kCalendarWindow> slotCalendar_;
     /** Slots whose wake was past the window when filed; farMin_ is
      *  at most the least of those wakes. */
     std::vector<std::uint64_t> farSlots_;

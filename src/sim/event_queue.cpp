@@ -1,18 +1,11 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <utility>
 
 #include "sim/logging.hpp"
 
 namespace smarco {
-
-namespace {
-
-constexpr Cycle kMask = EventQueue::kWindow - 1;
-
-} // namespace
 
 void
 EventQueue::schedule(Cycle when, EventFn fn)
@@ -37,14 +30,12 @@ EventQueue::schedule(Cycle when, EventFn fn)
         n = static_cast<std::uint32_t>(nodes_.size());
         nodes_.push_back(Node{std::move(fn), kNil});
     }
-    const std::size_t i = when & kMask;
+    const std::size_t i = Occupancy::bucketOf(when);
     Bucket &b = buckets_[i];
-    std::uint64_t &word = occupied_[i / 64];
-    const std::uint64_t bit = std::uint64_t{1} << (i % 64);
-    if (word & bit)
+    if (occupied_.test(i))
         nodes_[b.tail].next = n;
     else {
-        word |= bit;
+        occupied_.set(i);
         b.head = n;
     }
     b.tail = n;
@@ -60,13 +51,13 @@ EventQueue::pop(Cycle c)
         far_.pop_back();
         return fn;
     }
-    const std::size_t i = c & kMask;
+    const std::size_t i = Occupancy::bucketOf(c);
     Bucket &b = buckets_[i];
     const std::uint32_t n = b.head;
     EventFn fn = std::move(nodes_[n].fn);
     b.head = nodes_[n].next;
     if (b.head == kNil)
-        occupied_[i / 64] &= ~(std::uint64_t{1} << (i % 64));
+        occupied_.reset(i);
     nodes_[n].next = freeNode_;
     freeNode_ = n;
     --bucketed_;
@@ -79,17 +70,8 @@ EventQueue::scanNext() const
     const Cycle far = far_.empty() ? kNoCycle : far_.front().when;
     if (bucketed_ == 0)
         return far;
-    // First occupied bucket at or after base_'s, wrapping once; the
-    // start word is visited again at the end for its low bits.
-    const std::size_t start = base_ & kMask;
-    std::size_t w = start / 64;
-    std::uint64_t bits = occupied_[w] & (~std::uint64_t{0} << (start % 64));
-    for (std::size_t k = 0; bits == 0 && k < kWords; ++k) {
-        w = (w + 1) % kWords;
-        bits = occupied_[w];
-    }
-    const std::size_t i = w * 64 + std::countr_zero(bits);
-    return std::min(far, base_ + ((i - start) & kMask));
+    return std::min(far,
+                    base_ + occupied_.distanceFrom(Occupancy::bucketOf(base_)));
 }
 
 std::size_t

@@ -17,6 +17,7 @@
 #include <functional>
 #include <vector>
 
+#include "sim/bit_calendar.hpp"
 #include "sim/types.hpp"
 
 namespace smarco {
@@ -76,7 +77,7 @@ class EventQueue
 
   private:
     static constexpr std::uint32_t kNil = ~std::uint32_t{0};
-    static constexpr std::size_t kWords = kWindow / 64;
+    using Occupancy = BucketOccupancy<kWindow>;
 
     /** One bucketed event; a free node links the free list. */
     struct Node {
@@ -117,7 +118,7 @@ class EventQueue
     Cycle next_ = kNoCycle;
     std::size_t bucketed_ = 0;
     std::array<Bucket, kWindow> buckets_{};
-    std::array<std::uint64_t, kWords> occupied_{};
+    Occupancy occupied_;
     /** Bucketed events' storage; freed nodes are reused first. */
     std::vector<Node> nodes_;
     std::uint32_t freeNode_ = kNil;

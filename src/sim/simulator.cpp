@@ -50,7 +50,7 @@ Simulator::addTicking(Ticking *component)
     component->nextTick_ = now_;
     if (component->simIndex_ % 64 == 0) {
         active_.push_back(0);
-        wakeCal_.resize(wakeCal_.size() + kWakeWindow, 0);
+        wakeCalendar_.grow();
     }
     activate(component->simIndex_);
 }
@@ -83,36 +83,6 @@ Simulator::advanceTo(Cycle target)
 }
 
 void
-Simulator::drainCalendar()
-{
-    // Buckets of the cycles calFirst_ .. now_: all of them after an
-    // idle jump or a fast-forward of a window or more.
-    const Cycle span = now_ - calFirst_ + 1;
-    const std::uint64_t passed = span >= kWakeWindow
-        ? ~std::uint64_t{0}
-        : std::rotl((std::uint64_t{1} << span) - 1,
-                    static_cast<int>(calFirst_ % kWakeWindow));
-    std::uint64_t due = calOccupied_ & passed;
-    calOccupied_ &= ~due;
-    while (due != 0) {
-        const int b = std::countr_zero(due);
-        due &= due - 1;
-        for (std::size_t w = 0; w < active_.size(); ++w) {
-            std::uint64_t &bucket = wakeCal_[w * kWakeWindow + b];
-            active_[w] |= bucket;
-            bucket = 0;
-        }
-    }
-    // What is left lies in now_ + 1 .. calFirst_ + kWakeWindow - 1.
-    calFirst_ = calOccupied_ == 0
-        ? kNoCycle
-        : now_ + 1 +
-            static_cast<Cycle>(std::countr_zero(std::rotr(
-                calOccupied_,
-                static_cast<int>((now_ + 1) % kWakeWindow))));
-}
-
-void
 Simulator::catchUpAll(Cycle upTo)
 {
     for (Ticking *t : ticking_)
@@ -135,8 +105,8 @@ Simulator::run(Cycle max_cycles)
     while (now_ < end) {
         tickCursor_ = 0;
         // Re-activate every component whose timed wake has come.
-        if (calFirst_ <= now_)
-            drainCalendar();
+        if (wakeCalendar_.first() <= now_)
+            wakeCalendar_.drainThrough(now_, active_.data());
         while (!wakeHeap_.empty() && wakeHeap_.top().first <= now_) {
             activate(wakeHeap_.top().second);
             wakeHeap_.pop();
@@ -209,7 +179,7 @@ Simulator::run(Cycle max_cycles)
             if (std::all_of(active_.begin(), active_.end(),
                             [](std::uint64_t w) { return w == 0; })) {
                 Cycle target =
-                    std::min(events_.nextEventCycle(), calFirst_);
+                    std::min(events_.nextEventCycle(), wakeCalendar_.first());
                 if (!wakeHeap_.empty() &&
                     wakeHeap_.top().first < target)
                     target = wakeHeap_.top().first;

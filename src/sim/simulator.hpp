@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/bit_calendar.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/sampler.hpp"
 #include "sim/stats.hpp"
@@ -60,8 +61,9 @@ class Ticking
      * path, a future cycle for a known timer (deadline, quantum
      * boundary, a pipeline wait such as a TCG core's readyAt), or
      * kNoCycle to sleep until a Simulator::wake(). A wake fewer than
-     * Simulator::kWakeWindow cycles ahead costs O(1) to file and
-     * fire, a farther one a heap push and pop. Spurious wakes are
+     * Simulator::kWakeWindow cycles ahead is filed in the kernel's
+     * BitCalendar, O(1) to file and fire; a farther one in its far
+     * tier, a heap push and pop. Spurious wakes are
      * harmless: a tick the hint allowed to skip does exactly what
      * skipTicks() does for it. Forced mode ticks every component every
      * cycle, so it proves the skips byte-identical.
@@ -213,22 +215,14 @@ class Simulator
      */
     void advanceTo(Cycle target);
 
-    /** Re-activate every component filed in a calendar bucket whose
-     *  cycle is at or before now_ (calFirst_ <= now_). */
-    void drainCalendar();
-
     /** File registration index i to be re-activated at cycle at
      *  (at > now_ + 1). */
     void fileWake(Cycle at, std::uint32_t i)
     {
-        if (at - now_ >= kWakeWindow) {
+        if (at - now_ >= kWakeWindow)
             wakeHeap_.emplace(at, i);
-            return;
-        }
-        const auto b = static_cast<std::uint32_t>(at % kWakeWindow);
-        wakeCal_[i / 64 * kWakeWindow + b] |= std::uint64_t{1} << (i % 64);
-        calOccupied_ |= std::uint64_t{1} << b;
-        calFirst_ = std::min(calFirst_, at);
+        else
+            wakeCalendar_.file(i, at);
     }
 
     /** Set the active bit of registration index i. */
@@ -283,22 +277,16 @@ class Simulator
      * Timed wakes, filed by the tick pass from a component's hint.
      * Entries may be stale: a fired entry merely re-activates the
      * component, and a spurious tick is harmless by the Ticking
-     * contract. A wake fewer than kWakeWindow cycles ahead goes to
-     * the calendar: wakeCal_[w * kWakeWindow + c % kWakeWindow] holds
-     * active-set word w's components due at cycle c, and bit b of
-     * calOccupied_ is set while bucket b holds any. Every filed cycle
-     * lies in calFirst_ .. calFirst_ + kWakeWindow - 1, so a bucket
-     * names one cycle. Farther wakes go to wakeHeap_ as (wake cycle,
-     * registration index). Both fire at the start of the first loop
-     * iteration at or past their cycle, an idle jump's target
-     * included, and stay out of the event queue, so a pending wake
-     * never keeps an idle run from ending. One occupancy word bounds
-     * kWakeWindow at 64.
+     * contract. A wake fewer than kWakeWindow cycles ahead is filed
+     * in wakeCalendar_ under its registration index; every filed cycle
+     * then lies in now_ + 1 .. now_ + kWakeWindow - 1 during the tick
+     * pass, so within one window. Farther wakes go to wakeHeap_ as
+     * (wake cycle, registration index). Both fire at the start of the
+     * first loop iteration at or past their cycle, an idle jump's
+     * target included, and stay out of the event queue, so a pending
+     * wake never keeps an idle run from ending.
      */
-    std::vector<std::uint64_t> wakeCal_;
-    std::uint64_t calOccupied_ = 0;
-    /** Earliest cycle filed in the calendar; kNoCycle when empty. */
-    Cycle calFirst_ = kNoCycle;
+    BitCalendar<kWakeWindow> wakeCalendar_;
     std::priority_queue<std::pair<Cycle, std::uint32_t>,
                         std::vector<std::pair<Cycle, std::uint32_t>>,
                         std::greater<>>

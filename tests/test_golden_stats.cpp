@@ -256,8 +256,8 @@ baselineOpenLoopRun(bool fast_forward, const SimInspect &inspect = {})
 /**
  * Baseline wake path, calendar edges. The baseline chip files each SMT
  * slot under its wake cycle in a calendar of one-cycle buckets that
- * covers the next 1,024 cycles (BaselineChip::kCalendarWindow), and a
- * wake further out in a far set it pulls in as the window reaches it.
+ * covers the next BaselineChip::kCalendarWindow cycles, and a wake
+ * further out in a far set it pulls in as the window reaches it.
  * This run sets the branch penalty, the DTLB walk, the task pop and
  * the context switch to `latency`, so the sweep below lands the wakes
  * a tick files just inside the window's end, on its last bucket, just
@@ -885,7 +885,7 @@ TEST(GoldenStats, FastForwardMatchesForcedModeBaselineSampled)
 
 TEST(GoldenStats, FastForwardMatchesForcedModeBaselineWindowEdges)
 {
-    constexpr Cycle kWindow = 1024; // BaselineChip::kCalendarWindow
+    constexpr Cycle kWindow = baseline::BaselineChip::kCalendarWindow;
     for (const bool persistent : {false, true}) {
         for (const Cycle latency :
              {kWindow - 1, kWindow, kWindow + 1, 2 * kWindow + 1}) {

@@ -18,6 +18,8 @@
 #include <utility>
 #include <vector>
 
+#include "baseline/baseline_chip.hpp"
+#include "sim/bit_calendar.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/logging.hpp"
 #include "sim/random.hpp"
@@ -937,6 +939,117 @@ TEST(FastForward, WakeCalendarMatchesReferenceHeapOnRandomHints)
             << "seed " << seed << ": tick logs differ at entry "
             << (diff.first - got.begin()) << " of " << want.size();
         EXPECT_GT(want.size(), 20'000u);
+    }
+}
+
+namespace {
+
+/**
+ * Files random (index, cycle) pairs in a BitCalendar<W> the way its
+ * callers do -- from base() on, fewer than W cycles past it, and the
+ * rest in a far tier refiled as the base moves -- and checks every
+ * drained bit set and first() against a multimap of the filings.
+ */
+template <Cycle W>
+void
+checkBitCalendar(std::uint64_t seed)
+{
+    BitCalendar<W> cal;
+    cal.grow();
+    std::size_t words = 1;
+    std::multimap<Cycle, std::uint32_t> near; // filed in cal
+    std::multimap<Cycle, std::uint32_t> far;  // the caller's far tier
+    Rng rng(seed, W);
+    std::size_t drained = 0;
+
+    const auto file = [&](std::uint32_t i, Cycle c) {
+        if (c - cal.base() < W) {
+            cal.file(i, c);
+            near.emplace(c, i);
+        } else {
+            far.emplace(c, i);
+        }
+    };
+    const auto drain = [&](Cycle now) {
+        std::vector<std::uint64_t> want(words, 0);
+        for (auto it = near.begin(); it != near.end() && it->first <= now;
+             it = near.erase(it)) {
+            want[it->second / 64] |= std::uint64_t{1} << (it->second % 64);
+            ++drained;
+        }
+        std::vector<std::uint64_t> got(words, 0);
+        cal.drainThrough(now, got.data());
+        ASSERT_EQ(got, want) << "drain through " << now;
+        ASSERT_EQ(cal.base(), now + 1);
+        // Refile the far tier; what is already due leaves it.
+        std::multimap<Cycle, std::uint32_t> refile;
+        refile.swap(far);
+        for (const auto &[c, i] : refile)
+            if (c > now)
+                file(i, c);
+    };
+
+    for (int step = 0; step < 4000; ++step) {
+        const Cycle base = cal.base();
+        const Cycle low = base % 64; // base's bit in its bucket word
+        switch (rng.nextBelow(10)) {
+        case 0:
+        case 1:
+        case 2:
+        case 3: {
+            const Cycle at[] = {base,
+                                base + W - 1,
+                                base + W,
+                                base + W + 1,
+                                // Wrapped round to the base word's
+                                // bits below the base's.
+                                base + W - 1 - (low ? rng.nextBelow(low) : 0),
+                                base + rng.nextBelow(W),
+                                base + rng.nextBelow(3 * W)};
+            file(static_cast<std::uint32_t>(rng.nextBelow(words * 64)),
+                 at[rng.nextBelow(std::size(at))]);
+            break;
+        }
+        case 4:
+        case 5:
+            drain(base + rng.nextBelow(W - 1));
+            break;
+        case 6: {
+            // Jumps of a window past the base or the first filing,
+            // exactly, one short and one long, and far longer.
+            const Cycle from = cal.first() == kNoCycle ? base - 1 : cal.first();
+            const Cycle jump[] = {W - 1, W, W + 1, W + rng.nextBelow(4 * W)};
+            drain(std::max(base, from + jump[rng.nextBelow(4)]));
+            break;
+        }
+        case 7:
+            drain(base - 1 + W);
+            break;
+        case 8:
+            if (words < 4) {
+                cal.grow();
+                ++words;
+            }
+            break;
+        default:
+            if (!near.empty())
+                drain(near.begin()->first);
+            break;
+        }
+        ASSERT_EQ(cal.first(), near.empty() ? kNoCycle : near.begin()->first)
+            << "after step " << step;
+    }
+    EXPECT_GT(drained, 1'000u);
+}
+
+} // namespace
+
+TEST(BitCalendar, MatchesReferenceOnRandomFilings)
+{
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        SCOPED_TRACE(seed);
+        checkBitCalendar<Simulator::kWakeWindow>(seed);
+        checkBitCalendar<baseline::BaselineChip::kCalendarWindow>(seed);
     }
 }
 
