@@ -1,7 +1,6 @@
 #include "baseline/baseline_chip.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <utility>
 
 #include "sim/logging.hpp"
@@ -59,15 +58,19 @@ BaselineChip::BaselineChip(Simulator &sim, BaselineParams params)
     dram_ = std::make_unique<mem::DramController>(sim, params_.dram,
                                                   "base.dram");
     dram_->setSink([this](mem::DramJob &&job) {
-        sim_.wake(this);
         SwThread &th = threads_[std::get<mem::MemRequest>(job).thread];
-        --th.outstanding;
-        --pendingMisses_;
         if (th.state == SwThread::State::Stalled) {
+            sim_.wake(&coreOf(th));
             th.state = SwThread::State::Runnable;
             th.readyAt = std::max(th.readyAt, sim_.now());
-            refreshSlot(slotOf(th));
         }
+        --th.outstanding;
+        --pendingMisses_;
+        // The last fill of a finished pool: the chip retires it at the
+        // end of this cycle's tick. The chip's skipped ticks read
+        // neither counter, so the wake may follow the change.
+        if (retirable())
+            sim_.wake(this);
     });
     cores_.resize(params_.numCores);
     for (std::uint32_t c = 0; c < params_.numCores; ++c) {
@@ -87,14 +90,12 @@ BaselineChip::BaselineChip(Simulator &sim, BaselineParams params)
         core.dtlb = std::make_unique<mem::Cache>(
             sim.stats(), tlb, strprintf("base.core%02u.dtlb", c));
         core.slots.resize(params_.smtPerCore);
+        core.chip = this;
+        core.index = c;
     }
-    slotWake_.assign(params_.numCores * params_.smtPerCore, kNoCycle);
-    slotWords_ = static_cast<std::uint32_t>((slotWake_.size() + 63) / 64);
-    for (std::uint32_t word = 0; word < slotWords_; ++word)
-        slotCalendar_.grow();
-    farSlots_.assign(slotWords_, 0);
-    dueMask_.assign(slotWords_, 0);
     sim.addTicking(this);
+    for (Core &core : cores_)
+        sim.addTicking(&core);
 }
 
 workloads::AddressLayout
@@ -131,6 +132,8 @@ BaselineChip::spawnWorkers(std::uint32_t num_threads,
     if (num_threads == 0)
         fatal("baseline: zero worker threads");
     sim_.wake(this);
+    for (Core &core : cores_)
+        sim_.wake(&core);
     persistent_ = persistent;
     for (auto &t : tasks)
         bag_.push_back(t);
@@ -146,12 +149,10 @@ BaselineChip::spawnWorkers(std::uint32_t num_threads,
         t.readyAt = sim_.now() +
             static_cast<Cycle>(k + 1) * params_.threadCreateCost;
         t.rng = Rng(0xba5e + t.id, t.id);
-        slotQueue(slotOf(t)).push_back(t.id);
+        coreOf(t).slots[slotOf(t) % params_.smtPerCore].push_back(t.id);
         ++liveThreads_;
         ++startingCount_;
     }
-    for (std::uint32_t slot = 0; slot < slotWake_.size(); ++slot)
-        refreshSlot(slot);
 }
 
 void
@@ -203,6 +204,7 @@ BaselineChip::taskDone(SwThread &t, Cycle now)
 void
 BaselineChip::restartWorker(SwThread &t, Cycle now)
 {
+    sim_.wake(&coreOf(t));
     if (t.hasTask) {
         // Progress is lost; the task re-runs from scratch.
         bag_.push_front(t.task);
@@ -216,7 +218,6 @@ BaselineChip::restartWorker(SwThread &t, Cycle now)
     t.hasPending = false;
     t.state = SwThread::State::Runnable;
     t.readyAt = now + params_.threadCreateCost;
-    refreshSlot(slotOf(t));
 }
 
 bool
@@ -236,10 +237,13 @@ BaselineChip::injectWorkerFault(bool hang, Rng &rng, Cycle now)
             t.state == SwThread::State::Finished)
             continue;
         if (hang) {
+            // A hang only takes a thread's wake away, so a core that
+            // sleeps through it would skip no tick it could act in;
+            // the wake keeps the one rule for outside changes.
+            sim_.wake(&coreOf(t));
             t.hung = true;
             t.hungSince = now;
             ++workerHangs_;
-            refreshSlot(slotOf(t));
         } else {
             ++workerKills_;
             restartWorker(t, now);
@@ -465,74 +469,12 @@ BaselineChip::executeOp(Core &core, SwThread &t, const MicroOp &op,
     panic("baseline: bad op kind");
 }
 
-void
-BaselineChip::refreshSlot(std::uint32_t slot)
-{
-    const auto &q = slotQueue(slot);
-    Cycle wake = kNoCycle;
-    if (!q.empty()) {
-        const SwThread &t = threads_[q.front()];
-        if (!t.hung && (t.state == SwThread::State::Starting ||
-                        t.state == SwThread::State::Runnable))
-            wake = t.readyAt;
-    }
-    slotWake_[slot] = wake;
-    if (wake != kNoCycle)
-        fileSlot(slot, wake);
-}
-
-void
-BaselineChip::fileSlot(std::uint32_t slot, Cycle wake)
-{
-    const std::uint32_t word = slot / 64;
-    const std::uint64_t bit = std::uint64_t{1} << (slot % 64);
-    const Cycle base = slotCalendar_.base();
-    if (wake < base) {
-        dueMask_[word] |= bit;
-    } else if (wake - base < kCalendarWindow) {
-        slotCalendar_.file(slot, wake);
-    } else {
-        farSlots_[word] |= bit;
-        farMin_ = std::min(farMin_, wake);
-    }
-}
-
-void
-BaselineChip::drainCalendar(Cycle now)
-{
-    slotCalendar_.drainThrough(now, dueMask_.data());
-    if (farMin_ >= slotCalendar_.base() + kCalendarWindow)
-        return;
-    // Refile the far set; slots whose wake has moved on are filed
-    // where it now is, or dropped when they wake no more.
-    farMin_ = kNoCycle;
-    for (std::uint32_t word = 0; word < slotWords_; ++word) {
-        std::uint64_t far = farSlots_[word];
-        farSlots_[word] = 0;
-        for (; far != 0; far &= far - 1) {
-            const std::uint32_t slot =
-                word * 64 + static_cast<std::uint32_t>(std::countr_zero(far));
-            if (slotWake_[slot] != kNoCycle)
-                fileSlot(slot, slotWake_[slot]);
-        }
-    }
-}
-
 Cycle
 BaselineChip::nextActiveCycle(Cycle now) const
 {
     if (liveThreads_ == 0)
         return kNoCycle;
-    if (retirable())
-        return now + 1;
-    // A due slot (passed over for budget, or able to act again) wakes
-    // at the first cycle the last tick's drain left.
-    Cycle next = std::any_of(dueMask_.begin(), dueMask_.end(),
-                             [](std::uint64_t w) { return w != 0; })
-        ? slotCalendar_.base()
-        : std::min(slotCalendar_.first(), farMin_);
-    if (oversubscribed())
-        next = std::min(next, nextRotate_);
+    Cycle next = oversubscribed() ? nextRotate_ : kNoCycle;
     if (recoveryOn_)
         next = std::min(next, nextScan_);
     return std::max(next, now + 1);
@@ -548,8 +490,7 @@ BaselineChip::skipTicks(Cycle from, Cycle n)
     // other effect from being skipped.
     const Cycle end = from + n;
     const Cycle rotate = std::max(from, nextRotate_);
-    if (*std::min_element(slotWake_.begin(), slotWake_.end()) < end ||
-        (recoveryOn_ && nextScan_ < end) ||
+    if ((recoveryOn_ && nextScan_ < end) ||
         (oversubscribed() && rotate < end))
         panic("baseline: skipped an active tick in [%llu, %llu)",
               static_cast<unsigned long long>(from),
@@ -562,6 +503,55 @@ BaselineChip::skipTicks(Cycle from, Cycle n)
         const Cycle q = params_.schedQuantum;
         nextRotate_ = q == 0 ? end - 1
                              : rotate + ((end - 1 - rotate) / q + 1) * q;
+    }
+}
+
+Cycle
+BaselineChip::Core::firstWake() const
+{
+    Cycle wake = kNoCycle;
+    for (const auto &q : slots) {
+        if (q.empty())
+            continue;
+        const SwThread &t = chip->threads_[q.front()];
+        if (!t.hung && (t.state == SwThread::State::Starting ||
+                        t.state == SwThread::State::Runnable))
+            wake = std::min(wake, t.readyAt);
+    }
+    return wake;
+}
+
+Cycle
+BaselineChip::Core::nextActiveCycle(Cycle now) const
+{
+    return std::max(firstWake(), now + 1);
+}
+
+void
+BaselineChip::Core::skipTicks(Cycle from, Cycle n)
+{
+    if (firstWake() < from + n)
+        panic("baseline core %u: skipped an active tick in [%llu, %llu)",
+              index, static_cast<unsigned long long>(from),
+              static_cast<unsigned long long>(from + n));
+}
+
+void
+BaselineChip::Core::tick(Cycle now)
+{
+    std::uint32_t budget = chip->params_.issueWidth;
+    for (auto &q : slots) {
+        if (budget == 0)
+            break;
+        if (!q.empty())
+            chip->runThread(*this, chip->threads_[q.front()], now, budget);
+    }
+    // A visit finished the pool: the chip counts this cycle first.
+    // A later core's visits this cycle would only find parked workers
+    // polling the empty bag, so the pool retires at once.
+    if (chip->retirable()) {
+        chip->sim_.wake(chip);
+        chip->retirePool();
     }
 }
 
@@ -621,7 +611,6 @@ BaselineChip::tick(Cycle now)
     ++cycles_;
     slotsOffered_ +=
         static_cast<double>(params_.issueWidth * params_.numCores);
-    drainCalendar(now);
 
     // OS watchdog: restart workers hung past the timeout.
     if (recoveryOn_ && now >= nextScan_) {
@@ -637,83 +626,39 @@ BaselineChip::tick(Cycle now)
     // OS time slicing when software threads oversubscribe a slot.
     if (now >= nextRotate_) {
         nextRotate_ = now + params_.schedQuantum;
-        for (std::uint32_t slot = 0; slot < slotWake_.size(); ++slot) {
-            auto &q = slotQueue(slot);
-            if (q.size() < 2)
-                continue;
-            q.push_back(q.front());
-            q.pop_front();
-            SwThread &in = threads_[q.front()];
-            in.readyAt =
-                std::max(in.readyAt, now + params_.contextSwitchCost);
-            ++switches_;
-            refreshSlot(slot);
-        }
-    }
-
-    // Visit the due slots in core-then-slot order, each core's under
-    // its issue budget. The tick-every-cycle kernel visits every
-    // non-empty slot instead: a visit to a front thread that cannot
-    // act is a no-op, so the stats of the two modes are identical
-    // exactly when every wake time is. A visit refreshes the slot,
-    // which files it anew (in the due set again when it can still
-    // act this cycle, for the next tick); a slot passed over for
-    // budget stays due.
-    const bool forced = !sim_.fastForward();
-    const auto num_slots = static_cast<std::uint32_t>(slotWake_.size());
-    const std::uint32_t smt = params_.smtPerCore;
-    std::uint32_t core = 0;
-    std::uint32_t budget = params_.issueWidth;
-    for (std::uint32_t word = 0; word < slotWords_; ++word) {
-        std::uint64_t visit = dueMask_[word];
-        for (std::uint32_t slot = word * 64;
-             forced && slot < std::min(num_slots, word * 64 + 64); ++slot)
-            if (!slotQueue(slot).empty())
-                visit |= std::uint64_t{1} << (slot % 64);
-        for (; visit != 0; visit &= visit - 1) {
-            const auto lane =
-                static_cast<std::uint32_t>(std::countr_zero(visit));
-            const std::uint32_t slot = word * 64 + lane;
-            const std::uint64_t bit = std::uint64_t{1} << lane;
-            if (slotWake_[slot] > now) {
-                dueMask_[word] &= ~bit; // refiled at its later wake
-                if (!forced)
+        for (Core &core : cores_) {
+            for (auto &q : core.slots) {
+                if (q.size() < 2)
                     continue;
+                sim_.wake(&core);
+                q.push_back(q.front());
+                q.pop_front();
+                SwThread &in = threads_[q.front()];
+                in.readyAt =
+                    std::max(in.readyAt, now + params_.contextSwitchCost);
+                ++switches_;
             }
-            if (slot / smt != core) {
-                core = slot / smt;
-                budget = params_.issueWidth;
-            }
-            if (budget == 0)
-                continue;
-            dueMask_[word] &= ~bit;
-            Core &c = cores_[core];
-            runThread(c, threads_[c.slots[slot - core * smt].front()],
-                      now, budget);
-            refreshSlot(slot);
         }
     }
 
-    // Run completion (non-persistent pools): once the bag is dry and
-    // every worker has parked, retire the pool so the simulator can
-    // go idle. Its threads leave their slots, so a later spawn's
-    // threads are each at the front of theirs.
-    if (retirable()) {
-        for (auto &t : threads_) {
-            if (t.state != SwThread::State::Finished) {
-                t.state = SwThread::State::Finished;
-                --liveThreads_;
-            }
+    // A DRAM fill finished the pool before this cycle's core visits,
+    // which would only find parked workers polling the empty bag.
+    if (retirable())
+        retirePool();
+}
+
+void
+BaselineChip::retirePool()
+{
+    for (auto &t : threads_) {
+        if (t.state != SwThread::State::Finished) {
+            t.state = SwThread::State::Finished;
+            --liveThreads_;
         }
-        for (auto &core : cores_)
-            for (auto &q : core.slots)
-                q.clear();
-        std::fill(slotWake_.begin(), slotWake_.end(), kNoCycle);
-        slotCalendar_.clear();
-        std::fill(farSlots_.begin(), farSlots_.end(), 0);
-        std::fill(dueMask_.begin(), dueMask_.end(), 0);
-        farMin_ = kNoCycle;
     }
+    for (auto &core : cores_)
+        for (auto &q : core.slots)
+            q.clear();
 }
 
 bool

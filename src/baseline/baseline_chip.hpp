@@ -135,27 +135,20 @@ class BaselineChip : public Ticking, public fault::FaultTarget
     std::uint64_t tasksExpired() const
     { return static_cast<std::uint64_t>(tasksExpired_.value()); }
 
+    /** The chip's own tick: the active-cycle and offered-slot
+     *  counts, the OS watchdog and the time slices. Its cores tick
+     *  after it, as components of their own. */
     void tick(Cycle now) override;
     bool busy() const override;
     /**
-     * The earliest cycle a tick can change state: a slot's wake time,
-     * the next context switch (only when some slot holds more than
-     * one thread) or the next watchdog scan. A chip with no live
-     * software thread sleeps until spawn.
+     * The next time slice (only when some slot holds more than one
+     * thread) or the next watchdog scan. A chip with no live software
+     * thread sleeps until spawn.
      */
     Cycle nextActiveCycle(Cycle now) const override;
     /** Replay the skipped ticks' active-cycle and offered-slot counts
      *  and the rotation clock. */
     void skipTicks(Cycle from, Cycle n) override;
-
-    /** Cycles the SMT-slot wake calendar covers, one cycle a bucket.
-     *  It takes the common wakes -- cache hits (12-38 cycles), a
-     *  DRAM-served fetch (180), an empty-bag poll (500) and a task
-     *  pop (600) -- and leaves context switches (5,000) and thread
-     *  creations (30,000 apart) to the far set. The test
-     *  GoldenStats.FastForwardMatchesForcedModeBaselineWindowEdges
-     *  sweeps latencies around it. */
-    static constexpr Cycle kCalendarWindow = 1024;
 
     BaselineMetrics metrics() const;
     Simulator &sim() { return sim_; }
@@ -199,42 +192,55 @@ class BaselineChip : public Ticking, public fault::FaultTarget
         std::uint32_t id = 0;
     };
 
-    /** One physical core: its private caches, DTLB and SMT slots. */
-    struct Core {
+    /**
+     * One physical core: its private caches, DTLB and SMT slots. A
+     * core is a component of its own, registered after the chip in
+     * core order, so the kernel schedules the SMT slots: a tick visits
+     * every occupied slot in order under the core's issue budget,
+     * and a visit to a front thread that cannot act is a no-op. A
+     * change that reaches a front thread from outside the core's tick
+     * (a DRAM fill of a stalled thread, a time slice, a restart, a
+     * hang, a spawn) calls wake() on the core first.
+     */
+    struct Core : Ticking {
+        BaselineChip *chip = nullptr;
+        std::uint32_t index = 0;
         std::unique_ptr<mem::Cache> l1i;
         std::unique_ptr<mem::Cache> l1d;
         std::unique_ptr<mem::Cache> l2;
         std::unique_ptr<mem::Cache> dtlb;
         /** Software threads affined to each SMT slot, front = live. */
         std::vector<std::deque<std::uint32_t>> slots;
+
+        /** Visit the slots; a visit that finishes the pool wakes the
+         *  chip, which counts this cycle, and retires the pool. */
+        void tick(Cycle now) override;
+        /** The chip's busy() speaks for its cores. */
+        bool busy() const override { return false; }
+        /** The earliest wake of a front thread (firstWake). */
+        Cycle nextActiveCycle(Cycle now) const override;
+        /** Skipped ticks are no-ops; panics if one could have acted. */
+        void skipTicks(Cycle from, Cycle n) override;
+        /** The least readyAt of the front threads that are Starting
+         *  or Runnable and not hung; kNoCycle when there is none. */
+        Cycle firstWake() const;
     };
 
     workloads::AddressLayout layoutFor(const SwThread &t) const;
     /** Run one slot's front thread for this cycle. */
     void runThread(Core &core, SwThread &t, Cycle now,
                    std::uint32_t &budget);
-    /** Software threads of flat SMT slot `slot`, front = live. */
-    std::deque<std::uint32_t> &slotQueue(std::uint32_t slot)
-    {
-        return cores_[slot / params_.smtPerCore]
-            .slots[slot % params_.smtPerCore];
-    }
+    std::uint32_t numSlots() const
+    { return params_.numCores * params_.smtPerCore; }
     /** Flat SMT slot (core * smtPerCore + way) a thread is affined to. */
     std::uint32_t slotOf(const SwThread &t) const
-    { return t.id % static_cast<std::uint32_t>(slotWake_.size()); }
+    { return t.id % numSlots(); }
+    Core &coreOf(const SwThread &t)
+    { return cores_[slotOf(t) / params_.smtPerCore]; }
     /** Some slot holds more than one thread, so rotations switch
      *  contexts (otherwise they only advance nextRotate_). Live
      *  threads are exactly those in slots: retirement empties them. */
-    bool oversubscribed() const
-    { return liveThreads_ > slotWake_.size(); }
-    /** Recompute slotWake_[slot] from the slot's front thread and
-     *  file the slot in the wake calendar. */
-    void refreshSlot(std::uint32_t slot);
-    /** File a slot whose wake is `wake` (not kNoCycle). */
-    void fileSlot(std::uint32_t slot, Cycle wake);
-    /** Move the slots filed at cycles up to `now` into dueMask_, then
-     *  refile the far set if the window has reached its minimum. */
-    void drainCalendar(Cycle now);
+    bool oversubscribed() const { return liveThreads_ > numSlots(); }
     /** Non-persistent pool with nothing left to run: retire it. */
     bool retirable() const
     {
@@ -242,6 +248,10 @@ class BaselineChip : public Ticking, public fault::FaultTarget
                activeTasks_ == 0 && startingCount_ == 0 &&
                liveThreads_ > 0;
     }
+    /** Finish every live thread and empty the slots, so the simulator
+     *  can go idle and a later spawn's threads are each at the front
+     *  of theirs. */
+    void retirePool();
     void nextTask(SwThread &t, Cycle now);
     /** Record and resolve a completion, then pop the next task. */
     void taskDone(SwThread &t, Cycle now);
@@ -277,49 +287,8 @@ class BaselineChip : public Ticking, public fault::FaultTarget
     Cycle nextScan_ = 0;
     Cycle lastTaskFinish_ = 0;
     /** OS time-slice clock, shared by every core: all of them start
-     *  at 0 and every live tick visits every core. */
+     *  at 0 and every live chip tick advances it. */
     Cycle nextRotate_ = 0;
-    /**
-     * Per SMT slot: the cycle its front thread can next act, i.e. its
-     * readyAt when it is Starting or Runnable and not hung, else
-     * kNoCycle. It is refreshed wherever a front thread's state,
-     * readyAt or hung flag changes, and wherever a slot's front
-     * changes; each refresh files the slot in the wake calendar
-     * below, and a fast-forward tick visits only the slots the
-     * calendar hands it whose wake time has come. A tick-every-cycle
-     * tick visits every non-empty slot instead, so a missing refresh
-     * makes the two modes' stats differ.
-     */
-    std::vector<Cycle> slotWake_;
-
-    // --- Wake calendar ----------------------------------------------------
-    // A slot set is a bitmask of slotWords_ words, bit s % 64 of word
-    // s / 64 for SMT slot s. refreshSlot() files a slot under its wake
-    // cycle w: in dueMask_ when w is before the calendar's base (its
-    // bucket has drained), in slotCalendar_ when w lies fewer than
-    // kCalendarWindow cycles past that base, else in the far set,
-    // which drainCalendar() refiles from slotWake_ once the window
-    // reaches farMin_. A refresh leaves the slot's earlier filing
-    // behind; such stale bits are dropped where the slot's wake no
-    // longer matches.
-
-    std::uint32_t slotWords_ = 0;
-    /** Drained by every tick, so its base is the last tick's cycle
-     *  plus one. */
-    BitCalendar<kCalendarWindow> slotCalendar_;
-    /** Slots whose wake was past the window when filed; farMin_ is
-     *  at most the least of those wakes. */
-    std::vector<std::uint64_t> farSlots_;
-    Cycle farMin_ = kNoCycle;
-    /**
-     * Slots whose wake cycle has passed and that have not been
-     * visited since: drained buckets, refreshes to a wake at or
-     * before the current cycle, and slots a tick passed over because
-     * their core's issue budget ran out. A tick visits them in
-     * core-then-slot order and drops the bits whose slot's wake has
-     * moved past the current cycle.
-     */
-    std::vector<std::uint64_t> dueMask_;
 
     Scalar committed_;
     Scalar cycles_;

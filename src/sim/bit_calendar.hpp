@@ -2,7 +2,7 @@
  * @file
  * Windows of one-cycle buckets: the occupancy bitmap of the event
  * queue's window, and the bit calendar in which the kernel files its
- * timed wakes and the baseline chip its SMT slots.
+ * components' timed wakes.
  */
 #pragma once
 
@@ -36,7 +36,6 @@ class BucketOccupancy
     void set(std::size_t b) { words_[b / 64] |= std::uint64_t{1} << (b % 64); }
     void reset(std::size_t b)
     { words_[b / 64] &= ~(std::uint64_t{1} << (b % 64)); }
-    void clear() { words_.fill(0); }
 
     /** Buckets from start to the first occupied one, wrapping once
      *  round the window; Window when none is occupied. */
@@ -60,10 +59,11 @@ class BucketOccupancy
 };
 
 /**
- * Indices (components, SMT slots), 64 a word, filed under the cycle
+ * Indices (the kernel's components), 64 a word, filed under the cycle
  * they are due at. The calendar covers only its window: a caller
  * keeps farther cycles in a tier of its own, and files a cycle only
- * at or after base() and within Window cycles of every filed one.
+ * after the last drainThrough() cycle and within Window cycles of
+ * every filed one.
  */
 template <Cycle Window>
 class BitCalendar
@@ -83,10 +83,9 @@ class BitCalendar
     }
 
     /** OR the indices filed at cycles up to now into bits (a word per
-     *  grow()), remove those filings and make now + 1 the base. */
+     *  grow()) and remove those filings. */
     void drainThrough(Cycle now, std::uint64_t *bits)
     {
-        base_ = now + 1;
         if (first_ > now)
             return;
         // Every filing lies in first_ .. first_ + Window - 1, so the
@@ -108,21 +107,11 @@ class BitCalendar
 
     /** Earliest filed cycle; kNoCycle when nothing is filed. */
     Cycle first() const { return first_; }
-    /** First cycle not yet drained. */
-    Cycle base() const { return base_; }
-
-    void clear()
-    {
-        std::fill(bits_.begin(), bits_.end(), 0);
-        occupied_.clear();
-        first_ = kNoCycle;
-    }
 
   private:
     /** Word w's bucket b at w * Window + b, so grow() appends. */
     std::vector<std::uint64_t> bits_;
     Occupancy occupied_;
-    Cycle base_ = 0;
     Cycle first_ = kNoCycle;
 };
 

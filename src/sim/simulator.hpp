@@ -182,10 +182,10 @@ class Simulator
      * unless --no-fast-forward / SMARCO_NO_FAST_FORWARD is set). When
      * off, every registered component is ticked every cycle — the
      * slow reference mode the golden-stats harness compares against.
+     * No component can read the mode, so that reference stays
+     * independent of the hints it checks.
      */
     void setFastForward(bool on) { fastForward_ = on; }
-    /** Whether quiescence fast-forwarding is on (see setFastForward). */
-    bool fastForward() const { return fastForward_; }
 
     /** Cycles skipped by quiescence fast-forwards (kernel metric;
      *  deliberately not a registered Stat so both kernel modes dump

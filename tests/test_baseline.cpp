@@ -285,8 +285,8 @@ TEST(Baseline, DueSlotPassedOverForBudgetStaysAwake)
     // One core, two SMT slots, search tasks: ILP 3.0 times the 1.5
     // OoO boost reaches the 4-wide issue width, so slot 0 can spend
     // the core's whole budget while slot 1 is due. The passed-over
-    // slot's wake must stay in the chip's wake minimum, or the kernel
-    // skips a tick in which it acts (and panics on it).
+    // slot's wake must stay in its core's hint, or the kernel skips a
+    // tick in which it acts (and panics on it).
     const auto run = [](bool fast_forward) {
         Simulator sim;
         sim.setFastForward(fast_forward);

@@ -254,19 +254,20 @@ baselineOpenLoopRun(bool fast_forward, const SimInspect &inspect = {})
 }
 
 /**
- * Baseline wake path, calendar edges. The baseline chip files each SMT
- * slot under its wake cycle in a calendar of one-cycle buckets that
- * covers the next BaselineChip::kCalendarWindow cycles, and a wake
- * further out in a far set it pulls in as the window reaches it.
- * This run sets the branch penalty, the DTLB walk, the task pop and
- * the context switch to `latency`, so the sweep below lands the wakes
- * a tick files just inside the window's end, on its last bucket, just
- * past it and past twice its length. A hang + kill campaign with the OS watchdog
- * restarts workers (a far wake of threadCreateCost), and DRAM
- * completions refresh stalled slots between ticks. The pool is either
- * a closed batch of 12 threads on 8 slots, which context-switch, or a
- * persistent pool of 6 workers fed one task every 9,001 cycles, which
- * park on the empty bag between them. Every run must drain.
+ * Baseline wake path, calendar edges. Each baseline core sleeps until
+ * the earliest readyAt of its SMT slots' front threads, and the kernel
+ * files that wake in its calendar of one-cycle buckets when it lies
+ * fewer than Simulator::kWakeWindow cycles ahead, else on its far
+ * heap. This run sets the branch penalty, the DTLB walk, the task pop
+ * and the context switch to `latency`, so the sweep below lands the
+ * wakes a core's tick files on the window's last bucket, just past
+ * its end, one further and past twice its length. A hang + kill
+ * campaign with the OS watchdog restarts workers (a far wake of
+ * threadCreateCost), and DRAM completions wake stalled threads'
+ * cores between ticks. The pool is either a closed batch of 12
+ * threads on 8 slots, which context-switch, or a persistent pool of
+ * 6 workers fed one task every 9,001 cycles, which park on the empty
+ * bag between them. Every run must drain.
  */
 std::string
 baselineWindowEdgeRun(bool fast_forward, bool persistent, Cycle latency)
@@ -315,9 +316,9 @@ baselineWindowEdgeRun(bool fast_forward, bool persistent, Cycle latency)
 
 /**
  * The oversubscribed, faulted and open-loop wake paths as one JSON
- * object. Both kernel modes visit only the slots whose wake time has
- * come, so a missing wake-time refresh shows in this snapshot and
- * not in a mode comparison.
+ * object. A core's visit to a thread that cannot act is a no-op, so
+ * the mode comparisons above catch a missing wake; this snapshot
+ * catches a change both modes make alike.
  */
 std::string
 baselineWakePathsRun()
@@ -885,7 +886,7 @@ TEST(GoldenStats, FastForwardMatchesForcedModeBaselineSampled)
 
 TEST(GoldenStats, FastForwardMatchesForcedModeBaselineWindowEdges)
 {
-    constexpr Cycle kWindow = baseline::BaselineChip::kCalendarWindow;
+    constexpr Cycle kWindow = Simulator::kWakeWindow;
     for (const bool persistent : {false, true}) {
         for (const Cycle latency :
              {kWindow - 1, kWindow, kWindow + 1, 2 * kWindow + 1}) {
